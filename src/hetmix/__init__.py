@@ -28,7 +28,7 @@ from .model import (IGNORE_MISSING, MISSINGNESS_MODES, MODEL_MISSING,
                     total_log_likelihood)
 from .training import (ComponentCollapseError, EmConfig, OrderScore,
                        OrderSelection, TrainingError, TrainingTrace,
-                       bic_score, e_step, fit, m_step, select_order)
+                       bic_score, fit, m_step, select_order)
 from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
                         PredictiveDistribution, infer, point_predict,
                         rank_outcomes)

@@ -37,7 +37,6 @@ Exit codes: 0 success, 2 usage (argparse), 3 validation, 4 training,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -48,10 +47,11 @@ from . import __version__, demo
 from .evaluation import (DegenerateSampleError, confidence_bins, error_density,
                          loo_evaluate, scott_bandwidth, threshold_curve)
 from .inference import InferenceRequest, infer, point_predict
-from .io import (DEFAULT_MISSING_TOKEN, FormatError, _parse_cell,
-                 atomic_write_text, load_model, load_schemas, params_to_dict,
-                 read_data_csv, save_model, save_schemas, sha256_file,
-                 write_csv_table, write_data_csv, write_labels_csv)
+from .io import (DEFAULT_MISSING_TOKEN, FormatError, atomic_write_text,
+                 load_dataset, load_model, load_schemas, params_to_dict,
+                 read_data_csv, read_evidence_csv, save_model, save_schemas,
+                 sha256_file, write_csv_table, write_data_csv,
+                 write_labels_csv)
 from .model import MISSINGNESS_MODES, ZeroLikelihoodError, sample_cohort
 from .schema import (OUTCOME, SchemaError, SchemaViolationError,
                      drop_zero_variability, missingness_profile,
@@ -116,17 +116,12 @@ def _em_config(arguments: dict) -> EmConfig:
 
 
 def _load_training_data(arguments: dict):
-    schemas = load_schemas(arguments["schema"])
-    dataset = read_data_csv(arguments["data"], schemas, arguments["missing_token"])
-    dropped = []
-    if arguments["drop_constant"]:
-        dataset, dropped = drop_zero_variability(dataset)
-        for name in dropped:
-            print(f"dropped zero-variability column: {name}")
-    violations = validate_dataset(dataset)
-    if violations:
-        raise SchemaViolationError(violations)
-    return dataset, dropped
+    dataset, dropped = load_dataset(arguments["data"], arguments["schema"],
+                                    missing_token=arguments["missing_token"],
+                                    drop_constant=arguments["drop_constant"])
+    for name in dropped:
+        print(f"dropped zero-variability column: {name}")
+    return dataset
 
 
 def parse_orders(text: str) -> list:
@@ -175,7 +170,7 @@ def run_validate(arguments: dict, out_dir) -> list:
 
 
 def run_fit(arguments: dict, out_dir) -> list:
-    dataset, _ = _load_training_data(arguments)
+    dataset = _load_training_data(arguments)
     model, trace = fit(dataset, arguments["order"], _em_config(arguments))
     save_model(model, out_dir / "model.json")
     write_csv_table(out_dir / "trace.csv", ["iteration", "nll"],
@@ -187,7 +182,7 @@ def run_fit(arguments: dict, out_dir) -> list:
 
 
 def run_select(arguments: dict, out_dir) -> list:
-    dataset, _ = _load_training_data(arguments)
+    dataset = _load_training_data(arguments)
     selection = select_order(dataset, parse_orders(arguments["orders"]),
                              _em_config(arguments))
     rows = [[s.order,
@@ -217,33 +212,6 @@ def _prediction_payload(prediction, schema) -> dict:
             "point": point_predict(prediction)}
 
 
-def _read_evidence(path, model, missing_token: str, targets) -> list:
-    """Evidence CSV rows as name -> value dicts over a subset of variables."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            raise FormatError(f"{path}: duplicate evidence columns")
-        schemas = []
-        for name in header:
-            if name in targets:
-                raise FormatError(f"{path}: evidence column {name!r} is a target")
-            schemas.append(model.schema(name))
-        records = []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(row)} fields, "
-                                  f"expected {len(header)}")
-            records.append({s.name: _parse_cell(text, s, missing_token)
-                            for s, text in zip(schemas, row)})
-    if not records:
-        raise FormatError(f"{path}: no evidence rows")
-    return records
-
-
 def run_infer(arguments: dict, out_dir) -> list:
     model = load_model(arguments["model"])
     targets = (arguments["targets"].split(",") if arguments["targets"]
@@ -252,8 +220,8 @@ def run_infer(arguments: dict, out_dir) -> list:
         raise SchemaError("no targets: pass --targets or give outcome roles")
     for name in targets:
         model.column_index(name)  # unknown targets are a usage error, not per-record
-    records = _read_evidence(arguments["evidence"], model,
-                             arguments["missing_token"], targets)
+    records = read_evidence_csv(arguments["evidence"], model, targets,
+                                arguments["missing_token"])
     lines = []
     failures = 0
     for i, evidence in enumerate(records):
@@ -278,7 +246,7 @@ def run_infer(arguments: dict, out_dir) -> list:
 
 
 def run_evaluate(arguments: dict, out_dir) -> list:
-    dataset, _ = _load_training_data(arguments)
+    dataset = _load_training_data(arguments)
     targets = (arguments["targets"].split(",") if arguments["targets"]
                else [dataset.schemas[j].name for j in dataset.outcome_columns])
     if not targets:
@@ -500,29 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ARGUMENT_KEYS = {
-    "validate": ("data", "schema", "missing_token", "drop_constant"),
-    "fit": ("data", "schema", "missing_token", "drop_constant", "order",
-            "seed", "restarts", "max_iterations", "rel_tol"),
-    "select": ("data", "schema", "missing_token", "drop_constant", "orders",
-               "seed", "restarts", "max_iterations", "rel_tol"),
-    "infer": ("model", "evidence", "targets", "missing_token", "mode"),
-    "evaluate": ("data", "schema", "missing_token", "drop_constant", "orders",
-                 "targets", "mode", "seed", "restarts", "max_iterations",
-                 "rel_tol", "workers", "bin_cutoff", "threshold_steps",
-                 "density_points"),
-    "simulate": ("model", "n", "seed", "missing_token"),
-    "demo-model": ("variant",),
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
             return run_rerun(args)
-        arguments = {key: getattr(args, key) for key in _ARGUMENT_KEYS[args.command]}
+        arguments = {key: value for key, value in vars(args).items()
+                     if key not in ("command", "out_dir")}
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _execute(args.command, arguments, out_dir)

@@ -265,20 +265,21 @@ def _weighted_moments(values, weights):
     return mean, var
 
 
-def _floored_variance(var, scale, floors):
-    floor = floors.rel_variance * float(scale) ** 2
+def _floored_variance(var, scale):
+    floor = DEFAULT_FLOORS.rel_variance * float(scale) ** 2
     return max(var, floor)
 
 
-def weighted_mle(kind: VariableKind, values, weights, *, domain=None, scale=None,
-                 floors: ParamFloors = DEFAULT_FLOORS) -> Params:
+def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
+                 scale=None) -> Params:
     """Responsibility-weighted maximum-likelihood update for one family.
 
     ``values`` holds observed cells only: floats for continuous kinds, integer
     levels for ordinals, symbols (or precomputed integer domain codes) for
     categoricals. ``weights`` are nonnegative with positive total. ``domain``
     is required for finite kinds; ``scale`` feeds the variance floor and
-    defaults to the value span (ordinals: the domain span).
+    defaults to the value span (ordinals: the domain span). Floors come from
+    DEFAULT_FLOORS.
 
     The Gamma update excludes zeros from the moment sums (all zero mass lives
     in ``zero_prob``) and uses the closed-form shape approximation
@@ -304,7 +305,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None, scale=None
             index = {v: i for i, v in enumerate(domain)}
             codes = np.fromiter((index[v] for v in values), dtype=np.int64, count=len(values))
         counts = np.bincount(codes, weights=weights, minlength=len(domain))
-        probs = counts / total + floors.categorical_pseudo
+        probs = counts / total + DEFAULT_FLOORS.categorical_pseudo
         probs /= probs.sum()
         return Categorical(tuple(probs), domain)
 
@@ -317,7 +318,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None, scale=None
         if scale is None:
             scale = values.max() - values.min() if values.size else 1.0
             scale = scale if scale > 0 else 1.0
-        return Gaussian(mean, _floored_variance(var, scale, floors))
+        return Gaussian(mean, _floored_variance(var, scale))
 
     if kind is VariableKind.ORDINAL:
         if domain is None:
@@ -326,7 +327,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None, scale=None
         if scale is None:
             scale = domain[-1] - domain[0]
         mean, var = _weighted_moments(values, weights)
-        return QuantizedGaussian(mean, _floored_variance(var, scale, floors), domain)
+        return QuantizedGaussian(mean, _floored_variance(var, scale), domain)
 
     # nonnegative: zero inflation plus Gamma on the positive part
     if (values < 0).any():
@@ -346,8 +347,8 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None, scale=None
     # log(mean) >= mean(log) by Jensen; clamp fp noise away from zero
     log_gap = max(log_gap, 1e-12)
     shape = (3.0 - log_gap + math.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
-    shape = min(max(shape, floors.shape_min), floors.shape_max)
-    scale_par = max(mean / shape, floors.scale_min)
+    shape = min(max(shape, DEFAULT_FLOORS.shape_min), DEFAULT_FLOORS.shape_max)
+    scale_par = max(mean / shape, DEFAULT_FLOORS.scale_min)
     return InflatedGamma(zero_prob, shape, scale_par)
 
 

@@ -33,6 +33,7 @@ from .training import EmConfig, TrainingError, fit
 
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
+MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
 
 # anything that breaks a single fold without implicating the others: a
 # training subset that lost its last variability in some column, EM failure,
@@ -319,14 +320,13 @@ def _evaluate_fold(dataset: Dataset, subject: int, orders, targets, mode: str,
 
 
 def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
-                 config: EmConfig = EmConfig(), *, n_workers: int = 1,
-                 max_failure_fraction: float = 0.1) -> LooResult:
+                 config: EmConfig = EmConfig(), *, n_workers: int = 1) -> LooResult:
     """Leave-one-out evaluation of every requested order against the references.
 
     Order 0 (uniform chance) is always reported; order 1 (the prior marginal)
     is added to the requested orders if absent. Folds that fail for any order
     (see _FOLD_ERRORS) are excluded entirely so the per-order averages cover
-    identical subjects; the run aborts when more than ``max_failure_fraction``
+    identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
     of folds fail. Per-fold seeds depend only on (config.seed, subject), so
     results do not depend on worker count.
     """
@@ -343,20 +343,13 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     if dataset.n_subjects < 3:
         raise ValueError("leave-one-out needs at least 3 subjects")
 
-    folds = range(dataset.n_subjects)
+    tasks = [(dataset, s, orders, targets, mode, config) for s in range(dataset.n_subjects)]
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            raw = list(pool.map(_fold_worker,
-                                [(dataset, s, orders, targets, mode, config) for s in folds],
-                                chunksize=8))
+            raw = list(pool.map(_fold_worker, tasks, chunksize=8))
     else:
-        raw = []
-        for s in folds:
-            try:
-                raw.append(_evaluate_fold(dataset, s, orders, targets, mode, config))
-            except _FOLD_ERRORS as err:
-                raw.append((s, None, None, str(err)))
+        raw = [_fold_worker(task) for task in tasks]
 
     failures = []
     eae_records: dict = {order: [] for order in [CHANCE_ORDER] + orders}
@@ -375,7 +368,7 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
         for order, (log_c, pct) in confidence.items():
             confidence_records[order].append(ConfidenceRecord(subject, log_c, pct))
 
-    if len(failures) > max_failure_fraction * dataset.n_subjects:
+    if len(failures) > MAX_FAILURE_FRACTION * dataset.n_subjects:
         raise TrainingError(
             f"{len(failures)} of {dataset.n_subjects} folds failed training: "
             + "; ".join(f.message for f in failures[:3]))
@@ -395,7 +388,8 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
 
 
 def _fold_worker(args):
-    """Top-level adapter so process pools can pickle the fold call."""
+    """One fold, with _FOLD_ERRORS turned into a failure record; top-level so
+    process pools can pickle it."""
     dataset, subject, orders, targets, mode, config = args
     try:
         return _evaluate_fold(dataset, subject, orders, targets, mode, config)

@@ -16,9 +16,8 @@ from typing import Mapping
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
-                    evidence_log_likelihoods)
-from .schema import SchemaError
+from .model import (MixtureModel, check_mode, evidence_log_likelihoods,
+                    normalize_log_joint)
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,7 @@ def infer(model: MixtureModel, request: InferenceRequest) -> PredictiveDistribut
     for name in request.targets:
         model.column_index(name)
     log_comp = evidence_log_likelihoods(model, request.evidence, request.mode)
-    total = logsumexp(log_comp)
-    if not np.isfinite(total):
-        raise ZeroLikelihoodError("evidence has zero likelihood under every component")
-    posterior = np.exp(log_comp - total)
+    posterior = normalize_log_joint(log_comp[None, :])[0][0]
     predictions = {}
     for name in request.targets:
         j = model.column_index(name)

@@ -125,6 +125,27 @@ def _parse_cell(text: str, schema: VariableSchema, missing_token: str):
         return text  # reported by validate_dataset, not here
 
 
+def _csv_rows(path):
+    """Yield the header of a CSV file, then its data rows one at a time.
+
+    An empty file or a row whose field count differs from the header's raises
+    FormatError. Rows are streamed, never collected, so a large file costs
+    only its parsed cells.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        yield header
+        for i, record in enumerate(reader):
+            if len(record) != len(header):
+                raise FormatError(f"{path}: row {i} has {len(record)} fields, "
+                                  f"expected {len(header)}")
+            yield record
+
+
 def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> Dataset:
     """Parse a header-led CSV against the schemas; no validation beyond shape.
 
@@ -138,27 +159,40 @@ def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> 
         if s.kind is VariableKind.CATEGORICAL and missing_token in s.domain:
             raise FormatError(f"{s.name}: missing token {missing_token!r} is also "
                               "a domain symbol")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        names = [s.name for s in schemas]
-        if sorted(header) != sorted(names):
-            raise FormatError(f"{path}: header {header} does not match schema "
-                              f"names {names}")
-        take = [header.index(name) for name in names]
-        rows = []
-        for i, record in enumerate(reader):
-            if len(record) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(record)} fields, "
-                                  f"expected {len(header)}")
-            rows.append(tuple(_parse_cell(record[k], schemas[j], missing_token)
-                              for j, k in enumerate(take)))
+    records = _csv_rows(path)
+    header = next(records)
+    names = [s.name for s in schemas]
+    if sorted(header) != sorted(names):
+        raise FormatError(f"{path}: header {header} does not match schema "
+                          f"names {names}")
+    take = [header.index(name) for name in names]
+    rows = [tuple(_parse_cell(record[k], schemas[j], missing_token)
+                  for j, k in enumerate(take))
+            for record in records]
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return Dataset(schemas, rows)
+
+
+def read_evidence_csv(path, model: MixtureModel, targets,
+                      missing_token: str = DEFAULT_MISSING_TOKEN) -> list:
+    """Evidence CSV rows as name -> value dicts over a subset of the model's
+    variables; a target may not appear as an evidence column."""
+    records = _csv_rows(path)
+    header = next(records)
+    if len(set(header)) != len(header):
+        raise FormatError(f"{path}: duplicate evidence columns")
+    schemas = []
+    for name in header:
+        if name in targets:
+            raise FormatError(f"{path}: evidence column {name!r} is a target")
+        schemas.append(model.schema(name))
+    evidence = [{s.name: _parse_cell(text, s, missing_token)
+                 for s, text in zip(schemas, record)}
+                for record in records]
+    if not evidence:
+        raise FormatError(f"{path}: no evidence rows")
+    return evidence
 
 
 def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):

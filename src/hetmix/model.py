@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import Params
+from .distributions import family_for
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, Violation)
 
@@ -63,6 +63,18 @@ class MixtureModel:
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
         if (missing < 0).any() or (missing > 1).any():
             raise ValueError("missing probabilities must lie in [0, 1]")
+        for v, schema in enumerate(schemas):
+            family = family_for(schema.kind)
+            for z, row in enumerate(params):
+                cell = row[v]
+                if not isinstance(cell, family):
+                    raise ValueError(f"component {z}, variable {schema.name!r}: a "
+                                     f"{schema.kind.value} variable needs a "
+                                     f"{family.family} block, got {cell!r}")
+                if schema.kind.is_finite and cell.domain != schema.domain:
+                    raise ValueError(f"component {z}, variable {schema.name!r}: "
+                                     f"domain {cell.domain} differs from the "
+                                     f"schema's {schema.domain}")
         weights = weights.copy()
         missing = missing.copy()
         weights.setflags(write=False)
@@ -155,16 +167,41 @@ def total_log_likelihood(model: MixtureModel, dataset: Dataset, mode: str) -> fl
     return float(row_log_likelihoods(model, dataset, mode).sum())
 
 
-def posterior_matrix(model: MixtureModel, dataset: Dataset, mode: str,
-                     columns: Sequence[int] | None = None) -> np.ndarray:
-    """(N, Z) latent posteriors; rows sum to 1."""
-    comp = component_log_likelihoods(model, dataset, mode, columns)
-    totals = logsumexp(comp, axis=1)
+def normalize_log_joint(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors (N, Z) and row log-likelihoods (N,) of an (N, Z) log-joint matrix.
+
+    Raises ZeroLikelihoodError when a row has zero likelihood under every
+    component, since its posterior is undefined.
+    """
+    totals = logsumexp(log_joint, axis=1)
     bad = np.flatnonzero(~np.isfinite(totals))
     if bad.size:
         raise ZeroLikelihoodError(
             f"subject {bad[0]} has zero likelihood under every component")
-    return np.exp(comp - totals[:, None])
+    return np.exp(log_joint - totals[:, None]), totals
+
+
+def posterior_matrix(model: MixtureModel, dataset: Dataset, mode: str,
+                     columns: Sequence[int] | None = None) -> np.ndarray:
+    """(N, Z) latent posteriors; rows sum to 1."""
+    comp = component_log_likelihoods(model, dataset, mode, columns)
+    return normalize_log_joint(comp)[0]
+
+
+def _row_dataset(schemas, values: Mapping, violation_row: int | None) -> Dataset:
+    """One-subject Dataset with ``values`` (column index -> cell), MISSING elsewhere.
+
+    Inadmissible values raise SchemaViolationError; each violation carries
+    ``violation_row`` as its row.
+    """
+    bad = [Violation(violation_row, schemas[j].name, msg) for j, value in values.items()
+           if (msg := schemas[j].validate_value(value)) is not None]
+    if bad:
+        raise SchemaViolationError(bad)
+    row = [MISSING] * len(schemas)
+    for j, value in values.items():
+        row[j] = value
+    return Dataset(schemas, [tuple(row)])
 
 
 def _validated_row_dataset(schemas, row) -> Dataset:
@@ -172,11 +209,7 @@ def _validated_row_dataset(schemas, row) -> Dataset:
     if len(row) != len(schemas):
         raise SchemaViolationError([Violation(0, "<row>",
                                               f"{len(row)} cells for {len(schemas)} variables")])
-    bad = [Violation(0, s.name, msg) for s, value in zip(schemas, row)
-           if (msg := s.validate_value(value)) is not None]
-    if bad:
-        raise SchemaViolationError(bad)
-    return Dataset(schemas, [row])
+    return _row_dataset(schemas, dict(enumerate(row)), 0)
 
 
 def joint_log_likelihood(model: MixtureModel, row: Sequence, mode: str) -> float:
@@ -199,21 +232,9 @@ def evidence_log_likelihoods(model: MixtureModel, evidence: Mapping, mode: str) 
     mapping contribute nothing at all.
     """
     check_mode(mode)
-    columns = []
-    row = [MISSING] * len(model.schemas)
-    bad = []
-    for name, value in evidence.items():
-        j = model.column_index(name)
-        msg = model.schemas[j].validate_value(value)
-        if msg is not None:
-            bad.append(Violation(None, name, msg))
-            continue
-        columns.append(j)
-        row[j] = value
-    if bad:
-        raise SchemaViolationError(bad)
-    ds = Dataset(model.schemas, [tuple(row)])
-    return component_log_likelihoods(model, ds, mode, columns)[0]
+    values = {model.column_index(name): value for name, value in evidence.items()}
+    ds = _row_dataset(model.schemas, values, None)
+    return component_log_likelihoods(model, ds, mode, list(values))[0]
 
 
 def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray]:

@@ -132,16 +132,6 @@ class VariableSchema:
     def _domain_index(self) -> dict:
         return {v: i for i, v in enumerate(self.domain)}
 
-    @cached_property
-    def domain_array(self) -> np.ndarray:
-        """Domain as an array: int64 for ordinals, object for categoricals."""
-        if self.kind is VariableKind.ORDINAL:
-            arr = np.asarray(self.domain, dtype=np.int64)
-        else:
-            arr = np.asarray(self.domain, dtype=object)
-        arr.setflags(write=False)
-        return arr
-
     def validate_value(self, value) -> str | None:
         """Return a violation message for ``value``, or None if admissible."""
         if value is MISSING:
@@ -344,6 +334,16 @@ def _column_violations(dataset: Dataset, column: int) -> list[Violation]:
     return out
 
 
+def _zero_variability(dataset: Dataset, column: int) -> str | None:
+    """Why the column carries no information, or None if it varies."""
+    observed = [c for c in dataset.cells[:, column] if c is not MISSING]
+    if not observed:
+        return "no observed values"
+    if all(v == observed[0] for v in observed[1:]):
+        return f"constant column (always {observed[0]!r})"
+    return None
+
+
 def validate_dataset(dataset: Dataset) -> list[Violation]:
     """All violations in the dataset: bad cells, then zero-variability columns.
 
@@ -354,22 +354,16 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     out = []
     for j, schema in enumerate(dataset.schemas):
         out.extend(_column_violations(dataset, j))
-        observed = [c for c in dataset.cells[:, j] if c is not MISSING]
-        if not observed:
-            out.append(Violation(None, schema.name, "no observed values"))
-        elif all(v == observed[0] for v in observed[1:]):
-            out.append(Violation(None, schema.name, f"constant column (always {observed[0]!r})"))
+        reason = _zero_variability(dataset, j)
+        if reason is not None:
+            out.append(Violation(None, schema.name, reason))
     return out
 
 
 def zero_variability_columns(dataset: Dataset) -> list[str]:
     """Names of columns that are always missing or observed-constant."""
-    out = []
-    for j, schema in enumerate(dataset.schemas):
-        observed = [c for c in dataset.cells[:, j] if c is not MISSING]
-        if not observed or all(v == observed[0] for v in observed[1:]):
-            out.append(schema.name)
-    return out
+    return [schema.name for j, schema in enumerate(dataset.schemas)
+            if _zero_variability(dataset, j) is not None]
 
 
 def drop_zero_variability(dataset: Dataset) -> tuple[Dataset, list[str]]:

@@ -15,18 +15,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .distributions import DEFAULT_FLOORS, ParamFloors, default_params, weighted_mle
+from .distributions import default_params, weighted_mle
 from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError,
-                    component_log_likelihoods, parameter_count, total_log_likelihood)
+                    component_log_likelihoods, normalize_log_joint,
+                    parameter_count, total_log_likelihood)
 from .schema import Dataset, SchemaViolationError, VariableKind, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
-
-RANDOM_RESPONSIBILITIES = "random_responsibilities"
 
 
 class ComponentCollapseError(RuntimeError):
@@ -45,7 +43,6 @@ class EmConfig:
     rel_tol: float = 1e-6
     restarts: int = 5
     seed: int = 0
-    init: str = RANDOM_RESPONSIBILITIES
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -54,8 +51,6 @@ class EmConfig:
             raise ValueError("rel_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.init != RANDOM_RESPONSIBILITIES:
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -75,19 +70,7 @@ class TrainingTrace:
         return self.nll_per_iteration[-1]
 
 
-def e_step(model: MixtureModel, dataset: Dataset) -> np.ndarray:
-    """(N, Z) responsibilities under the model_missing likelihood."""
-    comp = component_log_likelihoods(model, dataset, MODEL_MISSING)
-    totals = logsumexp(comp, axis=1)
-    bad = np.flatnonzero(~np.isfinite(totals))
-    if bad.size:
-        raise ZeroLikelihoodError(
-            f"subject {bad[0]} has zero likelihood under every component")
-    return np.exp(comp - totals[:, None])
-
-
-def m_step(dataset: Dataset, responsibilities: np.ndarray, *,
-           floors: ParamFloors = DEFAULT_FLOORS) -> MixtureModel:
+def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     """Weighted ML updates for weights, missing probs, and family params.
 
     Raises ComponentCollapseError if any component's total responsibility is
@@ -128,26 +111,21 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray, *,
                                               scale=scale if scale is not None else 1.0)
             else:
                 params[z][v] = weighted_mle(schema.kind, observed, wz,
-                                            domain=domain, scale=scale, floors=floors)
+                                            domain=domain, scale=scale)
     return MixtureModel(weights, tuple(tuple(row) for row in params),
                         missing_probs, dataset.schemas)
 
 
-def _em_once(dataset: Dataset, order: int, config: EmConfig, rng,
-             floors: ParamFloors):
+def _em_once(dataset: Dataset, order: int, config: EmConfig, rng):
     """One restart: random responsibilities, M-step, then EM to convergence."""
     alpha = rng.dirichlet(np.ones(order), size=dataset.n_subjects)
-    model = m_step(dataset, alpha, floors=floors)
+    model = m_step(dataset, alpha)
     nlls: list[float] = []
     previous_model = None
     converged = False
     for _ in range(config.max_iterations):
-        comp = component_log_likelihoods(model, dataset, MODEL_MISSING)
-        totals = logsumexp(comp, axis=1)
-        bad = np.flatnonzero(~np.isfinite(totals))
-        if bad.size:
-            raise ZeroLikelihoodError(
-                f"subject {bad[0]} has zero likelihood under every component")
+        posteriors, totals = normalize_log_joint(
+            component_log_likelihoods(model, dataset, MODEL_MISSING))
         nll = float(-totals.sum())
         if nlls:
             if nll > nlls[-1] + MONOTONE_SLACK:
@@ -161,8 +139,7 @@ def _em_once(dataset: Dataset, order: int, config: EmConfig, rng,
                 break
         nlls.append(nll)
         previous_model = model
-        alpha = np.exp(comp - totals[:, None])
-        model = m_step(dataset, alpha, floors=floors)
+        model = m_step(dataset, posteriors)
     else:
         # iteration cap hit with a final un-scored M-step; score it now
         nll = -total_log_likelihood(model, dataset, MODEL_MISSING)
@@ -173,8 +150,8 @@ def _em_once(dataset: Dataset, order: int, config: EmConfig, rng,
     return model, nlls, converged
 
 
-def fit(dataset: Dataset, order: int, config: EmConfig = EmConfig(), *,
-        floors: ParamFloors = DEFAULT_FLOORS) -> tuple[MixtureModel, TrainingTrace]:
+def fit(dataset: Dataset, order: int,
+        config: EmConfig = EmConfig()) -> tuple[MixtureModel, TrainingTrace]:
     """Fit a mixture of ``order`` components; returns the best restart.
 
     The dataset must pass validation (no bad cells, no zero-variability
@@ -193,7 +170,7 @@ def fit(dataset: Dataset, order: int, config: EmConfig = EmConfig(), *,
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         try:
-            model, nlls, converged = _em_once(dataset, order, config, rng, floors)
+            model, nlls, converged = _em_once(dataset, order, config, rng)
         except (ComponentCollapseError, ZeroLikelihoodError) as err:
             failures.append(f"restart {r}: {err}")
             continue
@@ -235,8 +212,8 @@ class OrderSelection:
     scores: tuple
 
 
-def select_order(dataset: Dataset, orders, config: EmConfig = EmConfig(), *,
-                 floors: ParamFloors = DEFAULT_FLOORS) -> OrderSelection:
+def select_order(dataset: Dataset, orders,
+                 config: EmConfig = EmConfig()) -> OrderSelection:
     """Fit every requested order and pick the lowest BIC (ties: fewer components).
 
     Orders that fail to train are recorded in the table with their error and
@@ -251,7 +228,7 @@ def select_order(dataset: Dataset, orders, config: EmConfig = EmConfig(), *,
     best = None
     for order in orders:
         try:
-            model, trace = fit(dataset, order, config, floors=floors)
+            model, trace = fit(dataset, order, config)
         except TrainingError as err:
             warnings.warn(f"order {order} failed: {err}")
             scores.append(OrderScore(order, None, None, None, None, str(err)))

@@ -125,6 +125,28 @@ class TestDemoAndSimulate:
         assert lines[1:] == ["," * (base.n_variables - 1)] * 3
 
 
+    @pytest.mark.parametrize("variable, block", [
+        ("severity", {"family": "gaussian", "mean": 3.0, "variance": 1.0}),
+        ("site", {"family": "categorical", "probs": [0.5, 0.5],
+                  "domain": ["north", "south"]}),
+    ])
+    def test_mismatched_model_file_exit_3(self, work, tmp_path, capsys, variable, block):
+        payload = json.loads((work["demo"] / "model.json").read_text())
+        j = [v["name"] for v in payload["variables"]].index(variable)
+        payload["components"][0][j] = block
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        evidence = tmp_path / "evidence.csv"
+        evidence.write_text("marker_a\n0.5\n")
+        assert main(["simulate", "--out-dir", str(tmp_path / "sim"),
+                     "--model", str(model_path), "--n", "20"]) == 3
+        assert _last_error(capsys)["category"] == "validation"
+        assert main(["infer", "--out-dir", str(tmp_path / "infer"),
+                     "--model", str(model_path), "--evidence", str(evidence),
+                     "--mode", "model_missing"]) == 3
+        assert _last_error(capsys)["category"] == "validation"
+
+
 class TestValidate:
     def test_clean_cohort(self, work, tmp_path):
         out = tmp_path / "report"
@@ -364,3 +386,39 @@ class TestRerun:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "unknown command" in _last_error(capsys)["message"]
+
+
+class TestManifestArguments:
+    EXPECTED = {
+        "validate": {"data", "schema", "missing_token", "drop_constant"},
+        "fit": {"data", "schema", "missing_token", "drop_constant", "order",
+                "seed", "restarts", "max_iterations", "rel_tol"},
+        "select": {"data", "schema", "missing_token", "drop_constant", "orders",
+                   "seed", "restarts", "max_iterations", "rel_tol"},
+        "infer": {"model", "evidence", "targets", "missing_token", "mode"},
+        "evaluate": {"data", "schema", "missing_token", "drop_constant", "orders",
+                     "targets", "mode", "seed", "restarts", "max_iterations",
+                     "rel_tol", "workers", "bin_cutoff", "threshold_steps",
+                     "density_points"},
+        "simulate": {"model", "n", "seed", "missing_token"},
+        "demo-model": {"variant"},
+    }
+
+    def test_each_command_records_its_full_argument_set(self, work, evaluated, tmp_path):
+        data = ["--data", str(work["data"]), "--schema", str(work["schema"])]
+        evidence = tmp_path / "evidence.csv"
+        evidence.write_text("marker_a,site\n-4.2,alpha\n")
+        assert main(["validate", "--out-dir", str(tmp_path / "validate")] + data) == 0
+        assert main(["select", "--out-dir", str(tmp_path / "select"), "--orders", "1",
+                     "--restarts", "1"] + data) == 0
+        assert main(["infer", "--out-dir", str(tmp_path / "infer"),
+                     "--model", str(work["fit1"] / "model.json"),
+                     "--evidence", str(evidence), "--mode", "model_missing"]) == 0
+        out_dirs = {"validate": tmp_path / "validate", "fit": work["fit1"],
+                    "select": tmp_path / "select", "infer": tmp_path / "infer",
+                    "evaluate": evaluated, "simulate": work["sim"],
+                    "demo-model": work["demo"]}
+        for command, out_dir in out_dirs.items():
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert set(manifest["arguments"]) == self.EXPECTED[command], command

@@ -40,6 +40,18 @@ class TestMixtureModel:
         with pytest.raises(ValueError):
             MixtureModel((1.0,), ((Gaussian(0, 1), Gaussian(0, 1)),), [[0.1]], schemas)
 
+    def test_blocks_must_match_their_schemas(self):
+        schemas = (VariableSchema("g", "ordinal", (1, 2, 3)),
+                   VariableSchema("s", "categorical", ("a", "b")))
+        good = (QuantizedGaussian(2, 1, (1, 2, 3)), Categorical((0.5, 0.5), ("a", "b")))
+        MixtureModel((1.0,), (good,), [[0.1, 0.1]], schemas)
+        wrong_family = (Gaussian(2, 1), good[1])
+        wrong_ordinal_domain = (QuantizedGaussian(2, 1, (1, 2, 4)), good[1])
+        wrong_symbols = (good[0], Categorical((0.5, 0.5), ("a", "c")))
+        for row in (wrong_family, wrong_ordinal_domain, wrong_symbols):
+            with pytest.raises(ValueError):
+                MixtureModel((1.0,), (row,), [[0.1, 0.1]], schemas)
+
     def test_parameter_count_frozen(self):
         assert parameter_count(_single_gaussian_model()) == 3  # 0 + 1 + 2
         # 2 components, 2 vars: 1 weight + 4 q + 2*(2 gaussian + 1 categorical)

@@ -8,8 +8,8 @@ import pytest
 from conftest import random_model, recovery_model
 from hetmix import (MODEL_MISSING, ComponentCollapseError, Dataset, EmConfig,
                     MixtureModel, SchemaViolationError, TrainingError,
-                    VariableSchema, bic_score, e_step, fit, m_step,
-                    parameter_count, sample_cohort, select_order,
+                    VariableSchema, bic_score, fit, m_step,
+                    parameter_count, posterior_matrix, sample_cohort, select_order,
                     total_log_likelihood, weighted_mle)
 from hetmix.io import model_to_dict
 from hetmix.schema import MISSING
@@ -30,8 +30,6 @@ class TestEmConfig:
             EmConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             EmConfig(restarts=0)
-        with pytest.raises(ValueError):
-            EmConfig(init="kmeans")
 
 
 class TestMStep:
@@ -184,6 +182,6 @@ class TestSelectOrder:
 
 def test_e_step_rows_sum_to_one():
     gen, ds, _ = _cohort(n=60)
-    alpha = e_step(gen, ds)
+    alpha = posterior_matrix(gen, ds, MODEL_MISSING)
     assert alpha.shape == (60, 2)
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
