@@ -19,10 +19,11 @@ distinct symbols for categorical); ``role`` is input or outcome.
 
 Data file: CSV with a header row naming every schema variable exactly once
 (any column order). Cells equal to the missing token (default: empty string)
-are treated as unobserved. Evidence files for ``infer`` use the same format
-but may cover any subset of non-target variables; a column left out of the
-file contributes nothing, while a missing-token cell engages the chosen
-missingness mode explicitly.
+are treated as unobserved; a token that is also a categorical symbol or parses
+to an ordinal level of a column in the file is refused. Evidence files for
+``infer`` use the same format but may cover any subset of non-target
+variables; a column left out of the file contributes nothing, while a
+missing-token cell engages the chosen missingness mode explicitly.
 
 Every command writes its outputs atomically into --out-dir together with a
 ``manifest.json`` recording the tool version, command, full argument set,

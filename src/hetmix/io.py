@@ -125,6 +125,15 @@ def _parse_cell(text: str, schema: VariableSchema, missing_token: str):
         return text  # reported by validate_dataset, not here
 
 
+def _check_missing_token(schemas, missing_token: str):
+    """Refuse a missing token that also reads as a categorical symbol or an
+    ordinal level, since those cells would silently become MISSING."""
+    for s in schemas:
+        if s.kind.is_finite and _parse_cell(missing_token, s, None) in s.domain:
+            raise FormatError(f"{s.name}: missing token {missing_token!r} is also "
+                              "a domain value")
+
+
 def _csv_rows(path):
     """Yield the header of a CSV file, then its data rows one at a time.
 
@@ -155,10 +164,7 @@ def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> 
     validate_dataset can point at it.
     """
     schemas = tuple(schemas)
-    for s in schemas:
-        if s.kind is VariableKind.CATEGORICAL and missing_token in s.domain:
-            raise FormatError(f"{s.name}: missing token {missing_token!r} is also "
-                              "a domain symbol")
+    _check_missing_token(schemas, missing_token)
     records = _csv_rows(path)
     header = next(records)
     names = [s.name for s in schemas]
@@ -187,6 +193,7 @@ def read_evidence_csv(path, model: MixtureModel, targets,
         if name in targets:
             raise FormatError(f"{path}: evidence column {name!r} is a target")
         schemas.append(model.schema(name))
+    _check_missing_token(schemas, missing_token)
     evidence = [{s.name: _parse_cell(text, s, missing_token)
                  for s, text in zip(schemas, record)}
                 for record in records]

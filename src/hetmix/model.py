@@ -12,7 +12,7 @@ log domain with log-sum-exp reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -194,14 +194,14 @@ def _row_dataset(schemas, values: Mapping, violation_row: int | None) -> Dataset
     Inadmissible values raise SchemaViolationError; each violation carries
     ``violation_row`` as its row.
     """
-    bad = [Violation(violation_row, schemas[j].name, msg) for j, value in values.items()
-           if (msg := schemas[j].validate_value(value)) is not None]
-    if bad:
-        raise SchemaViolationError(bad)
     row = [MISSING] * len(schemas)
     for j, value in values.items():
         row[j] = value
-    return Dataset(schemas, [tuple(row)])
+    ds = Dataset(schemas, [tuple(row)])
+    bad = [replace(v, row=violation_row) for j in values for v in ds.cell_violations[j]]
+    if bad:
+        raise SchemaViolationError(bad)
+    return ds
 
 
 def _validated_row_dataset(schemas, row) -> Dataset:

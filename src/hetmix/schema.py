@@ -4,9 +4,10 @@ A dataset is a subjects-by-variables grid. Every cell is either the MISSING
 sentinel or a plain Python value whose admissible type depends on the column's
 declared kind: real (float), nonnegative (float >= 0), ordinal (int from a
 finite ordered domain), or categorical (str from a finite symbol set).
-Construction is permissive so that malformed files can still be loaded and
-reported on; ``validate_dataset`` produces the violation list and the training
-and inference entry points refuse invalid data.
+Building a ``Dataset`` checks and encodes each cell once, recording bad cells
+instead of raising so that malformed files can still be reported on;
+``validate_dataset`` returns the violations and training and inference refuse
+invalid data.
 """
 
 from __future__ import annotations
@@ -158,23 +159,15 @@ class VariableSchema:
             return f"negative value {value!r} for a nonnegative variable"
         return None
 
-    def code_of(self, value) -> int:
-        """Domain index of a finite-kind value."""
-        if self.kind.is_continuous:
-            raise SchemaError(f"{self.name}: continuous variables have no codes")
-        key = int(value) if self.kind is VariableKind.ORDINAL else value
-        try:
-            return self._domain_index[key]
-        except (KeyError, TypeError):
-            raise SchemaError(f"{self.name}: {value!r} not in domain") from None
-
 
 class Dataset:
-    """Immutable grid of cells with per-column encodings cached lazily.
+    """Immutable grid of cells, checked and encoded once when built.
 
-    The encodings (missing masks, numeric columns, domain codes) assume the
-    data passed validation; encoding an invalid column raises
-    SchemaViolationError. Caches are idempotent, so concurrent reads are safe.
+    Each cell is sorted into one of three outcomes: MISSING (the missing
+    mask), inadmissible (a ``Violation`` in ``cell_violations``, one tuple per
+    column), or encoded (a float for real/nonnegative/ordinal, a domain index
+    for ordinal/categorical). The encoded views of a column with bad cells
+    raise SchemaViolationError.
     """
 
     def __init__(self, schemas: Sequence[VariableSchema], rows: Iterable[Sequence]):
@@ -189,20 +182,45 @@ class Dataset:
         if not rows:
             raise SchemaError("a dataset needs at least one subject")
         n_vars = len(schemas)
-        cells = np.empty((len(rows), n_vars), dtype=object)
+        shape = (len(rows), n_vars)
+        cells = np.empty(shape, dtype=object)
         for i, row in enumerate(rows):
             row = tuple(row)
             if len(row) != n_vars:
                 raise SchemaError(f"row {i} has {len(row)} cells, expected {n_vars}")
             for j, value in enumerate(row):
                 cells[i, j] = value
-        cells.setflags(write=False)
+        # column-major, so each column's view is contiguous
+        missing = np.zeros(shape, dtype=bool, order="F")
+        numeric = np.full(shape, np.nan, order="F")
+        codes = np.full(shape, -1, dtype=np.int64, order="F")
+        violations = []
+        for j, schema in enumerate(schemas):
+            missing_rows, rows_ok, values_ok, bad = [], [], [], []
+            for i, value in enumerate(cells[:, j]):
+                if value is MISSING:
+                    missing_rows.append(i)
+                elif (message := schema.validate_value(value)) is not None:
+                    bad.append(Violation(i, schema.name, message))
+                else:
+                    rows_ok.append(i)
+                    values_ok.append(value)
+            missing[missing_rows, j] = True
+            if schema.kind is not VariableKind.CATEGORICAL:
+                numeric[rows_ok, j] = [float(v) for v in values_ok]
+            if schema.kind.is_finite:
+                keys = map(int, values_ok) if schema.kind is VariableKind.ORDINAL else values_ok
+                codes[rows_ok, j] = [schema._domain_index[k] for k in keys]
+            violations.append(tuple(bad))
+        for array in (cells, missing, numeric, codes):
+            array.setflags(write=False)
         self.schemas = schemas
         self.cells = cells
+        self.cell_violations = tuple(violations)
+        self._missing = missing
+        self._numeric = numeric
+        self._codes = codes
         self._name_to_column = {name: j for j, name in enumerate(names)}
-        self._masks: dict[int, np.ndarray] = {}
-        self._numeric: dict[int, np.ndarray] = {}
-        self._codes: dict[int, np.ndarray] = {}
 
     @property
     def n_subjects(self) -> int:
@@ -243,47 +261,26 @@ class Dataset:
 
     def missing_mask(self, column: int) -> np.ndarray:
         """Boolean vector, True where the cell is MISSING."""
-        mask = self._masks.get(column)
-        if mask is None:
-            col = self.cells[:, column]
-            mask = np.fromiter((c is MISSING for c in col), dtype=bool, count=len(col))
-            mask.setflags(write=False)
-            self._masks[column] = mask
-        return mask
+        return self._missing[:, column]
 
     def column_numeric(self, column: int) -> np.ndarray:
         """Float vector of a numeric column, NaN where missing."""
-        out = self._numeric.get(column)
-        if out is None:
-            schema = self.schemas[column]
-            if schema.kind is VariableKind.CATEGORICAL:
-                raise SchemaError(f"{schema.name}: categorical column has no numeric view")
-            out = np.full(self.n_subjects, np.nan)
-            mask = self.missing_mask(column)
-            col = self.cells[:, column]
-            try:
-                out[~mask] = [float(col[i]) for i in np.flatnonzero(~mask)]
-            except (TypeError, ValueError):
-                raise SchemaViolationError(_column_violations(self, column)) from None
-            out.setflags(write=False)
-            self._numeric[column] = out
-        return out
+        schema = self.schemas[column]
+        if schema.kind is VariableKind.CATEGORICAL:
+            raise SchemaError(f"{schema.name}: categorical column has no numeric view")
+        return self._encoded(self._numeric, column)
 
     def column_codes(self, column: int) -> np.ndarray:
         """Int vector of domain codes for a finite column, -1 where missing."""
-        out = self._codes.get(column)
-        if out is None:
-            schema = self.schemas[column]
-            out = np.full(self.n_subjects, -1, dtype=np.int64)
-            mask = self.missing_mask(column)
-            col = self.cells[:, column]
-            try:
-                out[~mask] = [schema.code_of(col[i]) for i in np.flatnonzero(~mask)]
-            except SchemaError:
-                raise SchemaViolationError(_column_violations(self, column)) from None
-            out.setflags(write=False)
-            self._codes[column] = out
-        return out
+        schema = self.schemas[column]
+        if schema.kind.is_continuous:
+            raise SchemaError(f"{schema.name}: continuous variables have no codes")
+        return self._encoded(self._codes, column)
+
+    def _encoded(self, store: np.ndarray, column: int) -> np.ndarray:
+        if self.cell_violations[column]:
+            raise SchemaViolationError(self.cell_violations[column])
+        return store[:, column]
 
     def column_scale(self, column: int) -> float:
         """Natural scale of a numeric column, used for variance floors.
@@ -324,22 +321,16 @@ class Violation:
         return f"{where}column {self.column!r}: {self.message}"
 
 
-def _column_violations(dataset: Dataset, column: int) -> list[Violation]:
-    schema = dataset.schemas[column]
-    out = []
-    for i in range(dataset.n_subjects):
-        msg = schema.validate_value(dataset.cells[i, column])
-        if msg is not None:
-            out.append(Violation(i, schema.name, msg))
-    return out
-
-
 def _zero_variability(dataset: Dataset, column: int) -> str | None:
     """Why the column carries no information, or None if it varies."""
     observed = [c for c in dataset.cells[:, column] if c is not MISSING]
     if not observed:
         return "no observed values"
-    if all(v == observed[0] for v in observed[1:]):
+    try:
+        constant = all(v == observed[0] for v in observed[1:])
+    except ValueError:  # a list cell against a numpy scalar: not equal
+        constant = False
+    if constant:
         return f"constant column (always {observed[0]!r})"
     return None
 
@@ -353,7 +344,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     """
     out = []
     for j, schema in enumerate(dataset.schemas):
-        out.extend(_column_violations(dataset, j))
+        out.extend(dataset.cell_violations[j])
         reason = _zero_variability(dataset, j)
         if reason is not None:
             out.append(Violation(None, schema.name, reason))
@@ -393,9 +384,7 @@ class MissingnessProfile:
 
 
 def missingness_profile(dataset: Dataset) -> MissingnessProfile:
-    counts = np.zeros(dataset.n_subjects, dtype=np.int64)
-    for j in range(dataset.n_variables):
-        counts += dataset.missing_mask(j)
+    counts = dataset._missing.sum(axis=1, dtype=np.int64)
     n_vars = dataset.n_variables
     hist = np.bincount(counts, minlength=n_vars + 1)
     at_least = hist[::-1].cumsum()[::-1].copy()

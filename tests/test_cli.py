@@ -303,6 +303,17 @@ class TestInfer:
                      "--mode", "model_missing"])
         assert code == 3
 
+    def test_missing_token_clash_exit_3(self, work, tmp_path, capsys):
+        evidence = self._evidence(tmp_path, ["0.5,alpha"])
+        code = main(["infer", "--out-dir", str(tmp_path / "out"),
+                     "--model", str(work["fit1"] / "model.json"),
+                     "--evidence", str(evidence),
+                     "--missing-token", "alpha", "--mode", "model_missing"])
+        assert code == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert "missing token 'alpha'" in error["message"]
+
 
 @pytest.fixture(scope="module")
 def evaluated(work, tmp_path_factory):

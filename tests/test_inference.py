@@ -161,8 +161,9 @@ class TestInfer:
     def test_invalid_evidence_value_rejected(self):
         from hetmix import SchemaViolationError
         model = _model()
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(SchemaViolationError) as err:
             infer(model, InferenceRequest({"site": "zzz"}, ("grade",), MODEL_MISSING))
+        assert [(v.row, v.column) for v in err.value.violations] == [(None, "site")]
 
 
 class TestPointPredict:

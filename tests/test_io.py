@@ -138,8 +138,9 @@ class TestDataCsv:
     def test_missing_token_clash(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("age,dose,stage,site\n1.0,2.0,1,north\n")
-        with pytest.raises(FormatError):
-            read_data_csv(path, SCHEMAS, missing_token="north")
+        for token in ("north", "2"):  # a categorical symbol, an ordinal level
+            with pytest.raises(FormatError):
+                read_data_csv(path, SCHEMAS, missing_token=token)
 
     def test_unparseable_kept_for_validator(self, tmp_path):
         from hetmix import validate_dataset

@@ -10,7 +10,8 @@ from conftest import random_model, random_row
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, Gaussian, MixtureModel, QuantizedGaussian,
                     SchemaError, SchemaViolationError, VariableSchema,
-                    ZeroLikelihoodError, joint_log_likelihood, latent_posterior,
+                    ZeroLikelihoodError, evidence_log_likelihoods,
+                    joint_log_likelihood, latent_posterior,
                     parameter_count, row_log_likelihoods, sample_cohort,
                     total_log_likelihood)
 from hetmix.io import model_to_dict
@@ -105,6 +106,19 @@ class TestJointLikelihood:
             joint_log_likelihood(model, (1.0,), MODEL_MISSING)
         with pytest.raises(SchemaViolationError):
             joint_log_likelihood(model, (1.0, "z"), MODEL_MISSING)
+
+    def test_bad_cell_reported_at_row_zero(self):
+        model = _two_comp_model()
+        with pytest.raises(SchemaViolationError) as err:
+            joint_log_likelihood(model, ("oops", "z"), MODEL_MISSING)
+        assert [(v.row, v.column) for v in err.value.violations] == [(0, "x"), (0, "s")]
+
+    def test_bad_evidence_value_has_no_row(self):
+        model = _two_comp_model()
+        with pytest.raises(SchemaViolationError) as err:
+            evidence_log_likelihoods(model, {"s": "z", "x": "oops"}, MODEL_MISSING)
+        # one violation per bad value, in evidence order
+        assert [(v.row, v.column) for v in err.value.violations] == [(None, "s"), (None, "x")]
 
     def test_schema_mismatch_rejected(self):
         model = _two_comp_model()

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
                     is_missing, missingness_profile, validate_dataset,
                     zero_variability_columns)
+from hetmix.schema import Violation, _zero_variability
 
 
 def test_missing_is_a_singleton():
@@ -74,14 +77,6 @@ class TestVariableSchema:
         assert cat.validate_value("c") is not None
         assert cat.validate_value(1) is not None
 
-    def test_code_of(self):
-        s = VariableSchema("x", "ordinal", (2, 4, 6))
-        assert s.code_of(4) == 1
-        with pytest.raises(SchemaError):
-            s.code_of(3)
-        with pytest.raises(SchemaError):
-            VariableSchema("y", "real").code_of(1.0)
-
 
 def _toy_dataset():
     schemas = (VariableSchema("age", "real"),
@@ -132,6 +127,17 @@ class TestDataset:
         with pytest.raises(SchemaError):
             ds.column_numeric(2)
 
+    def test_column_codes_domain_index(self):
+        schemas = (VariableSchema("x", "ordinal", (2, 4, 6)), VariableSchema("y", "real"))
+        ds = Dataset(schemas, [(4, 1.0), (6, 2.0), (2, 3.0)])
+        assert ds.column_codes(0).tolist() == [1, 2, 0]
+        bad = Dataset(schemas, [(4, 1.0), (3, 2.0)])
+        assert [(v.row, v.column) for v in bad.cell_violations[0]] == [(1, "x")]
+        with pytest.raises(SchemaViolationError):
+            bad.column_codes(0)
+        with pytest.raises(SchemaError):
+            ds.column_codes(1)
+
     def test_encoding_invalid_column_raises(self):
         ds = Dataset((VariableSchema("x", "real"),), [("oops",), (1.0,)])
         with pytest.raises(SchemaViolationError):
@@ -160,6 +166,68 @@ class TestDataset:
         ds = Dataset(schemas, [(1.0, 1), (2.0, 2)])
         assert ds.input_columns == (0,)
         assert ds.outcome_columns == (1,)
+
+
+_MIXED_SCHEMAS = (VariableSchema("r", "real"),
+                  VariableSchema("n", "nonnegative"),
+                  VariableSchema("o", "ordinal", (0, 2, 5)),
+                  VariableSchema("c", "categorical", ("a", "b", "c")))
+
+# valid values, MISSING, wrong types, out-of-domain levels and symbols,
+# non-finite values, negatives, and a list-valued cell
+_MIXED_CELL = st.one_of(
+    st.just(MISSING),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 6),
+    st.integers(-3, 6).map(np.int64),
+    st.booleans(),
+    st.sampled_from(["a", "b", "c", "z", "", "1.5"]),
+    st.just([1, 2]),
+)
+
+
+def _reference_encoding(schema, column):
+    """Per-cell mask, numeric value, code and violations from validate_value."""
+    mask, numeric, codes, bad = [], [], [], []
+    for i, value in enumerate(column):
+        message = None if value is MISSING else schema.validate_value(value)
+        ok = value is not MISSING and message is None
+        mask.append(value is MISSING)
+        numeric.append(float(value) if ok and schema.kind is not VariableKind.CATEGORICAL
+                       else math.nan)
+        key = int(value) if ok and schema.kind is VariableKind.ORDINAL else value
+        codes.append(schema.domain.index(key) if ok and schema.kind.is_finite else -1)
+        if message is not None:
+            bad.append(Violation(i, schema.name, message))
+    return mask, numeric, codes, bad
+
+
+class TestEncodingMatchesPerCellReference:
+    @given(rows=st.lists(st.tuples(*[_MIXED_CELL] * len(_MIXED_SCHEMAS)),
+                         min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_construction_equals_reference(self, rows):
+        ds = Dataset(_MIXED_SCHEMAS, rows)
+        expected_report = []
+        for j, schema in enumerate(_MIXED_SCHEMAS):
+            mask, numeric, codes, bad = _reference_encoding(schema, [r[j] for r in rows])
+            assert ds.missing_mask(j).tolist() == mask
+            assert list(ds.cell_violations[j]) == bad
+            if bad:
+                with pytest.raises(SchemaViolationError):
+                    ds.column_codes(j) if schema.kind.is_finite else ds.column_numeric(j)
+            else:
+                if schema.kind is not VariableKind.CATEGORICAL:
+                    np.testing.assert_array_equal(ds.column_numeric(j), numeric)
+                if schema.kind.is_finite:
+                    assert ds.column_codes(j).tolist() == codes
+            expected_report.extend(bad)
+            reason = _zero_variability(ds, j)
+            if reason is not None:
+                expected_report.append(Violation(None, schema.name, reason))
+        assert validate_dataset(ds) == expected_report
+        counts = missingness_profile(ds).missing_counts.tolist()
+        assert counts == [sum(c is MISSING for c in row) for row in rows]
 
 
 class TestValidateDataset:

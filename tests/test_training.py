@@ -116,6 +116,13 @@ class TestFit:
         with pytest.raises(SchemaViolationError):
             fit(ds, 1, EmConfig())
 
+    def test_rejects_bad_cell(self):
+        ds = Dataset((VariableSchema("x", "real"), VariableSchema("y", "real")),
+                     [(1.0, 2.0), (-1.0, "oops"), (0.5, 3.0)])
+        with pytest.raises(SchemaViolationError) as err:
+            fit(ds, 1, EmConfig())
+        assert [(v.row, v.column) for v in err.value.violations] == [(1, "y")]
+
     def test_rejects_bad_order(self):
         _, ds, _ = _cohort(n=30)
         with pytest.raises(ValueError):
