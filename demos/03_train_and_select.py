@@ -9,8 +9,8 @@ of candidate orders to recover the component count from the data alone.
 
 import numpy as np
 
-from hetmix import EmConfig, bic_score, fit, sample_cohort, select_order
-from hetmix import small_demo_model
+from hetmix import (MODEL_MISSING, EmConfig, bic_score, fit, sample_cohort,
+                    select_order, small_demo_model, total_log_likelihood)
 
 true_model = small_demo_model()
 cohort, labels = sample_cohort(true_model, 500, np.random.default_rng(1))
@@ -40,4 +40,7 @@ print(f"{'order':>5} {'nll':>10} {'bic':>10}")
 for score in selection.scores:
     print(f"{score.order:>5} {score.nll:>10.2f} {score.bic:>10.2f}")
 
-assert selection.scores[2].bic == bic_score(selection.best_model, cohort)
+# BIC uses the NLL the fit already computed; rescoring the model gives the same bits.
+rescored_nll = -total_log_likelihood(selection.best_model, cohort, MODEL_MISSING)
+assert selection.scores[2].bic == bic_score(selection.best_model, cohort.n_subjects,
+                                            rescored_nll)

@@ -31,13 +31,13 @@ from .training import (ComponentCollapseError, EmConfig, OrderScore,
                        bic_score, fit, m_step, select_order)
 from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
                         PredictiveDistribution, infer, point_predict,
-                        rank_outcomes)
+                        predict_targets, rank_outcomes)
 from .evaluation import (ConfidenceBins, ConfidenceRecord, DegenerateSampleError,
                          EaeRecord, FoldFailure, LooResult, TargetSummary,
                          ThresholdCurve, chance_prediction, confidence_bins,
                          confidence_score, error_density,
                          expected_absolute_error, loo_evaluate,
-                         max_absolute_error, normalized_error, percentile_rank,
+                         max_absolute_error, normalized_error,
                          percentile_ranks, prediction_error,
                          probability_of_error, scott_bandwidth,
                          threshold_curve, training_confidence_scores)

@@ -247,6 +247,10 @@ def run_infer(arguments: dict, out_dir) -> list:
 
 
 def run_evaluate(arguments: dict, out_dir) -> list:
+    if not (arguments["threshold_steps"] >= 0 and arguments["density_points"] >= 0
+            and arguments["workers"] >= 1 and 0 <= arguments["bin_cutoff"] <= 1):
+        raise ValueError("evaluate needs --threshold-steps >= 0, --density-points >= 0, "
+                         "--workers >= 1 and 0 <= --bin-cutoff <= 1")
     dataset = _load_training_data(arguments)
     targets = (arguments["targets"].split(",") if arguments["targets"]
                else [dataset.schemas[j].name for j in dataset.outcome_columns])
@@ -373,20 +377,31 @@ def _execute(command: str, arguments: dict, out_dir) -> int:
 def run_rerun(args) -> int:
     with open(args.manifest) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise FormatError("manifest is not a JSON object")
     if payload.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise FormatError(f"unsupported manifest format_version "
                           f"{payload.get('format_version')!r}")
     command = payload.get("command")
-    if command not in _RUNNERS:
+    if not (isinstance(command, str) and command in _RUNNERS):
         raise FormatError(f"manifest names unknown command {command!r}")
-    for name, entry in payload.get("inputs", {}).items():
+    inputs, arguments = payload.get("inputs", {}), payload.get("arguments")
+    if not (isinstance(arguments, dict) and isinstance(inputs, dict) and all(
+            isinstance(e, dict) and {"path", "sha256"} <= e.keys() for e in inputs.values())):
+        raise FormatError("manifest needs an arguments object and a path and sha256 per input")
+    parser = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices[command]
+    missing = {a.dest for a in parser._actions} - {"help", "out_dir"} - set(arguments)
+    if missing:
+        raise FormatError(f"manifest arguments lack {sorted(missing)}")
+    for name, entry in inputs.items():
         digest = sha256_file(entry["path"])
         if digest != entry["sha256"]:
             raise FormatError(f"input {name!r} ({entry['path']}) changed since "
                               "the manifest was written")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _execute(command, payload["arguments"], out_dir)
+    return _execute(command, arguments, out_dir)
 
 
 # ------------------------------------------------------------------ parser

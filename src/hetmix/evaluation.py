@@ -24,9 +24,10 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .inference import FinitePrediction, InferenceRequest, infer
+from .inference import FinitePrediction, predict_targets
 from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
-                    evidence_log_likelihoods, row_log_likelihoods)
+                    component_log_likelihoods, evidence_log_likelihoods,
+                    normalize_log_joint, row_log_likelihoods)
 from .schema import (INPUT, MISSING, Dataset, SchemaError,
                      SchemaViolationError, VariableKind, VariableSchema)
 from .training import EmConfig, TrainingError, fit
@@ -112,7 +113,6 @@ def confidence_score(model: MixtureModel, evidence: Mapping, mode: str) -> float
     Raw scores underflow for wide inputs, so the log is returned; percentile
     ranking is order-preserving either way.
     """
-    check_mode(mode)
     return float(logsumexp(evidence_log_likelihoods(model, evidence, mode)))
 
 
@@ -123,16 +123,9 @@ def training_confidence_scores(model: MixtureModel, dataset: Dataset, mode: str,
     return row_log_likelihoods(model, dataset, mode, cols)
 
 
-def percentile_rank(score: float, training_scores) -> float:
-    """Fraction of training scores strictly below the given score."""
-    ref = np.asarray(training_scores, dtype=float)
-    if ref.size == 0:
-        raise ValueError("empty reference scores")
-    return float(np.count_nonzero(ref < score) / ref.size)
-
-
 def percentile_ranks(scores, training_scores) -> np.ndarray:
-    """Vectorized percentile_rank over many held-out scores."""
+    """Fraction of training scores strictly below each score (a scalar score
+    gives a scalar fraction)."""
     ref = np.sort(np.asarray(training_scores, dtype=float))
     if ref.size == 0:
         raise ValueError("empty reference scores")
@@ -276,13 +269,16 @@ def _evaluate_fold(dataset: Dataset, subject: int, orders, targets, mode: str,
                    config: EmConfig):
     """Train on all-but-one subject, then score the held-out one.
 
+    Per order, one likelihood pass over the cohort's non-target inputs gives
+    the held-out row's posterior (normalized only when a truth needs it) and
+    confidence, and every other row's training score.
+
     Returns (subject, {order: {target: (error, normalized)}}, {order: (log_c, pct)},
     skipped target names). Order 0 entries come from the uniform reference.
     """
     train = dataset.drop_subject(subject)
     input_cols = tuple(j for j in dataset.input_columns
                        if dataset.schemas[j].name not in targets)
-    evidence = {dataset.schemas[j].name: dataset.cells[subject, j] for j in input_cols}
     errors: dict = {}
     confidence: dict = {}
     skipped = []
@@ -304,18 +300,19 @@ def _evaluate_fold(dataset: Dataset, subject: int, orders, targets, mode: str,
     fold_config = dataclasses.replace(config, seed=_fold_seed(config.seed, subject))
     for order in orders:
         model, _ = fit(train, order, fold_config)
+        log_joint = component_log_likelihoods(model, dataset, mode, input_cols)
         order_errors: dict = {}
         if truths:
-            request = InferenceRequest(evidence, tuple(truths), mode)
-            predicted = infer(model, request)
+            posterior = normalize_log_joint(log_joint[subject:subject + 1])[0][0]
+            predicted = predict_targets(model, posterior, truths)
             for name, truth in truths.items():
                 schema = dataset.schema(name)
                 err = prediction_error(schema, predicted[name], truth)
                 order_errors[name] = (err, normalized_error(schema, err))
         errors[order] = order_errors
-        log_c = confidence_score(model, evidence, mode)
-        train_scores = training_confidence_scores(model, train, mode, input_cols)
-        confidence[order] = (log_c, percentile_rank(log_c, train_scores))
+        scores = logsumexp(log_joint, axis=1)
+        log_c = float(scores[subject])
+        confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores, subject))))
     return subject, errors, confidence, skipped
 
 
@@ -355,12 +352,11 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     eae_records: dict = {order: [] for order in [CHANCE_ORDER] + orders}
     confidence_records: dict = {order: [] for order in orders}
     skipped = []
-    for item in raw:
-        subject, errors, confidence = item[0], item[1], item[2]
+    for subject, errors, confidence, extra in raw:
         if errors is None:
-            failures.append(FoldFailure(subject, item[3]))
+            failures.append(FoldFailure(subject, extra))
             continue
-        for name in item[3]:
+        for name in extra:
             skipped.append((subject, name))
         for order, per_target in errors.items():
             for name, (err, norm) in per_target.items():

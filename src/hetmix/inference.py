@@ -109,8 +109,14 @@ def infer(model: MixtureModel, request: InferenceRequest) -> PredictiveDistribut
         model.column_index(name)
     log_comp = evidence_log_likelihoods(model, request.evidence, request.mode)
     posterior = normalize_log_joint(log_comp[None, :])[0][0]
+    return PredictiveDistribution(predict_targets(model, posterior, request.targets),
+                                  posterior)
+
+
+def predict_targets(model: MixtureModel, posterior: np.ndarray, targets) -> dict:
+    """Per-target predictions under one component posterior (shared by infer and LOO)."""
     predictions = {}
-    for name in request.targets:
+    for name in targets:
         j = model.column_index(name)
         schema = model.schemas[j]
         cells = [model.params[z][j] for z in range(model.n_components)]
@@ -119,7 +125,7 @@ def infer(model: MixtureModel, request: InferenceRequest) -> PredictiveDistribut
             predictions[name] = FinitePrediction(schema.domain, mass)
         else:
             predictions[name] = MixturePrediction(posterior, tuple(cells))
-    return PredictiveDistribution(predictions, posterior)
+    return predictions
 
 
 def point_predict(prediction) -> object:

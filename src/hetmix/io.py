@@ -202,13 +202,18 @@ def read_evidence_csv(path, model: MixtureModel, targets,
     return evidence
 
 
-def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):
+def _write_rows(path, header, rows):
+    """Write a CSV file of a header and rows of cells, atomically."""
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(dataset.names)
-    for i in range(dataset.n_subjects):
-        writer.writerow([format_value(c, missing_token) for c in dataset.cells[i]])
+    writer.writerow(header)
+    writer.writerows(rows)
     atomic_write_text(path, buffer.getvalue())
+
+
+def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):
+    _write_rows(path, dataset.names,
+                ([format_value(c, missing_token) for c in row] for row in dataset.cells))
 
 
 def load_dataset(data_path, schema_path, *, missing_token: str = DEFAULT_MISSING_TOKEN,
@@ -230,12 +235,7 @@ def load_dataset(data_path, schema_path, *, missing_token: str = DEFAULT_MISSING
 
 
 def write_labels_csv(labels, path):
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["subject", "component"])
-    for i, z in enumerate(labels):
-        writer.writerow([i, int(z)])
-    atomic_write_text(path, buffer.getvalue())
+    _write_rows(path, ["subject", "component"], ([i, int(z)] for i, z in enumerate(labels)))
 
 
 # ---------------------------------------------------------------- models
@@ -316,11 +316,6 @@ def load_model(path) -> MixtureModel:
 
 def write_csv_table(path, header, rows):
     """Write a report table; floats go through repr for exact round-trips."""
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_value(c)
-                         if isinstance(c, numbers.Number) and not isinstance(c, bool)
-                         else str(c) for c in row])
-    atomic_write_text(path, buffer.getvalue())
+    _write_rows(path, header, ([format_value(c)
+                                if isinstance(c, numbers.Number) and not isinstance(c, bool)
+                                else str(c) for c in row] for row in rows))

@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import default_params, weighted_mle
 from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, normalize_log_joint,
-                    parameter_count, total_log_likelihood)
+                    parameter_count)
 from .schema import Dataset, SchemaViolationError, VariableKind, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
@@ -55,11 +55,11 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Per-iteration NLL of the winning restart; non-increasing by construction."""
+    """Per-iteration NLL of the winning restart, each <= previous + MONOTONE_SLACK."""
 
     nll_per_iteration: tuple
     restart_index: int
-    converged: bool
+    converged: bool  # True only when the rel_tol test stopped EM
 
     @property
     def iterations(self) -> int:
@@ -117,37 +117,26 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
 
 
 def _em_once(dataset: Dataset, order: int, config: EmConfig, rng):
-    """One restart: random responsibilities, M-step, then EM to convergence."""
-    alpha = rng.dirichlet(np.ones(order), size=dataset.n_subjects)
-    model = m_step(dataset, alpha)
+    """One restart: random responsibilities, M-step, then EM scoring each model once.
+
+    A rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the previous
+    model; else EM stops at a relative decrease <= rel_tol (converged) or after
+    max_iterations more M-steps."""
+    model = m_step(dataset, rng.dirichlet(np.ones(order), size=dataset.n_subjects))
     nlls: list[float] = []
-    previous_model = None
-    converged = False
-    for _ in range(config.max_iterations):
+    while True:
         posteriors, totals = normalize_log_joint(
             component_log_likelihoods(model, dataset, MODEL_MISSING))
         nll = float(-totals.sum())
-        if nlls:
-            if nll > nlls[-1] + MONOTONE_SLACK:
-                # approximate M-steps can overshoot; keep the better model
-                model = previous_model
-                converged = True
-                break
-            if nlls[-1] - nll <= config.rel_tol * abs(nlls[-1]):
-                nlls.append(nll)
-                converged = True
-                break
+        if nlls and nll > nlls[-1] + MONOTONE_SLACK:
+            return previous_model, nlls, False
         nlls.append(nll)
+        if len(nlls) > 1 and nlls[-2] - nll <= config.rel_tol * abs(nlls[-2]):
+            return model, nlls, True
+        if len(nlls) > config.max_iterations:
+            return model, nlls, False
         previous_model = model
         model = m_step(dataset, posteriors)
-    else:
-        # iteration cap hit with a final un-scored M-step; score it now
-        nll = -total_log_likelihood(model, dataset, MODEL_MISSING)
-        if nll > nlls[-1]:
-            model = previous_model
-        else:
-            nlls.append(float(nll))
-    return model, nlls, converged
 
 
 def fit(dataset: Dataset, order: int,
@@ -166,28 +155,26 @@ def fit(dataset: Dataset, order: int,
         raise SchemaViolationError(violations)
     best = None
     failures = []
-    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    for r, child in enumerate(children):
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
         rng = np.random.default_rng(child)
         try:
             model, nlls, converged = _em_once(dataset, order, config, rng)
         except (ComponentCollapseError, ZeroLikelihoodError) as err:
             failures.append(f"restart {r}: {err}")
             continue
-        if best is None or nlls[-1] < best[0]:
-            best = (nlls[-1], r, model, nlls, converged)
+        if best is None or nlls[-1] < best[1].final_nll:
+            best = (model, TrainingTrace(tuple(nlls), r, converged))
     if best is None:
         raise TrainingError(
             f"all {config.restarts} restart(s) failed for order {order}: "
             + "; ".join(failures))
-    _, r, model, nlls, converged = best
-    return model, TrainingTrace(tuple(nlls), r, converged)
+    return best
 
 
-def bic_score(model: MixtureModel, dataset: Dataset) -> float:
-    """0.5 * T_d * ln N + NLL under the model_missing likelihood."""
-    nll = -total_log_likelihood(model, dataset, MODEL_MISSING)
-    return 0.5 * parameter_count(model) * np.log(dataset.n_subjects) + nll
+def bic_score(model: MixtureModel, n_subjects: int, nll: float) -> float:
+    """0.5 * T_d * ln N + NLL, for the model's NLL under the model_missing
+    likelihood on N subjects (``TrainingTrace.final_nll`` of its fit)."""
+    return 0.5 * parameter_count(model) * np.log(n_subjects) + nll
 
 
 @dataclass(frozen=True)
@@ -233,7 +220,7 @@ def select_order(dataset: Dataset, orders,
             warnings.warn(f"order {order} failed: {err}")
             scores.append(OrderScore(order, None, None, None, None, str(err)))
             continue
-        bic = bic_score(model, dataset)
+        bic = bic_score(model, dataset.n_subjects, trace.final_nll)
         scores.append(OrderScore(order, parameter_count(model),
                                  trace.final_nll, float(bic), trace.converged))
         if best is None or bic < best[0]:

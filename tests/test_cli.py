@@ -399,6 +399,44 @@ class TestRerun:
         assert "unknown command" in _last_error(capsys)["message"]
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "arguments"},
+        lambda m: {**m, "command": "demo-model", "arguments": {}, "inputs": {}},
+        lambda m: {**m, "inputs": {"data": {"sha256": m["inputs"]["data"]["sha256"]}}},
+    ], ids=["list", "no-arguments", "argument-keys-missing", "input-without-path"])
+    def test_malformed_manifest_exits_3(self, work, tmp_path, capsys, edit):
+        manifest = json.loads((work["fit1"] / "manifest.json").read_text())
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit(manifest)))
+        code = main(["rerun", "--manifest", str(path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert _last_error(capsys)["category"] == "validation"
+        assert not (tmp_path / "out").exists()
+
+
+class TestEvaluateOptions:
+    @pytest.mark.parametrize("option", [
+        ["--threshold-steps", "-1"], ["--threshold-steps", "-2"],
+        ["--density-points", "-1"], ["--workers", "0"],
+        ["--bin-cutoff", "7"], ["--bin-cutoff", "-0.1"],
+    ])
+    def test_bad_report_or_worker_option_exits_3_before_any_fold(
+            self, work, tmp_path, capsys, monkeypatch, option):
+        import hetmix.cli as cli
+        monkeypatch.setattr(cli, "loo_evaluate",
+                            lambda *a, **k: pytest.fail("a fold ran"))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", "1", "--restarts", "1",
+                     "--mode", "model_missing"] + option)
+        assert code == 3
+        assert _last_error(capsys)["category"] == "validation"
+        assert not (out / "performance.csv").exists()
+
+
 class TestManifestArguments:
     EXPECTED = {
         "validate": {"data", "schema", "missing_token", "drop_constant"},

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from conftest import random_model
-from hetmix import (MODEL_MISSING, DegenerateSampleError, EmConfig,
-                    FinitePrediction, TrainingError, VariableSchema,
-                    chance_prediction, confidence_bins, confidence_score,
-                    error_density, expected_absolute_error, loo_evaluate,
-                    max_absolute_error, normalized_error, percentile_rank,
-                    percentile_ranks, prediction_error, probability_of_error,
-                    sample_cohort, scott_bandwidth, threshold_curve,
-                    training_confidence_scores)
+from hetmix import (IGNORE_MISSING, MODEL_MISSING, DegenerateSampleError,
+                    EmConfig, FinitePrediction, InferenceRequest, TrainingError,
+                    VariableSchema, chance_prediction, confidence_bins,
+                    confidence_score, error_density, expected_absolute_error,
+                    fit, infer, loo_evaluate, max_absolute_error,
+                    normalized_error, percentile_ranks, prediction_error,
+                    probability_of_error, sample_cohort, scott_bandwidth,
+                    threshold_curve, training_confidence_scores)
 from hetmix.demo import small_demo_model
-from hetmix.evaluation import _fold_seed
-from hetmix.model import evidence_log_likelihoods
+from hetmix.evaluation import _evaluate_fold, _fold_seed
+from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
+from hetmix.schema import MISSING
 
 EIGHT = VariableSchema("g8", "ordinal", tuple(range(1, 9)))
 THREE_WAY = VariableSchema("s3", "categorical", ("a", "b", "c"))
@@ -88,28 +89,29 @@ class TestPointMetrics:
 class TestPercentiles:
     def test_strict_fraction(self):
         ref = np.array([1.0, 2.0, 3.0, 4.0])
-        assert percentile_rank(2.5, ref) == pytest.approx(0.5)
-        assert percentile_rank(0.0, ref) == 0.0
-        assert percentile_rank(9.0, ref) == 1.0
-        assert percentile_rank(2.0, ref) == pytest.approx(0.25)  # ties above
+        assert percentile_ranks(2.5, ref) == pytest.approx(0.5)
+        assert percentile_ranks(0.0, ref) == 0.0
+        assert percentile_ranks(9.0, ref) == 1.0
+        assert percentile_ranks(2.0, ref) == pytest.approx(0.25)  # ties above
 
     def test_vectorized_matches_loop(self):
         rng = np.random.default_rng(3)
         ref = rng.normal(size=40)
         queries = np.concatenate([rng.normal(size=15), ref[:5]])  # some ties
         got = percentile_ranks(queries, ref)
-        want = [percentile_rank(q, ref) for q in queries]
-        assert np.allclose(got, want)
+        want = [np.count_nonzero(ref < q) / ref.size for q in queries]
+        assert got.tolist() == want
+        assert [percentile_ranks(q, ref) for q in queries] == want
 
     def test_monotone_in_the_query(self):
         ref = np.array([0.0, 1.0, 1.0, 5.0])
         values = [-1.0, 0.5, 1.0, 2.0, 6.0]
-        ranks = [percentile_rank(v, ref) for v in values]
+        ranks = [percentile_ranks(v, ref) for v in values]
         assert ranks == sorted(ranks)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
-            percentile_rank(0.0, np.array([]))
+            percentile_ranks(0.0, np.array([]))
 
 
 class TestThresholdCurve:
@@ -204,6 +206,60 @@ class TestConfidenceScores:
             model, cohort, MODEL_MISSING,
             columns=range(cohort.n_variables))
         assert not np.array_equal(scores, with_outcomes)
+
+
+class TestOnePassFold:
+    """The fold's single likelihood pass equals the single-record reference
+    path (infer, confidence_score, training_confidence_scores) on the
+    training subset."""
+
+    @pytest.mark.parametrize("mode", [MODEL_MISSING, IGNORE_MISSING])
+    def test_matches_single_record_reference(self, mode):
+        cohort, _ = sample_cohort(small_demo_model(), 16, np.random.default_rng(4))
+        targets = ("severity", "status")
+        config = EmConfig(max_iterations=20, restarts=1, seed=3)
+        input_cols = [j for j in cohort.input_columns
+                      if cohort.schemas[j].name not in targets]
+        compared = 0
+        for subject in range(cohort.n_subjects):
+            try:
+                fold = _evaluate_fold(cohort, subject, (1, 2), targets, mode, config)
+            except ZeroLikelihoodError:
+                fold = None
+            train = cohort.drop_subject(subject)
+            evidence = {cohort.schemas[j].name: cohort.cells[subject, j]
+                        for j in input_cols}
+            truths = {name: cohort.cells[subject, cohort.column_index(name)]
+                      for name in targets}
+            truths = {n: v for n, v in truths.items() if v is not MISSING}
+            fold_config = EmConfig(max_iterations=20, restarts=1,
+                                   seed=_fold_seed(3, subject))
+            reference_failed = False
+            for order in (1, 2):
+                model, _ = fit(train, order, fold_config)
+                try:
+                    predicted = infer(model, InferenceRequest(
+                        evidence, tuple(truths), mode)) if truths else {}
+                except ZeroLikelihoodError:
+                    reference_failed = True
+                    break
+                if fold is None:
+                    continue
+                _, errors, confidence, skipped = fold
+                assert skipped == [n for n in targets if n not in truths]
+                assert set(errors[order]) == set(truths)
+                for name, truth in truths.items():
+                    schema = cohort.schema(name)
+                    err = prediction_error(schema, predicted[name], truth)
+                    want = (err, normalized_error(schema, err))
+                    assert errors[order][name] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                log_c = confidence_score(model, evidence, mode)
+                pct = percentile_ranks(log_c, training_confidence_scores(
+                    model, train, mode, input_cols))
+                assert confidence[order] == pytest.approx((log_c, pct), rel=1e-12)
+                compared += 1
+            assert (fold is None) == reference_failed
+        assert compared >= cohort.n_subjects  # most folds succeed on both orders
 
 
 class TestFoldSeeds:

@@ -129,13 +129,70 @@ class TestFit:
             fit(ds, 0, EmConfig())
 
 
+class TestStopRule:
+    """One rule: revert a rise beyond MONOTONE_SLACK, stop at rel_tol
+    (converged) or after max_iterations M-steps beyond the first."""
+
+    def _counting_m_step(self, monkeypatch, worse_on_call=None):
+        import hetmix.training as training
+        real = training.m_step
+        produced = []
+
+        def counted(dataset, responsibilities):
+            if len(produced) + 1 == worse_on_call:
+                # every component the same: the order-1 fit, far worse here
+                responsibilities = np.full_like(responsibilities,
+                                                1.0 / responsibilities.shape[1])
+            produced.append(real(dataset, responsibilities))
+            return produced[-1]
+
+        monkeypatch.setattr(training, "m_step", counted)
+        return produced
+
+    def test_worse_model_is_dropped_for_the_previous_one(self, monkeypatch):
+        _, ds, _ = _cohort(n=300)
+        produced = self._counting_m_step(monkeypatch, worse_on_call=4)
+        model, trace = fit(ds, 2, EmConfig(restarts=1, seed=1, rel_tol=1e-12))
+        assert len(produced) == 4
+        assert model is produced[2]
+        assert trace.iterations == 3
+        assert not trace.converged
+        assert trace.final_nll == -total_log_likelihood(model, ds, MODEL_MISSING)
+
+    def test_cap_without_tolerance_is_not_converged(self):
+        _, ds, _ = _cohort(n=300)
+        _, trace = fit(ds, 2, EmConfig(max_iterations=1, restarts=1, seed=1,
+                                       rel_tol=1e-12))
+        assert trace.iterations == 2
+        assert not trace.converged
+
+    def test_tolerance_met_on_the_last_allowed_scoring_is_converged(self):
+        _, ds, _ = _cohort(n=300)
+        config = EmConfig(restarts=1, seed=2, rel_tol=1e-4)
+        _, free = fit(ds, 2, config)
+        assert free.converged and free.iterations >= 3
+        capped_config = EmConfig(max_iterations=free.iterations - 1, restarts=1,
+                                 seed=2, rel_tol=1e-4)
+        _, capped = fit(ds, 2, capped_config)
+        assert capped == free
+
+    def test_m_steps_per_restart(self, monkeypatch):
+        _, ds, _ = _cohort(n=300)
+        produced = self._counting_m_step(monkeypatch)
+        _, trace = fit(ds, 3, EmConfig(max_iterations=4, restarts=2, seed=1,
+                                       rel_tol=1e-12))
+        assert len(produced) == 2 * (4 + 1)
+        assert trace.iterations == 4 + 1 and not trace.converged
+
+
 class TestBic:
     def test_formula(self):
         _, ds, _ = _cohort(n=100)
-        model, _ = fit(ds, 1, EmConfig(restarts=1))
+        model, trace = fit(ds, 1, EmConfig(restarts=1))
         nll = -total_log_likelihood(model, ds, MODEL_MISSING)
+        assert trace.final_nll == nll  # the fit's NLL is the rescored one, bit for bit
         want = 0.5 * parameter_count(model) * math.log(100) + nll
-        assert math.isclose(bic_score(model, ds), want, rel_tol=1e-15)
+        assert math.isclose(bic_score(model, 100, trace.final_nll), want, rel_tol=1e-15)
 
     def test_frozen_arithmetic(self):
         # 0.5 * 10 * ln(100) + 500
