@@ -30,6 +30,9 @@ hetmix evaluate "${data[@]}" --orders 3 --mode model_missing --restarts 1 \
     --max-iterations 40 --out-dir "$out/evaluate"
 cat "$out/evaluate/performance.csv"
 
-# Reproducibility: replay the fit from its manifest and compare bytes.
+# Reproducibility: replay the fit and the predictions from their manifests
+# and compare bytes.
 hetmix rerun --manifest "$out/select/manifest.json" --out-dir "$out/select-again"
-diff -r "$out/select" "$out/select-again" && echo "rerun is byte-identical"
+diff -r "$out/select" "$out/select-again" && echo "select rerun is byte-identical"
+hetmix rerun --manifest "$out/infer/manifest.json" --out-dir "$out/infer-again"
+diff -r "$out/infer" "$out/infer-again" && echo "infer rerun is byte-identical"

@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 from .schema import (INPUT, MISSING, OUTCOME, Dataset, MissingnessProfile,
                      SchemaError, SchemaViolationError, VariableKind,
                      VariableSchema, Violation, drop_zero_variability,
-                     is_missing, missingness_profile, validate_dataset,
+                     missingness_profile, validate_dataset,
                      zero_variability_columns)
 from .distributions import (Categorical, DEFAULT_FLOORS, EstimationError,
                             Gaussian, InflatedGamma, ParamFloors,
                             QuantizedGaussian, default_params, family_for,
-                            log_density, sample, weighted_mle)
+                            weighted_mle)
 from .model import (IGNORE_MISSING, MISSINGNESS_MODES, MODEL_MISSING,
                     MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, evidence_log_likelihoods,
@@ -30,8 +30,8 @@ from .training import (ComponentCollapseError, EmConfig, OrderScore,
                        OrderSelection, TrainingError, TrainingTrace,
                        bic_score, fit, m_step, select_order)
 from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
-                        PredictiveDistribution, infer, point_predict,
-                        predict_targets, rank_outcomes)
+                        PredictiveDistribution, infer, infer_many,
+                        point_predict, predict_targets, rank_outcomes)
 from .evaluation import (ConfidenceBins, ConfidenceRecord, DegenerateSampleError,
                          EaeRecord, FoldFailure, LooResult, TargetSummary,
                          ThresholdCurve, chance_prediction, confidence_bins,

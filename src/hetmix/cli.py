@@ -23,16 +23,19 @@ are treated as unobserved; a token that is also a categorical symbol or parses
 to an ordinal level of a column in the file is refused. Evidence files for
 ``infer`` use the same format but may cover any subset of non-target
 variables; a column left out of the file contributes nothing, while a
-missing-token cell engages the chosen missingness mode explicitly.
+missing-token cell engages the chosen missingness mode explicitly. ``infer``
+writes one ``predictions.jsonl`` line per record from one likelihood pass; a
+record with bad cells or zero likelihood gets an error line, and exit 5.
 
 Every command writes its outputs atomically into --out-dir together with a
 ``manifest.json`` recording the tool version, command, full argument set,
-seed, and sha256 of each input file. ``hetmix rerun`` re-executes a manifest
-and reproduces byte-identical outputs. Floats are serialized in shortest
+seed, and sha256 of each input file. ``hetmix rerun`` re-executes a manifest,
+whose argument values must have the types and choices the parser allows, and
+reproduces byte-identical outputs. Floats are serialized in shortest
 round-trip form throughout.
 
-Exit codes: 0 success, 2 usage (argparse), 3 validation, 4 training,
-5 inference, 6 I/O.
+Exit codes: 0 success, 2 usage (argparse), 3 validation (checked before any
+work, e.g. an unknown or duplicate target), 4 training, 5 inference, 6 I/O.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from . import __version__, demo
 from .evaluation import (DegenerateSampleError, confidence_bins, error_density,
                          loo_evaluate, scott_bandwidth, threshold_curve)
-from .inference import InferenceRequest, infer, point_predict
+from .inference import infer_many, point_predict
 from .io import (DEFAULT_MISSING_TOKEN, FormatError, atomic_write_text,
                  load_dataset, load_model, load_schemas, params_to_dict,
                  read_data_csv, read_evidence_csv, save_model, save_schemas,
@@ -217,32 +220,29 @@ def run_infer(arguments: dict, out_dir) -> list:
     model = load_model(arguments["model"])
     targets = (arguments["targets"].split(",") if arguments["targets"]
                else [s.name for s in model.schemas if s.role == OUTCOME])
-    if not targets:
-        raise SchemaError("no targets: pass --targets or give outcome roles")
-    for name in targets:
-        model.column_index(name)  # unknown targets are a usage error, not per-record
-    records = read_evidence_csv(arguments["evidence"], model, targets,
-                                arguments["missing_token"])
-    lines = []
-    failures = 0
-    for i, evidence in enumerate(records):
-        try:
-            request = InferenceRequest(evidence, tuple(targets), arguments["mode"])
-            predicted = infer(model, request)
+    evidence, columns = read_evidence_csv(arguments["evidence"], model,
+                                          arguments["missing_token"])
+    results = infer_many(model, evidence, columns, targets, arguments["mode"])
+    failed = []
+
+    def line(i, predicted) -> str:
+        if isinstance(predicted, Exception):
+            failed.append(i)
+            payload = {"record": i, "error": str(predicted)}
+        else:
             payload = {"record": i,
                        "posterior": [float(p) for p in predicted.posterior],
                        "targets": {name: _prediction_payload(predicted[name],
                                                              model.schema(name))
                                    for name in targets}}
-        except (SchemaViolationError, SchemaError, ZeroLikelihoodError, ValueError) as err:
-            failures += 1
-            payload = {"record": i, "error": str(err)}
-        lines.append(json.dumps(payload, sort_keys=True))
-    atomic_write_text(out_dir / "predictions.jsonl", "\n".join(lines) + "\n")
-    print(f"{len(records) - failures} of {len(records)} records inferred")
-    if failures:
+        return json.dumps(payload, sort_keys=True) + "\n"
+
+    atomic_write_text(out_dir / "predictions.jsonl",
+                      (line(i, predicted) for i, predicted in enumerate(results)))
+    print(f"{evidence.n_subjects - len(failed)} of {evidence.n_subjects} records inferred")
+    if failed:
         raise _PartialFailure(["predictions.jsonl"], "inference", EXIT_INFERENCE,
-                              f"{failures} record(s) failed inference")
+                              f"{len(failed)} record(s) failed inference")
     return ["predictions.jsonl"]
 
 
@@ -391,9 +391,17 @@ def run_rerun(args) -> int:
         raise FormatError("manifest needs an arguments object and a path and sha256 per input")
     parser = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)).choices[command]
-    missing = {a.dest for a in parser._actions} - {"help", "out_dir"} - set(arguments)
+    actions = [a for a in parser._actions if a.dest not in ("help", "out_dir")]
+    missing = {a.dest for a in actions} - set(arguments)
     if missing:
         raise FormatError(f"manifest arguments lack {sorted(missing)}")
+    for action in actions:  # each value must be one the parser could have stored
+        value = arguments[action.dest]
+        kind = (bool if isinstance(action, argparse._StoreTrueAction)
+                else {int: int, float: (int, float)}.get(action.type, str))
+        if (value not in action.choices if action.choices
+                else not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+            raise FormatError(f"manifest argument {action.dest!r} cannot be {value!r}")
     for name, entry in inputs.items():
         digest = sha256_file(entry["path"])
         if digest != entry["sha256"]:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .schema import MISSING, VariableKind
+from .schema import VariableKind
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -245,17 +245,6 @@ _FAMILY_BY_KIND = {
 def family_for(kind: VariableKind):
     """Distribution class used for a variable kind."""
     return _FAMILY_BY_KIND[VariableKind(kind)]
-
-
-def log_density(params: Params, value):
-    """Log density (continuous) or log mass (finite) of one observed value."""
-    if value is MISSING:
-        raise ValueError("log_density takes an observed value, not MISSING")
-    return params.log_density(value)
-
-
-def sample(params: Params, rng, size=None):
-    return params.sample(rng, size=size)
 
 
 def _weighted_moments(values, weights):

@@ -10,14 +10,15 @@ nothing, while an explicit MISSING engages the missingness factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import (MixtureModel, check_mode, evidence_log_likelihoods,
-                    normalize_log_joint)
+from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
+                    component_log_likelihoods, normalize_log_joint)
+from .schema import Dataset, SchemaViolationError
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,47 @@ class PredictiveDistribution:
 
 
 def infer(model: MixtureModel, request: InferenceRequest) -> PredictiveDistribution:
-    """Predictive distributions for every target given the evidence."""
-    for name in request.targets:
+    """Predictions for one evidence mapping: ``infer_many`` on one record."""
+    columns = [model.column_index(name) for name in request.evidence]
+    dataset = Dataset(model.schemas, [tuple(request.evidence.values())], columns)
+    result = next(infer_many(model, dataset, columns, request.targets, request.mode))
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
+               targets, mode: str) -> Iterator:
+    """Predict the targets of every record of ``dataset`` from its ``columns``.
+
+    Before the first result, checks targets and mode by an ``InferenceRequest``
+    and makes one likelihood pass over the records without bad cells. Yields
+    per record, in order, its ``PredictiveDistribution`` or the error failing
+    it: SchemaViolationError (bad cells in ``columns`` order, row None), ZeroLikelihoodError."""
+    names = dict.fromkeys(dataset.schemas[j].name for j in columns)
+    targets = InferenceRequest(names, targets, mode).targets
+    for name in targets:
         model.column_index(name)
-    log_comp = evidence_log_likelihoods(model, request.evidence, request.mode)
-    posterior = normalize_log_joint(log_comp[None, :])[0][0]
-    return PredictiveDistribution(predict_targets(model, posterior, request.targets),
-                                  posterior)
+    bad: dict = {}
+    for j in columns:
+        for v in dataset.cell_violations[j]:
+            bad.setdefault(v.row, []).append(replace(v, row=None))
+    good = [i for i in range(dataset.n_subjects) if i not in bad]
+    clean = dataset.subset(good) if bad and good else dataset
+    posteriors = iter(_posteriors(component_log_likelihoods(model, clean, mode, columns))
+                      if good else ())
+    for i in range(dataset.n_subjects):
+        result = SchemaViolationError(bad[i]) if i in bad else next(posteriors)
+        yield (result if isinstance(result, Exception)
+               else PredictiveDistribution(predict_targets(model, result, targets), result))
+
+
+def _posteriors(log_comp: np.ndarray):
+    """Posterior rows of an (N, Z) log joint; if a row fails, row by row, errors in place."""
+    try:
+        return normalize_log_joint(log_comp)[0]
+    except ZeroLikelihoodError as err:
+        return [err] if len(log_comp) == 1 else [_posteriors(row[None])[0] for row in log_comp]
 
 
 def predict_targets(model: MixtureModel, posterior: np.ndarray, targets) -> dict:

@@ -21,9 +21,8 @@ import numpy as np
 from .distributions import (Categorical, Gaussian, InflatedGamma, Params,
                             QuantizedGaussian)
 from .model import MixtureModel
-from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
-                     VariableKind, VariableSchema, Violation,
-                     drop_zero_variability, validate_dataset)
+from .schema import (MISSING, Dataset, SchemaViolationError, VariableKind,
+                     VariableSchema, drop_zero_variability, validate_dataset)
 
 SCHEMA_FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 1
@@ -34,14 +33,14 @@ class FormatError(ValueError):
     """A file does not match the expected structure or version."""
 
 
-def atomic_write_text(path, text: str):
-    """Write text via a temp file and rename, so readers never see partial files."""
+def atomic_write_text(path, text):
+    """Write a str, or str chunks as they come, atomically: temp file, then rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,6 +154,18 @@ def _csv_rows(path):
             yield record
 
 
+def _read_columns(path, schemas, records, columns, missing_token: str) -> Dataset:
+    """CSV records whose fields are the schema ``columns``, in order, as a
+    Dataset over every schema; variables the file leaves out are MISSING."""
+    placed = [schemas[j] for j in columns]
+    _check_missing_token(placed, missing_token)
+    rows = [tuple(_parse_cell(text, s, missing_token) for s, text in zip(placed, record))
+            for record in records]
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    return Dataset(schemas, rows, columns)
+
+
 def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> Dataset:
     """Parse a header-led CSV against the schemas; no validation beyond shape.
 
@@ -164,42 +175,27 @@ def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> 
     validate_dataset can point at it.
     """
     schemas = tuple(schemas)
-    _check_missing_token(schemas, missing_token)
     records = _csv_rows(path)
     header = next(records)
     names = [s.name for s in schemas]
     if sorted(header) != sorted(names):
         raise FormatError(f"{path}: header {header} does not match schema "
                           f"names {names}")
-    take = [header.index(name) for name in names]
-    rows = [tuple(_parse_cell(record[k], schemas[j], missing_token)
-                  for j, k in enumerate(take))
-            for record in records]
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    return Dataset(schemas, rows)
+    return _read_columns(path, schemas, records, [names.index(name) for name in header],
+                         missing_token)
 
 
-def read_evidence_csv(path, model: MixtureModel, targets,
-                      missing_token: str = DEFAULT_MISSING_TOKEN) -> list:
-    """Evidence CSV rows as name -> value dicts over a subset of the model's
-    variables; a target may not appear as an evidence column."""
+def read_evidence_csv(path, model: MixtureModel,
+                      missing_token: str = DEFAULT_MISSING_TOKEN) -> tuple[Dataset, list]:
+    """An evidence CSV over some of the model's variables, read like a data
+    file into a Dataset over all of them, plus the file's columns (schema
+    indices in header order): the evidence. The other variables are MISSING."""
     records = _csv_rows(path)
     header = next(records)
     if len(set(header)) != len(header):
         raise FormatError(f"{path}: duplicate evidence columns")
-    schemas = []
-    for name in header:
-        if name in targets:
-            raise FormatError(f"{path}: evidence column {name!r} is a target")
-        schemas.append(model.schema(name))
-    _check_missing_token(schemas, missing_token)
-    evidence = [{s.name: _parse_cell(text, s, missing_token)
-                 for s, text in zip(schemas, record)}
-                for record in records]
-    if not evidence:
-        raise FormatError(f"{path}: no evidence rows")
-    return evidence
+    columns = [model.column_index(name) for name in header]
+    return _read_columns(path, model.schemas, records, columns, missing_token), columns
 
 
 def _write_rows(path, header, rows):

@@ -188,39 +188,30 @@ def posterior_matrix(model: MixtureModel, dataset: Dataset, mode: str,
     return normalize_log_joint(comp)[0]
 
 
-def _row_dataset(schemas, values: Mapping, violation_row: int | None) -> Dataset:
-    """One-subject Dataset with ``values`` (column index -> cell), MISSING elsewhere.
-
-    Inadmissible values raise SchemaViolationError; each violation carries
-    ``violation_row`` as its row.
-    """
-    row = [MISSING] * len(schemas)
-    for j, value in values.items():
-        row[j] = value
-    ds = Dataset(schemas, [tuple(row)])
-    bad = [replace(v, row=violation_row) for j in values for v in ds.cell_violations[j]]
+def _row_dataset(schemas, columns: Sequence[int], row: Sequence, violation_row) -> Dataset:
+    """One-subject Dataset whose ``columns`` hold the cells of ``row``, MISSING
+    elsewhere. A wrong cell count or a bad cell raises SchemaViolationError,
+    each violation carrying ``violation_row`` as its row."""
+    row = tuple(row)
+    if len(row) != len(columns):
+        raise SchemaViolationError([Violation(violation_row, "<row>",
+                                              f"{len(row)} cells for {len(columns)} variables")])
+    ds = Dataset(schemas, [row], columns)
+    bad = [replace(v, row=violation_row) for j in columns for v in ds.cell_violations[j]]
     if bad:
         raise SchemaViolationError(bad)
     return ds
 
 
-def _validated_row_dataset(schemas, row) -> Dataset:
-    row = tuple(row)
-    if len(row) != len(schemas):
-        raise SchemaViolationError([Violation(0, "<row>",
-                                              f"{len(row)} cells for {len(schemas)} variables")])
-    return _row_dataset(schemas, dict(enumerate(row)), 0)
-
-
 def joint_log_likelihood(model: MixtureModel, row: Sequence, mode: str) -> float:
     """Joint log-likelihood of one full row (MISSING cells allowed)."""
-    ds = _validated_row_dataset(model.schemas, row)
+    ds = _row_dataset(model.schemas, range(model.n_variables), row, 0)
     return float(row_log_likelihoods(model, ds, mode)[0])
 
 
 def latent_posterior(model: MixtureModel, row: Sequence, mode: str) -> np.ndarray:
     """Posterior over components for one full row."""
-    ds = _validated_row_dataset(model.schemas, row)
+    ds = _row_dataset(model.schemas, range(model.n_variables), row, 0)
     return posterior_matrix(model, ds, mode)[0]
 
 
@@ -232,9 +223,9 @@ def evidence_log_likelihoods(model: MixtureModel, evidence: Mapping, mode: str) 
     mapping contribute nothing at all.
     """
     check_mode(mode)
-    values = {model.column_index(name): value for name, value in evidence.items()}
-    ds = _row_dataset(model.schemas, values, None)
-    return component_log_likelihoods(model, ds, mode, list(values))[0]
+    columns = [model.column_index(name) for name in evidence]
+    ds = _row_dataset(model.schemas, columns, evidence.values(), None)
+    return component_log_likelihoods(model, ds, mode, columns)[0]
 
 
 def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray]:

@@ -62,10 +62,6 @@ class _MissingType:
 MISSING = _MissingType()
 
 
-def is_missing(value) -> bool:
-    return value is MISSING
-
-
 class VariableKind(str, Enum):
     """The four supported column types, each tied to one distribution family."""
 
@@ -168,9 +164,13 @@ class Dataset:
     column), or encoded (a float for real/nonnegative/ordinal, a domain index
     for ordinal/categorical). The encoded views of a column with bad cells
     raise SchemaViolationError.
+
+    ``columns`` (distinct schema indices) names the variable of each cell of a
+    row, in order; the other cells are MISSING. Default: all, in schema order.
     """
 
-    def __init__(self, schemas: Sequence[VariableSchema], rows: Iterable[Sequence]):
+    def __init__(self, schemas: Sequence[VariableSchema], rows: Iterable[Sequence],
+                 columns: Sequence[int] | None = None):
         schemas = tuple(schemas)
         if not schemas:
             raise SchemaError("a dataset needs at least one variable")
@@ -182,13 +182,14 @@ class Dataset:
         if not rows:
             raise SchemaError("a dataset needs at least one subject")
         n_vars = len(schemas)
+        columns = range(n_vars) if columns is None else tuple(columns)
         shape = (len(rows), n_vars)
-        cells = np.empty(shape, dtype=object)
+        cells = np.full(shape, MISSING, dtype=object)
         for i, row in enumerate(rows):
             row = tuple(row)
-            if len(row) != n_vars:
-                raise SchemaError(f"row {i} has {len(row)} cells, expected {n_vars}")
-            for j, value in enumerate(row):
+            if len(row) != len(columns):
+                raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")
+            for j, value in zip(columns, row):
                 cells[i, j] = value
         # column-major, so each column's view is contiguous
         missing = np.zeros(shape, dtype=bool, order="F")

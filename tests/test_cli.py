@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from hetmix import MixtureModel
+from hetmix import (MISSING, InferenceRequest, MixtureModel, SchemaViolationError,
+                    ZeroLikelihoodError, infer)
 from hetmix.cli import main, parse_orders
 from hetmix.io import load_dataset, load_model, model_to_dict, save_model
 from hetmix.training import m_step
@@ -294,6 +295,19 @@ class TestInfer:
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
 
+    def test_duplicate_targets_exit_3_before_any_record(self, work, tmp_path, capsys):
+        evidence = self._evidence(tmp_path, ["0.5,alpha", "-4.2,beta"])
+        out = tmp_path / "out"
+        code = main(["infer", "--out-dir", str(out),
+                     "--model", str(work["fit1"] / "model.json"),
+                     "--evidence", str(evidence),
+                     "--targets", "severity,severity", "--mode", "model_missing"])
+        assert code == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert error["message"] == "duplicate targets"
+        assert not (out / "predictions.jsonl").exists()
+
     def test_target_as_evidence_column_exit_3(self, work, tmp_path, capsys):
         path = tmp_path / "evidence.csv"
         path.write_text("severity,site\n3,alpha\n")
@@ -313,6 +327,66 @@ class TestInfer:
         error = _last_error(capsys)
         assert error["category"] == "validation"
         assert "missing token 'alpha'" in error["message"]
+
+
+class TestInferMatchesPerRecordInfer:
+    """Each predictions.jsonl line is what per-record ``infer`` returns or raises."""
+
+    # header order differs from the schema's (marker_a, marker_b, dose, stage, ...)
+    HEADER = "site,dose,marker_a,stage"
+    RECORDS = ["alpha,2.5,-4.2,3",      # clean
+               "beta,,0.1,2",           # explicit missing-token cell
+               "atlantis,2.5,oops,3",   # two bad cells
+               "delta,1.0,0.0,2"]       # a category of zero mass
+    EVIDENCE = [{"site": "alpha", "dose": 2.5, "marker_a": -4.2, "stage": 3},
+                {"site": "beta", "dose": MISSING, "marker_a": 0.1, "stage": 2},
+                {"site": "atlantis", "dose": 2.5, "marker_a": "oops", "stage": 3},
+                {"site": "delta", "dose": 1.0, "marker_a": 0.0, "stage": 2}]
+
+    @pytest.fixture
+    def model_path(self, work, tmp_path):
+        payload = json.loads((work["demo"] / "model.json").read_text())
+        j = [v["name"] for v in payload["variables"]].index("site")
+        for row in payload["components"]:
+            row[j]["probs"] = [0.5, 0.25, 0.25, 0.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("mode", ["model_missing", "ignore_missing"])
+    def test_lines_match_infer(self, model_path, tmp_path, mode):
+        evidence = tmp_path / "evidence.csv"
+        evidence.write_text("\n".join([self.HEADER] + self.RECORDS) + "\n")
+        out = tmp_path / "infer"
+        assert main(["infer", "--out-dir", str(out), "--model", str(model_path),
+                     "--evidence", str(evidence), "--mode", mode]) == 5
+        lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [line["record"] for line in lines] == [0, 1, 2, 3]
+        model = load_model(model_path)
+        for line, values in zip(lines, self.EVIDENCE):
+            request = InferenceRequest(values, ("severity", "status"), mode)
+            try:
+                predicted = infer(model, request)
+            except (SchemaViolationError, ZeroLikelihoodError) as err:
+                assert line == {"record": line["record"], "error": str(err)}
+                continue
+            assert line["posterior"] == predicted.posterior.tolist()
+            for name in request.targets:
+                assert line["targets"][name]["probabilities"] == \
+                    predicted[name].probabilities.tolist()
+        assert "targets" in lines[0] and "targets" in lines[1]
+        assert lines[2]["error"].startswith("2 schema violation(s): column 'site'")
+        assert "zero likelihood" in lines[3]["error"]
+
+    def test_all_records_bad_exit_5(self, model_path, tmp_path, capsys):
+        evidence = tmp_path / "evidence.csv"
+        evidence.write_text("marker_a,site\noops,alpha\n1.0,atlantis\n")
+        out = tmp_path / "infer"
+        assert main(["infer", "--out-dir", str(out), "--model", str(model_path),
+                     "--evidence", str(evidence), "--mode", "model_missing"]) == 5
+        assert _last_error(capsys)["category"] == "inference"
+        lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [sorted(line) for line in lines] == [["error", "record"]] * 2
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +478,10 @@ class TestRerun:
         lambda m: {k: v for k, v in m.items() if k != "arguments"},
         lambda m: {**m, "command": "demo-model", "arguments": {}, "inputs": {}},
         lambda m: {**m, "inputs": {"data": {"sha256": m["inputs"]["data"]["sha256"]}}},
-    ], ids=["list", "no-arguments", "argument-keys-missing", "input-without-path"])
+        lambda m: {**m, "arguments": {**m["arguments"], "order": "two"}},
+        lambda m: {**m, "arguments": {**m["arguments"], "restarts": 1.5}},
+    ], ids=["list", "no-arguments", "argument-keys-missing", "input-without-path",
+            "order-not-an-int", "restarts-not-an-int"])
     def test_malformed_manifest_exits_3(self, work, tmp_path, capsys, edit):
         manifest = json.loads((work["fit1"] / "manifest.json").read_text())
         path = tmp_path / "manifest.json"

@@ -10,7 +10,7 @@ from scipy import integrate, stats
 
 from hetmix import (Categorical, EstimationError, Gaussian, InflatedGamma,
                     QuantizedGaussian, VariableKind, default_params,
-                    family_for, log_density, sample, weighted_mle)
+                    family_for, weighted_mle)
 from hetmix.distributions import DEFAULT_FLOORS
 
 
@@ -118,16 +118,6 @@ def test_family_for():
     assert family_for("nonnegative") is InflatedGamma
     assert family_for("ordinal") is QuantizedGaussian
     assert family_for("categorical") is Categorical
-
-
-def test_module_level_ops(rng):
-    g = Gaussian(0.0, 1.0)
-    assert log_density(g, 0.0) == g.log_density(0.0)
-    draws = sample(g, rng, size=5)
-    assert draws.shape == (5,)
-    from hetmix import MISSING
-    with pytest.raises(ValueError):
-        log_density(g, MISSING)
 
 
 def test_sampling_is_deterministic():

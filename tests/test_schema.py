@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
-                    is_missing, missingness_profile, validate_dataset,
+                    missingness_profile, validate_dataset,
                     zero_variability_columns)
 from hetmix.schema import Violation, _zero_variability
 
 
 def test_missing_is_a_singleton():
     assert MISSING is type(MISSING)()
-    assert is_missing(MISSING)
-    assert not is_missing(0.0)
     assert repr(MISSING) == "MISSING"
     assert not MISSING  # falsy, but never use truthiness to test for it
 
