@@ -254,8 +254,6 @@ def run_evaluate(arguments: dict, out_dir) -> list:
     dataset = _load_training_data(arguments)
     targets = (arguments["targets"].split(",") if arguments["targets"]
                else [dataset.schemas[j].name for j in dataset.outcome_columns])
-    if not targets:
-        raise SchemaError("no targets: pass --targets or give outcome roles")
     result = loo_evaluate(dataset, parse_orders(arguments["orders"]), tuple(targets),
                           arguments["mode"], _em_config(arguments),
                           n_workers=arguments["workers"])

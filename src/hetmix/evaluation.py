@@ -284,7 +284,7 @@ def _evaluate_fold(dataset: Dataset, subject: int, orders, targets, mode: str,
     skipped = []
     truths = {}
     for name in targets:
-        value = dataset.cells[subject, dataset.column_index(name)]
+        value = dataset.value(subject, dataset.column_index(name))
         if value is MISSING:
             skipped.append(name)
         else:
@@ -331,6 +331,8 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     targets = (targets,) if isinstance(targets, str) else tuple(targets)
     if not targets:
         raise ValueError("at least one target is required")
+    if len(set(targets)) != len(targets):
+        raise ValueError("duplicate targets")
     for name in targets:
         schema = dataset.schema(name)
         max_absolute_error(schema)  # rejects continuous targets early

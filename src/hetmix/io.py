@@ -110,7 +110,7 @@ def load_schemas(path) -> tuple:
 # ---------------------------------------------------------------- data CSV
 
 def _parse_cell(text: str, schema: VariableSchema, missing_token: str):
-    """Token to cell value; unparseable text is kept raw for the validator."""
+    """Token to cell value; unparseable text stays text, a Dataset violation."""
     if text == missing_token:
         return MISSING
     kind = schema.kind
@@ -121,7 +121,7 @@ def _parse_cell(text: str, schema: VariableSchema, missing_token: str):
             return int(text)
         return float(text)
     except ValueError:
-        return text  # reported by validate_dataset, not here
+        return text  # recorded as a violation by Dataset, not raised here
 
 
 def _check_missing_token(schemas, missing_token: str):
@@ -171,8 +171,8 @@ def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> 
 
     Columns may appear in any order but the header must name every schema
     exactly once. Cells equal to the missing token become MISSING; otherwise
-    they are parsed by kind, keeping unparseable text verbatim so that
-    validate_dataset can point at it.
+    they are parsed by kind. Unparseable text is not kept as a value: it
+    becomes a cell violation naming the text, which validate_dataset reports.
     """
     schemas = tuple(schemas)
     records = _csv_rows(path)
@@ -209,7 +209,8 @@ def _write_rows(path, header, rows):
 
 def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):
     _write_rows(path, dataset.names,
-                ([format_value(c, missing_token) for c in row] for row in dataset.cells))
+                ([format_value(c, missing_token) for c in dataset.row(i)]
+                 for i in range(dataset.n_subjects)))
 
 
 def load_dataset(data_path, schema_path, *, missing_token: str = DEFAULT_MISSING_TOKEN,

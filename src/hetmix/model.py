@@ -83,6 +83,8 @@ class MixtureModel:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "missing_probs", missing)
         object.__setattr__(self, "schemas", schemas)
+        object.__setattr__(self, "_name_to_column",
+                           {s.name: j for j, s in enumerate(schemas)})
 
     @property
     def n_components(self) -> int:
@@ -93,10 +95,10 @@ class MixtureModel:
         return len(self.schemas)
 
     def column_index(self, name: str) -> int:
-        for j, s in enumerate(self.schemas):
-            if s.name == name:
-                return j
-        raise SchemaError(f"model has no variable named {name!r}")
+        try:
+            return self._name_to_column[name]
+        except KeyError:
+            raise SchemaError(f"model has no variable named {name!r}") from None
 
     def schema(self, name: str) -> VariableSchema:
         return self.schemas[self.column_index(name)]
@@ -238,7 +240,7 @@ def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray
     if n < 1:
         raise ValueError("need n >= 1 subjects")
     labels = rng.choice(model.n_components, size=n, p=model.weights)
-    cells = np.empty((n, len(model.schemas)), dtype=object)
+    columns = []
     for v, schema in enumerate(model.schemas):
         make_missing = rng.random(n) < model.missing_probs[labels, v]
         column = np.empty(n, dtype=object)
@@ -254,6 +256,6 @@ def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray
             else:
                 column[rows] = [float(d) for d in draws]
         column[make_missing] = MISSING
-        cells[:, v] = column
-    dataset = Dataset(model.schemas, [tuple(r) for r in cells])
+        columns.append(column)
+    dataset = Dataset(model.schemas, zip(*columns))
     return dataset, labels

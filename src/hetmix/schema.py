@@ -1,20 +1,20 @@
 """Variable schemas, cell values, and immutable datasets for mixed-type tables.
 
-A dataset is a subjects-by-variables grid. Every cell is either the MISSING
+A dataset is a subjects-by-variables table. Every cell is either the MISSING
 sentinel or a plain Python value whose admissible type depends on the column's
 declared kind: real (float), nonnegative (float >= 0), ordinal (int from a
 finite ordered domain), or categorical (str from a finite symbol set).
-Building a ``Dataset`` checks and encodes each cell once, recording bad cells
-instead of raising so that malformed files can still be reported on;
-``validate_dataset`` returns the violations and training and inference refuse
-invalid data.
+Building a ``Dataset`` checks and encodes each cell once into arrays, recording
+bad cells (unparseable text included) as violations instead of raising so that
+malformed files can still be reported on; ``validate_dataset`` returns the
+violations and training and inference refuse invalid data.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -157,13 +157,14 @@ class VariableSchema:
 
 
 class Dataset:
-    """Immutable grid of cells, checked and encoded once when built.
+    """Immutable subjects-by-variables table, checked and encoded once when built.
 
     Each cell is sorted into one of three outcomes: MISSING (the missing
     mask), inadmissible (a ``Violation`` in ``cell_violations``, one tuple per
     column), or encoded (a float for real/nonnegative/ordinal, a domain index
-    for ordinal/categorical). The encoded views of a column with bad cells
-    raise SchemaViolationError.
+    for ordinal/categorical). Only these are kept: ``value`` and ``row`` decode
+    cells, and reading a bad cell, or an encoded view of a column with bad
+    cells, raises SchemaViolationError. Subsets slice the arrays, unchecked.
 
     ``columns`` (distinct schema indices) names the variable of each cell of a
     row, in order; the other cells are MISSING. Default: all, in schema order.
@@ -178,19 +179,17 @@ class Dataset:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate variable names: {dupes}")
-        rows = list(rows)
+        rows = [tuple(row) for row in rows]
         if not rows:
             raise SchemaError("a dataset needs at least one subject")
         n_vars = len(schemas)
         columns = range(n_vars) if columns is None else tuple(columns)
-        shape = (len(rows), n_vars)
-        cells = np.full(shape, MISSING, dtype=object)
         for i, row in enumerate(rows):
-            row = tuple(row)
             if len(row) != len(columns):
                 raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")
-            for j, value in zip(columns, row):
-                cells[i, j] = value
+        placed = dict(zip(columns, zip(*rows)))  # schema index -> its cells
+        unplaced = (MISSING,) * len(rows)
+        shape = (len(rows), n_vars)
         # column-major, so each column's view is contiguous
         missing = np.zeros(shape, dtype=bool, order="F")
         numeric = np.full(shape, np.nan, order="F")
@@ -198,7 +197,7 @@ class Dataset:
         violations = []
         for j, schema in enumerate(schemas):
             missing_rows, rows_ok, values_ok, bad = [], [], [], []
-            for i, value in enumerate(cells[:, j]):
+            for i, value in enumerate(placed.get(j, unplaced)):
                 if value is MISSING:
                     missing_rows.append(i)
                 elif (message := schema.validate_value(value)) is not None:
@@ -213,23 +212,25 @@ class Dataset:
                 keys = map(int, values_ok) if schema.kind is VariableKind.ORDINAL else values_ok
                 codes[rows_ok, j] = [schema._domain_index[k] for k in keys]
             violations.append(tuple(bad))
-        for array in (cells, missing, numeric, codes):
+        self._store(schemas, missing, numeric, codes, tuple(violations))
+
+    def _store(self, schemas, missing, numeric, codes, violations):
+        for array in (missing, numeric, codes):
             array.setflags(write=False)
         self.schemas = schemas
-        self.cells = cells
-        self.cell_violations = tuple(violations)
+        self.cell_violations = violations
         self._missing = missing
         self._numeric = numeric
         self._codes = codes
-        self._name_to_column = {name: j for j, name in enumerate(names)}
+        self._name_to_column = {s.name: j for j, s in enumerate(schemas)}
 
     @property
     def n_subjects(self) -> int:
-        return self.cells.shape[0]
+        return self._missing.shape[0]
 
     @property
     def n_variables(self) -> int:
-        return self.cells.shape[1]
+        return self._missing.shape[1]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -247,10 +248,22 @@ class Dataset:
         return self.schemas[column]
 
     def value(self, subject: int, column: int):
-        return self.cells[subject, column]
+        """The decoded cell: MISSING, a float, an ordinal level or a symbol.
+        A bad cell raises SchemaViolationError with its violation."""
+        if self._missing[subject, column]:
+            return MISSING
+        schema = self.schemas[column]
+        if schema.kind.is_finite:
+            code = self._codes[subject, column]
+            if code >= 0:
+                return schema.domain[code]
+        elif not math.isnan(x := self._numeric[subject, column]):
+            return float(x)
+        raise SchemaViolationError(v for v in self.cell_violations[column]
+                                   if v.row == subject % self.n_subjects)
 
     def row(self, subject: int) -> tuple:
-        return tuple(self.cells[subject])
+        return tuple(self.value(subject, j) for j in range(self.n_variables))
 
     @property
     def input_columns(self) -> tuple[int, ...]:
@@ -301,12 +314,31 @@ class Dataset:
 
     def subset(self, subjects) -> "Dataset":
         """Dataset restricted to the given subject indices (order kept)."""
-        idx = np.asarray(subjects, dtype=np.int64)
-        return Dataset(self.schemas, [tuple(self.cells[i]) for i in idx])
+        return self._take(subjects, range(self.n_variables))
 
     def drop_subject(self, subject: int) -> "Dataset":
         keep = [i for i in range(self.n_subjects) if i != subject]
         return self.subset(keep)
+
+    def _take(self, subjects, columns) -> "Dataset":
+        """The given subjects and columns, in order, sliced from the encoded
+        arrays with no cell checked again; violation rows are renumbered."""
+        rows = np.arange(self.n_subjects)[np.asarray(subjects, dtype=np.int64)].tolist()
+        if not rows:
+            raise SchemaError("a dataset needs at least one subject")
+        violations = []
+        for j in columns:
+            by_row = {v.row: v for v in self.cell_violations[j]}
+            violations.append(tuple(replace(by_row[old], row=new)
+                                    for new, old in enumerate(rows) if old in by_row)
+                              if by_row else ())
+        dataset = Dataset.__new__(Dataset)
+        # column-major copies, laid out like the arrays __init__ builds
+        dataset._store(tuple(self.schemas[j] for j in columns),
+                       *(np.asfortranarray(store[np.ix_(rows, columns)])
+                         for store in (self._missing, self._numeric, self._codes)),
+                       tuple(violations))
+        return dataset
 
 
 @dataclass(frozen=True)
@@ -323,16 +355,17 @@ class Violation:
 
 
 def _zero_variability(dataset: Dataset, column: int) -> str | None:
-    """Why the column carries no information, or None if it varies."""
-    observed = [c for c in dataset.cells[:, column] if c is not MISSING]
-    if not observed:
+    """Why the column carries no information, or None if it varies. A column
+    with bad cells never counts: its cells are reported instead."""
+    if dataset.cell_violations[column]:
+        return None
+    observed = np.flatnonzero(~dataset.missing_mask(column))
+    if observed.size == 0:
         return "no observed values"
-    try:
-        constant = all(v == observed[0] for v in observed[1:])
-    except ValueError:  # a list cell against a numpy scalar: not equal
-        constant = False
-    if constant:
-        return f"constant column (always {observed[0]!r})"
+    store = dataset._codes if dataset.schemas[column].kind.is_finite else dataset._numeric
+    values = store[observed, column]
+    if (values == values[0]).all():
+        return f"constant column (always {dataset.value(observed[0], column)!r})"
     return None
 
 
@@ -341,7 +374,8 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
 
     A column has zero variability when every cell is missing or every observed
     value is identical (exact equality, floats included). Such columns carry
-    no information and are rejected by training.
+    no information and are rejected by training. A column with any bad cell
+    is never zero-variability: its bad cells are its violations.
     """
     out = []
     for j, schema in enumerate(dataset.schemas):
@@ -367,9 +401,8 @@ def drop_zero_variability(dataset: Dataset) -> tuple[Dataset, list[str]]:
     if not keep:
         raise SchemaViolationError([Violation(None, name, "no observed values or constant")
                                     for name in sorted(dropped)])
-    schemas = [dataset.schemas[j] for j in keep]
-    rows = [tuple(dataset.cells[i, j] for j in keep) for i in range(dataset.n_subjects)]
-    return Dataset(schemas, rows), [s.name for s in dataset.schemas if s.name in dropped]
+    return (dataset._take(range(dataset.n_subjects), keep),
+            [s.name for s in dataset.schemas if s.name in dropped])
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,35 @@ class TestValidate:
         assert len(report["violations"]) == 1
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name", ["marker_a", "site"])
+    def test_bad_text_column_is_not_dropped_as_constant(self, work, tmp_path, capsys, name):
+        """A column whose every cell holds the same bad text is reported cell
+        by cell, not dropped as a constant column, by validate and by fit."""
+        bad = tmp_path / "bad.csv"
+        text = work["data"].read_text().splitlines()
+        column = text[0].split(",").index(name)
+        lines = [text[0]]
+        for line in text[1:]:
+            fields = line.split(",")
+            fields[column] = "oops"
+            lines.append(",".join(fields))
+        bad.write_text("\n".join(lines) + "\n")
+        data = ["--data", str(bad), "--schema", str(work["schema"]),
+                "--drop-zero-variability"]
+        assert main(["validate", "--out-dir", str(tmp_path / "report")] + data) == 3
+        report = json.loads((tmp_path / "report" / "validation_report.json").read_text())
+        assert report["dropped_columns"] == []
+        assert len(report["violations"]) == 60
+        assert all(v["column"] == name and "'oops'" in v["message"]
+                   for v in report["violations"])
+        capsys.readouterr()
+        assert main(["fit", "--out-dir", str(tmp_path / "fit"), "--order", "1",
+                     "--restarts", "1"] + data) == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert [v["row"] for v in error["violations"]] == list(range(60))
+        assert not (tmp_path / "fit" / "model.json").exists()
+
 
 class TestFit:
     def test_order_one_is_the_column_mle(self, work):
@@ -512,6 +541,33 @@ class TestEvaluateOptions:
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
         assert not (out / "performance.csv").exists()
+
+    def test_duplicate_targets_exit_3_before_any_fold(self, work, tmp_path, capsys,
+                                                       monkeypatch):
+        import hetmix.evaluation as evaluation
+        monkeypatch.setattr(evaluation, "_fold_worker",
+                            lambda *a, **k: pytest.fail("a fold ran"))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", "1", "--restarts", "1", "--mode", "model_missing",
+                     "--targets", "severity,severity"])
+        assert code == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert error["message"] == "duplicate targets"
+        assert list(out.glob("*.csv")) == []
+
+    def test_no_targets_exit_3(self, work, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(work["schema"].read_text().replace('"outcome"', '"input"'))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(schema),
+                     "--orders", "1", "--restarts", "1", "--mode", "model_missing"])
+        assert code == 3
+        assert _last_error(capsys)["message"] == "at least one target is required"
+        assert list(out.glob("*.csv")) == []
 
 
 class TestManifestArguments:

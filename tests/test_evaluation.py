@@ -227,9 +227,9 @@ class TestOnePassFold:
             except ZeroLikelihoodError:
                 fold = None
             train = cohort.drop_subject(subject)
-            evidence = {cohort.schemas[j].name: cohort.cells[subject, j]
+            evidence = {cohort.schemas[j].name: cohort.value(subject, j)
                         for j in input_cols}
-            truths = {name: cohort.cells[subject, cohort.column_index(name)]
+            truths = {name: cohort.value(subject, cohort.column_index(name))
                       for name in targets}
             truths = {n: v for n, v in truths.items() if v is not MISSING}
             fold_config = EmConfig(max_iterations=20, restarts=1,

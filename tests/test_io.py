@@ -147,9 +147,11 @@ class TestDataCsv:
         path = tmp_path / "data.csv"
         path.write_text("age,dose,stage,site\noops,2.0,1,north\n")
         loaded = read_data_csv(path, SCHEMAS)
-        assert loaded.value(0, 0) == "oops"
         violations = validate_dataset(loaded)
         assert violations and violations[0].column == "age"
+        assert "'oops'" in violations[0].message
+        with pytest.raises(SchemaViolationError):
+            loaded.value(0, 0)
 
 
 class TestLoadDataset:

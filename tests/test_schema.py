@@ -11,7 +11,7 @@ from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
                     missingness_profile, validate_dataset,
                     zero_variability_columns)
-from hetmix.schema import Violation, _zero_variability
+from hetmix.schema import Violation
 
 
 def test_missing_is_a_singleton():
@@ -140,6 +140,11 @@ class TestDataset:
         ds = Dataset((VariableSchema("x", "real"),), [("oops",), (1.0,)])
         with pytest.raises(SchemaViolationError):
             ds.column_numeric(0)
+        for subject in (0, -2):
+            with pytest.raises(SchemaViolationError) as err:
+                ds.value(subject, 0)
+            assert [v.row for v in err.value.violations] == [0]
+        assert ds.value(-1, 0) == 1.0
 
     def test_column_scale(self):
         ds = _toy_dataset()
@@ -147,9 +152,12 @@ class TestDataset:
         assert ds.column_scale(1) == 2.0  # ordinal domain span
 
     def test_cells_read_only(self):
+        """The encoded cells cannot be written, in a dataset or in its subset."""
         ds = _toy_dataset()
-        with pytest.raises(ValueError):
-            ds.cells[0, 0] = 9.9
+        for data in (ds, ds.subset([2, 0])):
+            for view in (data.missing_mask(0), data.column_numeric(0), data.column_codes(1)):
+                with pytest.raises(ValueError):
+                    view[0] = view[1]
 
     def test_subset_keeps_order(self):
         ds = _toy_dataset()
@@ -182,6 +190,21 @@ _MIXED_CELL = st.one_of(
     st.sampled_from(["a", "b", "c", "z", "", "1.5"]),
     st.just([1, 2]),
 )
+
+
+def _reference_zero_variability(schema, column, bad):
+    """The column's zero-variability finding, from its raw cells: none with
+    bad cells, else no observed cell, else one repeated decoded value."""
+    if bad:
+        return None
+    observed = [v for v in column if v is not MISSING]
+    if not observed:
+        return "no observed values"
+    decode = {VariableKind.CATEGORICAL: str, VariableKind.ORDINAL: int}.get(schema.kind, float)
+    decoded = [decode(v) for v in observed]
+    if all(d == decoded[0] for d in decoded):
+        return f"constant column (always {decoded[0]!r})"
+    return None
 
 
 def _reference_encoding(schema, column):
@@ -220,12 +243,70 @@ class TestEncodingMatchesPerCellReference:
                 if schema.kind.is_finite:
                     assert ds.column_codes(j).tolist() == codes
             expected_report.extend(bad)
-            reason = _zero_variability(ds, j)
+            reason = _reference_zero_variability(schema, [r[j] for r in rows], bad)
             if reason is not None:
                 expected_report.append(Violation(None, schema.name, reason))
         assert validate_dataset(ds) == expected_report
         counts = missingness_profile(ds).missing_counts.tolist()
         assert counts == [sum(c is MISSING for c in row) for row in rows]
+
+
+def _assert_same_store(got, want):
+    """Same schemas, missing / float / code arrays (column-major) and violations."""
+    assert got.schemas == want.schemas
+    assert got.cell_violations == want.cell_violations
+    for store in ("_missing", "_numeric", "_codes"):
+        array = getattr(got, store)
+        np.testing.assert_array_equal(array, getattr(want, store))
+        assert array.flags.f_contiguous and not array.flags.writeable
+
+
+class TestSlicingEqualsRebuilding:
+    """subset, drop_subject and drop_zero_variability slice the encoded
+    arrays; the result equals a Dataset built from the same raw cells."""
+
+    @given(data=st.data(),
+           rows=st.lists(st.tuples(*[_MIXED_CELL] * len(_MIXED_SCHEMAS)),
+                         min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_equal_rebuilt_datasets(self, data, rows):
+        ds = Dataset(_MIXED_SCHEMAS, rows)
+        n = len(rows)
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+        _assert_same_store(ds.subset(idx), Dataset(_MIXED_SCHEMAS, [rows[i] for i in idx]))
+        if n > 1:
+            drop = data.draw(st.integers(0, n - 1))
+            _assert_same_store(ds.drop_subject(drop),
+                               Dataset(_MIXED_SCHEMAS, rows[:drop] + rows[drop + 1:]))
+        names = zero_variability_columns(ds)
+        keep = [j for j, s in enumerate(_MIXED_SCHEMAS) if s.name not in names]
+        if not keep:
+            with pytest.raises(SchemaViolationError):
+                drop_zero_variability(ds)
+            return
+        reduced, dropped = drop_zero_variability(ds)
+        assert dropped == names
+        _assert_same_store(reduced, Dataset([_MIXED_SCHEMAS[j] for j in keep],
+                                            [tuple(r[j] for j in keep) for r in rows]))
+
+    def test_slices_never_check_cells_again(self, monkeypatch):
+        schemas = (VariableSchema("x", "real"), VariableSchema("y", "real"),
+                   VariableSchema("s", "categorical", ("a", "b")))
+        ds = Dataset(schemas, [(5.0, 1.0, "a"), (5.0, 2.0, "z"), (MISSING, 3.0, "q")])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell was checked again")
+
+        monkeypatch.setattr(VariableSchema, "validate_value", refuse)
+        monkeypatch.setattr(Dataset, "__init__", refuse)
+        sub = ds.subset([2, 1])
+        assert [(v.row, v.message) for v in sub.cell_violations[2]] == [
+            (0, ds.cell_violations[2][1].message), (1, ds.cell_violations[2][0].message)]
+        assert ds.drop_subject(0).cell_violations[2][0].row == 0
+        reduced, dropped = drop_zero_variability(ds)
+        assert dropped == ["x"]
+        assert reduced.names == ("y", "s")
+        assert reduced.cell_violations == ds.cell_violations[1:]
 
 
 class TestValidateDataset:
