@@ -31,7 +31,8 @@ from .training import (ComponentCollapseError, EmConfig, OrderScore,
                        bic_score, fit, m_step, select_order)
 from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
                         PredictiveDistribution, infer, infer_many,
-                        point_predict, predict_targets, rank_outcomes)
+                        point_predict, predict_targets, rank_outcomes,
+                        target_tables)
 from .evaluation import (ConfidenceBins, ConfidenceRecord, DegenerateSampleError,
                          EaeRecord, FoldFailure, LooResult, TargetSummary,
                          ThresholdCurve, chance_prediction, confidence_bins,

@@ -11,7 +11,14 @@ One family per variable kind:
     categorical  Categorical(probs, domain)
 
 All evaluation happens in the log domain. ``log_density`` returns -inf exactly
-where the mass is zero and never NaN for in-domain values.
+where the mass is zero and never NaN for in-domain values. Each density is
+written once, on arrays that broadcast: ``log_densities`` evaluates Z
+continuous components of one family over N values in one pass.
+
+``weighted_updates`` is the one weighted maximum-likelihood update: it fits
+Z components of one family at once from a (Z, M) weight matrix, with no
+per-component loop. ``weighted_mle`` is its one-component call.
+``log_sum_exp`` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .schema import VariableKind
 
@@ -30,6 +37,35 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 class EstimationError(ValueError):
     """A weighted maximum-likelihood update has no usable samples."""
+
+
+def log_sum_exp(a, axis=-1) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, computed as scipy.special.logsumexp does.
+
+    The largest entries are shifted to 0 and counted apart from the rest
+    (Blanchard, Higham and Higham 2021): max + log(count) + log1p(rest / count).
+    A slice of all -inf gives -inf, with no warning.
+    """
+    a = np.asarray(a, dtype=float)
+    peak = a.max(axis=axis, keepdims=True)
+    top = a == peak
+    count = top.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.where(top, 0.0, np.exp(a - peak)).sum(axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + peak
+    return out.squeeze(axis)
+
+
+def _gaussian_log_pdf(x, mean, variance):
+    return -0.5 * (LOG_TWO_PI + np.log(variance) + (x - mean) ** 2 / variance)
+
+
+def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
+    """Log density at x >= 0 (NaN passes through)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        positive = (np.log1p(-zero_prob) + (shape - 1.0) * np.log(x) - x / scale
+                    - shape * np.log(scale) - gammaln(shape))
+        return np.where(x == 0, np.log(zero_prob), positive)
 
 
 @dataclass(frozen=True)
@@ -66,8 +102,7 @@ class Gaussian:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
 
     def log_density(self, x):
-        return -0.5 * (LOG_TWO_PI + np.log(self.variance)
-                       + (np.asarray(x, dtype=float) - self.mean) ** 2 / self.variance)
+        return _gaussian_log_pdf(np.asarray(x, dtype=float), self.mean, self.variance)
 
     def sample(self, rng, size=None):
         out = rng.normal(self.mean, math.sqrt(self.variance), size=size)
@@ -101,21 +136,10 @@ class InflatedGamma:
 
     def log_density(self, x):
         xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
         if np.any(xs < 0):
             raise ValueError("inflated Gamma is defined on x >= 0")
-        out = np.empty(xs.shape)
-        zero = xs == 0
-        with np.errstate(divide="ignore"):
-            out[zero] = np.log(self.zero_prob)
-            pos = ~zero
-            if pos.any():
-                xp = xs[pos]
-                out[pos] = (np.log1p(-self.zero_prob)
-                            + (self.shape - 1.0) * np.log(xp) - xp / self.scale
-                            - self.shape * math.log(self.scale) - gammaln(self.shape))
-        return float(out[0]) if scalar else out
+        out = _inflated_gamma_log_pdf(xs, self.zero_prob, self.shape, self.scale)
+        return float(out) if xs.ndim == 0 else out
 
     def sample(self, rng, size=None):
         n = 1 if size is None else size
@@ -152,7 +176,7 @@ class QuantizedGaussian:
     def log_masses(self) -> np.ndarray:
         levels = np.asarray(self.domain, dtype=float)
         scores = -((levels - self.mean) ** 2) / (2.0 * self.variance)
-        out = scores - logsumexp(scores)
+        out = scores - log_sum_exp(scores)
         out.setflags(write=False)
         return out
 
@@ -247,41 +271,57 @@ def family_for(kind: VariableKind):
     return _FAMILY_BY_KIND[VariableKind(kind)]
 
 
-def _weighted_moments(values, weights):
-    total = weights.sum()
-    mean = float(np.dot(weights, values) / total)
-    var = float(np.dot(weights, (values - mean) ** 2) / total)
-    return mean, var
-
-
-def _floored_variance(var, scale):
-    floor = DEFAULT_FLOORS.rel_variance * float(scale) ** 2
-    return max(var, floor)
+def log_densities(cells, x) -> np.ndarray:
+    """(N, Z) log densities of the N values ``x`` under each of the Z
+    continuous components ``cells`` of one family. NaN values give NaN rows."""
+    x = np.asarray(x, dtype=float)[:, None]
+    if isinstance(cells[0], Gaussian):
+        mean, variance = np.array([(c.mean, c.variance) for c in cells]).T
+        return _gaussian_log_pdf(x, mean, variance)
+    zero_prob, shape, scale = np.array([(c.zero_prob, c.shape, c.scale) for c in cells]).T
+    return _inflated_gamma_log_pdf(x, zero_prob, shape, scale)
 
 
 def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
                  scale=None) -> Params:
-    """Responsibility-weighted maximum-likelihood update for one family.
+    """Responsibility-weighted maximum-likelihood update of one component:
+    ``weighted_updates`` with a single weight row.
 
-    ``values`` holds observed cells only: floats for continuous kinds, integer
+    ``weights`` (one per value) must be finite and nonnegative with a
+    positive total; otherwise EstimationError.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.size == 0 or not np.isfinite(weights).all() or (weights < 0).any():
+        raise EstimationError("weights must be finite and nonnegative")
+    if not weights.sum() > 0:
+        raise EstimationError("total weight is zero")
+    return weighted_updates(kind, values, weights[None, :], domain=domain, scale=scale)[0]
+
+
+def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
+                     scale=None) -> list:
+    """Responsibility-weighted maximum-likelihood updates of Z components of
+    one family at once, one per row of the (Z, M) ``weights``.
+
+    ``values`` holds the M observed cells: floats for continuous kinds, integer
     levels for ordinals, symbols (or precomputed integer domain codes) for
-    categoricals. ``weights`` are nonnegative with positive total. ``domain``
-    is required for finite kinds; ``scale`` feeds the variance floor and
-    defaults to the value span (ordinals: the domain span). Floors come from
-    DEFAULT_FLOORS.
+    categoricals. Every weight row must be finite and nonnegative with a
+    positive total; callers check this (``weighted_mle``, ``m_step``).
+    ``domain`` is required for finite kinds; ``scale`` feeds the variance
+    floor and defaults to the value span (ordinals: the domain span). Floors
+    come from DEFAULT_FLOORS.
 
-    The Gamma update excludes zeros from the moment sums (all zero mass lives
-    in ``zero_prob``) and uses the closed-form shape approximation
+    Each moment is a per-row dot product (``np.vecdot``), so a row's result
+    does not depend on the other rows. The Gamma update excludes zeros from
+    the moment sums (all zero mass lives in ``zero_prob``) and uses the
+    closed-form shape approximation
     k = (3 - g + sqrt((g - 3)^2 + 24 g)) / (12 g) with
     g = log(weighted mean) - weighted mean of logs.
     """
     kind = VariableKind(kind)
     weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or not np.isfinite(weights).all() or (weights < 0).any():
-        raise EstimationError("weights must be finite and nonnegative")
-    total = weights.sum()
-    if not total > 0:
-        raise EstimationError("total weight is zero")
+    n_comp = weights.shape[0]
+    total = weights.sum(axis=1)
 
     if kind is VariableKind.CATEGORICAL:
         if domain is None:
@@ -293,52 +333,58 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
         else:
             index = {v: i for i, v in enumerate(domain)}
             codes = np.fromiter((index[v] for v in values), dtype=np.int64, count=len(values))
-        counts = np.bincount(codes, weights=weights, minlength=len(domain))
-        probs = counts / total + DEFAULT_FLOORS.categorical_pseudo
-        probs /= probs.sum()
-        return Categorical(tuple(probs), domain)
+        k = len(domain)
+        if codes.size and not 0 <= codes.min() <= codes.max() < k:
+            raise EstimationError(f"categorical codes outside 0..{k - 1}")
+        # one bincount over (component, code) slots, each summed in value order
+        slots = (np.arange(n_comp)[:, None] * k + codes).ravel()
+        counts = np.bincount(slots, weights=weights.ravel(), minlength=n_comp * k)
+        probs = counts.reshape(n_comp, k) / total[:, None] + DEFAULT_FLOORS.categorical_pseudo
+        probs /= probs.sum(axis=1, keepdims=True)
+        return [Categorical(row, domain) for row in probs.tolist()]
 
     values = np.asarray(values, dtype=float)
-    if values.shape != weights.shape:
+    if values.shape != weights.shape[1:]:
         raise EstimationError("values and weights lengths differ")
 
-    if kind is VariableKind.REAL:
-        mean, var = _weighted_moments(values, weights)
-        if scale is None:
+    if kind is VariableKind.REAL or kind is VariableKind.ORDINAL:
+        if kind is VariableKind.ORDINAL:
+            if domain is None:
+                raise EstimationError("ordinal update needs the domain")
+            domain = tuple(int(d) for d in domain)
+            if scale is None:
+                scale = domain[-1] - domain[0]
+        elif scale is None:
             scale = values.max() - values.min() if values.size else 1.0
             scale = scale if scale > 0 else 1.0
-        return Gaussian(mean, _floored_variance(var, scale))
-
-    if kind is VariableKind.ORDINAL:
-        if domain is None:
-            raise EstimationError("ordinal update needs the domain")
-        domain = tuple(int(d) for d in domain)
-        if scale is None:
-            scale = domain[-1] - domain[0]
-        mean, var = _weighted_moments(values, weights)
-        return QuantizedGaussian(mean, _floored_variance(var, scale), domain)
+        mean = np.vecdot(weights, values) / total
+        var = np.vecdot(weights, (values - mean[:, None]) ** 2) / total
+        var = np.maximum(var, DEFAULT_FLOORS.rel_variance * float(scale) ** 2)
+        if kind is VariableKind.REAL:
+            return [Gaussian(m, v) for m, v in zip(mean.tolist(), var.tolist())]
+        return [QuantizedGaussian(m, v, domain) for m, v in zip(mean.tolist(), var.tolist())]
 
     # nonnegative: zero inflation plus Gamma on the positive part
     if (values < 0).any():
         raise EstimationError("nonnegative update received negative values")
     zero = values == 0
-    zero_prob = float(weights[zero].sum() / total)
-    zero_prob = min(max(zero_prob, 0.0), 1.0)
-    pos = ~zero
-    pos_total = weights[pos].sum()
-    if not pos_total > 0:
-        # nothing positive to fit; the Gamma branch carries no mass
-        return InflatedGamma(zero_prob, 1.0, 1.0)
-    xp = values[pos]
-    wp = weights[pos]
-    mean = float(np.dot(wp, xp) / pos_total)
-    log_gap = math.log(mean) - float(np.dot(wp, np.log(xp)) / pos_total)
-    # log(mean) >= mean(log) by Jensen; clamp fp noise away from zero
-    log_gap = max(log_gap, 1e-12)
-    shape = (3.0 - log_gap + math.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
-    shape = min(max(shape, DEFAULT_FLOORS.shape_min), DEFAULT_FLOORS.shape_max)
-    scale_par = max(mean / shape, DEFAULT_FLOORS.scale_min)
-    return InflatedGamma(zero_prob, shape, scale_par)
+    zero_prob = np.clip(weights.take(np.flatnonzero(zero), axis=1).sum(axis=1) / total, 0.0, 1.0)
+    positive = np.flatnonzero(~zero)
+    pos_weights = weights.take(positive, axis=1)
+    xp = values[positive]
+    pos_total = pos_weights.sum(axis=1)
+    # rows with no positive weight give NaN here and InflatedGamma(zero_prob, 1, 1) below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.vecdot(pos_weights, xp) / pos_total
+        log_gap = np.log(mean) - np.vecdot(pos_weights, np.log(xp)) / pos_total
+        # log(mean) >= mean(log) by Jensen; clamp fp noise away from zero
+        log_gap = np.maximum(log_gap, 1e-12)
+        shape = (3.0 - log_gap + np.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
+        shape = np.clip(shape, DEFAULT_FLOORS.shape_min, DEFAULT_FLOORS.shape_max)
+        scale_par = np.maximum(mean / shape, DEFAULT_FLOORS.scale_min)
+    return [InflatedGamma(t, k, s) if w > 0 else InflatedGamma(t, 1.0, 1.0)
+            for t, k, s, w in zip(zero_prob.tolist(), shape.tolist(), scale_par.tolist(),
+                                  pos_total.tolist())]
 
 
 def default_params(kind: VariableKind, *, domain=None, scale=1.0) -> Params:

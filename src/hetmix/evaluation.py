@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .inference import FinitePrediction, predict_targets
+from .distributions import log_sum_exp
+from .inference import FinitePrediction, predict_targets, target_tables
 from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
                     component_log_likelihoods, evidence_log_likelihoods,
                     normalize_log_joint, row_log_likelihoods)
@@ -113,7 +113,7 @@ def confidence_score(model: MixtureModel, evidence: Mapping, mode: str) -> float
     Raw scores underflow for wide inputs, so the log is returned; percentile
     ranking is order-preserving either way.
     """
-    return float(logsumexp(evidence_log_likelihoods(model, evidence, mode)))
+    return float(log_sum_exp(evidence_log_likelihoods(model, evidence, mode)))
 
 
 def training_confidence_scores(model: MixtureModel, dataset: Dataset, mode: str,
@@ -304,13 +304,13 @@ def _evaluate_fold(dataset: Dataset, subject: int, orders, targets, mode: str,
         order_errors: dict = {}
         if truths:
             posterior = normalize_log_joint(log_joint[subject:subject + 1])[0][0]
-            predicted = predict_targets(model, posterior, truths)
+            predicted = predict_targets(target_tables(model, truths), posterior)
             for name, truth in truths.items():
                 schema = dataset.schema(name)
                 err = prediction_error(schema, predicted[name], truth)
                 order_errors[name] = (err, normalized_error(schema, err))
         errors[order] = order_errors
-        scores = logsumexp(log_joint, axis=1)
+        scores = log_sum_exp(log_joint, axis=1)
         log_c = float(scores[subject])
         confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores, subject))))
     return subject, errors, confidence, skipped

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .distributions import log_sum_exp
 from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
                     component_log_likelihoods, normalize_log_joint)
 from .schema import Dataset, SchemaViolationError
@@ -78,8 +78,9 @@ class MixturePrediction:
 
     def log_density(self, x):
         stack = np.stack([c.log_density(np.asarray(x, dtype=float)) for c in self.components])
-        with np.errstate(divide="ignore"):
-            out = logsumexp(stack, axis=0, b=self.weights[(...,) + (None,) * (stack.ndim - 1)])
+        with np.errstate(divide="ignore"):  # a zero weight adds -inf
+            log_weights = np.log(self.weights)
+        out = log_sum_exp(stack + log_weights.reshape((-1,) + (1,) * (stack.ndim - 1)), axis=0)
         return float(out) if np.ndim(x) == 0 else out
 
     @property
@@ -134,10 +135,11 @@ def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
     clean = dataset.subset(good) if bad and good else dataset
     posteriors = iter(_posteriors(component_log_likelihoods(model, clean, mode, columns))
                       if good else ())
+    tables = target_tables(model, targets)
     for i in range(dataset.n_subjects):
         result = SchemaViolationError(bad[i]) if i in bad else next(posteriors)
         yield (result if isinstance(result, Exception)
-               else PredictiveDistribution(predict_targets(model, result, targets), result))
+               else PredictiveDistribution(predict_targets(tables, result), result))
 
 
 def _posteriors(log_comp: np.ndarray):
@@ -148,18 +150,28 @@ def _posteriors(log_comp: np.ndarray):
         return [err] if len(log_comp) == 1 else [_posteriors(row[None])[0] for row in log_comp]
 
 
-def predict_targets(model: MixtureModel, posterior: np.ndarray, targets) -> dict:
-    """Per-target predictions under one component posterior (shared by infer and LOO)."""
-    predictions = {}
+def target_tables(model: MixtureModel, targets) -> dict:
+    """What predicting each target needs from the model, built once per model:
+    name -> (schema, table), the table being a finite target's (Z, K) mass
+    table or a continuous target's Z component cells."""
+    tables = {}
     for name in targets:
         j = model.column_index(name)
-        schema = model.schemas[j]
-        cells = [model.params[z][j] for z in range(model.n_components)]
+        cells = tuple(row[j] for row in model.params)
+        finite = model.schemas[j].kind.is_finite
+        tables[name] = (model.schemas[j], np.stack([c.masses for c in cells]) if finite else cells)
+    return tables
+
+
+def predict_targets(tables: dict, posterior: np.ndarray) -> dict:
+    """Per-target predictions under one component posterior, from the
+    ``target_tables`` of the model (shared by infer and LOO)."""
+    predictions = {}
+    for name, (schema, table) in tables.items():
         if schema.kind.is_finite:
-            mass = posterior @ np.stack([c.masses for c in cells])
-            predictions[name] = FinitePrediction(schema.domain, mass)
+            predictions[name] = FinitePrediction(schema.domain, posterior @ table)
         else:
-            predictions[name] = MixturePrediction(posterior, tuple(cells))
+            predictions[name] = MixturePrediction(posterior, table)
     return predictions
 
 

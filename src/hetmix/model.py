@@ -8,6 +8,12 @@ factor of component z is q[z, v] for a missing cell and
 ``ignore_missing`` a missing cell contributes a factor of 1 and an observed
 one contributes f(x_v; params[z][v]) alone. All computation is done in the
 log domain with log-sum-exp reductions.
+
+The E-step (``component_log_likelihoods``) handles each variable for all Z
+components at once: a finite variable gathers rows of one (K + 1, Z) table
+of log factors by its codes (the last row, picked by the missing code -1,
+holds the missing factor); a continuous one broadcasts its family's density
+over (N, Z) and selects the missing factor with one ``np.where``.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .distributions import family_for
+from .distributions import family_for, log_densities, log_sum_exp
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, Violation)
 
@@ -127,34 +132,25 @@ def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
     """
     check_mode(mode)
     _check_same_schemas(model, dataset)
-    n_subjects = dataset.n_subjects
-    n_comp = model.n_components
     cols = range(model.n_variables) if columns is None else columns
     with np.errstate(divide="ignore"):
-        out = np.tile(np.log(model.weights), (n_subjects, 1))
+        out = np.tile(np.log(model.weights), (dataset.n_subjects, 1))
         for v in cols:
-            schema = model.schemas[v]
-            miss = dataset.missing_mask(v)
-            obs = ~miss
-            if schema.kind.is_finite:
-                observed_codes = dataset.column_codes(v)[obs]
+            cells = [row[v] for row in model.params]
+            if mode == MODEL_MISSING:
+                q = model.missing_probs[:, v]
+                missed, kept = np.log(q), np.log1p(-q)
             else:
-                observed_values = dataset.column_numeric(v)[obs]
-            for z in range(n_comp):
-                cell = model.params[z][v]
-                if schema.kind.is_finite:
-                    obs_log = cell.log_masses[observed_codes]
-                else:
-                    obs_log = cell.log_density(observed_values)
-                if mode == MODEL_MISSING:
-                    q = model.missing_probs[z, v]
-                    contrib = np.empty(n_subjects)
-                    contrib[miss] = np.log(q)
-                    contrib[obs] = np.log1p(-q) + obs_log
-                else:
-                    contrib = np.zeros(n_subjects)
-                    contrib[obs] = obs_log
-                out[:, z] += contrib
+                missed, kept = 0.0, 0.0
+            if model.schemas[v].kind.is_finite:
+                log_masses = np.array([c.log_masses for c in cells]).T
+                table = np.empty((log_masses.shape[0] + 1, len(cells)))
+                table[:-1] = kept + log_masses
+                table[-1] = missed  # picked by the missing code, -1
+                out += table[dataset.column_codes(v)]
+            else:
+                densities = log_densities(cells, dataset.column_numeric(v))
+                out += np.where(dataset.missing_mask(v)[:, None], missed, kept + densities)
     return out
 
 
@@ -162,7 +158,7 @@ def row_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
                         columns: Sequence[int] | None = None) -> np.ndarray:
     """Per-subject joint log-likelihood, -inf allowed."""
     comp = component_log_likelihoods(model, dataset, mode, columns)
-    return logsumexp(comp, axis=1)
+    return log_sum_exp(comp, axis=1)
 
 
 def total_log_likelihood(model: MixtureModel, dataset: Dataset, mode: str) -> float:
@@ -175,7 +171,7 @@ def normalize_log_joint(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ZeroLikelihoodError when a row has zero likelihood under every
     component, since its posterior is undefined.
     """
-    totals = logsumexp(log_joint, axis=1)
+    totals = log_sum_exp(log_joint, axis=1)
     bad = np.flatnonzero(~np.isfinite(totals))
     if bad.size:
         raise ZeroLikelihoodError(

@@ -7,6 +7,10 @@ responsibility-weighted observed cells. Restarts draw independent random
 responsibility matrices from a single seed; the best final negative
 log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
+
+The M-step turns the (N, Z) responsibilities once into component-major
+(Z, N) rows and makes one batched ``weighted_updates`` call per variable
+for all components, so no per-component loop does family work.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import default_params, weighted_mle
+from .distributions import EstimationError, default_params, weighted_updates
 from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, normalize_log_joint,
                     parameter_count)
@@ -74,9 +78,12 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     """Weighted ML updates for weights, missing probs, and family params.
 
     Raises ComponentCollapseError if any component's total responsibility is
-    below COLLAPSE_EPS. Family parameters use observed cells only; a cell with
-    effectively no observed responsibility gets neutral defaults (its missing
-    probability is ~1 there, so they never carry likelihood weight).
+    below COLLAPSE_EPS, and EstimationError unless every responsibility is
+    finite and nonnegative. Family parameters use observed cells only, one
+    ``weighted_updates`` call per variable for all components; a component
+    with effectively no observed responsibility on a variable gets neutral
+    defaults (its missing probability is ~1 there, so they never carry
+    likelihood weight).
     """
     alpha = np.asarray(responsibilities, dtype=float)
     n_subjects, n_comp = alpha.shape
@@ -87,33 +94,35 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
         z = int(np.argmin(totals))
         raise ComponentCollapseError(
             f"component {z} collapsed (total responsibility {totals[z]:.3e})")
+    if not np.isfinite(alpha).all() or (alpha < 0).any():
+        raise EstimationError("weights must be finite and nonnegative")
     weights = totals / totals.sum()
+    by_component = np.ascontiguousarray(alpha.T)
 
-    n_vars = dataset.n_variables
-    missing_probs = np.empty((n_comp, n_vars))
-    params = [[None] * n_vars for _ in range(n_comp)]
-    for v in range(n_vars):
-        schema = dataset.schemas[v]
+    missing_probs = np.empty((n_comp, dataset.n_variables))
+    columns = []
+    for v, schema in enumerate(dataset.schemas):
         miss = dataset.missing_mask(v)
-        obs = ~miss
-        missing_probs[:, v] = alpha[miss, :].sum(axis=0) / totals
+        # summed in row order, like totals: an all-missing column gives q == 1 exactly
+        missing_probs[:, v] = alpha.take(np.flatnonzero(miss), axis=0).sum(axis=0) / totals
+        rows = np.flatnonzero(~miss)
         if schema.kind is VariableKind.CATEGORICAL:
-            observed = dataset.column_codes(v)[obs]
+            observed = dataset.column_codes(v)[rows]
             scale = None
         else:
-            observed = dataset.column_numeric(v)[obs]
+            observed = dataset.column_numeric(v)[rows]
             scale = dataset.column_scale(v)
         domain = schema.domain if schema.kind.is_finite else None
-        for z in range(n_comp):
-            wz = alpha[obs, z]
-            if wz.sum() <= ZERO_WEIGHT_EPS:
-                params[z][v] = default_params(schema.kind, domain=domain,
-                                              scale=scale if scale is not None else 1.0)
-            else:
-                params[z][v] = weighted_mle(schema.kind, observed, wz,
-                                            domain=domain, scale=scale)
-    return MixtureModel(weights, tuple(tuple(row) for row in params),
-                        missing_probs, dataset.schemas)
+        # take, not a boolean mask: it keeps each component's row contiguous
+        observed_weights = by_component.take(rows, axis=1)
+        fitted = observed_weights.sum(axis=1) > ZERO_WEIGHT_EPS
+        updates = iter(weighted_updates(schema.kind, observed, observed_weights[fitted],
+                                        domain=domain, scale=scale))
+        columns.append([next(updates) if ok else
+                        default_params(schema.kind, domain=domain,
+                                       scale=scale if scale is not None else 1.0)
+                        for ok in fitted.tolist()])
+    return MixtureModel(weights, tuple(zip(*columns)), missing_probs, dataset.schemas)
 
 
 def _em_once(dataset: Dataset, order: int, config: EmConfig, rng):

@@ -1,17 +1,19 @@
 """Distribution families: densities, sampling, and weighted ML updates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import logsumexp
 
 from hetmix import (Categorical, EstimationError, Gaussian, InflatedGamma,
                     QuantizedGaussian, VariableKind, default_params,
                     family_for, weighted_mle)
-from hetmix.distributions import DEFAULT_FLOORS
+from hetmix.distributions import DEFAULT_FLOORS, log_sum_exp
 
 
 class TestGaussian:
@@ -201,3 +203,36 @@ def test_default_params_are_valid():
     assert q.mean == 2.5
     c = default_params(VariableKind.CATEGORICAL, domain=("a", "b"))
     assert c.probs == (0.5, 0.5)
+
+
+def _no_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args, **kwargs)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 8), n_cols=st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_log_sum_exp_matches_scipy(seed, n_rows, n_cols):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_rows, n_cols)) * rng.choice([1.0, 30.0, 700.0], size=(n_rows, 1))
+    a[rng.random(a.shape) < 0.2] = -np.inf            # single -inf entries
+    a[rng.random(n_rows) < 0.2] = -np.inf             # all -inf rows
+    a[rng.random(n_rows) < 0.2] -= 1e5                # rows near -1e5
+    for x, axis in ((a, 1), (a, 0), (a[0], -1)):
+        got = _no_warnings(log_sum_exp, x, axis=axis)
+        want = logsumexp(x, axis=axis)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+    # the weighted form: adding log(b) to a, zero weights giving -inf
+    b = rng.dirichlet(np.ones(n_cols), size=n_rows)
+    b[rng.random(b.shape) < 0.3] = 0.0
+    with np.errstate(divide="ignore"):
+        log_b = np.log(b)
+    got = _no_warnings(log_sum_exp, a + log_b, axis=1)
+    # a row with no weighted mass sums nothing: -inf (scipy gives NaN for some)
+    empty = ~((b > 0) & (a > -np.inf)).any(axis=1)
+    assert np.isneginf(got[empty]).all()
+    want = logsumexp(a[~empty], axis=1, b=b[~empty])
+    assert np.allclose(got[~empty], want, rtol=1e-13, atol=1e-13)
