@@ -68,6 +68,13 @@ def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
         return np.where(x == 0, np.log(zero_prob), positive)
 
 
+def _check_mean_variance(mean, variance):
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not (0 < variance < math.inf):
+        raise ValueError(f"variance must be positive and finite, got {variance}")
+
+
 @dataclass(frozen=True)
 class ParamFloors:
     """Numerical floors and caps that keep component likelihoods finite.
@@ -98,8 +105,7 @@ class Gaussian:
     n_parameters = 2
 
     def __post_init__(self):
-        if not (self.variance > 0) or not math.isfinite(self.variance):
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        _check_mean_variance(self.mean, self.variance)
 
     def log_density(self, x):
         return _gaussian_log_pdf(np.asarray(x, dtype=float), self.mean, self.variance)
@@ -131,8 +137,8 @@ class InflatedGamma:
     def __post_init__(self):
         if not (0.0 <= self.zero_prob <= 1.0):
             raise ValueError(f"zero_prob must lie in [0, 1], got {self.zero_prob}")
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("shape and scale must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be positive and finite")
 
     def log_density(self, x):
         xs = np.asarray(x, dtype=float)
@@ -166,8 +172,7 @@ class QuantizedGaussian:
     n_parameters = 2
 
     def __post_init__(self):
-        if not (self.variance > 0) or not math.isfinite(self.variance):
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        _check_mean_variance(self.mean, self.variance)
         object.__setattr__(self, "domain", tuple(int(d) for d in self.domain))
         if len(self.domain) < 2 or any(a >= b for a, b in zip(self.domain, self.domain[1:])):
             raise ValueError("domain must be strictly increasing with >= 2 levels")
@@ -220,9 +225,9 @@ class Categorical:
             raise ValueError("probs and domain lengths differ")
         if len(self.domain) < 2:
             raise ValueError("domain needs at least 2 symbols")
-        if any(p < 0 for p in self.probs):
+        if not all(p >= 0 for p in self.probs):
             raise ValueError("probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
+        if not abs(sum(self.probs) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 
     @property

@@ -24,12 +24,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import log_sum_exp
-from .inference import FinitePrediction, predict_targets, target_tables
-from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
-                    component_log_likelihoods, evidence_log_likelihoods,
-                    normalize_log_joint, row_log_likelihoods)
-from .schema import (INPUT, MISSING, Dataset, SchemaError,
-                     SchemaViolationError, VariableKind, VariableSchema)
+from .inference import (FinitePrediction, InferenceRequest, predict_targets,
+                        target_tables)
+from .model import (MixtureModel, ZeroLikelihoodError, component_log_likelihoods,
+                    evidence_log_likelihoods, normalize_log_joint, row_log_likelihoods)
+from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
+                     VariableKind, VariableSchema, validate_dataset)
 from .training import EmConfig, TrainingError, fit
 
 CHANCE_ORDER = 0
@@ -68,11 +68,10 @@ def probability_of_error(prediction: FinitePrediction, truth) -> float:
 
 def prediction_error(schema: VariableSchema, prediction: FinitePrediction, truth) -> float:
     """EAE for ordinal targets, probability of error for categorical ones."""
+    max_absolute_error(schema)  # rejects continuous targets
     if schema.kind is VariableKind.ORDINAL:
         return expected_absolute_error(prediction, truth)
-    if schema.kind is VariableKind.CATEGORICAL:
-        return probability_of_error(prediction, truth)
-    raise SchemaError(f"{schema.name}: expected-error metrics need a finite target")
+    return probability_of_error(prediction, truth)
 
 
 def normalized_error(schema: VariableSchema, error: float) -> float:
@@ -320,27 +319,27 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
                  config: EmConfig = EmConfig(), *, n_workers: int = 1) -> LooResult:
     """Leave-one-out evaluation of every requested order against the references.
 
-    Order 0 (uniform chance) is always reported; order 1 (the prior marginal)
-    is added to the requested orders if absent. Folds that fail for any order
+    Targets and mode are checked as ``InferenceRequest`` checks them, and the
+    cohort is validated before any fold runs: bad cells or a zero-variability
+    column raise SchemaViolationError naming the cohort's own rows. Order 0
+    (uniform chance) is always reported; order 1 (the prior marginal) is
+    added to the requested orders if absent. Folds that fail for any order
     (see _FOLD_ERRORS) are excluded entirely so the per-order averages cover
     identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
     of folds fail. Per-fold seeds depend only on (config.seed, subject), so
     results do not depend on worker count.
     """
-    check_mode(mode)
-    targets = (targets,) if isinstance(targets, str) else tuple(targets)
-    if not targets:
-        raise ValueError("at least one target is required")
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate targets")
+    targets = InferenceRequest({}, targets, mode).targets
     for name in targets:
-        schema = dataset.schema(name)
-        max_absolute_error(schema)  # rejects continuous targets early
+        max_absolute_error(dataset.schema(name))  # rejects continuous targets early
     orders = sorted(set(int(k) for k in orders) | {BASELINE_ORDER})
     if orders[0] < 1:
         raise ValueError("orders must be >= 1")
     if dataset.n_subjects < 3:
         raise ValueError("leave-one-out needs at least 3 subjects")
+    violations = validate_dataset(dataset)
+    if violations:
+        raise SchemaViolationError(violations)
 
     tasks = [(dataset, s, orders, targets, mode, config) for s in range(dataset.n_subjects)]
     if n_workers > 1:

@@ -4,11 +4,17 @@ Floats are written with Python's repr (shortest round-trip form), so every
 numeric output parses back to the identical bits; reruns of a deterministic
 pipeline therefore produce byte-identical files. All writers go through an
 atomic temp-file replace.
+
+A model file's parameter block holds a ``family`` name and the fields of that
+family's dataclass. Reading it builds the dataclass, whose checks turn
+out-of-range or non-finite values (``NaN`` / ``Infinity``, which ``json``
+reads) into a FormatError.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io as _io
 import json
@@ -18,8 +24,7 @@ import tempfile
 
 import numpy as np
 
-from .distributions import (Categorical, Gaussian, InflatedGamma, Params,
-                            QuantizedGaussian)
+from .distributions import Params, family_for
 from .model import MixtureModel
 from .schema import (MISSING, Dataset, SchemaViolationError, VariableKind,
                      VariableSchema, drop_zero_variability, validate_dataset)
@@ -93,12 +98,16 @@ def save_schemas(schemas, path):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_schemas(path) -> tuple:
+def _read_json(path):
     with open(path) as handle:
         try:
-            payload = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as err:
             raise FormatError(f"{path}: not valid JSON ({err})") from None
+
+
+def load_schemas(path) -> tuple:
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "variables" not in payload:
         raise FormatError(f"{path}: expected an object with a 'variables' list")
     if payload.get("format_version") != SCHEMA_FORMAT_VERSION:
@@ -237,34 +246,25 @@ def write_labels_csv(labels, path):
 
 # ---------------------------------------------------------------- models
 
-_PARAM_FIELDS = {
-    "gaussian": (Gaussian, ("mean", "variance")),
-    "inflated_gamma": (InflatedGamma, ("zero_prob", "shape", "scale")),
-    "quantized_gaussian": (QuantizedGaussian, ("mean", "variance", "domain")),
-    "categorical": (Categorical, ("probs", "domain")),
-}
+_FAMILIES = {family_for(kind).family: family_for(kind) for kind in VariableKind}
 
 
 def params_to_dict(params: Params) -> dict:
-    _, fields = _PARAM_FIELDS[params.family]
     out = {"family": params.family}
-    for name in fields:
-        value = getattr(params, name)
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
         if isinstance(value, tuple):
-            out[name] = [v if isinstance(v, (int, str)) else float(v) for v in value]
+            out[field.name] = [v if isinstance(v, (int, str)) else float(v) for v in value]
         else:
-            out[name] = float(value)
+            out[field.name] = float(value)
     return out
 
 
 def params_from_dict(entry: dict) -> Params:
     try:
-        cls, fields = _PARAM_FIELDS[entry["family"]]
-        kwargs = {}
-        for name in fields:
-            value = entry[name]
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
-        return cls(**kwargs)
+        cls = _FAMILIES[entry["family"]]
+        values = [entry[field.name] for field in dataclasses.fields(cls)]
+        return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"bad distribution entry {entry!r}: {err}") from None
 
@@ -301,12 +301,7 @@ def save_model(model: MixtureModel, path):
 
 
 def load_model(path) -> MixtureModel:
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"{path}: not valid JSON ({err})") from None
-    return model_from_dict(payload)
+    return model_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------- tables

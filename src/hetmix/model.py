@@ -60,13 +60,13 @@ class MixtureModel:
         n_vars = len(schemas)
         if weights.ndim != 1 or n_comp < 1:
             raise ValueError("weights must be a non-empty vector")
-        if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
+        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
         if len(params) != n_comp or any(len(row) != n_vars for row in params):
             raise ValueError(f"params must be a {n_comp} x {n_vars} grid")
         if missing.shape != (n_comp, n_vars):
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
-        if (missing < 0).any() or (missing > 1).any():
+        if not ((missing >= 0) & (missing <= 1)).all():
             raise ValueError("missing probabilities must lie in [0, 1]")
         for v, schema in enumerate(schemas):
             family = family_for(schema.kind)
@@ -117,11 +117,6 @@ def parameter_count(model: MixtureModel) -> int:
     return total
 
 
-def _check_same_schemas(model: MixtureModel, dataset: Dataset):
-    if tuple(dataset.schemas) != model.schemas:
-        raise SchemaError("dataset schemas do not match the model's schemas")
-
-
 def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
                               columns: Sequence[int] | None = None) -> np.ndarray:
     """(N, Z) matrix of log w_z plus the per-variable log factors.
@@ -131,7 +126,8 @@ def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
     joint log-likelihood of each subject.
     """
     check_mode(mode)
-    _check_same_schemas(model, dataset)
+    if tuple(dataset.schemas) != model.schemas:
+        raise SchemaError("dataset schemas do not match the model's schemas")
     cols = range(model.n_variables) if columns is None else columns
     with np.errstate(divide="ignore"):
         out = np.tile(np.log(model.weights), (dataset.n_subjects, 1))

@@ -147,6 +147,27 @@ class TestDemoAndSimulate:
                      "--mode", "model_missing"]) == 3
         assert _last_error(capsys)["category"] == "validation"
 
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload["weights"].__setitem__(0, float("nan")),
+        lambda payload: payload["components"][0][0].__setitem__("mean", float("inf")),
+    ])
+    def test_non_finite_model_file_exit_3(self, work, tmp_path, capsys, edit):
+        payload = json.loads((work["demo"] / "model.json").read_text())
+        edit(payload)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        evidence = tmp_path / "evidence.csv"
+        evidence.write_text("marker_a\n0.5\n")
+        assert main(["simulate", "--out-dir", str(tmp_path / "sim"),
+                     "--model", str(model_path), "--n", "20"]) == 3
+        assert _last_error(capsys)["category"] == "validation"
+        assert not (tmp_path / "sim" / "cohort.csv").exists()
+        assert main(["infer", "--out-dir", str(tmp_path / "infer"),
+                     "--model", str(model_path), "--evidence", str(evidence),
+                     "--mode", "model_missing"]) == 3
+        assert _last_error(capsys)["category"] == "validation"
+        assert not (tmp_path / "infer" / "predictions.jsonl").exists()
+
 
 class TestValidate:
     def test_clean_cohort(self, work, tmp_path):

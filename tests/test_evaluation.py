@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from conftest import random_model
-from hetmix import (IGNORE_MISSING, MODEL_MISSING, DegenerateSampleError,
-                    EmConfig, FinitePrediction, InferenceRequest, TrainingError,
+from hetmix import (IGNORE_MISSING, MODEL_MISSING, Dataset, DegenerateSampleError,
+                    EmConfig, FinitePrediction, InferenceRequest,
+                    SchemaViolationError, TrainingError,
                     VariableSchema, chance_prediction, confidence_bins,
                     confidence_score, error_density, expected_absolute_error,
                     fit, infer, loo_evaluate, max_absolute_error,
@@ -372,3 +373,22 @@ class TestLooEvaluate:
         monkeypatch.setattr(ev, "_evaluate_fold", broken)
         with pytest.raises(TrainingError):
             _tiny_loo(n=12, orders=(1,))
+
+    # a bad cell in row 3, then one symbol in every row (a constant column)
+    @pytest.mark.parametrize("column, cell, row", [("marker_a", "oops", 3),
+                                                   ("site", "alpha", None)])
+    def test_cohort_validated_before_any_fold(self, monkeypatch, column, cell, row):
+        import hetmix.evaluation as ev
+
+        def never(*args):
+            raise AssertionError("a fold ran on an invalid cohort")
+
+        monkeypatch.setattr(ev, "_evaluate_fold", never)
+        cohort, _ = sample_cohort(small_demo_model(), 30, np.random.default_rng(0))
+        rows = [list(cohort.row(i)) for i in range(cohort.n_subjects)]
+        for i in range(cohort.n_subjects) if row is None else [row]:
+            rows[i][cohort.column_index(column)] = cell
+        bad = Dataset(cohort.schemas, rows)
+        with pytest.raises(SchemaViolationError) as caught:
+            loo_evaluate(bad, (1,), ("severity",), MODEL_MISSING, EmConfig())
+        assert [(v.row, v.column) for v in caught.value.violations] == [(row, column)]

@@ -1,5 +1,7 @@
 """Mixture kernel: joint likelihoods, posteriors, sampling, parameter counts."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 import oracles
 from conftest import random_model, random_row
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
-                    Dataset, Gaussian, MixtureModel, QuantizedGaussian,
+                    Dataset, Gaussian, InflatedGamma, MixtureModel, QuantizedGaussian,
                     SchemaError, SchemaViolationError, VariableSchema,
                     ZeroLikelihoodError, evidence_log_likelihoods,
                     joint_log_likelihood, latent_posterior,
                     parameter_count, row_log_likelihoods, sample_cohort,
                     total_log_likelihood)
+from hetmix.demo import demo_model, small_demo_model
 from hetmix.io import model_to_dict
 
 
@@ -40,6 +43,29 @@ class TestMixtureModel:
             MixtureModel((1.0,), ((Gaussian(0, 1),),), [[1.5]], schemas)
         with pytest.raises(ValueError):
             MixtureModel((1.0,), ((Gaussian(0, 1), Gaussian(0, 1)),), [[0.1]], schemas)
+
+    @pytest.mark.parametrize("weights, missing", [
+        ((math.nan, 1.0), [[0.1], [0.1]]),
+        ((0.5, math.nan), [[0.1], [0.1]]),
+        ((0.5, 0.5), [[math.nan], [0.1]]),
+    ])
+    def test_non_finite_weights_or_missing_rejected(self, weights, missing):
+        schemas = (VariableSchema("x", "real"),)
+        with pytest.raises(ValueError):
+            MixtureModel(weights, ((Gaussian(0, 1),), (Gaussian(1, 1),)), missing, schemas)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Gaussian(math.nan, 1.0),
+        lambda: Gaussian(math.inf, 1.0),
+        lambda: QuantizedGaussian(math.nan, 1.0, (1, 2, 3)),
+        lambda: QuantizedGaussian(-math.inf, 1.0, (1, 2, 3)),
+        lambda: InflatedGamma(0.1, math.inf, 1.0),
+        lambda: InflatedGamma(0.1, 1.0, math.inf),
+        lambda: Categorical((math.nan, 0.5), ("a", "b")),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_blocks_must_match_their_schemas(self):
         schemas = (VariableSchema("g", "ordinal", (1, 2, 3)),
@@ -190,3 +216,12 @@ def test_total_log_likelihood_adds_rows():
     rows = row_log_likelihoods(model, ds, MODEL_MISSING)
     assert math.isclose(total_log_likelihood(model, ds, MODEL_MISSING),
                         float(rows.sum()), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (small_demo_model, "ac1241023bcb528bd0f071ae74def74596f7c248d5116be167eaccf5209f343d"),
+    (demo_model, "23dc13f2b2e938d7d6d467926bfb1007cfd821022bfa9ad537535e58f239aec7"),
+])
+def test_bundled_generators_frozen(make, digest):
+    text = json.dumps(model_to_dict(make()), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
