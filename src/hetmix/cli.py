@@ -204,15 +204,20 @@ def run_select(arguments: dict, out_dir) -> list:
     return ["bic_table.csv", "model.json", "trace.csv"]
 
 
-def _prediction_payload(prediction, schema) -> dict:
+def _prediction_payload(prediction, schema, components: dict) -> dict:
+    """One target's JSON payload. ``components`` holds each continuous
+    target's serialized component cells, which every record shares: it is
+    filled on first use and reused."""
     if schema.kind.is_finite:
         return {"kind": schema.kind.value,
                 "domain": list(schema.domain),
                 "probabilities": [float(p) for p in prediction.probabilities],
                 "point": point_predict(prediction)}
+    if schema.name not in components:
+        components[schema.name] = [params_to_dict(c) for c in prediction.components]
     return {"kind": schema.kind.value,
             "weights": [float(w) for w in prediction.weights],
-            "components": [params_to_dict(c) for c in prediction.components],
+            "components": components[schema.name],
             "point": point_predict(prediction)}
 
 
@@ -223,7 +228,7 @@ def run_infer(arguments: dict, out_dir) -> list:
     evidence, columns = read_evidence_csv(arguments["evidence"], model,
                                           arguments["missing_token"])
     results = infer_many(model, evidence, columns, targets, arguments["mode"])
-    failed = []
+    failed, components = [], {}
 
     def line(i, predicted) -> str:
         if isinstance(predicted, Exception):
@@ -233,7 +238,7 @@ def run_infer(arguments: dict, out_dir) -> list:
             payload = {"record": i,
                        "posterior": [float(p) for p in predicted.posterior],
                        "targets": {name: _prediction_payload(predicted[name],
-                                                             model.schema(name))
+                                                             model.schema(name), components)
                                    for name in targets}}
         return json.dumps(payload, sort_keys=True) + "\n"
 

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import io as _io
+import itertools
 import json
 import numbers
 import os
@@ -108,7 +109,7 @@ def _read_json(path):
 
 def load_schemas(path) -> tuple:
     payload = _read_json(path)
-    if not isinstance(payload, dict) or "variables" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("variables"), list):
         raise FormatError(f"{path}: expected an object with a 'variables' list")
     if payload.get("format_version") != SCHEMA_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported schema format_version "
@@ -163,16 +164,44 @@ def _csv_rows(path):
             yield record
 
 
+_CHUNK_RECORDS = 4096  # records parsed a column at a time; bounds the text held
+
+
+def _parse_texts(texts, schema: VariableSchema) -> list:
+    """Observed cell texts of one column as ``_parse_cell`` reads each one:
+    by Python's own ``int`` / ``float``, unparseable text kept as text."""
+    if schema.kind is VariableKind.CATEGORICAL:
+        return texts
+    try:
+        return list(map(int if schema.kind is VariableKind.ORDINAL else float, texts))
+    except ValueError:
+        return [_parse_cell(text, schema, None) for text in texts]
+
+
 def _read_columns(path, schemas, records, columns, missing_token: str) -> Dataset:
     """CSV records whose fields are the schema ``columns``, in order, as a
-    Dataset over every schema; variables the file leaves out are MISSING."""
+    Dataset over every schema; variables the file leaves out are MISSING.
+
+    Records stream in a chunk at a time; each chunk's fields are parsed a
+    column at a time and appended to that column's mask and cells, so no
+    row tuple is built and the file's text is never held whole.
+    """
     placed = [schemas[j] for j in columns]
     _check_missing_token(placed, missing_token)
-    rows = [tuple(_parse_cell(text, s, missing_token) for s, text in zip(placed, record))
-            for record in records]
-    if not rows:
+    masks = [[] for _ in placed]
+    cells = [[] for _ in placed]
+    n_rows = 0
+    while chunk := list(itertools.islice(records, _CHUNK_RECORDS)):
+        n_rows += len(chunk)
+        for schema, texts, column_masks, column_cells in zip(placed, zip(*chunk), masks, cells):
+            column_masks.append(np.fromiter(map(missing_token.__eq__, texts), dtype=bool,
+                                            count=len(texts)))
+            column_cells.extend(_parse_texts(list(filter(missing_token.__ne__, texts)), schema))
+    if not n_rows:
         raise FormatError(f"{path}: no data rows")
-    return Dataset(schemas, rows, columns)
+    return Dataset._from_columns(schemas, n_rows, {
+        j: (np.concatenate(column_masks), column_cells)
+        for j, column_masks, column_cells in zip(columns, masks, cells)})
 
 
 def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> Dataset:

@@ -8,6 +8,14 @@ Building a ``Dataset`` checks and encodes each cell once into arrays, recording
 bad cells (unparseable text included) as violations instead of raising so that
 malformed files can still be reported on; ``validate_dataset`` returns the
 violations and training and inference refuse invalid data.
+
+Encoding goes column by column. A column whose observed cells all have the
+plain Python types of its kind (float or int for real and nonnegative, int
+for ordinal, str for categorical) and are all admissible is encoded by numpy
+in a few array operations. Any other column, one with a bad cell, a bool, a
+numpy scalar or an int too large for its array, takes the per-cell path:
+``VariableSchema.validate_value`` on each cell, which alone words the
+violations, so their text and order do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,7 +145,7 @@ class VariableSchema:
         kind = self.kind
         if kind is VariableKind.CATEGORICAL:
             if not isinstance(value, str):
-                return f"expected a symbol from {self.domain}, got {value!r}"
+                return f"expected a symbol from {self.domain}, got {_shown(value)}"
             if value not in self._domain_index:
                 return f"symbol {value!r} not in domain {self.domain}"
             return None
@@ -146,14 +155,30 @@ class VariableSchema:
             if not isinstance(value, numbers.Integral):
                 return f"expected an integer level, got {value!r}"
             if int(value) not in self._domain_index:
-                return f"level {value!r} not in domain {self.domain}"
+                return f"level {_shown(value)} not in domain {self.domain}"
             return None
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:
+            return f"value {_shown(value)} out of float range"
         if not math.isfinite(x):
             return f"non-finite value {value!r}"
         if kind is VariableKind.NONNEGATIVE and x < 0:
             return f"negative value {value!r} for a nonnegative variable"
         return None
+
+
+def _shown(value) -> str:
+    """A cell as violation messages show it: its repr, except an integer too
+    large for a float, shown by its size, since its digits can run to
+    thousands (and Python refuses to print ints past 4,300 digits)."""
+    if isinstance(value, numbers.Integral):
+        try:
+            float(value)
+        except OverflowError:
+            sign = "negative " if value < 0 else ""
+            return f"<{sign}integer of {int(value).bit_length()} bits>"
+    return repr(value)
 
 
 class Dataset:
@@ -173,45 +198,58 @@ class Dataset:
     def __init__(self, schemas: Sequence[VariableSchema], rows: Iterable[Sequence],
                  columns: Sequence[int] | None = None):
         schemas = tuple(schemas)
+        rows = [tuple(row) for row in rows]
+        columns = range(len(schemas)) if columns is None else tuple(columns)
+        for i, row in enumerate(rows):
+            if len(row) != len(columns):
+                raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")
+        self._encode(schemas, len(rows),
+                     {j: ([v is MISSING for v in cells], [v for v in cells if v is not MISSING])
+                      for j, cells in zip(columns, zip(*rows))})
+
+    @classmethod
+    def _from_columns(cls, schemas: Sequence[VariableSchema], n_rows: int,
+                      placed: dict) -> "Dataset":
+        """A Dataset built from columns instead of rows; ``placed`` as in ``_encode``."""
+        dataset = cls.__new__(cls)
+        dataset._encode(tuple(schemas), n_rows, placed)
+        return dataset
+
+    def _encode(self, schemas: tuple, n_rows: int, placed: dict):
+        """Check the table's shape, then check and encode each column once.
+
+        ``placed`` maps a schema index to that column's missing mask (one
+        bool per row) and its observed cells, in row order; the columns it
+        leaves out are all MISSING.
+        """
         if not schemas:
             raise SchemaError("a dataset needs at least one variable")
         names = [s.name for s in schemas]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate variable names: {dupes}")
-        rows = [tuple(row) for row in rows]
-        if not rows:
+        if not n_rows:
             raise SchemaError("a dataset needs at least one subject")
-        n_vars = len(schemas)
-        columns = range(n_vars) if columns is None else tuple(columns)
-        for i, row in enumerate(rows):
-            if len(row) != len(columns):
-                raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")
-        placed = dict(zip(columns, zip(*rows)))  # schema index -> its cells
-        unplaced = (MISSING,) * len(rows)
-        shape = (len(rows), n_vars)
+        shape = (n_rows, len(schemas))
         # column-major, so each column's view is contiguous
-        missing = np.zeros(shape, dtype=bool, order="F")
+        missing = np.ones(shape, dtype=bool, order="F")
         numeric = np.full(shape, np.nan, order="F")
         codes = np.full(shape, -1, dtype=np.int64, order="F")
         violations = []
         for j, schema in enumerate(schemas):
-            missing_rows, rows_ok, values_ok, bad = [], [], [], []
-            for i, value in enumerate(placed.get(j, unplaced)):
-                if value is MISSING:
-                    missing_rows.append(i)
-                elif (message := schema.validate_value(value)) is not None:
-                    bad.append(Violation(i, schema.name, message))
-                else:
-                    rows_ok.append(i)
-                    values_ok.append(value)
-            missing[missing_rows, j] = True
-            if schema.kind is not VariableKind.CATEGORICAL:
-                numeric[rows_ok, j] = [float(v) for v in values_ok]
-            if schema.kind.is_finite:
-                keys = map(int, values_ok) if schema.kind is VariableKind.ORDINAL else values_ok
-                codes[rows_ok, j] = [schema._domain_index[k] for k in keys]
-            violations.append(tuple(bad))
+            bad = ()
+            if j in placed:
+                mask, cells = placed[j]
+                missing[:, j] = mask
+                rows = np.flatnonzero(~missing[:, j])
+                encoded = _encode_plain(schema, cells)
+                if encoded is None:
+                    rows, encoded, bad = _encode_per_cell(schema, rows, cells)
+                if encoded[0] is not None:
+                    numeric[rows, j] = encoded[0]
+                if encoded[1] is not None:
+                    codes[rows, j] = encoded[1]
+            violations.append(bad)
         self._store(schemas, missing, numeric, codes, tuple(violations))
 
     def _store(self, schemas, missing, numeric, codes, violations):
@@ -339,6 +377,57 @@ class Dataset:
                          for store in (self._missing, self._numeric, self._codes)),
                        tuple(violations))
         return dataset
+
+
+def _encode_plain(schema: VariableSchema, cells: Sequence):
+    """(numeric values, codes) of a column's observed cells by numpy, either
+    None where the kind has no such view; None for the whole column unless
+    every cell has its kind's plain types and is admissible."""
+    kind = schema.kind
+    types = set(map(type, cells))
+    if kind is VariableKind.CATEGORICAL:
+        if not types <= {str}:
+            return None
+        codes = np.fromiter(map(schema._domain_index.get, cells, repeat(-1)),
+                            dtype=np.int64, count=len(cells))
+        return (None, codes) if (codes >= 0).all() else None
+    ordinal = kind is VariableKind.ORDINAL
+    if not types <= ({int} if ordinal else {int, float}):
+        return None
+    try:  # an int too large for the array raises OverflowError
+        values = np.fromiter(cells, dtype=np.int64 if ordinal else float, count=len(cells))
+        if ordinal:
+            levels = np.array(schema.domain, dtype=np.int64)
+    except OverflowError:
+        return None
+    if ordinal:
+        codes = np.searchsorted(levels, values)
+        if not (levels[np.minimum(codes, len(levels) - 1)] == values).all():
+            return None
+        return values.astype(float), codes
+    admissible = np.isfinite(values)
+    if kind is VariableKind.NONNEGATIVE:
+        admissible &= values >= 0
+    return (values, None) if admissible.all() else None
+
+
+def _encode_per_cell(schema: VariableSchema, rows: np.ndarray, cells: Sequence):
+    """The admissible rows, their (numeric values, codes) and the column's
+    violations, from ``validate_value`` on each observed cell."""
+    rows_ok, values_ok, bad = [], [], []
+    for i, value in zip(rows.tolist(), cells):
+        if (message := schema.validate_value(value)) is not None:
+            bad.append(Violation(i, schema.name, message))
+        else:
+            rows_ok.append(i)
+            values_ok.append(value)
+    numeric = codes = None
+    if schema.kind is not VariableKind.CATEGORICAL:
+        numeric = [float(v) for v in values_ok]
+    if schema.kind.is_finite:
+        keys = map(int, values_ok) if schema.kind is VariableKind.ORDINAL else values_ok
+        codes = [schema._domain_index[k] for k in keys]
+    return rows_ok, (numeric, codes), tuple(bad)
 
 
 @dataclass(frozen=True)

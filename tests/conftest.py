@@ -92,3 +92,13 @@ def recovery_model() -> MixtureModel:
     missing = [[0.10, 0.20, 0.05, 0.30],
                [0.30, 0.05, 0.25, 0.10]]
     return MixtureModel((0.6, 0.4), (comp0, comp1), missing, schemas)
+
+
+def assert_same_store(got, want):
+    """Same schemas, missing / float / code arrays (column-major) and violations."""
+    assert got.schemas == want.schemas
+    assert got.cell_violations == want.cell_violations
+    for store in ("_missing", "_numeric", "_codes"):
+        array = getattr(got, store)
+        np.testing.assert_array_equal(array, getattr(want, store))
+        assert array.flags.f_contiguous and not array.flags.writeable

@@ -229,6 +229,28 @@ class TestValidate:
         assert not (tmp_path / "fit" / "model.json").exists()
 
 
+    def test_schema_naming_a_variable_twice_exit_3(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "variables": [
+            {"name": "x", "kind": "real"}, {"name": "x", "kind": "real"}]}))
+        data = tmp_path / "data.csv"
+        data.write_text("x,x\n1.0,2.0\n3.0,4.0\n")
+        assert main(["validate", "--out-dir", str(tmp_path / "report"),
+                     "--data", str(data), "--schema", str(schema)]) == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert "duplicate variable names: ['x']" in error["message"]
+
+    def test_schema_variables_not_a_list_exit_3(self, work, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "variables": 5}))
+        assert main(["validate", "--out-dir", str(tmp_path / "report"),
+                     "--data", str(work["data"]), "--schema", str(schema)]) == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert "'variables' list" in error["message"]
+
+
 class TestFit:
     def test_order_one_is_the_column_mle(self, work):
         dataset, _ = load_dataset(work["data"], work["schema"])

@@ -1,15 +1,20 @@
 """Round trips for schema JSON, data CSV, model JSON, and report tables."""
 
+import csv
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_model
+import hetmix.io
+from conftest import assert_same_store, random_model
 from hetmix import (MISSING, Dataset, Gaussian, MixtureModel, SchemaViolationError,
-                    VariableSchema, sample_cohort)
-from hetmix.io import (FormatError, atomic_write_text, format_value,
+                    VariableSchema, sample_cohort, validate_dataset)
+from hetmix.io import (FormatError, _parse_cell, atomic_write_text, format_value,
                        load_dataset, load_model, load_schemas, model_from_dict,
                        model_to_dict, params_from_dict, params_to_dict,
                        read_data_csv, save_model, save_schemas, sha256_file,
@@ -83,6 +88,49 @@ class TestSchemaFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError):
             load_schemas(path)
+
+    @pytest.mark.parametrize("variables", [5, "x", {"name": "x", "kind": "real"}, None])
+    def test_variables_not_a_list(self, tmp_path, variables):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"format_version": 1, "variables": variables}))
+        with pytest.raises(FormatError, match="'variables' list"):
+            load_schemas(path)
+
+
+# Cell texts the CSV reader must read exactly as _parse_cell does, column by
+# column: the missing tokens, valid cells, padded and underscored numerals,
+# nan / inf, unparseable text, out-of-domain levels and symbols.
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["", "NA", "1.5", " 2 ", "1_0", "3", "0", "-0.0", "nan", "-inf",
+                     "1e400", "2.0", "oops", "4", "north", "south", " north", "east"]),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-2, 5).map(str),
+)
+
+
+class TestColumnReaderMatchesPerCellReference:
+    """read_data_csv parses and encodes a column at a time, a chunk of
+    records at a time; the result equals a Dataset built from the rows of
+    _parse_cell values, violations included."""
+
+    @given(data=st.data(), chunk=st.integers(1, 4), token=st.sampled_from(["", "NA"]),
+           order=st.permutations(range(len(SCHEMAS))))
+    @settings(max_examples=150, deadline=None)
+    def test_same_store_and_violations(self, tmp_path_factory, data, chunk, token, order):
+        texts = data.draw(st.lists(st.lists(_CELL_TEXT, min_size=len(SCHEMAS),
+                                            max_size=len(SCHEMAS)), min_size=1, max_size=9))
+        if data.draw(st.booleans()):  # a bad cell in the last row
+            texts[-1][data.draw(st.integers(0, len(SCHEMAS) - 1))] = "oops"
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows([[SCHEMAS[j].name for j in order]]
+                                         + [[row[j] for j in order] for row in texts])
+        want = Dataset(SCHEMAS, [tuple(_parse_cell(text, s, token)
+                                       for s, text in zip(SCHEMAS, row)) for row in texts])
+        with mock.patch.object(hetmix.io, "_CHUNK_RECORDS", chunk):
+            got = read_data_csv(path, SCHEMAS, missing_token=token)
+        assert_same_store(got, want)
+        assert validate_dataset(got) == validate_dataset(want)
 
 
 class TestDataCsv:

@@ -13,6 +13,8 @@ from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     zero_variability_columns)
 from hetmix.schema import Violation
 
+from conftest import assert_same_store
+
 
 def test_missing_is_a_singleton():
     assert MISSING is type(MISSING)()
@@ -74,6 +76,23 @@ class TestVariableSchema:
         assert cat.validate_value("a") is None
         assert cat.validate_value("c") is not None
         assert cat.validate_value(1) is not None
+
+    @pytest.mark.parametrize("kind,domain,value,message", [
+        ("real", (), 10**400, "value <integer of 1329 bits> out of float range"),
+        ("nonnegative", (), -10**400, "value <negative integer of 1329 bits> out of float range"),
+        ("ordinal", (1, 2, 3), 10**5000, "level <integer of 16610 bits> not in domain (1, 2, 3)"),
+        ("categorical", ("a", "b"), 10**5000,
+         "expected a symbol from ('a', 'b'), got <integer of 16610 bits>"),
+    ], ids=["real", "nonnegative", "ordinal", "categorical"])
+    def test_huge_ints_are_violations(self, kind, domain, value, message):
+        """An int too large for a float is a violation shown by its size, not
+        an OverflowError, nor a ValueError from printing its digits."""
+        schema = VariableSchema("x", kind, domain)
+        assert schema.validate_value(value) == message
+        rows = [(value,), (schema.domain or (1.0, 2.0))[0:1], (schema.domain or (1.0, 2.0))[1:2]]
+        ds = Dataset((schema,), rows)
+        assert ds.cell_violations[0] == (Violation(0, "x", message),)
+        assert ds.row(2) == rows[2]
 
 
 def _toy_dataset():
@@ -180,16 +199,38 @@ _MIXED_SCHEMAS = (VariableSchema("r", "real"),
                   VariableSchema("c", "categorical", ("a", "b", "c")))
 
 # valid values, MISSING, wrong types, out-of-domain levels and symbols,
-# non-finite values, negatives, and a list-valued cell
+# non-finite values, negatives, ints too large for a float or an int64,
+# and a list-valued cell
 _MIXED_CELL = st.one_of(
     st.just(MISSING),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-3, 6),
     st.integers(-3, 6).map(np.int64),
+    st.sampled_from([2**63, 10**400, -10**5000]),
     st.booleans(),
     st.sampled_from(["a", "b", "c", "z", "", "1.5"]),
     st.just([1, 2]),
 )
+
+# admissible cells of each column's plain Python types: a column of these
+# (and MISSING) is encoded by numpy, not cell by cell
+_PLAIN_CELL = (
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**70, 2**70)),
+    st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**70)),
+    st.sampled_from((0, 2, 5)),
+    st.sampled_from(("a", "b", "c")),
+)
+
+
+@st.composite
+def _mixed_rows(draw, max_size=8):
+    """Rows over _MIXED_SCHEMAS; each column is drawn either from
+    _MIXED_CELL or, half the time, from MISSING and its plain cells."""
+    n = draw(st.integers(1, max_size))
+    columns = [draw(st.lists(st.one_of(st.just(MISSING), plain) if draw(st.booleans())
+                             else _MIXED_CELL, min_size=n, max_size=n))
+               for plain in _PLAIN_CELL]
+    return list(zip(*columns))
 
 
 def _reference_zero_variability(schema, column, bad):
@@ -224,8 +265,7 @@ def _reference_encoding(schema, column):
 
 
 class TestEncodingMatchesPerCellReference:
-    @given(rows=st.lists(st.tuples(*[_MIXED_CELL] * len(_MIXED_SCHEMAS)),
-                         min_size=1, max_size=8))
+    @given(rows=_mixed_rows())
     @settings(max_examples=200, deadline=None)
     def test_construction_equals_reference(self, rows):
         ds = Dataset(_MIXED_SCHEMAS, rows)
@@ -250,33 +290,35 @@ class TestEncodingMatchesPerCellReference:
         counts = missingness_profile(ds).missing_counts.tolist()
         assert counts == [sum(c is MISSING for c in row) for row in rows]
 
-
-def _assert_same_store(got, want):
-    """Same schemas, missing / float / code arrays (column-major) and violations."""
-    assert got.schemas == want.schemas
-    assert got.cell_violations == want.cell_violations
-    for store in ("_missing", "_numeric", "_codes"):
-        array = getattr(got, store)
-        np.testing.assert_array_equal(array, getattr(want, store))
-        assert array.flags.f_contiguous and not array.flags.writeable
+    def test_plain_columns_skip_per_cell_checks(self, monkeypatch):
+        """Columns of plain admissible cells never reach validate_value; a
+        column with one bad cell is checked cell by cell."""
+        rows = [(1.5, 0, 2, "a"), (MISSING, 3.0, MISSING, "c"), (-2, MISSING, 5, MISSING)]
+        checked = []
+        original = VariableSchema.validate_value
+        monkeypatch.setattr(VariableSchema, "validate_value",
+                            lambda self, value: checked.append(value) or original(self, value))
+        ds = Dataset(_MIXED_SCHEMAS, rows)
+        assert checked == []
+        assert ds.row(2) == (-2.0, MISSING, 5, MISSING)
+        Dataset(_MIXED_SCHEMAS, rows + [(1.0, 1.0, 1, "a")])
+        assert checked == [2, 5, 1]  # the ordinal column, level 1 being bad
 
 
 class TestSlicingEqualsRebuilding:
     """subset, drop_subject and drop_zero_variability slice the encoded
     arrays; the result equals a Dataset built from the same raw cells."""
 
-    @given(data=st.data(),
-           rows=st.lists(st.tuples(*[_MIXED_CELL] * len(_MIXED_SCHEMAS)),
-                         min_size=1, max_size=8))
+    @given(data=st.data(), rows=_mixed_rows())
     @settings(max_examples=200, deadline=None)
     def test_slices_equal_rebuilt_datasets(self, data, rows):
         ds = Dataset(_MIXED_SCHEMAS, rows)
         n = len(rows)
         idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
-        _assert_same_store(ds.subset(idx), Dataset(_MIXED_SCHEMAS, [rows[i] for i in idx]))
+        assert_same_store(ds.subset(idx), Dataset(_MIXED_SCHEMAS, [rows[i] for i in idx]))
         if n > 1:
             drop = data.draw(st.integers(0, n - 1))
-            _assert_same_store(ds.drop_subject(drop),
+            assert_same_store(ds.drop_subject(drop),
                                Dataset(_MIXED_SCHEMAS, rows[:drop] + rows[drop + 1:]))
         names = zero_variability_columns(ds)
         keep = [j for j, s in enumerate(_MIXED_SCHEMAS) if s.name not in names]
@@ -286,7 +328,7 @@ class TestSlicingEqualsRebuilding:
             return
         reduced, dropped = drop_zero_variability(ds)
         assert dropped == names
-        _assert_same_store(reduced, Dataset([_MIXED_SCHEMAS[j] for j in keep],
+        assert_same_store(reduced, Dataset([_MIXED_SCHEMAS[j] for j in keep],
                                             [tuple(r[j] for j in keep) for r in rows]))
 
     def test_slices_never_check_cells_again(self, monkeypatch):
