@@ -5,6 +5,13 @@ numeric output parses back to the identical bits; reruns of a deterministic
 pipeline therefore produce byte-identical files. All writers go through an
 atomic temp-file replace.
 
+A data or evidence CSV is streamed: records are read a chunk at a time, and
+each chunk's fields are parsed a column at a time by Python's own ``int`` /
+``float`` (as ``_parse_cell`` reads a single cell) and appended to per-column
+lists. The columns then go to the same encoder that builds every ``Dataset``
+(numpy for a column of admissible plain values, ``validate_value`` cell by
+cell for any other), so no row tuple is ever built.
+
 A model file's parameter block holds a ``family`` name and the fields of that
 family's dataclass. Reading it builds the dataclass, whose checks turn
 out-of-range or non-finite values (``NaN`` / ``Infinity``, which ``json``
@@ -164,7 +171,7 @@ def _csv_rows(path):
             yield record
 
 
-_CHUNK_RECORDS = 4096  # records parsed a column at a time; bounds the text held
+_CHUNK_RECORDS = 256  # records parsed a column at a time; bounds the text held
 
 
 def _parse_texts(texts, schema: VariableSchema) -> list:
