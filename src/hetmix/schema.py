@@ -380,9 +380,9 @@ class Dataset:
 
 
 def _encode_plain(schema: VariableSchema, cells: Sequence):
-    """(numeric values, codes) of a column's observed cells by numpy, either
-    None where the kind has no such view; None for the whole column unless
-    every cell has its kind's plain types and is admissible."""
+    """Encode a column's observed cells with numpy: (numeric values, codes),
+    each None for a kind without that view. None, sending the column to the
+    per-cell path, unless every cell has its kind's plain type and is admissible."""
     kind = schema.kind
     types = set(map(type, cells))
     if kind is VariableKind.CATEGORICAL:
