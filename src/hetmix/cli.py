@@ -204,21 +204,20 @@ def run_select(arguments: dict, out_dir) -> list:
     return ["bic_table.csv", "model.json", "trace.csv"]
 
 
-def _prediction_payload(prediction, schema, components: dict) -> dict:
-    """One target's JSON payload. ``components`` holds each continuous
-    target's serialized component cells, which every record shares: it is
-    filled on first use and reused."""
-    if schema.kind.is_finite:
-        return {"kind": schema.kind.value,
-                "domain": list(schema.domain),
-                "probabilities": [float(p) for p in prediction.probabilities],
-                "point": point_predict(prediction)}
-    if schema.name not in components:
-        components[schema.name] = [params_to_dict(c) for c in prediction.components]
-    return {"kind": schema.kind.value,
-            "weights": [float(w) for w in prediction.weights],
-            "components": components[schema.name],
-            "point": point_predict(prediction)}
+def _shared_payloads(model, targets) -> dict:
+    """name -> (the part of the target's JSON payload that every record
+    shares, the prediction field each record adds): a finite target's kind
+    and domain, a continuous target's kind and serialized components."""
+    shared = {}
+    for name in targets:
+        j = model.column_index(name)
+        kind, domain = model.schemas[j].kind, model.schemas[j].domain
+        if kind.is_finite:
+            shared[name] = ({"kind": kind.value, "domain": list(domain)}, "probabilities")
+        else:
+            components = [params_to_dict(row[j]) for row in model.params]
+            shared[name] = ({"kind": kind.value, "components": components}, "weights")
+    return shared
 
 
 def run_infer(arguments: dict, out_dir) -> list:
@@ -228,18 +227,19 @@ def run_infer(arguments: dict, out_dir) -> list:
     evidence, columns = read_evidence_csv(arguments["evidence"], model,
                                           arguments["missing_token"])
     results = infer_many(model, evidence, columns, targets, arguments["mode"])
-    failed, components = [], {}
+    failed, shared = [], {}
 
     def line(i, predicted) -> str:
         if isinstance(predicted, Exception):
             failed.append(i)
             payload = {"record": i, "error": str(predicted)}
         else:
-            payload = {"record": i,
-                       "posterior": [float(p) for p in predicted.posterior],
-                       "targets": {name: _prediction_payload(predicted[name],
-                                                             model.schema(name), components)
-                                   for name in targets}}
+            if not shared:  # infer_many has checked the targets by now
+                shared.update(_shared_payloads(model, targets))
+            payload = {"record": i, "posterior": predicted.posterior.tolist(),
+                       "targets": {name: {**fixed, field: getattr(predicted[name], field).tolist(),
+                                          "point": point_predict(predicted[name])}
+                                   for name, (fixed, field) in shared.items()}}
         return json.dumps(payload, sort_keys=True) + "\n"
 
     atomic_write_text(out_dir / "predictions.jsonl",

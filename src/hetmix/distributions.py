@@ -11,20 +11,23 @@ One family per variable kind:
     categorical  Categorical(probs, domain)
 
 All evaluation happens in the log domain. ``log_density`` returns -inf exactly
-where the mass is zero and never NaN for in-domain values. Each density is
-written once, on arrays that broadcast: ``log_densities`` evaluates Z
-continuous components of one family over N values in one pass.
+where the mass is zero and never NaN for in-domain values. Each density, mass
+table and parameter check is written once, on arrays that broadcast.
 
-``weighted_updates`` is the one weighted maximum-likelihood update: it fits
-Z components of one family at once from a (Z, M) weight matrix, with no
-per-component loop. ``weighted_mle`` is its one-component call.
-``log_sum_exp`` is the package's one log-sum-exp.
+A *block* holds a family's parameters for Z components, one array per field
+but ``domain``: ``mean``, ``variance``, ``zero_prob``, ``shape``, ``scale``
+(Z,), ``probs`` (Z, K). EM reads and writes blocks; the dataclasses are their
+per-cell view. The weighted maximum-likelihood update fits a block of Z
+components from a (Z, M) weight matrix (``_weighted_block``);
+``weighted_updates`` returns its Z cells and ``weighted_mle`` is its
+one-component call. ``log_sum_exp`` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,11 +71,39 @@ def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
         return np.where(x == 0, np.log(zero_prob), positive)
 
 
-def _check_mean_variance(mean, variance):
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean}")
-    if not (0 < variance < math.inf):
-        raise ValueError(f"variance must be positive and finite, got {variance}")
+def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
+    """(Z, K) log masses of a finite block over its domain; an ordinal's come
+    from one row-wise log-sum-exp of its (Z, K) scores."""
+    if kind is VariableKind.CATEGORICAL:
+        with np.errstate(divide="ignore"):
+            return np.log(block[0])
+    mean, variance = block
+    scores = -((np.asarray(domain, dtype=float) - mean[:, None]) ** 2) / (2.0 * variance[:, None])
+    return scores - log_sum_exp(scores)[:, None]
+
+
+# parameter field -> (rule, lowest and highest value, whether they are allowed);
+# NaN fails every rule, since min and max pass it on and it compares false
+_PARAM_RULES = dict(mean=("finite", -math.inf, math.inf, False),
+                    zero_prob=("in [0, 1]", 0.0, 1.0, True),
+                    probs=("nonnegative and sum to 1", 0.0, math.inf, True),
+                    **dict.fromkeys(("variance", "shape", "scale"),
+                                    ("positive and finite", 0.0, math.inf, False)))
+
+
+def _check_params(values: dict):
+    """Raise ValueError unless each parameter field -> value (one per
+    component, or one row per component for ``probs``) passes its rule;
+    TypeError for a value that is not a number."""
+    for name, value in values.items():
+        rule, lo, hi, closed = _PARAM_RULES[name]
+        x = np.asarray(value)
+        if x.dtype.kind not in "biuf":
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        low, high = x.min(), x.max()
+        if (not (lo <= low and high <= hi if closed else lo < low and high < hi)
+                or name == "probs" and not (abs(x.sum(axis=-1) - 1.0) <= 1e-12).all()):
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +136,7 @@ class Gaussian:
     n_parameters = 2
 
     def __post_init__(self):
-        _check_mean_variance(self.mean, self.variance)
+        _check_params({"mean": self.mean, "variance": self.variance})
 
     def log_density(self, x):
         return _gaussian_log_pdf(np.asarray(x, dtype=float), self.mean, self.variance)
@@ -135,10 +166,7 @@ class InflatedGamma:
     n_parameters = 3
 
     def __post_init__(self):
-        if not (0.0 <= self.zero_prob <= 1.0):
-            raise ValueError(f"zero_prob must lie in [0, 1], got {self.zero_prob}")
-        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
-            raise ValueError("shape and scale must be positive and finite")
+        _check_params({"zero_prob": self.zero_prob, "shape": self.shape, "scale": self.scale})
 
     def log_density(self, x):
         xs = np.asarray(x, dtype=float)
@@ -172,16 +200,15 @@ class QuantizedGaussian:
     n_parameters = 2
 
     def __post_init__(self):
-        _check_mean_variance(self.mean, self.variance)
+        _check_params({"mean": self.mean, "variance": self.variance})
         object.__setattr__(self, "domain", tuple(int(d) for d in self.domain))
         if len(self.domain) < 2 or any(a >= b for a, b in zip(self.domain, self.domain[1:])):
             raise ValueError("domain must be strictly increasing with >= 2 levels")
 
     @cached_property
     def log_masses(self) -> np.ndarray:
-        levels = np.asarray(self.domain, dtype=float)
-        scores = -((levels - self.mean) ** 2) / (2.0 * self.variance)
-        out = scores - log_sum_exp(scores)
+        out = _log_mass_table(VariableKind.ORDINAL, self.domain,
+                              (np.array([self.mean]), np.array([self.variance])))[0]
         out.setflags(write=False)
         return out
 
@@ -192,11 +219,10 @@ class QuantizedGaussian:
         return out
 
     def log_density(self, x):
-        try:
-            idx = self.domain.index(int(x))
-        except ValueError:
-            raise ValueError(f"level {x!r} not in domain {self.domain}") from None
-        return float(self.log_masses[idx])
+        """Log mass of one level; a non-integer (bools included) is never a level."""
+        if isinstance(x, numbers.Integral) and not isinstance(x, bool) and int(x) in self.domain:
+            return float(self.log_masses[self.domain.index(int(x))])
+        raise ValueError(f"level {x!r} not in domain {self.domain}")
 
     def sample(self, rng, size=None):
         codes = rng.choice(len(self.domain), size=size, p=self.masses)
@@ -225,10 +251,7 @@ class Categorical:
             raise ValueError("probs and domain lengths differ")
         if len(self.domain) < 2:
             raise ValueError("domain needs at least 2 symbols")
-        if not all(p >= 0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
-        if not abs(sum(self.probs) - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
+        _check_params({"probs": self.probs})
 
     @property
     def n_parameters(self) -> int:
@@ -236,8 +259,8 @@ class Categorical:
 
     @cached_property
     def log_masses(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            out = np.log(np.asarray(self.probs))
+        out = _log_mass_table(VariableKind.CATEGORICAL, self.domain,
+                              (np.asarray([self.probs]),))[0]
         out.setflags(write=False)
         return out
 
@@ -276,15 +299,25 @@ def family_for(kind: VariableKind):
     return _FAMILY_BY_KIND[VariableKind(kind)]
 
 
-def log_densities(cells, x) -> np.ndarray:
-    """(N, Z) log densities of the N values ``x`` under each of the Z
-    continuous components ``cells`` of one family. NaN values give NaN rows."""
-    x = np.asarray(x, dtype=float)[:, None]
-    if isinstance(cells[0], Gaussian):
-        mean, variance = np.array([(c.mean, c.variance) for c in cells]).T
-        return _gaussian_log_pdf(x, mean, variance)
-    zero_prob, shape, scale = np.array([(c.zero_prob, c.shape, c.scale) for c in cells]).T
-    return _inflated_gamma_log_pdf(x, zero_prob, shape, scale)
+# continuous family -> its density, called as pdf(x, *block)
+_LOG_PDF = {VariableKind.REAL: _gaussian_log_pdf,
+            VariableKind.NONNEGATIVE: _inflated_gamma_log_pdf}
+
+# variable kind -> its family's block fields, in dataclass order
+_BLOCK_FIELDS = {kind: tuple(f.name for f in fields(cls) if f.name != "domain")
+                 for kind, cls in _FAMILY_BY_KIND.items()}
+
+
+def _block_of(kind: VariableKind, cells) -> tuple:
+    """The block of the Z cells ``cells`` of a ``kind`` variable."""
+    return tuple(np.array([getattr(c, f) for c in cells], dtype=float)
+                 for f in _BLOCK_FIELDS[kind])
+
+
+def _cells_of(family, block, domain) -> list:
+    """The Z cells of a block of ``family``; finite families take ``domain``."""
+    extra = (domain,) if domain else ()
+    return [family(*values, *extra) for values in zip(*(a.tolist() for a in block))]
 
 
 def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
@@ -306,7 +339,18 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
 def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
                      scale=None) -> list:
     """Responsibility-weighted maximum-likelihood updates of Z components of
-    one family at once, one per row of the (Z, M) ``weights``.
+    one family at once, one per row of the (Z, M) ``weights``: the Z cells of
+    the block ``_weighted_block`` fits."""
+    kind = VariableKind(kind)
+    if kind.is_finite and domain is None:
+        raise EstimationError(f"{kind.value} update needs the domain")
+    domain = tuple(map(int, domain)) if kind is VariableKind.ORDINAL else tuple(domain or ())
+    block = _weighted_block(kind, values, np.asarray(weights, dtype=float), domain, scale)
+    return _cells_of(family_for(kind), block, domain)
+
+
+def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, scale) -> tuple:
+    """The block of Z components fitted to the rows of the (Z, M) ``weights``.
 
     ``values`` holds the M observed cells: floats for continuous kinds, integer
     levels for ordinals, symbols (or precomputed integer domain codes) for
@@ -323,15 +367,10 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
     k = (3 - g + sqrt((g - 3)^2 + 24 g)) / (12 g) with
     g = log(weighted mean) - weighted mean of logs.
     """
-    kind = VariableKind(kind)
-    weights = np.asarray(weights, dtype=float)
     n_comp = weights.shape[0]
     total = weights.sum(axis=1)
 
     if kind is VariableKind.CATEGORICAL:
-        if domain is None:
-            raise EstimationError("categorical update needs the domain")
-        domain = tuple(domain)
         values = np.asarray(values)
         if values.dtype.kind in "iu":
             codes = values.astype(np.int64)
@@ -346,7 +385,7 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
         counts = np.bincount(slots, weights=weights.ravel(), minlength=n_comp * k)
         probs = counts.reshape(n_comp, k) / total[:, None] + DEFAULT_FLOORS.categorical_pseudo
         probs /= probs.sum(axis=1, keepdims=True)
-        return [Categorical(row, domain) for row in probs.tolist()]
+        return (probs,)
 
     values = np.asarray(values, dtype=float)
     if values.shape != weights.shape[1:]:
@@ -354,9 +393,6 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
 
     if kind is VariableKind.REAL or kind is VariableKind.ORDINAL:
         if kind is VariableKind.ORDINAL:
-            if domain is None:
-                raise EstimationError("ordinal update needs the domain")
-            domain = tuple(int(d) for d in domain)
             if scale is None:
                 scale = domain[-1] - domain[0]
         elif scale is None:
@@ -365,9 +401,7 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
         mean = np.vecdot(weights, values) / total
         var = np.vecdot(weights, (values - mean[:, None]) ** 2) / total
         var = np.maximum(var, DEFAULT_FLOORS.rel_variance * float(scale) ** 2)
-        if kind is VariableKind.REAL:
-            return [Gaussian(m, v) for m, v in zip(mean.tolist(), var.tolist())]
-        return [QuantizedGaussian(m, v, domain) for m, v in zip(mean.tolist(), var.tolist())]
+        return mean, var
 
     # nonnegative: zero inflation plus Gamma on the positive part
     if (values < 0).any():
@@ -378,7 +412,7 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
     pos_weights = weights.take(positive, axis=1)
     xp = values[positive]
     pos_total = pos_weights.sum(axis=1)
-    # rows with no positive weight give NaN here and InflatedGamma(zero_prob, 1, 1) below
+    # rows with no positive weight give NaN here and shape = scale = 1 below
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.vecdot(pos_weights, xp) / pos_total
         log_gap = np.log(mean) - np.vecdot(pos_weights, np.log(xp)) / pos_total
@@ -387,9 +421,8 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
         shape = (3.0 - log_gap + np.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
         shape = np.clip(shape, DEFAULT_FLOORS.shape_min, DEFAULT_FLOORS.shape_max)
         scale_par = np.maximum(mean / shape, DEFAULT_FLOORS.scale_min)
-    return [InflatedGamma(t, k, s) if w > 0 else InflatedGamma(t, 1.0, 1.0)
-            for t, k, s, w in zip(zero_prob.tolist(), shape.tolist(), scale_par.tolist(),
-                                  pos_total.tolist())]
+    seen = pos_total > 0
+    return zero_prob, np.where(seen, shape, 1.0), np.where(seen, scale_par, 1.0)
 
 
 def default_params(kind: VariableKind, *, domain=None, scale=1.0) -> Params:

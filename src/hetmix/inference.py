@@ -157,9 +157,9 @@ def target_tables(model: MixtureModel, targets) -> dict:
     tables = {}
     for name in targets:
         j = model.column_index(name)
-        cells = tuple(row[j] for row in model.params)
         finite = model.schemas[j].kind.is_finite
-        tables[name] = (model.schemas[j], np.stack([c.masses for c in cells]) if finite else cells)
+        tables[name] = (model.schemas[j], model._mass_table(j) if finite
+                        else tuple(row[j] for row in model.params))
     return tables
 
 

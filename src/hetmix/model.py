@@ -1,8 +1,9 @@
 """Joint mixture model over heterogeneous columns with explicit missingness.
 
 A model with Z components over V variables carries mixture weights w (Z,),
-per-component per-variable distribution parameters (Z x V), and missing-cell
-probabilities q (Z, V). Under the ``model_missing`` mode the per-variable
+one parameter block per variable (the arrays of ``distributions``; the
+Z x V grid ``params`` of cells is built from them on first access), and
+missing-cell probabilities q (Z, V). Under the ``model_missing`` mode the per-variable
 factor of component z is q[z, v] for a missing cell and
 (1 - q[z, v]) * f(x_v; params[z][v]) for an observed one; under
 ``ignore_missing`` a missing cell contributes a factor of 1 and an observed
@@ -10,20 +11,23 @@ one contributes f(x_v; params[z][v]) alone. All computation is done in the
 log domain with log-sum-exp reductions.
 
 The E-step (``component_log_likelihoods``) handles each variable for all Z
-components at once: a finite variable gathers rows of one (K + 1, Z) table
-of log factors by its codes (the last row, picked by the missing code -1,
-holds the missing factor); a continuous one broadcasts its family's density
-over (N, Z) and selects the missing factor with one ``np.where``.
+components at once, from its block: a finite variable gathers rows of one
+(K + 1, Z) table of log factors by its codes (the last row, picked by the
+missing code -1, holds the missing factor; the log masses are computed once
+per model); a continuous one broadcasts its family's density over (N, Z) and
+selects the missing factor with one ``np.where``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import family_for, log_densities, log_sum_exp
+from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
+                            _check_params, _log_mass_table, family_for,
+                            log_sum_exp)
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, Violation)
 
@@ -42,54 +46,93 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Frozen parameter bundle: weights, per-cell params, missing probs, schemas."""
+    """Frozen parameter bundle: weights (Z,), one parameter block per variable,
+    missing probs (Z, V), schemas.
 
-    weights: np.ndarray
-    params: tuple              # params[z][v] -> distribution for component z, variable v
-    missing_probs: np.ndarray  # (Z, V)
-    schemas: tuple
+    Built from a Z x V grid of cells (``params[z][v]``), it packs the grid
+    once; EM builds it from blocks (``_from_blocks``). Either way every
+    parameter is checked, and ``params``, the grid, is built on first access.
+    """
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        schemas = tuple(self.schemas)
-        params = tuple(tuple(row) for row in self.params)
-        missing = np.asarray(self.missing_probs, dtype=float)
-        n_comp = weights.shape[0]
-        n_vars = len(schemas)
-        if weights.ndim != 1 or n_comp < 1:
-            raise ValueError("weights must be a non-empty vector")
-        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if len(params) != n_comp or any(len(row) != n_vars for row in params):
-            raise ValueError(f"params must be a {n_comp} x {n_vars} grid")
-        if missing.shape != (n_comp, n_vars):
-            raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
-        if not ((missing >= 0) & (missing <= 1)).all():
-            raise ValueError("missing probabilities must lie in [0, 1]")
+    def __init__(self, weights, params, missing_probs, schemas):
+        schemas = tuple(schemas)
+        params = tuple(tuple(row) for row in params)
+        if np.shape(weights)[:1] != (len(params),) or any(len(r) != len(schemas) for r in params):
+            raise ValueError(f"params must hold one row of {len(schemas)} cells per weight")
+        blocks = []
         for v, schema in enumerate(schemas):
             family = family_for(schema.kind)
             for z, row in enumerate(params):
                 cell = row[v]
-                if not isinstance(cell, family):
+                if not (isinstance(cell, family) and getattr(cell, "domain", ()) == schema.domain):
                     raise ValueError(f"component {z}, variable {schema.name!r}: a "
-                                     f"{schema.kind.value} variable needs a "
-                                     f"{family.family} block, got {cell!r}")
-                if schema.kind.is_finite and cell.domain != schema.domain:
-                    raise ValueError(f"component {z}, variable {schema.name!r}: "
-                                     f"domain {cell.domain} differs from the "
-                                     f"schema's {schema.domain}")
-        weights = weights.copy()
-        missing = missing.copy()
+                                     f"{schema.kind.value} variable needs a {family.family} "
+                                     f"block over {schema.domain}, got {cell!r}")
+            blocks.append(_block_of(schema.kind, [row[v] for row in params]))
+        packed = MixtureModel._from_blocks(weights, tuple(blocks), missing_probs, schemas)
+        self.__dict__.update(packed.__dict__, _params=params)
+
+    @classmethod
+    def _from_blocks(cls, weights, blocks, missing_probs, schemas) -> "MixtureModel":
+        """A checked model whose variable v has the parameter block ``blocks[v]``
+        (its arrays are made read-only); finite variables' log-mass tables are
+        computed here, once."""
+        weights = np.array(weights, dtype=float)
+        missing = np.array(missing_probs, dtype=float)
+        schemas = tuple(schemas)
+        n_comp = weights.shape[0] if weights.ndim == 1 else 0
+        n_vars = len(schemas)
+        if n_comp < 1:
+            raise ValueError("weights must be a non-empty vector")
+        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
+            raise ValueError("weights must be nonnegative and sum to 1")
+        if missing.shape != (n_comp, n_vars):
+            raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
+        if not ((missing >= 0) & (missing <= 1)).all():
+            raise ValueError("missing probabilities must lie in [0, 1]")
+        by_field = {}
+        for schema, block in zip(schemas, blocks, strict=True):
+            names = _BLOCK_FIELDS[schema.kind]
+            widths = (len(schema.domain),) if schema.kind is VariableKind.CATEGORICAL else ()
+            if len(block) != len(names) or any(a.shape != (n_comp, *widths) for a in block):
+                raise ValueError(f"variable {schema.name!r}: parameters must be a "
+                                 f"{n_comp} x {n_vars} grid")
+            for name, a in zip(names, block):
+                a.setflags(write=False)
+                by_field.setdefault(name, []).append(a)
+        # each field checked once over all variables; probability rows per variable
+        for probs in by_field.pop("probs", ()):
+            _check_params({"probs": probs})
+        _check_params({name: np.concatenate(arrays) for name, arrays in by_field.items()})
         weights.setflags(write=False)
         missing.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "missing_probs", missing)
-        object.__setattr__(self, "schemas", schemas)
-        object.__setattr__(self, "_name_to_column",
-                           {s.name: j for j, s in enumerate(schemas)})
+        model = cls.__new__(cls)
+        model.__dict__.update(
+            weights=weights, missing_probs=missing, schemas=schemas, _blocks=tuple(blocks),
+            _log_masses=tuple(_log_mass_table(s.kind, s.domain, block) if s.kind.is_finite
+                              else None for s, block in zip(schemas, blocks)),
+            _params=None, _name_to_column={s.name: j for j, s in enumerate(schemas)})
+        return model
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MixtureModel is immutable; cannot set {name!r}")
+
+    @property
+    def params(self) -> tuple:
+        """The Z x V grid of parameter cells: params[z][v] is component z's
+        distribution of variable v. Built from the blocks on first access."""
+        if self._params is None:
+            columns = [_cells_of(family_for(s.kind), block, s.domain)
+                       for s, block in zip(self.schemas, self._blocks)]
+            self.__dict__["_params"] = tuple(zip(*columns))
+        return self._params
+
+    def _mass_table(self, column: int) -> np.ndarray:
+        """(Z, K) masses of a finite variable over its domain."""
+        if self.schemas[column].kind is VariableKind.CATEGORICAL:
+            return self._blocks[column][0]
+        return np.exp(self._log_masses[column])
 
     @property
     def n_components(self) -> int:
@@ -112,8 +155,10 @@ class MixtureModel:
 def parameter_count(model: MixtureModel) -> int:
     """Free parameters: (Z - 1) mixture weights, Z*V missing probs, family params."""
     total = (model.n_components - 1) + model.n_components * model.n_variables
-    for row in model.params:
-        total += sum(p.n_parameters for p in row)
+    for schema, block in zip(model.schemas, model._blocks):
+        # a categorical row of K probabilities has K - 1 free ones
+        categorical = schema.kind is VariableKind.CATEGORICAL
+        total += sum(a.size for a in block) - model.n_components * categorical
     return total
 
 
@@ -131,21 +176,20 @@ def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
     cols = range(model.n_variables) if columns is None else columns
     with np.errstate(divide="ignore"):
         out = np.tile(np.log(model.weights), (dataset.n_subjects, 1))
+        if mode == MODEL_MISSING:
+            log_missed = np.log(model.missing_probs).T
+            log_kept = np.log1p(-model.missing_probs).T
         for v in cols:
-            cells = [row[v] for row in model.params]
-            if mode == MODEL_MISSING:
-                q = model.missing_probs[:, v]
-                missed, kept = np.log(q), np.log1p(-q)
-            else:
-                missed, kept = 0.0, 0.0
-            if model.schemas[v].kind.is_finite:
-                log_masses = np.array([c.log_masses for c in cells]).T
-                table = np.empty((log_masses.shape[0] + 1, len(cells)))
+            missed, kept = (log_missed[v], log_kept[v]) if mode == MODEL_MISSING else (0.0, 0.0)
+            kind = model.schemas[v].kind
+            if kind.is_finite:
+                log_masses = model._log_masses[v].T
+                table = np.empty((log_masses.shape[0] + 1, model.n_components))
                 table[:-1] = kept + log_masses
                 table[-1] = missed  # picked by the missing code, -1
                 out += table[dataset.column_codes(v)]
             else:
-                densities = log_densities(cells, dataset.column_numeric(v))
+                densities = _LOG_PDF[kind](dataset.column_numeric(v)[:, None], *model._blocks[v])
                 out += np.where(dataset.missing_mask(v)[:, None], missed, kept + densities)
     return out
 

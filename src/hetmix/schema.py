@@ -350,6 +350,21 @@ class Dataset:
         span = float(values.max() - values.min())
         return span if span > 0 else 1.0
 
+    @cached_property
+    def _observed(self) -> tuple:
+        """Per column, what an M-step reads of it: (missing rows, observed
+        rows, observed values or codes, scale), the scale None for a
+        categorical column. Worked out once, since the table never changes."""
+        plan = []
+        for v, schema in enumerate(self.schemas):
+            rows = np.flatnonzero(~self._missing[:, v])
+            if schema.kind is VariableKind.CATEGORICAL:
+                observed, scale = self.column_codes(v)[rows], None
+            else:
+                observed, scale = self.column_numeric(v)[rows], self.column_scale(v)
+            plan.append((np.flatnonzero(self._missing[:, v]), rows, observed, scale))
+        return tuple(plan)
+
     def subset(self, subjects) -> "Dataset":
         """Dataset restricted to the given subject indices (order kept)."""
         return self._take(subjects, range(self.n_variables))

@@ -9,8 +9,9 @@ log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
 The M-step turns the (N, Z) responsibilities once into component-major
-(Z, N) rows and makes one batched ``weighted_updates`` call per variable
-for all components, so no per-component loop does family work.
+(Z, N) rows and fits one parameter block per variable for all components:
+no per-component loop and no parameter cell. What it reads of a cohort is
+worked out once per ``Dataset`` (``Dataset._observed``).
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EstimationError, default_params, weighted_updates
+from .distributions import (EstimationError, _block_of, _weighted_block,
+                            default_params)
 from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, normalize_log_joint,
                     parameter_count)
-from .schema import Dataset, SchemaViolationError, VariableKind, validate_dataset
+from .schema import Dataset, SchemaViolationError, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -79,11 +81,11 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
 
     Raises ComponentCollapseError if any component's total responsibility is
     below COLLAPSE_EPS, and EstimationError unless every responsibility is
-    finite and nonnegative. Family parameters use observed cells only, one
-    ``weighted_updates`` call per variable for all components; a component
-    with effectively no observed responsibility on a variable gets neutral
-    defaults (its missing probability is ~1 there, so they never carry
-    likelihood weight).
+    finite and nonnegative. Family parameters use observed cells only: one
+    block per variable is fitted for the components with observed
+    responsibility; a component with effectively none on a variable gets
+    neutral defaults (``default_params``; its missing probability is ~1
+    there, so they never carry likelihood weight).
     """
     alpha = np.asarray(responsibilities, dtype=float)
     n_subjects, n_comp = alpha.shape
@@ -100,29 +102,24 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     by_component = np.ascontiguousarray(alpha.T)
 
     missing_probs = np.empty((n_comp, dataset.n_variables))
-    columns = []
-    for v, schema in enumerate(dataset.schemas):
-        miss = dataset.missing_mask(v)
+    blocks = []
+    for v, (schema, (missed, rows, observed, scale)) in enumerate(
+            zip(dataset.schemas, dataset._observed)):
         # summed in row order, like totals: an all-missing column gives q == 1 exactly
-        missing_probs[:, v] = alpha.take(np.flatnonzero(miss), axis=0).sum(axis=0) / totals
-        rows = np.flatnonzero(~miss)
-        if schema.kind is VariableKind.CATEGORICAL:
-            observed = dataset.column_codes(v)[rows]
-            scale = None
-        else:
-            observed = dataset.column_numeric(v)[rows]
-            scale = dataset.column_scale(v)
-        domain = schema.domain if schema.kind.is_finite else None
+        missing_probs[:, v] = alpha.take(missed, axis=0).sum(axis=0) / totals
         # take, not a boolean mask: it keeps each component's row contiguous
         observed_weights = by_component.take(rows, axis=1)
         fitted = observed_weights.sum(axis=1) > ZERO_WEIGHT_EPS
-        updates = iter(weighted_updates(schema.kind, observed, observed_weights[fitted],
-                                        domain=domain, scale=scale))
-        columns.append([next(updates) if ok else
-                        default_params(schema.kind, domain=domain,
-                                       scale=scale if scale is not None else 1.0)
-                        for ok in fitted.tolist()])
-    return MixtureModel(weights, tuple(zip(*columns)), missing_probs, dataset.schemas)
+        block = _weighted_block(schema.kind, observed, observed_weights[fitted],
+                                schema.domain, scale)
+        if not fitted.all():
+            default = default_params(schema.kind, domain=schema.domain,
+                                     scale=1.0 if scale is None else scale)
+            partial, block = block, _block_of(schema.kind, [default] * n_comp)
+            for full, part in zip(block, partial):
+                full[fitted] = part
+        blocks.append(block)
+    return MixtureModel._from_blocks(weights, tuple(blocks), missing_probs, dataset.schemas)
 
 
 def _em_once(dataset: Dataset, order: int, config: EmConfig, rng):

@@ -10,6 +10,7 @@ tails, where joint likelihoods underflow.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 
 import oracles
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
-                    Dataset, Gaussian, InflatedGamma, MixtureModel,
+                    Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableSchema, component_log_likelihoods,
-                    default_params, m_step, weighted_mle)
-from hetmix.io import model_to_dict
+                    default_params, fit, m_step, weighted_mle)
+from hetmix.io import model_to_dict, save_model
 from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS
 
 SCHEMAS = (VariableSchema("x", "real"),
@@ -120,6 +121,28 @@ def test_e_step_underflow_scale(seed, n_comp, n_real, mode):
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+def _oracle_grid(dataset, alpha):
+    """The Z x V cells an M-step on ``alpha`` should give, one ``weighted_mle``
+    or ``default_params`` call per (component, variable)."""
+    columns = []
+    for j, schema in enumerate(dataset.schemas):
+        obs = ~dataset.missing_mask(j)
+        if schema.kind.value == "categorical":
+            values, scale = dataset.column_codes(j)[obs], None
+        else:
+            values, scale = dataset.column_numeric(j)[obs], dataset.column_scale(j)
+        domain = schema.domain or None
+        column = []
+        for z in range(alpha.shape[1]):
+            w = alpha[obs, z]
+            column.append(default_params(schema.kind, domain=domain,
+                                         scale=scale if scale is not None else 1.0)
+                          if w.sum() <= ZERO_WEIGHT_EPS else
+                          weighted_mle(schema.kind, values, w, domain=domain, scale=scale))
+        columns.append(column)
+    return tuple(zip(*columns))
+
+
 def _same_params(got, want):
     assert type(got) is type(want)
     for field in dataclasses.fields(want):
@@ -151,24 +174,68 @@ def test_m_step_matches_per_component_updates(seed, n_comp):
     model = m_step(dataset, alpha)
 
     assert np.allclose(model.weights, totals / totals.sum(), rtol=1e-12, atol=0)
-    for j, schema in enumerate(SCHEMAS):
+    want = _oracle_grid(dataset, alpha)
+    for j in range(len(SCHEMAS)):
         obs = observed[j]
         assert np.allclose(model.missing_probs[:, j], alpha[~obs].sum(axis=0) / totals,
                            rtol=1e-12, atol=1e-300)
-        if schema.kind.value == "categorical":
-            values, scale = dataset.column_codes(j)[obs], None
-        else:
-            values, scale = dataset.column_numeric(j)[obs], dataset.column_scale(j)
-        domain = schema.domain or None
         for z in range(n_comp):
-            w = alpha[obs, z]
-            if w.sum() <= ZERO_WEIGHT_EPS:
-                want = default_params(schema.kind, domain=domain,
-                                      scale=scale if scale is not None else 1.0)
-            else:
-                want = weighted_mle(schema.kind, values, w, domain=domain, scale=scale)
-            _same_params(model.params[z][j], want)
+            _same_params(model.params[z][j], want[z][j])
     assert model.params[0][X] == default_params("real", scale=dataset.column_scale(X))
     conc_1 = model.params[1][CONC]
     if (alpha[observed[CONC], 1] > 0).any():
         assert (conc_1.shape, conc_1.scale) == (1.0, 1.0)
+
+
+@given(seed=seeds, n_comp=st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_m_step_model_builds_its_grid_lazily(seed, n_comp):
+    rng = np.random.default_rng(seed)
+    dataset = _cohort(rng, int(rng.integers(10, 30)))
+    alpha = rng.dirichlet(np.ones(n_comp), size=dataset.n_subjects)
+    alpha[~dataset.missing_mask(X), 0] = 0.0  # component 0 takes x's defaults
+    if alpha.sum(axis=0).min() < COLLAPSE_EPS:
+        return
+    model = m_step(dataset, alpha)
+    assert model._params is None
+    again = pickle.loads(pickle.dumps(model))
+    assert again._params is None
+    want = _oracle_grid(dataset, alpha)
+    assert model.params == want
+    assert again.params == want
+    assert np.array_equal(component_log_likelihoods(again, dataset, MODEL_MISSING),
+                          component_log_likelihoods(model, dataset, MODEL_MISSING))
+
+
+def test_m_step_model_file_matches_the_grid_built_model(tmp_path):
+    rng = np.random.default_rng(3)
+    dataset = _cohort(rng, 40)
+    model = m_step(dataset, rng.dirichlet(np.ones(3), size=dataset.n_subjects))
+    save_model(model, tmp_path / "blocks.json")
+    rebuilt = MixtureModel(model.weights, model.params, model.missing_probs, model.schemas)
+    save_model(rebuilt, tmp_path / "grid.json")
+    assert (tmp_path / "blocks.json").read_bytes() == (tmp_path / "grid.json").read_bytes()
+
+
+def test_fit_reads_each_column_scale_once(monkeypatch):
+    calls = []
+    real = Dataset.column_scale
+
+    def counted(self, column):
+        calls.append(column)
+        return real(self, column)
+
+    import hetmix.training as training
+    steps = []
+    real_m_step = training.m_step
+
+    def counted_m_step(dataset, responsibilities):
+        steps.append(1)
+        return real_m_step(dataset, responsibilities)
+
+    dataset = _cohort(np.random.default_rng(5), 60)
+    monkeypatch.setattr(Dataset, "column_scale", counted)
+    monkeypatch.setattr(training, "m_step", counted_m_step)
+    fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12))
+    assert len(steps) > 2
+    assert sorted(calls) == [X, CONC, GRADE]  # once per numeric column

@@ -93,6 +93,16 @@ class TestQuantizedGaussian:
         with pytest.raises(ValueError):
             QuantizedGaussian(2.0, 1.0, (1, 2, 3)).log_density(4)
 
+    @pytest.mark.parametrize("level", [2.5, 2.0, True, False, "2", None])
+    def test_log_density_rejects_non_integer_levels(self, level):
+        # schema.validate_value rejects each of these for an ordinal variable
+        with pytest.raises(ValueError):
+            QuantizedGaussian(2.0, 1.0, (0, 1, 2, 3)).log_density(level)
+
+    def test_log_density_of_integer_levels(self):
+        q = QuantizedGaussian(2.0, 1.0, (1, 2, 3))
+        assert q.log_density(2) == q.log_density(np.int64(2)) == float(q.log_masses[1])
+
 
 class TestCategorical:
     def test_mass_table(self):

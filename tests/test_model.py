@@ -79,6 +79,14 @@ class TestMixtureModel:
             with pytest.raises(ValueError):
                 MixtureModel((1.0,), (row,), [[0.1, 0.1]], schemas)
 
+    def test_parameter_count_does_not_build_the_grid(self):
+        schemas = (VariableSchema("x", "real"),)
+        model = MixtureModel._from_blocks((1.0,), ((np.array([0.0]), np.array([1.0])),),
+                                          [[0.25]], schemas)
+        assert parameter_count(model) == 3
+        assert model._params is None
+        assert model.params == ((Gaussian(0.0, 1.0),),)
+
     def test_parameter_count_frozen(self):
         assert parameter_count(_single_gaussian_model()) == 3  # 0 + 1 + 2
         # 2 components, 2 vars: 1 weight + 4 q + 2*(2 gaussian + 1 categorical)
@@ -93,6 +101,48 @@ class TestMixtureModel:
         model = MixtureModel((0.5, 0.5), (row, row), np.full((2, 3), 0.1), schemas)
         # 1 + 6 + 2*(2 + 2 + 3) = 21
         assert parameter_count(model) == 21
+
+
+_NAN, _INF = math.nan, math.inf
+# family -> (schema of its variable, valid values of its block fields, in order)
+_BLOCK_CASES = {
+    Gaussian: (VariableSchema("x", "real"), (0.5, 2.0)),
+    InflatedGamma: (VariableSchema("c", "nonnegative"), (0.2, 1.5, 2.0)),
+    QuantizedGaussian: (VariableSchema("g", "ordinal", (1, 2, 3)), (2.0, 1.0)),
+    Categorical: (VariableSchema("s", "categorical", ("a", "b", "c")), ((0.2, 0.3, 0.5),)),
+}
+_MEAN = (_NAN, _INF, -_INF, -1e6, 0.0)
+_POSITIVE = (0.0, -1.0, _NAN, _INF, -_INF, 1e-300)
+
+
+@pytest.mark.parametrize("family, field, value", [
+    *[(f, 0, v) for f in (Gaussian, QuantizedGaussian) for v in _MEAN],
+    *[(f, 1, v) for f in (Gaussian, QuantizedGaussian) for v in _POSITIVE],
+    *[(InflatedGamma, 0, v) for v in (-1e-12, 1.0 + 1e-12, _NAN, _INF, 0.0, 1.0)],
+    *[(InflatedGamma, j, v) for j in (1, 2) for v in _POSITIVE],
+    *[(Categorical, 0, row) for row in (
+        (-0.1, 0.6, 0.5), (_NAN, 0.5, 0.5), (_INF, 0.0, 0.0), (0.2, 0.3, 0.5 + 1e-9),
+        (0.2, 0.3, 0.5 - 1e-9), (0.2, 0.3, 0.5 + 1e-13), (0.0, 0.0, 1.0))],
+])
+def test_block_checks_match_the_cell_checks(family, field, value):
+    """A model built from blocks refuses a block exactly when the family's
+    constructor refuses the bad cell in it."""
+    schema, good = _BLOCK_CASES[family]
+    bad = list(good)
+    bad[field] = value
+    domain = (schema.domain,) if schema.domain else ()
+    try:
+        family(*bad, *domain)
+        cell_ok = True
+    except ValueError:
+        cell_ok = False
+    block = tuple(np.array([g, b], dtype=float) for g, b in zip(good, bad))
+    try:
+        MixtureModel._from_blocks((0.5, 0.5), (block,), [[0.1], [0.1]], (schema,))
+        block_ok = True
+    except ValueError:
+        block_ok = False
+    assert block_ok == cell_ok
 
 
 class TestJointLikelihood:
