@@ -299,7 +299,7 @@ def family_for(kind: VariableKind):
     return _FAMILY_BY_KIND[VariableKind(kind)]
 
 
-# continuous family -> its density, called as pdf(x, *block)
+# continuous variable kind -> its family's log density, called as pdf(x, *block)
 _LOG_PDF = {VariableKind.REAL: _gaussian_log_pdf,
             VariableKind.NONNEGATIVE: _inflated_gamma_log_pdf}
 
