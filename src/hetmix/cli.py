@@ -204,20 +204,18 @@ def run_select(arguments: dict, out_dir) -> list:
     return ["bic_table.csv", "model.json", "trace.csv"]
 
 
-def _shared_payloads(model, targets) -> dict:
-    """name -> (the part of the target's JSON payload that every record
-    shares, the prediction field each record adds): a finite target's kind
-    and domain, a continuous target's kind and serialized components."""
-    shared = {}
-    for name in targets:
-        j = model.column_index(name)
-        kind, domain = model.schemas[j].kind, model.schemas[j].domain
-        if kind.is_finite:
-            shared[name] = ({"kind": kind.value, "domain": list(domain)}, "probabilities")
-        else:
-            components = [params_to_dict(row[j]) for row in model.params]
-            shared[name] = ({"kind": kind.value, "components": components}, "weights")
-    return shared
+def _payload_writer(model, name):
+    """A function of target ``name``'s prediction giving its JSON payload. What
+    every record shares (kind, and domain or serialized components) is built
+    here, once."""
+    j = model.column_index(name)
+    kind = model.schemas[j].kind
+    if kind.is_finite:
+        shared = {"kind": kind.value, "domain": list(model.schemas[j].domain)}
+        return lambda p: {**shared, "probabilities": p.probabilities.tolist(),
+                          "point": point_predict(p)}
+    shared = {"kind": kind.value, "components": [params_to_dict(row[j]) for row in model.params]}
+    return lambda p: {**shared, "weights": p.weights.tolist(), "point": point_predict(p)}
 
 
 def run_infer(arguments: dict, out_dir) -> list:
@@ -227,19 +225,16 @@ def run_infer(arguments: dict, out_dir) -> list:
     evidence, columns = read_evidence_csv(arguments["evidence"], model,
                                           arguments["missing_token"])
     results = infer_many(model, evidence, columns, targets, arguments["mode"])
-    failed, shared = [], {}
+    writers = {name: _payload_writer(model, name) for name in targets}
+    failed = []
 
     def line(i, predicted) -> str:
         if isinstance(predicted, Exception):
             failed.append(i)
             payload = {"record": i, "error": str(predicted)}
         else:
-            if not shared:  # infer_many has checked the targets by now
-                shared.update(_shared_payloads(model, targets))
             payload = {"record": i, "posterior": predicted.posterior.tolist(),
-                       "targets": {name: {**fixed, field: getattr(predicted[name], field).tolist(),
-                                          "point": point_predict(predicted[name])}
-                                   for name, (fixed, field) in shared.items()}}
+                       "targets": {name: write(predicted[name]) for name, write in writers.items()}}
         return json.dumps(payload, sort_keys=True) + "\n"
 
     atomic_write_text(out_dir / "predictions.jsonl",

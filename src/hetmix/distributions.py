@@ -91,15 +91,16 @@ _PARAM_RULES = dict(mean=("finite", -math.inf, math.inf, False),
                                     ("positive and finite", 0.0, math.inf, False)))
 
 
-def _check_params(values: dict):
-    """Raise ValueError unless each parameter field -> value (one per
-    component, or one row per component for ``probs``) passes its rule;
-    TypeError for a value that is not a number."""
+def _check_params(values: dict, ndim: int = 0):
+    """Raise ValueError unless each parameter field -> value passes its rule;
+    TypeError for a value that is not numeric or does not have ``ndim`` axes
+    (0 for a cell, 1 for a block), plus one for ``probs``."""
     for name, value in values.items():
         rule, lo, hi, closed = _PARAM_RULES[name]
         x = np.asarray(value)
-        if x.dtype.kind not in "biuf":
-            raise TypeError(f"{name} must be a number, got {value!r}")
+        if x.dtype.kind not in "biuf" or x.ndim != ndim + (name == "probs"):
+            raise TypeError(f"{name} must be numeric with {ndim + (name == 'probs')} "
+                            f"axes, got {value!r}")
         low, high = x.min(), x.max()
         if (not (lo <= low and high <= hi if closed else lo < low and high < hi)
                 or name == "probs" and not (abs(x.sum(axis=-1) - 1.0) <= 1e-12).all()):
@@ -308,10 +309,17 @@ _BLOCK_FIELDS = {kind: tuple(f.name for f in fields(cls) if f.name != "domain")
                  for kind, cls in _FAMILY_BY_KIND.items()}
 
 
-def _block_of(kind: VariableKind, cells) -> tuple:
-    """The block of the Z cells ``cells`` of a ``kind`` variable."""
+def _block_of(schema, cells) -> tuple:
+    """The block of the Z cells ``cells`` of the variable ``schema``; ValueError
+    unless each cell is of the variable's family and over its domain."""
+    family = family_for(schema.kind)
+    for z, cell in enumerate(cells):
+        if not (isinstance(cell, family) and getattr(cell, "domain", ()) == schema.domain):
+            raise ValueError(f"component {z}, variable {schema.name!r}: a {schema.kind.value} "
+                             f"variable needs a {family.family} block over {schema.domain}, "
+                             f"got {cell!r}")
     return tuple(np.array([getattr(c, f) for c in cells], dtype=float)
-                 for f in _BLOCK_FIELDS[kind])
+                 for f in _BLOCK_FIELDS[schema.kind])
 
 
 def _cells_of(family, block, domain) -> list:

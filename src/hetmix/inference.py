@@ -119,10 +119,11 @@ def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
                targets, mode: str) -> Iterator:
     """Predict the targets of every record of ``dataset`` from its ``columns``.
 
-    Before the first result, checks targets and mode by an ``InferenceRequest``
-    and makes one likelihood pass over the records without bad cells. Yields
-    per record, in order, its ``PredictiveDistribution`` or the error failing
-    it: SchemaViolationError (bad cells in ``columns`` order, row None), ZeroLikelihoodError."""
+    Checks targets and mode by an ``InferenceRequest`` and makes one
+    likelihood pass over the records without bad cells, then returns an
+    iterator giving per record, in order, its ``PredictiveDistribution`` or the
+    error failing it: SchemaViolationError (bad cells in ``columns`` order, row
+    None), ZeroLikelihoodError."""
     names = dict.fromkeys(dataset.schemas[j].name for j in columns)
     targets = InferenceRequest(names, targets, mode).targets
     for name in targets:
@@ -136,10 +137,10 @@ def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
     posteriors = iter(_posteriors(component_log_likelihoods(model, clean, mode, columns))
                       if good else ())
     tables = target_tables(model, targets)
-    for i in range(dataset.n_subjects):
-        result = SchemaViolationError(bad[i]) if i in bad else next(posteriors)
-        yield (result if isinstance(result, Exception)
-               else PredictiveDistribution(predict_targets(tables, result), result))
+    results = (SchemaViolationError(bad[i]) if i in bad else next(posteriors)
+               for i in range(dataset.n_subjects))
+    return (r if isinstance(r, Exception) else PredictiveDistribution(predict_targets(tables, r), r)
+            for r in results)
 
 
 def _posteriors(log_comp: np.ndarray):
@@ -158,8 +159,7 @@ def target_tables(model: MixtureModel, targets) -> dict:
     for name in targets:
         j = model.column_index(name)
         finite = model.schemas[j].kind.is_finite
-        tables[name] = (model.schemas[j], model._mass_table(j) if finite
-                        else tuple(row[j] for row in model.params))
+        tables[name] = (model.schemas[j], model._mass_table(j) if finite else model._cells(j))
     return tables
 
 

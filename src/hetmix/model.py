@@ -60,17 +60,8 @@ class MixtureModel:
         params = tuple(tuple(row) for row in params)
         if np.shape(weights)[:1] != (len(params),) or any(len(r) != len(schemas) for r in params):
             raise ValueError(f"params must hold one row of {len(schemas)} cells per weight")
-        blocks = []
-        for v, schema in enumerate(schemas):
-            family = family_for(schema.kind)
-            for z, row in enumerate(params):
-                cell = row[v]
-                if not (isinstance(cell, family) and getattr(cell, "domain", ()) == schema.domain):
-                    raise ValueError(f"component {z}, variable {schema.name!r}: a "
-                                     f"{schema.kind.value} variable needs a {family.family} "
-                                     f"block over {schema.domain}, got {cell!r}")
-            blocks.append(_block_of(schema.kind, [row[v] for row in params]))
-        packed = MixtureModel._from_blocks(weights, tuple(blocks), missing_probs, schemas)
+        blocks = tuple(_block_of(s, [row[v] for row in params]) for v, s in enumerate(schemas))
+        packed = MixtureModel._from_blocks(weights, blocks, missing_probs, schemas)
         self.__dict__.update(packed.__dict__, _params=params)
 
     @classmethod
@@ -103,8 +94,8 @@ class MixtureModel:
                 by_field.setdefault(name, []).append(a)
         # each field checked once over all variables; probability rows per variable
         for probs in by_field.pop("probs", ()):
-            _check_params({"probs": probs})
-        _check_params({name: np.concatenate(arrays) for name, arrays in by_field.items()})
+            _check_params({"probs": probs}, 1)
+        _check_params({name: np.concatenate(arrays) for name, arrays in by_field.items()}, 1)
         weights.setflags(write=False)
         missing.setflags(write=False)
         model = cls.__new__(cls)
@@ -123,10 +114,13 @@ class MixtureModel:
         """The Z x V grid of parameter cells: params[z][v] is component z's
         distribution of variable v. Built from the blocks on first access."""
         if self._params is None:
-            columns = [_cells_of(family_for(s.kind), block, s.domain)
-                       for s, block in zip(self.schemas, self._blocks)]
-            self.__dict__["_params"] = tuple(zip(*columns))
+            self.__dict__["_params"] = tuple(zip(*map(self._cells, range(self.n_variables))))
         return self._params
+
+    def _cells(self, column: int) -> tuple:
+        """The Z cells of variable ``column``, built from its block alone."""
+        schema = self.schemas[column]
+        return tuple(_cells_of(family_for(schema.kind), self._blocks[column], schema.domain))
 
     def _mass_table(self, column: int) -> np.ndarray:
         """(Z, K) masses of a finite variable over its domain."""

@@ -113,9 +113,8 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
         block = _weighted_block(schema.kind, observed, observed_weights[fitted],
                                 schema.domain, scale)
         if not fitted.all():
-            default = default_params(schema.kind, domain=schema.domain,
-                                     scale=1.0 if scale is None else scale)
-            partial, block = block, _block_of(schema.kind, [default] * n_comp)
+            default = default_params(schema.kind, domain=schema.domain, scale=scale or 1.0)
+            partial, block = block, _block_of(schema, [default] * n_comp)
             for full, part in zip(block, partial):
                 full[fitted] = part
         blocks.append(block)

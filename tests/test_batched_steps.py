@@ -21,6 +21,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableSchema, component_log_likelihoods,
                     default_params, fit, m_step, weighted_mle)
+from hetmix.inference import target_tables
 from hetmix.io import model_to_dict, save_model
 from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS
 
@@ -201,6 +202,9 @@ def test_m_step_model_builds_its_grid_lazily(seed, n_comp):
     again = pickle.loads(pickle.dumps(model))
     assert again._params is None
     want = _oracle_grid(dataset, alpha)
+    # a continuous target's table is its column alone; the grid stays unbuilt
+    assert target_tables(model, ["x"])["x"][1] == tuple(row[X] for row in want)
+    assert model._params is None
     assert model.params == want
     assert again.params == want
     assert np.array_equal(component_log_likelihoods(again, dataset, MODEL_MISSING),

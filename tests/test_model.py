@@ -17,6 +17,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     parameter_count, row_log_likelihoods, sample_cohort,
                     total_log_likelihood)
 from hetmix.demo import demo_model, small_demo_model
+from hetmix.distributions import _BLOCK_FIELDS, _check_params
 from hetmix.io import model_to_dict
 
 
@@ -143,6 +144,32 @@ def test_block_checks_match_the_cell_checks(family, field, value):
     except ValueError:
         block_ok = False
     assert block_ok == cell_ok
+
+
+@pytest.mark.parametrize("family, field, value", [
+    (Gaussian, 0, [0.0, 1.0]),
+    (QuantizedGaussian, 1, np.ones(2)),
+    (InflatedGamma, 0, np.array([[0.2]])),
+    (InflatedGamma, 1, [1.0, 2.0]),
+    (Categorical, 0, ((0.2, 0.3, 0.5),) * 3),
+])
+def test_cells_and_blocks_refuse_extra_axes(family, field, value):
+    """A cell field holding an array is refused (TypeError), and so is a block
+    array with one axis too many (ValueError), never broadcast."""
+    schema, good = _BLOCK_CASES[family]
+    bad = list(good)
+    bad[field] = value
+    domain = (schema.domain,) if schema.domain else ()
+    with pytest.raises(TypeError):
+        family(*bad, *domain)
+    block = [np.array([g, g], dtype=float) for g in good]
+    block[field] = block[field][..., None]
+    with pytest.raises(ValueError):
+        MixtureModel._from_blocks((0.5, 0.5), (tuple(block),), [[0.1], [0.1]], (schema,))
+    name = _BLOCK_FIELDS[schema.kind][field]
+    _check_params({name: block[field][..., 0]}, 1)
+    with pytest.raises(TypeError):
+        _check_params({name: block[field]}, 1)
 
 
 class TestJointLikelihood:
