@@ -98,6 +98,8 @@ def _check_params(values: dict, ndim: int = 0):
     for name, value in values.items():
         rule, lo, hi, closed = _PARAM_RULES[name]
         x = np.asarray(value)
+        if x.dtype.kind == "O" and hasattr(type(value), "__float__"):
+            x = np.asarray(float(value))  # a Fraction, a Decimal or an int past int64
         if x.dtype.kind not in "biuf" or x.ndim != ndim + (name == "probs"):
             raise TypeError(f"{name} must be numeric with {ndim + (name == 'probs')} "
                             f"axes, got {value!r}")
@@ -352,7 +354,8 @@ def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
     kind = VariableKind(kind)
     if kind.is_finite and domain is None:
         raise EstimationError(f"{kind.value} update needs the domain")
-    domain = tuple(map(int, domain)) if kind is VariableKind.ORDINAL else tuple(domain or ())
+    domain = (tuple(map(int, domain)) if kind is VariableKind.ORDINAL
+              else tuple(domain) if kind.is_finite else ())
     block = _weighted_block(kind, values, np.asarray(weights, dtype=float), domain, scale)
     return _cells_of(family_for(kind), block, domain)
 

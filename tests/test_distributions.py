@@ -172,6 +172,9 @@ class TestWeightedMle:
         again = weighted_mle(VariableKind.CATEGORICAL, np.array([0, 1, 1]),
                              [1.0, 1.0, 2.0], domain=("a", "b", "c"))
         assert again == got
+        # any sequence is a domain, a numpy array included
+        assert weighted_mle(VariableKind.CATEGORICAL, ["a", "b", "b"], [1.0, 1.0, 2.0],
+                            domain=np.array(["a", "b", "c"])) == got
 
     def test_gamma_zero_handling(self):
         got = weighted_mle(VariableKind.NONNEGATIVE,

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +146,17 @@ def test_block_checks_match_the_cell_checks(family, field, value):
     except ValueError:
         block_ok = False
     assert block_ok == cell_ok
+
+
+def test_cell_fields_take_any_number_float_takes():
+    """A cell field may be any number ``float`` converts, not text."""
+    schemas = (VariableSchema("x", "real"), VariableSchema("c", "nonnegative"))
+    row = (Gaussian(Fraction(1, 2), Decimal("2")), InflatedGamma(0.5, 2 ** 70, 1.0))
+    model = MixtureModel((1.0,), (row,), [[0.1, 0.1]], schemas)
+    assert model._cells(0) == (Gaussian(0.5, 2.0),)
+    assert model._blocks[1][1].tolist() == [2.0 ** 70]
+    with pytest.raises(TypeError):
+        Gaussian("0.5", 1.0)
 
 
 @pytest.mark.parametrize("family, field, value", [
