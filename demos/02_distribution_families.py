@@ -5,8 +5,9 @@ The four per-variable distribution families
 Each variable kind is tied to one family: real -> Gaussian, nonnegative ->
 zero-inflated Gamma, ordinal -> Gaussian masses quantized onto the integer
 domain, categorical -> a probability table. All four expose log_density and
-sample, and all four have a closed-form weighted maximum-likelihood step,
-which is what the EM M-step calls.
+sample, and all four have a closed-form weighted maximum-likelihood step.
+weighted_mle is its checked entry for one component; the EM M-step runs the
+same step, unchecked, on all components of a variable at once.
 """
 
 import math

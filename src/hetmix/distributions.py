@@ -18,9 +18,9 @@ A *block* holds a family's parameters for Z components, one array per field
 but ``domain``: ``mean``, ``variance``, ``zero_prob``, ``shape``, ``scale``
 (Z,), ``probs`` (Z, K). EM reads and writes blocks; the dataclasses are their
 per-cell view. The weighted maximum-likelihood update fits a block of Z
-components from a (Z, M) weight matrix (``_weighted_block``);
-``weighted_updates`` returns its Z cells and ``weighted_mle`` is its
-one-component call. ``log_sum_exp`` is the package's one log-sum-exp.
+components from a (Z, M) weight matrix (``_weighted_block``, unchecked);
+``weighted_mle`` is its checked one-component entry. ``log_sum_exp`` is the
+package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -109,6 +109,13 @@ def _check_params(values: dict, ndim: int = 0):
             raise ValueError(f"{name} must be {rule}, got {value}")
 
 
+def _store_params(cell, **values):
+    """Check a cell's parameter fields, then store them as the floats its methods take."""
+    _check_params(values)
+    for name, value in values.items():
+        object.__setattr__(cell, name, float(value))
+
+
 @dataclass(frozen=True)
 class ParamFloors:
     """Numerical floors and caps that keep component likelihoods finite.
@@ -136,10 +143,9 @@ class Gaussian:
     mean: float
     variance: float
     family = "gaussian"
-    n_parameters = 2
 
     def __post_init__(self):
-        _check_params({"mean": self.mean, "variance": self.variance})
+        _store_params(self, mean=self.mean, variance=self.variance)
 
     def log_density(self, x):
         return _gaussian_log_pdf(np.asarray(x, dtype=float), self.mean, self.variance)
@@ -166,10 +172,9 @@ class InflatedGamma:
     shape: float
     scale: float
     family = "inflated_gamma"
-    n_parameters = 3
 
     def __post_init__(self):
-        _check_params({"zero_prob": self.zero_prob, "shape": self.shape, "scale": self.scale})
+        _store_params(self, zero_prob=self.zero_prob, shape=self.shape, scale=self.scale)
 
     def log_density(self, x):
         xs = np.asarray(x, dtype=float)
@@ -200,10 +205,9 @@ class QuantizedGaussian:
     domain: tuple
 
     family = "quantized_gaussian"
-    n_parameters = 2
 
     def __post_init__(self):
-        _check_params({"mean": self.mean, "variance": self.variance})
+        _store_params(self, mean=self.mean, variance=self.variance)
         object.__setattr__(self, "domain", tuple(int(d) for d in self.domain))
         if len(self.domain) < 2 or any(a >= b for a, b in zip(self.domain, self.domain[1:])):
             raise ValueError("domain must be strictly increasing with >= 2 levels")
@@ -256,29 +260,13 @@ class Categorical:
             raise ValueError("domain needs at least 2 symbols")
         _check_params({"probs": self.probs})
 
-    @property
-    def n_parameters(self) -> int:
-        return len(self.domain) - 1
-
-    @cached_property
-    def log_masses(self) -> np.ndarray:
-        out = _log_mass_table(VariableKind.CATEGORICAL, self.domain,
-                              (np.asarray([self.probs]),))[0]
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        out = np.asarray(self.probs)
-        out.setflags(write=False)
-        return out
-
     def log_density(self, x):
         try:
             idx = self.domain.index(x)
         except ValueError:
             raise ValueError(f"symbol {x!r} not in domain {self.domain}") from None
-        return float(self.log_masses[idx])
+        with np.errstate(divide="ignore"):
+            return float(np.log(self.probs[idx]))
 
     def sample(self, rng, size=None):
         codes = rng.choice(len(self.domain), size=size, p=np.asarray(self.probs))
@@ -333,43 +321,59 @@ def _cells_of(family, block, domain) -> list:
 def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
                  scale=None) -> Params:
     """Responsibility-weighted maximum-likelihood update of one component:
-    ``weighted_updates`` with a single weight row.
+    the checked entry to ``_weighted_block``.
 
-    ``weights`` (one per value) must be finite and nonnegative with a
-    positive total; otherwise EstimationError.
+    ``values`` must be finite numbers for a continuous kind (>= 0 if
+    nonnegative), levels of ``domain`` for an ordinal, and symbols of
+    ``domain`` or their integer codes for a categorical. ``weights`` (one per
+    value) must be finite and nonnegative with a positive total. Anything
+    else raises EstimationError. ``scale`` feeds the variance floor and
+    defaults to the value span (ordinals: the domain span), 1.0 when that is 0.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or not np.isfinite(weights).all() or (weights < 0).any():
-        raise EstimationError("weights must be finite and nonnegative")
-    if not weights.sum() > 0:
-        raise EstimationError("total weight is zero")
-    return weighted_updates(kind, values, weights[None, :], domain=domain, scale=scale)[0]
-
-
-def weighted_updates(kind: VariableKind, values, weights, *, domain=None,
-                     scale=None) -> list:
-    """Responsibility-weighted maximum-likelihood updates of Z components of
-    one family at once, one per row of the (Z, M) ``weights``: the Z cells of
-    the block ``_weighted_block`` fits."""
     kind = VariableKind(kind)
     if kind.is_finite and domain is None:
         raise EstimationError(f"{kind.value} update needs the domain")
     domain = (tuple(map(int, domain)) if kind is VariableKind.ORDINAL
               else tuple(domain) if kind.is_finite else ())
-    block = _weighted_block(kind, values, np.asarray(weights, dtype=float), domain, scale)
-    return _cells_of(family_for(kind), block, domain)
+    categorical = kind is VariableKind.CATEGORICAL
+    try:
+        values = np.asarray(values)
+        if categorical and values.dtype.kind not in "iu":
+            index = {v: i for i, v in enumerate(domain)}
+            codes = [index.get(v, -1) for v in values.ravel().tolist()]
+            values = np.reshape(np.array(codes, dtype=np.int64), values.shape)
+    except (TypeError, ValueError) as err:  # ragged or unhashable values
+        raise EstimationError(f"{kind.value} values must be scalars: {err}") from None
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or values.shape != weights.shape:
+        raise EstimationError("values and weights must be two vectors of one length")
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
+        raise EstimationError("weights must be finite and nonnegative with a positive total")
+    if not categorical and values.dtype.kind not in "iuf":
+        raise EstimationError(f"{kind.value} values must be numbers, got {values.dtype}")
+    values = values.astype(np.int64 if categorical else float)
+    admissible = ((values >= 0) & (values < len(domain)) if categorical
+                  else np.isin(values, domain) if kind is VariableKind.ORDINAL
+                  else np.isfinite(values) & ((values >= 0) | (kind is VariableKind.REAL)))
+    if not admissible.all():
+        raise EstimationError(f"inadmissible {kind.value} values at positions "
+                              f"{np.flatnonzero(~admissible)[:5].tolist()}")
+    if scale is None:
+        scale = (domain[-1] - domain[0] if kind is VariableKind.ORDINAL
+                 else float(values.max() - values.min()) or 1.0)
+    block = _weighted_block(kind, values, weights[None, :], domain, scale)
+    return _cells_of(family_for(kind), block, domain)[0]
 
 
 def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, scale) -> tuple:
     """The block of Z components fitted to the rows of the (Z, M) ``weights``.
 
-    ``values`` holds the M observed cells: floats for continuous kinds, integer
-    levels for ordinals, symbols (or precomputed integer domain codes) for
-    categoricals. Every weight row must be finite and nonnegative with a
-    positive total; callers check this (``weighted_mle``, ``m_step``).
-    ``domain`` is required for finite kinds; ``scale`` feeds the variance
-    floor and defaults to the value span (ordinals: the domain span). Floors
-    come from DEFAULT_FLOORS.
+    Nothing is checked here; the callers (``weighted_mle``, ``m_step``) pass
+    admissible input. ``values`` holds the M observed cells: int64 domain
+    codes for categoricals, else floats (finite, >= 0 for nonnegative kinds,
+    levels of ``domain`` for ordinals). Every weight row is finite and
+    nonnegative with a positive total. ``scale`` feeds the variance floor of
+    real and ordinal kinds. Floors come from DEFAULT_FLOORS.
 
     Each moment is a per-row dot product (``np.vecdot``), so a row's result
     does not depend on the other rows. The Gamma update excludes zeros from
@@ -382,41 +386,21 @@ def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, sca
     total = weights.sum(axis=1)
 
     if kind is VariableKind.CATEGORICAL:
-        values = np.asarray(values)
-        if values.dtype.kind in "iu":
-            codes = values.astype(np.int64)
-        else:
-            index = {v: i for i, v in enumerate(domain)}
-            codes = np.fromiter((index[v] for v in values), dtype=np.int64, count=len(values))
         k = len(domain)
-        if codes.size and not 0 <= codes.min() <= codes.max() < k:
-            raise EstimationError(f"categorical codes outside 0..{k - 1}")
         # one bincount over (component, code) slots, each summed in value order
-        slots = (np.arange(n_comp)[:, None] * k + codes).ravel()
+        slots = (np.arange(n_comp)[:, None] * k + values).ravel()
         counts = np.bincount(slots, weights=weights.ravel(), minlength=n_comp * k)
         probs = counts.reshape(n_comp, k) / total[:, None] + DEFAULT_FLOORS.categorical_pseudo
         probs /= probs.sum(axis=1, keepdims=True)
         return (probs,)
 
-    values = np.asarray(values, dtype=float)
-    if values.shape != weights.shape[1:]:
-        raise EstimationError("values and weights lengths differ")
-
     if kind is VariableKind.REAL or kind is VariableKind.ORDINAL:
-        if kind is VariableKind.ORDINAL:
-            if scale is None:
-                scale = domain[-1] - domain[0]
-        elif scale is None:
-            scale = values.max() - values.min() if values.size else 1.0
-            scale = scale if scale > 0 else 1.0
         mean = np.vecdot(weights, values) / total
         var = np.vecdot(weights, (values - mean[:, None]) ** 2) / total
         var = np.maximum(var, DEFAULT_FLOORS.rel_variance * float(scale) ** 2)
         return mean, var
 
     # nonnegative: zero inflation plus Gamma on the positive part
-    if (values < 0).any():
-        raise EstimationError("nonnegative update received negative values")
     zero = values == 0
     zero_prob = np.clip(weights.take(np.flatnonzero(zero), axis=1).sum(axis=1) / total, 0.0, 1.0)
     positive = np.flatnonzero(~zero)

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ class TestCategorical:
     def test_mass_table(self):
         c = Categorical((0.2, 0.8), ("a", "b"))
         assert c.log_density("b") == math.log(0.8)
-        assert c.masses.tolist() == [0.2, 0.8]
+        assert c.probs == (0.2, 0.8)
 
     def test_zero_probability_symbol(self):
         c = Categorical((0.0, 1.0), ("a", "b"))
@@ -118,18 +120,27 @@ class TestCategorical:
         with pytest.raises(ValueError):
             Categorical((0.2, 0.7), ("a", "b"))
 
-    def test_n_parameters(self):
-        assert Gaussian(0, 1).n_parameters == 2
-        assert InflatedGamma(0.1, 1, 1).n_parameters == 3
-        assert QuantizedGaussian(0, 1, (0, 1)).n_parameters == 2
-        assert Categorical((0.5, 0.3, 0.2), ("a", "b", "c")).n_parameters == 2
-
 
 def test_family_for():
     assert family_for(VariableKind.REAL) is Gaussian
     assert family_for("nonnegative") is InflatedGamma
     assert family_for("ordinal") is QuantizedGaussian
     assert family_for("categorical") is Categorical
+
+
+def test_cells_evaluate_any_number_the_checks_take():
+    """A cell stores each checked numeric field as a float, so a Decimal or a
+    Fraction field evaluates as its float does; text stays a TypeError."""
+    assert Gaussian(0.5, Decimal("1.0")).log_density(0.3) == Gaussian(0.5, 1.0).log_density(0.3)
+    assert (InflatedGamma(Decimal("0.5"), 1.0, 1.0).log_density(0.3)
+            == InflatedGamma(0.5, 1.0, 1.0).log_density(0.3))
+    assert (QuantizedGaussian(Decimal("2"), 1.0, (1, 2, 3)).log_density(1)
+            == QuantizedGaussian(2.0, 1.0, (1, 2, 3)).log_density(1))
+    cell = Gaussian(Fraction(1, 2), Decimal("2"))
+    assert cell == Gaussian(0.5, 2.0)
+    assert type(cell.mean) is type(cell.variance) is float
+    with pytest.raises(TypeError):
+        InflatedGamma(0.5, "1.0", 1.0)
 
 
 def test_sampling_is_deterministic():
@@ -201,6 +212,39 @@ class TestWeightedMle:
             weighted_mle(VariableKind.REAL, [1.0, 2.0], [0.0, 0.0])
         with pytest.raises(EstimationError):
             weighted_mle(VariableKind.REAL, [], [])
+
+    @pytest.mark.parametrize("kind, values, domain", [
+        ("categorical", ["a", "b"], ("a", "b")),  # lengths differ from the weights
+        ("categorical", ["a", "b", "z"], ("a", "b")),
+        ("categorical", [0, 1, 2], ("a", "b")),
+        ("categorical", [0, -1, 1], ("a", "b")),
+        ("categorical", [{}, "a", "b"], ("a", "b")),  # unhashable
+        ("categorical", "aba", ("a", "b")),  # one symbol, not three
+        ("ordinal", [1, 2, 9], (1, 2, 3)),
+        ("ordinal", [1.5, 2, 3], (1, 2, 3)),
+        ("ordinal", [1, 2, math.nan], (1, 2, 3)),
+        ("ordinal", ["1", "2", "3"], (1, 2, 3)),
+        ("real", [1.0, math.nan, 2.0], None),
+        ("real", [1.0, math.inf, 2.0], None),
+        ("real", ["1", "2", "3"], None),
+        ("real", [1.0, [2.0, 3.0], 4.0], None),  # ragged
+        ("nonnegative", [1.0, -math.inf, 2.0], None),
+        ("nonnegative", [1.0, -0.5, 2.0], None),
+        ("nonnegative", [1.0, math.nan, 2.0], None),
+    ])
+    def test_inadmissible_values(self, kind, values, domain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError):
+                weighted_mle(kind, values, [1.0, 1.0, 1.0], domain=domain)
+
+    def test_integer_valued_levels_and_codes(self):
+        want = weighted_mle(VariableKind.ORDINAL, [1, 2, 2], [1.0, 1.0, 1.0], domain=(1, 2, 3))
+        assert weighted_mle(VariableKind.ORDINAL, np.array([1.0, 2.0, 2.0]), [1.0, 1.0, 1.0],
+                            domain=(1, 2, 3)) == want
+        want = weighted_mle(VariableKind.CATEGORICAL, ["b", "a"], [1.0, 2.0], domain=("a", "b"))
+        assert weighted_mle(VariableKind.CATEGORICAL, np.array([1, 0], dtype=np.uint8),
+                            [1.0, 2.0], domain=("a", "b")) == want
 
     def test_shape_bounds_clamped(self):
         # near-constant positive values push the shape estimate sky high

@@ -97,13 +97,14 @@ class TestMixtureModel:
 
     def test_parameter_count_all_families(self):
         schemas = (VariableSchema("x", "real"),
+                   VariableSchema("g", "nonnegative"),
                    VariableSchema("s", "ordinal", (1, 2, 3)),
                    VariableSchema("c", "categorical", ("a", "b", "c", "d")))
-        row = (Gaussian(0, 1), QuantizedGaussian(2, 1, (1, 2, 3)),
+        row = (Gaussian(0, 1), InflatedGamma(0.1, 1, 1), QuantizedGaussian(2, 1, (1, 2, 3)),
                Categorical((0.25,) * 4, ("a", "b", "c", "d")))
-        model = MixtureModel((0.5, 0.5), (row, row), np.full((2, 3), 0.1), schemas)
-        # 1 + 6 + 2*(2 + 2 + 3) = 21
-        assert parameter_count(model) == 21
+        model = MixtureModel((0.5, 0.5), (row, row), np.full((2, 4), 0.1), schemas)
+        # 1 + 8 + 2*(2 + 3 + 2 + 3) = 29
+        assert parameter_count(model) == 29
 
 
 _NAN, _INF = math.nan, math.inf
