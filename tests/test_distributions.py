@@ -13,8 +13,8 @@ from scipy import integrate, stats
 from scipy.special import logsumexp
 
 from hetmix import (Categorical, EstimationError, Gaussian, InflatedGamma,
-                    QuantizedGaussian, VariableKind, default_params,
-                    family_for, weighted_mle)
+                    MixtureModel, QuantizedGaussian, VariableKind, VariableSchema,
+                    default_params, family_for, parameter_count, weighted_mle)
 from hetmix.distributions import DEFAULT_FLOORS, log_sum_exp
 
 
@@ -119,6 +119,18 @@ class TestCategorical:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
             Categorical((0.2, 0.7), ("a", "b"))
+
+    def test_n_parameters(self):
+        def free(kind, cell, domain=()):
+            # one component and one variable add one missing probability
+            schemas = (VariableSchema("x", kind, domain),)
+            return parameter_count(MixtureModel((1.0,), ((cell,),), [[0.1]], schemas)) - 1
+
+        assert free("real", Gaussian(0, 1)) == 2
+        assert free("nonnegative", InflatedGamma(0.1, 1, 1)) == 3
+        assert free("ordinal", QuantizedGaussian(0, 1, (0, 1)), (0, 1)) == 2
+        assert free("categorical", Categorical((0.5, 0.3, 0.2), ("a", "b", "c")),
+                    ("a", "b", "c")) == 2
 
 
 def test_family_for():
