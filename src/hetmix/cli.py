@@ -134,8 +134,10 @@ def parse_orders(text: str) -> list:
     for part in str(text).split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            orders.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"reversed range {part!r} in {text!r}")
+            orders.extend(range(lo, hi + 1))
         elif part:
             orders.append(int(part))
     if not orders:

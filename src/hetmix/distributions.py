@@ -361,19 +361,26 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
     if scale is None:
         scale = (domain[-1] - domain[0] if kind is VariableKind.ORDINAL
                  else float(values.max() - values.min()) or 1.0)
-    block = _weighted_block(kind, values, weights[None, :], domain, scale)
+    block = _weighted_block(kind, values[None, :], weights[None, :], domain, _variance_floor(scale))
     return _cells_of(family_for(kind), block, domain)[0]
 
 
-def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, scale) -> tuple:
-    """The block of Z components fitted to the rows of the (Z, M) ``weights``.
+def _variance_floor(scale) -> float:
+    """The smallest variance of a real or ordinal column of natural scale ``scale``."""
+    return DEFAULT_FLOORS.rel_variance * float(scale) ** 2
 
-    Nothing is checked here; the callers (``weighted_mle``, ``m_step``) pass
-    admissible input. ``values`` holds the M observed cells: int64 domain
-    codes for categoricals, else floats (finite, >= 0 for nonnegative kinds,
-    levels of ``domain`` for ordinals). Every weight row is finite and
-    nonnegative with a positive total. ``scale`` feeds the variance floor of
-    real and ordinal kinds. Floors come from DEFAULT_FLOORS.
+
+def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, floor) -> tuple:
+    """The block of the components fitted to the rows of the (..., Z, M) ``weights``.
+
+    Nothing is checked here; the callers (``weighted_mle``, the M-step) pass
+    admissible input. ``values`` holds the M observed cells, shaped to broadcast
+    against the weights with 1 in place of Z (one set of cells for each group
+    of Z rows): int64 domain codes for categoricals, else floats (finite, >= 0
+    for nonnegative kinds, levels of ``domain`` for ordinals). Every weight row
+    is finite and nonnegative with a positive total. ``floor`` (broadcast
+    against (..., Z)) floors real and ordinal variances; the other floors come
+    from DEFAULT_FLOORS.
 
     Each moment is a per-row dot product (``np.vecdot``), so a row's result
     does not depend on the other rows. The Gamma update excludes zeros from
@@ -382,31 +389,36 @@ def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, sca
     k = (3 - g + sqrt((g - 3)^2 + 24 g)) / (12 g) with
     g = log(weighted mean) - weighted mean of logs.
     """
-    n_comp = weights.shape[0]
-    total = weights.sum(axis=1)
+    total = weights.sum(axis=-1)
 
     if kind is VariableKind.CATEGORICAL:
         k = len(domain)
-        # one bincount over (component, code) slots, each summed in value order
-        slots = (np.arange(n_comp)[:, None] * k + values).ravel()
-        counts = np.bincount(slots, weights=weights.ravel(), minlength=n_comp * k)
-        probs = counts.reshape(n_comp, k) / total[:, None] + DEFAULT_FLOORS.categorical_pseudo
-        probs /= probs.sum(axis=1, keepdims=True)
+        # one bincount over (row, code) slots, each summed in value order
+        slots = (np.arange(total.size).reshape(total.shape)[..., None] * k + values).ravel()
+        counts = np.bincount(slots, weights=weights.ravel(), minlength=total.size * k)
+        probs = (counts.reshape(*total.shape, k) / total[..., None]
+                 + DEFAULT_FLOORS.categorical_pseudo)
+        probs /= probs.sum(axis=-1, keepdims=True)
         return (probs,)
 
     if kind is VariableKind.REAL or kind is VariableKind.ORDINAL:
         mean = np.vecdot(weights, values) / total
-        var = np.vecdot(weights, (values - mean[:, None]) ** 2) / total
-        var = np.maximum(var, DEFAULT_FLOORS.rel_variance * float(scale) ** 2)
-        return mean, var
+        var = np.vecdot(weights, (values - mean[..., None]) ** 2) / total
+        return mean, np.maximum(var, floor)
 
-    # nonnegative: zero inflation plus Gamma on the positive part
-    zero = values == 0
-    zero_prob = np.clip(weights.take(np.flatnonzero(zero), axis=1).sum(axis=1) / total, 0.0, 1.0)
-    positive = np.flatnonzero(~zero)
-    pos_weights = weights.take(positive, axis=1)
-    xp = values[positive]
-    pos_total = pos_weights.sum(axis=1)
+    # nonnegative: zero inflation plus Gamma on the positive part, over each set
+    # of cells' zero and positive positions, in order (all sets have as many zeros)
+    if values.size == values.shape[-1]:  # one set for every row
+        zeros, positive = np.flatnonzero(values == 0), np.flatnonzero(values != 0)
+        gather = lambda a, at: a.take(at, axis=-1)  # noqa: E731
+    else:
+        zeros, positive = (np.nonzero(m.reshape(-1, m.shape[-1]))[1].reshape(*m.shape[:-1], -1)
+                           for m in (values == 0, values != 0))
+        gather = lambda a, at: np.take_along_axis(a, at, -1)  # noqa: E731
+    zero_prob = np.clip(gather(weights, zeros).sum(axis=-1) / total, 0.0, 1.0)
+    pos_weights = gather(weights, positive)
+    xp = gather(values, positive)
+    pos_total = pos_weights.sum(axis=-1)
     # rows with no positive weight give NaN here and shape = scale = 1 below
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.vecdot(pos_weights, xp) / pos_total

@@ -15,7 +15,6 @@ it is ranked against the training cohort's scores to give a percentile.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,16 +29,12 @@ from .model import (MixtureModel, ZeroLikelihoodError, component_log_likelihoods
                     evidence_log_likelihoods, normalize_log_joint, row_log_likelihoods)
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, validate_dataset)
-from .training import EmConfig, TrainingError, fit
+from .training import _BATCH_CELLS, EmConfig, TrainingError, _fit_many
+from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
-
-# anything that breaks a single fold without implicating the others: a
-# training subset that lost its last variability in some column, EM failure,
-# or held-out evidence with zero likelihood under the fold's model
-_FOLD_ERRORS = (TrainingError, SchemaViolationError, ZeroLikelihoodError)
 
 
 class DegenerateSampleError(ValueError):
@@ -264,55 +259,73 @@ def _fold_seed(seed: int, subject: int) -> int:
     return int(np.random.SeedSequence([seed, subject]).generate_state(1)[0])
 
 
-def _evaluate_fold(dataset: Dataset, subject: int, orders, targets, mode: str,
-                   config: EmConfig):
-    """Train on all-but-one subject, then score the held-out one.
-
-    Per order, one likelihood pass over the cohort's non-target inputs gives
-    the held-out row's posterior (normalized only when a truth needs it) and
-    confidence, and every other row's training score.
-
-    Returns (subject, {order: {target: (error, normalized)}}, {order: (log_c, pct)},
-    skipped target names). Order 0 entries come from the uniform reference.
-    """
-    train = dataset.drop_subject(subject)
-    input_cols = tuple(j for j in dataset.input_columns
-                       if dataset.schemas[j].name not in targets)
-    errors: dict = {}
-    confidence: dict = {}
-    skipped = []
-    truths = {}
-    for name in targets:
-        value = dataset.value(subject, dataset.column_index(name))
-        if value is MISSING:
-            skipped.append(name)
-        else:
-            truths[name] = value
-
-    chance: dict = {}
+def _errors(dataset: Dataset, truths: Mapping, predicted: Mapping) -> dict:
+    """{target: (error, normalized error)} of ``predicted`` against ``truths``."""
+    out = {}
     for name, truth in truths.items():
         schema = dataset.schema(name)
-        err = prediction_error(schema, chance_prediction(schema), truth)
-        chance[name] = (err, normalized_error(schema, err))
-    errors[CHANCE_ORDER] = chance
+        err = prediction_error(schema, predicted[name], truth)
+        out[name] = (err, normalized_error(schema, err))
+    return out
 
-    fold_config = dataclasses.replace(config, seed=_fold_seed(config.seed, subject))
+
+def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
+                    config: EmConfig) -> list:
+    """Leave out each of ``subjects`` in turn. Per order, the restarts of all
+    folds run as one batched EM, and one likelihood pass over the non-target
+    inputs for all fold models gives each held-out posterior and confidence,
+    and every training row's score.
+
+    Per fold: (subject, {order: {target: (error, normalized)}}, {order:
+    (log_c, pct)}, skipped targets), order 0 from the uniform reference; or
+    (subject, None, None, message) at its first failure: its training rows
+    lose a column's variability, every restart of an order fails, or the
+    held-out evidence has zero likelihood."""
+    n = dataset.n_subjects
+    per_batch = max(1, _BATCH_CELLS // (n * config.restarts * max(orders)))
+    if len(subjects) > per_batch:  # bounds the training sets and arrays held at once
+        return [fold for first in range(0, len(subjects), per_batch) for fold in
+                _evaluate_folds(dataset, subjects[first:first + per_batch], orders, targets,
+                                mode, config)]
+    input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
+    failed, folds = {}, {}
+    for s in subjects:
+        train = dataset.drop_subject(s)
+        if violations := validate_dataset(train):
+            failed[s] = str(SchemaViolationError(violations))
+            continue
+        truths = {name: dataset.value(s, dataset.column_index(name)) for name in targets}
+        truths = {name: value for name, value in truths.items() if value is not MISSING}
+        chance = {name: chance_prediction(dataset.schema(name)) for name in truths}
+        folds[s] = (train, truths, {CHANCE_ORDER: _errors(dataset, truths, chance)}, {})
     for order in orders:
-        model, _ = fit(train, order, fold_config)
-        log_joint = component_log_likelihoods(model, dataset, mode, input_cols)
-        order_errors: dict = {}
-        if truths:
-            posterior = normalize_log_joint(log_joint[subject:subject + 1])[0][0]
-            predicted = predict_targets(target_tables(model, truths), posterior)
-            for name, truth in truths.items():
-                schema = dataset.schema(name)
-                err = prediction_error(schema, predicted[name], truth)
-                order_errors[name] = (err, normalized_error(schema, err))
-        errors[order] = order_errors
-        scores = log_sum_exp(log_joint, axis=1)
-        log_c = float(scores[subject])
-        confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores, subject))))
-    return subject, errors, confidence, skipped
+        live = [s for s in folds if s not in failed]
+        fitted = _fit_many(dataset, [folds[s][0] for s in live],
+                           [np.delete(np.arange(n), s) for s in live],
+                           [_fold_seed(config.seed, s) for s in live],
+                           order, config) if live else []
+        failed.update((s, str(best)) for s, best in zip(live, fitted)
+                      if isinstance(best, TrainingError))
+        trained = [(s, best[0]) for s, best in zip(live, fitted) if s not in failed]
+        if not trained:
+            break
+        log_joint = component_log_likelihoods(MixtureModel._stack([m for _, m in trained]),
+                                              dataset, mode, input_cols).reshape(n, -1, order)
+        scores = log_sum_exp(log_joint)
+        for f, (s, model) in enumerate(trained):
+            _, truths, errors, confidence = folds[s]
+            try:
+                posterior = normalize_log_joint(log_joint[s:s + 1, f])[0][0] if truths else None
+            except ZeroLikelihoodError as err:
+                failed[s] = str(err)
+                continue
+            predicted = predict_targets(target_tables(model, truths), posterior) if truths else {}
+            errors[order] = _errors(dataset, truths, predicted)
+            log_c = float(scores[s, f])
+            confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores[:, f], s))))
+    return [(s, None, None, failed[s]) if s in failed else
+            (s, folds[s][2], folds[s][3], [name for name in targets if name not in folds[s][1]])
+            for s in subjects]
 
 
 def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
@@ -324,7 +337,7 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     column raise SchemaViolationError naming the cohort's own rows. Order 0
     (uniform chance) is always reported; order 1 (the prior marginal) is
     added to the requested orders if absent. Folds that fail for any order
-    (see _FOLD_ERRORS) are excluded entirely so the per-order averages cover
+    (see _evaluate_folds) are excluded entirely so the per-order averages cover
     identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
     of folds fail. Per-fold seeds depend only on (config.seed, subject), so
     results do not depend on worker count.
@@ -341,13 +354,18 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     if violations:
         raise SchemaViolationError(violations)
 
-    tasks = [(dataset, s, orders, targets, mode, config) for s in range(dataset.n_subjects)]
-    if n_workers > 1:
+    # each worker takes one contiguous range of folds, so the cohort is pickled
+    # once per worker; per-fold results do not depend on the other folds
+    ranges = [r.tolist() for r in np.array_split(np.arange(dataset.n_subjects), max(n_workers, 1))
+              if r.size]
+    if len(ranges) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            raw = list(pool.map(_fold_worker, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            parts = list(pool.map(_evaluate_folds, [dataset] * len(ranges), ranges,
+                                  *([a] * len(ranges) for a in (orders, targets, mode, config))))
+        raw = [fold for part in parts for fold in part]
     else:
-        raw = [_fold_worker(task) for task in tasks]
+        raw = _evaluate_folds(dataset, range(dataset.n_subjects), orders, targets, mode, config)
 
     failures = []
     eae_records: dict = {order: [] for order in [CHANCE_ORDER] + orders}
@@ -383,12 +401,3 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     return LooResult(tuple([CHANCE_ORDER] + orders), targets, tuple(summaries),
                      eae_records, confidence_records, tuple(failures), tuple(skipped))
 
-
-def _fold_worker(args):
-    """One fold, with _FOLD_ERRORS turned into a failure record; top-level so
-    process pools can pickle it."""
-    dataset, subject, orders, targets, mode, config = args
-    try:
-        return _evaluate_fold(dataset, subject, orders, targets, mode, config)
-    except _FOLD_ERRORS as err:
-        return (subject, None, None, str(err))

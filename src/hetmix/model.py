@@ -68,16 +68,18 @@ class MixtureModel:
     def _from_blocks(cls, weights, blocks, missing_probs, schemas) -> "MixtureModel":
         """A checked model whose variable v has the parameter block ``blocks[v]``
         (its arrays are made read-only); finite variables' log-mass tables are
-        computed here, once."""
+        computed here, once. (B, Z) ``weights`` stack B fits: one model of B * Z
+        components, fit-major, whose weights sum to 1 per fit (see ``_fit_of``)."""
         weights = np.array(weights, dtype=float)
         missing = np.array(missing_probs, dtype=float)
         schemas = tuple(schemas)
-        n_comp = weights.shape[0] if weights.ndim == 1 else 0
+        n_comp = weights.size if weights.ndim in (1, 2) else 0
         n_vars = len(schemas)
         if n_comp < 1:
             raise ValueError("weights must be a non-empty vector")
-        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
+        if not ((weights >= 0).all() and (abs(weights.sum(axis=-1) - 1.0) <= 1e-9).all()):
             raise ValueError("weights must be nonnegative and sum to 1")
+        weights = weights.ravel()
         if missing.shape != (n_comp, n_vars):
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
         if not ((missing >= 0) & (missing <= 1)).all():
@@ -104,6 +106,28 @@ class MixtureModel:
             _log_masses=tuple(_log_mass_table(s.kind, s.domain, block) if s.kind.is_finite
                               else None for s, block in zip(schemas, blocks)),
             _params=None, _name_to_column={s.name: j for j, s in enumerate(schemas)})
+        return model
+
+    @classmethod
+    def _stack(cls, models) -> "MixtureModel":
+        """``models`` (one order, one set of schemas) stacked as ``_from_blocks`` stacks fits."""
+        blocks = zip(*(m._blocks for m in models))
+        return cls._from_blocks([m.weights for m in models],
+                                [tuple(map(np.concatenate, zip(*block))) for block in blocks],
+                                np.concatenate([m.missing_probs for m in models]),
+                                models[0].schemas)
+
+    def _fit_of(self, b: int, n_fits: int) -> "MixtureModel":
+        """Fit b of a stack of ``n_fits`` fits: views of its rows, not checked again."""
+        if n_fits == 1:
+            return self
+        z = self.n_components // n_fits
+        part = slice(b * z, (b + 1) * z)
+        model = MixtureModel.__new__(MixtureModel)
+        model.__dict__.update(
+            self.__dict__, weights=self.weights[part], missing_probs=self.missing_probs[part],
+            _blocks=tuple(tuple(a[part] for a in block) for block in self._blocks), _params=None,
+            _log_masses=tuple(None if t is None else t[part] for t in self._log_masses))
         return model
 
     def __setattr__(self, name, value):

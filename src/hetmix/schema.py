@@ -370,6 +370,8 @@ class Dataset:
         return self._take(subjects, range(self.n_variables))
 
     def drop_subject(self, subject: int) -> "Dataset":
+        """Every subject but ``subject``, which is indexed as in ``subset``."""
+        subject = range(self.n_subjects)[subject]
         keep = [i for i in range(self.n_subjects) if i != subject]
         return self.subset(keep)
 

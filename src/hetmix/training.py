@@ -8,10 +8,10 @@ responsibility matrices from a single seed; the best final negative
 log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
-The M-step turns the (N, Z) responsibilities once into component-major
-(Z, N) rows and fits one parameter block per variable for all components:
-no per-component loop and no parameter cell. What it reads of a cohort is
-worked out once per ``Dataset`` (``Dataset._observed``).
+The restarts of a fit, and all folds x restarts of a leave-one-out order, run
+as one batch (``_em_batch``): an E-step is one likelihood pass for all their
+components, an M-step one parameter block per variable for all of them, and
+each fit's arithmetic is exactly what it does alone.
 """
 
 from __future__ import annotations
@@ -21,16 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (EstimationError, _block_of, _weighted_block,
-                            default_params)
+from .distributions import (_BLOCK_FIELDS, EstimationError, _block_of, _variance_floor,
+                            _weighted_block, default_params, log_sum_exp)
 from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, normalize_log_joint,
                     parameter_count)
-from .schema import Dataset, SchemaViolationError, validate_dataset
+from .schema import Dataset, SchemaViolationError, VariableKind, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
+# likelihood cells (rows x components) of one batched E-step, one fit at least:
+# bigger batches save little fixed cost per fit and raise peak memory
+_BATCH_CELLS = 2 ** 14
 
 
 class ComponentCollapseError(RuntimeError):
@@ -85,63 +88,183 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     block per variable is fitted for the components with observed
     responsibility; a component with effectively none on a variable gets
     neutral defaults (``default_params``; its missing probability is ~1
-    there, so they never carry likelihood weight).
+    there, so they never carry likelihood weight). One fit of the batched M-step.
     """
     alpha = np.asarray(responsibilities, dtype=float)
-    n_subjects, n_comp = alpha.shape
-    if n_subjects != dataset.n_subjects:
+    if alpha.ndim != 2 or alpha.shape[0] != dataset.n_subjects:
         raise ValueError("responsibility rows do not match the dataset")
-    totals = alpha.sum(axis=0)
-    if totals.min() < COLLAPSE_EPS:
-        z = int(np.argmin(totals))
-        raise ComponentCollapseError(
-            f"component {z} collapsed (total responsibility {totals[z]:.3e})")
+    model, _, failed = _m_step_batch(_plan([dataset]), alpha[None], np.arange(1))
+    if failed:
+        raise failed[0]
+    return model
+
+
+def _plan(subsets) -> tuple:
+    """Per variable, (schema, groups): what the M-step reads of fit b's training
+    set ``subsets[b]`` (its ``Dataset._observed``), the fits grouped by the sizes
+    of their index sets. A group is (its fits, each one's training set, then
+    stacked over its distinct training sets: missed rows, observed rows, values,
+    scales, variance floors). A fit's sums thus run over its own cells, in
+    order, unpadded: batched, it is bit for bit the fit run alone."""
+    plan = []
+    for v, schema in enumerate(subsets[0].schemas):
+        groups = {}
+        for b, subset in enumerate(subsets):
+            missed, rows, observed, scale = subset._observed[v]
+            zeros = schema.kind is VariableKind.NONNEGATIVE and np.count_nonzero(observed == 0)
+            members, which, sets = groups.setdefault((missed.size, rows.size, zeros), ([], [], {}))
+            members.append(b)
+            which.append(sets.setdefault(id(subset), (len(sets), (
+                missed, rows, observed, scale or 1.0, _variance_floor(scale or 1.0))))[0])
+        # one training set stays a view of its arrays; more are stacked
+        stack = lambda arrays: np.asarray(arrays[0])[None] if len(arrays) == 1 else np.array(arrays)
+        plan.append((schema, [(np.array(members), np.array(which),
+                               *map(stack, zip(*(entry for _, entry in sets.values()))))
+                              for members, which, sets in groups.values()]))
+    return tuple(plan)
+
+
+def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
+    """The M-step of the fits ``fits`` (ascending, of ``plan``) from their (B, M, Z)
+    responsibilities: per variable and group, one ``_weighted_block`` call on a
+    (B, Z, M) weight array. Returns (stacked model, ``MixtureModel._from_blocks``;
+    the fits it holds; {fit: ComponentCollapseError}, fits that left the batch)."""
+    totals = alpha.sum(axis=1)
+    low = totals.min(axis=1) < COLLAPSE_EPS
+    failed = {int(fits[i]): ComponentCollapseError(
+        f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
+        for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist())}
+    if low.any():
+        alpha, totals, fits = alpha[~low], totals[~low], fits[~low]
+        if not fits.size:
+            return None, fits, failed
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
-    weights = totals / totals.sum()
-    by_component = np.ascontiguousarray(alpha.T)
-
-    missing_probs = np.empty((n_comp, dataset.n_variables))
+    n_fits, _, n_comp = alpha.shape
+    by_component = np.ascontiguousarray(alpha.transpose(0, 2, 1))
+    active = np.zeros(sum(group[0].size for group in plan[0][1]), dtype=bool)
+    active[fits] = True
+    missing_probs = np.empty((n_fits, n_comp, len(plan)))
     blocks = []
-    for v, (schema, (missed, rows, observed, scale)) in enumerate(
-            zip(dataset.schemas, dataset._observed)):
-        # summed in row order, like totals: an all-missing column gives q == 1 exactly
-        missing_probs[:, v] = alpha.take(missed, axis=0).sum(axis=0) / totals
-        # take, not a boolean mask: it keeps each component's row contiguous
-        observed_weights = by_component.take(rows, axis=1)
-        fitted = observed_weights.sum(axis=1) > ZERO_WEIGHT_EPS
-        block = _weighted_block(schema.kind, observed, observed_weights[fitted],
-                                schema.domain, scale)
-        if not fitted.all():
-            default = default_params(schema.kind, domain=schema.domain, scale=scale or 1.0)
-            partial, block = block, _block_of(schema, [default] * n_comp)
-            for full, part in zip(block, partial):
-                full[fitted] = part
+    for v, (schema, groups) in enumerate(plan):
+        width = (len(schema.domain),) if schema.kind is VariableKind.CATEGORICAL else ()
+        block = tuple(np.empty((n_fits * n_comp, *width)) for _ in _BLOCK_FIELDS[schema.kind])
+        for members, which, missed, rows, observed, scales, floors in groups:
+            keep = active[members]
+            if not keep.any():
+                continue
+            at, sets = np.searchsorted(fits, members[keep]), which[keep]
+            if len(rows) == 1:  # one training set (restarts of one fit): gather by take
+                whole = at.size == n_fits
+                missed_weights = (alpha if whole else alpha[at]).take(missed[0], axis=1)
+                weights = (by_component if whole else by_component[at]).take(rows[0], axis=2)
+            else:
+                missed_weights = alpha[at[:, None], missed[sets]]
+                weights = by_component[at[:, None, None], np.arange(n_comp)[:, None],
+                                       rows[sets][:, None, :]]
+                observed, floors = observed[sets], floors[sets]
+            # summed in row order, like totals: an all-missing column gives q == 1 exactly
+            missing_probs[at, :, v] = missed_weights.sum(axis=1) / totals[at]
+            slots = (at[:, None] * n_comp + np.arange(n_comp)).ravel()
+            with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
+                part = _weighted_block(schema.kind, observed[:, None], weights, schema.domain,
+                                       floors[:, None])
+            for full, values in zip(block, part):
+                full[slots] = values.reshape(slots.size, *width)
+            for slot in np.flatnonzero(weights.sum(axis=-1).ravel() <= ZERO_WEIGHT_EPS):
+                default = default_params(schema.kind, domain=schema.domain,
+                                         scale=scales[sets[slot // n_comp]])
+                for full, values in zip(block, _block_of(schema, [default])):
+                    full[slots[slot]] = values[0]
         blocks.append(block)
-    return MixtureModel._from_blocks(weights, tuple(blocks), missing_probs, dataset.schemas)
+    model = MixtureModel._from_blocks(totals / totals.sum(axis=1, keepdims=True), blocks,
+                                      missing_probs.reshape(n_fits * n_comp, -1),
+                                      [schema for schema, _ in plan])
+    return model, fits, failed
 
 
-def _em_once(dataset: Dataset, order: int, config: EmConfig, rng):
-    """One restart: random responsibilities, M-step, then EM scoring each model once.
+def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
+              config: EmConfig) -> list:
+    """B EM runs in lockstep, run b on the rows ``rows[b]`` of ``dataset`` (all
+    rows if None), which make the subset ``subsets[b]``, from the (M, Z)
+    responsibilities ``inits[b]``. Per run: (model, NLL trace, converged), or
+    the ComponentCollapseError / ZeroLikelihoodError that ended it.
 
-    A rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the previous
-    model; else EM stops at a relative decrease <= rel_tol (converged) or after
-    max_iterations more M-steps."""
-    model = m_step(dataset, rng.dirichlet(np.ones(order), size=dataset.n_subjects))
-    nlls: list[float] = []
+    An E-step is one likelihood pass for all B * Z components, gathered
+    run-major into (B, M, Z). A rise over MONOTONE_SLACK (approximate M-steps
+    overshoot) keeps the previous model; else a run stops at a relative
+    decrease <= rel_tol (converged) or after max_iterations more M-steps, and
+    leaves the batch."""
+    n_runs, _, n_comp = inits.shape
+    plan = _plan(subsets)
+    traces = [[] for _ in range(n_runs)]
+    outcomes = [None] * n_runs
+    model, fits, failed = _m_step_batch(plan, inits, np.arange(n_runs))
     while True:
-        posteriors, totals = normalize_log_joint(
-            component_log_likelihoods(model, dataset, MODEL_MISSING))
-        nll = float(-totals.sum())
-        if nlls and nll > nlls[-1] + MONOTONE_SLACK:
-            return previous_model, nlls, False
-        nlls.append(nll)
-        if len(nlls) > 1 and nlls[-2] - nll <= config.rel_tol * abs(nlls[-2]):
-            return model, nlls, True
-        if len(nlls) > config.max_iterations:
-            return model, nlls, False
-        previous_model = model
-        model = m_step(dataset, posteriors)
+        for b, err in failed.items():
+            outcomes[b] = err
+        if not fits.size:
+            return outcomes
+        log_joint = component_log_likelihoods(model, dataset, MODEL_MISSING).reshape(
+            dataset.n_subjects, fits.size, n_comp).transpose(1, 0, 2)
+        log_joint = (np.ascontiguousarray(log_joint) if rows is None
+                     else log_joint[np.arange(fits.size)[:, None], rows[fits]])
+        totals = log_sum_exp(log_joint)
+        nlls = -totals.sum(axis=1)
+        go = np.isfinite(totals).all(axis=1)
+        for i, b in enumerate(fits.tolist()):
+            trace, nll = traces[b], float(nlls[i])
+            if not go[i]:
+                try:
+                    normalize_log_joint(log_joint[i])
+                except ZeroLikelihoodError as err:
+                    outcomes[b] = err
+            elif trace and nll > trace[-1] + MONOTONE_SLACK:
+                back = int(np.searchsorted(previous_fits, b))
+                outcomes[b] = (previous._fit_of(back, previous_fits.size), trace, False)
+                go[i] = False
+            else:
+                trace.append(nll)
+                converged = len(trace) > 1 and trace[-2] - nll <= config.rel_tol * abs(trace[-2])
+                if converged or len(trace) > config.max_iterations:
+                    outcomes[b] = (model._fit_of(i, fits.size), trace, converged)
+                    go[i] = False
+        if not go.any():
+            return outcomes
+        posteriors = np.exp((log_joint - totals[..., None]) if go.all()
+                            else log_joint[go] - totals[go][..., None])
+        previous, previous_fits = model, fits
+        model, fits, failed = _m_step_batch(plan, posteriors, fits[go])
+
+
+def _fit_many(dataset: Dataset, subsets, rows, seeds, order: int, config: EmConfig) -> list:
+    """Fit ``order`` components to each subset ``subsets[i]`` (the rows ``rows[i]``
+    of ``dataset``; all if ``rows`` is None), restarts seeded from ``seeds[i]``,
+    in batches of at most _BATCH_CELLS likelihood cells. Per fit: the best
+    (model, TrainingTrace), or a TrainingError if every restart failed."""
+    starts = [(subset, i, np.random.default_rng(child)) for i, (subset, seed)
+              in enumerate(zip(subsets, seeds))
+              for child in np.random.SeedSequence(seed).spawn(config.restarts)]
+    size = max(1, _BATCH_CELLS // (dataset.n_subjects * order))
+    outcomes = []
+    for first in range(0, len(starts), size):
+        part = starts[first:first + size]
+        outcomes += _em_batch(
+            dataset, [subset for subset, _, _ in part],
+            None if rows is None else np.array([rows[i] for _, i, _ in part]),
+            np.array([rng.dirichlet(np.ones(order), size=subset.n_subjects)
+                      for subset, _, rng in part]), config)
+    out = []
+    for first in range(0, len(outcomes), config.restarts):
+        best, failures = None, []
+        for r, outcome in enumerate(outcomes[first:first + config.restarts]):
+            if isinstance(outcome, Exception):
+                failures.append(f"restart {r}: {outcome}")
+            elif best is None or outcome[1][-1] < best[1].final_nll:
+                best = (outcome[0], TrainingTrace(tuple(outcome[1]), r, outcome[2]))
+        out.append(best or TrainingError(f"all {config.restarts} restart(s) failed for "
+                                         f"order {order}: " + "; ".join(failures)))
+    return out
 
 
 def fit(dataset: Dataset, order: int,
@@ -158,21 +281,9 @@ def fit(dataset: Dataset, order: int,
     violations = validate_dataset(dataset)
     if violations:
         raise SchemaViolationError(violations)
-    best = None
-    failures = []
-    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
-        rng = np.random.default_rng(child)
-        try:
-            model, nlls, converged = _em_once(dataset, order, config, rng)
-        except (ComponentCollapseError, ZeroLikelihoodError) as err:
-            failures.append(f"restart {r}: {err}")
-            continue
-        if best is None or nlls[-1] < best[1].final_nll:
-            best = (model, TrainingTrace(tuple(nlls), r, converged))
-    if best is None:
-        raise TrainingError(
-            f"all {config.restarts} restart(s) failed for order {order}: "
-            + "; ".join(failures))
+    best = _fit_many(dataset, [dataset], None, [config.seed], order, config)[0]
+    if isinstance(best, TrainingError):
+        raise best
     return best
 
 

@@ -1,14 +1,28 @@
 """Plain-arithmetic reference implementations used to cross-check the library.
 
-Everything here works on the JSON-dict form of a model (io.model_to_dict) and
-uses only the math module: explicit sums and products in linear space, no
-arrays, no log-sum-exp. Sizes must stay tiny; the point is an independent
-derivation of the same quantities, not performance. Missing cells are
-represented by None; variables absent from an evidence dict contribute
-nothing.
+Everything here but ``em_once`` works on the JSON-dict form of a model
+(io.model_to_dict) and uses only the math module: explicit sums and products
+in linear space, no arrays, no log-sum-exp. Sizes must stay tiny; the point is
+an independent derivation of the same quantities, not performance. Missing
+cells are represented by None; variables absent from an evidence dict
+contribute nothing.
+
+``em_once`` and ``m_step`` are the sequential EM loop of one restart and its
+M-step, as the library ran them before restarts and folds ran as one batch:
+the reference the batched EM must match bit for bit. They share the weighted
+block update and the model checks with the library.
 """
 
 import math
+
+import numpy as np
+
+from hetmix.distributions import (_block_of, _variance_floor, _weighted_block,
+                                  default_params)
+from hetmix.model import (MODEL_MISSING, MixtureModel, component_log_likelihoods,
+                          normalize_log_joint)
+from hetmix.training import (COLLAPSE_EPS, MONOTONE_SLACK, ZERO_WEIGHT_EPS,
+                             ComponentCollapseError)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
@@ -81,3 +95,55 @@ def conditional(model, evidence, target, mode):
 def confidence(model, evidence, mode):
     """Evidence likelihood c (linear space); evidence maps names to values/None."""
     return joint_likelihood(model, evidence, mode)
+
+
+def m_step(dataset, responsibilities):
+    """One fit's M-step, variable by variable, from its (N, Z) responsibilities."""
+    alpha = np.asarray(responsibilities, dtype=float)
+    n_subjects, n_comp = alpha.shape
+    totals = alpha.sum(axis=0)
+    if totals.min() < COLLAPSE_EPS:
+        z = int(np.argmin(totals))
+        raise ComponentCollapseError(
+            f"component {z} collapsed (total responsibility {totals[z]:.3e})")
+    weights = totals / totals.sum()
+    by_component = np.ascontiguousarray(alpha.T)
+    missing_probs = np.empty((n_comp, dataset.n_variables))
+    blocks = []
+    for v, (schema, (missed, rows, observed, scale)) in enumerate(
+            zip(dataset.schemas, dataset._observed)):
+        missing_probs[:, v] = alpha.take(missed, axis=0).sum(axis=0) / totals
+        observed_weights = by_component.take(rows, axis=1)
+        fitted = observed_weights.sum(axis=1) > ZERO_WEIGHT_EPS
+        block = _weighted_block(schema.kind, observed[None], observed_weights[fitted],
+                                schema.domain, _variance_floor(scale or 1.0))
+        if not fitted.all():
+            default = default_params(schema.kind, domain=schema.domain, scale=scale or 1.0)
+            partial, block = block, _block_of(schema, [default] * n_comp)
+            for full, part in zip(block, partial):
+                full[fitted] = part
+        blocks.append(block)
+    return MixtureModel._from_blocks(weights, tuple(blocks), missing_probs, dataset.schemas)
+
+
+def em_once(dataset, order, config, rng):
+    """One restart: random responsibilities, M-step, then EM scoring each model once.
+
+    A rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the previous
+    model; else EM stops at a relative decrease <= rel_tol (converged) or after
+    max_iterations more M-steps."""
+    model = m_step(dataset, rng.dirichlet(np.ones(order), size=dataset.n_subjects))
+    nlls: list[float] = []
+    while True:
+        posteriors, totals = normalize_log_joint(
+            component_log_likelihoods(model, dataset, MODEL_MISSING))
+        nll = float(-totals.sum())
+        if nlls and nll > nlls[-1] + MONOTONE_SLACK:
+            return previous_model, nlls, False
+        nlls.append(nll)
+        if len(nlls) > 1 and nlls[-2] - nll <= config.rel_tol * abs(nlls[-2]):
+            return model, nlls, True
+        if len(nlls) > config.max_iterations:
+            return model, nlls, False
+        previous_model = model
+        model = m_step(dataset, posteriors)

@@ -231,15 +231,15 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
 
     import hetmix.training as training
     steps = []
-    real_m_step = training.m_step
+    real_m_step = training._m_step_batch
 
-    def counted_m_step(dataset, responsibilities):
+    def counted_m_step(plan, responsibilities, fits):
         steps.append(1)
-        return real_m_step(dataset, responsibilities)
+        return real_m_step(plan, responsibilities, fits)
 
     dataset = _cohort(np.random.default_rng(5), 60)
     monkeypatch.setattr(Dataset, "column_scale", counted)
-    monkeypatch.setattr(training, "m_step", counted_m_step)
+    monkeypatch.setattr(training, "_m_step_batch", counted_m_step)
     fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12))
     assert len(steps) > 2
     assert sorted(calls) == [X, CONC, GRADE]  # once per numeric column

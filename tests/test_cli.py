@@ -54,6 +54,10 @@ class TestParseOrders:
             parse_orders("")
         with pytest.raises(ValueError):
             parse_orders("5-3")
+        # a reversed range inside a list is refused too, not dropped
+        for text in ("1,3-1", "3-1,2", "1-2,6-4"):
+            with pytest.raises(ValueError, match="reversed range"):
+                parse_orders(text)
 
 
 class TestParser:
@@ -588,7 +592,7 @@ class TestEvaluateOptions:
     def test_duplicate_targets_exit_3_before_any_fold(self, work, tmp_path, capsys,
                                                        monkeypatch):
         import hetmix.evaluation as evaluation
-        monkeypatch.setattr(evaluation, "_fold_worker",
+        monkeypatch.setattr(evaluation, "_evaluate_folds",
                             lambda *a, **k: pytest.fail("a fold ran"))
         out = tmp_path / "out"
         code = main(["evaluate", "--out-dir", str(out),

@@ -19,7 +19,7 @@ from hetmix import (IGNORE_MISSING, MODEL_MISSING, Dataset, DegenerateSampleErro
                     probability_of_error, sample_cohort, scott_bandwidth,
                     threshold_curve, training_confidence_scores)
 from hetmix.demo import small_demo_model
-from hetmix.evaluation import _evaluate_fold, _fold_seed
+from hetmix.evaluation import _evaluate_folds, _fold_seed
 from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
 from hetmix.schema import MISSING
 
@@ -223,9 +223,8 @@ class TestOnePassFold:
                       if cohort.schemas[j].name not in targets]
         compared = 0
         for subject in range(cohort.n_subjects):
-            try:
-                fold = _evaluate_fold(cohort, subject, (1, 2), targets, mode, config)
-            except ZeroLikelihoodError:
+            fold = _evaluate_folds(cohort, [subject], (1, 2), targets, mode, config)[0]
+            if fold[1] is None:  # a held-out zero likelihood fails the fold
                 fold = None
             train = cohort.drop_subject(subject)
             evidence = {cohort.schemas[j].name: cohort.value(subject, j)
@@ -324,18 +323,30 @@ class TestLooEvaluate:
                 assert (subject, target) not in present
 
     def test_worker_count_invariance(self):
-        a = _tiny_loo(n=12, orders=(1,), workers=1, sample_seed=2)
-        b = _tiny_loo(n=12, orders=(1,), workers=2, sample_seed=2)
-        for order in a.eae_records:
-            ra = [(r.subject, r.target, r.error) for r in a.eae_records[order]]
-            rb = [(r.subject, r.target, r.error) for r in b.eae_records[order]]
-            assert ra == rb
-        for order in a.confidence_records:
-            ca = [(r.subject, r.log_score, r.percentile)
-                  for r in a.confidence_records[order]]
-            cb = [(r.subject, r.log_score, r.percentile)
-                  for r in b.confidence_records[order]]
-            assert ca == cb
+        cohort, _ = sample_cohort(small_demo_model(), 13, np.random.default_rng(2))
+        rows = [list(cohort.row(i)) for i in range(cohort.n_subjects)]
+        site = cohort.column_index("site")
+        for i, row in enumerate(rows):  # only subject 4 varies "site": its fold loses it
+            row[site] = "beta" if i == 4 else "alpha"
+        cohort = Dataset(cohort.schemas, rows)
+        config = EmConfig(max_iterations=60, rel_tol=1e-5, restarts=2, seed=0)
+        # ignore_missing: no held-out row fails by a missing-cell factor of 0
+        runs = [loo_evaluate(cohort, (1, 2), ("severity", "status"), IGNORE_MISSING,
+                             config, n_workers=workers) for workers in (1, 2, 3)]
+        failure = runs[0].failures
+        assert [f.subject for f in failure] == [4]
+        assert "constant column" in failure[0].message
+        for other in runs[1:]:
+            assert other == runs[0]
+            assert other.failures == failure
+            for order in runs[0].eae_records:
+                assert ([(r.subject, r.target, r.error) for r in other.eae_records[order]]
+                        == [(r.subject, r.target, r.error) for r in runs[0].eae_records[order]])
+            for order in runs[0].confidence_records:
+                assert ([(r.subject, r.log_score, r.percentile)
+                         for r in other.confidence_records[order]]
+                        == [(r.subject, r.log_score, r.percentile)
+                            for r in runs[0].confidence_records[order]])
 
     def test_too_few_subjects(self):
         cohort, _ = sample_cohort(small_demo_model(), 2,
@@ -351,14 +362,14 @@ class TestLooEvaluate:
 
     def test_fold_failures_excluded(self, monkeypatch):
         import hetmix.evaluation as ev
-        real = ev._evaluate_fold
+        real = ev._evaluate_folds
 
-        def flaky(dataset, subject, orders, targets, mode, config):
-            if subject == 1:
-                raise TrainingError("synthetic failure")
-            return real(dataset, subject, orders, targets, mode, config)
+        def flaky(dataset, subjects, orders, targets, mode, config):
+            folds = real(dataset, subjects, orders, targets, mode, config)
+            return [(1, None, None, "synthetic failure") if fold[0] == 1 else fold
+                    for fold in folds]
 
-        monkeypatch.setattr(ev, "_evaluate_fold", flaky)
+        monkeypatch.setattr(ev, "_evaluate_folds", flaky)
         got = _tiny_loo(n=12, orders=(1,), sample_seed=2)
         assert [f.subject for f in got.failures] == [1]
         subjects = {r.subject for r in got.eae_records[1]}
@@ -367,10 +378,10 @@ class TestLooEvaluate:
     def test_abort_when_too_many_folds_fail(self, monkeypatch):
         import hetmix.evaluation as ev
 
-        def broken(dataset, subject, orders, targets, mode, config):
-            raise TrainingError("synthetic failure")
+        def broken(dataset, subjects, orders, targets, mode, config):
+            return [(s, None, None, "synthetic failure") for s in subjects]
 
-        monkeypatch.setattr(ev, "_evaluate_fold", broken)
+        monkeypatch.setattr(ev, "_evaluate_folds", broken)
         with pytest.raises(TrainingError):
             _tiny_loo(n=12, orders=(1,))
 
@@ -383,7 +394,7 @@ class TestLooEvaluate:
         def never(*args):
             raise AssertionError("a fold ran on an invalid cohort")
 
-        monkeypatch.setattr(ev, "_evaluate_fold", never)
+        monkeypatch.setattr(ev, "_evaluate_folds", never)
         cohort, _ = sample_cohort(small_demo_model(), 30, np.random.default_rng(0))
         rows = [list(cohort.row(i)) for i in range(cohort.n_subjects)]
         for i in range(cohort.n_subjects) if row is None else [row]:

@@ -185,6 +185,19 @@ class TestDataset:
         assert sub.row(1) == ds.row(0)
         assert ds.drop_subject(1).n_subjects == 2
 
+    def test_drop_subject_indexes_like_subset(self):
+        ds = Dataset((VariableSchema("x", "real"),), [(float(i),) for i in range(5)])
+        for subject in (0, 3, 4, -1, -5):
+            kept = [i for i in range(5) if i != range(5)[subject]]
+            assert ds.drop_subject(subject).row(0) == ds.subset(kept).row(0)
+            assert [ds.drop_subject(subject).value(i, 0) for i in range(4)] == \
+                [float(i) for i in kept]
+        for subject in (5, 99, -6):
+            with pytest.raises(IndexError):
+                ds.drop_subject(subject)
+            with pytest.raises(IndexError):
+                ds.subset([subject])
+
     def test_roles(self):
         schemas = (VariableSchema("x", "real"),
                    VariableSchema("y", "ordinal", (1, 2), role="outcome"))

@@ -134,19 +134,21 @@ class TestStopRule:
     (converged) or after max_iterations M-steps beyond the first."""
 
     def _counting_m_step(self, monkeypatch, worse_on_call=None):
+        """Record each batched M-step's (stacked model, fits it holds, failures);
+        call ``worse_on_call`` gets uniform responsibilities instead."""
         import hetmix.training as training
-        real = training.m_step
+        real = training._m_step_batch
         produced = []
 
-        def counted(dataset, responsibilities):
+        def counted(plan, responsibilities, fits):
             if len(produced) + 1 == worse_on_call:
                 # every component the same: the order-1 fit, far worse here
                 responsibilities = np.full_like(responsibilities,
-                                                1.0 / responsibilities.shape[1])
-            produced.append(real(dataset, responsibilities))
+                                                1.0 / responsibilities.shape[-1])
+            produced.append(real(plan, responsibilities, fits))
             return produced[-1]
 
-        monkeypatch.setattr(training, "m_step", counted)
+        monkeypatch.setattr(training, "_m_step_batch", counted)
         return produced
 
     def test_worse_model_is_dropped_for_the_previous_one(self, monkeypatch):
@@ -154,7 +156,7 @@ class TestStopRule:
         produced = self._counting_m_step(monkeypatch, worse_on_call=4)
         model, trace = fit(ds, 2, EmConfig(restarts=1, seed=1, rel_tol=1e-12))
         assert len(produced) == 4
-        assert model is produced[2]
+        assert model is produced[2][0]  # a batch of one fit is that fit's model
         assert trace.iterations == 3
         assert not trace.converged
         assert trace.final_nll == -total_log_likelihood(model, ds, MODEL_MISSING)
@@ -181,7 +183,9 @@ class TestStopRule:
         produced = self._counting_m_step(monkeypatch)
         _, trace = fit(ds, 3, EmConfig(max_iterations=4, restarts=2, seed=1,
                                        rel_tol=1e-12))
-        assert len(produced) == 2 * (4 + 1)
+        # the two restarts step in lockstep: 4 + 1 batched M-steps of 2 fits each
+        assert len(produced) == 4 + 1
+        assert sum(len(fits) + len(failed) for _, fits, failed in produced) == 2 * (4 + 1)
         assert trace.iterations == 4 + 1 and not trace.converged
 
 
