@@ -154,24 +154,26 @@ def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
             if not keep.any():
                 continue
             at, sets = np.searchsorted(fits, members[keep]), which[keep]
+            # missed weights summed in row order, like totals: an all-missing
+            # column gives q == 1 exactly
             if len(rows) == 1:  # one training set (restarts of one fit): gather by take
                 whole = at.size == n_fits
-                missed_weights = (alpha if whole else alpha[at]).take(missed[0], axis=1)
+                missed_sums = (alpha if whole else alpha[at]).take(missed[0], axis=1).sum(axis=1)
                 weights = (by_component if whole else by_component[at]).take(rows[0], axis=2)
             else:
-                missed_weights = alpha[at[:, None], missed[sets]]
+                missed_sums = alpha[at[:, None], missed[sets]].sum(axis=1)
                 weights = by_component[at[:, None, None], np.arange(n_comp)[:, None],
                                        rows[sets][:, None, :]]
                 observed, floors = observed[sets], floors[sets]
-            # summed in row order, like totals: an all-missing column gives q == 1 exactly
-            missing_probs[at, :, v] = missed_weights.sum(axis=1) / totals[at]
+            missing_probs[at, :, v] = missed_sums / totals[at]
             slots = (at[:, None] * n_comp + np.arange(n_comp)).ravel()
+            unfitted = np.flatnonzero(weights.sum(axis=-1).ravel() <= ZERO_WEIGHT_EPS)
             with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
                 part = _weighted_block(schema.kind, observed[:, None], weights, schema.domain,
                                        floors[:, None])
             for full, values in zip(block, part):
                 full[slots] = values.reshape(slots.size, *width)
-            for slot in np.flatnonzero(weights.sum(axis=-1).ravel() <= ZERO_WEIGHT_EPS):
+            for slot in unfitted:
                 default = default_params(schema.kind, domain=schema.domain,
                                          scale=scales[sets[slot // n_comp]])
                 for full, values in zip(block, _block_of(schema, [default])):
@@ -231,8 +233,10 @@ def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
                     go[i] = False
         if not go.any():
             return outcomes
-        posteriors = np.exp((log_joint - totals[..., None]) if go.all()
-                            else log_joint[go] - totals[go][..., None])
+        if not go.all():
+            log_joint, totals = log_joint[go], totals[go]
+        # in place: the log-joint's memory becomes the posteriors
+        posteriors = np.exp(np.subtract(log_joint, totals[..., None], out=log_joint), out=log_joint)
         previous, previous_fits = model, fits
         model, fits, failed = _m_step_batch(plan, posteriors, fits[go])
 
