@@ -29,12 +29,15 @@ from .model import (MixtureModel, ZeroLikelihoodError, component_log_likelihoods
                     evidence_log_likelihoods, normalize_log_joint, row_log_likelihoods)
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, validate_dataset)
-from .training import _BATCH_CELLS, EmConfig, TrainingError, _fit_many
+from .training import EmConfig, TrainingError, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
+# folds trained at once: each holds its training set and its share of the batch,
+# so more folds per batch raise peak memory and save little fixed cost
+_FOLDS_PER_BATCH = 24
 
 
 class DegenerateSampleError(ValueError):
@@ -282,11 +285,10 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     lose a column's variability, every restart of an order fails, or the
     held-out evidence has zero likelihood."""
     n = dataset.n_subjects
-    per_batch = max(1, _BATCH_CELLS // (n * config.restarts * max(orders)))
-    if len(subjects) > per_batch:  # bounds the training sets and arrays held at once
-        return [fold for first in range(0, len(subjects), per_batch) for fold in
-                _evaluate_folds(dataset, subjects[first:first + per_batch], orders, targets,
-                                mode, config)]
+    if len(subjects) > _FOLDS_PER_BATCH:
+        return [fold for first in range(0, len(subjects), _FOLDS_PER_BATCH) for fold in
+                _evaluate_folds(dataset, subjects[first:first + _FOLDS_PER_BATCH], orders,
+                                targets, mode, config)]
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     failed, folds = {}, {}
     for s in subjects:

@@ -33,7 +33,7 @@ MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
 # likelihood cells (rows x components) of one batched E-step, one fit at least:
 # bigger batches save little fixed cost per fit and raise peak memory
-_BATCH_CELLS = 2 ** 14
+_BATCH_CELLS = 2 ** 17
 
 
 class ComponentCollapseError(RuntimeError):

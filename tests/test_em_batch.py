@@ -131,8 +131,10 @@ def test_batch_covers_every_way_a_fit_ends():
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_fold_ranges_do_not_change_any_fold(workers):
-    """Folds scored in one batch, one by one, or across worker ranges agree."""
+def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
+    """Folds scored in one batch, in batches of 4, one by one, or across worker
+    ranges agree."""
+    import hetmix.evaluation
     from hetmix.evaluation import _evaluate_folds
     dataset = _cohort(np.random.default_rng(3), 14, [2], lone_site=5)
     config = EmConfig(max_iterations=20, restarts=2, seed=4)
@@ -145,3 +147,5 @@ def test_fold_ranges_do_not_change_any_fold(workers):
     parts = np.array_split(np.arange(14), workers)
     assert [fold for part in parts for fold in _evaluate_folds(dataset, part.tolist(), *args)] \
         == together
+    monkeypatch.setattr(hetmix.evaluation, "_FOLDS_PER_BATCH", 4)
+    assert _evaluate_folds(dataset, range(14), *args) == together
