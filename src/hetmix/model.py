@@ -65,21 +65,21 @@ class MixtureModel:
         self.__dict__.update(packed.__dict__, _params=params)
 
     @classmethod
-    def _from_blocks(cls, weights, blocks, missing_probs, schemas) -> "MixtureModel":
+    def _from_blocks(cls, weights, blocks, missing_probs, schemas, n_fits=1) -> "MixtureModel":
         """A checked model whose variable v has the parameter block ``blocks[v]``
         (its arrays are made read-only); finite variables' log-mass tables are
-        computed here, once. (B, Z) ``weights`` stack B fits: one model of B * Z
+        computed here, once. ``n_fits`` > 1 stacks fits: one model of n_fits * Z
         components, fit-major, whose weights sum to 1 per fit (see ``_fit_of``)."""
         weights = np.array(weights, dtype=float)
         missing = np.array(missing_probs, dtype=float)
         schemas = tuple(schemas)
-        n_comp = weights.size if weights.ndim in (1, 2) else 0
+        n_comp = weights.shape[0] if weights.ndim == 1 else 0
         n_vars = len(schemas)
         if n_comp < 1:
             raise ValueError("weights must be a non-empty vector")
-        if not ((weights >= 0).all() and (abs(weights.sum(axis=-1) - 1.0) <= 1e-9).all()):
+        sums = weights.reshape(n_fits, -1).sum(axis=1)
+        if not ((weights >= 0).all() and (abs(sums - 1.0) <= 1e-9).all()):
             raise ValueError("weights must be nonnegative and sum to 1")
-        weights = weights.ravel()
         if missing.shape != (n_comp, n_vars):
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
         if not ((missing >= 0) & (missing <= 1)).all():
@@ -112,10 +112,10 @@ class MixtureModel:
     def _stack(cls, models) -> "MixtureModel":
         """``models`` (one order, one set of schemas) stacked as ``_from_blocks`` stacks fits."""
         blocks = zip(*(m._blocks for m in models))
-        return cls._from_blocks([m.weights for m in models],
+        return cls._from_blocks(np.concatenate([m.weights for m in models]),
                                 [tuple(map(np.concatenate, zip(*block))) for block in blocks],
                                 np.concatenate([m.missing_probs for m in models]),
-                                models[0].schemas)
+                                models[0].schemas, len(models))
 
     def _fit_of(self, b: int, n_fits: int) -> "MixtureModel":
         """Fit b of a stack of ``n_fits`` fits: views of its rows, not checked again."""

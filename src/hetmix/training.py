@@ -31,9 +31,6 @@ from .schema import Dataset, SchemaViolationError, VariableKind, validate_datase
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
-# likelihood cells (rows x components) of one batched E-step, one fit at least:
-# bigger batches save little fixed cost per fit and raise peak memory
-_BATCH_CELLS = 2 ** 17
 
 
 class ComponentCollapseError(RuntimeError):
@@ -179,9 +176,9 @@ def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
                 for full, values in zip(block, _block_of(schema, [default])):
                     full[slots[slot]] = values[0]
         blocks.append(block)
-    model = MixtureModel._from_blocks(totals / totals.sum(axis=1, keepdims=True), blocks,
-                                      missing_probs.reshape(n_fits * n_comp, -1),
-                                      [schema for schema, _ in plan])
+    model = MixtureModel._from_blocks((totals / totals.sum(axis=1, keepdims=True)).ravel(),
+                                      blocks, missing_probs.reshape(n_fits * n_comp, -1),
+                                      [schema for schema, _ in plan], n_fits)
     return model, fits, failed
 
 
@@ -244,20 +241,14 @@ def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
 def _fit_many(dataset: Dataset, subsets, rows, seeds, order: int, config: EmConfig) -> list:
     """Fit ``order`` components to each subset ``subsets[i]`` (the rows ``rows[i]``
     of ``dataset``; all if ``rows`` is None), restarts seeded from ``seeds[i]``,
-    in batches of at most _BATCH_CELLS likelihood cells. Per fit: the best
-    (model, TrainingTrace), or a TrainingError if every restart failed."""
-    starts = [(subset, i, np.random.default_rng(child)) for i, (subset, seed)
-              in enumerate(zip(subsets, seeds))
+    as one batch. Per fit: the best (model, TrainingTrace), or a TrainingError
+    if every restart failed."""
+    starts = [(subset, np.random.default_rng(child)) for subset, seed in zip(subsets, seeds)
               for child in np.random.SeedSequence(seed).spawn(config.restarts)]
-    size = max(1, _BATCH_CELLS // (dataset.n_subjects * order))
-    outcomes = []
-    for first in range(0, len(starts), size):
-        part = starts[first:first + size]
-        outcomes += _em_batch(
-            dataset, [subset for subset, _, _ in part],
-            None if rows is None else np.array([rows[i] for _, i, _ in part]),
-            np.array([rng.dirichlet(np.ones(order), size=subset.n_subjects)
-                      for subset, _, rng in part]), config)
+    outcomes = _em_batch(dataset, [subset for subset, _ in starts],
+                         None if rows is None else np.repeat(rows, config.restarts, axis=0),
+                         np.array([rng.dirichlet(np.ones(order), size=subset.n_subjects)
+                                   for subset, rng in starts]), config)
     out = []
     for first in range(0, len(outcomes), config.restarts):
         best, failures = None, []

@@ -375,6 +375,38 @@ class TestLooEvaluate:
         subjects = {r.subject for r in got.eae_records[1]}
         assert 1 not in subjects
 
+    def test_fold_whose_restarts_all_fail(self, monkeypatch):
+        """A fold whose every order-2 restart collapses comes back from the real
+        _evaluate_folds as a failure record with the TrainingError text, is
+        excluded by loo_evaluate, and leaves the other folds as they were."""
+        import hetmix.evaluation as ev
+        cohort, _ = sample_cohort(small_demo_model(), 12, np.random.default_rng(2))
+        config = EmConfig(max_iterations=20, restarts=2, seed=0)
+        args = ((1, 2), ("severity", "status"), IGNORE_MISSING, config)
+        clean = ev._evaluate_folds(cohort, range(12), *args)
+        doomed, real = _fold_seed(config.seed, 3), np.random.default_rng
+
+        class Collapsing:  # fold 3's order-2 starts give component 0 no responsibility
+            def __init__(self, seed):
+                self.rng, self.doomed = real(seed), seed.entropy == doomed
+
+            def dirichlet(self, alpha, size):
+                start = self.rng.dirichlet(alpha, size)
+                if self.doomed and len(alpha) == 2:
+                    start[:, 0] = 0.0
+                return start
+
+        monkeypatch.setattr(np.random, "default_rng", Collapsing)
+        got = ev._evaluate_folds(cohort, range(12), *args)
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        message = (f"all 2 restart(s) failed for order 2: restart 0: {collapsed}; "
+                   f"restart 1: {collapsed}")
+        assert clean[3][1] is not None and got[3] == (3, None, None, message)
+        assert got[:3] + got[4:] == clean[:3] + clean[4:]
+        result = loo_evaluate(cohort, *args)
+        assert [(f.subject, f.message) for f in result.failures] == [(3, message)]
+        assert {r.subject for r in result.eae_records[1]} == set(range(12)) - {3}
+
     def test_abort_when_too_many_folds_fail(self, monkeypatch):
         import hetmix.evaluation as ev
 

@@ -290,6 +290,15 @@ class TestModelFiles:
         with pytest.raises(FormatError):
             model_from_dict(["not", "an", "object"])
 
+    def test_stacked_weights_refused(self):
+        payload = model_to_dict(MixtureModel((0.5, 0.5), ((Gaussian(0.0, 1.0),),
+                                                          (Gaussian(1.0, 1.0),)),
+                                             [[0.1], [0.1]], (VariableSchema("x", "real"),)))
+        model_from_dict(payload)
+        payload["weights"] = [[1.0], [1.0]]
+        with pytest.raises(FormatError, match="non-empty vector"):
+            model_from_dict(payload)
+
     def test_sampled_cohort_file_round_trip(self, tmp_path, rng):
         model = random_model(rng)
         cohort, _ = sample_cohort(model, 30, np.random.default_rng(4))

@@ -47,6 +47,13 @@ class TestMixtureModel:
         with pytest.raises(ValueError):
             MixtureModel((1.0,), ((Gaussian(0, 1), Gaussian(0, 1)),), [[0.1]], schemas)
 
+    def test_stacked_weights_refused(self):
+        """A (Z, 1) weight array whose every row sums to 1 is not a weight vector."""
+        schemas = (VariableSchema("x", "real"),)
+        with pytest.raises(ValueError, match="non-empty vector"):
+            MixtureModel([[1.0], [1.0]], ((Gaussian(0, 1),), (Gaussian(1, 1),)),
+                         [[0.1], [0.1]], schemas)
+
     @pytest.mark.parametrize("weights, missing", [
         ((math.nan, 1.0), [[0.1], [0.1]]),
         ((0.5, math.nan), [[0.1], [0.1]]),
