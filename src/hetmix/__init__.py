@@ -30,8 +30,8 @@ from .training import (ComponentCollapseError, EmConfig, OrderScore,
                        OrderSelection, TrainingError, TrainingTrace,
                        bic_score, fit, m_step, select_order)
 from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
-                        PredictiveDistribution, infer, infer_many,
-                        point_predict, predict_targets, rank_outcomes,
+                        PredictiveDistribution, Predictions, infer, infer_many,
+                        point_predict, predict_batch, rank_outcomes,
                         target_tables)
 from .evaluation import (ConfidenceBins, ConfidenceRecord, DegenerateSampleError,
                          EaeRecord, FoldFailure, LooResult, TargetSummary,

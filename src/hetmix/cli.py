@@ -50,7 +50,7 @@ import numpy as np
 from . import __version__, demo
 from .evaluation import (DegenerateSampleError, confidence_bins, error_density,
                          loo_evaluate, scott_bandwidth, threshold_curve)
-from .inference import infer_many, point_predict
+from .inference import infer_many
 from .io import (DEFAULT_MISSING_TOKEN, FormatError, atomic_write_text,
                  load_dataset, load_model, load_schemas, params_to_dict,
                  read_data_csv, read_evidence_csv, save_model, save_schemas,
@@ -206,18 +206,41 @@ def run_select(arguments: dict, out_dir) -> list:
     return ["bic_table.csv", "model.json", "trace.csv"]
 
 
-def _payload_writer(model, name):
-    """A function of target ``name``'s prediction giving its JSON payload. What
-    every record shares (kind, and domain or serialized components) is built
-    here, once."""
-    j = model.column_index(name)
-    kind = model.schemas[j].kind
-    if kind.is_finite:
-        shared = {"kind": kind.value, "domain": list(model.schemas[j].domain)}
-        return lambda p: {**shared, "probabilities": p.probabilities.tolist(),
-                          "point": point_predict(p)}
-    shared = {"kind": kind.value, "components": [params_to_dict(row[j]) for row in model.params]}
-    return lambda p: {**shared, "weights": p.weights.tolist(), "point": point_predict(p)}
+def _json_rows(matrix):
+    """``json.dumps`` of each item of a vector, or of each row of a matrix
+    without its brackets, from one ``json.dumps`` per chunk of rows."""
+    for start in range(0, len(matrix), 1024):
+        text = json.dumps(matrix[start:start + 1024].tolist())
+        yield from text[2:-2].split("], [") if matrix.ndim == 2 else text[1:-1].split(", ")
+
+
+def _prediction_lines(predicted, errors: dict, n_records: int):
+    """The lines of ``predictions.jsonl``, each ``json.dumps(payload,
+    sort_keys=True)`` of its record's payload. What every record shares (a
+    target's domain or serialized components, and kind) is encoded once, in
+    key order; a record's own floats are encoded by ``json`` and spliced in."""
+    targets = []
+    for name, (schema, table) in sorted(predicted.tables.items()):
+        finite = schema.kind.is_finite
+        shared = json.dumps({"kind": schema.kind.value, **(
+            {"domain": list(schema.domain)} if finite else
+            {"components": [params_to_dict(cell) for cell in table]})}, sort_keys=True)
+        targets.append((f'{json.dumps(name)}: {shared[:-1]}, "point": ',
+                        [json.dumps(v) for v in schema.domain] if finite else None,
+                        iter(predicted.points[name].tolist()) if finite else
+                        _json_rows(predicted.points[name]),
+                        _json_rows(predicted.probabilities[name]) if finite else None))
+    posteriors = _json_rows(predicted.posteriors)
+    for i in range(n_records):
+        if i in errors:
+            yield json.dumps({"error": str(errors[i]), "record": i}, sort_keys=True) + "\n"
+            continue
+        posterior = f"[{next(posteriors)}]"
+        fields = ", ".join(
+            f'{head}{next(points)}, "weights": {posterior}}}' if domain is None else
+            f'{head}{domain[next(points)]}, "probabilities": [{next(probabilities)}]}}'
+            for head, domain, points, probabilities in targets)
+        yield f'{{"posterior": {posterior}, "record": {i}, "targets": {{{fields}}}}}\n'
 
 
 def run_infer(arguments: dict, out_dir) -> list:
@@ -226,25 +249,13 @@ def run_infer(arguments: dict, out_dir) -> list:
                else [s.name for s in model.schemas if s.role == OUTCOME])
     evidence, columns = read_evidence_csv(arguments["evidence"], model,
                                           arguments["missing_token"])
-    results = infer_many(model, evidence, columns, targets, arguments["mode"])
-    writers = {name: _payload_writer(model, name) for name in targets}
-    failed = []
-
-    def line(i, predicted) -> str:
-        if isinstance(predicted, Exception):
-            failed.append(i)
-            payload = {"record": i, "error": str(predicted)}
-        else:
-            payload = {"record": i, "posterior": predicted.posterior.tolist(),
-                       "targets": {name: write(predicted[name]) for name, write in writers.items()}}
-        return json.dumps(payload, sort_keys=True) + "\n"
-
+    predicted, errors = infer_many(model, evidence, columns, targets, arguments["mode"])
     atomic_write_text(out_dir / "predictions.jsonl",
-                      (line(i, predicted) for i, predicted in enumerate(results)))
-    print(f"{evidence.n_subjects - len(failed)} of {evidence.n_subjects} records inferred")
-    if failed:
+                      _prediction_lines(predicted, errors, evidence.n_subjects))
+    print(f"{evidence.n_subjects - len(errors)} of {evidence.n_subjects} records inferred")
+    if errors:
         raise _PartialFailure(["predictions.jsonl"], "inference", EXIT_INFERENCE,
-                              f"{len(failed)} record(s) failed inference")
+                              f"{len(errors)} record(s) failed inference")
     return ["predictions.jsonl"]
 
 

@@ -23,10 +23,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import log_sum_exp
-from .inference import (FinitePrediction, InferenceRequest, predict_targets,
+from .inference import (FinitePrediction, InferenceRequest, predict_batch,
                         target_tables)
-from .model import (MixtureModel, ZeroLikelihoodError, component_log_likelihoods,
-                    evidence_log_likelihoods, normalize_log_joint, row_log_likelihoods)
+from .model import (MixtureModel, component_log_likelihoods, evidence_log_likelihoods,
+                    row_log_likelihoods)
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, validate_dataset)
 from .training import EmConfig, TrainingError, _fit_many
@@ -262,12 +262,12 @@ def _fold_seed(seed: int, subject: int) -> int:
     return int(np.random.SeedSequence([seed, subject]).generate_state(1)[0])
 
 
-def _errors(dataset: Dataset, truths: Mapping, predicted: Mapping) -> dict:
-    """{target: (error, normalized error)} of ``predicted`` against ``truths``."""
+def _errors(dataset: Dataset, truths: Mapping, probabilities: Mapping) -> dict:
+    """{target: (error, normalized error)} of predicted ``probabilities`` against ``truths``."""
     out = {}
     for name, truth in truths.items():
         schema = dataset.schema(name)
-        err = prediction_error(schema, predicted[name], truth)
+        err = prediction_error(schema, FinitePrediction(schema.domain, probabilities[name]), truth)
         out[name] = (err, normalized_error(schema, err))
     return out
 
@@ -298,7 +298,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
             continue
         truths = {name: dataset.value(s, dataset.column_index(name)) for name in targets}
         truths = {name: value for name, value in truths.items() if value is not MISSING}
-        chance = {name: chance_prediction(dataset.schema(name)) for name in truths}
+        chance = {name: chance_prediction(dataset.schema(name)).probabilities for name in truths}
         folds[s] = (train, truths, {CHANCE_ORDER: _errors(dataset, truths, chance)}, {})
     for order in orders:
         live = [s for s in folds if s not in failed]
@@ -316,13 +316,12 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
         scores = log_sum_exp(log_joint)
         for f, (s, model) in enumerate(trained):
             _, truths, errors, confidence = folds[s]
-            try:
-                posterior = normalize_log_joint(log_joint[s:s + 1, f])[0][0] if truths else None
-            except ZeroLikelihoodError as err:
-                failed[s] = str(err)
+            predicted, zero = predict_batch(target_tables(model, truths), log_joint[s:s + 1, f])
+            if zero and truths:
+                failed[s] = f"held-out subject {s} has zero likelihood under every component"
                 continue
-            predicted = predict_targets(target_tables(model, truths), posterior) if truths else {}
-            errors[order] = _errors(dataset, truths, predicted)
+            errors[order] = _errors(dataset, truths, {name: p[0] for name, p in
+                                                      predicted.probabilities.items()})
             log_c = float(scores[s, f])
             confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores[:, f], s))))
     return [(s, None, None, failed[s]) if s in failed else
@@ -387,7 +386,7 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
 
     if len(failures) > MAX_FAILURE_FRACTION * dataset.n_subjects:
         raise TrainingError(
-            f"{len(failures)} of {dataset.n_subjects} folds failed training: "
+            f"{len(failures)} of {dataset.n_subjects} folds failed: "
             + "; ".join(f.message for f in failures[:3]))
 
     summaries = []

@@ -11,13 +11,13 @@ nothing, while an explicit MISSING engages the missingness factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .distributions import log_sum_exp
 from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
-                    component_log_likelihoods, normalize_log_joint)
+                    component_log_likelihoods)
 from .schema import Dataset, SchemaViolationError
 
 
@@ -105,50 +105,75 @@ class PredictiveDistribution:
         return self.targets[name]
 
 
+class Predictions(NamedTuple):
+    """One row per record: the targets' ``target_tables``, (M, Z) posteriors, each finite
+    target's (M, K) probabilities, and per target (M,) points: a finite target's argmax
+    (a domain index, the first on ties) or a continuous target's expectation."""
+
+    tables: dict
+    posteriors: np.ndarray
+    probabilities: dict
+    points: dict
+
+
 def infer(model: MixtureModel, request: InferenceRequest) -> PredictiveDistribution:
     """Predictions for one evidence mapping: ``infer_many`` on one record."""
     columns = [model.column_index(name) for name in request.evidence]
     dataset = Dataset(model.schemas, [tuple(request.evidence.values())], columns)
-    result = next(infer_many(model, dataset, columns, request.targets, request.mode))
-    if isinstance(result, Exception):
-        raise result
-    return result
+    predicted, errors = infer_many(model, dataset, columns, request.targets, request.mode)
+    if errors:
+        raise errors[0]
+    post = predicted.posteriors[0]
+    return PredictiveDistribution(
+        {name: FinitePrediction(schema.domain, predicted.probabilities[name][0])
+         if schema.kind.is_finite else MixturePrediction(post, table)
+         for name, (schema, table) in predicted.tables.items()}, post)
 
 
 def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
-               targets, mode: str) -> Iterator:
+               targets, mode: str) -> tuple:
     """Predict the targets of every record of ``dataset`` from its ``columns``.
 
     Checks targets and mode by an ``InferenceRequest`` and makes one
-    likelihood pass over the records without bad cells, then returns an
-    iterator giving per record, in order, its ``PredictiveDistribution`` or the
-    error failing it: SchemaViolationError (bad cells in ``columns`` order, row
-    None), ZeroLikelihoodError."""
+    likelihood pass over the records without bad cells. Returns the
+    ``Predictions`` of the records that did not fail, in record order, and
+    {record: error} for those that did: SchemaViolationError (bad cells in
+    ``columns`` order, row None) or ZeroLikelihoodError."""
     names = dict.fromkeys(dataset.schemas[j].name for j in columns)
-    targets = InferenceRequest(names, targets, mode).targets
-    for name in targets:
-        model.column_index(name)
+    tables = target_tables(model, InferenceRequest(names, targets, mode).targets)
     bad: dict = {}
     for j in columns:
         for v in dataset.cell_violations[j]:
             bad.setdefault(v.row, []).append(replace(v, row=None))
     good = [i for i in range(dataset.n_subjects) if i not in bad]
     clean = dataset.subset(good) if bad and good else dataset
-    posteriors = iter(_posteriors(component_log_likelihoods(model, clean, mode, columns))
-                      if good else ())
-    tables = target_tables(model, targets)
-    results = (SchemaViolationError(bad[i]) if i in bad else next(posteriors)
-               for i in range(dataset.n_subjects))
-    return (r if isinstance(r, Exception) else PredictiveDistribution(predict_targets(tables, r), r)
-            for r in results)
+    log_joint = (component_log_likelihoods(model, clean, mode, columns) if good
+                 else np.empty((0, model.n_components)))
+    predicted, zero = predict_batch(tables, log_joint)
+    errors = {i: SchemaViolationError(v) for i, v in bad.items()}
+    errors.update((good[r], err) for r, err in zero.items())
+    return predicted, errors
 
 
-def _posteriors(log_comp: np.ndarray):
-    """Posterior rows of an (N, Z) log joint; if a row fails, row by row, errors in place."""
-    try:
-        return normalize_log_joint(log_comp)[0]
-    except ZeroLikelihoodError as err:
-        return [err] if len(log_comp) == 1 else [_posteriors(row[None])[0] for row in log_comp]
+def predict_batch(tables: dict, log_joint: np.ndarray) -> tuple:
+    """``Predictions`` for the rows of an (N, Z) log joint with a finite total, and
+    {row: ZeroLikelihoodError} for the others, each with the text ``infer`` gives it.
+    Each row is its own (1, Z) @ (Z, K) product, so its values equal ``posterior @
+    table`` and ``np.dot(posterior, expectations)`` to the bit; (N, Z) @ (Z, K) would not."""
+    totals = log_sum_exp(log_joint, axis=1)
+    good = np.isfinite(totals)
+    posteriors = np.exp(log_joint[good] - totals[good, None])
+    stacked = posteriors[:, None, :]
+    probabilities, points = {}, {}
+    for name, (schema, table) in tables.items():
+        if schema.kind.is_finite:
+            probabilities[name] = np.matmul(stacked, table)[:, 0]
+            points[name] = np.argmax(probabilities[name], axis=1)
+        else:
+            points[name] = np.matmul(stacked, [c.expectation for c in table])[:, 0]
+    zero = {int(r): ZeroLikelihoodError("subject 0 has zero likelihood under every component")
+            for r in np.flatnonzero(~good)}
+    return Predictions(tables, posteriors, probabilities, points), zero
 
 
 def target_tables(model: MixtureModel, targets) -> dict:
@@ -161,18 +186,6 @@ def target_tables(model: MixtureModel, targets) -> dict:
         finite = model.schemas[j].kind.is_finite
         tables[name] = (model.schemas[j], model._mass_table(j) if finite else model._cells(j))
     return tables
-
-
-def predict_targets(tables: dict, posterior: np.ndarray) -> dict:
-    """Per-target predictions under one component posterior, from the
-    ``target_tables`` of the model (shared by infer and LOO)."""
-    predictions = {}
-    for name, (schema, table) in tables.items():
-        if schema.kind.is_finite:
-            predictions[name] = FinitePrediction(schema.domain, posterior @ table)
-        else:
-            predictions[name] = MixturePrediction(posterior, table)
-    return predictions
 
 
 def point_predict(prediction) -> object:

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from hetmix import (MISSING, InferenceRequest, MixtureModel, SchemaViolationError,
-                    ZeroLikelihoodError, infer)
+from hetmix import (MISSING, Categorical, Gaussian, InferenceRequest,
+                    InflatedGamma, MixtureModel, QuantizedGaussian,
+                    SchemaViolationError, VariableSchema, ZeroLikelihoodError,
+                    infer, point_predict)
 from hetmix.cli import main, parse_orders
-from hetmix.io import load_dataset, load_model, model_to_dict, save_model
+from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
+                       save_model)
 from hetmix.training import m_step
 
 
@@ -463,6 +466,77 @@ class TestInferMatchesPerRecordInfer:
         assert _last_error(capsys)["category"] == "inference"
         lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
         assert [sorted(line) for line in lines] == [["error", "record"]] * 2
+
+
+class TestPredictionsBytes:
+    """predictions.jsonl holds, line by line, ``json.dumps(payload,
+    sort_keys=True)`` of the payload built from per-record ``infer``."""
+
+    TARGETS = ("grade", "city", "conc")  # not in key order
+
+    @staticmethod
+    def _model():
+        schemas = (VariableSchema("x", "real"),
+                   VariableSchema("site", "categorical", ("a", "b")),
+                   VariableSchema("grade", "ordinal", (1, 2, 3, 4), role="outcome"),
+                   VariableSchema("city", "categorical", ("Zürich", "東京", "Ørsted"),
+                                  role="outcome"),
+                   VariableSchema("conc", "nonnegative", role="outcome"))
+        params = tuple((Gaussian(mean, 1.5), Categorical((1.0, 0.0), ("a", "b")),
+                        QuantizedGaussian(grade, 0.8, (1, 2, 3, 4)),
+                        Categorical(city, ("Zürich", "東京", "Ørsted")),
+                        InflatedGamma(zero, 2.0, scale))
+                       for mean, grade, city, zero, scale in
+                       ((-2.0, 1.5, (0.6, 0.3, 0.1), 0.2, 1.5),
+                        (1.0, 3.0, (0.1, 0.3, 0.6), 0.05, 0.7),
+                        (3.0, 2.5, (0.3, 0.4, 0.3), 0.4, 3.0)))
+        return MixtureModel((0.3, 0.5, 0.2), params, [[0.1, 0.2, 0.1, 0.1, 0.1]] * 3,
+                            schemas)
+
+    def _payload(self, model, record, evidence):
+        """The payload of one record, built as the writer of earlier versions did."""
+        try:
+            predicted = infer(model, InferenceRequest(evidence, self.TARGETS, "model_missing"))
+        except (SchemaViolationError, ZeroLikelihoodError) as err:
+            return {"record": record, "error": str(err)}
+        targets = {}
+        for name in self.TARGETS:
+            schema, prediction = model.schema(name), predicted[name]
+            if schema.kind.is_finite:
+                targets[name] = {"kind": schema.kind.value, "domain": list(schema.domain),
+                                 "probabilities": prediction.probabilities.tolist()}
+            else:
+                j = model.column_index(name)
+                targets[name] = {"kind": schema.kind.value,
+                                 "components": [params_to_dict(row[j]) for row in model.params],
+                                 "weights": prediction.weights.tolist()}
+            targets[name]["point"] = point_predict(prediction)
+        return {"record": record, "posterior": predicted.posterior.tolist(),
+                "targets": targets}
+
+    def test_lines_equal_json_dumps_of_the_payload(self, tmp_path, capsys):
+        model = self._model()
+        save_model(model, tmp_path / "model.json")
+        rng = np.random.default_rng(8)
+        # more records than one encoding chunk; a bad cell, a bad symbol, an
+        # explicit missing cell and a symbol of zero likelihood among them
+        cells = [(repr(float(x)), "a") for x in rng.normal(0.0, 3.0, 1030)]
+        cells[3], cells[500], cells[1024], cells[1029] = \
+            ("oops", "a"), ("0.5", "atlantis"), ("", "a"), ("1.0", "b")
+        (tmp_path / "evidence.csv").write_text(
+            "x,site\n" + "".join(f"{x},{site}\n" for x, site in cells))
+        assert main(["infer", "--out-dir", str(tmp_path / "out"),
+                     "--model", str(tmp_path / "model.json"),
+                     "--evidence", str(tmp_path / "evidence.csv"),
+                     "--targets", ",".join(self.TARGETS), "--mode", "model_missing"]) == 5
+        assert "1027 of 1030 records inferred" in capsys.readouterr().out
+        want = [json.dumps(self._payload(model, i, {
+            "x": MISSING if x == "" else x if x == "oops" else float(x), "site": site}),
+            sort_keys=True) + "\n" for i, (x, site) in enumerate(cells)]
+        text = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="ascii")
+        assert text.splitlines(keepends=True) == want
+        assert [i for i, line in enumerate(want) if '"error"' in line] == [3, 500, 1029]
+        assert "\\u6771\\u4eac" in want[0]  # the non-ASCII symbol, as json escapes it
 
 
 @pytest.fixture(scope="module")

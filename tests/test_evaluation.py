@@ -407,6 +407,23 @@ class TestLooEvaluate:
         assert [(f.subject, f.message) for f in result.failures] == [(3, message)]
         assert {r.subject for r in result.eae_records[1]} == set(range(12)) - {3}
 
+    def test_held_out_zero_likelihood_names_the_subject(self):
+        """Subject 0 is the only one missing ``dose`` and subject 2 the only one
+        missing ``stage``, so under model_missing the model of each one's own
+        fold gives it zero likelihood: each failure names its held-out subject,
+        and the abort does not say that a fold failed to train."""
+        cohort, _ = sample_cohort(small_demo_model(), 13, np.random.default_rng(2))
+        config = EmConfig(max_iterations=60, restarts=2, seed=0)
+        failure = "held-out subject {} has zero likelihood under every component"
+        folds = _evaluate_folds(cohort, range(13), (1, 2), ("severity", "status"),
+                                MODEL_MISSING, config)
+        assert [(s, extra) for s, errors, _, extra in folds if errors is None] == \
+            [(0, failure.format(0)), (2, failure.format(2))]
+        with pytest.raises(TrainingError) as caught:
+            loo_evaluate(cohort, (1, 2), ("severity", "status"), MODEL_MISSING, config)
+        assert str(caught.value) == \
+            f"2 of 13 folds failed: {failure.format(0)}; {failure.format(2)}"
+
     def test_abort_when_too_many_folds_fail(self, monkeypatch):
         import hetmix.evaluation as ev
 

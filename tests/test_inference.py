@@ -8,11 +8,15 @@ import pytest
 import oracles
 from conftest import random_model, random_row
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
-                    FinitePrediction, Gaussian, InferenceRequest,
-                    MixtureModel, MixturePrediction, QuantizedGaussian,
-                    SchemaError, VariableSchema, ZeroLikelihoodError, infer,
-                    point_predict, rank_outcomes)
+                    Dataset, FinitePrediction, Gaussian, InferenceRequest,
+                    InflatedGamma, MixtureModel, MixturePrediction,
+                    QuantizedGaussian, SchemaError, VariableSchema,
+                    ZeroLikelihoodError, component_log_likelihoods, infer,
+                    infer_many, point_predict, predict_batch, rank_outcomes,
+                    sample_cohort, target_tables)
+from hetmix.demo import demo_model
 from hetmix.io import model_to_dict
+from hetmix.model import normalize_log_joint
 
 
 def _model(q_by_component=((0.1, 0.2, 0.3), (0.3, 0.1, 0.2))):
@@ -164,6 +168,71 @@ class TestInfer:
         with pytest.raises(SchemaViolationError) as err:
             infer(model, InferenceRequest({"site": "zzz"}, ("grade",), MODEL_MISSING))
         assert [(v.row, v.column) for v in err.value.violations] == [(None, "site")]
+
+
+def _tie_model():
+    """Every component gives "a" and "b" of ``site`` the same mass, so every
+    record's ``site`` prediction ties between them."""
+    schemas = (VariableSchema("x", "real"),
+               VariableSchema("grade", "ordinal", (1, 2, 3), role="outcome"),
+               VariableSchema("site", "categorical", ("a", "b", "c"), role="outcome"),
+               VariableSchema("dose", "nonnegative", role="outcome"))
+    params = ((Gaussian(-2.0, 1.0), QuantizedGaussian(1.0, 0.5, (1, 2, 3)),
+               Categorical((0.4, 0.4, 0.2), ("a", "b", "c")), InflatedGamma(0.2, 2.0, 1.5)),
+              (Gaussian(2.0, 1.0), QuantizedGaussian(3.0, 0.5, (1, 2, 3)),
+               Categorical((0.4, 0.4, 0.2), ("a", "b", "c")), InflatedGamma(0.1, 3.0, 0.5)),
+              (Gaussian(0.0, 2.0), QuantizedGaussian(2.0, 0.7, (1, 2, 3)),
+               Categorical((0.4, 0.4, 0.2), ("a", "b", "c")), InflatedGamma(0.3, 1.0, 4.0)))
+    return MixtureModel((0.3, 0.3, 0.4), params, [[0.1] * 4] * 3, schemas)
+
+
+class TestPredictBatch:
+    """Each row of the batched matrices is what one record's posterior gives alone."""
+
+    @pytest.mark.parametrize("model, n, tied", [(demo_model(), 3000, None),
+                                                (_tie_model(), 200, "site")])
+    def test_rows_equal_the_per_record_products(self, model, n, tied):
+        cohort, _ = sample_cohort(model, n, np.random.default_rng(0))
+        targets = [s.name for s in model.schemas if s.role == "outcome"]
+        inputs = [j for j in range(model.n_variables) if model.schemas[j].name not in targets]
+        log_joint = component_log_likelihoods(model, cohort, MODEL_MISSING, inputs)
+        predicted, zero = predict_batch(target_tables(model, targets), log_joint)
+        assert zero == {}
+        assert np.array_equal(predicted.posteriors, normalize_log_joint(log_joint)[0])
+        for name, (schema, table) in target_tables(model, targets).items():
+            for r, posterior in enumerate(predicted.posteriors):
+                if schema.kind.is_finite:
+                    probs = posterior @ table
+                    assert np.array_equal(predicted.probabilities[name][r], probs)
+                    assert predicted.points[name][r] == np.argmax(probs)
+                else:
+                    want = np.dot(posterior, [c.expectation for c in table])
+                    assert predicted.points[name][r] == want
+        if tied:  # every row ties: the first tied symbol wins
+            assert set(predicted.points[tied].tolist()) == {0}
+
+    def test_zero_likelihood_record_among_good_ones(self):
+        schemas = (VariableSchema("x", "real"),
+                   VariableSchema("site", "categorical", ("a", "b")),
+                   VariableSchema("grade", "ordinal", (1, 2, 3), role="outcome"))
+        params = tuple((Gaussian(m, 1.0), Categorical((1.0, 0.0), ("a", "b")),
+                        QuantizedGaussian(g, 0.5, (1, 2, 3))) for m, g in ((-2.0, 1.0), (2.0, 3.0)))
+        model = MixtureModel((0.5, 0.5), params, [[0.1, 0.1, 0.1]] * 2, schemas)
+        rows = [(-1.0, "a"), (0.3, "a"), (0.5, "b"), (2.0, "a"), (-4.0, "a")]
+        columns = [0, 1]
+
+        def run(rows):
+            return infer_many(model, Dataset(schemas, rows, columns), columns,
+                              ("grade",), MODEL_MISSING)
+
+        predicted, errors = run(rows)
+        clean, none = run(rows[:2] + rows[3:])
+        assert list(errors) == [2] and none == {}
+        with pytest.raises(ZeroLikelihoodError) as caught:
+            infer(model, InferenceRequest({"x": 0.5, "site": "b"}, ("grade",), MODEL_MISSING))
+        assert str(errors[2]) == str(caught.value)
+        assert (predicted.posteriors == clean.posteriors).all()
+        assert (predicted.probabilities["grade"] == clean.probabilities["grade"]).all()
 
 
 class TestPointPredict:
