@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .schema import VariableKind
 
@@ -59,15 +58,25 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
     return out.squeeze(axis)
 
 
+def _log_gamma(a: float) -> float:
+    """math.lgamma(a), or +inf where that overflows (a >= ~2.6e305)."""
+    try:
+        return math.lgamma(a)
+    except OverflowError:
+        return math.inf
+
+
 def _gaussian_log_pdf(x, mean, variance):
     return -0.5 * (LOG_TWO_PI + np.log(variance) + (x - mean) ** 2 / variance)
 
 
 def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
-    """Log density at x >= 0 (NaN passes through)."""
+    """Log density at x >= 0 (NaN passes through); ``shape`` is a float or a block."""
+    with np.errstate(over="ignore"):  # the flag math.lgamma raises OverflowError on
+        log_gamma = np.asarray(np.frompyfunc(_log_gamma, 1, 1)(shape), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         positive = (np.log1p(-zero_prob) + (shape - 1.0) * np.log(x) - x / scale
-                    - shape * np.log(scale) - gammaln(shape))
+                    - shape * np.log(scale) - log_gamma)
         return np.where(x == 0, np.log(zero_prob), positive)
 
 

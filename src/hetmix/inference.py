@@ -171,7 +171,7 @@ def predict_batch(tables: dict, log_joint: np.ndarray) -> tuple:
             points[name] = np.argmax(probabilities[name], axis=1)
         else:
             points[name] = np.matmul(stacked, [c.expectation for c in table])[:, 0]
-    zero = {int(r): ZeroLikelihoodError("subject 0 has zero likelihood under every component")
+    zero = {int(r): ZeroLikelihoodError("evidence has zero likelihood under every component")
             for r in np.flatnonzero(~good)}
     return Predictions(tables, posteriors, probabilities, points), zero
 

@@ -1,10 +1,15 @@
 """End-to-end command-line runs, exercised in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetmix
 from hetmix import (MISSING, Categorical, Gaussian, InferenceRequest,
                     InflatedGamma, MixtureModel, QuantizedGaussian,
                     SchemaViolationError, VariableSchema, ZeroLikelihoodError,
@@ -90,6 +95,15 @@ class TestParser:
                      "--order", "1"])
         assert code == 6
         assert _last_error(capsys)["category"] == "io"
+
+    def test_import_loads_no_scipy(self):
+        """The command line runs on NumPy and the standard library alone."""
+        code = ("import hetmix.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(hetmix.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestDemoAndSimulate:
@@ -536,6 +550,7 @@ class TestPredictionsBytes:
         text = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="ascii")
         assert text.splitlines(keepends=True) == want
         assert [i for i, line in enumerate(want) if '"error"' in line] == [3, 500, 1029]
+        assert json.loads(want[1029])["error"] == "evidence has zero likelihood under every component"
         assert "\\u6771\\u4eac" in want[0]  # the non-ASCII symbol, as json escapes it
 
 

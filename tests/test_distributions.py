@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from hetmix import (Categorical, EstimationError, Gaussian, InflatedGamma,
-                    MixtureModel, QuantizedGaussian, VariableKind, VariableSchema,
-                    default_params, family_for, parameter_count, weighted_mle)
+from hetmix import (IGNORE_MISSING, Categorical, Dataset, EstimationError, Gaussian,
+                    InflatedGamma, MixtureModel, QuantizedGaussian, VariableKind,
+                    VariableSchema, component_log_likelihoods, default_params, family_for,
+                    parameter_count, weighted_mle)
 from hetmix.distributions import DEFAULT_FLOORS, log_sum_exp
 
 
@@ -49,11 +50,54 @@ class TestInflatedGamma:
         assert InflatedGamma(0.0, 2.0, 1.0).log_density(0.0) == -math.inf
         assert InflatedGamma(1.0, 2.0, 1.0).log_density(3.0) == -math.inf
 
+    # ParamFloors' shape range, lgamma's roots 1 and 2 and the floats next to them
+    SHAPES = np.concatenate([np.geomspace(DEFAULT_FLOORS.shape_min, DEFAULT_FLOORS.shape_max, 29),
+                             [np.nextafter(root, side) for root in (1.0, 2.0) for side in (0, 3)],
+                             [1.0, 2.0, 2.5, 0.999, 1.001, 1.999, 2.001]])
+    SCALES = (0.05, 1.7)
+    XS = np.array([1e-3, 0.1, 1.0, 4.0, 9.0, 40.0])
+
     def test_positive_branch_matches_scipy(self):
-        d = InflatedGamma(0.3, 2.5, 1.7)
-        xs = np.array([0.1, 1.0, 4.0, 9.0])
-        expected = math.log(0.7) + stats.gamma.logpdf(xs, a=2.5, scale=1.7)
-        assert np.allclose(d.log_density(xs), expected, rtol=1e-12)
+        """Cells and a block through component_log_likelihoods, against SciPy.
+
+        Not ==: the log normalizer is math.lgamma (CPython's Lanczos sum) where
+        SciPy uses cephes, and the two differ in the last bits, next to lgamma's
+        roots (lgamma ~ 1e-16 there) by a large relative but a tiny absolute
+        amount. So each error is bounded relative to the sum of the magnitudes
+        of the log density's terms: 1e-14, some 45 ulps (7e-16 measured).
+        """
+        shape, scale = (a.ravel() for a in np.meshgrid(self.SHAPES, self.SCALES))
+        xs = self.XS[:, None]
+        expected = math.log(0.7) + stats.gamma.logpdf(xs, a=shape, scale=scale)
+        terms = (-math.log(0.7) + abs((shape - 1) * np.log(xs)) + xs / scale
+                 + abs(shape * np.log(scale)) + abs(gammaln(shape)))
+        cells = [InflatedGamma(0.3, a, s) for a, s in zip(shape.tolist(), scale.tolist())]
+        schemas = (VariableSchema("y", "nonnegative"),)
+        model = MixtureModel((1.0 / len(cells),) * len(cells), tuple((c,) for c in cells),
+                             [[0.1]] * len(cells), schemas)
+        block = (component_log_likelihoods(model, Dataset(schemas, self.XS[:, None].tolist()),
+                                           IGNORE_MISSING) - np.log(model.weights))
+        by_cell = np.array([[c.log_density(float(x)) for c in cells] for x in self.XS])
+        for got in (by_cell, block):
+            assert (abs(got - expected) <= 1e-14 * terms).all()
+        assert np.allclose(cells[0].log_density(self.XS), by_cell[:, 0], rtol=1e-15)
+
+    def test_extreme_shapes(self):
+        """lgamma overflows for shapes past ~2.6e305: log Gamma(shape) = +inf
+        and every x > 0 gets density 0, without a warning. The least subnormal
+        shape is finite: lgamma(a) ~ -log(a) there."""
+        tiny = math.log(0.9) - math.log(3.0) - 3.0 + math.log(5e-324)
+        huge = InflatedGamma(0.1, 1e306, 1.0)
+        assert (huge.log_density([0.0, 0.5, 1.0, 3.0]) == [math.log(0.1)] + [-math.inf] * 3).all()
+        assert huge.log_density(3.0) == -math.inf
+        assert InflatedGamma(0.1, 5e-324, 1.0).log_density(3.0) == pytest.approx(tiny, rel=1e-15)
+        schemas = (VariableSchema("y", "nonnegative"),)
+        model = MixtureModel((0.5, 0.5), ((huge,), (InflatedGamma(0.1, 5e-324, 1.0),)),
+                             [[0.1]] * 2, schemas)
+        block = component_log_likelihoods(model, Dataset(schemas, [[0.0], [3.0]]),
+                                          IGNORE_MISSING) - math.log(0.5)
+        assert block[0].tolist() == pytest.approx([math.log(0.1)] * 2, rel=1e-15)
+        assert block[1, 0] == -math.inf and block[1, 1] == pytest.approx(tiny, rel=1e-15)
 
     def test_total_mass_is_one(self):
         d = InflatedGamma(0.3, 2.5, 1.7)
