@@ -74,9 +74,13 @@ def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
     """Log density at x >= 0 (NaN passes through); ``shape`` is a float or a block."""
     with np.errstate(over="ignore"):  # the flag math.lgamma raises OverflowError on
         log_gamma = np.asarray(np.frompyfunc(_log_gamma, 1, 1)(shape), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a term that overflows takes its limit; past lgamma's range (log Gamma(shape)
+    # = +inf) there is no mass at x > 0, where inf - inf would give NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         positive = (np.log1p(-zero_prob) + (shape - 1.0) * np.log(x) - x / scale
                     - shape * np.log(scale) - log_gamma)
+        if np.isinf(log_gamma).any():  # a check of the shapes alone
+            positive = np.where(np.isinf(log_gamma) & (x > 0), -np.inf, positive)
         return np.where(x == 0, np.log(zero_prob), positive)
 
 

@@ -25,8 +25,7 @@ import numpy as np
 from .distributions import log_sum_exp
 from .inference import (FinitePrediction, InferenceRequest, predict_batch,
                         target_tables)
-from .model import (MixtureModel, component_log_likelihoods, evidence_log_likelihoods,
-                    row_log_likelihoods)
+from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, validate_dataset)
 from .training import EmConfig, TrainingError, _fit_many
@@ -311,19 +310,19 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
         trained = [(s, best[0]) for s, best in zip(live, fitted) if s not in failed]
         if not trained:
             break
-        log_joint = component_log_likelihoods(MixtureModel._stack([m for _, m in trained]),
-                                              dataset, mode, input_cols).reshape(n, -1, order)
-        scores = log_sum_exp(log_joint)
+        log_joint = _log_joint(MixtureModel._stack([m for _, m in trained]),
+                               dataset, mode, input_cols).reshape(-1, order, n)
+        scores = log_sum_exp(log_joint, axis=1)
         for f, (s, model) in enumerate(trained):
             _, truths, errors, confidence = folds[s]
-            predicted, zero = predict_batch(target_tables(model, truths), log_joint[s:s + 1, f])
+            predicted, zero = predict_batch(target_tables(model, truths), log_joint[f, :, s][None])
             if zero and truths:
                 failed[s] = f"held-out subject {s} has zero likelihood under every component"
                 continue
             errors[order] = _errors(dataset, truths, {name: p[0] for name, p in
                                                       predicted.probabilities.items()})
-            log_c = float(scores[s, f])
-            confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores[:, f], s))))
+            log_c = float(scores[f, s])
+            confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores[f], s))))
     return [(s, None, None, failed[s]) if s in failed else
             (s, folds[s][2], folds[s][3], [name for name in targets if name not in folds[s][1]])
             for s in subjects]

@@ -10,12 +10,13 @@ factor of component z is q[z, v] for a missing cell and
 one contributes f(x_v; params[z][v]) alone. All computation is done in the
 log domain with log-sum-exp reductions.
 
-The E-step (``component_log_likelihoods``) handles each variable for all Z
-components at once, from its block: a finite variable gathers rows of one
-(K + 1, Z) table of log factors by its codes (the last row, picked by the
-missing code -1, holds the missing factor; the log masses are computed once
-per model); a continuous one broadcasts its family's density over (N, Z) and
-selects the missing factor with one ``np.where``.
+The E-step (``_log_joint``) handles each variable for all Z components at
+once, from its block, component-major, so every elementwise pass runs along
+the N subjects: a finite variable gathers columns of one (Z, K + 1) table of
+log factors by its codes (the last column, picked by the missing code -1,
+holds the missing factor; the log masses are computed once per model); a
+continuous one evaluates its family's density over (Z, N) and writes the
+missing factor in place. ``component_log_likelihoods`` is its (N, Z) transpose.
 """
 
 from __future__ import annotations
@@ -180,36 +181,49 @@ def parameter_count(model: MixtureModel) -> int:
     return total
 
 
+def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
+               columns: Sequence[int] | None = None) -> np.ndarray:
+    """(Z, N) matrix of log w_z plus the per-variable log factors, as
+    ``component_log_likelihoods`` defines them, component-major."""
+    check_mode(mode)
+    if tuple(dataset.schemas) != model.schemas:
+        raise SchemaError("dataset schemas do not match the model's schemas")
+    cols = range(model.n_variables) if columns is None else columns
+    with np.errstate(divide="ignore"):
+        out = np.repeat(np.log(model.weights)[:, None], dataset.n_subjects, axis=1)
+        if mode == MODEL_MISSING:
+            log_missed = np.log(model.missing_probs)[:, :, None]
+            log_kept = np.log1p(-model.missing_probs)[:, :, None]
+        for v in cols:
+            missed, kept = (log_missed[:, v], log_kept[:, v]) if mode == MODEL_MISSING else (0.0, 0.0)
+            kind = model.schemas[v].kind
+            if kind.is_finite:
+                log_masses = model._log_masses[v]
+                table = np.empty((model.n_components, log_masses.shape[1] + 1))
+                table[:, :-1] = kept + log_masses
+                table[:, -1:] = missed  # picked by the missing code, -1
+                out += table.take(dataset.column_codes(v), axis=1)
+            else:
+                factors = _LOG_PDF[kind](dataset.column_numeric(v)[None],
+                                         *(a[:, None] for a in model._blocks[v]))
+                factors += kept
+                np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
+                out += factors
+    return out
+
+
 def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
                               columns: Sequence[int] | None = None) -> np.ndarray:
     """(N, Z) matrix of log w_z plus the per-variable log factors.
 
     ``columns`` restricts the product to a subset of variables; cells outside
     it contribute nothing regardless of missingness. Row log-sum-exp gives the
-    joint log-likelihood of each subject.
+    joint log-likelihood of each subject. The result is C-contiguous: NumPy
+    sums along memory order, so a reduction over subjects (pairwise along a
+    contiguous run, one row after another across rows) gives the same bits
+    only for the same layout.
     """
-    check_mode(mode)
-    if tuple(dataset.schemas) != model.schemas:
-        raise SchemaError("dataset schemas do not match the model's schemas")
-    cols = range(model.n_variables) if columns is None else columns
-    with np.errstate(divide="ignore"):
-        out = np.tile(np.log(model.weights), (dataset.n_subjects, 1))
-        if mode == MODEL_MISSING:
-            log_missed = np.log(model.missing_probs).T
-            log_kept = np.log1p(-model.missing_probs).T
-        for v in cols:
-            missed, kept = (log_missed[v], log_kept[v]) if mode == MODEL_MISSING else (0.0, 0.0)
-            kind = model.schemas[v].kind
-            if kind.is_finite:
-                log_masses = model._log_masses[v].T
-                table = np.empty((log_masses.shape[0] + 1, model.n_components))
-                table[:-1] = kept + log_masses
-                table[-1] = missed  # picked by the missing code, -1
-                out += table[dataset.column_codes(v)]
-            else:
-                densities = _LOG_PDF[kind](dataset.column_numeric(v)[:, None], *model._blocks[v])
-                out += np.where(dataset.missing_mask(v)[:, None], missed, kept + densities)
-    return out
+    return np.ascontiguousarray(_log_joint(model, dataset, mode, columns).T)
 
 
 def row_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,

@@ -23,9 +23,8 @@ import numpy as np
 
 from .distributions import (_BLOCK_FIELDS, EstimationError, _block_of, _variance_floor,
                             _weighted_block, default_params, log_sum_exp)
-from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError,
-                    component_log_likelihoods, normalize_log_joint,
-                    parameter_count)
+from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError, _log_joint,
+                    normalize_log_joint, parameter_count)
 from .schema import Dataset, SchemaViolationError, VariableKind, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
@@ -90,7 +89,7 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     alpha = np.asarray(responsibilities, dtype=float)
     if alpha.ndim != 2 or alpha.shape[0] != dataset.n_subjects:
         raise ValueError("responsibility rows do not match the dataset")
-    model, _, failed = _m_step_batch(_plan([dataset]), alpha[None], np.arange(1))
+    model, _, failed = _m_step_batch(_plan([dataset]), alpha.T[None], np.arange(1))
     if failed:
         raise failed[0]
     return model
@@ -121,12 +120,23 @@ def _plan(subsets) -> tuple:
     return tuple(plan)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of (..., Z, M) ``a`` over its last axis, in the order NumPy sums the
+    M rows of the (M, Z) responsibilities of one fit: pairwise along one
+    contiguous run when Z == 1, one row after another when Z >= 2 (the last
+    running total of ``cumsum``). Component totals and missed-cell sums then
+    equal the sequential M-step's bit for bit; a plain ``sum`` would not."""
+    if a.shape[-2] == 1 or not a.shape[-1]:
+        return a.sum(axis=-1)
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
 def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
-    """The M-step of the fits ``fits`` (ascending, of ``plan``) from their (B, M, Z)
-    responsibilities: per variable and group, one ``_weighted_block`` call on a
-    (B, Z, M) weight array. Returns (stacked model, ``MixtureModel._from_blocks``;
+    """The M-step of the fits ``fits`` (ascending, of ``plan``) from their (B, Z, M)
+    responsibilities: per variable and group, one ``_weighted_block`` call on
+    their (B, Z, M) weights. Returns (stacked model, ``MixtureModel._from_blocks``;
     the fits it holds; {fit: ComponentCollapseError}, fits that left the batch)."""
-    totals = alpha.sum(axis=1)
+    totals = _row_sums(alpha)
     low = totals.min(axis=1) < COLLAPSE_EPS
     failed = {int(fits[i]): ComponentCollapseError(
         f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
@@ -137,8 +147,7 @@ def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
             return None, fits, failed
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
-    n_fits, _, n_comp = alpha.shape
-    by_component = np.ascontiguousarray(alpha.transpose(0, 2, 1))
+    n_fits, n_comp, _ = alpha.shape
     active = np.zeros(sum(group[0].size for group in plan[0][1]), dtype=bool)
     active[fits] = True
     missing_probs = np.empty((n_fits, n_comp, len(plan)))
@@ -154,15 +163,15 @@ def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
             # missed weights summed in row order, like totals: an all-missing
             # column gives q == 1 exactly
             if len(rows) == 1:  # one training set (restarts of one fit): gather by take
-                whole = at.size == n_fits
-                missed_sums = (alpha if whole else alpha[at]).take(missed[0], axis=1).sum(axis=1)
-                weights = (by_component if whole else by_component[at]).take(rows[0], axis=2)
+                fitted = alpha if at.size == n_fits else alpha[at]
+                missed_rows = fitted.take(missed[0], axis=2)
+                weights = fitted.take(rows[0], axis=2)
             else:
-                missed_sums = alpha[at[:, None], missed[sets]].sum(axis=1)
-                weights = by_component[at[:, None, None], np.arange(n_comp)[:, None],
-                                       rows[sets][:, None, :]]
+                lanes = at[:, None, None], np.arange(n_comp)[:, None]
+                missed_rows = alpha[(*lanes, missed[sets][:, None, :])]
+                weights = alpha[(*lanes, rows[sets][:, None, :])]
                 observed, floors = observed[sets], floors[sets]
-            missing_probs[at, :, v] = missed_sums / totals[at]
+            missing_probs[at, :, v] = _row_sums(missed_rows) / totals[at]
             slots = (at[:, None] * n_comp + np.arange(n_comp)).ravel()
             unfitted = np.flatnonzero(weights.sum(axis=-1).ravel() <= ZERO_WEIGHT_EPS)
             with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
@@ -189,33 +198,33 @@ def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
     responsibilities ``inits[b]``. Per run: (model, NLL trace, converged), or
     the ComponentCollapseError / ZeroLikelihoodError that ended it.
 
-    An E-step is one likelihood pass for all B * Z components, gathered
-    run-major into (B, M, Z). A rise over MONOTONE_SLACK (approximate M-steps
-    overshoot) keeps the previous model; else a run stops at a relative
-    decrease <= rel_tol (converged) or after max_iterations more M-steps, and
-    leaves the batch."""
+    An E-step is one likelihood pass for all B * Z components, component-major:
+    (B, Z, M), each run's rows gathered along the last axis, so the
+    log-sum-exp, the posteriors and the M-step's weights run along subjects.
+    A rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the
+    previous model; else a run stops at a relative decrease <= rel_tol
+    (converged) or after max_iterations more M-steps, and leaves the batch."""
     n_runs, _, n_comp = inits.shape
     plan = _plan(subsets)
     traces = [[] for _ in range(n_runs)]
     outcomes = [None] * n_runs
-    model, fits, failed = _m_step_batch(plan, inits, np.arange(n_runs))
+    model, fits, failed = _m_step_batch(plan, inits.transpose(0, 2, 1), np.arange(n_runs))
     while True:
         for b, err in failed.items():
             outcomes[b] = err
         if not fits.size:
             return outcomes
-        log_joint = component_log_likelihoods(model, dataset, MODEL_MISSING).reshape(
-            dataset.n_subjects, fits.size, n_comp).transpose(1, 0, 2)
-        log_joint = (np.ascontiguousarray(log_joint) if rows is None
-                     else log_joint[np.arange(fits.size)[:, None], rows[fits]])
-        totals = log_sum_exp(log_joint)
+        log_joint = _log_joint(model, dataset, MODEL_MISSING).reshape(fits.size, n_comp, -1)
+        if rows is not None:
+            log_joint = np.take_along_axis(log_joint, rows[fits][:, None], axis=2)
+        totals = log_sum_exp(log_joint, axis=1)
         nlls = -totals.sum(axis=1)
         go = np.isfinite(totals).all(axis=1)
         for i, b in enumerate(fits.tolist()):
             trace, nll = traces[b], float(nlls[i])
             if not go[i]:
                 try:
-                    normalize_log_joint(log_joint[i])
+                    normalize_log_joint(log_joint[i].T)
                 except ZeroLikelihoodError as err:
                     outcomes[b] = err
             elif trace and nll > trace[-1] + MONOTONE_SLACK:
@@ -233,7 +242,7 @@ def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
         if not go.all():
             log_joint, totals = log_joint[go], totals[go]
         # in place: the log-joint's memory becomes the posteriors
-        posteriors = np.exp(np.subtract(log_joint, totals[..., None], out=log_joint), out=log_joint)
+        posteriors = np.exp(np.subtract(log_joint, totals[:, None], out=log_joint), out=log_joint)
         previous, previous_fits = model, fits
         model, fits, failed = _m_step_batch(plan, posteriors, fits[go])
 

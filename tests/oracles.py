@@ -1,7 +1,7 @@
 """Plain-arithmetic reference implementations used to cross-check the library.
 
-Everything here but ``em_once`` works on the JSON-dict form of a model
-(io.model_to_dict) and uses only the math module: explicit sums and products
+Everything here but the EM references below works on the JSON-dict form of a
+model (io.model_to_dict) and uses only the math module: explicit sums and products
 in linear space, no arrays, no log-sum-exp. Sizes must stay tiny; the point is
 an independent derivation of the same quantities, not performance. Missing
 cells are represented by None; variables absent from an evidence dict
@@ -9,18 +9,19 @@ contribute nothing.
 
 ``em_once`` and ``m_step`` are the sequential EM loop of one restart and its
 M-step, as the library ran them before restarts and folds ran as one batch:
-the reference the batched EM must match bit for bit. They share the weighted
-block update and the model checks with the library.
+the reference the batched EM must match bit for bit. ``component_log_likelihoods``
+is their E-step, subject-major over (N, Z) as the library ran it before it went
+component-major. They share the densities, the weighted block update and the
+model checks with the library.
 """
 
 import math
 
 import numpy as np
 
-from hetmix.distributions import (_block_of, _variance_floor, _weighted_block,
+from hetmix.distributions import (_LOG_PDF, _block_of, _variance_floor, _weighted_block,
                                   default_params)
-from hetmix.model import (MODEL_MISSING, MixtureModel, component_log_likelihoods,
-                          normalize_log_joint)
+from hetmix.model import MODEL_MISSING, MixtureModel, normalize_log_joint
 from hetmix.training import (COLLAPSE_EPS, MONOTONE_SLACK, ZERO_WEIGHT_EPS,
                              ComponentCollapseError)
 
@@ -95,6 +96,30 @@ def conditional(model, evidence, target, mode):
 def confidence(model, evidence, mode):
     """Evidence likelihood c (linear space); evidence maps names to values/None."""
     return joint_likelihood(model, evidence, mode)
+
+
+def component_log_likelihoods(model, dataset, mode, columns=None):
+    """(N, Z) log w_z plus the log factors of ``columns``, each variable broadcast
+    over (N, Z): a finite one's rows gathered from a (K + 1, Z) table by code."""
+    cols = range(model.n_variables) if columns is None else columns
+    with np.errstate(divide="ignore"):
+        out = np.tile(np.log(model.weights), (dataset.n_subjects, 1))
+        if mode == MODEL_MISSING:
+            log_missed = np.log(model.missing_probs).T
+            log_kept = np.log1p(-model.missing_probs).T
+        for v in cols:
+            missed, kept = (log_missed[v], log_kept[v]) if mode == MODEL_MISSING else (0.0, 0.0)
+            kind = model.schemas[v].kind
+            if kind.is_finite:
+                log_masses = model._log_masses[v].T
+                table = np.empty((log_masses.shape[0] + 1, model.n_components))
+                table[:-1] = kept + log_masses
+                table[-1] = missed  # picked by the missing code, -1
+                out += table[dataset.column_codes(v)]
+            else:
+                densities = _LOG_PDF[kind](dataset.column_numeric(v)[:, None], *model._blocks[v])
+                out += np.where(dataset.missing_mask(v)[:, None], missed, kept + densities)
+    return out
 
 
 def m_step(dataset, responsibilities):

@@ -89,12 +89,35 @@ def test_e_step_matches_oracle_per_cell(seed, n_comp, mode, columns):
     model = _model(rng, n_comp)
     used = range(len(SCHEMAS)) if columns is None else columns
     got = component_log_likelihoods(model, dataset, mode, columns)
+    assert got.flags.c_contiguous  # a reduction over its rows then sums as the oracles' do
     assert np.allclose(got, _oracle_log_joint(model, dataset, mode, used),
                        rtol=1e-12, atol=1e-9)
     # an all-missing row keeps only the weights and, when modeled, the log q terms
     expected = np.log(model.weights) + (np.log(model.missing_probs[:, list(used)]).sum(axis=1)
                                         if mode == MODEL_MISSING else 0.0)
     assert np.allclose(got[1], expected, rtol=1e-13, atol=0)
+
+
+@given(seed=seeds, n_comp=st.integers(1, 7),
+       mode=st.sampled_from([MODEL_MISSING, IGNORE_MISSING]),
+       columns=st.sampled_from([None, (X, GRADE), (CONC, SITE), (SITE, X, CONC)]))
+@settings(max_examples=60, deadline=None)
+def test_e_step_matches_the_subject_major_one_bitwise(seed, n_comp, mode, columns):
+    """The component-major E-step gives the bits of the (N, Z) broadcast one it
+    replaced, -inf factors included: q = 0 or 1 cells and zero_prob = 0 components."""
+    rng = np.random.default_rng(seed)
+    dataset = _cohort(rng, int(rng.integers(4, 12)))
+    model = _model(rng, n_comp)
+    missing = np.array(model.missing_probs)
+    missing[rng.random(missing.shape) < 0.2] = 0.0
+    missing[rng.random(missing.shape) < 0.1] = 1.0
+    params = [list(row) for row in model.params]
+    for row in params[::2]:
+        row[CONC] = InflatedGamma(0.0, row[CONC].shape, row[CONC].scale)
+    model = MixtureModel(model.weights, params, missing, SCHEMAS)
+    got = component_log_likelihoods(model, dataset, mode, columns)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, oracles.component_log_likelihoods(model, dataset, mode, columns))
 
 
 @given(seed=seeds, n_comp=st.integers(1, 3), n_real=st.integers(5, 7),

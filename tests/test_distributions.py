@@ -99,6 +99,27 @@ class TestInflatedGamma:
         assert block[0].tolist() == pytest.approx([math.log(0.1)] * 2, rel=1e-15)
         assert block[1, 0] == -math.inf and block[1, 1] == pytest.approx(tiny, rel=1e-15)
 
+    def test_huge_shapes_with_extreme_scales(self):
+        """shape * log(scale), (shape - 1) * log(x) and x / scale may overflow too;
+        +inf against log Gamma(shape) = +inf must not give NaN, nor any overflow a
+        warning. Past lgamma's range every x > 0 has no mass; below it the value
+        is the plain formula's, bit for bit."""
+        xs = np.array([0.0, 3.0, 1e6, 1e300])
+        for shape in (1e305, 1e306, 1e308):
+            for scale in (1e-300, 1.0, 1e300):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = InflatedGamma(0.1, shape, scale).log_density(xs)
+                assert got[0] == math.log(0.1) and not np.isnan(got).any()
+                if shape > 2.6e305:
+                    assert (got[1:] == -math.inf).all()
+                    continue
+                with np.errstate(over="ignore"):
+                    plain = (np.log1p(-0.1) + (shape - 1.0) * np.log(xs[1:]) - xs[1:] / scale
+                             - shape * np.log(scale) - math.lgamma(shape))
+                assert np.array_equal(got[1:], plain)
+        assert InflatedGamma(0.1, 1e306, 1e-300).log_density(3.0) == -math.inf
+
     def test_total_mass_is_one(self):
         d = InflatedGamma(0.3, 2.5, 1.7)
         cont, _ = integrate.quad(lambda x: math.exp(d.log_density(x)), 1e-12, 60)

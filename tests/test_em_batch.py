@@ -43,12 +43,16 @@ def _cohort(rng, n, blank_rows, lone_site) -> Dataset:
     return Dataset(cohort.schemas, rows)
 
 
+def _arrays(model):
+    return [model.weights, model.missing_probs] + [a for block in model._blocks for a in block]
+
+
 def _state(outcome):
     """Everything a fit's outcome holds, as exactly comparable values."""
     if isinstance(outcome, Exception):
         return type(outcome).__name__, str(outcome)
     model, nlls, converged = outcome
-    arrays = [model.weights, model.missing_probs] + [a for block in model._blocks for a in block]
+    arrays = _arrays(model)
     return [a.tobytes() for a in arrays], [a.shape for a in arrays], list(nlls), converged
 
 
@@ -67,7 +71,9 @@ def _run_all_three(dataset, subsets, rows, inits, config):
     return states, batched
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 24), order=st.integers(1, 3),
+# orders up to 7: below 8 components NumPy sums a log-sum-exp's terms one after
+# another over (B, Z, M) and over the oracle's (M, Z) alike; 9 is tested below
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 24), order=st.integers(1, 7),
        n_fits=st.integers(1, 5), folds=st.booleans(), max_iterations=st.integers(1, 12),
        rel_tol=st.sampled_from([1e-12, 1e-6, 1e-3]), collapse=st.booleans(),
        lone=st.booleans())
@@ -93,6 +99,29 @@ def test_batch_equals_sequential_fits(seed, n, order, n_fits, folds, max_iterati
     for reference, alone, batched in states:
         assert alone == reference
         assert batched == reference
+
+
+def test_order_nine_matches_the_sequential_fit_to_rounding():
+    """From 8 components on, NumPy sums the oracle's (M, Z) log-sum-exp along Z
+    pairwise but the batch's (B, Z, M) one row after another, so each E-step's
+    totals may differ in the last bits, and EM carries that on. The batch still
+    equals the batch of one exactly; against the oracle the NLL trace holds a
+    relative 1e-12 and the parameters 1e-9 (measured over 12 iterations on
+    such cohorts: 2e-14 and 3e-11)."""
+    rng = np.random.default_rng(0)
+    dataset = _cohort(rng, 80, [3], None)
+    inits = np.array([rng.dirichlet(np.ones(9), size=80) for _ in range(2)])
+    config = EmConfig(max_iterations=12, rel_tol=1e-6)
+    batched = _em_batch(dataset, [dataset] * 2, None, inits, config)
+    for b, (model, nlls, converged) in enumerate(batched):
+        alone = _em_batch(dataset, [dataset], None, inits[b:b + 1], config)[0]
+        assert _state(alone) == _state(batched[b])
+        want, want_nlls, want_converged = oracles.em_once(dataset, 9, config, _Start(inits[b]))
+        assert (len(nlls), converged) == (len(want_nlls), want_converged)
+        assert np.allclose(nlls, want_nlls, rtol=1e-12, atol=0)
+        for got, expected in zip(_arrays(model), _arrays(want), strict=True):
+            assert got.shape == expected.shape
+            assert np.allclose(got, expected, rtol=1e-9, atol=0)
 
 
 def test_batch_covers_every_way_a_fit_ends():
