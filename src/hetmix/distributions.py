@@ -11,16 +11,18 @@ One family per variable kind:
     categorical  Categorical(probs, domain)
 
 All evaluation happens in the log domain. ``log_density`` returns -inf exactly
-where the mass is zero and never NaN for in-domain values. Each density, mass
-table and parameter check is written once, on arrays that broadcast.
+where the mass is zero and never NaN for in-domain values (a Gamma shape is
+below SHAPE_LIMIT). Each density, mass table and parameter check is written
+once, on arrays that broadcast.
 
 A *block* holds a family's parameters for Z components, one array per field
 but ``domain``: ``mean``, ``variance``, ``zero_prob``, ``shape``, ``scale``
 (Z,), ``probs`` (Z, K). EM reads and writes blocks; the dataclasses are their
-per-cell view. The weighted maximum-likelihood update fits a block of Z
-components from a (Z, M) weight matrix (``_weighted_block``, unchecked);
-``weighted_mle`` is its checked one-component entry. ``log_sum_exp`` is the
-package's one log-sum-exp.
+per-cell view. Every family is an exponential family, so a weighted
+maximum-likelihood update reads only weighted sums of sufficient statistics
+(``schema._stat_rows``, ``schema._level_counts``); ``_weighted_block`` maps
+them to a block in closed form, unchecked, and ``weighted_mle`` is its checked
+one-component entry. ``log_sum_exp`` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import VariableKind
+from .schema import VariableKind, _level_counts, _stat_rows
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -58,49 +60,48 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
     return out.squeeze(axis)
 
 
-def _log_gamma(a: float) -> float:
-    """math.lgamma(a), or +inf where that overflows (a >= ~2.6e305)."""
-    try:
-        return math.lgamma(a)
-    except OverflowError:
-        return math.inf
-
-
 def _gaussian_log_pdf(x, mean, variance):
     return -0.5 * (LOG_TWO_PI + np.log(variance) + (x - mean) ** 2 / variance)
 
 
 def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
-    """Log density at x >= 0 (NaN passes through); ``shape`` is a float or a block."""
-    with np.errstate(over="ignore"):  # the flag math.lgamma raises OverflowError on
-        log_gamma = np.asarray(np.frompyfunc(_log_gamma, 1, 1)(shape), dtype=float)
-    # a term that overflows takes its limit; past lgamma's range (log Gamma(shape)
-    # = +inf) there is no mass at x > 0, where inf - inf would give NaN
+    """Log density at x >= 0 (NaN passes through); ``shape`` is a float or a block.
+    Below SHAPE_LIMIT every term is finite but -x / scale and log1p(-zero_prob),
+    which can only be -inf, so no sum is NaN."""
+    log_gamma = np.asarray(np.frompyfunc(math.lgamma, 1, 1)(shape), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         positive = (np.log1p(-zero_prob) + (shape - 1.0) * np.log(x) - x / scale
                     - shape * np.log(scale) - log_gamma)
-        if np.isinf(log_gamma).any():  # a check of the shapes alone
-            positive = np.where(np.isinf(log_gamma) & (x > 0), -np.inf, positive)
         return np.where(x == 0, np.log(zero_prob), positive)
 
 
 def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
     """(Z, K) log masses of a finite block over its domain; an ordinal's come
-    from one row-wise log-sum-exp of its (Z, K) scores."""
+    from one row-wise log-sum-exp of its (Z, K) scores. Level d scores against
+    the level r nearest the mean m, -(d - r)(d + r - 2m) / (2 variance): r's is
+    0, the others <= 0 or -inf, so no extreme mean or variance gives inf - inf."""
     if kind is VariableKind.CATEGORICAL:
         with np.errstate(divide="ignore"):
             return np.log(block[0])
-    mean, variance = block
-    scores = -((np.asarray(domain, dtype=float) - mean[:, None]) ** 2) / (2.0 * variance[:, None])
+    mean, variance = (a[:, None] for a in block)
+    levels = np.asarray(domain, dtype=float)
+    nearest = levels[np.abs(levels - np.clip(mean, levels[0], levels[-1])).argmin(axis=1)][:, None]
+    with np.errstate(over="ignore"):  # an overflow is a score of -inf
+        scores = -((levels - nearest) * ((levels - mean) / 2 + (nearest - mean) / 2)) / variance
     return scores - log_sum_exp(scores)[:, None]
 
+
+# the Gamma shape stays below this: (shape - 1) log x, shape log scale and
+# lgamma(shape) are then finite for every finite positive x and scale
+SHAPE_LIMIT = 1e300
 
 # parameter field -> (rule, lowest and highest value, whether they are allowed);
 # NaN fails every rule, since min and max pass it on and it compares false
 _PARAM_RULES = dict(mean=("finite", -math.inf, math.inf, False),
                     zero_prob=("in [0, 1]", 0.0, 1.0, True),
                     probs=("nonnegative and sum to 1", 0.0, math.inf, True),
-                    **dict.fromkeys(("variance", "shape", "scale"),
+                    shape=(f"positive and below {SHAPE_LIMIT:g}", 0.0, SHAPE_LIMIT, False),
+                    **dict.fromkeys(("variance", "scale"),
                                     ("positive and finite", 0.0, math.inf, False)))
 
 
@@ -374,74 +375,67 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
     if scale is None:
         scale = (domain[-1] - domain[0] if kind is VariableKind.ORDINAL
                  else float(values.max() - values.min()) or 1.0)
-    block = _weighted_block(kind, values[None, :], weights[None, :], domain, _variance_floor(scale))
+    unit = (0.0, 1.0)
+    if kind.is_finite:
+        if kind is VariableKind.ORDINAL:
+            values = np.searchsorted(np.array(domain, dtype=float), values)
+        stats = _level_counts(values, weights, len(domain))
+    else:
+        rows = np.zeros((values.size, 4 + (kind is VariableKind.NONNEGATIVE)))
+        unit = _stat_rows(kind, values, rows)
+        stats = weights @ rows
+    block = _weighted_block(kind, stats[None, 1:], domain, _variance_floor(scale), unit)
     return _cells_of(family_for(kind), block, domain)[0]
 
 
-def _variance_floor(scale) -> float:
+def _variance_floor(scale):
     """The smallest variance of a real or ordinal column of natural scale ``scale``."""
-    return DEFAULT_FLOORS.rel_variance * float(scale) ** 2
+    return DEFAULT_FLOORS.rel_variance * np.square(scale)
 
 
-def _weighted_block(kind: VariableKind, values, weights: np.ndarray, domain, floor) -> tuple:
-    """The block of the components fitted to the rows of the (..., Z, M) ``weights``.
+def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
+                    unit=(0.0, 1.0)) -> tuple:
+    """The block of the components whose weighted sufficient statistics after
+    the missed weight (``schema._level_counts``, or ``schema._stat_rows`` with
+    their (centre, scale) ``unit``) are the rows of (..., width) ``stats``.
 
-    Nothing is checked here; the callers (``weighted_mle``, the M-step) pass
-    admissible input. ``values`` holds the M observed cells, shaped to broadcast
-    against the weights with 1 in place of Z (one set of cells for each group
-    of Z rows): int64 domain codes for categoricals, else floats (finite, >= 0
-    for nonnegative kinds, levels of ``domain`` for ordinals). Every weight row
-    is finite and nonnegative with a positive total. ``floor`` (broadcast
-    against (..., Z)) floors real and ordinal variances; the other floors come
-    from DEFAULT_FLOORS.
-
-    Each moment is a per-row dot product (``np.vecdot``), so a row's result
-    does not depend on the other rows. The Gamma update excludes zeros from
-    the moment sums (all zero mass lives in ``zero_prob``) and uses the
-    closed-form shape approximation
-    k = (3 - g + sqrt((g - 3)^2 + 24 g)) / (12 g) with
-    g = log(weighted mean) - weighted mean of logs.
+    Unchecked: the callers (``weighted_mle``, the M-step) replace the rows
+    without observed weight. ``floor`` (broadcast against (...,)) floors real
+    and ordinal variances; the other floors come from DEFAULT_FLOORS. A row's
+    result is a closed form of it alone: ordinal moments from the level counts,
+    real ones in one pass; the Gamma keeps zeros out of its sums (their mass is
+    ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) /
+    (12 g) with g = log(weighted mean) - weighted mean of logs.
     """
-    total = weights.sum(axis=-1)
-
-    if kind is VariableKind.CATEGORICAL:
-        k = len(domain)
-        # one bincount over (row, code) slots, each summed in value order
-        slots = (np.arange(total.size).reshape(total.shape)[..., None] * k + values).ravel()
-        counts = np.bincount(slots, weights=weights.ravel(), minlength=total.size * k)
-        probs = (counts.reshape(*total.shape, k) / total[..., None]
-                 + DEFAULT_FLOORS.categorical_pseudo)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return (probs,)
-
-    if kind is VariableKind.REAL or kind is VariableKind.ORDINAL:
-        mean = np.vecdot(weights, values) / total
-        var = np.vecdot(weights, (values - mean[..., None]) ** 2) / total
+    if kind.is_finite:
+        total = stats.sum(axis=-1)
+        if kind is VariableKind.CATEGORICAL:
+            probs = stats / total[..., None] + DEFAULT_FLOORS.categorical_pseudo
+            probs /= probs.sum(axis=-1, keepdims=True)
+            return (probs,)
+        levels = np.asarray(domain, dtype=float)
+        mean = np.vecdot(stats, levels) / total
+        var = np.vecdot(stats, (levels - mean[..., None]) ** 2) / total
         return mean, np.maximum(var, floor)
 
-    # nonnegative: zero inflation plus Gamma on the positive part, over each set
-    # of cells' zero and positive positions, in order (all sets have as many zeros)
-    if values.size == values.shape[-1]:  # one set for every row
-        zeros, positive = np.flatnonzero(values == 0), np.flatnonzero(values != 0)
-        gather = lambda a, at: a.take(at, axis=-1)  # noqa: E731
-    else:
-        zeros, positive = (np.nonzero(m.reshape(-1, m.shape[-1]))[1].reshape(*m.shape[:-1], -1)
-                           for m in (values == 0, values != 0))
-        gather = lambda a, at: np.take_along_axis(a, at, -1)  # noqa: E731
-    zero_prob = np.clip(gather(weights, zeros).sum(axis=-1) / total, 0.0, 1.0)
-    pos_weights = gather(weights, positive)
-    xp = gather(values, positive)
-    pos_total = pos_weights.sum(axis=-1)
+    if kind is VariableKind.REAL:
+        total, first, second = np.moveaxis(stats, -1, 0)
+        centre, scale = unit
+        mean = first / total
+        return centre + scale * mean, np.maximum(scale ** 2 * (second / total - mean ** 2), floor)
+
+    # nonnegative: zero inflation plus Gamma on the positive part
+    zeros, positive, sum_x, sum_log = np.moveaxis(stats, -1, 0)
+    zero_prob = np.clip(zeros / (zeros + positive), 0.0, 1.0)
     # rows with no positive weight give NaN here and shape = scale = 1 below
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.vecdot(pos_weights, xp) / pos_total
-        log_gap = np.log(mean) - np.vecdot(pos_weights, np.log(xp)) / pos_total
+        mean = sum_x / positive
         # log(mean) >= mean(log) by Jensen; clamp fp noise away from zero
-        log_gap = np.maximum(log_gap, 1e-12)
+        log_gap = np.maximum(np.log(mean) - sum_log / positive, 1e-12)
         shape = (3.0 - log_gap + np.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
         shape = np.clip(shape, DEFAULT_FLOORS.shape_min, DEFAULT_FLOORS.shape_max)
         scale_par = np.maximum(mean / shape, DEFAULT_FLOORS.scale_min)
-    seen = pos_total > 0
+    seen = positive > 0
     return zero_prob, np.where(seen, shape, 1.0), np.where(seen, scale_par, 1.0)
 
 

@@ -190,6 +190,7 @@ class Dataset:
     for ordinal/categorical). Only these are kept: ``value`` and ``row`` decode
     cells, and reading a bad cell, or an encoded view of a column with bad
     cells, raises SchemaViolationError. Subsets slice the arrays, unchecked.
+    EM's sufficient statistics (``_stats``) are built on first use.
 
     ``columns`` (distinct schema indices) names the variable of each cell of a
     row, in order; the other cells are MISSING. Default: all, in schema order.
@@ -351,19 +352,21 @@ class Dataset:
         return span if span > 0 else 1.0
 
     @cached_property
-    def _observed(self) -> tuple:
-        """Per column, what an M-step reads of it: (missing rows, observed
-        rows, observed values or codes, scale), the scale None for a
-        categorical column. Worked out once, since the table never changes."""
-        plan = []
-        for v, schema in enumerate(self.schemas):
-            rows = np.flatnonzero(~self._missing[:, v])
-            if schema.kind is VariableKind.CATEGORICAL:
-                observed, scale = self.column_codes(v)[rows], None
-            else:
-                observed, scale = self.column_numeric(v)[rows], self.column_scale(v)
-            plan.append((np.flatnonzero(self._missing[:, v]), rows, observed, scale))
-        return tuple(plan)
+    def _stats(self) -> tuple:
+        """The read-only (N, D) ``_stat_rows`` of the continuous columns side by
+        side, and per column (its first index along D, None if finite; how many
+        statistics after the missed weight partition its observed cells: levels,
+        observed, or zero and positive; its (centre, scale)). Built once."""
+        parts = [len(s.domain) or 1 + (s.kind is VariableKind.NONNEGATIVE) for s in self.schemas]
+        widths = [0 if s.kind.is_finite else 3 + p for s, p in zip(self.schemas, parts)]
+        starts = np.cumsum([0] + widths).tolist()
+        matrix = np.zeros((self.n_subjects, starts[-1]))
+        layout = tuple((None, p, (0.0, 1.0)) if s.kind.is_finite else
+                       (starts[v], p, _stat_rows(s.kind, self.column_numeric(v),
+                                                 matrix[:, starts[v]:starts[v + 1]]))
+                       for v, (s, p) in enumerate(zip(self.schemas, parts)))
+        matrix.setflags(write=False)
+        return matrix, layout
 
     def subset(self, subjects) -> "Dataset":
         """Dataset restricted to the given subject indices (order kept)."""
@@ -394,6 +397,43 @@ class Dataset:
                          for store in (self._missing, self._numeric, self._codes)),
                        tuple(violations))
         return dataset
+
+
+def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple:
+    """Write into the zeroed (N, 4 or 5) ``out`` the sufficient statistics of
+    a continuous column's cells (NaN where missing), 0 where they do not apply:
+    missing, then observed, x~, x~^2 (real) or zero, positive, x, log x
+    (nonnegative), x~ = (x - centre) / scale. Returns (centre, scale): a real
+    column's median and the least power of two >= the largest distance from it
+    (|x~| <= 1, scaling rounds nothing, a one-pass variance loses ~((mean -
+    centre) / sd)^2 ulps, one extreme value hardly moves it), else (0.0, 1.0)."""
+    missing = np.isnan(column)
+    out[:, 0] = missing
+    x = np.where(missing, 0.0, column)
+    if kind is VariableKind.NONNEGATIVE:
+        out[:, 1] = ~missing & (x == 0)
+        out[:, 2] = positive = x > 0
+        out[:, 3] = x
+        np.log(x, out=out[:, 4], where=positive)
+        return 0.0, 1.0
+    observed = column[~missing]
+    centre = np.median(observed) if observed.size else 0.0
+    scale = np.ldexp(1.0, np.frexp(np.abs(observed - centre).max(initial=0.0))[1])
+    out[:, 1] = ~missing
+    np.divide(x - centre, scale, out=out[:, 2], where=~missing)
+    np.square(out[:, 2], out=out[:, 3])
+    return float(centre), float(scale)
+
+
+def _level_counts(codes: np.ndarray, weights: np.ndarray, n_levels: int) -> np.ndarray:
+    """(..., 1 + n_levels) weighted sufficient statistics of a finite column:
+    the missed weight (code -1), then each level's, for each row of (..., N)
+    ``weights``. One ``np.bincount``: each sum runs over the cells in order."""
+    rows = weights.reshape(-1, codes.size)
+    size = rows.shape[0] * (n_levels + 1)
+    slots = np.arange(0, size, n_levels + 1)[:, None] + (codes + 1)
+    counts = np.bincount(slots.ravel(), weights=rows.ravel(), minlength=size)
+    return counts.reshape(*weights.shape[:-1], n_levels + 1)
 
 
 def _encode_plain(schema: VariableSchema, cells: Sequence):

@@ -9,9 +9,12 @@ log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
 The restarts of a fit, and all folds x restarts of a leave-one-out order, run
-as one batch (``_em_batch``): an E-step is one likelihood pass for all their
-components, an M-step one parameter block per variable for all of them, and
-each fit's arithmetic is exactly what it does alone.
+as one batch (``_em_batch``) over every row of the cohort; a fold gives its
+held-out row weight 0. An E-step is one likelihood pass for all their
+components; an M-step sums the cohort's sufficient statistics with their
+weights (one product, one bincount per finite variable), then fits one block
+per variable in closed form. A fit's arithmetic does not depend on the batch:
+batched, it is bit for bit the fit run alone.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_BLOCK_FIELDS, EstimationError, _block_of, _variance_floor,
-                            _weighted_block, default_params, log_sum_exp)
-from .model import (MODEL_MISSING, MixtureModel, ZeroLikelihoodError, _log_joint,
-                    normalize_log_joint, parameter_count)
-from .schema import Dataset, SchemaViolationError, VariableKind, validate_dataset
+from .distributions import (EstimationError, _block_of, _variance_floor, _weighted_block,
+                            default_params, log_sum_exp)
+from .model import MODEL_MISSING, MixtureModel, ZeroLikelihoodError, _log_joint, parameter_count
+from .schema import Dataset, SchemaViolationError, VariableKind, _level_counts, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -89,54 +91,29 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     alpha = np.asarray(responsibilities, dtype=float)
     if alpha.ndim != 2 or alpha.shape[0] != dataset.n_subjects:
         raise ValueError("responsibility rows do not match the dataset")
-    model, _, failed = _m_step_batch(_plan([dataset]), alpha.T[None], np.arange(1))
+    model, _, failed = _m_step_batch(dataset, np.array([_scales(dataset)]),
+                                     np.ascontiguousarray(alpha.T)[None], np.arange(1))
     if failed:
         raise failed[0]
     return model
 
 
-def _plan(subsets) -> tuple:
-    """Per variable, (schema, groups): what the M-step reads of fit b's training
-    set ``subsets[b]`` (its ``Dataset._observed``), the fits grouped by the sizes
-    of their index sets. A group is (its fits, each one's training set, then
-    stacked over its distinct training sets: missed rows, observed rows, values,
-    scales, variance floors). A fit's sums thus run over its own cells, in
-    order, unpadded: batched, it is bit for bit the fit run alone."""
-    plan = []
-    for v, schema in enumerate(subsets[0].schemas):
-        groups = {}
-        for b, subset in enumerate(subsets):
-            missed, rows, observed, scale = subset._observed[v]
-            zeros = schema.kind is VariableKind.NONNEGATIVE and np.count_nonzero(observed == 0)
-            members, which, sets = groups.setdefault((missed.size, rows.size, zeros), ([], [], {}))
-            members.append(b)
-            which.append(sets.setdefault(id(subset), (len(sets), (
-                missed, rows, observed, scale or 1.0, _variance_floor(scale or 1.0))))[0])
-        # one training set stays a view of its arrays; more are stacked
-        stack = lambda arrays: np.asarray(arrays[0])[None] if len(arrays) == 1 else np.array(arrays)
-        plan.append((schema, [(np.array(members), np.array(which),
-                               *map(stack, zip(*(entry for _, entry in sets.values()))))
-                              for members, which, sets in groups.values()]))
-    return tuple(plan)
+def _scales(dataset: Dataset) -> list:
+    """Each column's ``Dataset.column_scale``, 1.0 for a categorical one: what
+    the variance floors and the defaults of a fit to ``dataset`` read."""
+    return [1.0 if schema.kind is VariableKind.CATEGORICAL else dataset.column_scale(v)
+            for v, schema in enumerate(dataset.schemas)]
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums of (..., Z, M) ``a`` over its last axis, in the order NumPy sums the
-    M rows of the (M, Z) responsibilities of one fit: pairwise along one
-    contiguous run when Z == 1, one row after another when Z >= 2 (the last
-    running total of ``cumsum``). Component totals and missed-cell sums then
-    equal the sequential M-step's bit for bit; a plain ``sum`` would not."""
-    if a.shape[-2] == 1 or not a.shape[-1]:
-        return a.sum(axis=-1)
-    return np.cumsum(a, axis=-1)[..., -1]
-
-
-def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
-    """The M-step of the fits ``fits`` (ascending, of ``plan``) from their (B, Z, M)
-    responsibilities: per variable and group, one ``_weighted_block`` call on
-    their (B, Z, M) weights. Returns (stacked model, ``MixtureModel._from_blocks``;
+def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
+                  fits: np.ndarray) -> tuple:
+    """The M-step of the fits ``fits`` (ascending) from their (B, Z, N)
+    responsibilities over the rows of ``dataset`` (0 on a row a fit leaves
+    out), fit b with the column scales ``scales[b]``: its sums are one product
+    with ``Dataset._stats`` and one ``_level_counts`` per finite column, then
+    one ``_weighted_block`` per variable. Returns (stacked model, ``_from_blocks``;
     the fits it holds; {fit: ComponentCollapseError}, fits that left the batch)."""
-    totals = _row_sums(alpha)
+    totals = alpha.sum(axis=-1)
     low = totals.min(axis=1) < COLLAPSE_EPS
     failed = {int(fits[i]): ComponentCollapseError(
         f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
@@ -148,85 +125,68 @@ def _m_step_batch(plan, alpha: np.ndarray, fits: np.ndarray) -> tuple:
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
     n_fits, n_comp, _ = alpha.shape
-    active = np.zeros(sum(group[0].size for group in plan[0][1]), dtype=bool)
-    active[fits] = True
-    missing_probs = np.empty((n_fits, n_comp, len(plan)))
+    matrix, layout = dataset._stats
+    # one product per fit, so a fit's sums do not depend on the batch it is in
+    stats = np.matmul(alpha, matrix).reshape(n_fits * n_comp, -1)
+    weights = alpha.reshape(n_fits * n_comp, -1)
+    missing_probs = np.empty((n_fits * n_comp, len(layout)))
     blocks = []
-    for v, (schema, groups) in enumerate(plan):
-        width = (len(schema.domain),) if schema.kind is VariableKind.CATEGORICAL else ()
-        block = tuple(np.empty((n_fits * n_comp, *width)) for _ in _BLOCK_FIELDS[schema.kind])
-        for members, which, missed, rows, observed, scales, floors in groups:
-            keep = active[members]
-            if not keep.any():
-                continue
-            at, sets = np.searchsorted(fits, members[keep]), which[keep]
-            # missed weights summed in row order, like totals: an all-missing
-            # column gives q == 1 exactly
-            if len(rows) == 1:  # one training set (restarts of one fit): gather by take
-                fitted = alpha if at.size == n_fits else alpha[at]
-                missed_rows = fitted.take(missed[0], axis=2)
-                weights = fitted.take(rows[0], axis=2)
-            else:
-                lanes = at[:, None, None], np.arange(n_comp)[:, None]
-                missed_rows = alpha[(*lanes, missed[sets][:, None, :])]
-                weights = alpha[(*lanes, rows[sets][:, None, :])]
-                observed, floors = observed[sets], floors[sets]
-            missing_probs[at, :, v] = _row_sums(missed_rows) / totals[at]
-            slots = (at[:, None] * n_comp + np.arange(n_comp)).ravel()
-            unfitted = np.flatnonzero(weights.sum(axis=-1).ravel() <= ZERO_WEIGHT_EPS)
-            with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
-                part = _weighted_block(schema.kind, observed[:, None], weights, schema.domain,
-                                       floors[:, None])
-            for full, values in zip(block, part):
-                full[slots] = values.reshape(slots.size, *width)
-            for slot in unfitted:
-                default = default_params(schema.kind, domain=schema.domain,
-                                         scale=scales[sets[slot // n_comp]])
-                for full, values in zip(block, _block_of(schema, [default])):
-                    full[slots[slot]] = values[0]
+    for v, (schema, (start, parts, unit)) in enumerate(zip(dataset.schemas, layout)):
+        part = (_level_counts(dataset.column_codes(v), weights, parts) if start is None
+                else stats[:, start:start + 3 + parts])
+        observed = part[:, 1:1 + parts].sum(axis=1)
+        # missed / (missed + observed): all-missing cells give q == 1 exactly
+        missing_probs[:, v] = part[:, 0] / (part[:, 0] + observed)
+        fit_scales = np.repeat(scales[fits, v], n_comp)
+        with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
+            block = _weighted_block(schema.kind, part[:, 1:], schema.domain,
+                                    _variance_floor(fit_scales), unit)
+        for slot in np.flatnonzero(observed <= ZERO_WEIGHT_EPS).tolist():
+            default = default_params(schema.kind, domain=schema.domain, scale=fit_scales[slot])
+            for full, values in zip(block, _block_of(schema, [default])):
+                full[slot] = values[0]
         blocks.append(block)
     model = MixtureModel._from_blocks((totals / totals.sum(axis=1, keepdims=True)).ravel(),
-                                      blocks, missing_probs.reshape(n_fits * n_comp, -1),
-                                      [schema for schema, _ in plan], n_fits)
+                                      blocks, missing_probs, dataset.schemas, n_fits)
     return model, fits, failed
 
 
-def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
+def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
               config: EmConfig) -> list:
-    """B EM runs in lockstep, run b on the rows ``rows[b]`` of ``dataset`` (all
-    rows if None), which make the subset ``subsets[b]``, from the (M, Z)
-    responsibilities ``inits[b]``. Per run: (model, NLL trace, converged), or
+    """B EM runs in lockstep on the rows of ``dataset``, run b from the (Z, N)
+    responsibilities ``inits[b]`` (C-contiguous) with the column scales
+    ``scales[b]`` (``_scales`` of its training rows), leaving out the row
+    ``held_out[b]`` (none if ``held_out`` is None): weight 0 in ``inits[b]``, no
+    part in its NLL and posteriors. Per run: (model, NLL trace, converged), or
     the ComponentCollapseError / ZeroLikelihoodError that ended it.
 
     An E-step is one likelihood pass for all B * Z components, component-major:
-    (B, Z, M), each run's rows gathered along the last axis, so the
-    log-sum-exp, the posteriors and the M-step's weights run along subjects.
-    A rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the
-    previous model; else a run stops at a relative decrease <= rel_tol
-    (converged) or after max_iterations more M-steps, and leaves the batch."""
-    n_runs, _, n_comp = inits.shape
-    plan = _plan(subsets)
+    (B, Z, N). A rise over MONOTONE_SLACK (approximate M-steps overshoot)
+    keeps the previous model; else a run stops at a relative decrease <=
+    rel_tol (converged) or after max_iterations more M-steps, and leaves the
+    batch."""
+    n_runs, n_comp, n_rows = inits.shape
+    kept = np.arange(n_rows) != np.full(n_runs, -1 if held_out is None else held_out)[:, None]
     traces = [[] for _ in range(n_runs)]
     outcomes = [None] * n_runs
-    model, fits, failed = _m_step_batch(plan, inits.transpose(0, 2, 1), np.arange(n_runs))
+    model, fits, failed = _m_step_batch(dataset, scales, inits, np.arange(n_runs))
     while True:
         for b, err in failed.items():
             outcomes[b] = err
         if not fits.size:
             return outcomes
         log_joint = _log_joint(model, dataset, MODEL_MISSING).reshape(fits.size, n_comp, -1)
-        if rows is not None:
-            log_joint = np.take_along_axis(log_joint, rows[fits][:, None], axis=2)
-        totals = log_sum_exp(log_joint, axis=1)
+        # a held-out row: posteriors exp(-inf - 0) = 0, NLL term 0
+        np.copyto(log_joint, -np.inf, where=~kept[fits][:, None])
+        totals = np.where(kept[fits], log_sum_exp(log_joint, axis=1), 0.0)
         nlls = -totals.sum(axis=1)
         go = np.isfinite(totals).all(axis=1)
         for i, b in enumerate(fits.tolist()):
             trace, nll = traces[b], float(nlls[i])
             if not go[i]:
-                try:
-                    normalize_log_joint(log_joint[i].T)
-                except ZeroLikelihoodError as err:
-                    outcomes[b] = err
+                row = int(np.flatnonzero(~np.isfinite(totals[i]))[0])
+                outcomes[b] = ZeroLikelihoodError(
+                    f"subject {row} has zero likelihood under every component")
             elif trace and nll > trace[-1] + MONOTONE_SLACK:
                 back = int(np.searchsorted(previous_fits, b))
                 outcomes[b] = (previous._fit_of(back, previous_fits.size), trace, False)
@@ -244,20 +204,24 @@ def _em_batch(dataset: Dataset, subsets, rows: np.ndarray, inits: np.ndarray,
         # in place: the log-joint's memory becomes the posteriors
         posteriors = np.exp(np.subtract(log_joint, totals[:, None], out=log_joint), out=log_joint)
         previous, previous_fits = model, fits
-        model, fits, failed = _m_step_batch(plan, posteriors, fits[go])
+        model, fits, failed = _m_step_batch(dataset, scales, posteriors, fits[go])
 
 
-def _fit_many(dataset: Dataset, subsets, rows, seeds, order: int, config: EmConfig) -> list:
-    """Fit ``order`` components to each subset ``subsets[i]`` (the rows ``rows[i]``
-    of ``dataset``; all if ``rows`` is None), restarts seeded from ``seeds[i]``,
-    as one batch. Per fit: the best (model, TrainingTrace), or a TrainingError
-    if every restart failed."""
-    starts = [(subset, np.random.default_rng(child)) for subset, seed in zip(subsets, seeds)
-              for child in np.random.SeedSequence(seed).spawn(config.restarts)]
-    outcomes = _em_batch(dataset, [subset for subset, _ in starts],
-                         None if rows is None else np.repeat(rows, config.restarts, axis=0),
-                         np.array([rng.dirichlet(np.ones(order), size=subset.n_subjects)
-                                   for subset, rng in starts]), config)
+def _fit_many(dataset: Dataset, subsets, held_out, seeds, order: int, config: EmConfig) -> list:
+    """Fit ``order`` components to each subset ``subsets[i]``, all rows of
+    ``dataset`` but ``held_out[i]`` (all rows if ``held_out`` is None), restarts
+    seeded from ``seeds[i]``, as one batch. Per fit: the best (model,
+    TrainingTrace), or a TrainingError if every restart failed."""
+    n = dataset.n_subjects
+    inits = np.zeros((len(subsets), config.restarts, order, n))
+    for i, (subset, seed) in enumerate(zip(subsets, seeds)):
+        rows = slice(None) if held_out is None else np.arange(n) != held_out[i]
+        for r, child in enumerate(np.random.SeedSequence(seed).spawn(config.restarts)):
+            inits[i, r][:, rows] = np.random.default_rng(child).dirichlet(
+                np.ones(order), size=subset.n_subjects).T
+    outcomes = _em_batch(dataset, np.repeat([_scales(s) for s in subsets], config.restarts, axis=0),
+                         None if held_out is None else np.repeat(held_out, config.restarts),
+                         inits.reshape(-1, order, n), config)
     out = []
     for first in range(0, len(outcomes), config.restarts):
         best, failures = None, []

@@ -7,20 +7,22 @@ an independent derivation of the same quantities, not performance. Missing
 cells are represented by None; variables absent from an evidence dict
 contribute nothing.
 
-``em_once`` and ``m_step`` are the sequential EM loop of one restart and its
-M-step, as the library ran them before restarts and folds ran as one batch:
-the reference the batched EM must match bit for bit. ``component_log_likelihoods``
-is their E-step, subject-major over (N, Z) as the library ran it before it went
-component-major. They share the densities, the weighted block update and the
-model checks with the library.
+``em_once`` and ``m_step`` are the sequential EM loop of one restart on its
+own rows and its M-step: plain weighted moments per component and variable,
+two-pass on the raw values, with the library's floors and defaults. The
+batched EM, which sums sufficient statistics over the whole cohort instead,
+must match them to rounding. ``component_log_likelihoods`` is their E-step,
+subject-major over (N, Z) as the library ran it before it went
+component-major. They share the densities and the model checks with the
+library.
 """
 
 import math
 
 import numpy as np
 
-from hetmix.distributions import (_LOG_PDF, _block_of, _variance_floor, _weighted_block,
-                                  default_params)
+from hetmix import Categorical, Gaussian, InflatedGamma, QuantizedGaussian, VariableKind
+from hetmix.distributions import _LOG_PDF, DEFAULT_FLOORS, default_params
 from hetmix.model import MODEL_MISSING, MixtureModel, normalize_log_joint
 from hetmix.training import (COLLAPSE_EPS, MONOTONE_SLACK, ZERO_WEIGHT_EPS,
                              ComponentCollapseError)
@@ -122,8 +124,38 @@ def component_log_likelihoods(model, dataset, mode, columns=None):
     return out
 
 
+def _moments(kind, values, weights, domain, scale):
+    """One component's cell from its weights on a column's observed values,
+    two-pass weighted moments on the raw values (ordinal levels, categorical
+    codes)."""
+    floors = DEFAULT_FLOORS
+    total = weights.sum()
+    if kind is VariableKind.CATEGORICAL:
+        probs = np.array([weights[values == k].sum() for k in range(len(domain))]) / total
+        probs += floors.categorical_pseudo
+        return Categorical(tuple(probs / probs.sum()), domain)
+    if kind is not VariableKind.NONNEGATIVE:
+        mean = (weights * values).sum() / total
+        variance = max((weights * (values - mean) ** 2).sum() / total,
+                       floors.rel_variance * scale ** 2)
+        if kind is VariableKind.ORDINAL:
+            return QuantizedGaussian(mean, variance, domain)
+        return Gaussian(mean, variance)
+    positive = values > 0
+    zero_prob = min(weights[~positive].sum() / total, 1.0)
+    w, x = weights[positive], values[positive]
+    if w.sum() == 0:
+        return InflatedGamma(zero_prob, 1.0, 1.0)
+    mean = (w * x).sum() / w.sum()
+    gap = max(math.log(mean) - (w * np.log(x)).sum() / w.sum(), 1e-12)
+    shape = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
+    shape = min(max(shape, floors.shape_min), floors.shape_max)
+    return InflatedGamma(zero_prob, shape, max(mean / shape, floors.scale_min))
+
+
 def m_step(dataset, responsibilities):
-    """One fit's M-step, variable by variable, from its (N, Z) responsibilities."""
+    """One fit's M-step, component by component and variable by variable, from
+    its (N, Z) responsibilities."""
     alpha = np.asarray(responsibilities, dtype=float)
     n_subjects, n_comp = alpha.shape
     totals = alpha.sum(axis=0)
@@ -131,24 +163,20 @@ def m_step(dataset, responsibilities):
         z = int(np.argmin(totals))
         raise ComponentCollapseError(
             f"component {z} collapsed (total responsibility {totals[z]:.3e})")
-    weights = totals / totals.sum()
-    by_component = np.ascontiguousarray(alpha.T)
+    grid = [[None] * dataset.n_variables for _ in range(n_comp)]
     missing_probs = np.empty((n_comp, dataset.n_variables))
-    blocks = []
-    for v, (schema, (missed, rows, observed, scale)) in enumerate(
-            zip(dataset.schemas, dataset._observed)):
-        missing_probs[:, v] = alpha.take(missed, axis=0).sum(axis=0) / totals
-        observed_weights = by_component.take(rows, axis=1)
-        fitted = observed_weights.sum(axis=1) > ZERO_WEIGHT_EPS
-        block = _weighted_block(schema.kind, observed[None], observed_weights[fitted],
-                                schema.domain, _variance_floor(scale or 1.0))
-        if not fitted.all():
-            default = default_params(schema.kind, domain=schema.domain, scale=scale or 1.0)
-            partial, block = block, _block_of(schema, [default] * n_comp)
-            for full, part in zip(block, partial):
-                full[fitted] = part
-        blocks.append(block)
-    return MixtureModel._from_blocks(weights, tuple(blocks), missing_probs, dataset.schemas)
+    for v, schema in enumerate(dataset.schemas):
+        missed = dataset.missing_mask(v)
+        categorical = schema.kind is VariableKind.CATEGORICAL
+        values = (dataset.column_codes(v) if categorical else dataset.column_numeric(v))[~missed]
+        scale = 1.0 if categorical else dataset.column_scale(v)
+        for z in range(n_comp):
+            missing_probs[z, v] = min(alpha[missed, z].sum() / totals[z], 1.0)
+            weights = alpha[~missed, z]
+            grid[z][v] = (default_params(schema.kind, domain=schema.domain, scale=scale)
+                          if weights.sum() <= ZERO_WEIGHT_EPS else
+                          _moments(schema.kind, values, weights, schema.domain, scale))
+    return MixtureModel(totals / totals.sum(), grid, missing_probs, dataset.schemas)
 
 
 def em_once(dataset, order, config, rng):

@@ -16,7 +16,7 @@ from hetmix import (IGNORE_MISSING, Categorical, Dataset, EstimationError, Gauss
                     InflatedGamma, MixtureModel, QuantizedGaussian, VariableKind,
                     VariableSchema, component_log_likelihoods, default_params, family_for,
                     parameter_count, weighted_mle)
-from hetmix.distributions import DEFAULT_FLOORS, log_sum_exp
+from hetmix.distributions import DEFAULT_FLOORS, SHAPE_LIMIT, log_sum_exp
 
 
 class TestGaussian:
@@ -83,42 +83,78 @@ class TestInflatedGamma:
         assert np.allclose(cells[0].log_density(self.XS), by_cell[:, 0], rtol=1e-15)
 
     def test_extreme_shapes(self):
-        """lgamma overflows for shapes past ~2.6e305: log Gamma(shape) = +inf
-        and every x > 0 gets density 0, without a warning. The least subnormal
-        shape is finite: lgamma(a) ~ -log(a) there."""
-        tiny = math.log(0.9) - math.log(3.0) - 3.0 + math.log(5e-324)
-        huge = InflatedGamma(0.1, 1e306, 1.0)
-        assert (huge.log_density([0.0, 0.5, 1.0, 3.0]) == [math.log(0.1)] + [-math.inf] * 3).all()
-        assert huge.log_density(3.0) == -math.inf
-        assert InflatedGamma(0.1, 5e-324, 1.0).log_density(3.0) == pytest.approx(tiny, rel=1e-15)
+        """Shapes at or past SHAPE_LIMIT (1e300) are refused, by a cell and by a
+        model's block alike: lgamma overflows past ~2.6e305, and just below that
+        (shape - 1) log x or shape log scale can overflow against it. The largest
+        shape below the limit has a finite density; the least subnormal one too,
+        where lgamma(a) ~ -log(a)."""
         schemas = (VariableSchema("y", "nonnegative"),)
-        model = MixtureModel((0.5, 0.5), ((huge,), (InflatedGamma(0.1, 5e-324, 1.0),)),
+        for shape in (1e300, 2.55e305, 1e306, math.inf):
+            with pytest.raises(ValueError, match="shape must be positive and below 1e"):
+                InflatedGamma(0.1, shape, 1.0)
+            with pytest.raises(ValueError, match="shape must be positive and below 1e"):
+                MixtureModel._from_blocks((0.5, 0.5), ((np.array([0.1, 0.1]),
+                                                        np.array([1.0, shape]),
+                                                        np.array([1.0, 1.0])),),
+                                          [[0.1]] * 2, schemas)
+        largest = math.nextafter(SHAPE_LIMIT, 0.0)
+        want = math.log(0.9) + (largest - 1.0) * math.log(3.0) - 3.0 - math.lgamma(largest)
+        assert InflatedGamma(0.1, largest, 1.0).log_density(3.0) == want
+        assert math.isfinite(want)
+        tiny = math.log(0.9) - math.log(3.0) - 3.0 + math.log(5e-324)
+        assert InflatedGamma(0.1, 5e-324, 1.0).log_density(3.0) == pytest.approx(tiny, rel=1e-15)
+        model = MixtureModel((0.5, 0.5), ((InflatedGamma(0.1, largest, 1.0),),
+                                          (InflatedGamma(0.1, 5e-324, 1.0),)),
                              [[0.1]] * 2, schemas)
         block = component_log_likelihoods(model, Dataset(schemas, [[0.0], [3.0]]),
                                           IGNORE_MISSING) - math.log(0.5)
         assert block[0].tolist() == pytest.approx([math.log(0.1)] * 2, rel=1e-15)
-        assert block[1, 0] == -math.inf and block[1, 1] == pytest.approx(tiny, rel=1e-15)
+        assert block[1, 0] == want and block[1, 1] == pytest.approx(tiny, rel=1e-15)
 
     def test_huge_shapes_with_extreme_scales(self):
-        """shape * log(scale), (shape - 1) * log(x) and x / scale may overflow too;
-        +inf against log Gamma(shape) = +inf must not give NaN, nor any overflow a
-        warning. Past lgamma's range every x > 0 has no mass; below it the value
-        is the plain formula's, bit for bit."""
+        """Below SHAPE_LIMIT a huge shape gives the plain formula's value, bit for
+        bit, with no warning, even where x / scale overflows (to a density of 0).
+        Shapes of about 1.2e305-2.6e305, where an overflowing term would meet a
+        finite lgamma(shape), are refused."""
         xs = np.array([0.0, 3.0, 1e6, 1e300])
-        for shape in (1e305, 1e306, 1e308):
+        for shape in (1e299, math.nextafter(SHAPE_LIMIT, 0.0)):
             for scale in (1e-300, 1.0, 1e300):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = InflatedGamma(0.1, shape, scale).log_density(xs)
                 assert got[0] == math.log(0.1) and not np.isnan(got).any()
-                if shape > 2.6e305:
-                    assert (got[1:] == -math.inf).all()
-                    continue
                 with np.errstate(over="ignore"):
                     plain = (np.log1p(-0.1) + (shape - 1.0) * np.log(xs[1:]) - xs[1:] / scale
                              - shape * np.log(scale) - math.lgamma(shape))
                 assert np.array_equal(got[1:], plain)
-        assert InflatedGamma(0.1, 1e306, 1e-300).log_density(3.0) == -math.inf
+        for shape, scale in ((2.55e305, 0.1), (2.5e305, 5e-324), (1e306, 1e-300)):
+            with pytest.raises(ValueError):
+                InflatedGamma(0.1, shape, scale)
+
+    def test_no_in_domain_density_is_nan(self):
+        """Over shapes up to the largest below SHAPE_LIMIT, scales down to the
+        least subnormal and x up to 1e308, every log density is finite or -inf,
+        with no warning."""
+        shapes = np.array([5e-324, 1e-300, 0.5, 1.0, 2.0, 1e10, 1e200, 1e299,
+                           math.nextafter(SHAPE_LIMIT, 0.0)])
+        scales = np.array([5e-324, 1e-300, 1e-5, 1.0, 1e5, 1e300, 1.7e308])
+        xs = np.array([0.0, 5e-324, 1e-300, 1e-5, 1.0, 3.0, 1e5, 1e300, 1e308])
+        for zero_prob in (0.0, 0.1, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for shape in shapes.tolist():
+                    for scale in scales.tolist():
+                        got = InflatedGamma(zero_prob, shape, scale).log_density(xs)
+                        assert not np.isnan(got).any() and (got < np.inf).all(), (shape, scale)
+                schemas = (VariableSchema("y", "nonnegative"),)
+                grid = np.meshgrid(shapes, scales)
+                cells = [(InflatedGamma(zero_prob, a, s),)
+                         for a, s in zip(grid[0].ravel().tolist(), grid[1].ravel().tolist())]
+                model = MixtureModel(np.full(len(cells), 1.0 / len(cells)), cells,
+                                     [[0.5]] * len(cells), schemas)
+                block = component_log_likelihoods(model, Dataset(schemas, xs[:, None].tolist()),
+                                                  IGNORE_MISSING)
+                assert not np.isnan(block).any() and (block < np.inf).all()
 
     def test_total_mass_is_one(self):
         d = InflatedGamma(0.3, 2.5, 1.7)
@@ -155,6 +191,24 @@ class TestQuantizedGaussian:
         q = QuantizedGaussian(2.0, 1e-8, (1, 2, 3))
         assert not np.isnan(q.log_masses).any()
         assert q.masses[1] == pytest.approx(1.0)
+
+    def test_extreme_means_and_variances_stay_finite_in_log(self):
+        """Each level scores against the level nearest the mean, so the squares
+        that overflowed for a mean of -1e300 are never formed: the nearest level
+        gets log mass 0, the others finite or -inf values, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert QuantizedGaussian(-1e300, 1.0, (1, 2, 3)).log_masses.tolist() == \
+                [0.0, -1e300, -2e300]
+            assert QuantizedGaussian(1e300, 1.0, (1, 2, 3)).log_masses.tolist() == \
+                [-2e300, -1e300, 0.0]
+            assert QuantizedGaussian(2.2, 5e-324, (1, 2, 3)).log_masses.tolist() == \
+                [-math.inf, 0.0, -math.inf]
+            for mean in (-1.7e308, -1e300, 1.5, 1e300, 1.7e308):
+                for variance in (5e-324, 1e-300, 1.0, 1e300, 1.7e308):
+                    log_masses = QuantizedGaussian(mean, variance, (-1000, 0, 7, 10 ** 6)).log_masses
+                    assert not np.isnan(log_masses).any() and (log_masses <= 0).all()
+                    assert log_sum_exp(log_masses) == pytest.approx(0.0, abs=1e-15)
 
     def test_log_density_out_of_domain(self):
         with pytest.raises(ValueError):

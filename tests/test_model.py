@@ -134,6 +134,7 @@ _POSITIVE = (0.0, -1.0, _NAN, _INF, -_INF, 1e-300)
     *[(Categorical, 0, row) for row in (
         (-0.1, 0.6, 0.5), (_NAN, 0.5, 0.5), (_INF, 0.0, 0.0), (0.2, 0.3, 0.5 + 1e-9),
         (0.2, 0.3, 0.5 - 1e-9), (0.2, 0.3, 0.5 + 1e-13), (0.0, 0.0, 1.0))],
+    *[(f, 0, -1e300) for f in (Gaussian, QuantizedGaussian)],  # no mass table overflows
 ])
 def test_block_checks_match_the_cell_checks(family, field, value):
     """A model built from blocks refuses a block exactly when the family's

@@ -50,7 +50,13 @@ class TestMStep:
                                 domain=schema.domain or None,
                                 scale=None if schema.kind.value == "categorical"
                                 else ds.column_scale(j))
-            assert model.params[0][j] == want
+            # the M-step sums over all rows, weighted_mle over the observed
+            # ones: equal to rounding (measured: 5.8e-15 relative)
+            got = model.params[0][j]
+            assert type(got) is type(want) and getattr(got, "domain", 0) == getattr(want, "domain", 0)
+            for name in ("mean", "variance", "zero_prob", "shape", "scale", "probs"):
+                if hasattr(want, name):
+                    assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0)
 
     def test_collapsed_component_raises(self):
         _, ds, _ = _cohort(n=50)
@@ -140,12 +146,12 @@ class TestStopRule:
         real = training._m_step_batch
         produced = []
 
-        def counted(plan, responsibilities, fits):
+        def counted(data, scales, responsibilities, fits):
             if len(produced) + 1 == worse_on_call:
                 # every component the same: the order-1 fit, far worse here
                 responsibilities = np.full_like(responsibilities,
                                                 1.0 / responsibilities.shape[-1])
-            produced.append(real(plan, responsibilities, fits))
+            produced.append(real(data, scales, responsibilities, fits))
             return produced[-1]
 
         monkeypatch.setattr(training, "_m_step_batch", counted)
