@@ -16,10 +16,9 @@ from .schema import (INPUT, MISSING, OUTCOME, Dataset, MissingnessProfile,
                      VariableSchema, Violation, drop_zero_variability,
                      missingness_profile, validate_dataset,
                      zero_variability_columns)
-from .distributions import (Categorical, DEFAULT_FLOORS, EstimationError,
-                            Gaussian, InflatedGamma, ParamFloors,
-                            QuantizedGaussian, default_params, family_for,
-                            weighted_mle)
+from .distributions import (Categorical, EstimationError, Gaussian,
+                            InflatedGamma, QuantizedGaussian, default_params,
+                            family_for, weighted_mle)
 from .model import (IGNORE_MISSING, MISSINGNESS_MODES, MODEL_MISSING,
                     MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, evidence_log_likelihoods,

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import VariableKind, _level_counts, _stat_rows
+from .schema import VariableKind, _level_counts, _span_scale, _stat_rows
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -130,24 +130,14 @@ def _store_params(cell, **values):
         object.__setattr__(cell, name, float(value))
 
 
-@dataclass(frozen=True)
-class ParamFloors:
-    """Numerical floors and caps that keep component likelihoods finite.
-
-    ``rel_variance`` floors variances at rel_variance * column_scale**2;
-    shape and scale bounds clamp the Gamma update; ``categorical_pseudo``
-    is added to every categorical frequency before renormalizing so that
-    observed symbols never get exactly zero mass.
-    """
-
-    rel_variance: float = 1e-6
-    shape_min: float = 1e-3
-    shape_max: float = 1e4
-    scale_min: float = 1e-9
-    categorical_pseudo: float = 1e-9
-
-
-DEFAULT_FLOORS = ParamFloors()
+# fixed floors and caps of the M-step, which keep component likelihoods finite:
+# variances >= REL_VARIANCE_FLOOR * column scale ** 2, the Gamma shape clamped to
+# [SHAPE_MIN, SHAPE_MAX] and its scale >= SCALE_MIN, and CATEGORICAL_PSEUDO added
+# to every categorical frequency before renormalizing, so no observed symbol has mass 0
+REL_VARIANCE_FLOOR = 1e-6
+SHAPE_MIN, SHAPE_MAX = 1e-3, 1e4
+SCALE_MIN = 1e-9
+CATEGORICAL_PSEUDO = 1e-9
 
 
 @dataclass(frozen=True)
@@ -373,8 +363,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
         raise EstimationError(f"inadmissible {kind.value} values at positions "
                               f"{np.flatnonzero(~admissible)[:5].tolist()}")
     if scale is None:
-        scale = (domain[-1] - domain[0] if kind is VariableKind.ORDINAL
-                 else float(values.max() - values.min()) or 1.0)
+        scale = _span_scale(kind, domain, values)
     unit = (0.0, 1.0)
     if kind.is_finite:
         if kind is VariableKind.ORDINAL:
@@ -390,7 +379,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
 
 def _variance_floor(scale):
     """The smallest variance of a real or ordinal column of natural scale ``scale``."""
-    return DEFAULT_FLOORS.rel_variance * np.square(scale)
+    return REL_VARIANCE_FLOOR * np.square(scale)
 
 
 def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
@@ -401,7 +390,7 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
 
     Unchecked: the callers (``weighted_mle``, the M-step) replace the rows
     without observed weight. ``floor`` (broadcast against (...,)) floors real
-    and ordinal variances; the other floors come from DEFAULT_FLOORS. A row's
+    and ordinal variances; the other floors are the module's constants. A row's
     result is a closed form of it alone: ordinal moments from the level counts,
     real ones in one pass; the Gamma keeps zeros out of its sums (their mass is
     ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) /
@@ -410,7 +399,7 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
     if kind.is_finite:
         total = stats.sum(axis=-1)
         if kind is VariableKind.CATEGORICAL:
-            probs = stats / total[..., None] + DEFAULT_FLOORS.categorical_pseudo
+            probs = stats / total[..., None] + CATEGORICAL_PSEUDO
             probs /= probs.sum(axis=-1, keepdims=True)
             return (probs,)
         levels = np.asarray(domain, dtype=float)
@@ -433,8 +422,8 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
         # log(mean) >= mean(log) by Jensen; clamp fp noise away from zero
         log_gap = np.maximum(np.log(mean) - sum_log / positive, 1e-12)
         shape = (3.0 - log_gap + np.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
-        shape = np.clip(shape, DEFAULT_FLOORS.shape_min, DEFAULT_FLOORS.shape_max)
-        scale_par = np.maximum(mean / shape, DEFAULT_FLOORS.scale_min)
+        shape = np.clip(shape, SHAPE_MIN, SHAPE_MAX)
+        scale_par = np.maximum(mean / shape, SCALE_MIN)
     seen = positive > 0
     return zero_prob, np.where(seen, shape, 1.0), np.where(seen, scale_par, 1.0)
 

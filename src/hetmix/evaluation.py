@@ -26,8 +26,8 @@ from .distributions import log_sum_exp
 from .inference import (FinitePrediction, InferenceRequest, predict_batch,
                         target_tables)
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
-from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
-                     VariableKind, VariableSchema, validate_dataset)
+from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError, VariableKind,
+                     VariableSchema, Violation, _zero_variability, validate_dataset)
 from .training import EmConfig, TrainingError, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
@@ -274,16 +274,16 @@ def _errors(dataset: Dataset, truths: Mapping, probabilities: Mapping) -> dict:
 
 def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                     config: EmConfig) -> list:
-    """Leave out each of ``subjects`` in turn. Per order, the restarts of all
-    folds run as one batched EM, and one likelihood pass over the non-target
-    inputs for all fold models gives each held-out posterior and confidence,
-    and every training row's score.
+    """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold is its
+    held-out row, checked and trained on the cohort with that row masked. Per order, the restarts
+    of all folds run as one batched EM, and one likelihood pass over the non-target inputs for
+    all fold models gives each held-out posterior and confidence, and every training row's score.
 
     Per fold: (subject, {order: {target: (error, normalized)}}, {order:
     (log_c, pct)}, skipped targets), order 0 from the uniform reference; or
     (subject, None, None, message) at its first failure: its training rows
-    lose a column's variability, every restart of an order fails, or the
-    held-out evidence has zero likelihood."""
+    lose a column's variability (as ``validate_dataset`` words it), every restart
+    of an order fails, or the held-out evidence has zero likelihood."""
     n = dataset.n_subjects
     if len(subjects) > _FOLDS_PER_BATCH:
         return [fold for first in range(0, len(subjects), _FOLDS_PER_BATCH) for fold in
@@ -292,18 +292,18 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     failed, folds = {}, {}
     for s in subjects:
-        train = dataset.drop_subject(s)
-        if violations := validate_dataset(train):
+        kept = np.arange(n) != s
+        if violations := [Violation(None, var.name, why) for j, var in enumerate(dataset.schemas)
+                          if (why := _zero_variability(dataset, j, kept))]:
             failed[s] = str(SchemaViolationError(violations))
             continue
         truths = {name: dataset.value(s, dataset.column_index(name)) for name in targets}
         truths = {name: value for name, value in truths.items() if value is not MISSING}
         chance = {name: chance_prediction(dataset.schema(name)).probabilities for name in truths}
-        folds[s] = (train, truths, {CHANCE_ORDER: _errors(dataset, truths, chance)}, {})
+        folds[s] = (truths, {CHANCE_ORDER: _errors(dataset, truths, chance)}, {})
     for order in orders:
         live = [s for s in folds if s not in failed]
-        fitted = _fit_many(dataset, [folds[s][0] for s in live], live,
-                           [_fold_seed(config.seed, s) for s in live],
+        fitted = _fit_many(dataset, live, [_fold_seed(config.seed, s) for s in live],
                            order, config) if live else []
         failed.update((s, str(best)) for s, best in zip(live, fitted)
                       if isinstance(best, TrainingError))
@@ -314,7 +314,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                                dataset, mode, input_cols).reshape(-1, order, n)
         scores = log_sum_exp(log_joint, axis=1)
         for f, (s, model) in enumerate(trained):
-            _, truths, errors, confidence = folds[s]
+            truths, errors, confidence = folds[s]
             predicted, zero = predict_batch(target_tables(model, truths), log_joint[f, :, s][None])
             if zero and truths:
                 failed[s] = f"held-out subject {s} has zero likelihood under every component"
@@ -324,7 +324,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
             log_c = float(scores[f, s])
             confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores[f], s))))
     return [(s, None, None, failed[s]) if s in failed else
-            (s, folds[s][2], folds[s][3], [name for name in targets if name not in folds[s][1]])
+            (s, folds[s][1], folds[s][2], [name for name in targets if name not in folds[s][0]])
             for s in subjects]
 
 

@@ -339,17 +339,12 @@ class Dataset:
         """Natural scale of a numeric column, used for variance floors.
 
         Ordinals use the domain span; continuous columns use the observed
-        span, falling back to 1.0 when degenerate.
+        span, falling back to 1.0 when degenerate (``_span_scale``).
         """
         schema = self.schemas[column]
-        if schema.kind is VariableKind.ORDINAL:
-            return float(schema.domain[-1] - schema.domain[0])
-        values = self.column_numeric(column)
-        values = values[~np.isnan(values)]
-        if values.size == 0:
-            return 1.0
-        span = float(values.max() - values.min())
-        return span if span > 0 else 1.0
+        ordinal = schema.kind is VariableKind.ORDINAL  # column_numeric refuses bad cells
+        values = self._numeric[:, column] if ordinal else self.column_numeric(column)
+        return _span_scale(schema.kind, schema.domain, values)
 
     @cached_property
     def _stats(self) -> tuple:
@@ -399,14 +394,23 @@ class Dataset:
         return dataset
 
 
+def _span_scale(kind: VariableKind, domain, values: np.ndarray) -> float:
+    """A column's natural scale: an ordinal's domain span, else the span of
+    ``values`` without NaNs, 1.0 if that is 0 or none is left (a categorical)."""
+    if kind is VariableKind.ORDINAL:
+        return float(domain[-1] - domain[0])
+    values = values[~np.isnan(values)]
+    return (float(values.max() - values.min()) if values.size else 0.0) or 1.0
+
+
 def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple:
     """Write into the zeroed (N, 4 or 5) ``out`` the sufficient statistics of
     a continuous column's cells (NaN where missing), 0 where they do not apply:
     missing, then observed, x~, x~^2 (real) or zero, positive, x, log x
     (nonnegative), x~ = (x - centre) / scale. Returns (centre, scale): a real
-    column's median and the least power of two >= the largest distance from it
-    (|x~| <= 1, scaling rounds nothing, a one-pass variance loses ~((mean -
-    centre) / sd)^2 ulps, one extreme value hardly moves it), else (0.0, 1.0)."""
+    column's median and the least power of two > the largest distance from it
+    (|x~| < 1, 1.0 for no distance, scaling rounds nothing, a one-pass variance
+    loses ~((mean - centre) / sd)^2 ulps, one extreme value hardly moves it), else (0.0, 1.0)."""
     missing = np.isnan(column)
     out[:, 0] = missing
     x = np.where(missing, 0.0, column)
@@ -500,12 +504,12 @@ class Violation:
         return f"{where}column {self.column!r}: {self.message}"
 
 
-def _zero_variability(dataset: Dataset, column: int) -> str | None:
-    """Why the column carries no information, or None if it varies. A column
-    with bad cells never counts: its cells are reported instead."""
+def _zero_variability(dataset: Dataset, column: int, kept=True) -> str | None:
+    """Why the column carries no information in the ``kept`` rows (a mask; default
+    all), or None if it varies. A column with bad cells never counts: they are reported."""
     if dataset.cell_violations[column]:
         return None
-    observed = np.flatnonzero(~dataset.missing_mask(column))
+    observed = np.flatnonzero(~dataset.missing_mask(column) & kept)
     if observed.size == 0:
         return "no observed values"
     store = dataset._codes if dataset.schemas[column].kind.is_finite else dataset._numeric

@@ -27,7 +27,7 @@ import numpy as np
 from .distributions import (EstimationError, _block_of, _variance_floor, _weighted_block,
                             default_params, log_sum_exp)
 from .model import MODEL_MISSING, MixtureModel, ZeroLikelihoodError, _log_joint, parameter_count
-from .schema import Dataset, SchemaViolationError, VariableKind, _level_counts, validate_dataset
+from .schema import Dataset, SchemaViolationError, _level_counts, _span_scale, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -98,10 +98,10 @@ def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
     return model
 
 
-def _scales(dataset: Dataset) -> list:
-    """Each column's ``Dataset.column_scale``, 1.0 for a categorical one: what
-    the variance floors and the defaults of a fit to ``dataset`` read."""
-    return [1.0 if schema.kind is VariableKind.CATEGORICAL else dataset.column_scale(v)
+def _scales(dataset: Dataset, rows=slice(None)) -> list:
+    """Each column's ``schema._span_scale`` over the ``rows`` of ``dataset`` (a fold's: all
+    but its held-out row), 1.0 for a categorical one: what a fit's floors and defaults read."""
+    return [_span_scale(schema.kind, schema.domain, dataset._numeric[rows, v])
             for v, schema in enumerate(dataset.schemas)]
 
 
@@ -207,19 +207,19 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
         model, fits, failed = _m_step_batch(dataset, scales, posteriors, fits[go])
 
 
-def _fit_many(dataset: Dataset, subsets, held_out, seeds, order: int, config: EmConfig) -> list:
-    """Fit ``order`` components to each subset ``subsets[i]``, all rows of
-    ``dataset`` but ``held_out[i]`` (all rows if ``held_out`` is None), restarts
-    seeded from ``seeds[i]``, as one batch. Per fit: the best (model,
-    TrainingTrace), or a TrainingError if every restart failed."""
+def _fit_many(dataset: Dataset, held_out, seeds, order: int, config: EmConfig) -> list:
+    """Fit ``order`` components to all rows of ``dataset`` but ``held_out[i]``
+    (all if ``held_out`` is None; a fold is its held-out row: the kept rows size
+    its starts and give its scales), restarts seeded from ``seeds[i]``, as one
+    batch. Per fit: the best (model, TrainingTrace), or a TrainingError if every restart failed."""
     n = dataset.n_subjects
-    inits = np.zeros((len(subsets), config.restarts, order, n))
-    for i, (subset, seed) in enumerate(zip(subsets, seeds)):
-        rows = slice(None) if held_out is None else np.arange(n) != held_out[i]
+    kept = np.arange(n) != np.full(len(seeds), -1 if held_out is None else held_out)[:, None]
+    inits = np.zeros((len(seeds), config.restarts, order, n))
+    for i, seed in enumerate(seeds):
         for r, child in enumerate(np.random.SeedSequence(seed).spawn(config.restarts)):
-            inits[i, r][:, rows] = np.random.default_rng(child).dirichlet(
-                np.ones(order), size=subset.n_subjects).T
-    outcomes = _em_batch(dataset, np.repeat([_scales(s) for s in subsets], config.restarts, axis=0),
+            inits[i, r][:, kept[i]] = np.random.default_rng(child).dirichlet(
+                np.ones(order), size=int(kept[i].sum())).T
+    outcomes = _em_batch(dataset, np.repeat([_scales(dataset, k) for k in kept], config.restarts, 0),
                          None if held_out is None else np.repeat(held_out, config.restarts),
                          inits.reshape(-1, order, n), config)
     out = []
@@ -249,7 +249,7 @@ def fit(dataset: Dataset, order: int,
     violations = validate_dataset(dataset)
     if violations:
         raise SchemaViolationError(violations)
-    best = _fit_many(dataset, [dataset], None, [config.seed], order, config)[0]
+    best = _fit_many(dataset, None, [config.seed], order, config)[0]
     if isinstance(best, TrainingError):
         raise best
     return best

@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from hetmix import Categorical, Gaussian, InflatedGamma, QuantizedGaussian, VariableKind
-from hetmix.distributions import _LOG_PDF, DEFAULT_FLOORS, default_params
+from hetmix.distributions import (_LOG_PDF, CATEGORICAL_PSEUDO, REL_VARIANCE_FLOOR, SCALE_MIN,
+                                  SHAPE_MAX, SHAPE_MIN, default_params)
 from hetmix.model import MODEL_MISSING, MixtureModel, normalize_log_joint
 from hetmix.training import (COLLAPSE_EPS, MONOTONE_SLACK, ZERO_WEIGHT_EPS,
                              ComponentCollapseError)
@@ -128,16 +129,15 @@ def _moments(kind, values, weights, domain, scale):
     """One component's cell from its weights on a column's observed values,
     two-pass weighted moments on the raw values (ordinal levels, categorical
     codes)."""
-    floors = DEFAULT_FLOORS
     total = weights.sum()
     if kind is VariableKind.CATEGORICAL:
         probs = np.array([weights[values == k].sum() for k in range(len(domain))]) / total
-        probs += floors.categorical_pseudo
+        probs += CATEGORICAL_PSEUDO
         return Categorical(tuple(probs / probs.sum()), domain)
     if kind is not VariableKind.NONNEGATIVE:
         mean = (weights * values).sum() / total
         variance = max((weights * (values - mean) ** 2).sum() / total,
-                       floors.rel_variance * scale ** 2)
+                       REL_VARIANCE_FLOOR * scale ** 2)
         if kind is VariableKind.ORDINAL:
             return QuantizedGaussian(mean, variance, domain)
         return Gaussian(mean, variance)
@@ -149,8 +149,8 @@ def _moments(kind, values, weights, domain, scale):
     mean = (w * x).sum() / w.sum()
     gap = max(math.log(mean) - (w * np.log(x)).sum() / w.sum(), 1e-12)
     shape = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
-    shape = min(max(shape, floors.shape_min), floors.shape_max)
-    return InflatedGamma(zero_prob, shape, max(mean / shape, floors.scale_min))
+    shape = min(max(shape, SHAPE_MIN), SHAPE_MAX)
+    return InflatedGamma(zero_prob, shape, max(mean / shape, SCALE_MIN))
 
 
 def m_step(dataset, responsibilities):

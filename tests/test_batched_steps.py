@@ -259,14 +259,14 @@ def test_m_step_model_file_matches_the_grid_built_model(tmp_path):
 
 
 def test_fit_reads_each_column_scale_once(monkeypatch):
-    calls = []
-    real = Dataset.column_scale
-
-    def counted(self, column):
-        calls.append(column)
-        return real(self, column)
-
     import hetmix.training as training
+    calls = []
+    real = training._span_scale
+
+    def counted(kind, domain, values):
+        calls.append(kind)
+        return real(kind, domain, values)
+
     steps = []
     real_m_step = training._m_step_batch
 
@@ -275,8 +275,8 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
         return real_m_step(data, scales, responsibilities, fits)
 
     dataset = _cohort(np.random.default_rng(5), 60)
-    monkeypatch.setattr(Dataset, "column_scale", counted)
+    monkeypatch.setattr(training, "_span_scale", counted)
     monkeypatch.setattr(training, "_m_step_batch", counted_m_step)
     fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12))
     assert len(steps) > 2
-    assert sorted(calls) == [X, CONC, GRADE]  # once per numeric column
+    assert calls == [s.kind for s in dataset.schemas]  # once per column, in order

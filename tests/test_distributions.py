@@ -16,7 +16,8 @@ from hetmix import (IGNORE_MISSING, Categorical, Dataset, EstimationError, Gauss
                     InflatedGamma, MixtureModel, QuantizedGaussian, VariableKind,
                     VariableSchema, component_log_likelihoods, default_params, family_for,
                     parameter_count, weighted_mle)
-from hetmix.distributions import DEFAULT_FLOORS, SHAPE_LIMIT, log_sum_exp
+from hetmix.distributions import (REL_VARIANCE_FLOOR, SHAPE_LIMIT, SHAPE_MAX, SHAPE_MIN,
+                                  log_sum_exp)
 
 
 class TestGaussian:
@@ -50,8 +51,8 @@ class TestInflatedGamma:
         assert InflatedGamma(0.0, 2.0, 1.0).log_density(0.0) == -math.inf
         assert InflatedGamma(1.0, 2.0, 1.0).log_density(3.0) == -math.inf
 
-    # ParamFloors' shape range, lgamma's roots 1 and 2 and the floats next to them
-    SHAPES = np.concatenate([np.geomspace(DEFAULT_FLOORS.shape_min, DEFAULT_FLOORS.shape_max, 29),
+    # the M-step's shape range, lgamma's roots 1 and 2 and the floats next to them
+    SHAPES = np.concatenate([np.geomspace(SHAPE_MIN, SHAPE_MAX, 29),
                              [np.nextafter(root, side) for root in (1.0, 2.0) for side in (0, 3)],
                              [1.0, 2.0, 2.5, 0.999, 1.001, 1.999, 2.001]])
     SCALES = (0.05, 1.7)
@@ -295,7 +296,7 @@ class TestWeightedMle:
 
     def test_variance_floor(self):
         got = weighted_mle(VariableKind.REAL, [5.0, 5.0, 5.0], [1, 1, 1], scale=10.0)
-        assert got.variance == DEFAULT_FLOORS.rel_variance * 100.0
+        assert got.variance == REL_VARIANCE_FLOOR * 100.0
 
     def test_quantized_frozen(self):
         got = weighted_mle(VariableKind.ORDINAL, [1, 2, 3], [1.0, 1.0, 1.0],
@@ -381,7 +382,7 @@ class TestWeightedMle:
         # near-constant positive values push the shape estimate sky high
         got = weighted_mle(VariableKind.NONNEGATIVE,
                            [1.0, 1.0 + 1e-13, 1.0 - 1e-13], [1.0, 1.0, 1.0])
-        assert got.shape <= DEFAULT_FLOORS.shape_max
+        assert got.shape <= SHAPE_MAX
 
 
 def test_default_params_are_valid():

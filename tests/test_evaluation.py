@@ -21,7 +21,8 @@ from hetmix import (IGNORE_MISSING, MODEL_MISSING, Dataset, DegenerateSampleErro
 from hetmix.demo import small_demo_model
 from hetmix.evaluation import _evaluate_folds, _fold_seed
 from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
-from hetmix.schema import MISSING
+from hetmix.schema import MISSING, validate_dataset
+from hetmix.training import _scales
 
 EIGHT = VariableSchema("g8", "ordinal", tuple(range(1, 9)))
 THREE_WAY = VariableSchema("s3", "categorical", ("a", "b", "c"))
@@ -268,6 +269,69 @@ class TestFoldSeeds:
         assert len(seeds) == 50
         assert _fold_seed(7, 3) == _fold_seed(7, 3)
         assert _fold_seed(8, 3) != _fold_seed(7, 3)
+
+
+class TestMaskFolds:
+    """A fold is its held-out row: its checks and column scales read the cohort
+    with that row masked, and must match a copy of the cohort without it."""
+
+    TARGETS = ("severity", "status")
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        """Subjects 1 and 2 hold marker_a's unique maximum and minimum, 6 dose's
+        unique maximum, 4 the only "beta" of site, and 7 and 8 the only two
+        observed marker_b values."""
+        base, _ = sample_cohort(small_demo_model(), 14, np.random.default_rng(5))
+        rows = [list(base.row(i)) for i in range(base.n_subjects)]
+        a, b, dose, site = (base.column_index(name)
+                            for name in ("marker_a", "marker_b", "dose", "site"))
+        for i, row in enumerate(rows):
+            row[site] = "beta" if i == 4 else "alpha"
+            row[b] = float(i) if i in (7, 8) else MISSING
+        rows[1][a], rows[2][a], rows[6][dose] = 1e3, -1e3, 1e3
+        return Dataset(base.schemas, rows)
+
+    def test_scales_match_the_copy(self, cohort, monkeypatch):
+        import hetmix.training as training
+        n = cohort.n_subjects
+        for s in range(n):
+            assert _scales(cohort, np.arange(n) != s) == _scales(cohort.drop_subject(s))
+        batches = []
+        real = training._em_batch
+
+        def recorded(dataset, scales, held_out, inits, config):
+            batches.append((scales, held_out))
+            return real(dataset, scales, held_out, inits, config)
+
+        monkeypatch.setattr(training, "_em_batch", recorded)
+        _evaluate_folds(cohort, range(n), (1,), self.TARGETS, MODEL_MISSING,
+                        EmConfig(max_iterations=2, restarts=2))
+        (scales, held_out), = batches
+        assert 4 not in held_out and len(held_out) > n  # two restarts a fold
+        for row, s in zip(scales, held_out.tolist()):
+            assert row.tolist() == _scales(cohort.drop_subject(s))
+
+    def test_failure_text_matches_the_copy(self, cohort):
+        # ignore_missing: no held-out subject has zero likelihood, so only
+        # the schema fails a fold
+        folds = _evaluate_folds(cohort, range(cohort.n_subjects), (1,), self.TARGETS,
+                                IGNORE_MISSING, EmConfig(max_iterations=2, restarts=1))
+        failed = []
+        for s, errors, _, extra in folds:
+            if violations := validate_dataset(cohort.drop_subject(s)):
+                failed.append(s)
+                assert (errors, extra) == (None, str(SchemaViolationError(violations)))
+            else:
+                assert errors is not None
+        assert failed == [4, 7, 8]
+
+    def test_no_fold_copies_the_cohort(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a fold copied the cohort")
+
+        monkeypatch.setattr(Dataset, "_take", never)
+        assert len(_tiny_loo(orders=(1,)).confidence_records[1]) > 20
 
 
 def _tiny_loo(n=24, orders=(1, 2), workers=1, seed=0, sample_seed=17):
