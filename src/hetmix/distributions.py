@@ -22,7 +22,8 @@ per-cell view. Every family is an exponential family, so a weighted
 maximum-likelihood update reads only weighted sums of sufficient statistics
 (``schema._stat_rows``, ``schema._level_counts``); ``_weighted_block`` maps
 them to a block in closed form, unchecked, and ``weighted_mle`` is its checked
-one-component entry. ``log_sum_exp`` is the package's one log-sum-exp.
+one-component entry; ``_natural_params`` maps a block back to its log density's
+coefficients on them. ``log_sum_exp`` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -68,11 +69,14 @@ def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):
     """Log density at x >= 0 (NaN passes through); ``shape`` is a float or a block.
     Below SHAPE_LIMIT every term is finite but -x / scale and log1p(-zero_prob),
     which can only be -inf, so no sum is NaN."""
-    log_gamma = np.asarray(np.frompyfunc(math.lgamma, 1, 1)(shape), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         positive = (np.log1p(-zero_prob) + (shape - 1.0) * np.log(x) - x / scale
-                    - shape * np.log(scale) - log_gamma)
+                    - shape * np.log(scale) - _log_gamma(shape))
         return np.where(x == 0, np.log(zero_prob), positive)
+
+
+def _log_gamma(shape) -> np.ndarray:
+    return np.asarray(np.frompyfunc(math.lgamma, 1, 1)(shape), dtype=float)
 
 
 def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
@@ -373,7 +377,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
         rows = np.zeros((values.size, 4 + (kind is VariableKind.NONNEGATIVE)))
         unit = _stat_rows(kind, values, rows)
         stats = weights @ rows
-    block = _weighted_block(kind, stats[None, 1:], domain, _variance_floor(scale), unit)
+    block = _weighted_block(kind, stats[None, 1:], domain, scale, unit)
     return _cells_of(family_for(kind), block, domain)[0]
 
 
@@ -382,15 +386,16 @@ def _variance_floor(scale):
     return REL_VARIANCE_FLOOR * np.square(scale)
 
 
-def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
+def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, column_scale,
                     unit=(0.0, 1.0)) -> tuple:
     """The block of the components whose weighted sufficient statistics after
     the missed weight (``schema._level_counts``, or ``schema._stat_rows`` with
     their (centre, scale) ``unit``) are the rows of (..., width) ``stats``.
 
     Unchecked: the callers (``weighted_mle``, the M-step) replace the rows
-    without observed weight. ``floor`` (broadcast against (...,)) floors real
-    and ordinal variances; the other floors are the module's constants. A row's
+    without observed weight. Real and ordinal variances are floored at
+    ``_variance_floor(column_scale)`` (broadcast against (...,)), computed only
+    for them; the other floors are the module's constants. A row's
     result is a closed form of it alone: ordinal moments from the level counts,
     real ones in one pass; the Gamma keeps zeros out of its sums (their mass is
     ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) /
@@ -405,13 +410,14 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
         levels = np.asarray(domain, dtype=float)
         mean = np.vecdot(stats, levels) / total
         var = np.vecdot(stats, (levels - mean[..., None]) ** 2) / total
-        return mean, np.maximum(var, floor)
+        return mean, np.maximum(var, _variance_floor(column_scale))
 
     if kind is VariableKind.REAL:
         total, first, second = np.moveaxis(stats, -1, 0)
         centre, scale = unit
         mean = first / total
-        return centre + scale * mean, np.maximum(scale ** 2 * (second / total - mean ** 2), floor)
+        return centre + scale * mean, np.maximum(scale ** 2 * (second / total - mean ** 2),
+                                                 _variance_floor(column_scale))
 
     # nonnegative: zero inflation plus Gamma on the positive part
     zeros, positive, sum_x, sum_log = np.moveaxis(stats, -1, 0)
@@ -426,6 +432,26 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, floor,
         scale_par = np.maximum(mean / shape, SCALE_MIN)
     seen = positive > 0
     return zero_prob, np.where(seen, shape, 1.0), np.where(seen, scale_par, 1.0)
+
+
+def _natural_params(kind: VariableKind, block, unit, missing_prob) -> np.ndarray:
+    """(Z, width) coefficients on a continuous column's ``schema._stat_rows`` (with
+    their (centre, scale) ``unit``) of the log factors of a block with missing
+    probabilities q: log q, then log(1 - q) plus the log density's (real: in x~,
+    from expanding (x - mean)^2). -inf where q or zero_prob is 0 or 1."""
+    with np.errstate(divide="ignore"):
+        missed, kept = np.log(missing_prob), np.log1p(-missing_prob)
+        if kind is VariableKind.REAL:
+            mean, variance = block
+            centre, scale = unit
+            shift = mean - centre
+            return np.stack([missed, kept - 0.5 * (LOG_TWO_PI + np.log(variance))
+                             - shift ** 2 / (2.0 * variance), scale * shift / variance,
+                             -scale ** 2 / (2.0 * variance)], axis=-1)
+        zero_prob, shape, scale = block
+        return np.stack([missed, kept + np.log(zero_prob), kept + np.log1p(-zero_prob)
+                         - shape * np.log(scale) - _log_gamma(shape), -1.0 / scale,
+                         shape - 1.0], axis=-1)
 
 
 def default_params(kind: VariableKind, *, domain=None, scale=1.0) -> Params:

@@ -10,13 +10,18 @@ factor of component z is q[z, v] for a missing cell and
 one contributes f(x_v; params[z][v]) alone. All computation is done in the
 log domain with log-sum-exp reductions.
 
-The E-step (``_log_joint``) handles each variable for all Z components at
-once, from its block, component-major, so every elementwise pass runs along
-the N subjects: a finite variable gathers columns of one (Z, K + 1) table of
-log factors by its codes (the last column, picked by the missing code -1,
-holds the missing factor; the log masses are computed once per model); a
-continuous one evaluates its family's density over (Z, N) and writes the
-missing factor in place. ``component_log_likelihoods`` is its (N, Z) transpose.
+Scoring (``_log_joint``) handles each variable for all Z components at once,
+from its block, component-major, so every elementwise pass runs along the N
+subjects: a finite variable gathers columns of one (Z, K + 1) table of log
+factors by its codes (the last column, picked by the missing code -1, holds
+the missing factor; the log masses are computed once per model); a continuous
+one evaluates its family's density over (Z, N) and writes the missing factor
+in place. ``component_log_likelihoods`` is its (N, Z) transpose. EM's E-step
+(``_em_log_joint``) gathers the finite variables the same way, but its
+continuous ones are one product of their natural parameters with the
+cohort's sufficient statistics, the matrix the M-step reads; that expansion
+is accurate only under the M-step's variance floor, so scoring keeps the
+densities.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
-                            _check_params, _log_mass_table, family_for,
-                            log_sum_exp)
+                            _check_params, _log_mass_table, _natural_params,
+                            family_for, log_sum_exp)
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
                      VariableKind, VariableSchema, Violation)
 
@@ -209,6 +214,31 @@ def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
                 factors += kept
                 np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
                 out += factors
+    return out
+
+
+def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndarray:
+    """(n_fits, Z, N) ``_log_joint`` under ``model_missing`` of a stack of M-step
+    models, its continuous columns one product per fit (batched or not, the same
+    bits) of ``_natural_params`` with ``Dataset._stats``. That loses about eps *
+    scale^2 / variance, <= ~4e6 eps under the variance floor; a model file bounds
+    nothing (variance 1e-20 on a span-100 column: ~1e8), so scoring keeps the densities."""
+    matrix, layout = dataset._stats
+    theta = np.zeros((model.n_components, matrix.shape[1]))
+    for v, (start, parts, unit) in enumerate(layout):
+        if start is not None:
+            theta[:, start:start + 3 + parts] = _natural_params(
+                model.schemas[v].kind, model._blocks[v], unit, model.missing_probs[:, v])
+    # a -inf (q or zero_prob 0 or 1) weighs a 0/1 indicator: left out, then -inf where it is 1
+    infinite = np.isneginf(theta)
+    theta[infinite] = 0.0
+    with np.errstate(over="ignore"):  # a Gamma's -x / scale may be -inf, as in the density
+        out = np.matmul(theta.reshape(n_fits, model.n_components // n_fits, -1), matrix.T)
+    flat = out.reshape(model.n_components, -1)
+    for d in np.flatnonzero(infinite.any(axis=0)).tolist():
+        np.copyto(flat, -np.inf, where=infinite[:, d, None] & (matrix[:, d] != 0))
+    flat += _log_joint(model, dataset, MODEL_MISSING,
+                       [v for v, s in enumerate(model.schemas) if s.kind.is_finite])
     return out
 
 

@@ -519,20 +519,47 @@ def _zero_variability(dataset: Dataset, column: int, kept=True) -> str | None:
     return None
 
 
+def _too_large_to_fit(dataset: Dataset, column: int) -> str | None:
+    """Why EM cannot fit the column's observed values, or None: a real span of
+    2**511 or more, a nonnegative column whose total, or largest value /
+    SHAPE_MIN, is not finite. A column with bad cells never counts."""
+    kind = dataset.schemas[column].kind
+    values = dataset._numeric[~dataset.missing_mask(column), column]
+    if kind.is_finite or dataset.cell_violations[column] or not values.size:
+        return None
+    top = float(values.max())
+    if kind is VariableKind.REAL:
+        span = top - float(values.min())  # Python floats: inf on overflow, no warning
+        if span < 2.0 ** 511:
+            return None
+        return f"values span {span}, not below 2**511: too wide to fit"
+    from .distributions import SHAPE_MIN  # distributions imports this module
+    with np.errstate(over="ignore"):
+        total = float(values.sum())
+    if math.isfinite(total) and math.isfinite(top / SHAPE_MIN):
+        return None
+    return f"values too large to fit: their total or largest value / {SHAPE_MIN:g} is not finite"
+
+
 def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """All violations in the dataset: bad cells, then zero-variability columns.
+    """All violations in the dataset: bad cells, then per column its zero
+    variability and values too large to fit.
 
     A column has zero variability when every cell is missing or every observed
     value is identical (exact equality, floats included). Such columns carry
-    no information and are rejected by training. A column with any bad cell
-    is never zero-variability: its bad cells are its violations.
+    no information and are rejected by training. A real column whose observed
+    values span 2**511 or more, or a nonnegative one whose total or largest
+    value / SHAPE_MIN (the smallest Gamma shape) is not finite, is too large
+    to fit: below these bounds the squared statistics scale and variance floor
+    of a real column, and every Gamma mean and scale, are finite. A column
+    with any bad cell is neither: its bad cells are its violations.
     """
     out = []
     for j, schema in enumerate(dataset.schemas):
         out.extend(dataset.cell_violations[j])
-        reason = _zero_variability(dataset, j)
-        if reason is not None:
-            out.append(Violation(None, schema.name, reason))
+        for reason in (_zero_variability(dataset, j), _too_large_to_fit(dataset, j)):
+            if reason is not None:
+                out.append(Violation(None, schema.name, reason))
     return out
 
 

@@ -10,10 +10,12 @@ scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
 The restarts of a fit, and all folds x restarts of a leave-one-out order, run
 as one batch (``_em_batch``) over every row of the cohort; a fold gives its
-held-out row weight 0. An E-step is one likelihood pass for all their
-components; an M-step sums the cohort's sufficient statistics with their
-weights (one product, one bincount per finite variable), then fits one block
-per variable in closed form. A fit's arithmetic does not depend on the batch:
+held-out row weight 0. Both steps read the cohort's sufficient statistics
+(``Dataset._stats``, the continuous columns'). An E-step is one product of
+them with every component's natural parameters plus one table gather per
+finite variable (``model._em_log_joint``); an M-step is one product of them
+with the weights plus one bincount per finite variable, then one closed-form
+block per variable. A fit's arithmetic does not depend on the batch:
 batched, it is bit for bit the fit run alone.
 """
 
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (EstimationError, _block_of, _variance_floor, _weighted_block,
-                            default_params, log_sum_exp)
-from .model import MODEL_MISSING, MixtureModel, ZeroLikelihoodError, _log_joint, parameter_count
+from .distributions import (EstimationError, _block_of, _weighted_block, default_params,
+                            log_sum_exp)
+from .model import MixtureModel, ZeroLikelihoodError, _em_log_joint, parameter_count
 from .schema import Dataset, SchemaViolationError, _level_counts, _span_scale, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
@@ -139,8 +141,7 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
         missing_probs[:, v] = part[:, 0] / (part[:, 0] + observed)
         fit_scales = np.repeat(scales[fits, v], n_comp)
         with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
-            block = _weighted_block(schema.kind, part[:, 1:], schema.domain,
-                                    _variance_floor(fit_scales), unit)
+            block = _weighted_block(schema.kind, part[:, 1:], schema.domain, fit_scales, unit)
         for slot in np.flatnonzero(observed <= ZERO_WEIGHT_EPS).tolist():
             default = default_params(schema.kind, domain=schema.domain, scale=fit_scales[slot])
             for full, values in zip(block, _block_of(schema, [default])):
@@ -160,12 +161,12 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
     part in its NLL and posteriors. Per run: (model, NLL trace, converged), or
     the ComponentCollapseError / ZeroLikelihoodError that ended it.
 
-    An E-step is one likelihood pass for all B * Z components, component-major:
+    An E-step is one ``_em_log_joint`` for all B * Z components, component-major:
     (B, Z, N). A rise over MONOTONE_SLACK (approximate M-steps overshoot)
     keeps the previous model; else a run stops at a relative decrease <=
     rel_tol (converged) or after max_iterations more M-steps, and leaves the
     batch."""
-    n_runs, n_comp, n_rows = inits.shape
+    n_runs, _, n_rows = inits.shape
     kept = np.arange(n_rows) != np.full(n_runs, -1 if held_out is None else held_out)[:, None]
     traces = [[] for _ in range(n_runs)]
     outcomes = [None] * n_runs
@@ -175,7 +176,7 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
             outcomes[b] = err
         if not fits.size:
             return outcomes
-        log_joint = _log_joint(model, dataset, MODEL_MISSING).reshape(fits.size, n_comp, -1)
+        log_joint = _em_log_joint(model, dataset, fits.size)
         # a held-out row: posteriors exp(-inf - 0) = 0, NLL term 0
         np.copyto(log_joint, -np.inf, where=~kept[fits][:, None])
         totals = np.where(kept[fits], log_sum_exp(log_joint, axis=1), 0.0)

@@ -1,5 +1,6 @@
 """Shared builders: random small models, random rows, and a recovery target."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -10,6 +11,20 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 from hetmix import (Categorical, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableKind, VariableSchema)
+
+
+def widest_fit_values() -> tuple:
+    """(the widest real span, the largest nonnegative value) that
+    ``validate_dataset`` admits: the float below 2**511, and the largest x
+    whose x / SHAPE_MIN is finite (a Gamma scale of a smallest shape)."""
+    from hetmix.distributions import SHAPE_MIN
+    largest = float(np.finfo(float).max) * SHAPE_MIN
+    while math.isinf(largest / SHAPE_MIN):
+        largest = float(np.nextafter(largest, 0.0))
+    while not math.isinf(float(np.nextafter(largest, math.inf)) / SHAPE_MIN):
+        largest = float(np.nextafter(largest, math.inf))
+    return float(np.nextafter(2.0 ** 511, 0.0)), largest
+
 
 KINDS = (VariableKind.REAL, VariableKind.NONNEGATIVE, VariableKind.ORDINAL,
          VariableKind.CATEGORICAL)

@@ -11,8 +11,10 @@ tails, where joint likelihoods underflow.
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +22,12 @@ import oracles
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableSchema, component_log_likelihoods,
-                    default_params, fit, m_step, weighted_mle)
+                    default_params, fit, m_step, sample_cohort, weighted_mle)
+from hetmix.demo import demo_model, small_demo_model
 from hetmix.inference import target_tables
 from hetmix.io import model_to_dict, save_model
-from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS
+from hetmix.model import _em_log_joint, _log_joint
+from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch, _scales
 
 SCHEMAS = (VariableSchema("x", "real"),
            VariableSchema("conc", "nonnegative"),
@@ -280,3 +284,102 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
     fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12))
     assert len(steps) > 2
     assert calls == [s.kind for s in dataset.schemas]  # once per column, in order
+
+
+# EM's E-step (``model._em_log_joint``) expands each real column's square in its
+# standardized statistics, which loses about eps * scale^2 / variance in absolute
+# terms; the variance floor keeps scale^2 / variance below ~4e6 on M-step models,
+# so ~3 terms of up to 2e6 per real column, 6 real columns in ``demo_model``,
+# bound the loss near 1e-8. Over 1,600 stacks like the test's below (400 cohorts
+# of 20-150 rows, orders 1-7, after 1-30 iterations) it differed from
+# ``_log_joint`` by at most 3.7e-9 absolute and 1.0e-8 relative.
+_EM_E_STEP_RTOL, _EM_E_STEP_ATOL = 1e-12, 1e-7
+
+
+def _assert_em_e_step_matches(model, dataset, n_fits):
+    got = _em_log_joint(model, dataset, n_fits)
+    want = _log_joint(model, dataset, MODEL_MISSING).reshape(got.shape)
+    assert not np.isnan(got).any()
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=_EM_E_STEP_RTOL, atol=_EM_E_STEP_ATOL)
+    return got
+
+
+@given(seed=seeds, order=st.integers(1, 7), n_fits=st.integers(1, 3), folds=st.booleans(),
+       small=st.booleans(), max_iterations=st.sampled_from([1, 3, 10, 30]))
+@settings(max_examples=40, deadline=None)
+def test_em_e_step_matches_log_joint_on_m_step_models(seed, order, n_fits, folds, small,
+                                                      max_iterations):
+    """The models a batch of EM runs ends with (restarts or leave-one-out folds),
+    stacked, score alike under EM's E-step and ``_log_joint``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 150))
+    dataset, _ = sample_cohort(small_demo_model() if small else demo_model(), n, rng)
+    held_out = rng.integers(n, size=n_fits) if folds else None
+    kept = np.arange(n) != np.full(n_fits, -1 if held_out is None else held_out)[:, None]
+    inits = rng.dirichlet(np.ones(order), size=(n_fits, n)).transpose(0, 2, 1) * kept[:, None]
+    outcomes = _em_batch(dataset, np.array([_scales(dataset, k) for k in kept]), held_out,
+                         np.ascontiguousarray(inits), EmConfig(max_iterations=max_iterations))
+    models = [o[0] for o in outcomes if not isinstance(o, Exception)]
+    if models:
+        _assert_em_e_step_matches(MixtureModel._stack(models), dataset, len(models))
+
+
+def test_em_e_step_masks_infinite_coefficients():
+    """q = 0 with a missing cell, q = 1 with an observed one, zero_prob = 0 with
+    a zero and zero_prob = 1 with a positive value each give -inf in EM's E-step
+    exactly where ``_log_joint`` gives it, with no NaN, in a stack of two fits."""
+    rng = np.random.default_rng(0)
+    dataset = _cohort(rng, 12)
+    missing_x = dataset.missing_mask(X)
+    conc = dataset.column_numeric(CONC)
+    zeros, positive = conc == 0, conc > 0
+    assert missing_x.any() and (~missing_x).any() and zeros.any() and positive.any()
+    models = []
+    for q, zero_prob in (((0.0, 1.0), (0.0, 1.0)), ((1.0, 0.0), (1.0, 0.0))):
+        model = _model(rng, 3)
+        missing = np.array(model.missing_probs)
+        missing[:2, X] = q
+        params = [list(row) for row in model.params]
+        for z, p in enumerate(zero_prob):
+            params[z][CONC] = InflatedGamma(p, params[z][CONC].shape, params[z][CONC].scale)
+        models.append(MixtureModel(model.weights, params, missing, SCHEMAS))
+    got = _assert_em_e_step_matches(MixtureModel._stack(models), dataset, 2)
+    # fit 0: component 0 (q = 0, zero_prob = 0), component 1 (q = 1, zero_prob = 1)
+    assert np.isneginf(got[0, 0, missing_x | zeros]).all()
+    assert np.isneginf(got[0, 1, ~missing_x | positive]).all()
+    assert np.isneginf(got[1, 1, missing_x | zeros]).all()
+    assert np.isneginf(got[1, 0, ~missing_x | positive]).all()
+    assert np.isfinite(got[:, 2]).all()
+    assert np.isfinite(got[0, 0, ~missing_x & ~zeros]).all()
+
+
+def test_em_evaluates_no_continuous_density(monkeypatch):
+    """EM's E-step reads the cohort's statistics matrix: with every continuous
+    density made to raise, ``fit`` runs, and so does ``loo_evaluate`` while its
+    EM runs (its held-out rows are scored with the densities)."""
+    import hetmix.training as training
+    from hetmix.distributions import _LOG_PDF
+    from hetmix.evaluation import loo_evaluate
+
+    def refuse(*args):
+        raise AssertionError("EM evaluated a continuous density")
+
+    no_densities = dict.fromkeys(_LOG_PDF, refuse)
+    dataset = _cohort(np.random.default_rng(5), 40)
+    config = EmConfig(max_iterations=5, restarts=2, seed=0)
+    with mock.patch.dict(_LOG_PDF, no_densities):
+        model, trace = fit(dataset, 3, config)
+        with pytest.raises(AssertionError, match="density"):  # scoring reads them
+            component_log_likelihoods(model, dataset, MODEL_MISSING)
+    assert np.isfinite(trace.final_nll)
+    em_batch = training._em_batch
+
+    def em_without_densities(*args):
+        with mock.patch.dict(_LOG_PDF, no_densities):
+            return em_batch(*args)
+
+    monkeypatch.setattr(training, "_em_batch", em_without_densities)
+    result = loo_evaluate(dataset, (1, 2), ("grade",), MODEL_MISSING, config)
+    assert result.orders == (0, 1, 2) and len(result.failures) < 4

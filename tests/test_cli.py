@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,10 @@ from hetmix import (MISSING, Categorical, Gaussian, InferenceRequest,
                     infer, point_predict)
 from hetmix.cli import main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
-                       save_model)
+                       save_model, save_schemas)
 from hetmix.training import m_step
+
+from conftest import widest_fit_values
 
 
 def _read_csv(path):
@@ -301,6 +304,47 @@ class TestFit:
                      "--schema", str(work["schema"]), "--order", "0"])
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
+
+
+class TestFitRange:
+    """Values EM cannot fit are refused by validation, exit 3, not a crash in
+    EM; the values just inside the bounds fit with no RuntimeWarning."""
+
+    SPAN, LARGEST = widest_fit_values()
+
+    @staticmethod
+    def _fit(tmp_path, x, conc):
+        schema = tmp_path / "schema.json"
+        save_schemas((VariableSchema("x", "real"), VariableSchema("conc", "nonnegative")), schema)
+        data = tmp_path / "data.csv"
+        rows = zip((*x, 0.5, 1.0, -3.0, 2.0), (*conc, 0.0, 1.5, 4.0, 0.0))
+        data.write_text("x,conc\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        return main(["fit", "--out-dir", str(tmp_path / "fit"), "--data", str(data),
+                     "--schema", str(schema), "--order", "2", "--restarts", "2"])
+
+    @pytest.mark.parametrize("x, conc, column", [
+        ((2e154, -1e154), (1.0, 2.0), "x"),
+        ((1e308, -1e308), (1.0, 2.0), "x"),
+        ((0.25, -0.25), (1.7e308, 2.0), "conc"),
+        ((0.25, -0.25), (float(np.nextafter(LARGEST, np.inf)), 2.0), "conc")])
+    def test_values_too_large_to_fit_exit_3(self, tmp_path, capsys, x, conc, column):
+        assert self._fit(tmp_path, x, conc) == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert [(v["row"], v["column"]) for v in error["violations"]] == [(None, column)]
+        assert not (tmp_path / "fit" / "model.json").exists()
+
+    @pytest.mark.parametrize("x, conc", [
+        ((0.0, SPAN), (1.0, 2.0)),
+        ((-SPAN / 2, SPAN / 2), (1.0, 2.0)),
+        ((0.25, -0.25), (LARGEST, 2.0)),
+        ((0.25, -0.25), (LARGEST, LARGEST))])
+    def test_values_just_inside_the_bounds_fit(self, tmp_path, x, conc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self._fit(tmp_path, x, conc) == 0
+        model = load_model(tmp_path / "fit" / "model.json")
+        assert all(np.isfinite(a).all() for block in model._blocks for a in block)
 
 
 class TestSelect:

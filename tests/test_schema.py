@@ -13,7 +13,7 @@ from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     zero_variability_columns)
 from hetmix.schema import Violation
 
-from conftest import assert_same_store
+from conftest import assert_same_store, widest_fit_values
 
 
 def test_missing_is_a_singleton():
@@ -261,6 +261,24 @@ def _reference_zero_variability(schema, column, bad):
     return None
 
 
+def _reference_too_large(schema, column, bad):
+    """The column's too-large-to-fit finding, from its raw cells: a real span
+    of 2**511 or more, a nonnegative total or largest value / 0.001 not finite."""
+    if bad or schema.kind.is_finite or all(v is MISSING for v in column):
+        return None
+    observed = [float(v) for v in column if v is not MISSING]
+    if schema.kind is VariableKind.REAL:
+        span = max(observed) - min(observed)
+        if span < 2.0 ** 511:
+            return None
+        return f"values span {span}, not below 2**511: too wide to fit"
+    with np.errstate(over="ignore"):
+        total = float(np.sum(observed))
+    if math.isfinite(total) and math.isfinite(max(observed) / 0.001):
+        return None
+    return "values too large to fit: their total or largest value / 0.001 is not finite"
+
+
 def _reference_encoding(schema, column):
     """Per-cell mask, numeric value, code and violations from validate_value."""
     mask, numeric, codes, bad = [], [], [], []
@@ -296,9 +314,10 @@ class TestEncodingMatchesPerCellReference:
                 if schema.kind.is_finite:
                     assert ds.column_codes(j).tolist() == codes
             expected_report.extend(bad)
-            reason = _reference_zero_variability(schema, [r[j] for r in rows], bad)
-            if reason is not None:
-                expected_report.append(Violation(None, schema.name, reason))
+            for reference in (_reference_zero_variability, _reference_too_large):
+                reason = reference(schema, [r[j] for r in rows], bad)
+                if reason is not None:
+                    expected_report.append(Violation(None, schema.name, reason))
         assert validate_dataset(ds) == expected_report
         counts = missingness_profile(ds).missing_counts.tolist()
         assert counts == [sum(c is MISSING for c in row) for row in rows]
@@ -402,6 +421,48 @@ class TestValidateDataset:
         ds = Dataset((VariableSchema("x", "real"),), [(5.0,), (5.0,)])
         with pytest.raises(SchemaViolationError):
             drop_zero_variability(ds)
+
+
+class TestFitRange:
+    """Columns EM cannot fit are violations: a real span of 2**511 or more
+    (its squared statistics scale and variance floor overflow), a nonnegative
+    column whose total, or largest value / SHAPE_MIN, is not finite (a Gamma
+    mean or scale overflows). Each bound admits the value just inside it."""
+
+    SPAN, LARGEST = widest_fit_values()
+    REAL = "values span {}, not below 2**511: too wide to fit"
+    NONNEGATIVE = "values too large to fit: their total or largest value / 0.001 is not finite"
+
+    @pytest.mark.parametrize("kind, cells, message", [
+        ("real", (2e154, -1e154), REAL.format(3e154)),
+        ("real", (1e308, -1e308), REAL.format(math.inf)),
+        ("real", (0.0, 2.0 ** 511), REAL.format(2.0 ** 511)),
+        ("real", (-2.0 ** 510, 2.0 ** 510), REAL.format(2.0 ** 511)),
+        ("nonnegative", (1.7e308, 0.0), NONNEGATIVE),
+        ("nonnegative", (float(np.nextafter(LARGEST, math.inf)), 0.0), NONNEGATIVE),
+    ])
+    def test_refused(self, kind, cells, message):
+        ds = Dataset((VariableSchema("x", kind), VariableSchema("y", "real")),
+                     [(cells[0], 1.0), (cells[1], 2.0), (MISSING, 3.0)])
+        assert validate_dataset(ds) == [Violation(None, "x", message)]
+        assert zero_variability_columns(ds) == []
+
+    def test_an_infinite_total_is_refused(self):
+        cells = [(1.7e305 - 1e304 * (i % 2), float(i)) for i in range(1100)]
+        ds = Dataset((VariableSchema("x", "nonnegative"), VariableSchema("y", "real")), cells)
+        assert validate_dataset(ds) == [Violation(None, "x", self.NONNEGATIVE)]
+
+    @pytest.mark.parametrize("kind, cells", [
+        ("real", (0.0, SPAN)), ("real", (-SPAN / 2, SPAN / 2)), ("real", (-1e153, 1e153)),
+        ("nonnegative", (LARGEST, 0.0)), ("nonnegative", (LARGEST, LARGEST / 2))])
+    def test_just_inside_is_admitted(self, kind, cells):
+        ds = Dataset((VariableSchema("x", kind), VariableSchema("y", "real")),
+                     [(cells[0], 1.0), (cells[1], 2.0), (MISSING, 3.0)])
+        assert validate_dataset(ds) == []
+
+    def test_bad_cells_are_reported_alone(self):
+        ds = Dataset((VariableSchema("x", "real"),), [(1e308,), (-1e308,), ("text",)])
+        assert [(v.row, v.column) for v in validate_dataset(ds)] == [(2, "x")]
 
 
 class TestMissingnessProfile:
