@@ -19,9 +19,10 @@ one evaluates its family's density over (Z, N) and writes the missing factor
 in place. ``component_log_likelihoods`` is its (N, Z) transpose. EM's E-step
 (``_em_log_joint``) gathers the finite variables the same way, but its
 continuous ones are one product of their natural parameters with the
-cohort's sufficient statistics, the matrix the M-step reads; that expansion
-is accurate only under the M-step's variance floor, so scoring keeps the
-densities.
+cohort's sufficient statistics, the matrix the M-step reads, except where a
+component's terms are large enough for the product to round visibly, which
+keeps its density. Scoring keeps the densities: it serves both modes and
+single rows (``infer``), for which no statistics matrix is built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
 MISSINGNESS_MODES = (MODEL_MISSING, IGNORE_MISSING)
+# EM's E-step keeps a component's density on a continuous column where the
+# terms of its product with the column's statistics could reach this
+EM_TERM_LIMIT = 1e3
 
 
 class ZeroLikelihoodError(ValueError):
@@ -209,26 +213,43 @@ def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
                 table[:, -1:] = missed  # picked by the missing code, -1
                 out += table.take(dataset.column_codes(v), axis=1)
             else:
-                factors = _LOG_PDF[kind](dataset.column_numeric(v)[None],
-                                         *(a[:, None] for a in model._blocks[v]))
-                factors += kept
-                np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
-                out += factors
+                out += _density_factors(dataset, v, model._blocks[v], missed, kept)
     return out
 
 
+def _density_factors(dataset: Dataset, v: int, block, missed, kept) -> np.ndarray:
+    """(Z, N) log factors of continuous column v under the Z rows of ``block``: its
+    density plus ``kept`` where observed, ``missed`` where missing ((Z, 1) or 0.0)."""
+    factors = _LOG_PDF[dataset.schemas[v].kind](dataset.column_numeric(v)[None],
+                                                *(a[:, None] for a in block))
+    factors += kept
+    np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
+    return factors
+
+
 def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndarray:
-    """(n_fits, Z, N) ``_log_joint`` under ``model_missing`` of a stack of M-step
-    models, its continuous columns one product per fit (batched or not, the same
-    bits) of ``_natural_params`` with ``Dataset._stats``. That loses about eps *
-    scale^2 / variance, <= ~4e6 eps under the variance floor; a model file bounds
-    nothing (variance 1e-20 on a span-100 column: ~1e8), so scoring keeps the densities."""
-    matrix, layout = dataset._stats
+    """(n_fits, Z, N) ``_log_joint`` under ``model_missing`` of a stack of n_fits
+    models. Each continuous column is one product per fit (batched or not, the
+    same bits) of its ``_natural_params`` with ``Dataset._stats``, which rounds to
+    a few eps times its terms, bounded by |theta| @ ``reach``. Where that bound
+    reaches EM_TERM_LIMIT (a variance near its floor far from the column's
+    centre: terms ~ (x - centre)^2 / variance; a Gamma near its shape cap:
+    lgamma(shape) ~ 1e5), a component keeps its density on the column, so the
+    product stays within ~1e-13 per column of ``_log_joint``."""
+    matrix, layout, reach = dataset._stats
     theta = np.zeros((model.n_components, matrix.shape[1]))
+    dense = []
     for v, (start, parts, unit) in enumerate(layout):
-        if start is not None:
-            theta[:, start:start + 3 + parts] = _natural_params(
-                model.schemas[v].kind, model._blocks[v], unit, model.missing_probs[:, v])
+        if start is None:
+            continue
+        cols = slice(start, start + 3 + parts)
+        theta[:, cols] = block = _natural_params(model.schemas[v].kind, model._blocks[v], unit,
+                                                 model.missing_probs[:, v])
+        with np.errstate(over="ignore"):
+            wide = np.where(np.isneginf(block), 0.0, np.abs(block)) @ reach[cols] >= EM_TERM_LIMIT
+        if wide.any():
+            theta[wide, cols] = 0.0
+            dense.append((v, np.flatnonzero(wide)))
     # a -inf (q or zero_prob 0 or 1) weighs a 0/1 indicator: left out, then -inf where it is 1
     infinite = np.isneginf(theta)
     theta[infinite] = 0.0
@@ -239,6 +260,11 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndar
         np.copyto(flat, -np.inf, where=infinite[:, d, None] & (matrix[:, d] != 0))
     flat += _log_joint(model, dataset, MODEL_MISSING,
                        [v for v, s in enumerate(model.schemas) if s.kind.is_finite])
+    for v, rows in dense:
+        q = model.missing_probs[rows, v, None]
+        with np.errstate(divide="ignore"):
+            flat[rows] += _density_factors(dataset, v, [a[rows] for a in model._blocks[v]],
+                                           np.log(q), np.log1p(-q))
     return out
 
 

@@ -349,9 +349,10 @@ class Dataset:
     @cached_property
     def _stats(self) -> tuple:
         """The read-only (N, D) ``_stat_rows`` of the continuous columns side by
-        side, and per column (its first index along D, None if finite; how many
+        side; per column (its first index along D, None if finite; how many
         statistics after the missed weight partition its observed cells: levels,
-        observed, or zero and positive; its (centre, scale)). Built once."""
+        observed, or zero and positive; its (centre, scale)); and the (D,) reach,
+        each statistic's largest magnitude. Built once."""
         parts = [len(s.domain) or 1 + (s.kind is VariableKind.NONNEGATIVE) for s in self.schemas]
         widths = [0 if s.kind.is_finite else 3 + p for s, p in zip(self.schemas, parts)]
         starts = np.cumsum([0] + widths).tolist()
@@ -361,7 +362,7 @@ class Dataset:
                                                  matrix[:, starts[v]:starts[v + 1]]))
                        for v, (s, p) in enumerate(zip(self.schemas, parts)))
         matrix.setflags(write=False)
-        return matrix, layout
+        return matrix, layout, np.maximum(matrix.max(axis=0), -matrix.min(axis=0))
 
     def subset(self, subjects) -> "Dataset":
         """Dataset restricted to the given subject indices (order kept)."""
@@ -504,41 +505,27 @@ class Violation:
         return f"{where}column {self.column!r}: {self.message}"
 
 
-def _zero_variability(dataset: Dataset, column: int, kept=True) -> str | None:
-    """Why the column carries no information in the ``kept`` rows (a mask; default
-    all), or None if it varies. A column with bad cells never counts: they are reported."""
+def _column_findings(dataset: Dataset, column: int, kept=True) -> tuple:
+    """(why the column carries no information in the ``kept`` rows (a mask; default
+    all), why EM cannot fit their values (``distributions._fit_range_error``)),
+    each None if it does not apply, from one slice of the observed values. A
+    column with bad cells has neither: they are reported."""
     if dataset.cell_violations[column]:
-        return None
+        return None, None
     observed = np.flatnonzero(~dataset.missing_mask(column) & kept)
     if observed.size == 0:
-        return "no observed values"
-    store = dataset._codes if dataset.schemas[column].kind.is_finite else dataset._numeric
-    values = store[observed, column]
-    if (values == values[0]).all():
-        return f"constant column (always {dataset.value(observed[0], column)!r})"
-    return None
-
-
-def _too_large_to_fit(dataset: Dataset, column: int) -> str | None:
-    """Why EM cannot fit the column's observed values, or None: a real span of
-    2**511 or more, a nonnegative column whose total, or largest value /
-    SHAPE_MIN, is not finite. A column with bad cells never counts."""
+        return "no observed values", None
     kind = dataset.schemas[column].kind
-    values = dataset._numeric[~dataset.missing_mask(column), column]
-    if kind.is_finite or dataset.cell_violations[column] or not values.size:
-        return None
-    top = float(values.max())
-    if kind is VariableKind.REAL:
-        span = top - float(values.min())  # Python floats: inf on overflow, no warning
-        if span < 2.0 ** 511:
-            return None
-        return f"values span {span}, not below 2**511: too wide to fit"
-    from .distributions import SHAPE_MIN  # distributions imports this module
-    with np.errstate(over="ignore"):
-        total = float(values.sum())
-    if math.isfinite(total) and math.isfinite(top / SHAPE_MIN):
-        return None
-    return f"values too large to fit: their total or largest value / {SHAPE_MIN:g} is not finite"
+    values = (dataset._codes if kind.is_finite else dataset._numeric)[observed, column]
+    constant = (f"constant column (always {dataset.value(observed[0], column)!r})"
+                if (values == values[0]).all() else None)
+    from .distributions import _fit_range_error  # distributions imports this module
+    return constant, None if kind.is_finite else _fit_range_error(kind, values)
+
+
+def _zero_variability(dataset: Dataset, column: int, kept=True) -> str | None:
+    """Why the column carries no information in the ``kept`` rows, or None if it varies."""
+    return _column_findings(dataset, column, kept)[0]
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:
@@ -557,7 +544,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     out = []
     for j, schema in enumerate(dataset.schemas):
         out.extend(dataset.cell_violations[j])
-        for reason in (_zero_variability(dataset, j), _too_large_to_fit(dataset, j)):
+        for reason in _column_findings(dataset, j):
             if reason is not None:
                 out.append(Violation(None, schema.name, reason))
     return out

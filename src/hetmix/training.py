@@ -127,7 +127,7 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
     n_fits, n_comp, _ = alpha.shape
-    matrix, layout = dataset._stats
+    matrix, layout, _ = dataset._stats
     # one product per fit, so a fit's sums do not depend on the batch it is in
     stats = np.matmul(alpha, matrix).reshape(n_fits * n_comp, -1)
     weights = alpha.reshape(n_fits * n_comp, -1)

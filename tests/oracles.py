@@ -147,9 +147,7 @@ def _moments(kind, values, weights, domain, scale):
     if w.sum() == 0:
         return InflatedGamma(zero_prob, 1.0, 1.0)
     mean = (w * x).sum() / w.sum()
-    # weights near 1e-300 can underflow the mean to 0: log 0 is -inf, as in the M-step
-    gap = max((math.log(mean) if mean > 0 else -math.inf) - (w * np.log(x)).sum() / w.sum(),
-              1e-12)
+    gap = max(math.log(mean) - (w * np.log(x)).sum() / w.sum(), 1e-12)
     shape = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
     shape = min(max(shape, SHAPE_MIN), SHAPE_MAX)
     return InflatedGamma(zero_prob, shape, max(mean / shape, SCALE_MIN))

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 import oracles
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
-                    QuantizedGaussian, VariableSchema, component_log_likelihoods,
+                    QuantizedGaussian, VariableKind, VariableSchema, component_log_likelihoods,
                     default_params, fit, m_step, sample_cohort, weighted_mle)
 from hetmix.demo import demo_model, small_demo_model
+from hetmix.distributions import _LOG_PDF, REL_VARIANCE_FLOOR, SHAPE_MAX
 from hetmix.inference import target_tables
 from hetmix.io import model_to_dict, save_model
 from hetmix.model import _em_log_joint, _log_joint
@@ -286,14 +287,14 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
     assert calls == [s.kind for s in dataset.schemas]  # once per column, in order
 
 
-# EM's E-step (``model._em_log_joint``) expands each real column's square in its
-# standardized statistics, which loses about eps * scale^2 / variance in absolute
-# terms; the variance floor keeps scale^2 / variance below ~4e6 on M-step models,
-# so ~3 terms of up to 2e6 per real column, 6 real columns in ``demo_model``,
-# bound the loss near 1e-8. Over 1,600 stacks like the test's below (400 cohorts
-# of 20-150 rows, orders 1-7, after 1-30 iterations) it differed from
-# ``_log_joint`` by at most 3.7e-9 absolute and 1.0e-8 relative.
-_EM_E_STEP_RTOL, _EM_E_STEP_ATOL = 1e-12, 1e-7
+# EM's E-step (``model._em_log_joint``) takes each continuous column as a product
+# of natural parameters with standardized statistics, which rounds to about eps
+# times its terms; a component whose terms could reach EM_TERM_LIMIT (1e3) takes
+# the density instead, so the product loses ~1e-13 per column. Over 1,600 stacks
+# like the test's below (400 cohorts of 20-150 rows, orders 1-7, after 1-30
+# iterations) it differed from ``_log_joint`` by at most 4.1e-14 relative (to
+# max(|value|, 1)).
+_EM_E_STEP_RTOL = _EM_E_STEP_ATOL = 1e-12
 
 
 def _assert_em_e_step_matches(model, dataset, n_fits):
@@ -355,12 +356,40 @@ def test_em_e_step_masks_infinite_coefficients():
     assert np.isfinite(got[0, 0, ~missing_x & ~zeros]).all()
 
 
+def test_em_e_step_keeps_densities_where_the_product_would_round():
+    """A component whose product terms on a column could reach EM_TERM_LIMIT (a
+    real variance at its floor, far from the column's centre; a Gamma at its
+    shape cap) takes that column's density: only it is evaluated there, and the
+    E-step matches ``_log_joint`` to rounding."""
+    rng = np.random.default_rng(0)
+    dataset = _cohort(rng, 40)
+    x, conc = dataset.column_numeric(X), dataset.column_numeric(CONC)
+    model = _model(rng, 3)
+    params = [list(row) for row in model.params]
+    top = float(np.nanmax(x))
+    params[1][X] = Gaussian(top, REL_VARIANCE_FLOOR * (top - float(np.nanmin(x))) ** 2)
+    params[2][CONC] = InflatedGamma(0.1, SHAPE_MAX, float(conc[conc > 0].mean()) / SHAPE_MAX)
+    model = MixtureModel(model.weights, params, model.missing_probs, SCHEMAS)
+    calls = []
+
+    def counting(kind, density):
+        def count(x, *block):
+            calls.append((kind, block[0].shape[0]))
+            return density(x, *block)
+        return count
+
+    with mock.patch.dict(_LOG_PDF, {k: counting(k, f) for k, f in _LOG_PDF.items()}):
+        _em_log_joint(model, dataset, 1)
+    assert calls == [(VariableKind.REAL, 1), (VariableKind.NONNEGATIVE, 1)]
+    _assert_em_e_step_matches(model, dataset, 1)
+
+
 def test_em_evaluates_no_continuous_density(monkeypatch):
-    """EM's E-step reads the cohort's statistics matrix: with every continuous
-    density made to raise, ``fit`` runs, and so does ``loo_evaluate`` while its
-    EM runs (its held-out rows are scored with the densities)."""
+    """EM's E-step reads the cohort's statistics matrix: on a cohort whose
+    components keep their product terms below EM_TERM_LIMIT, with every
+    continuous density made to raise, ``fit`` runs, and so does ``loo_evaluate``
+    while its EM runs (its held-out rows are scored with the densities)."""
     import hetmix.training as training
-    from hetmix.distributions import _LOG_PDF
     from hetmix.evaluation import loo_evaluate
 
     def refuse(*args):
