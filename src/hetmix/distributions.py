@@ -474,6 +474,22 @@ def _natural_params(kind: VariableKind, block, unit, missing_prob) -> np.ndarray
                          shape - 1.0], axis=-1)
 
 
+def _default_block(kind: VariableKind, domain, scales) -> tuple:
+    """The block of neutral parameters for components that saw no observed mass
+    on a variable, one per entry of ``scales`` (the column's natural scale for
+    each); ``default_params`` is its one-cell view."""
+    scales = np.maximum(np.asarray(scales, dtype=float), 1.0)
+    ones = np.ones_like(scales)
+    if kind is VariableKind.REAL:
+        return 0.0 * ones, scales ** 2
+    if kind is VariableKind.NONNEGATIVE:
+        return 0.5 * ones, ones, scales
+    if kind is VariableKind.ORDINAL:
+        low, high = domain[0], domain[-1]
+        return 0.5 * (low + high) * ones, max((high - low) / 2.0, 1.0) ** 2 * ones
+    return (np.full((scales.size, len(domain)), 1.0 / len(domain)),)
+
+
 def default_params(kind: VariableKind, *, domain=None, scale=1.0) -> Params:
     """Neutral parameters for a component that saw no observed mass.
 
@@ -482,14 +498,5 @@ def default_params(kind: VariableKind, *, domain=None, scale=1.0) -> Params:
     is ~1 there, so these values never carry weight in the likelihood.
     """
     kind = VariableKind(kind)
-    if kind is VariableKind.REAL:
-        return Gaussian(0.0, max(float(scale), 1.0) ** 2)
-    if kind is VariableKind.NONNEGATIVE:
-        return InflatedGamma(0.5, 1.0, max(float(scale), 1.0))
-    if kind is VariableKind.ORDINAL:
-        domain = tuple(int(d) for d in domain)
-        mid = 0.5 * (domain[0] + domain[-1])
-        span = domain[-1] - domain[0]
-        return QuantizedGaussian(mid, max(span / 2.0, 1.0) ** 2, domain)
-    domain = tuple(domain)
-    return Categorical((1.0 / len(domain),) * len(domain), domain)
+    domain = () if domain is None else tuple(domain)
+    return _cells_of(family_for(kind), _default_block(kind, domain, [float(scale)]), domain)[0]

@@ -27,7 +27,7 @@ from .inference import (FinitePrediction, InferenceRequest, predict_batch,
                         target_tables)
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError, VariableKind,
-                     VariableSchema, Violation, _zero_variability, validate_dataset)
+                     VariableSchema, Violation, _column_findings, validate_dataset)
 from .training import EmConfig, TrainingError, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
@@ -294,7 +294,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     for s in subjects:
         kept = np.arange(n) != s
         if violations := [Violation(None, var.name, why) for j, var in enumerate(dataset.schemas)
-                          if (why := _zero_variability(dataset, j, kept))]:
+                          if (why := _column_findings(dataset, j, kept)[0])]:
             failed[s] = str(SchemaViolationError(violations))
             continue
         truths = {name: dataset.value(s, dataset.column_index(name)) for name in targets}

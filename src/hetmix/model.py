@@ -20,9 +20,9 @@ in place. ``component_log_likelihoods`` is its (N, Z) transpose. EM's E-step
 (``_em_log_joint``) gathers the finite variables the same way, but its
 continuous ones are one product of their natural parameters with the
 cohort's sufficient statistics, the matrix the M-step reads, except where a
-component's terms are large enough for the product to round visibly, which
-keeps its density. Scoring keeps the densities: it serves both modes and
-single rows (``infer``), for which no statistics matrix is built.
+component's terms are large enough for the product to round visibly, or
+infinite, which keeps its density. Scoring keeps the densities: it serves
+both modes and single rows (``infer``), for which no statistics matrix is built.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
                             _check_params, _log_mass_table, _natural_params,
                             family_for, log_sum_exp)
-from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError,
-                     VariableKind, VariableSchema, Violation)
+from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind,
+                     VariableSchema, Violation)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
@@ -231,33 +231,28 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndar
     """(n_fits, Z, N) ``_log_joint`` under ``model_missing`` of a stack of n_fits
     models. Each continuous column is one product per fit (batched or not, the
     same bits) of its ``_natural_params`` with ``Dataset._stats``, which rounds to
-    a few eps times its terms, bounded by |theta| @ ``reach``. Where that bound
-    reaches EM_TERM_LIMIT (a variance near its floor far from the column's
-    centre: terms ~ (x - centre)^2 / variance; a Gamma near its shape cap:
-    lgamma(shape) ~ 1e5), a component keeps its density on the column, so the
-    product stays within ~1e-13 per column of ``_log_joint``."""
+    a few eps times its terms, bounded by |theta| @ ``reach`` (a statistic that is
+    0 on every row left out). A component keeps its density on a column where
+    that bound reaches EM_TERM_LIMIT: a variance near its floor far from the
+    column's centre (terms ~ (x - centre)^2 / variance), a Gamma near its shape
+    cap (lgamma(shape) ~ 1e5), or a -inf (q or zero_prob at 0 or 1), which the
+    product would make NaN. So it stays within ~1e-13 per column of ``_log_joint``."""
     matrix, layout, reach = dataset._stats
     theta = np.zeros((model.n_components, matrix.shape[1]))
     dense = []
-    for v, (start, parts, unit) in enumerate(layout):
-        if start is None:
+    for v, (cols, _, unit) in enumerate(layout):
+        if cols is None:
             continue
-        cols = slice(start, start + 3 + parts)
-        theta[:, cols] = block = _natural_params(model.schemas[v].kind, model._blocks[v], unit,
-                                                 model.missing_probs[:, v])
+        block = _natural_params(model.schemas[v].kind, model._blocks[v], unit,
+                                model.missing_probs[:, v])
+        block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
         with np.errstate(over="ignore"):
-            wide = np.where(np.isneginf(block), 0.0, np.abs(block)) @ reach[cols] >= EM_TERM_LIMIT
+            wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
+        theta[~wide, cols] = block[~wide]
         if wide.any():
-            theta[wide, cols] = 0.0
             dense.append((v, np.flatnonzero(wide)))
-    # a -inf (q or zero_prob 0 or 1) weighs a 0/1 indicator: left out, then -inf where it is 1
-    infinite = np.isneginf(theta)
-    theta[infinite] = 0.0
-    with np.errstate(over="ignore"):  # a Gamma's -x / scale may be -inf, as in the density
-        out = np.matmul(theta.reshape(n_fits, model.n_components // n_fits, -1), matrix.T)
+    out = np.matmul(theta.reshape(n_fits, model.n_components // n_fits, -1), matrix.T)
     flat = out.reshape(model.n_components, -1)
-    for d in np.flatnonzero(infinite.any(axis=0)).tolist():
-        np.copyto(flat, -np.inf, where=infinite[:, d, None] & (matrix[:, d] != 0))
     flat += _log_joint(model, dataset, MODEL_MISSING,
                        [v for v, s in enumerate(model.schemas) if s.kind.is_finite])
     for v, rows in dense:
@@ -360,26 +355,19 @@ def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray
     Cells are dropped to MISSING independently with probability q[z, v]. The
     draw order is fixed (labels, then per variable: missingness, then values
     component by component) so a given seed always yields the same cohort.
+    Each variable's draws go to the dataset as one column of plain values
+    (``Dataset._from_columns``).
     """
     if n < 1:
         raise ValueError("need n >= 1 subjects")
     labels = rng.choice(model.n_components, size=n, p=model.weights)
-    columns = []
-    for v, schema in enumerate(model.schemas):
-        make_missing = rng.random(n) < model.missing_probs[labels, v]
-        column = np.empty(n, dtype=object)
-        for z in range(model.n_components):
-            rows = np.flatnonzero(labels == z)
-            if rows.size == 0:
-                continue
-            draws = model.params[z][v].sample(rng, size=rows.size)
-            if schema.kind is VariableKind.ORDINAL:
-                column[rows] = [int(d) for d in draws]
-            elif schema.kind is VariableKind.CATEGORICAL:
-                column[rows] = [str(d) for d in draws]
-            else:
-                column[rows] = [float(d) for d in draws]
-        column[make_missing] = MISSING
-        columns.append(column)
-    dataset = Dataset(model.schemas, zip(*columns))
-    return dataset, labels
+    counts = np.bincount(labels, minlength=model.n_components)
+    order = np.argsort(labels, kind="stable")  # the rows of component 0, then 1, ...
+    placed = {}
+    for v, cells in enumerate(zip(*model.params)):
+        missing = rng.random(n) < model.missing_probs[labels, v]
+        draws = np.concatenate([cell.sample(rng, size=c) for cell, c in zip(cells, counts) if c])
+        column = np.empty_like(draws)
+        column[order] = draws
+        placed[v] = (missing, column[~missing].tolist())
+    return Dataset._from_columns(model.schemas, n, placed), labels

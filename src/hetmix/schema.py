@@ -190,7 +190,8 @@ class Dataset:
     for ordinal/categorical). Only these are kept: ``value`` and ``row`` decode
     cells, and reading a bad cell, or an encoded view of a column with bad
     cells, raises SchemaViolationError. Subsets slice the arrays, unchecked.
-    EM's sufficient statistics (``_stats``) are built on first use.
+    EM's sufficient statistics (``_stats``) and ``validate_dataset``'s findings
+    (``_findings``) are built on first use.
 
     ``columns`` (distinct schema indices) names the variable of each cell of a
     row, in order; the other cells are MISSING. Default: all, in schema order.
@@ -349,20 +350,30 @@ class Dataset:
     @cached_property
     def _stats(self) -> tuple:
         """The read-only (N, D) ``_stat_rows`` of the continuous columns side by
-        side; per column (its first index along D, None if finite; how many
-        statistics after the missed weight partition its observed cells: levels,
-        observed, or zero and positive; its (centre, scale)); and the (D,) reach,
-        each statistic's largest magnitude. Built once."""
+        side; per column (its slice of D, None if finite; how many statistics
+        after the missed weight partition its observed cells: levels, observed,
+        or zero and positive; its (centre, scale)); and the (D,) reach, each
+        statistic's largest magnitude. Built once."""
         parts = [len(s.domain) or 1 + (s.kind is VariableKind.NONNEGATIVE) for s in self.schemas]
         widths = [0 if s.kind.is_finite else 3 + p for s, p in zip(self.schemas, parts)]
         starts = np.cumsum([0] + widths).tolist()
         matrix = np.zeros((self.n_subjects, starts[-1]))
         layout = tuple((None, p, (0.0, 1.0)) if s.kind.is_finite else
-                       (starts[v], p, _stat_rows(s.kind, self.column_numeric(v),
-                                                 matrix[:, starts[v]:starts[v + 1]]))
-                       for v, (s, p) in enumerate(zip(self.schemas, parts)))
+                       (cols, p, _stat_rows(s.kind, self.column_numeric(v), matrix[:, cols]))
+                       for v, (s, p, cols) in enumerate(zip(self.schemas, parts,
+                                                            map(slice, starts, starts[1:]))))
         matrix.setflags(write=False)
         return matrix, layout, np.maximum(matrix.max(axis=0), -matrix.min(axis=0))
+
+    @cached_property
+    def _findings(self) -> tuple:
+        """``validate_dataset``'s violations, found once: a Dataset never changes."""
+        out = []
+        for j, schema in enumerate(self.schemas):
+            out.extend(self.cell_violations[j])
+            out.extend(Violation(None, schema.name, reason)
+                       for reason in _column_findings(self, j) if reason is not None)
+        return tuple(out)
 
     def subset(self, subjects) -> "Dataset":
         """Dataset restricted to the given subject indices (order kept)."""
@@ -523,11 +534,6 @@ def _column_findings(dataset: Dataset, column: int, kept=True) -> tuple:
     return constant, None if kind.is_finite else _fit_range_error(kind, values)
 
 
-def _zero_variability(dataset: Dataset, column: int, kept=True) -> str | None:
-    """Why the column carries no information in the ``kept`` rows, or None if it varies."""
-    return _column_findings(dataset, column, kept)[0]
-
-
 def validate_dataset(dataset: Dataset) -> list[Violation]:
     """All violations in the dataset: bad cells, then per column its zero
     variability and values too large to fit.
@@ -539,21 +545,16 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     value / SHAPE_MIN (the smallest Gamma shape) is not finite, is too large
     to fit: below these bounds the squared statistics scale and variance floor
     of a real column, and every Gamma mean and scale, are finite. A column
-    with any bad cell is neither: its bad cells are its violations.
+    with any bad cell is neither: its bad cells are its violations. Found once
+    per dataset (``Dataset._findings``); each call returns a new list.
     """
-    out = []
-    for j, schema in enumerate(dataset.schemas):
-        out.extend(dataset.cell_violations[j])
-        for reason in _column_findings(dataset, j):
-            if reason is not None:
-                out.append(Violation(None, schema.name, reason))
-    return out
+    return list(dataset._findings)
 
 
 def zero_variability_columns(dataset: Dataset) -> list[str]:
     """Names of columns that are always missing or observed-constant."""
     return [schema.name for j, schema in enumerate(dataset.schemas)
-            if _zero_variability(dataset, j) is not None]
+            if _column_findings(dataset, j)[0] is not None]
 
 
 def drop_zero_variability(dataset: Dataset) -> tuple[Dataset, list[str]]:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (EstimationError, _block_of, _weighted_block, default_params,
-                            log_sum_exp)
+from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
 from .model import MixtureModel, ZeroLikelihoodError, _em_log_joint, parameter_count
 from .schema import Dataset, SchemaViolationError, _level_counts, _span_scale, validate_dataset
 
@@ -113,8 +112,10 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     responsibilities over the rows of ``dataset`` (0 on a row a fit leaves
     out), fit b with the column scales ``scales[b]``: its sums are one product
     with ``Dataset._stats`` and one ``_level_counts`` per finite column, then
-    one ``_weighted_block`` per variable. Returns (stacked model, ``_from_blocks``;
-    the fits it holds; {fit: ComponentCollapseError}, fits that left the batch)."""
+    one ``_weighted_block`` per variable, whose rows without observed weight
+    take the variable's ``_default_block``: no parameter cell is built. Returns
+    (stacked model, ``_from_blocks``; the fits it holds; {fit:
+    ComponentCollapseError}, fits that left the batch)."""
     totals = alpha.sum(axis=-1)
     low = totals.min(axis=1) < COLLAPSE_EPS
     failed = {int(fits[i]): ComponentCollapseError(
@@ -133,19 +134,19 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     weights = alpha.reshape(n_fits * n_comp, -1)
     missing_probs = np.empty((n_fits * n_comp, len(layout)))
     blocks = []
-    for v, (schema, (start, parts, unit)) in enumerate(zip(dataset.schemas, layout)):
-        part = (_level_counts(dataset.column_codes(v), weights, parts) if start is None
-                else stats[:, start:start + 3 + parts])
+    for v, (schema, (cols, parts, unit)) in enumerate(zip(dataset.schemas, layout)):
+        part = (_level_counts(dataset.column_codes(v), weights, parts) if cols is None
+                else stats[:, cols])
         observed = part[:, 1:1 + parts].sum(axis=1)
         # missed / (missed + observed): all-missing cells give q == 1 exactly
         missing_probs[:, v] = part[:, 0] / (part[:, 0] + observed)
         fit_scales = np.repeat(scales[fits, v], n_comp)
         with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
             block = _weighted_block(schema.kind, part[:, 1:], schema.domain, fit_scales, unit)
-        for slot in np.flatnonzero(observed <= ZERO_WEIGHT_EPS).tolist():
-            default = default_params(schema.kind, domain=schema.domain, scale=fit_scales[slot])
-            for full, values in zip(block, _block_of(schema, [default])):
-                full[slot] = values[0]
+        if (unfitted := observed <= ZERO_WEIGHT_EPS).any():
+            defaults = _default_block(schema.kind, schema.domain, fit_scales)
+            for fitted, default in zip(block, defaults):
+                fitted[unfitted] = default[unfitted]
         blocks.append(block)
     model = MixtureModel._from_blocks((totals / totals.sum(axis=1, keepdims=True)).ravel(),
                                       blocks, missing_probs, dataset.schemas, n_fits)

@@ -287,10 +287,40 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
     assert calls == [s.kind for s in dataset.schemas]  # once per column, in order
 
 
+def test_em_builds_no_parameter_cell(monkeypatch):
+    """A component that sees only an all-missing row takes every variable's
+    defaults as blocks (q = 1): ``m_step``, an EM run that keeps it so and
+    ``fit`` build no parameter cell, and the defaults are ``default_params``'."""
+    dataset = _cohort(np.random.default_rng(1), 30)
+    alpha = np.random.default_rng(2).dirichlet(np.ones(3), size=dataset.n_subjects)
+    alpha[:, 0] = 0.0
+    alpha[1] = (1.0, 0.0, 0.0)  # row 1 is all missing
+    config = EmConfig(max_iterations=5, restarts=2, seed=0)
+
+    def refuse(cell):
+        raise AssertionError(f"EM built a {type(cell).__name__} cell")
+
+    with monkeypatch.context() as patch:
+        for family in (Gaussian, InflatedGamma, QuantizedGaussian, Categorical):
+            patch.setattr(family, "__post_init__", refuse)
+        models = [m_step(dataset, alpha)]
+        outcome, = _em_batch(dataset, np.array([_scales(dataset)]), None,
+                             np.ascontiguousarray(alpha.T)[None], config)
+        models.append(outcome[0])
+        fit(dataset, 3, config)
+    for model in models:
+        assert (model.missing_probs[0] == 1.0).all()
+        for v, schema in enumerate(SCHEMAS):
+            scale = 1.0 if v == SITE else dataset.column_scale(v)
+            assert model.params[0][v] == default_params(schema.kind, domain=schema.domain or None,
+                                                        scale=scale)
+
+
 # EM's E-step (``model._em_log_joint``) takes each continuous column as a product
 # of natural parameters with standardized statistics, which rounds to about eps
-# times its terms; a component whose terms could reach EM_TERM_LIMIT (1e3) takes
-# the density instead, so the product loses ~1e-13 per column. Over 1,600 stacks
+# times its terms; a component whose terms could reach EM_TERM_LIMIT (1e3), or
+# are infinite (a -inf coefficient on a statistic some row has), takes the
+# density instead, so the product loses ~1e-13 per column. Over 1,600 stacks
 # like the test's below (400 cohorts of 20-150 rows, orders 1-7, after 1-30
 # iterations) it differed from ``_log_joint`` by at most 4.1e-14 relative (to
 # max(|value|, 1)).
@@ -327,10 +357,25 @@ def test_em_e_step_matches_log_joint_on_m_step_models(seed, order, n_fits, folds
         _assert_em_e_step_matches(MixtureModel._stack(models), dataset, len(models))
 
 
+def _counted_densities():
+    """A patch of ``_LOG_PDF`` whose densities log (kind, components) per call
+    to the list it returns with it."""
+    calls = []
+
+    def counting(kind, density):
+        def count(x, *block):
+            calls.append((kind, block[0].shape[0]))
+            return density(x, *block)
+        return count
+
+    return mock.patch.dict(_LOG_PDF, {k: counting(k, f) for k, f in _LOG_PDF.items()}), calls
+
+
 def test_em_e_step_masks_infinite_coefficients():
     """q = 0 with a missing cell, q = 1 with an observed one, zero_prob = 0 with
     a zero and zero_prob = 1 with a positive value each give -inf in EM's E-step
-    exactly where ``_log_joint`` gives it, with no NaN, in a stack of two fits."""
+    exactly where ``_log_joint`` gives it, with no NaN, in a stack of two fits:
+    the components with such a coefficient take the density on that column."""
     rng = np.random.default_rng(0)
     dataset = _cohort(rng, 12)
     missing_x = dataset.missing_mask(X)
@@ -346,6 +391,11 @@ def test_em_e_step_masks_infinite_coefficients():
         for z, p in enumerate(zero_prob):
             params[z][CONC] = InflatedGamma(p, params[z][CONC].shape, params[z][CONC].scale)
         models.append(MixtureModel(model.weights, params, missing, SCHEMAS))
+    patch, calls = _counted_densities()
+    with patch:
+        _em_log_joint(MixtureModel._stack(models), dataset, 2)
+    # components 0 and 1 of each fit, rows 0, 1, 3 and 4 of the stack
+    assert calls == [(VariableKind.REAL, 4), (VariableKind.NONNEGATIVE, 4)]
     got = _assert_em_e_step_matches(MixtureModel._stack(models), dataset, 2)
     # fit 0: component 0 (q = 0, zero_prob = 0), component 1 (q = 1, zero_prob = 1)
     assert np.isneginf(got[0, 0, missing_x | zeros]).all()
@@ -354,6 +404,29 @@ def test_em_e_step_masks_infinite_coefficients():
     assert np.isneginf(got[1, 0, ~missing_x | positive]).all()
     assert np.isfinite(got[:, 2]).all()
     assert np.isfinite(got[0, 0, ~missing_x & ~zeros]).all()
+
+
+def test_em_keeps_the_product_for_infinite_coefficients_on_absent_statistics():
+    """On a cohort with no missing cell and no zero, q = 0 and zero_prob = 0
+    weigh statistics that are 0 on every row: EM's E-step keeps its product
+    there and matches ``_log_joint``, and ``fit`` (whose M-steps give q = 0 and
+    zero_prob = 0 exactly) evaluates no density."""
+    rng = np.random.default_rng(3)
+    dataset = Dataset(SCHEMAS, [(float(rng.normal()), float(rng.gamma(2.0, 2.0)),
+                                 int(rng.integers(1, 6)), str(rng.choice(["a", "b", "c"])))
+                                for _ in range(40)])
+    model = _model(rng, 3)
+    params = [list(row) for row in model.params]
+    params[0][CONC] = InflatedGamma(0.0, params[0][CONC].shape, params[0][CONC].scale)
+    model = MixtureModel(model.weights, params, np.zeros_like(model.missing_probs), SCHEMAS)
+    patch, calls = _counted_densities()
+    with patch:
+        _em_log_joint(model, dataset, 1)
+        fitted, trace = fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0))
+    assert calls == []
+    _assert_em_e_step_matches(model, dataset, 1)
+    assert (fitted.missing_probs == 0).all() and (fitted._blocks[CONC][0] == 0).all()
+    assert np.isfinite(trace.final_nll)
 
 
 def test_em_e_step_keeps_densities_where_the_product_would_round():
@@ -370,15 +443,8 @@ def test_em_e_step_keeps_densities_where_the_product_would_round():
     params[1][X] = Gaussian(top, REL_VARIANCE_FLOOR * (top - float(np.nanmin(x))) ** 2)
     params[2][CONC] = InflatedGamma(0.1, SHAPE_MAX, float(conc[conc > 0].mean()) / SHAPE_MAX)
     model = MixtureModel(model.weights, params, model.missing_probs, SCHEMAS)
-    calls = []
-
-    def counting(kind, density):
-        def count(x, *block):
-            calls.append((kind, block[0].shape[0]))
-            return density(x, *block)
-        return count
-
-    with mock.patch.dict(_LOG_PDF, {k: counting(k, f) for k, f in _LOG_PDF.items()}):
+    patch, calls = _counted_densities()
+    with patch:
         _em_log_joint(model, dataset, 1)
     assert calls == [(VariableKind.REAL, 1), (VariableKind.NONNEGATIVE, 1)]
     _assert_em_e_step_matches(model, dataset, 1)

@@ -20,7 +20,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     total_log_likelihood)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.distributions import _BLOCK_FIELDS, _check_params
-from hetmix.io import model_to_dict
+from hetmix.io import model_to_dict, write_data_csv
 
 
 def _single_gaussian_model():
@@ -307,6 +307,35 @@ class TestSampleCohort:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_cohort(_two_comp_model(), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make", [small_demo_model, demo_model])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_columns_equal_the_row_built_dataset(self, make, seed, tmp_path):
+        """``sample_cohort`` hands its draws to the dataset as columns; the
+        ``Dataset(schemas, rows)`` of the same draws (the same RNG calls, in the
+        same order) is the same table, down to its CSV bytes."""
+        model, n = make(), 300
+        got, labels = sample_cohort(model, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        want_labels = rng.choice(model.n_components, size=n, p=model.weights)
+        columns = []
+        for v in range(model.n_variables):
+            make_missing = rng.random(n) < model.missing_probs[want_labels, v]
+            column = np.empty(n, dtype=object)
+            for z in range(model.n_components):
+                rows = np.flatnonzero(want_labels == z)
+                if rows.size:
+                    column[rows] = model.params[z][v].sample(rng, size=rows.size).tolist()
+            column[make_missing] = MISSING
+            columns.append(column)
+        want = Dataset(model.schemas, zip(*columns))
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(got._missing, want._missing)
+        assert np.array_equal(got._numeric, want._numeric, equal_nan=True)
+        assert np.array_equal(got._codes, want._codes)
+        write_data_csv(got, tmp_path / "got.csv")
+        write_data_csv(want, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_total_log_likelihood_adds_rows():

@@ -246,6 +246,25 @@ class TestSelectOrder:
         with pytest.warns(UserWarning), pytest.raises(TrainingError):
             training.select_order(ds, [1, 2], EmConfig())
 
+    def test_checks_the_cohort_once(self, monkeypatch):
+        """A Dataset never changes, so ``validate_dataset`` finds its violations
+        once, however many orders are fitted; each call returns a new list."""
+        import hetmix.schema as schema
+        _, ds, _ = _cohort(n=60)
+        calls = []
+        column_findings = schema._column_findings
+
+        def counted(dataset, column, *kept):
+            calls.append(column)
+            return column_findings(dataset, column, *kept)
+
+        monkeypatch.setattr(schema, "_column_findings", counted)
+        select_order(ds, [1, 2, 3], EmConfig(max_iterations=3, restarts=1))
+        assert calls == list(range(ds.n_variables))
+        first = schema.validate_dataset(ds)
+        first.append("changed")
+        assert schema.validate_dataset(ds) == [] and calls == list(range(ds.n_variables))
+
     def test_rejects_empty_or_bad_orders(self):
         _, ds, _ = _cohort(n=30)
         with pytest.raises(ValueError):
