@@ -21,9 +21,10 @@ but ``domain``: ``mean``, ``variance``, ``zero_prob``, ``shape``, ``scale``
 per-cell view. Every family is an exponential family, so a weighted
 maximum-likelihood update reads only weighted sums of sufficient statistics
 (``schema._stat_rows``, ``schema._level_counts``); ``_weighted_block`` maps
-them to a block in closed form, unchecked, and ``weighted_mle`` is its checked
-one-component entry; ``_natural_params`` maps a block back to its log density's
-coefficients on them. ``log_sum_exp`` is the package's one log-sum-exp.
+them to the missing probability and a block in closed form, unchecked, and
+``weighted_mle`` is its checked one-component entry; ``_natural_params`` maps
+a block back to its log density's coefficients on them. ``log_sum_exp`` is the
+package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
         rows = np.zeros((values.size, 4 + (kind is VariableKind.NONNEGATIVE)))
         unit = _stat_rows(kind, values, rows)
         stats = weights @ rows
-    block = _weighted_block(kind, stats[None, 1:], domain, scale, unit)
+    _, _, block = _weighted_block(kind, stats[None], domain, scale, unit)
     return _cells_of(family_for(kind), block, domain)[0]
 
 
@@ -406,11 +407,13 @@ def _variance_floor(scale):
     return REL_VARIANCE_FLOOR * np.square(scale)
 
 
-def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, column_scale,
+def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale,
                     unit=(0.0, 1.0)) -> tuple:
-    """The block of the components whose weighted sufficient statistics after
-    the missed weight (``schema._level_counts``, or ``schema._stat_rows`` with
-    their (centre, scale) ``unit``) are the rows of (..., width) ``stats``.
+    """(missing_prob, observed, block) of the components whose weighted sums of
+    a variable's sufficient statistics, the missed weight first, are the rows of
+    (..., width) ``sums`` (``schema._level_counts``, or ``schema._stat_rows``
+    with their (centre, scale) ``unit``): every probability EM estimates, q =
+    missed / (missed + observed), ``zero_prob`` and ``probs``, is a closed form here.
 
     Unchecked: the callers (``weighted_mle``, the M-step) replace the rows
     without observed weight. Real and ordinal variances are floored at
@@ -421,27 +424,28 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, column_scale,
     ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) /
     (12 g) with g = log(weighted mean) - weighted mean of logs.
     """
-    if kind.is_finite:
-        total = stats.sum(axis=-1)
-        if kind is VariableKind.CATEGORICAL:
-            probs = stats / total[..., None] + CATEGORICAL_PSEUDO
-            probs /= probs.sum(axis=-1, keepdims=True)
-            return (probs,)
+    missed, stats = sums[..., 0], sums[..., 1:]
+    observed = (stats.sum(axis=-1) if kind.is_finite else stats[..., 0] + stats[..., 1]
+                if kind is VariableKind.NONNEGATIVE else stats[..., 0])
+    missing_prob = missed / (missed + observed)  # all-missing cells: q == 1 exactly
+    if kind is VariableKind.CATEGORICAL:
+        probs = stats / observed[..., None] + CATEGORICAL_PSEUDO
+        return missing_prob, observed, (probs / probs.sum(axis=-1, keepdims=True),)
+    if kind is VariableKind.ORDINAL:
         levels = np.asarray(domain, dtype=float)
-        mean = np.vecdot(stats, levels) / total
-        var = np.vecdot(stats, (levels - mean[..., None]) ** 2) / total
-        return mean, np.maximum(var, _variance_floor(column_scale))
-
+        mean = np.vecdot(stats, levels) / observed
+        var = np.vecdot(stats, (levels - mean[..., None]) ** 2) / observed
+        return missing_prob, observed, (mean, np.maximum(var, _variance_floor(column_scale)))
     if kind is VariableKind.REAL:
-        total, first, second = np.moveaxis(stats, -1, 0)
         centre, scale = unit
-        mean = first / total
-        return centre + scale * mean, np.maximum(scale ** 2 * (second / total - mean ** 2),
-                                                 _variance_floor(column_scale))
+        mean = stats[..., 1] / observed
+        var = scale ** 2 * (stats[..., 2] / observed - mean ** 2)
+        return missing_prob, observed, (centre + scale * mean,
+                                        np.maximum(var, _variance_floor(column_scale)))
 
     # nonnegative: zero inflation plus Gamma on the positive part
     zeros, positive, sum_x, sum_log = np.moveaxis(stats, -1, 0)
-    zero_prob = np.clip(zeros / (zeros + positive), 0.0, 1.0)
+    zero_prob = zeros / observed
     # rows with no positive weight give NaN here and shape = scale = 1 below
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = sum_x / positive
@@ -450,8 +454,8 @@ def _weighted_block(kind: VariableKind, stats: np.ndarray, domain, column_scale,
         shape = (3.0 - log_gap + np.sqrt((log_gap - 3.0) ** 2 + 24.0 * log_gap)) / (12.0 * log_gap)
         shape = np.clip(shape, SHAPE_MIN, SHAPE_MAX)
         scale_par = np.maximum(mean / shape, SCALE_MIN)
-    seen = positive > 0
-    return zero_prob, np.where(seen, shape, 1.0), np.where(seen, scale_par, 1.0)
+    shape, scale_par = (np.where(positive > 0, a, 1.0) for a in (shape, scale_par))
+    return missing_prob, observed, (zero_prob, shape, scale_par)
 
 
 def _natural_params(kind: VariableKind, block, unit, missing_prob) -> np.ndarray:

@@ -34,10 +34,10 @@ from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
-# folds trained at once, each fit with (Z, N) arrays over the whole cohort: on loo-n120
-# (one CPU) 12 / 24 / 48 / 120 folds a batch took 0.71 / 0.69 / 0.62 / 0.52 s of CPU
-# at a peak of 40.4 / 41.2 / 43.4 / 49.0 MB, and that memory grows with N
-_FOLDS_PER_BATCH = 24
+# folds trained at once, each fit with (Z, N) arrays over the whole cohort: on loo-n120 (one
+# CPU, seed-0 cohorts 0-2, 8 runs each) 24 / 48 / 120 folds a batch took medians of 0.58-0.60 /
+# 0.50-0.55 / 0.44-0.49 s of CPU at a peak of 40.7 / 41.9 / 46.7 MB, and that memory grows with N
+_FOLDS_PER_BATCH = 48
 
 
 class DegenerateSampleError(ValueError):

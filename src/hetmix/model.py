@@ -240,7 +240,7 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndar
     matrix, layout, reach = dataset._stats
     theta = np.zeros((model.n_components, matrix.shape[1]))
     dense = []
-    for v, (cols, _, unit) in enumerate(layout):
+    for v, (cols, unit) in enumerate(layout):
         if cols is None:
             continue
         block = _natural_params(model.schemas[v].kind, model._blocks[v], unit,

@@ -350,18 +350,16 @@ class Dataset:
     @cached_property
     def _stats(self) -> tuple:
         """The read-only (N, D) ``_stat_rows`` of the continuous columns side by
-        side; per column (its slice of D, None if finite; how many statistics
-        after the missed weight partition its observed cells: levels, observed,
-        or zero and positive; its (centre, scale)); and the (D,) reach, each
-        statistic's largest magnitude. Built once."""
-        parts = [len(s.domain) or 1 + (s.kind is VariableKind.NONNEGATIVE) for s in self.schemas]
-        widths = [0 if s.kind.is_finite else 3 + p for s, p in zip(self.schemas, parts)]
+        side; per column (its slice of D, None if finite; its (centre, scale));
+        and the (D,) reach, each statistic's largest magnitude. Built once."""
+        widths = [0 if s.kind.is_finite else 4 + (s.kind is VariableKind.NONNEGATIVE)
+                  for s in self.schemas]
         starts = np.cumsum([0] + widths).tolist()
         matrix = np.zeros((self.n_subjects, starts[-1]))
-        layout = tuple((None, p, (0.0, 1.0)) if s.kind.is_finite else
-                       (cols, p, _stat_rows(s.kind, self.column_numeric(v), matrix[:, cols]))
-                       for v, (s, p, cols) in enumerate(zip(self.schemas, parts,
-                                                            map(slice, starts, starts[1:]))))
+        layout = tuple((None, (0.0, 1.0)) if s.kind.is_finite else
+                       (cols, _stat_rows(s.kind, self.column_numeric(v), matrix[:, cols]))
+                       for v, (s, cols) in enumerate(zip(self.schemas,
+                                                         map(slice, starts, starts[1:]))))
         matrix.setflags(write=False)
         return matrix, layout, np.maximum(matrix.max(axis=0), -matrix.min(axis=0))
 

@@ -15,8 +15,8 @@ held-out row weight 0. Both steps read the cohort's sufficient statistics
 them with every component's natural parameters plus one table gather per
 finite variable (``model._em_log_joint``); an M-step is one product of them
 with the weights plus one bincount per finite variable, then one closed-form
-block per variable. A fit's arithmetic does not depend on the batch:
-batched, it is bit for bit the fit run alone.
+``_weighted_block`` (q and block) per variable. A fit ends converged, at the
+cap, on a revert or on a collapse; batched, bit for bit as run alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
-from .model import MixtureModel, ZeroLikelihoodError, _em_log_joint, parameter_count
+from .model import MixtureModel, _em_log_joint, parameter_count
 from .schema import Dataset, SchemaViolationError, _level_counts, _span_scale, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
@@ -111,9 +111,9 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     """The M-step of the fits ``fits`` (ascending) from their (B, Z, N)
     responsibilities over the rows of ``dataset`` (0 on a row a fit leaves
     out), fit b with the column scales ``scales[b]``: its sums are one product
-    with ``Dataset._stats`` and one ``_level_counts`` per finite column, then
-    one ``_weighted_block`` per variable, whose rows without observed weight
-    take the variable's ``_default_block``: no parameter cell is built. Returns
+    with ``Dataset._stats`` and one ``_level_counts`` per finite column, each
+    variable's whole to ``_weighted_block`` (q and block); rows with observed
+    weight <= ZERO_WEIGHT_EPS take its ``_default_block``, no cell built. Returns
     (stacked model, ``_from_blocks``; the fits it holds; {fit:
     ComponentCollapseError}, fits that left the batch)."""
     totals = alpha.sum(axis=-1)
@@ -134,15 +134,13 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     weights = alpha.reshape(n_fits * n_comp, -1)
     missing_probs = np.empty((n_fits * n_comp, len(layout)))
     blocks = []
-    for v, (schema, (cols, parts, unit)) in enumerate(zip(dataset.schemas, layout)):
-        part = (_level_counts(dataset.column_codes(v), weights, parts) if cols is None
-                else stats[:, cols])
-        observed = part[:, 1:1 + parts].sum(axis=1)
-        # missed / (missed + observed): all-missing cells give q == 1 exactly
-        missing_probs[:, v] = part[:, 0] / (part[:, 0] + observed)
+    for v, (schema, (cols, unit)) in enumerate(zip(dataset.schemas, layout)):
+        sums = (_level_counts(dataset.column_codes(v), weights, len(schema.domain))
+                if cols is None else stats[:, cols])
         fit_scales = np.repeat(scales[fits, v], n_comp)
         with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
-            block = _weighted_block(schema.kind, part[:, 1:], schema.domain, fit_scales, unit)
+            missing_probs[:, v], observed, block = _weighted_block(
+                schema.kind, sums, schema.domain, fit_scales, unit)
         if (unfitted := observed <= ZERO_WEIGHT_EPS).any():
             defaults = _default_block(schema.kind, schema.domain, fit_scales)
             for fitted, default in zip(block, defaults):
@@ -160,13 +158,17 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
     ``scales[b]`` (``_scales`` of its training rows), leaving out the row
     ``held_out[b]`` (none if ``held_out`` is None): weight 0 in ``inits[b]``, no
     part in its NLL and posteriors. Per run: (model, NLL trace, converged), or
-    the ComponentCollapseError / ZeroLikelihoodError that ended it.
+    the ComponentCollapseError that ended it.
 
     An E-step is one ``_em_log_joint`` for all B * Z components, component-major:
     (B, Z, N). A rise over MONOTONE_SLACK (approximate M-steps overshoot)
     keeps the previous model; else a run stops at a relative decrease <=
     rel_tol (converged) or after max_iterations more M-steps, and leaves the
-    batch."""
+    batch. Precondition (``_fit_many`` meets it, posteriors keep it): each kept
+    row's responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's
+    q, zero_prob, masses and floored densities positive and finite for the row,
+    so its likelihood is; a zero one would stop the batch at the next M-step's
+    finite-weights check (EstimationError), not end one run."""
     n_runs, _, n_rows = inits.shape
     kept = np.arange(n_rows) != np.full(n_runs, -1 if held_out is None else held_out)[:, None]
     traces = [[] for _ in range(n_runs)]
@@ -182,23 +184,17 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
         np.copyto(log_joint, -np.inf, where=~kept[fits][:, None])
         totals = np.where(kept[fits], log_sum_exp(log_joint, axis=1), 0.0)
         nlls = -totals.sum(axis=1)
-        go = np.isfinite(totals).all(axis=1)
         for i, b in enumerate(fits.tolist()):
             trace, nll = traces[b], float(nlls[i])
-            if not go[i]:
-                row = int(np.flatnonzero(~np.isfinite(totals[i]))[0])
-                outcomes[b] = ZeroLikelihoodError(
-                    f"subject {row} has zero likelihood under every component")
-            elif trace and nll > trace[-1] + MONOTONE_SLACK:
+            if trace and nll > trace[-1] + MONOTONE_SLACK:
                 back = int(np.searchsorted(previous_fits, b))
                 outcomes[b] = (previous._fit_of(back, previous_fits.size), trace, False)
-                go[i] = False
-            else:
-                trace.append(nll)
-                converged = len(trace) > 1 and trace[-2] - nll <= config.rel_tol * abs(trace[-2])
-                if converged or len(trace) > config.max_iterations:
-                    outcomes[b] = (model._fit_of(i, fits.size), trace, converged)
-                    go[i] = False
+                continue
+            trace.append(nll)
+            converged = len(trace) > 1 and trace[-2] - nll <= config.rel_tol * abs(trace[-2])
+            if converged or len(trace) > config.max_iterations:
+                outcomes[b] = (model._fit_of(i, fits.size), trace, converged)
+        go = np.array([outcomes[b] is None for b in fits.tolist()])
         if not go.any():
             return outcomes
         if not go.all():
@@ -213,7 +209,8 @@ def _fit_many(dataset: Dataset, held_out, seeds, order: int, config: EmConfig) -
     """Fit ``order`` components to all rows of ``dataset`` but ``held_out[i]``
     (all if ``held_out`` is None; a fold is its held-out row: the kept rows size
     its starts and give its scales), restarts seeded from ``seeds[i]``, as one
-    batch. Per fit: the best (model, TrainingTrace), or a TrainingError if every restart failed."""
+    batch, each kept row's start summing to 1 (``_em_batch``'s precondition).
+    Per fit: the best (model, TrainingTrace), or a TrainingError if every restart collapsed."""
     n = dataset.n_subjects
     kept = np.arange(n) != np.full(len(seeds), -1 if held_out is None else held_out)[:, None]
     inits = np.zeros((len(seeds), config.restarts, order, n))
