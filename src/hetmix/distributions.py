@@ -20,11 +20,12 @@ but ``domain``: ``mean``, ``variance``, ``zero_prob``, ``shape``, ``scale``
 (Z,), ``probs`` (Z, K). EM reads and writes blocks; the dataclasses are their
 per-cell view. Every family is an exponential family, so a weighted
 maximum-likelihood update reads only weighted sums of sufficient statistics
-(``schema._stat_rows``, ``schema._level_counts``); ``_weighted_block`` maps
-them to the missing probability and a block in closed form, unchecked, and
-``weighted_mle`` is its checked one-component entry; ``_natural_params`` maps
-a block back to its log density's coefficients on them. ``log_sum_exp`` is the
-package's one log-sum-exp.
+(``schema._stat_rows``; a finite column's are its missed weight and level
+counts, the weighted sums of its one-hot slots in ``Dataset._stats``);
+``_weighted_block`` maps them to the missing probability and a block in closed
+form, unchecked, and ``weighted_mle`` is its checked one-component entry;
+``_natural_params`` maps a block back to its log factors' coefficients on
+them. ``log_sum_exp`` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import VariableKind, _level_counts, _span_scale, _stat_rows
+from .schema import VariableKind, _span_scale, _stat_rows
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -393,7 +394,7 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
     if kind.is_finite:
         if kind is VariableKind.ORDINAL:
             values = np.searchsorted(np.array(domain, dtype=float), values)
-        stats = _level_counts(values, weights, len(domain))
+        stats = np.bincount(values + 1, weights, minlength=len(domain) + 1)
     else:
         rows = np.zeros((values.size, 4 + (kind is VariableKind.NONNEGATIVE)))
         unit = _stat_rows(kind, values, rows)
@@ -411,9 +412,10 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale,
                     unit=(0.0, 1.0)) -> tuple:
     """(missing_prob, observed, block) of the components whose weighted sums of
     a variable's sufficient statistics, the missed weight first, are the rows of
-    (..., width) ``sums`` (``schema._level_counts``, or ``schema._stat_rows``
-    with their (centre, scale) ``unit``): every probability EM estimates, q =
-    missed / (missed + observed), ``zero_prob`` and ``probs``, is a closed form here.
+    (..., width) ``sums`` (the missed weight and level counts, or
+    ``schema._stat_rows`` with their (centre, scale) ``unit``): every
+    probability EM estimates, q = missed / (missed + observed), ``zero_prob``
+    and ``probs``, is a closed form here.
 
     Unchecked: the callers (``weighted_mle``, the M-step) replace the rows
     without observed weight. Real and ordinal variances are floored at
@@ -459,12 +461,18 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale,
 
 
 def _natural_params(kind: VariableKind, block, unit, missing_prob) -> np.ndarray:
-    """(Z, width) coefficients on a continuous column's ``schema._stat_rows`` (with
-    their (centre, scale) ``unit``) of the log factors of a block with missing
-    probabilities q: log q, then log(1 - q) plus the log density's (real: in x~,
-    from expanding (x - mean)^2). -inf where q or zero_prob is 0 or 1."""
+    """(Z, width) coefficients on a column's statistics (``Dataset._stats``; a
+    continuous column's ``schema._stat_rows`` with their (centre, scale)
+    ``unit``) of the log factors of a block with missing probabilities q: log q,
+    then log(1 - q) plus the log density's (real: in x~, from expanding
+    (x - mean)^2). A finite column's ``block`` is its (Z, K) log-mass table,
+    and its coefficients are on its K + 1 one-hot slots: log q, then log(1 - q)
+    plus each level's log mass. -inf where q or zero_prob is 0 or 1, or a mass
+    is 0."""
     with np.errstate(divide="ignore"):
         missed, kept = np.log(missing_prob), np.log1p(-missing_prob)
+        if kind.is_finite:
+            return np.column_stack([missed, kept[:, None] + block])
         if kind is VariableKind.REAL:
             mean, variance = block
             centre, scale = unit

@@ -13,16 +13,17 @@ log domain with log-sum-exp reductions.
 Scoring (``_log_joint``) handles each variable for all Z components at once,
 from its block, component-major, so every elementwise pass runs along the N
 subjects: a finite variable gathers columns of one (Z, K + 1) table of log
-factors by its codes (the last column, picked by the missing code -1, holds
-the missing factor; the log masses are computed once per model); a continuous
-one evaluates its family's density over (Z, N) and writes the missing factor
-in place. ``component_log_likelihoods`` is its (N, Z) transpose. EM's E-step
-(``_em_log_joint``) gathers the finite variables the same way, but its
-continuous ones are one product of their natural parameters with the
-cohort's sufficient statistics, the matrix the M-step reads, except where a
-component's terms are large enough for the product to round visibly, or
-infinite, which keeps its density. Scoring keeps the densities: it serves
-both modes and single rows (``infer``), for which no statistics matrix is built.
+factors by its codes + 1 (the first column, picked by the missing code -1,
+holds the missing factor; the log masses are computed once per model); a
+continuous one evaluates its family's density over (Z, N) and writes the
+missing factor in place. ``component_log_likelihoods`` is its (N, Z)
+transpose. EM's E-step (``_em_log_joint``) is instead one product of every
+variable's natural parameters with the cohort's sufficient statistics, which
+the M-step reads too (the finite variables' as a one-hot, a row chunk at a
+time), except where a component's terms are large enough for the product to
+round visibly, or infinite, which keeps its density or table gather. Scoring
+keeps the densities and gathers: it serves both modes and single rows
+(``infer``), for which no statistics are built.
 """
 
 from __future__ import annotations
@@ -206,12 +207,10 @@ def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
         for v in cols:
             missed, kept = (log_missed[:, v], log_kept[:, v]) if mode == MODEL_MISSING else (0.0, 0.0)
             kind = model.schemas[v].kind
-            if kind.is_finite:
-                log_masses = model._log_masses[v]
-                table = np.empty((model.n_components, log_masses.shape[1] + 1))
-                table[:, :-1] = kept + log_masses
-                table[:, -1:] = missed  # picked by the missing code, -1
-                out += table.take(dataset.column_codes(v), axis=1)
+            if kind.is_finite:  # the missing factor first, picked by the missing code + 1
+                table = np.column_stack([np.broadcast_to(missed, (model.n_components, 1)),
+                                         kept + model._log_masses[v]])
+                out += table.take(dataset.column_codes(v) + 1, axis=1)
             else:
                 out += _density_factors(dataset, v, model._blocks[v], missed, kept)
     return out
@@ -229,33 +228,42 @@ def _density_factors(dataset: Dataset, v: int, block, missed, kept) -> np.ndarra
 
 def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndarray:
     """(n_fits, Z, N) ``_log_joint`` under ``model_missing`` of a stack of n_fits
-    models. Each continuous column is one product per fit (batched or not, the
-    same bits) of its ``_natural_params`` with ``Dataset._stats``, which rounds to
-    a few eps times its terms, bounded by |theta| @ ``reach`` (a statistic that is
-    0 on every row left out). A component keeps its density on a column where
-    that bound reaches EM_TERM_LIMIT: a variance near its floor far from the
-    column's centre (terms ~ (x - centre)^2 / variance), a Gamma near its shape
-    cap (lgamma(shape) ~ 1e5), or a -inf (q or zero_prob at 0 or 1), which the
-    product would make NaN. So it stays within ~1e-13 per column of ``_log_joint``."""
-    matrix, layout, reach = dataset._stats
-    theta = np.zeros((model.n_components, matrix.shape[1]))
+    models: log w plus, per fit (batched or not, the same bits), one product of
+    the ``_natural_params`` with ``Dataset._stats``' statistics and one with its
+    one-hot, a row chunk at a time. The product rounds to a few eps times its
+    terms, bounded by |theta| @ ``reach`` (a statistic or slot that is 0 on
+    every row left out). A component keeps its density, or its log-factor
+    table gather, on a column where that bound reaches EM_TERM_LIMIT: a
+    variance near its floor far from the column's centre (terms ~ (x - centre)^2
+    / variance), a Gamma near its shape cap (lgamma(shape) ~ 1e5), a far
+    level's log mass, or a -inf (q or zero_prob at 0 or 1, or a mass at 0,
+    on a statistic some row has), which the product would make NaN. So it stays
+    within ~1e-13 per column of ``_log_joint``."""
+    matrix, _, layout, reach = dataset._stats
+    theta = np.zeros((model.n_components, reach.size))
     dense = []
-    for v, (cols, unit) in enumerate(layout):
-        if cols is None:
-            continue
-        block = _natural_params(model.schemas[v].kind, model._blocks[v], unit,
-                                model.missing_probs[:, v])
+    for v, (schema, (cols, unit)) in enumerate(zip(model.schemas, layout)):
+        finite = schema.kind.is_finite
+        block = _natural_params(schema.kind, model._log_masses[v] if finite else model._blocks[v],
+                                unit, model.missing_probs[:, v])
         block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
         with np.errstate(over="ignore"):
             wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
         theta[~wide, cols] = block[~wide]
         if wide.any():
-            dense.append((v, np.flatnonzero(wide)))
-    out = np.matmul(theta.reshape(n_fits, model.n_components // n_fits, -1), matrix.T)
+            dense.append((v, np.flatnonzero(wide), block))
+    shape = (n_fits, model.n_components // n_fits, -1)
+    out = np.matmul(theta[:, :matrix.shape[1]].reshape(shape), matrix.T)
+    slots = theta[:, matrix.shape[1]:].reshape(shape)
+    for rows, chunk in dataset._onehot_chunks():
+        out[..., rows] += np.matmul(slots, chunk.T)
     flat = out.reshape(model.n_components, -1)
-    flat += _log_joint(model, dataset, MODEL_MISSING,
-                       [v for v, s in enumerate(model.schemas) if s.kind.is_finite])
-    for v, rows in dense:
+    with np.errstate(divide="ignore"):
+        flat += np.log(model.weights)[:, None]
+    for v, rows, block in dense:
+        if model.schemas[v].kind.is_finite:  # its slots in code order, missing first
+            flat[rows] += block[rows].take(dataset.column_codes(v) + 1, axis=1)
+            continue
         q = model.missing_probs[rows, v, None]
         with np.errstate(divide="ignore"):
             flat[rows] += _density_factors(dataset, v, [a[rows] for a in model._blocks[v]],

@@ -33,6 +33,9 @@ import numpy as np
 INPUT = "input"
 OUTCOME = "outcome"
 ROLES = (INPUT, OUTCOME)
+# EM multiplies the finite columns' one-hot this many rows at a time, each
+# chunk cast to float64: one chunk, not a float copy of the whole, is its memory
+_CHUNK_ROWS = 2048
 
 
 class SchemaError(ValueError):
@@ -190,8 +193,9 @@ class Dataset:
     for ordinal/categorical). Only these are kept: ``value`` and ``row`` decode
     cells, and reading a bad cell, or an encoded view of a column with bad
     cells, raises SchemaViolationError. Subsets slice the arrays, unchecked.
-    EM's sufficient statistics (``_stats``) and ``validate_dataset``'s findings
-    (``_findings``) are built on first use.
+    EM's sufficient statistics (``_stats``, the finite columns' as a one-hot
+    that ``_onehot_chunks`` casts a row chunk at a time) and
+    ``validate_dataset``'s findings (``_findings``) are built on first use.
 
     ``columns`` (distinct schema indices) names the variable of each cell of a
     row, in order; the other cells are MISSING. Default: all, in schema order.
@@ -349,19 +353,46 @@ class Dataset:
 
     @cached_property
     def _stats(self) -> tuple:
-        """The read-only (N, D) ``_stat_rows`` of the continuous columns side by
-        side; per column (its slice of D, None if finite; its (centre, scale));
-        and the (D,) reach, each statistic's largest magnitude. Built once."""
-        widths = [0 if s.kind.is_finite else 4 + (s.kind is VariableKind.NONNEGATIVE)
-                  for s in self.schemas]
-        starts = np.cumsum([0] + widths).tolist()
-        matrix = np.zeros((self.n_subjects, starts[-1]))
-        layout = tuple((None, (0.0, 1.0)) if s.kind.is_finite else
-                       (cols, _stat_rows(s.kind, self.column_numeric(v), matrix[:, cols]))
-                       for v, (s, cols) in enumerate(zip(self.schemas,
-                                                         map(slice, starts, starts[1:]))))
+        """EM's sufficient statistics, built once, read-only: the (N, D)
+        ``_stat_rows`` of the continuous columns side by side; the (N, S) uint8
+        one-hot of the finite columns' codes, K + 1 slots per column (missing
+        first, then the levels); per column (its slice of the D + S columns of
+        [statistics | one-hot], its (centre, scale)); and the (D + S,) reach,
+        each column's largest magnitude (a slot's: 1 if some row has it, else 0)."""
+        widths = [len(s.domain) + 1 if s.kind.is_finite else
+                  4 + (s.kind is VariableKind.NONNEGATIVE) for s in self.schemas]
+        n_stats = sum(w for s, w in zip(self.schemas, widths) if not s.kind.is_finite)
+        matrix = np.zeros((self.n_subjects, n_stats))
+        onehot = np.zeros((self.n_subjects, sum(widths) - n_stats), dtype=np.uint8)
+        starts, layout = [0, n_stats], []  # the next column of each part
+        for v, (schema, width) in enumerate(zip(self.schemas, widths)):
+            finite = schema.kind.is_finite
+            cols = slice(starts[finite], starts[finite] + width)
+            starts[finite] = cols.stop
+            if finite:
+                slots = cols.start - n_stats + 1 + self.column_codes(v)
+                onehot[np.arange(self.n_subjects), slots] = 1
+                layout.append((cols, (0.0, 1.0)))
+            else:
+                layout.append((cols, _stat_rows(schema.kind, self.column_numeric(v),
+                                                matrix[:, cols])))
         matrix.setflags(write=False)
-        return matrix, layout, np.maximum(matrix.max(axis=0), -matrix.min(axis=0))
+        onehot.setflags(write=False)
+        reach = np.concatenate([np.maximum(matrix.max(axis=0), -matrix.min(axis=0)),
+                                onehot.max(axis=0)])
+        return matrix, onehot, tuple(layout), reach
+
+    def _onehot_chunks(self):
+        """(rows, their float64 one-hot) for every _CHUNK_ROWS rows of the
+        ``_stats`` one-hot, in order: the boundaries depend on N alone. The
+        chunks share one buffer, so each holds until the next is drawn."""
+        onehot = self._stats[1]
+        buffer = np.empty((min(self.n_subjects, _CHUNK_ROWS), onehot.shape[1]))
+        for start in range(0, self.n_subjects, _CHUNK_ROWS):
+            rows = onehot[start:start + _CHUNK_ROWS]
+            chunk = buffer[:len(rows)]
+            np.copyto(chunk, rows)
+            yield slice(start, start + len(rows)), chunk
 
     @cached_property
     def _findings(self) -> tuple:
@@ -437,17 +468,6 @@ def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple
     np.divide(x - centre, scale, out=out[:, 2], where=~missing)
     np.square(out[:, 2], out=out[:, 3])
     return float(centre), float(scale)
-
-
-def _level_counts(codes: np.ndarray, weights: np.ndarray, n_levels: int) -> np.ndarray:
-    """(..., 1 + n_levels) weighted sufficient statistics of a finite column:
-    the missed weight (code -1), then each level's, for each row of (..., N)
-    ``weights``. One ``np.bincount``: each sum runs over the cells in order."""
-    rows = weights.reshape(-1, codes.size)
-    size = rows.shape[0] * (n_levels + 1)
-    slots = np.arange(0, size, n_levels + 1)[:, None] + (codes + 1)
-    counts = np.bincount(slots.ravel(), weights=rows.ravel(), minlength=size)
-    return counts.reshape(*weights.shape[:-1], n_levels + 1)
 
 
 def _encode_plain(schema: VariableSchema, cells: Sequence):

@@ -11,11 +11,11 @@ scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 The restarts of a fit, and all folds x restarts of a leave-one-out order, run
 as one batch (``_em_batch``) over every row of the cohort; a fold gives its
 held-out row weight 0. Both steps read the cohort's sufficient statistics
-(``Dataset._stats``, the continuous columns'). An E-step is one product of
-them with every component's natural parameters plus one table gather per
-finite variable (``model._em_log_joint``); an M-step is one product of them
-with the weights plus one bincount per finite variable, then one closed-form
-``_weighted_block`` (q and block) per variable. A fit ends converged, at the
+(``Dataset._stats``: the continuous columns' and the finite columns' one-hot,
+multiplied in fixed row chunks). An E-step is their product with every
+component's natural parameters (``model._em_log_joint``); an M-step is their
+product with the weights, then one closed-form ``_weighted_block`` (q and
+block) per variable. A fit ends converged, at the
 cap, on a revert or on a collapse; batched, bit for bit as run alone.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
 from .model import MixtureModel, _em_log_joint, parameter_count
-from .schema import Dataset, SchemaViolationError, _level_counts, _span_scale, validate_dataset
+from .schema import Dataset, SchemaViolationError, _span_scale, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -111,7 +111,8 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     """The M-step of the fits ``fits`` (ascending) from their (B, Z, N)
     responsibilities over the rows of ``dataset`` (0 on a row a fit leaves
     out), fit b with the column scales ``scales[b]``: its sums are one product
-    with ``Dataset._stats`` and one ``_level_counts`` per finite column, each
+    with ``Dataset._stats``' statistics plus one with its one-hot (missed
+    weight and level counts) summed over the row chunks in order, each
     variable's whole to ``_weighted_block`` (q and block); rows with observed
     weight <= ZERO_WEIGHT_EPS take its ``_default_block``, no cell built. Returns
     (stacked model, ``_from_blocks``; the fits it holds; {fit:
@@ -128,19 +129,19 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
     n_fits, n_comp, _ = alpha.shape
-    matrix, layout, _ = dataset._stats
+    matrix, onehot, layout, _ = dataset._stats
     # one product per fit, so a fit's sums do not depend on the batch it is in
-    stats = np.matmul(alpha, matrix).reshape(n_fits * n_comp, -1)
-    weights = alpha.reshape(n_fits * n_comp, -1)
+    counts = np.zeros((n_fits, n_comp, onehot.shape[1]))
+    for rows, chunk in dataset._onehot_chunks():
+        counts += np.matmul(alpha[..., rows], chunk)
+    stats = np.concatenate([np.matmul(alpha, matrix), counts], axis=-1).reshape(n_fits * n_comp, -1)
     missing_probs = np.empty((n_fits * n_comp, len(layout)))
     blocks = []
     for v, (schema, (cols, unit)) in enumerate(zip(dataset.schemas, layout)):
-        sums = (_level_counts(dataset.column_codes(v), weights, len(schema.domain))
-                if cols is None else stats[:, cols])
         fit_scales = np.repeat(scales[fits, v], n_comp)
         with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
             missing_probs[:, v], observed, block = _weighted_block(
-                schema.kind, sums, schema.domain, fit_scales, unit)
+                schema.kind, stats[:, cols], schema.domain, fit_scales, unit)
         if (unfitted := observed <= ZERO_WEIGHT_EPS).any():
             defaults = _default_block(schema.kind, schema.domain, fit_scales)
             for fitted, default in zip(block, defaults):

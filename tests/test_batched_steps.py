@@ -11,6 +11,7 @@ tails, where joint likelihoods underflow.
 import dataclasses
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -375,10 +376,12 @@ def test_em_e_step_masks_infinite_coefficients():
     """q = 0 with a missing cell, q = 1 with an observed one, zero_prob = 0 with
     a zero and zero_prob = 1 with a positive value each give -inf in EM's E-step
     exactly where ``_log_joint`` gives it, with no NaN, in a stack of two fits:
-    the components with such a coefficient take the density on that column."""
+    the components with such a coefficient take the density on that column. So
+    does q = 0 on a finite column with a missing cell: that component keeps its
+    table gather, the one read of the column's codes."""
     rng = np.random.default_rng(0)
     dataset = _cohort(rng, 12)
-    missing_x = dataset.missing_mask(X)
+    missing_x, missing_grade = dataset.missing_mask(X), dataset.missing_mask(GRADE)
     conc = dataset.column_numeric(CONC)
     zeros, positive = conc == 0, conc > 0
     assert missing_x.any() and (~missing_x).any() and zeros.any() and positive.any()
@@ -387,44 +390,57 @@ def test_em_e_step_masks_infinite_coefficients():
         model = _model(rng, 3)
         missing = np.array(model.missing_probs)
         missing[:2, X] = q
+        missing[0, GRADE] = 0.0
         params = [list(row) for row in model.params]
         for z, p in enumerate(zero_prob):
             params[z][CONC] = InflatedGamma(p, params[z][CONC].shape, params[z][CONC].scale)
         models.append(MixtureModel(model.weights, params, missing, SCHEMAS))
     patch, calls = _counted_densities()
-    with patch:
+    dataset._stats  # built: from here on only a table gather reads codes
+    with patch, mock.patch.object(dataset, "column_codes", wraps=dataset.column_codes) as codes:
         _em_log_joint(MixtureModel._stack(models), dataset, 2)
     # components 0 and 1 of each fit, rows 0, 1, 3 and 4 of the stack
     assert calls == [(VariableKind.REAL, 4), (VariableKind.NONNEGATIVE, 4)]
+    assert codes.call_args_list == [mock.call(GRADE)]
     got = _assert_em_e_step_matches(MixtureModel._stack(models), dataset, 2)
     # fit 0: component 0 (q = 0, zero_prob = 0), component 1 (q = 1, zero_prob = 1)
-    assert np.isneginf(got[0, 0, missing_x | zeros]).all()
+    assert np.isneginf(got[0, 0, missing_x | zeros | missing_grade]).all()
     assert np.isneginf(got[0, 1, ~missing_x | positive]).all()
     assert np.isneginf(got[1, 1, missing_x | zeros]).all()
-    assert np.isneginf(got[1, 0, ~missing_x | positive]).all()
+    assert np.isneginf(got[1, 0, ~missing_x | positive | missing_grade]).all()
     assert np.isfinite(got[:, 2]).all()
-    assert np.isfinite(got[0, 0, ~missing_x & ~zeros]).all()
+    assert np.isfinite(got[0, 0, ~missing_x & ~zeros & ~missing_grade]).all()
 
 
 def test_em_keeps_the_product_for_infinite_coefficients_on_absent_statistics():
     """On a cohort with no missing cell and no zero, q = 0 and zero_prob = 0
     weigh statistics that are 0 on every row: EM's E-step keeps its product
     there and matches ``_log_joint``, and ``fit`` (whose M-steps give q = 0 and
-    zero_prob = 0 exactly) evaluates no density."""
+    zero_prob = 0 exactly) evaluates no density. With ``site`` all missing, its
+    q = 1 puts -inf on level slots that no row has: the product again, with no
+    table gather and no RuntimeWarning."""
     rng = np.random.default_rng(3)
-    dataset = Dataset(SCHEMAS, [(float(rng.normal()), float(rng.gamma(2.0, 2.0)),
-                                 int(rng.integers(1, 6)), str(rng.choice(["a", "b", "c"])))
-                                for _ in range(40)])
+    rows = [(float(rng.normal()), float(rng.gamma(2.0, 2.0)), int(rng.integers(1, 6)),
+             str(rng.choice(["a", "b", "c"]))) for _ in range(40)]
+    dataset = Dataset(SCHEMAS, rows)
+    no_site = Dataset(SCHEMAS, [row[:SITE] + (MISSING,) for row in rows])
     model = _model(rng, 3)
     params = [list(row) for row in model.params]
     params[0][CONC] = InflatedGamma(0.0, params[0][CONC].shape, params[0][CONC].scale)
-    model = MixtureModel(model.weights, params, np.zeros_like(model.missing_probs), SCHEMAS)
+    missing = np.zeros_like(model.missing_probs)
+    model = MixtureModel(model.weights, params, missing, SCHEMAS)
+    missing[:, SITE] = 1.0
+    site_missed = MixtureModel(model.weights, params, missing, SCHEMAS)
     patch, calls = _counted_densities()
-    with patch:
+    no_site._stats  # built: from here on only a table gather reads codes
+    with patch, mock.patch.object(no_site, "column_codes") as codes, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         _em_log_joint(model, dataset, 1)
+        _em_log_joint(site_missed, no_site, 1)
         fitted, trace = fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0))
-    assert calls == []
+    assert calls == [] and not codes.called
     _assert_em_e_step_matches(model, dataset, 1)
+    _assert_em_e_step_matches(site_missed, no_site, 1)
     assert (fitted.missing_probs == 0).all() and (fitted._blocks[CONC][0] == 0).all()
     assert np.isfinite(trace.final_nll)
 

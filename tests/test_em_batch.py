@@ -22,8 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hetmix import MISSING, Dataset, EmConfig, sample_cohort, validate_dataset
+from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sample_cohort,
+                    validate_dataset)
 from hetmix.demo import small_demo_model
+from hetmix.model import _em_log_joint, _log_joint
+from hetmix.schema import _CHUNK_ROWS
 from hetmix.training import ComponentCollapseError, _em_batch, _m_step_batch, _scales
 
 # The batch sums over all N rows in BLAS order and takes real variances in one
@@ -58,17 +61,18 @@ def _cohort(rng, n, blank_rows, lone_site) -> Dataset:
     return Dataset(cohort.schemas, rows)
 
 
-def _arrays(model):
-    """The model's parameter arrays; a nonnegative variable's shape and scale
-    only in components with positive mass (zero_prob below 1 - 1e-12), since
-    elsewhere they carry no likelihood and EM leaves them where rounding puts
-    them."""
-    out = [model.weights, model.missing_probs]
-    for schema, block in zip(model.schemas, model._blocks):
+def _array_pairs(model, other):
+    """The two models' parameter arrays, side by side; a nonnegative variable's
+    shape and scale only in components with positive mass in both (zero_prob
+    below 1 - 1e-12), since elsewhere they carry no likelihood and EM leaves
+    them where rounding puts them: one model may end a component at zero_prob
+    1.0 exactly, with default shape and scale, and the other a rounding below."""
+    out = [(model.weights, other.weights), (model.missing_probs, other.missing_probs)]
+    for schema, block, block_b in zip(model.schemas, model._blocks, other._blocks, strict=True):
         if schema.kind.value == "nonnegative":
-            live = block[0] < 1.0 - 1e-12
-            block = (block[0], block[1][live], block[2][live])
-        out.extend(block)
+            live = (block[0] < 1.0 - 1e-12) & (block_b[0] < 1.0 - 1e-12)
+            block, block_b = ((b[0], b[1][live], b[2][live]) for b in (block, block_b))
+        out.extend(zip(block, block_b, strict=True))
     return out
 
 
@@ -94,7 +98,7 @@ def _assert_close(got, reference):
     assert np.allclose(nlls[:n], want_nlls[:n], rtol=NLL_RTOL, atol=0)
     if len(nlls) == len(want_nlls):
         assert converged == want_converged
-        for a, b in zip(_arrays(model), _arrays(want), strict=True):
+        for a, b in _array_pairs(model, want):
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=PARAM_RTOL, atol=PARAM_ATOL)
 
@@ -141,6 +145,9 @@ def _run_all_three(dataset, held_out, starts, config):
 # a weighted positive mean that underflows to 0: the oracle takes its log as -inf
 @example(seed=284640657, n=19, order=7, n_fits=4, folds=False, max_iterations=7, rel_tol=1e-3,
          collapse=False, lone=True)
+# a Gamma component the batch ends at zero_prob 1.0 exactly, the oracle at 1 - 4.6e-12
+@example(seed=2162568554, n=21, order=3, n_fits=5, folds=False, max_iterations=10,
+         rel_tol=1e-12, collapse=False, lone=True)
 def test_batch_equals_sequential_fits(seed, n, order, n_fits, folds, max_iterations,
                                       rel_tol, collapse, lone):
     rng = np.random.default_rng(seed)
@@ -227,10 +234,50 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
         runs.append(_em_batch(d, scales, held_out, inits, EmConfig(max_iterations=10)))
     (model, fits, failed), (other, other_fits, other_failed) = first
     assert np.array_equal(fits, other_fits) and list(failed) == list(other_failed)
-    for a, b in zip(_arrays(model), _arrays(other), strict=True):
+    for a, b in _array_pairs(model, other):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
     for got, reference in zip(*runs):
         _assert_close(got, reference)
+
+
+def test_chunked_products_span_several_chunks(monkeypatch):
+    """A cohort of two one-hot chunks and a partial third, folds holding out rows
+    of the last: the M-step's level counts are each finite column's weighted
+    ``np.bincount`` within 1e-14 relative, EM's E-step is ``_log_joint`` within
+    1e-13 per column, and each fit equals itself run alone, bit for bit."""
+    import hetmix.training as training
+    n = 2 * _CHUNK_ROWS + 37
+    rng = np.random.default_rng(6)
+    dataset = _cohort(rng, n, [n - 2], None)
+    held_out = np.array([n - 1, n - 30, n - 30])
+    starts = [rng.dirichlet(np.ones(3), size=n - 1) for _ in held_out]
+    _, scales, inits = _batch(dataset, held_out, starts)
+    sums, weighted_block = [], training._weighted_block
+
+    def recording(kind, stats, *args):
+        if kind.is_finite:
+            sums.append(stats)
+        return weighted_block(kind, stats, *args)
+
+    monkeypatch.setattr(training, "_weighted_block", recording)
+    _m_step_batch(dataset, scales, inits, np.arange(3))
+    finite = [v for v, s in enumerate(dataset.schemas) if s.kind.is_finite]
+    assert len(sums) == len(finite) > 0
+    for v, got in zip(finite, sums):
+        codes = dataset.column_codes(v) + 1
+        want = [np.bincount(codes, w, minlength=got.shape[1]) for w in inits.reshape(-1, n)]
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+    monkeypatch.undo()
+    config = EmConfig(max_iterations=4, rel_tol=1e-12)
+    batched = _em_batch(dataset, scales, held_out, inits, config)
+    for b, outcome in enumerate(batched):
+        alone = _em_batch(dataset, scales[b:b + 1], held_out[b:b + 1], inits[b:b + 1], config)
+        assert _state(alone[0]) == _state(outcome)
+    stacked = MixtureModel._stack([outcome[0] for outcome in batched])
+    got = _em_log_joint(stacked, dataset, 3)
+    want = _log_joint(stacked, dataset, MODEL_MISSING).reshape(got.shape)
+    assert np.isfinite(want).all()
+    assert (abs(got - want) <= 1e-13 * dataset.n_variables * np.maximum(abs(want), 1.0)).all()
 
 
 def test_a_fold_floors_variances_at_its_own_scale():
