@@ -17,17 +17,16 @@ from .schema import (INPUT, MISSING, OUTCOME, Dataset, MissingnessProfile,
                      missingness_profile, validate_dataset,
                      zero_variability_columns)
 from .distributions import (Categorical, EstimationError, Gaussian,
-                            InflatedGamma, QuantizedGaussian, default_params,
-                            family_for, weighted_mle)
+                            InflatedGamma, QuantizedGaussian, family_for,
+                            weighted_mle)
 from .model import (IGNORE_MISSING, MISSINGNESS_MODES, MODEL_MISSING,
                     MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, evidence_log_likelihoods,
                     joint_log_likelihood, latent_posterior, parameter_count,
-                    posterior_matrix, row_log_likelihoods, sample_cohort,
-                    total_log_likelihood)
+                    row_log_likelihoods, sample_cohort)
 from .training import (ComponentCollapseError, EmConfig, OrderScore,
                        OrderSelection, TrainingError, TrainingTrace,
-                       bic_score, fit, m_step, select_order)
+                       bic_score, fit, select_order)
 from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
                         PredictiveDistribution, Predictions, infer, infer_many,
                         point_predict, predict_batch, rank_outcomes,

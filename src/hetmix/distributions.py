@@ -489,7 +489,8 @@ def _natural_params(kind: VariableKind, block, unit, missing_prob) -> np.ndarray
 def _default_block(kind: VariableKind, domain, scales) -> tuple:
     """The block of neutral parameters for components that saw no observed mass
     on a variable, one per entry of ``scales`` (the column's natural scale for
-    each); ``default_params`` is its one-cell view."""
+    each). Their missing probability is ~1 there, so they never carry weight in
+    the likelihood."""
     scales = np.maximum(np.asarray(scales, dtype=float), 1.0)
     ones = np.ones_like(scales)
     if kind is VariableKind.REAL:
@@ -500,15 +501,3 @@ def _default_block(kind: VariableKind, domain, scales) -> tuple:
         low, high = domain[0], domain[-1]
         return 0.5 * (low + high) * ones, max((high - low) / 2.0, 1.0) ** 2 * ones
     return (np.full((scales.size, len(domain)), 1.0 / len(domain)),)
-
-
-def default_params(kind: VariableKind, *, domain=None, scale=1.0) -> Params:
-    """Neutral parameters for a component that saw no observed mass.
-
-    Used for (component, variable) cells whose responsibility-weighted
-    observation count is effectively zero; the matching missing probability
-    is ~1 there, so these values never carry weight in the likelihood.
-    """
-    kind = VariableKind(kind)
-    domain = () if domain is None else tuple(domain)
-    return _cells_of(family_for(kind), _default_block(kind, domain, [float(scale)]), domain)[0]

@@ -292,31 +292,6 @@ def row_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
     return log_sum_exp(comp, axis=1)
 
 
-def total_log_likelihood(model: MixtureModel, dataset: Dataset, mode: str) -> float:
-    return float(row_log_likelihoods(model, dataset, mode).sum())
-
-
-def normalize_log_joint(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors (N, Z) and row log-likelihoods (N,) of an (N, Z) log-joint matrix.
-
-    Raises ZeroLikelihoodError when a row has zero likelihood under every
-    component, since its posterior is undefined.
-    """
-    totals = log_sum_exp(log_joint, axis=1)
-    bad = np.flatnonzero(~np.isfinite(totals))
-    if bad.size:
-        raise ZeroLikelihoodError(
-            f"subject {bad[0]} has zero likelihood under every component")
-    return np.exp(log_joint - totals[:, None]), totals
-
-
-def posterior_matrix(model: MixtureModel, dataset: Dataset, mode: str,
-                     columns: Sequence[int] | None = None) -> np.ndarray:
-    """(N, Z) latent posteriors; rows sum to 1."""
-    comp = component_log_likelihoods(model, dataset, mode, columns)
-    return normalize_log_joint(comp)[0]
-
-
 def _row_dataset(schemas, columns: Sequence[int], row: Sequence, violation_row) -> Dataset:
     """One-subject Dataset whose ``columns`` hold the cells of ``row``, MISSING
     elsewhere. A wrong cell count or a bad cell raises SchemaViolationError,
@@ -339,9 +314,14 @@ def joint_log_likelihood(model: MixtureModel, row: Sequence, mode: str) -> float
 
 
 def latent_posterior(model: MixtureModel, row: Sequence, mode: str) -> np.ndarray:
-    """Posterior over components for one full row."""
+    """Posterior over components for one full row; ZeroLikelihoodError when the
+    row has zero likelihood under every component."""
     ds = _row_dataset(model.schemas, range(model.n_variables), row, 0)
-    return posterior_matrix(model, ds, mode)[0]
+    comp = component_log_likelihoods(model, ds, mode)[0]
+    total = log_sum_exp(comp)
+    if not np.isfinite(total):
+        raise ZeroLikelihoodError("subject 0 has zero likelihood under every component")
+    return np.exp(comp - total)
 
 
 def evidence_log_likelihoods(model: MixtureModel, evidence: Mapping, mode: str) -> np.ndarray:

@@ -206,6 +206,11 @@ class Dataset:
         schemas = tuple(schemas)
         rows = [tuple(row) for row in rows]
         columns = range(len(schemas)) if columns is None else tuple(columns)
+        for k, j in enumerate(columns):
+            if j in columns[:k]:
+                raise SchemaError(f"column index {j} is repeated")
+            if not 0 <= j < len(schemas):
+                raise SchemaError(f"column index {j} is not in 0..{len(schemas) - 1}")
         for i, row in enumerate(rows):
             if len(row) != len(columns):
                 raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")

@@ -78,27 +78,6 @@ class TrainingTrace:
         return self.nll_per_iteration[-1]
 
 
-def m_step(dataset: Dataset, responsibilities: np.ndarray) -> MixtureModel:
-    """Weighted ML updates for weights, missing probs, and family params.
-
-    Raises ComponentCollapseError if any component's total responsibility is
-    below COLLAPSE_EPS, and EstimationError unless every responsibility is
-    finite and nonnegative. Family parameters use observed cells only: one
-    block per variable is fitted for the components with observed
-    responsibility; a component with effectively none on a variable gets
-    neutral defaults (``default_params``; its missing probability is ~1
-    there, so they never carry likelihood weight). One fit of the batched M-step.
-    """
-    alpha = np.asarray(responsibilities, dtype=float)
-    if alpha.ndim != 2 or alpha.shape[0] != dataset.n_subjects:
-        raise ValueError("responsibility rows do not match the dataset")
-    model, _, failed = _m_step_batch(dataset, np.array([_scales(dataset)]),
-                                     np.ascontiguousarray(alpha.T)[None], np.arange(1))
-    if failed:
-        raise failed[0]
-    return model
-
-
 def _scales(dataset: Dataset, rows=slice(None)) -> list:
     """Each column's ``schema._span_scale`` over the ``rows`` of ``dataset`` (a fold's: all
     but its held-out row), 1.0 for a categorical one: what a fit's floors and defaults read."""

@@ -86,6 +86,15 @@ def rng():
     return np.random.default_rng(20240814)
 
 
+def m_step_alone(dataset, responsibilities) -> tuple:
+    """The batched M-step (``training._m_step_batch``) of one fit from its (N, Z)
+    responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {})."""
+    from hetmix.training import _m_step_batch, _scales
+    alpha = np.ascontiguousarray(np.asarray(responsibilities, dtype=float).T)[None]
+    model, _, failed = _m_step_batch(dataset, np.array([_scales(dataset)]), alpha, np.arange(1))
+    return model, failed
+
+
 def recovery_model() -> MixtureModel:
     """Balanced 2-component model, one variable per family, nonuniform q.
 

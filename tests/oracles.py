@@ -23,8 +23,9 @@ import numpy as np
 
 from hetmix import Categorical, Gaussian, InflatedGamma, QuantizedGaussian, VariableKind
 from hetmix.distributions import (_LOG_PDF, CATEGORICAL_PSEUDO, REL_VARIANCE_FLOOR, SCALE_MIN,
-                                  SHAPE_MAX, SHAPE_MIN, default_params)
-from hetmix.model import MODEL_MISSING, MixtureModel, normalize_log_joint
+                                  SHAPE_MAX, SHAPE_MIN, _cells_of, _default_block, family_for,
+                                  log_sum_exp)
+from hetmix.model import MODEL_MISSING, MixtureModel
 from hetmix.training import (COLLAPSE_EPS, MONOTONE_SLACK, ZERO_WEIGHT_EPS,
                              ComponentCollapseError)
 
@@ -153,6 +154,12 @@ def _moments(kind, values, weights, domain, scale):
     return InflatedGamma(zero_prob, shape, max(mean / shape, SCALE_MIN))
 
 
+def default_cell(kind, domain, scale):
+    """The cell of neutral parameters the M-step gives a component with no
+    observed weight on a variable: one cell of the library's ``_default_block``."""
+    return _cells_of(family_for(kind), _default_block(kind, domain, [scale]), domain)[0]
+
+
 def m_step(dataset, responsibilities):
     """One fit's M-step, component by component and variable by variable, from
     its (N, Z) responsibilities."""
@@ -173,7 +180,7 @@ def m_step(dataset, responsibilities):
         for z in range(n_comp):
             missing_probs[z, v] = min(alpha[missed, z].sum() / totals[z], 1.0)
             weights = alpha[~missed, z]
-            grid[z][v] = (default_params(schema.kind, domain=schema.domain, scale=scale)
+            grid[z][v] = (default_cell(schema.kind, schema.domain, scale)
                           if weights.sum() <= ZERO_WEIGHT_EPS else
                           _moments(schema.kind, values, weights, schema.domain, scale))
     return MixtureModel(totals / totals.sum(), grid, missing_probs, dataset.schemas)
@@ -188,8 +195,9 @@ def em_once(dataset, order, config, rng):
     model = m_step(dataset, rng.dirichlet(np.ones(order), size=dataset.n_subjects))
     nlls: list[float] = []
     while True:
-        posteriors, totals = normalize_log_joint(
-            component_log_likelihoods(model, dataset, MODEL_MISSING))
+        log_joint = component_log_likelihoods(model, dataset, MODEL_MISSING)
+        totals = log_sum_exp(log_joint, axis=1)
+        posteriors = np.exp(log_joint - totals[:, None])
         nll = float(-totals.sum())
         if nlls and nll > nlls[-1] + MONOTONE_SLACK:
             return previous_model, nlls, False

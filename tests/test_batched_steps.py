@@ -1,7 +1,7 @@
 """Edge cases of the E- and M-steps, which handle all components of a variable at once.
 
 The E-step is checked cell by cell against the plain-arithmetic oracle, the
-M-step component by component against ``weighted_mle`` / ``default_params``.
+M-step component by component against ``weighted_mle`` / ``oracles.default_cell``.
 The cohorts carry
 all-missing rows, components with no observed weight on a variable, zero-only
 nonnegative cells, zero-weight categorical symbols and values far in the
@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import m_step_alone
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableKind, VariableSchema, component_log_likelihoods,
-                    default_params, fit, m_step, sample_cohort, weighted_mle)
+                    fit, sample_cohort, weighted_mle)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.distributions import _LOG_PDF, REL_VARIANCE_FLOOR, SHAPE_MAX
 from hetmix.inference import target_tables
@@ -153,7 +154,7 @@ def test_e_step_underflow_scale(seed, n_comp, n_real, mode):
 
 def _oracle_grid(dataset, alpha):
     """The Z x V cells an M-step on ``alpha`` should give, one ``weighted_mle``
-    or ``default_params`` call per (component, variable)."""
+    or ``oracles.default_cell`` call per (component, variable)."""
     columns = []
     for j, schema in enumerate(dataset.schemas):
         obs = ~dataset.missing_mask(j)
@@ -165,8 +166,8 @@ def _oracle_grid(dataset, alpha):
         column = []
         for z in range(alpha.shape[1]):
             w = alpha[obs, z]
-            column.append(default_params(schema.kind, domain=domain,
-                                         scale=scale if scale is not None else 1.0)
+            column.append(oracles.default_cell(schema.kind, schema.domain,
+                                               1.0 if scale is None else scale)
                           if w.sum() <= ZERO_WEIGHT_EPS else
                           weighted_mle(schema.kind, values, w, domain=domain, scale=scale))
         columns.append(column)
@@ -209,7 +210,7 @@ def test_m_step_matches_per_component_updates(seed, n_comp):
     totals = alpha.sum(axis=0)
     if totals.min() < COLLAPSE_EPS:
         return  # a collapse is another path; nothing to compare
-    model = m_step(dataset, alpha)
+    model, _ = m_step_alone(dataset, alpha)
 
     assert np.allclose(model.weights, totals / totals.sum(), rtol=1e-12, atol=0)
     want = _oracle_grid(dataset, alpha)
@@ -219,7 +220,8 @@ def test_m_step_matches_per_component_updates(seed, n_comp):
                            rtol=1e-12, atol=1e-300)
         for z in range(n_comp):
             _same_params(model.params[z][j], want[z][j])
-    assert model.params[0][X] == default_params("real", scale=dataset.column_scale(X))
+    assert model.params[0][X] == oracles.default_cell(VariableKind.REAL, (),
+                                                      dataset.column_scale(X))
     conc_1 = model.params[1][CONC]
     if (alpha[observed[CONC], 1] > 0).any():
         assert (conc_1.shape, conc_1.scale) == (1.0, 1.0)
@@ -234,7 +236,7 @@ def test_m_step_model_builds_its_grid_lazily(seed, n_comp):
     alpha[~dataset.missing_mask(X), 0] = 0.0  # component 0 takes x's defaults
     if alpha.sum(axis=0).min() < COLLAPSE_EPS:
         return
-    model = m_step(dataset, alpha)
+    model, _ = m_step_alone(dataset, alpha)
     assert model._params is None
     again = pickle.loads(pickle.dumps(model))
     assert again._params is None
@@ -257,7 +259,7 @@ def test_m_step_model_builds_its_grid_lazily(seed, n_comp):
 def test_m_step_model_file_matches_the_grid_built_model(tmp_path):
     rng = np.random.default_rng(3)
     dataset = _cohort(rng, 40)
-    model = m_step(dataset, rng.dirichlet(np.ones(3), size=dataset.n_subjects))
+    model, _ = m_step_alone(dataset, rng.dirichlet(np.ones(3), size=dataset.n_subjects))
     save_model(model, tmp_path / "blocks.json")
     rebuilt = MixtureModel(model.weights, model.params, model.missing_probs, model.schemas)
     save_model(rebuilt, tmp_path / "grid.json")
@@ -290,8 +292,8 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
 
 def test_em_builds_no_parameter_cell(monkeypatch):
     """A component that sees only an all-missing row takes every variable's
-    defaults as blocks (q = 1): ``m_step``, an EM run that keeps it so and
-    ``fit`` build no parameter cell, and the defaults are ``default_params``'."""
+    defaults as blocks (q = 1): an M-step, an EM run that keeps it so and
+    ``fit`` build no parameter cell, and the defaults are ``oracles.default_cell``'s."""
     dataset = _cohort(np.random.default_rng(1), 30)
     alpha = np.random.default_rng(2).dirichlet(np.ones(3), size=dataset.n_subjects)
     alpha[:, 0] = 0.0
@@ -304,7 +306,7 @@ def test_em_builds_no_parameter_cell(monkeypatch):
     with monkeypatch.context() as patch:
         for family in (Gaussian, InflatedGamma, QuantizedGaussian, Categorical):
             patch.setattr(family, "__post_init__", refuse)
-        models = [m_step(dataset, alpha)]
+        models = [m_step_alone(dataset, alpha)[0]]
         outcome, = _em_batch(dataset, np.array([_scales(dataset)]), None,
                              np.ascontiguousarray(alpha.T)[None], config)
         models.append(outcome[0])
@@ -313,8 +315,7 @@ def test_em_builds_no_parameter_cell(monkeypatch):
         assert (model.missing_probs[0] == 1.0).all()
         for v, schema in enumerate(SCHEMAS):
             scale = 1.0 if v == SITE else dataset.column_scale(v)
-            assert model.params[0][v] == default_params(schema.kind, domain=schema.domain or None,
-                                                        scale=scale)
+            assert model.params[0][v] == oracles.default_cell(schema.kind, schema.domain, scale)
 
 
 # EM's E-step (``model._em_log_joint``) takes each continuous column as a product

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
+import oracles
 from hetmix import (IGNORE_MISSING, Categorical, Dataset, EstimationError, Gaussian,
                     InflatedGamma, MixtureModel, QuantizedGaussian, VariableKind,
-                    VariableSchema, component_log_likelihoods, default_params, family_for,
+                    VariableSchema, component_log_likelihoods, family_for,
                     parameter_count, weighted_mle)
 from hetmix.distributions import (REL_VARIANCE_FLOOR, SHAPE_LIMIT, SHAPE_MAX, SHAPE_MIN,
                                   log_sum_exp)
@@ -385,12 +386,13 @@ class TestWeightedMle:
         assert got.shape <= SHAPE_MAX
 
 
-def test_default_params_are_valid():
-    assert default_params(VariableKind.REAL).variance > 0
-    assert default_params(VariableKind.NONNEGATIVE).scale > 0
-    q = default_params(VariableKind.ORDINAL, domain=(1, 2, 3, 4))
+def test_default_block_is_valid():
+    """The cells of ``_default_block`` pass their family's checks."""
+    assert oracles.default_cell(VariableKind.REAL, (), 1.0).variance > 0
+    assert oracles.default_cell(VariableKind.NONNEGATIVE, (), 1.0).scale > 0
+    q = oracles.default_cell(VariableKind.ORDINAL, (1, 2, 3, 4), 1.0)
     assert q.mean == 2.5
-    c = default_params(VariableKind.CATEGORICAL, domain=("a", "b"))
+    c = oracles.default_cell(VariableKind.CATEGORICAL, ("a", "b"), 1.0)
     assert c.probs == (0.5, 0.5)
 
 

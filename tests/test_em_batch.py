@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import m_step_alone
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
@@ -372,8 +373,7 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
 def test_missing_probabilities_are_exact_at_the_extremes():
     """A fold whose training cells of a column are all missing gives q == 1 in
     every component, and one with no missing training cell q == 0, exactly, in
-    a batch of folds and in ``m_step``."""
-    from hetmix import m_step
+    a batch of folds and in a fit's M-step alone."""
     rng = np.random.default_rng(2)
     base = _cohort(rng, 25, [], None)
     a, b = base.column_index("marker_a"), base.column_index("marker_b")
@@ -390,7 +390,7 @@ def test_missing_probabilities_are_exact_at_the_extremes():
     q = model.missing_probs.reshape(3, 3, -1)
     assert (q[0, :, a] == 1.0).all() and (q[0, :, b] == 0.0).all()
     assert (q[1:, :, a] < 1.0).all() and (q[1:, :, b] > 0.0).all()
-    alone = m_step(dataset.drop_subject(3), starts[0])
+    alone, _ = m_step_alone(dataset.drop_subject(3), starts[0])
     assert (alone.missing_probs[:, a] == 1.0).all() and (alone.missing_probs[:, b] == 0.0).all()
 
 

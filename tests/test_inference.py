@@ -15,8 +15,8 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     infer_many, point_predict, predict_batch, rank_outcomes,
                     sample_cohort, target_tables)
 from hetmix.demo import demo_model
+from hetmix.distributions import log_sum_exp
 from hetmix.io import model_to_dict
-from hetmix.model import normalize_log_joint
 
 
 def _model(q_by_component=((0.1, 0.2, 0.3), (0.3, 0.1, 0.2))):
@@ -198,7 +198,8 @@ class TestPredictBatch:
         log_joint = component_log_likelihoods(model, cohort, MODEL_MISSING, inputs)
         predicted, zero = predict_batch(target_tables(model, targets), log_joint)
         assert zero == {}
-        assert np.array_equal(predicted.posteriors, normalize_log_joint(log_joint)[0])
+        totals = log_sum_exp(log_joint, axis=1)
+        assert np.array_equal(predicted.posteriors, np.exp(log_joint - totals[:, None]))
         for name, (schema, table) in target_tables(model, targets).items():
             for r, posterior in enumerate(predicted.posteriors):
                 if schema.kind.is_finite:

@@ -1,6 +1,7 @@
 """Schemas, datasets, validation, and missingness profiles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestDataset:
     def test_ragged_row_rejected(self):
         with pytest.raises(SchemaError):
             Dataset((VariableSchema("x", "real"),), [(1.0, 2.0)])
+
+    def test_bad_column_indices_rejected(self):
+        """Each cell of a row names one variable: a repeated, negative or
+        out-of-range index would drop its cell, so it is refused by name."""
+        schemas = (VariableSchema("x", "real"), VariableSchema("y", "real"))
+        assert Dataset(schemas, [(2.0,)], [1]).row(0) == (MISSING, 2.0)
+        for columns, row, message in (([0, 0], (1.0, 2.0), "column index 0 is repeated"),
+                                      ([5], (1.0,), "column index 5 is not in 0..1"),
+                                      ([-1], (1.0,), "column index -1 is not in 0..1")):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                Dataset(schemas, [row], columns)
 
     def test_missing_mask(self):
         ds = _toy_dataset()
