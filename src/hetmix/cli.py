@@ -113,10 +113,7 @@ def _write_manifest(out_dir, command: str, arguments: dict, inputs: dict,
 
 
 def _em_config(arguments: dict) -> EmConfig:
-    return EmConfig(max_iterations=arguments["max_iterations"],
-                    rel_tol=arguments["rel_tol"],
-                    restarts=arguments["restarts"],
-                    seed=arguments["seed"])
+    return EmConfig(**{name: arguments[name] for name in vars(EmConfig())})
 
 
 def _load_training_data(arguments: dict):
@@ -435,11 +432,9 @@ def _add_common(parser, *, em: bool = False, data: bool = False, mode: bool = Fa
         parser.add_argument("--drop-zero-variability", dest="drop_constant",
                             action="store_true",
                             help="drop always-missing/constant columns instead of failing")
-    if em:
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--restarts", type=int, default=5)
-        parser.add_argument("--max-iterations", type=int, default=500)
-        parser.add_argument("--rel-tol", type=float, default=1e-6)
+    if em:  # one option per EmConfig field, with its default
+        for name, default in vars(EmConfig()).items():
+            parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     if mode:
         parser.add_argument("--mode", required=True, choices=MISSINGNESS_MODES,
                             help="missingness handling (no default on purpose)")

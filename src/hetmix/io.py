@@ -296,10 +296,19 @@ def params_to_dict(params: Params) -> dict:
     return out
 
 
+def _numbers(field: str, value):
+    """``value`` if it holds numbers alone (not a string NumPy would parse, nor a bool)."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"{field} must hold numbers only, got {value!r}")
+    return value
+
+
 def params_from_dict(entry: dict) -> Params:
     try:
         cls = _FAMILIES[entry["family"]]
-        values = [entry[field.name] for field in dataclasses.fields(cls)]
+        values = [entry[f.name] if f.name == "domain" else _numbers(f.name, entry[f.name])
+                  for f in dataclasses.fields(cls)]
         return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"bad distribution entry {entry!r}: {err}") from None
@@ -325,8 +334,8 @@ def model_from_dict(payload: dict) -> MixtureModel:
         schemas = tuple(schema_from_dict(e) for e in payload["variables"])
         params = tuple(tuple(params_from_dict(p) for p in row)
                        for row in payload["components"])
-        return MixtureModel(np.asarray(payload["weights"], dtype=float), params,
-                            np.asarray(payload["missing_probs"], dtype=float), schemas)
+        return MixtureModel(_numbers("weights", payload["weights"]), params,
+                            _numbers("missing_probs", payload["missing_probs"]), schemas)
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"bad model file: {err}") from None
 

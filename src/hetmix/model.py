@@ -10,20 +10,20 @@ factor of component z is q[z, v] for a missing cell and
 one contributes f(x_v; params[z][v]) alone. All computation is done in the
 log domain with log-sum-exp reductions.
 
-Scoring (``_log_joint``) handles each variable for all Z components at once,
-from its block, component-major, so every elementwise pass runs along the N
-subjects: a finite variable gathers columns of one (Z, K + 1) table of log
-factors by its codes + 1 (the first column, picked by the missing code -1,
-holds the missing factor; the log masses are computed once per model); a
-continuous one evaluates its family's density over (Z, N) and writes the
-missing factor in place. ``component_log_likelihoods`` is its (N, Z)
-transpose. EM's E-step (``_em_log_joint``) is instead one product of every
-variable's natural parameters with the cohort's sufficient statistics, which
-the M-step reads too (the finite variables' as a one-hot, a row chunk at a
-time), except where a component's terms are large enough for the product to
-round visibly, or infinite, which keeps its density or table gather. Scoring
-keeps the densities and gathers: it serves both modes and single rows
-(``infer``), for which no statistics are built.
+One routine, ``_factors``, gives every per-variable log factor, for any set
+of components: a finite variable gathers columns of its (Z, K + 1) table of log
+factors by its codes + 1 (the first column, picked by the missing code -1, holds
+the missing factor; the log masses are computed once per model); a continuous
+one evaluates its family's density over (Z, N) and writes the missing factor in
+place. Scoring (``_log_joint``; ``component_log_likelihoods`` is its (N, Z)
+transpose) adds it over the variables for all Z components, component-major, so
+every elementwise pass runs along the N subjects; it serves both modes and
+single rows (``infer``), for which no statistics are built. EM's E-step
+(``_em_log_joint``) is instead one product of every variable's natural
+parameters with the cohort's sufficient statistics, which the M-step reads too
+(the finite variables' as a one-hot, a row chunk at a time); a component whose
+terms are large enough for the product to round visibly, or infinite, takes
+``_factors`` on that variable instead.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
                             _check_params, _log_mass_table, _natural_params,
                             family_for, log_sum_exp)
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind,
-                     VariableSchema, Violation)
+                     VariableSchema, Violation, _column_indices)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
@@ -198,29 +198,24 @@ def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
     check_mode(mode)
     if tuple(dataset.schemas) != model.schemas:
         raise SchemaError("dataset schemas do not match the model's schemas")
-    cols = range(model.n_variables) if columns is None else columns
+    q = model.missing_probs[:, :, None]
     with np.errstate(divide="ignore"):
+        missed, kept = (np.log(q), np.log1p(-q)) if mode == MODEL_MISSING else (np.zeros_like(q),) * 2
         out = np.repeat(np.log(model.weights)[:, None], dataset.n_subjects, axis=1)
-        if mode == MODEL_MISSING:
-            log_missed = np.log(model.missing_probs)[:, :, None]
-            log_kept = np.log1p(-model.missing_probs)[:, :, None]
-        for v in cols:
-            missed, kept = (log_missed[:, v], log_kept[:, v]) if mode == MODEL_MISSING else (0.0, 0.0)
-            kind = model.schemas[v].kind
-            if kind.is_finite:  # the missing factor first, picked by the missing code + 1
-                table = np.column_stack([np.broadcast_to(missed, (model.n_components, 1)),
-                                         kept + model._log_masses[v]])
-                out += table.take(dataset.column_codes(v) + 1, axis=1)
-            else:
-                out += _density_factors(dataset, v, model._blocks[v], missed, kept)
+        for v in _column_indices(columns, model.n_variables):
+            out += _factors(model, dataset, v, slice(None), missed[:, v], kept[:, v])
     return out
 
 
-def _density_factors(dataset: Dataset, v: int, block, missed, kept) -> np.ndarray:
-    """(Z, N) log factors of continuous column v under the Z rows of ``block``: its
-    density plus ``kept`` where observed, ``missed`` where missing ((Z, 1) or 0.0)."""
-    factors = _LOG_PDF[dataset.schemas[v].kind](dataset.column_numeric(v)[None],
-                                                *(a[:, None] for a in block))
+def _factors(model: MixtureModel, dataset: Dataset, v: int, rows, missed, kept) -> np.ndarray:
+    """(len(rows), N) log factors of column v under the components ``rows``: ``kept``
+    plus the log mass or density where observed, ``missed`` where missing (both
+    (len(rows), 1)). A finite column gathers its table by code + 1, missing first."""
+    if model.schemas[v].kind.is_finite:
+        table = np.column_stack([missed, kept + model._log_masses[v][rows]])
+        return table.take(dataset.column_codes(v) + 1, axis=1)
+    factors = _LOG_PDF[model.schemas[v].kind](dataset.column_numeric(v)[None],
+                                              *(a[rows, None] for a in model._blocks[v]))
     factors += kept
     np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
     return factors
@@ -232,8 +227,8 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndar
     the ``_natural_params`` with ``Dataset._stats``' statistics and one with its
     one-hot, a row chunk at a time. The product rounds to a few eps times its
     terms, bounded by |theta| @ ``reach`` (a statistic or slot that is 0 on
-    every row left out). A component keeps its density, or its log-factor
-    table gather, on a column where that bound reaches EM_TERM_LIMIT: a
+    every row left out). A component takes the scoring routine ``_factors``
+    instead on a column where that bound reaches EM_TERM_LIMIT: a
     variance near its floor far from the column's centre (terms ~ (x - centre)^2
     / variance), a Gamma near its shape cap (lgamma(shape) ~ 1e5), a far
     level's log mass, or a -inf (q or zero_prob at 0 or 1, or a mass at 0,
@@ -251,7 +246,7 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndar
             wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
         theta[~wide, cols] = block[~wide]
         if wide.any():
-            dense.append((v, np.flatnonzero(wide), block))
+            dense.append((v, np.flatnonzero(wide)))
     shape = (n_fits, model.n_components // n_fits, -1)
     out = np.matmul(theta[:, :matrix.shape[1]].reshape(shape), matrix.T)
     slots = theta[:, matrix.shape[1]:].reshape(shape)
@@ -260,14 +255,9 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndar
     flat = out.reshape(model.n_components, -1)
     with np.errstate(divide="ignore"):
         flat += np.log(model.weights)[:, None]
-    for v, rows, block in dense:
-        if model.schemas[v].kind.is_finite:  # its slots in code order, missing first
-            flat[rows] += block[rows].take(dataset.column_codes(v) + 1, axis=1)
-            continue
-        q = model.missing_probs[rows, v, None]
-        with np.errstate(divide="ignore"):
-            flat[rows] += _density_factors(dataset, v, [a[rows] for a in model._blocks[v]],
-                                           np.log(q), np.log1p(-q))
+        for v, rows in dense:
+            q = model.missing_probs[rows, v, None]
+            flat[rows] += _factors(model, dataset, v, rows, np.log(q), np.log1p(-q))
     return out
 
 

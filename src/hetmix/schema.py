@@ -184,6 +184,17 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _column_indices(columns: Sequence[int] | None, n_variables: int) -> Sequence[int]:
+    """``columns`` (None: all); a SchemaError if one repeats or is not in 0..n_variables - 1."""
+    columns = range(n_variables) if columns is None else tuple(columns)
+    for k, j in enumerate(columns):
+        if j in columns[:k]:
+            raise SchemaError(f"column index {j} is repeated")
+        if not 0 <= j < n_variables:
+            raise SchemaError(f"column index {j} is not in 0..{n_variables - 1}")
+    return columns
+
+
 class Dataset:
     """Immutable subjects-by-variables table, checked and encoded once when built.
 
@@ -205,12 +216,7 @@ class Dataset:
                  columns: Sequence[int] | None = None):
         schemas = tuple(schemas)
         rows = [tuple(row) for row in rows]
-        columns = range(len(schemas)) if columns is None else tuple(columns)
-        for k, j in enumerate(columns):
-            if j in columns[:k]:
-                raise SchemaError(f"column index {j} is repeated")
-            if not 0 <= j < len(schemas):
-                raise SchemaError(f"column index {j} is not in 0..{len(schemas) - 1}")
+        columns = _column_indices(columns, len(schemas))
         for i, row in enumerate(rows):
             if len(row) != len(columns):
                 raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import hetmix
-from hetmix import (MISSING, Categorical, Gaussian, InferenceRequest,
+from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
                     InflatedGamma, MixtureModel, QuantizedGaussian,
-                    SchemaViolationError, VariableSchema, ZeroLikelihoodError,
-                    infer, point_predict)
-from hetmix.cli import main, parse_orders
+                    SchemaViolationError, TrainingError, VariableSchema,
+                    ZeroLikelihoodError, infer, point_predict)
+from hetmix.cli import _em_config, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
                        save_model, save_schemas)
 
@@ -89,6 +89,14 @@ class TestParser:
                   "--data", str(work["data"]), "--schema", str(work["schema"]),
                   "--orders", "1"])
         assert err.value.code == 2  # --mode is mandatory here too
+
+    def test_em_defaults_are_em_configs(self):
+        """fit, select and evaluate take EM's defaults from EmConfig."""
+        for command in (["fit", "--order", "1"], ["select", "--orders", "1"],
+                        ["evaluate", "--orders", "1", "--mode", "model_missing"]):
+            args = build_parser().parse_args(command + ["--out-dir", "x", "--data", "d",
+                                                        "--schema", "s"])
+            assert _em_config(vars(args)) == EmConfig()
 
     def test_missing_file_exit_6(self, tmp_path, capsys):
         code = main(["fit", "--out-dir", str(tmp_path / "out"),
@@ -297,6 +305,29 @@ class TestFit:
             assert (out2 / name).read_bytes() == \
                 (work["fit1"] / name).read_bytes()
 
+    def test_training_error_exit_4(self, work, tmp_path, capsys, monkeypatch):
+        def failing(dataset, order, config):
+            raise TrainingError("every restart failed")
+
+        monkeypatch.setattr(hetmix.cli, "fit", failing)
+        code = main(["fit", "--out-dir", str(tmp_path / "fit"), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--order", "2"])
+        assert code == 4
+        assert _last_error(capsys) == {"category": "training",
+                                       "message": "every restart failed"}
+
+    def test_dropped_column_is_reported(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "variables": [
+            {"name": "x", "kind": "real"}, {"name": "y", "kind": "real"}]}))
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n1.0,5.0\n3.0,5.0\n2.5,5.0\n")
+        out = tmp_path / "fit"
+        assert main(["fit", "--out-dir", str(out), "--data", str(data), "--schema", str(schema),
+                     "--order", "1", "--restarts", "1", "--drop-zero-variability"]) == 0
+        assert "dropped zero-variability column: y\n" in capsys.readouterr().out
+        assert [s.name for s in load_model(out / "model.json").schemas] == ["x"]
+
     def test_bad_order_exit_3(self, work, tmp_path, capsys):
         code = main(["fit", "--out-dir", str(tmp_path / "out"),
                      "--data", str(work["data"]),
@@ -452,6 +483,15 @@ class TestInfer:
                      "--evidence", str(path),
                      "--mode", "model_missing"])
         assert code == 3
+
+    def test_duplicate_evidence_columns_exit_3(self, work, tmp_path, capsys):
+        path = tmp_path / "evidence.csv"
+        path.write_text("site,marker_a,site\nalpha,0.5,beta\n")
+        code = main(["infer", "--out-dir", str(tmp_path / "out"),
+                     "--model", str(work["fit1"] / "model.json"),
+                     "--evidence", str(path), "--mode", "model_missing"])
+        assert code == 3
+        assert _last_error(capsys)["message"] == f"{path}: duplicate evidence columns"
 
     def test_missing_token_clash_exit_3(self, work, tmp_path, capsys):
         evidence = self._evidence(tmp_path, ["0.5,alpha"])
@@ -688,8 +728,9 @@ class TestRerun:
         lambda m: {**m, "inputs": {"data": {"sha256": m["inputs"]["data"]["sha256"]}}},
         lambda m: {**m, "arguments": {**m["arguments"], "order": "two"}},
         lambda m: {**m, "arguments": {**m["arguments"], "restarts": 1.5}},
+        lambda m: {**m, "format_version": 2},
     ], ids=["list", "no-arguments", "argument-keys-missing", "input-without-path",
-            "order-not-an-int", "restarts-not-an-int"])
+            "order-not-an-int", "restarts-not-an-int", "format-version-2"])
     def test_malformed_manifest_exits_3(self, work, tmp_path, capsys, edit):
         manifest = json.loads((work["fit1"] / "manifest.json").read_text())
         path = tmp_path / "manifest.json"

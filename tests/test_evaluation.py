@@ -418,6 +418,11 @@ class TestLooEvaluate:
         with pytest.raises(ValueError):
             loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig())
 
+    def test_order_below_one_rejected(self):
+        cohort, _ = sample_cohort(small_demo_model(), 6, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^orders must be >= 1$"):
+            loo_evaluate(cohort, (0, 1), ("severity",), MODEL_MISSING, EmConfig())
+
     def test_continuous_target_rejected(self):
         cohort, _ = sample_cohort(small_demo_model(), 6,
                                   np.random.default_rng(0))

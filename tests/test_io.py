@@ -299,6 +299,25 @@ class TestModelFiles:
         with pytest.raises(FormatError, match="non-empty vector"):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("weights", lambda p: {**p, "weights": ["0.7", "0.3"]}),
+        ("missing_probs", lambda p: {**p, "missing_probs": [["0.1"], ["0.1"]]}),
+        ("weights", lambda p: {**p, "weights": [True, False]}),
+        ("missing_probs", lambda p: {**p, "missing_probs": [[False], [True]]}),
+        ("mean", lambda p: {**p, "components": [[{**p["components"][0][0], "mean": True}],
+                                                p["components"][1]]}),
+    ], ids=["string-weights", "string-missing-probs", "bool-weights", "bool-missing-probs",
+            "bool-mean"])
+    def test_non_numbers_refused(self, field, edit):
+        """A string (which NumPy would parse) or a bool (which it would read as
+        1.0 or 0.0) where a number belongs is refused, naming the field."""
+        payload = model_to_dict(MixtureModel((0.7, 0.3), ((Gaussian(0.0, 1.0),),
+                                                          (Gaussian(1.0, 1.0),)),
+                                             [[0.1], [0.1]], (VariableSchema("x", "real"),)))
+        model_from_dict(payload)
+        with pytest.raises(FormatError, match=f"{field} must hold numbers only"):
+            model_from_dict(edit(payload))
+
     def test_sampled_cohort_file_round_trip(self, tmp_path, rng):
         model = random_model(rng)
         cohort, _ = sample_cohort(model, 30, np.random.default_rng(4))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from conftest import random_model, random_row
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, Gaussian, InflatedGamma, MixtureModel, QuantizedGaussian,
                     SchemaError, SchemaViolationError, VariableSchema,
-                    ZeroLikelihoodError, evidence_log_likelihoods,
-                    joint_log_likelihood, latent_posterior,
-                    parameter_count, row_log_likelihoods, sample_cohort)
+                    ZeroLikelihoodError, component_log_likelihoods,
+                    evidence_log_likelihoods, joint_log_likelihood, latent_posterior,
+                    parameter_count, row_log_likelihoods, sample_cohort,
+                    training_confidence_scores)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.distributions import _BLOCK_FIELDS, _check_params
 from hetmix.io import model_to_dict, write_data_csv
@@ -249,6 +251,21 @@ class TestJointLikelihood:
         other = Dataset((VariableSchema("y", "real"),), [(1.0,)])
         with pytest.raises(SchemaError):
             row_log_likelihoods(model, other, MODEL_MISSING)
+
+    def test_bad_column_subset_rejected(self):
+        """Scoring refuses a repeated, negative or out-of-range column index
+        with the text ``Dataset`` gives it: [1, 1] would count column 1 twice,
+        [-1] would mean the last column."""
+        model = small_demo_model()
+        cohort, _ = sample_cohort(model, 4, np.random.default_rng(0))
+        last = model.n_variables - 1
+        for columns, message in (([1, 1], "column index 1 is repeated"),
+                                 ([-1], f"column index -1 is not in 0..{last}"),
+                                 ([99], f"column index 99 is not in 0..{last}")):
+            for score in (component_log_likelihoods, row_log_likelihoods,
+                          training_confidence_scores):
+                with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                    score(model, cohort, MODEL_MISSING, columns)
 
 
 class TestPosterior:
