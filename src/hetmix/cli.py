@@ -56,7 +56,7 @@ from .io import (DEFAULT_MISSING_TOKEN, FormatError, atomic_write_text,
                  read_data_csv, read_evidence_csv, save_model, save_schemas,
                  sha256_file, write_csv_table, write_data_csv,
                  write_labels_csv)
-from .model import MISSINGNESS_MODES, ZeroLikelihoodError, sample_cohort
+from .model import MISSINGNESS_MODES, sample_cohort
 from .schema import (OUTCOME, SchemaError, SchemaViolationError,
                      drop_zero_variability, missingness_profile,
                      validate_dataset)
@@ -512,8 +512,6 @@ def main(argv=None) -> int:
     except SchemaViolationError as err:
         return _fail("validation", EXIT_VALIDATION, str(err),
                      violations=_violation_payload(err.violations))
-    except ZeroLikelihoodError as err:
-        return _fail("inference", EXIT_INFERENCE, str(err))
     except (TrainingError, ComponentCollapseError) as err:
         return _fail("training", EXIT_TRAINING, str(err))
     except (SchemaError, FormatError, ValueError) as err:

@@ -104,36 +104,47 @@ SHAPE_LIMIT = 1e300
 # parameter field -> (rule, lowest and highest value, whether they are allowed);
 # NaN fails every rule, since min and max pass it on and it compares false
 _PARAM_RULES = dict(mean=("finite", -math.inf, math.inf, False),
-                    zero_prob=("in [0, 1]", 0.0, 1.0, True),
+                    weights=("nonnegative", 0.0, math.inf, True),
+                    **dict.fromkeys(("zero_prob", "missing_probs"), ("in [0, 1]", 0.0, 1.0, True)),
                     probs=("nonnegative and sum to 1", 0.0, math.inf, True),
                     shape=(f"positive and below {SHAPE_LIMIT:g}", 0.0, SHAPE_LIMIT, False),
                     **dict.fromkeys(("variance", "scale"),
                                     ("positive and finite", 0.0, math.inf, False)))
 
 
-def _check_params(values: dict, ndim: int = 0):
-    """Raise ValueError unless each parameter field -> value passes its rule;
-    TypeError for a value that is not numeric or does not have ``ndim`` axes
-    (0 for a cell, 1 for a block), plus one for ``probs``."""
+def _check_params(values: dict, ndim: int = 0) -> list:
+    """The values of parameter field -> value as new float arrays, in order;
+    ValueError unless each passes its rule. TypeError unless every element is a
+    number that ``float`` takes (not a bool, text or None; an int or float
+    ndarray, EM's, is not scanned) and the value has ``ndim`` axes (0 for a
+    cell, 1 for a block), plus one for ``probs`` and ``missing_probs``."""
+    out = []
     for name, value in values.items():
         rule, lo, hi, closed = _PARAM_RULES[name]
-        x = np.asarray(value)
-        if x.dtype.kind == "O" and hasattr(type(value), "__float__"):
-            x = np.asarray(float(value))  # a Fraction, a Decimal or an int past int64
-        if x.dtype.kind not in "biuf" or x.ndim != ndim + (name == "probs"):
-            raise TypeError(f"{name} must be numeric with {ndim + (name == 'probs')} "
-                            f"axes, got {value!r}")
-        low, high = x.min(), x.max()
+        axes = ndim + (name in ("probs", "missing_probs"))
+        try:  # float refuses a complex and an int past its range too
+            if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf") and not all(
+                    isinstance(i, numbers.Number) and not isinstance(i, bool)
+                    for i in np.asarray(value, dtype=object).flat):
+                raise TypeError
+            x = np.array(value, dtype=float)
+            if x.ndim != axes:
+                raise TypeError
+        except (TypeError, ValueError, OverflowError):
+            raise TypeError(f"{name} must be numbers (not bools or text) with {axes} axes, "
+                            f"got {value!r}") from None
+        low, high = x.min(initial=hi), x.max(initial=lo)
         if (not (lo <= low and high <= hi if closed else lo < low and high < hi)
                 or name == "probs" and not (abs(x.sum(axis=-1) - 1.0) <= 1e-12).all()):
             raise ValueError(f"{name} must be {rule}, got {value}")
+        out.append(x)
+    return out
 
 
 def _store_params(cell, **values):
     """Check a cell's parameter fields, then store them as the floats its methods take."""
-    _check_params(values)
-    for name, value in values.items():
-        object.__setattr__(cell, name, float(value))
+    for name, x in zip(values, _check_params(values)):
+        object.__setattr__(cell, name, float(x))
 
 
 # fixed floors and caps of the M-step, which keep component likelihoods finite:
@@ -282,13 +293,12 @@ class Categorical:
     family = "categorical"
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "probs", tuple(_check_params({"probs": self.probs})[0].tolist()))
         object.__setattr__(self, "domain", tuple(self.domain))
         if len(self.probs) != len(self.domain):
             raise ValueError("probs and domain lengths differ")
         if len(self.domain) < 2:
             raise ValueError("domain needs at least 2 symbols")
-        _check_params({"probs": self.probs})
 
     def log_density(self, x):
         try:

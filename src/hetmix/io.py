@@ -6,16 +6,17 @@ pipeline therefore produce byte-identical files. All writers go through an
 atomic temp-file replace.
 
 A data or evidence CSV is streamed: records are read a chunk at a time, and
-each chunk's fields are parsed a column at a time by Python's own ``int`` /
-``float`` (as ``_parse_cell`` reads a single cell) and appended to per-column
-lists. The columns then go to the same encoder that builds every ``Dataset``
-(numpy for a column of admissible plain values, ``validate_value`` cell by
-cell for any other), so no row tuple is ever built.
+each chunk's observed fields (not the missing token) are parsed a column at a
+time by Python's own ``int`` / ``float`` (as ``_parse_cell`` reads one) and
+appended to per-column lists. The columns then go to the same encoder that
+builds every ``Dataset`` (numpy for a column of admissible plain values,
+``validate_value`` cell by cell for any other), so no row tuple is ever built.
 
 A model file's parameter block holds a ``family`` name and the fields of that
-family's dataclass. Reading it builds the dataclass, whose checks turn
-out-of-range or non-finite values (``NaN`` / ``Infinity``, which ``json``
-reads) into a FormatError.
+family's dataclass. Reading it passes the JSON values unchanged to the
+dataclasses and ``MixtureModel``, whose one parameter rule (every element a
+number, not a bool or text, and in range) turns any other value, ``NaN`` and
+``Infinity`` (which ``json`` reads) included, into a FormatError.
 """
 
 from __future__ import annotations
@@ -126,10 +127,8 @@ def load_schemas(path) -> tuple:
 
 # ---------------------------------------------------------------- data CSV
 
-def _parse_cell(text: str, schema: VariableSchema, missing_token: str):
-    """Token to cell value; unparseable text stays text, a Dataset violation."""
-    if text == missing_token:
-        return MISSING
+def _parse_cell(text: str, schema: VariableSchema):
+    """Observed token to cell value; unparseable text stays text, a Dataset violation."""
     kind = schema.kind
     if kind is VariableKind.CATEGORICAL:
         return text
@@ -145,7 +144,7 @@ def _check_missing_token(schemas, missing_token: str):
     """Refuse a missing token that also reads as a categorical symbol or an
     ordinal level, since those cells would silently become MISSING."""
     for s in schemas:
-        if s.kind.is_finite and _parse_cell(missing_token, s, None) in s.domain:
+        if s.kind.is_finite and _parse_cell(missing_token, s) in s.domain:
             raise FormatError(f"{s.name}: missing token {missing_token!r} is also "
                               "a domain value")
 
@@ -182,7 +181,7 @@ def _parse_texts(texts, schema: VariableSchema) -> list:
     try:
         return list(map(int if schema.kind is VariableKind.ORDINAL else float, texts))
     except ValueError:
-        return [_parse_cell(text, schema, None) for text in texts]
+        return [_parse_cell(text, schema) for text in texts]
 
 
 def _read_columns(path, schemas, records, columns, missing_token: str) -> Dataset:
@@ -296,20 +295,10 @@ def params_to_dict(params: Params) -> dict:
     return out
 
 
-def _numbers(field: str, value):
-    """``value`` if it holds numbers alone (not a string NumPy would parse, nor a bool)."""
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               for x in np.asarray(value, dtype=object).flat):
-        raise TypeError(f"{field} must hold numbers only, got {value!r}")
-    return value
-
-
 def params_from_dict(entry: dict) -> Params:
     try:
         cls = _FAMILIES[entry["family"]]
-        values = [entry[f.name] if f.name == "domain" else _numbers(f.name, entry[f.name])
-                  for f in dataclasses.fields(cls)]
-        return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
+        return cls(**{f.name: entry[f.name] for f in dataclasses.fields(cls)})
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"bad distribution entry {entry!r}: {err}") from None
 
@@ -334,8 +323,7 @@ def model_from_dict(payload: dict) -> MixtureModel:
         schemas = tuple(schema_from_dict(e) for e in payload["variables"])
         params = tuple(tuple(params_from_dict(p) for p in row)
                        for row in payload["components"])
-        return MixtureModel(_numbers("weights", payload["weights"]), params,
-                            _numbers("missing_probs", payload["missing_probs"]), schemas)
+        return MixtureModel(payload["weights"], params, payload["missing_probs"], schemas)
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"bad model file: {err}") from None
 

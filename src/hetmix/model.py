@@ -81,20 +81,16 @@ class MixtureModel:
         (its arrays are made read-only); finite variables' log-mass tables are
         computed here, once. ``n_fits`` > 1 stacks fits: one model of n_fits * Z
         components, fit-major, whose weights sum to 1 per fit (see ``_fit_of``)."""
-        weights = np.array(weights, dtype=float)
-        missing = np.array(missing_probs, dtype=float)
         schemas = tuple(schemas)
-        n_comp = weights.shape[0] if weights.ndim == 1 else 0
+        n_comp = len(weights) if np.ndim(weights) == 1 else 0
         n_vars = len(schemas)
         if n_comp < 1:
             raise ValueError("weights must be a non-empty vector")
-        sums = weights.reshape(n_fits, -1).sum(axis=1)
-        if not ((weights >= 0).all() and (abs(sums - 1.0) <= 1e-9).all()):
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if missing.shape != (n_comp, n_vars):
+        if np.shape(missing_probs) != (n_comp, n_vars):
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
-        if not ((missing >= 0) & (missing <= 1)).all():
-            raise ValueError("missing probabilities must lie in [0, 1]")
+        weights, missing = _check_params({"weights": weights, "missing_probs": missing_probs}, 1)
+        if not (abs(weights.reshape(n_fits, -1).sum(axis=1) - 1.0) <= 1e-9).all():
+            raise ValueError("weights must sum to 1")
         by_field = {}
         for schema, block in zip(schemas, blocks, strict=True):
             names = _BLOCK_FIELDS[schema.kind]

@@ -86,6 +86,27 @@ def rng():
     return np.random.default_rng(20240814)
 
 
+@pytest.fixture
+def collapsing_starts(monkeypatch):
+    """EM's random starts with component 0 given no responsibility, so every
+    restart collapses at its first M-step; other draws are the generator's own."""
+    real = np.random.default_rng
+
+    class Collapsing:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def dirichlet(self, alpha, size):
+            start = self.rng.dirichlet(alpha, size)
+            start[:, 0] = 0.0
+            return start
+
+    monkeypatch.setattr(np.random, "default_rng", Collapsing)
+
+
 def m_step_alone(dataset, responsibilities) -> tuple:
     """The batched M-step (``training._m_step_batch``) of one fit from its (N, Z)
     responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {})."""

@@ -13,7 +13,7 @@ import pytest
 import hetmix
 from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
                     InflatedGamma, MixtureModel, QuantizedGaussian,
-                    SchemaViolationError, TrainingError, VariableSchema,
+                    SchemaViolationError, VariableSchema,
                     ZeroLikelihoodError, infer, point_predict)
 from hetmix.cli import _em_config, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
@@ -181,6 +181,8 @@ class TestDemoAndSimulate:
     @pytest.mark.parametrize("edit", [
         lambda payload: payload["weights"].__setitem__(0, float("nan")),
         lambda payload: payload["components"][0][0].__setitem__("mean", float("inf")),
+        # an integer past float's range, which json reads as an int
+        lambda payload: payload["components"][0][0].__setitem__("mean", 10 ** 400),
     ])
     def test_non_finite_model_file_exit_3(self, work, tmp_path, capsys, edit):
         payload = json.loads((work["demo"] / "model.json").read_text())
@@ -305,16 +307,14 @@ class TestFit:
             assert (out2 / name).read_bytes() == \
                 (work["fit1"] / name).read_bytes()
 
-    def test_training_error_exit_4(self, work, tmp_path, capsys, monkeypatch):
-        def failing(dataset, order, config):
-            raise TrainingError("every restart failed")
-
-        monkeypatch.setattr(hetmix.cli, "fit", failing)
+    def test_training_error_exit_4(self, work, tmp_path, capsys, collapsing_starts):
         code = main(["fit", "--out-dir", str(tmp_path / "fit"), "--data", str(work["data"]),
-                     "--schema", str(work["schema"]), "--order", "2"])
+                     "--schema", str(work["schema"]), "--order", "2", "--restarts", "2"])
         assert code == 4
-        assert _last_error(capsys) == {"category": "training",
-                                       "message": "every restart failed"}
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        assert _last_error(capsys) == {"category": "training", "message": (
+            f"all 2 restart(s) failed for order 2: restart 0: {collapsed}; "
+            f"restart 1: {collapsed}")}
 
     def test_dropped_column_is_reported(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"

@@ -272,8 +272,23 @@ def test_cells_evaluate_any_number_the_checks_take():
     cell = Gaussian(Fraction(1, 2), Decimal("2"))
     assert cell == Gaussian(0.5, 2.0)
     assert type(cell.mean) is type(cell.variance) is float
+    table = Categorical((Decimal("0.25"), Fraction(3, 4)), ("a", "b"))
+    assert table == Categorical((0.25, 0.75), ("a", "b"))
+    assert all(type(p) is float for p in table.probs)
     with pytest.raises(TypeError):
         InflatedGamma(0.5, "1.0", 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuantizedGaussian(2.0, 1.0, (1, 3, 2)), "strictly increasing"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (1, 1, 2)), "strictly increasing"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (2,)), "strictly increasing"),
+    (lambda: Categorical((0.5, 0.5), ("a", "b", "c")), "lengths differ"),
+    (lambda: Categorical((1.0,), ("a",)), "at least 2 symbols"),
+])
+def test_bad_domains_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_sampling_is_deterministic():

@@ -156,6 +156,10 @@ class TestConfidenceBins:
         assert math.isnan(bins.low_mean)
         assert bins.high_mean == pytest.approx(1.5)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            confidence_bins(np.array([0.2, 0.8]), np.array([1.0, 2.0, 3.0]))
+
 
 class TestDensity:
     def test_scott_bandwidth_frozen(self):

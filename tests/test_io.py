@@ -125,7 +125,7 @@ class TestColumnReaderMatchesPerCellReference:
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerows([[SCHEMAS[j].name for j in order]]
                                          + [[row[j] for j in order] for row in texts])
-        want = Dataset(SCHEMAS, [tuple(_parse_cell(text, s, token)
+        want = Dataset(SCHEMAS, [tuple(MISSING if text == token else _parse_cell(text, s)
                                        for s, text in zip(SCHEMAS, row)) for row in texts])
         with mock.patch.object(hetmix.io, "_CHUNK_RECORDS", chunk):
             got = read_data_csv(path, SCHEMAS, missing_token=token)
@@ -315,7 +315,7 @@ class TestModelFiles:
                                                           (Gaussian(1.0, 1.0),)),
                                              [[0.1], [0.1]], (VariableSchema("x", "real"),)))
         model_from_dict(payload)
-        with pytest.raises(FormatError, match=f"{field} must hold numbers only"):
+        with pytest.raises(FormatError, match=rf"{field} must be numbers \(not bools or text\)"):
             model_from_dict(edit(payload))
 
     def test_sampled_cohort_file_round_trip(self, tmp_path, rng):

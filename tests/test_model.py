@@ -47,6 +47,13 @@ class TestMixtureModel:
             MixtureModel((1.0,), ((Gaussian(0, 1),),), [[1.5]], schemas)
         with pytest.raises(ValueError):
             MixtureModel((1.0,), ((Gaussian(0, 1), Gaussian(0, 1)),), [[0.1]], schemas)
+        with pytest.raises(ValueError, match=r"missing_probs must have shape \(1, 1\)"):
+            MixtureModel((1.0,), ((Gaussian(0, 1),),), [0.1], schemas)
+
+    def test_immutable(self):
+        model = _single_gaussian_model()
+        with pytest.raises(AttributeError, match="immutable; cannot set 'weights'"):
+            model.weights = np.array([1.0])
 
     def test_stacked_weights_refused(self):
         """A (Z, 1) weight array whose every row sums to 1 is not a weight vector."""
@@ -159,14 +166,48 @@ def test_block_checks_match_the_cell_checks(family, field, value):
 
 
 def test_cell_fields_take_any_number_float_takes():
-    """A cell field may be any number ``float`` converts, not text."""
-    schemas = (VariableSchema("x", "real"), VariableSchema("c", "nonnegative"))
-    row = (Gaussian(Fraction(1, 2), Decimal("2")), InflatedGamma(0.5, 2 ** 70, 1.0))
-    model = MixtureModel((1.0,), (row,), [[0.1, 0.1]], schemas)
-    assert model._cells(0) == (Gaussian(0.5, 2.0),)
-    assert model._blocks[1][1].tolist() == [2.0 ** 70]
+    """A cell field, a probability row, a weight or a missing probability may
+    be any number ``float`` converts, not text."""
+    schemas = (VariableSchema("x", "real"), VariableSchema("c", "nonnegative"),
+               VariableSchema("s", "categorical", ("a", "b")))
+    row = (Gaussian(Fraction(1, 2), Decimal("2")), InflatedGamma(0.5, 2 ** 70, 1.0),
+           Categorical((Decimal("0.25"), Fraction(3, 4)), ("a", "b")))
+    model = MixtureModel((Decimal("0.5"), Fraction(1, 2)), (row, row),
+                         [[Decimal("0.1"), Fraction(1, 10), 0]] * 2, schemas)
+    assert model._cells(0) == (Gaussian(0.5, 2.0),) * 2
+    assert model._blocks[1][1].tolist() == [2.0 ** 70] * 2
+    assert model._cells(2) == (Categorical((0.25, 0.75), ("a", "b")),) * 2
+    assert model.weights.tolist() == [0.5, 0.5]
+    assert model.missing_probs.tolist() == [[0.1, 0.1, 0.0]] * 2
     with pytest.raises(TypeError):
         Gaussian("0.5", 1.0)
+
+
+_CELLS = ((Gaussian(0.0, 1.0),), (Gaussian(1.0, 1.0),))
+_X_SCHEMAS = (VariableSchema("x", "real"),)
+
+
+@pytest.mark.parametrize("field, make", [
+    ("missing_probs", lambda: MixtureModel([0.7, 0.3], _CELLS, [[0.1], [True]], _X_SCHEMAS)),
+    ("weights", lambda: MixtureModel(["0.7", "0.3"], _CELLS, [[0.1], [0.1]], _X_SCHEMAS)),
+    ("mean", lambda: Gaussian(True, 1.0)),
+    ("zero_prob", lambda: InflatedGamma(False, 1.0, 1.0)),
+    ("probs", lambda: Categorical((True, False), ("a", "b"))),
+    ("probs", lambda: Categorical(("0.5", "0.5"), ("a", "b"))),
+    ("weights", lambda: MixtureModel([0.0, True], _CELLS, [[0.1], [0.1]], _X_SCHEMAS)),
+    ("weights", lambda: MixtureModel(np.array([True, False]), _CELLS, [[0.1], [0.1]], _X_SCHEMAS)),
+    ("missing_probs", lambda: MixtureModel([0.5, 0.5], _CELLS, [[0.1], [np.bool_(0)]], _X_SCHEMAS)),
+    ("variance", lambda: Gaussian(0.0, None)),
+    ("weights", lambda: MixtureModel([0.5, None], _CELLS, [[0.1], [0.1]], _X_SCHEMAS)),
+    ("shape", lambda: InflatedGamma(0.5, 10 ** 400, 1.0)),
+], ids=["bool-missing-prob", "string-weights", "bool-mean", "bool-zero-prob", "bool-probs",
+        "string-probs", "mixed-list", "numpy-bool-weights", "numpy-bool-missing-prob",
+        "none-variance", "none-weight", "int-past-float"])
+def test_non_numbers_refused(field, make):
+    """A bool, text or None where a parameter number belongs, or a number
+    ``float`` refuses, is a TypeError naming the field, never converted."""
+    with pytest.raises(TypeError, match=rf"^{field} must be numbers \(not bools or text\)"):
+        make()
 
 
 @pytest.mark.parametrize("family, field, value", [

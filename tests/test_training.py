@@ -144,6 +144,14 @@ class TestFit:
             fit(ds, 1, EmConfig())
         assert [(v.row, v.column) for v in err.value.violations] == [(1, "y")]
 
+    def test_every_restart_collapsing_raises(self, collapsing_starts):
+        _, ds, _ = _cohort(n=40)
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        with pytest.raises(TrainingError) as caught:
+            fit(ds, 2, EmConfig(restarts=2))
+        assert str(caught.value) == (f"all 2 restart(s) failed for order 2: "
+                                     f"restart 0: {collapsed}; restart 1: {collapsed}")
+
     def test_rejects_bad_order(self):
         _, ds, _ = _cohort(n=30)
         with pytest.raises(ValueError):
