@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import VariableKind, _span_scale, _stat_rows
+from .schema import SchemaError, VariableKind, _checked_domain, _is_int, _span_scale, _stat_rows
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -249,9 +249,7 @@ class QuantizedGaussian:
 
     def __post_init__(self):
         _store_params(self, mean=self.mean, variance=self.variance)
-        object.__setattr__(self, "domain", tuple(int(d) for d in self.domain))
-        if len(self.domain) < 2 or any(a >= b for a, b in zip(self.domain, self.domain[1:])):
-            raise ValueError("domain must be strictly increasing with >= 2 levels")
+        object.__setattr__(self, "domain", _checked_domain(VariableKind.ORDINAL, self.domain))
 
     @cached_property
     def log_masses(self) -> np.ndarray:
@@ -268,7 +266,7 @@ class QuantizedGaussian:
 
     def log_density(self, x):
         """Log mass of one level; a non-integer (bools included) is never a level."""
-        if isinstance(x, numbers.Integral) and not isinstance(x, bool) and int(x) in self.domain:
+        if _is_int(x) and int(x) in self.domain:
             return float(self.log_masses[self.domain.index(int(x))])
         raise ValueError(f"level {x!r} not in domain {self.domain}")
 
@@ -294,11 +292,9 @@ class Categorical:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(_check_params({"probs": self.probs})[0].tolist()))
-        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "domain", _checked_domain(VariableKind.CATEGORICAL, self.domain))
         if len(self.probs) != len(self.domain):
             raise ValueError("probs and domain lengths differ")
-        if len(self.domain) < 2:
-            raise ValueError("domain needs at least 2 symbols")
 
     def log_density(self, x):
         try:
@@ -365,7 +361,8 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
 
     ``values`` must be finite numbers for a continuous kind (>= 0 if
     nonnegative), levels of ``domain`` for an ordinal, and symbols of
-    ``domain`` or their integer codes for a categorical. ``weights`` (one per
+    ``domain`` or their integer codes for a categorical, whose ``domain``
+    must be one a ``VariableSchema`` of the kind takes. ``weights`` (one per
     value) must be finite and nonnegative with a positive total. Anything
     else raises EstimationError. ``scale`` feeds the variance floor and
     defaults to the value span (ordinals: the domain span), 1.0 when that is 0.
@@ -373,8 +370,10 @@ def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
     kind = VariableKind(kind)
     if kind.is_finite and domain is None:
         raise EstimationError(f"{kind.value} update needs the domain")
-    domain = (tuple(map(int, domain)) if kind is VariableKind.ORDINAL
-              else tuple(domain) if kind.is_finite else ())
+    try:
+        domain = _checked_domain(kind, domain) if kind.is_finite else ()
+    except SchemaError as err:
+        raise EstimationError(str(err)) from None
     categorical = kind is VariableKind.CATEGORICAL
     try:
         values = np.asarray(values)

@@ -28,7 +28,7 @@ from .inference import (FinitePrediction, InferenceRequest, predict_batch,
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
 from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError, VariableKind,
                      VariableSchema, Violation, _column_findings, validate_dataset)
-from .training import EmConfig, TrainingError, _fit_many
+from .training import EmConfig, TrainingError, _checked_orders, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
 CHANCE_ORDER = 0
@@ -345,9 +345,7 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     targets = InferenceRequest({}, targets, mode).targets
     for name in targets:
         max_absolute_error(dataset.schema(name))  # rejects continuous targets early
-    orders = sorted(set(int(k) for k in orders) | {BASELINE_ORDER})
-    if orders[0] < 1:
-        raise ValueError("orders must be >= 1")
+    orders = _checked_orders([*orders, BASELINE_ORDER])
     if dataset.n_subjects < 3:
         raise ValueError("leave-one-out needs at least 3 subjects")
     violations = validate_dataset(dataset)

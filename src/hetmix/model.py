@@ -69,7 +69,7 @@ class MixtureModel:
     def __init__(self, weights, params, missing_probs, schemas):
         schemas = tuple(schemas)
         params = tuple(tuple(row) for row in params)
-        if np.shape(weights)[:1] != (len(params),) or any(len(r) != len(schemas) for r in params):
+        if _n_weights(weights) != len(params) or any(len(r) != len(schemas) for r in params):
             raise ValueError(f"params must hold one row of {len(schemas)} cells per weight")
         blocks = tuple(_block_of(s, [row[v] for row in params]) for v, s in enumerate(schemas))
         packed = MixtureModel._from_blocks(weights, blocks, missing_probs, schemas)
@@ -82,10 +82,7 @@ class MixtureModel:
         computed here, once. ``n_fits`` > 1 stacks fits: one model of n_fits * Z
         components, fit-major, whose weights sum to 1 per fit (see ``_fit_of``)."""
         schemas = tuple(schemas)
-        n_comp = len(weights) if np.ndim(weights) == 1 else 0
-        n_vars = len(schemas)
-        if n_comp < 1:
-            raise ValueError("weights must be a non-empty vector")
+        n_comp, n_vars = _n_weights(weights), len(schemas)
         if np.shape(missing_probs) != (n_comp, n_vars):
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
         weights, missing = _check_params({"weights": weights, "missing_probs": missing_probs}, 1)
@@ -175,6 +172,13 @@ class MixtureModel:
 
     def schema(self, name: str) -> VariableSchema:
         return self.schemas[self.column_index(name)]
+
+
+def _n_weights(weights) -> int:
+    """The length of ``weights``; ValueError unless it is a non-empty vector."""
+    if np.ndim(weights) != 1 or not len(weights):
+        raise ValueError("weights must be a non-empty vector")
+    return len(weights)
 
 
 def parameter_count(model: MixtureModel) -> int:

@@ -4,10 +4,13 @@ A dataset is a subjects-by-variables table. Every cell is either the MISSING
 sentinel or a plain Python value whose admissible type depends on the column's
 declared kind: real (float), nonnegative (float >= 0), ordinal (int from a
 finite ordered domain), or categorical (str from a finite symbol set).
-Building a ``Dataset`` checks and encodes each cell once into arrays, recording
-bad cells (unparseable text included) as violations instead of raising so that
+Building a ``Dataset`` checks and encodes each cell once, recording bad cells
+(unparseable text included) as violations instead of raising so that
 malformed files can still be reported on; ``validate_dataset`` returns the
-violations and training and inference refuse invalid data.
+violations and training and inference refuse invalid data. A ``Dataset``
+keeps two arrays: the missing mask and one float per cell, a continuous
+cell's value or a finite cell's domain index, NaN where the cell is missing
+or bad.
 
 Encoding goes column by column. A column whose observed cells all have the
 plain Python types of its kind (float or int for real and nonnegative, int
@@ -123,19 +126,10 @@ class VariableSchema:
             if self.domain:
                 raise SchemaError(f"{self.name}: {self.kind.value} variables take no domain")
             return
-        if len(self.domain) < 2:
-            raise SchemaError(f"{self.name}: finite domain needs at least 2 values")
-        if self.kind is VariableKind.ORDINAL:
-            if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in self.domain):
-                raise SchemaError(f"{self.name}: ordinal domain must be integers")
-            object.__setattr__(self, "domain", tuple(int(d) for d in self.domain))
-            if any(a >= b for a, b in zip(self.domain, self.domain[1:])):
-                raise SchemaError(f"{self.name}: ordinal domain must be strictly increasing")
-        else:
-            if not all(isinstance(d, str) and d for d in self.domain):
-                raise SchemaError(f"{self.name}: categorical domain must be non-empty strings")
-            if len(set(self.domain)) != len(self.domain):
-                raise SchemaError(f"{self.name}: categorical domain has duplicates")
+        try:
+            object.__setattr__(self, "domain", _checked_domain(self.kind, self.domain))
+        except SchemaError as err:
+            raise SchemaError(f"{self.name}: {err}") from None
 
     @cached_property
     def _domain_index(self) -> dict:
@@ -171,6 +165,32 @@ class VariableSchema:
         return None
 
 
+def _checked_domain(kind: VariableKind, domain) -> tuple:
+    """A finite ``kind``'s ``domain`` as a tuple; SchemaError unless it has at
+    least 2 values: integers, not bools, strictly increasing for an ordinal (made
+    ints), distinct non-empty strings for a categorical. Schemas, cells and
+    ``weighted_mle`` all check domains here."""
+    domain = tuple(domain)
+    if len(domain) < 2:
+        raise SchemaError("finite domain needs at least 2 values")
+    if kind is VariableKind.ORDINAL:
+        if not all(map(_is_int, domain)):
+            raise SchemaError("ordinal domain must be integers")
+        domain = tuple(int(d) for d in domain)
+        if any(a >= b for a, b in zip(domain, domain[1:])):
+            raise SchemaError("ordinal domain must be strictly increasing")
+    elif not all(isinstance(d, str) and d for d in domain):
+        raise SchemaError("categorical domain must be non-empty strings")
+    elif len(set(domain)) != len(domain):
+        raise SchemaError("categorical domain has duplicates")
+    return domain
+
+
+def _is_int(x) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _shown(value) -> str:
     """A cell as violation messages show it: its repr, except an integer too
     large for a float, shown by its size, since its digits can run to
@@ -200,10 +220,12 @@ class Dataset:
 
     Each cell is sorted into one of three outcomes: MISSING (the missing
     mask), inadmissible (a ``Violation`` in ``cell_violations``, one tuple per
-    column), or encoded (a float for real/nonnegative/ordinal, a domain index
-    for ordinal/categorical). Only these are kept: ``value`` and ``row`` decode
-    cells, and reading a bad cell, or an encoded view of a column with bad
-    cells, raises SchemaViolationError. Subsets slice the arrays, unchecked.
+    column), or encoded: ``_values`` holds one float per cell, a continuous
+    cell's value or a finite cell's domain index, NaN where the cell is
+    missing or bad. Only these are kept: ``value`` and ``row`` decode cells,
+    ``column_numeric`` and ``column_codes`` derive a column's levels or codes,
+    and reading a bad cell, or a view of a column with bad cells, raises
+    SchemaViolationError. Subsets slice the arrays, unchecked.
     EM's sufficient statistics (``_stats``, the finite columns' as a one-hot
     that ``_onehot_chunks`` casts a row chunk at a time) and
     ``validate_dataset``'s findings (``_findings``) are built on first use.
@@ -250,8 +272,7 @@ class Dataset:
         shape = (n_rows, len(schemas))
         # column-major, so each column's view is contiguous
         missing = np.ones(shape, dtype=bool, order="F")
-        numeric = np.full(shape, np.nan, order="F")
-        codes = np.full(shape, -1, dtype=np.int64, order="F")
+        values = np.full(shape, np.nan, order="F")
         violations = []
         for j, schema in enumerate(schemas):
             bad = ()
@@ -262,21 +283,17 @@ class Dataset:
                 encoded = _encode_plain(schema, cells)
                 if encoded is None:
                     rows, encoded, bad = _encode_per_cell(schema, rows, cells)
-                if encoded[0] is not None:
-                    numeric[rows, j] = encoded[0]
-                if encoded[1] is not None:
-                    codes[rows, j] = encoded[1]
+                values[rows, j] = encoded
             violations.append(bad)
-        self._store(schemas, missing, numeric, codes, tuple(violations))
+        self._store(schemas, missing, values, tuple(violations))
 
-    def _store(self, schemas, missing, numeric, codes, violations):
-        for array in (missing, numeric, codes):
-            array.setflags(write=False)
+    def _store(self, schemas, missing, values, violations):
+        missing.setflags(write=False)
+        values.setflags(write=False)
         self.schemas = schemas
         self.cell_violations = violations
         self._missing = missing
-        self._numeric = numeric
-        self._codes = codes
+        self._values = values
         self._name_to_column = {s.name: j for j, s in enumerate(schemas)}
 
     @property
@@ -307,15 +324,11 @@ class Dataset:
         A bad cell raises SchemaViolationError with its violation."""
         if self._missing[subject, column]:
             return MISSING
+        if math.isnan(x := self._values[subject, column]):
+            raise SchemaViolationError(v for v in self.cell_violations[column]
+                                       if v.row == subject % self.n_subjects)
         schema = self.schemas[column]
-        if schema.kind.is_finite:
-            code = self._codes[subject, column]
-            if code >= 0:
-                return schema.domain[code]
-        elif not math.isnan(x := self._numeric[subject, column]):
-            return float(x)
-        raise SchemaViolationError(v for v in self.cell_violations[column]
-                                   if v.row == subject % self.n_subjects)
+        return schema.domain[int(x)] if schema.kind.is_finite else float(x)
 
     def row(self, subject: int) -> tuple:
         return tuple(self.value(subject, j) for j in range(self.n_variables))
@@ -333,23 +346,31 @@ class Dataset:
         return self._missing[:, column]
 
     def column_numeric(self, column: int) -> np.ndarray:
-        """Float vector of a numeric column, NaN where missing."""
+        """Float vector of a numeric column (an ordinal's levels), NaN where missing."""
         schema = self.schemas[column]
         if schema.kind is VariableKind.CATEGORICAL:
             raise SchemaError(f"{schema.name}: categorical column has no numeric view")
-        return self._encoded(self._numeric, column)
+        if schema.kind.is_continuous:
+            return self._encoded(column)
+        levels = np.append(np.asarray(schema.domain, dtype=float), np.nan)  # -1 picks NaN
+        levels = levels[self.column_codes(column)]
+        levels.setflags(write=False)
+        return levels
 
     def column_codes(self, column: int) -> np.ndarray:
         """Int vector of domain codes for a finite column, -1 where missing."""
         schema = self.schemas[column]
         if schema.kind.is_continuous:
             raise SchemaError(f"{schema.name}: continuous variables have no codes")
-        return self._encoded(self._codes, column)
+        x = self._encoded(column)
+        codes = np.where(np.isnan(x), -1, x).astype(np.int64)
+        codes.setflags(write=False)
+        return codes
 
-    def _encoded(self, store: np.ndarray, column: int) -> np.ndarray:
+    def _encoded(self, column: int) -> np.ndarray:
         if self.cell_violations[column]:
             raise SchemaViolationError(self.cell_violations[column])
-        return store[:, column]
+        return self._values[:, column]
 
     def column_scale(self, column: int) -> float:
         """Natural scale of a numeric column, used for variance floors.
@@ -359,7 +380,7 @@ class Dataset:
         """
         schema = self.schemas[column]
         ordinal = schema.kind is VariableKind.ORDINAL  # column_numeric refuses bad cells
-        values = self._numeric[:, column] if ordinal else self.column_numeric(column)
+        values = self._values[:, column] if ordinal else self.column_numeric(column)
         return _span_scale(schema.kind, schema.domain, values)
 
     @cached_property
@@ -441,16 +462,17 @@ class Dataset:
         # column-major copies, laid out like the arrays __init__ builds
         dataset._store(tuple(self.schemas[j] for j in columns),
                        *(np.asfortranarray(store[np.ix_(rows, columns)])
-                         for store in (self._missing, self._numeric, self._codes)),
+                         for store in (self._missing, self._values)),
                        tuple(violations))
         return dataset
 
 
 def _span_scale(kind: VariableKind, domain, values: np.ndarray) -> float:
-    """A column's natural scale: an ordinal's domain span, else the span of
-    ``values`` without NaNs, 1.0 if that is 0 or none is left (a categorical)."""
-    if kind is VariableKind.ORDINAL:
-        return float(domain[-1] - domain[0])
+    """A column's natural scale: an ordinal's domain span, 1.0 for a
+    categorical, else the span of ``values`` without NaNs, 1.0 if that is 0
+    or none is left."""
+    if kind.is_finite:
+        return float(domain[-1] - domain[0]) if kind is VariableKind.ORDINAL else 1.0
     values = values[~np.isnan(values)]
     return (float(values.max() - values.min()) if values.size else 0.0) or 1.0
 
@@ -482,8 +504,8 @@ def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple
 
 
 def _encode_plain(schema: VariableSchema, cells: Sequence):
-    """Encode a column's observed cells with numpy: (numeric values, codes),
-    each None for a kind without that view. None, sending the column to the
+    """Encode a column's observed cells with numpy: a finite column's domain
+    indices, a continuous one's values. None, sending the column to the
     per-cell path, unless every cell has its kind's plain type and is admissible."""
     kind = schema.kind
     types = set(map(type, cells))
@@ -492,7 +514,7 @@ def _encode_plain(schema: VariableSchema, cells: Sequence):
             return None
         codes = np.fromiter(map(schema._domain_index.get, cells, repeat(-1)),
                             dtype=np.int64, count=len(cells))
-        return (None, codes) if (codes >= 0).all() else None
+        return codes if (codes >= 0).all() else None
     ordinal = kind is VariableKind.ORDINAL
     if not types <= ({int} if ordinal else {int, float}):
         return None
@@ -504,32 +526,26 @@ def _encode_plain(schema: VariableSchema, cells: Sequence):
         return None
     if ordinal:
         codes = np.searchsorted(levels, values)
-        if not (levels[np.minimum(codes, len(levels) - 1)] == values).all():
-            return None
-        return values.astype(float), codes
+        return codes if (levels[np.minimum(codes, len(levels) - 1)] == values).all() else None
     admissible = np.isfinite(values)
     if kind is VariableKind.NONNEGATIVE:
         admissible &= values >= 0
-    return (values, None) if admissible.all() else None
+    return values if admissible.all() else None
 
 
 def _encode_per_cell(schema: VariableSchema, rows: np.ndarray, cells: Sequence):
-    """The admissible rows, their (numeric values, codes) and the column's
-    violations, from ``validate_value`` on each observed cell."""
-    rows_ok, values_ok, bad = [], [], []
+    """The admissible rows, their encoded values (as ``_encode_plain``'s) and
+    the column's violations, from ``validate_value`` on each observed cell."""
+    rows_ok, encoded, bad = [], [], []
+    ordinal = schema.kind is VariableKind.ORDINAL
     for i, value in zip(rows.tolist(), cells):
         if (message := schema.validate_value(value)) is not None:
             bad.append(Violation(i, schema.name, message))
         else:
             rows_ok.append(i)
-            values_ok.append(value)
-    numeric = codes = None
-    if schema.kind is not VariableKind.CATEGORICAL:
-        numeric = [float(v) for v in values_ok]
-    if schema.kind.is_finite:
-        keys = map(int, values_ok) if schema.kind is VariableKind.ORDINAL else values_ok
-        codes = [schema._domain_index[k] for k in keys]
-    return rows_ok, (numeric, codes), tuple(bad)
+            encoded.append(float(value) if schema.kind.is_continuous
+                           else schema._domain_index[int(value) if ordinal else value])
+    return rows_ok, encoded, tuple(bad)
 
 
 @dataclass(frozen=True)
@@ -556,7 +572,7 @@ def _column_findings(dataset: Dataset, column: int, kept=True) -> tuple:
     if observed.size == 0:
         return "no observed values", None
     kind = dataset.schemas[column].kind
-    values = (dataset._codes if kind.is_finite else dataset._numeric)[observed, column]
+    values = dataset._values[observed, column]
     constant = (f"constant column (always {dataset.value(observed[0], column)!r})"
                 if (values == values[0]).all() else None)
     from .distributions import _fit_range_error  # distributions imports this module

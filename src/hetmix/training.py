@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
 from .model import MixtureModel, _em_log_joint, parameter_count
-from .schema import Dataset, SchemaViolationError, _span_scale, validate_dataset
+from .schema import Dataset, SchemaViolationError, _is_int, _span_scale, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -53,12 +53,23 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
+            if not (_is_int(value := getattr(self, name)) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+
+
+def _checked_orders(orders) -> list:
+    """``orders`` ascending, each once, as ints; ValueError unless there is
+    one and each is an integer (not a bool) >= 1."""
+    if not (orders := list(orders)):
+        raise ValueError("no orders requested")
+    if not all(map(_is_int, orders)):
+        raise ValueError(f"orders must be integers, got {orders}")
+    if min(orders) < 1:
+        raise ValueError("orders must be >= 1")
+    return sorted(set(map(int, orders)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,7 @@ class TrainingTrace:
 def _scales(dataset: Dataset, rows=slice(None)) -> list:
     """Each column's ``schema._span_scale`` over the ``rows`` of ``dataset`` (a fold's: all
     but its held-out row), 1.0 for a categorical one: what a fit's floors and defaults read."""
-    return [_span_scale(schema.kind, schema.domain, dataset._numeric[rows, v])
+    return [_span_scale(schema.kind, schema.domain, dataset._values[rows, v])
             for v, schema in enumerate(dataset.schemas)]
 
 
@@ -223,8 +234,7 @@ def fit(dataset: Dataset, order: int,
     identical inputs give an identical model. Restarts whose components
     collapse are skipped; if all collapse, TrainingError is raised.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order, = _checked_orders([order])
     violations = validate_dataset(dataset)
     if violations:
         raise SchemaViolationError(violations)
@@ -269,11 +279,7 @@ def select_order(dataset: Dataset, orders,
     Orders that fail to train are recorded in the table with their error and
     skipped; at least one order must succeed.
     """
-    orders = sorted(set(int(k) for k in orders))
-    if not orders:
-        raise ValueError("no orders requested")
-    if orders[0] < 1:
-        raise ValueError("orders must be >= 1")
+    orders = _checked_orders(orders)
     scores = []
     best = None
     for order in orders:

@@ -140,10 +140,10 @@ def recovery_model() -> MixtureModel:
 
 
 def assert_same_store(got, want):
-    """Same schemas, missing / float / code arrays (column-major) and violations."""
+    """Same schemas, missing / encoded value arrays (column-major) and violations."""
     assert got.schemas == want.schemas
     assert got.cell_violations == want.cell_violations
-    for store in ("_missing", "_numeric", "_codes"):
+    for store in ("_missing", "_values"):
         array = getattr(got, store)
         np.testing.assert_array_equal(array, getattr(want, store))
         assert array.flags.f_contiguous and not array.flags.writeable

@@ -161,6 +161,9 @@ class TestDemoAndSimulate:
         ("severity", {"family": "gaussian", "mean": 3.0, "variance": 1.0}),
         ("site", {"family": "categorical", "probs": [0.5, 0.5],
                   "domain": ["north", "south"]}),
+        # a level that is not an integer, once truncated to the schema's domain
+        ("severity", {"family": "quantized_gaussian", "mean": 3.0, "variance": 1.0,
+                      "domain": [1.5, 2, 3, 4, 5, 6, 7, 8]}),
     ])
     def test_mismatched_model_file_exit_3(self, work, tmp_path, capsys, variable, block):
         payload = json.loads((work["demo"] / "model.json").read_text())

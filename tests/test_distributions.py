@@ -282,9 +282,13 @@ def test_cells_evaluate_any_number_the_checks_take():
 @pytest.mark.parametrize("make, message", [
     (lambda: QuantizedGaussian(2.0, 1.0, (1, 3, 2)), "strictly increasing"),
     (lambda: QuantizedGaussian(2.0, 1.0, (1, 1, 2)), "strictly increasing"),
-    (lambda: QuantizedGaussian(2.0, 1.0, (2,)), "strictly increasing"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (2,)), "at least 2 values"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (1.5, 2, 3)), "must be integers"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (True, 2, 3)), "must be integers"),
+    (lambda: QuantizedGaussian(2.0, 1.0, ("1", "2")), "must be integers"),
     (lambda: Categorical((0.5, 0.5), ("a", "b", "c")), "lengths differ"),
-    (lambda: Categorical((1.0,), ("a",)), "at least 2 symbols"),
+    (lambda: Categorical((1.0,), ("a",)), "at least 2 values"),
+    (lambda: Categorical((0.5, 0.5), ("a", "a")), "duplicates"),
 ])
 def test_bad_domains_refused(make, message):
     with pytest.raises(ValueError, match=message):
@@ -379,6 +383,11 @@ class TestWeightedMle:
         ("nonnegative", [1.0, -math.inf, 2.0], None),
         ("nonnegative", [1.0, -0.5, 2.0], None),
         ("nonnegative", [1.0, math.nan, 2.0], None),
+        # domains a VariableSchema refuses
+        ("ordinal", [3, 3, 1], (3, 1, 2)),
+        ("ordinal", [2, 2, 3], (1.5, 2, 3)),
+        ("ordinal", [1, 2, 2], (1, 2, "x")),
+        ("categorical", ["a", "b", "a"], ("a", "a", "b")),
     ])
     def test_inadmissible_values(self, kind, values, domain):
         with warnings.catch_warnings():

@@ -426,6 +426,8 @@ class TestLooEvaluate:
         cohort, _ = sample_cohort(small_demo_model(), 6, np.random.default_rng(0))
         with pytest.raises(ValueError, match="^orders must be >= 1$"):
             loo_evaluate(cohort, (0, 1), ("severity",), MODEL_MISSING, EmConfig())
+        with pytest.raises(ValueError, match="^orders must be integers"):
+            loo_evaluate(cohort, (2.5,), ("severity",), MODEL_MISSING, EmConfig())
 
     def test_continuous_target_rejected(self):
         cohort, _ = sample_cohort(small_demo_model(), 6,

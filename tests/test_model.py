@@ -62,6 +62,12 @@ class TestMixtureModel:
             MixtureModel([[1.0], [1.0]], ((Gaussian(0, 1),), (Gaussian(1, 1),)),
                          [[0.1], [0.1]], schemas)
 
+    @pytest.mark.parametrize("weights", [None, 1.0, ()])
+    def test_weights_checked_before_the_cells(self, weights):
+        """A weight that is no vector is named as such, not blamed on the cells."""
+        with pytest.raises(ValueError, match="^weights must be a non-empty vector$"):
+            MixtureModel(weights, ((Gaussian(0, 1),),), [[0.1]], (VariableSchema("x", "real"),))
+
     @pytest.mark.parametrize("weights, missing", [
         ((math.nan, 1.0), [[0.1], [0.1]]),
         ((0.5, math.nan), [[0.1], [0.1]]),
@@ -389,8 +395,7 @@ class TestSampleCohort:
         want = Dataset(model.schemas, zip(*columns))
         assert np.array_equal(labels, want_labels)
         assert np.array_equal(got._missing, want._missing)
-        assert np.array_equal(got._numeric, want._numeric, equal_nan=True)
-        assert np.array_equal(got._codes, want._codes)
+        assert np.array_equal(got._values, want._values, equal_nan=True)
         write_data_csv(got, tmp_path / "got.csv")
         write_data_csv(want, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -151,6 +151,7 @@ class TestDataset:
         ds = _toy_dataset()
         col = ds.column_numeric(0)
         assert col[0] == 1.5 and math.isnan(col[1])
+        np.testing.assert_array_equal(ds.column_numeric(1), [2.0, 1.0, math.nan])
         assert ds.column_codes(1).tolist() == [1, 0, -1]
         assert ds.column_codes(2).tolist() == [0, 1, -1]
         with pytest.raises(SchemaError):
@@ -160,8 +161,11 @@ class TestDataset:
         schemas = (VariableSchema("x", "ordinal", (2, 4, 6)), VariableSchema("y", "real"))
         ds = Dataset(schemas, [(4, 1.0), (6, 2.0), (2, 3.0)])
         assert ds.column_codes(0).tolist() == [1, 2, 0]
+        assert ds.column_numeric(0).tolist() == [4.0, 6.0, 2.0]
         bad = Dataset(schemas, [(4, 1.0), (3, 2.0)])
         assert [(v.row, v.column) for v in bad.cell_violations[0]] == [(1, "x")]
+        # a bad cell is not missing, and it holds no value
+        assert not bad.missing_mask(0)[1] and math.isnan(bad._values[1, 0])
         with pytest.raises(SchemaViolationError):
             bad.column_codes(0)
         with pytest.raises(SchemaError):

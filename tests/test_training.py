@@ -44,6 +44,15 @@ class TestEmConfig:
         with pytest.raises(ValueError):
             EmConfig(restarts=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5), ("max_iterations", "3"), ("restarts", 2.5),
+        ("restarts", True), ("seed", -1), ("seed", 1.0), ("seed", None)])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        """Refused when built, not truncated or failing later inside fit."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            EmConfig(**{field: value})
+        assert EmConfig(**{field: np.int64(3)}).__dict__[field] == 3
+
 
 class TestMStep:
     def test_order_one_reproduces_column_mles(self):
@@ -156,6 +165,9 @@ class TestFit:
         _, ds, _ = _cohort(n=30)
         with pytest.raises(ValueError):
             fit(ds, 0, EmConfig())
+        for order in (2.5, True, "2", None):
+            with pytest.raises(ValueError, match="^orders must be integers"):
+                fit(ds, order, EmConfig())
 
 
 class TestStopRule:
@@ -293,6 +305,9 @@ class TestSelectOrder:
             select_order(ds, [], EmConfig())
         with pytest.raises(ValueError):
             select_order(ds, [0, 1], EmConfig())
+        # a non-integer order is refused, not fitted as int(order)
+        with pytest.raises(ValueError, match=r"^orders must be integers, got \[2.5\]$"):
+            select_order(ds, [2.5], EmConfig())
 
 
 def test_e_step_rows_sum_to_one():
