@@ -5,17 +5,16 @@ The four per-variable distribution families
 Each variable kind is tied to one family: real -> Gaussian, nonnegative ->
 zero-inflated Gamma, ordinal -> Gaussian masses quantized onto the integer
 domain, categorical -> a probability table. All four expose log_density and
-sample, and all four have a closed-form weighted maximum-likelihood step.
-weighted_mle is its checked entry for one component; the EM M-step runs the
-same step, unchecked, on all components of a variable at once.
+sample, and all four have a closed-form weighted maximum-likelihood step,
+which the EM M-step runs on all components of a variable at once.
 """
 
 import math
 
 import numpy as np
 
-from hetmix import (Categorical, Gaussian, InflatedGamma, QuantizedGaussian,
-                    VariableKind, weighted_mle)
+from hetmix import (Categorical, Dataset, Gaussian, InflatedGamma, QuantizedGaussian,
+                    VariableSchema, fit)
 
 rng = np.random.default_rng(42)
 
@@ -40,16 +39,13 @@ cat = Categorical(probs=(0.7, 0.2, 0.1), domain=("north", "south", "west"))
 print("Categorical mass of 'south':", math.exp(cat.log_density("south")))
 
 # ------------------------------------------------------------------
-# weighted_mle recovers parameters from (value, weight) pairs. With all
-# weights 1 this is the ordinary MLE; EM passes fractional responsibilities.
+# A one-component fit of a one-column cohort recovers the parameters: its
+# M-step weighs every row 1, so it is the ordinary MLE; EM weighs rows by
+# fractional responsibilities.
 n = 20_000
-sample = ig.sample(rng, size=n)
-fitted = weighted_mle(VariableKind.NONNEGATIVE, sample, np.ones(n))
-print("\ntrue ", ig)
-print("fitted", fitted)
-
-sample = qg.sample(rng, size=n)
-fitted = weighted_mle(VariableKind.ORDINAL, sample, np.ones(n),
-                      domain=(1, 2, 3, 4, 5))
-print("true ", qg)
-print("fitted", fitted)
+for schema, true in ((VariableSchema("conc", "nonnegative"), ig),
+                     (VariableSchema("grade", "ordinal", (1, 2, 3, 4, 5)), qg)):
+    cohort = Dataset((schema,), [(x,) for x in true.sample(rng, size=n).tolist()])
+    model, _ = fit(cohort, 1)
+    print("\ntrue  ", true)
+    print("fitted", model.params[0][0])

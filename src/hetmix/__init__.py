@@ -17,8 +17,7 @@ from .schema import (INPUT, MISSING, OUTCOME, Dataset, MissingnessProfile,
                      missingness_profile, validate_dataset,
                      zero_variability_columns)
 from .distributions import (Categorical, EstimationError, Gaussian,
-                            InflatedGamma, QuantizedGaussian, family_for,
-                            weighted_mle)
+                            InflatedGamma, QuantizedGaussian, family_for)
 from .model import (IGNORE_MISSING, MISSINGNESS_MODES, MODEL_MISSING,
                     MixtureModel, ZeroLikelihoodError,
                     component_log_likelihoods, evidence_log_likelihoods,

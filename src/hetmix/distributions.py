@@ -23,9 +23,8 @@ maximum-likelihood update reads only weighted sums of sufficient statistics
 (``schema._stat_rows``; a finite column's are its missed weight and level
 counts, the weighted sums of its one-hot slots in ``Dataset._stats``);
 ``_weighted_block`` maps them to the missing probability and a block in closed
-form, unchecked, and ``weighted_mle`` is its checked one-component entry;
-``_natural_params`` maps a block back to its log factors' coefficients on
-them. ``log_sum_exp`` is the package's one log-sum-exp.
+form, unchecked; ``_natural_params`` maps a block back to its log factors'
+coefficients on them. ``log_sum_exp`` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import SchemaError, VariableKind, _checked_domain, _is_int, _span_scale, _stat_rows
+from .schema import VariableKind, _checked_domain, _is_int
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 class EstimationError(ValueError):
-    """A weighted maximum-likelihood update has no usable samples."""
+    """The M-step was given responsibilities that are not finite and nonnegative."""
 
 
 def log_sum_exp(a, axis=-1) -> np.ndarray:
@@ -354,71 +353,12 @@ def _cells_of(family, block, domain) -> list:
     return [family(*values, *extra) for values in zip(*(a.tolist() for a in block))]
 
 
-def weighted_mle(kind: VariableKind, values, weights, *, domain=None,
-                 scale=None) -> Params:
-    """Responsibility-weighted maximum-likelihood update of one component:
-    the checked entry to ``_weighted_block``.
-
-    ``values`` must be finite numbers for a continuous kind (>= 0 if
-    nonnegative), levels of ``domain`` for an ordinal, and symbols of
-    ``domain`` or their integer codes for a categorical, whose ``domain``
-    must be one a ``VariableSchema`` of the kind takes. ``weights`` (one per
-    value) must be finite and nonnegative with a positive total. Anything
-    else raises EstimationError. ``scale`` feeds the variance floor and
-    defaults to the value span (ordinals: the domain span), 1.0 when that is 0.
-    """
-    kind = VariableKind(kind)
-    if kind.is_finite and domain is None:
-        raise EstimationError(f"{kind.value} update needs the domain")
-    try:
-        domain = _checked_domain(kind, domain) if kind.is_finite else ()
-    except SchemaError as err:
-        raise EstimationError(str(err)) from None
-    categorical = kind is VariableKind.CATEGORICAL
-    try:
-        values = np.asarray(values)
-        if categorical and values.dtype.kind not in "iu":
-            index = {v: i for i, v in enumerate(domain)}
-            codes = [index.get(v, -1) for v in values.ravel().tolist()]
-            values = np.reshape(np.array(codes, dtype=np.int64), values.shape)
-    except (TypeError, ValueError) as err:  # ragged or unhashable values
-        raise EstimationError(f"{kind.value} values must be scalars: {err}") from None
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or values.shape != weights.shape:
-        raise EstimationError("values and weights must be two vectors of one length")
-    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
-        raise EstimationError("weights must be finite and nonnegative with a positive total")
-    if not categorical and values.dtype.kind not in "iuf":
-        raise EstimationError(f"{kind.value} values must be numbers, got {values.dtype}")
-    values = values.astype(np.int64 if categorical else float)
-    admissible = ((values >= 0) & (values < len(domain)) if categorical
-                  else np.isin(values, domain) if kind is VariableKind.ORDINAL
-                  else np.isfinite(values) & ((values >= 0) | (kind is VariableKind.REAL)))
-    if not admissible.all():
-        raise EstimationError(f"inadmissible {kind.value} values at positions "
-                              f"{np.flatnonzero(~admissible)[:5].tolist()}")
-    if scale is None:
-        scale = _span_scale(kind, domain, values)
-    unit = (0.0, 1.0)
-    if kind.is_finite:
-        if kind is VariableKind.ORDINAL:
-            values = np.searchsorted(np.array(domain, dtype=float), values)
-        stats = np.bincount(values + 1, weights, minlength=len(domain) + 1)
-    else:
-        rows = np.zeros((values.size, 4 + (kind is VariableKind.NONNEGATIVE)))
-        unit = _stat_rows(kind, values, rows)
-        stats = weights @ rows
-    _, _, block = _weighted_block(kind, stats[None], domain, scale, unit)
-    return _cells_of(family_for(kind), block, domain)[0]
-
-
 def _variance_floor(scale):
     """The smallest variance of a real or ordinal column of natural scale ``scale``."""
     return REL_VARIANCE_FLOOR * np.square(scale)
 
 
-def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale,
-                    unit=(0.0, 1.0)) -> tuple:
+def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, unit) -> tuple:
     """(missing_prob, observed, block) of the components whose weighted sums of
     a variable's sufficient statistics, the missed weight first, are the rows of
     (..., width) ``sums`` (the missed weight and level counts, or
@@ -426,12 +366,12 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale,
     probability EM estimates, q = missed / (missed + observed), ``zero_prob``
     and ``probs``, is a closed form here.
 
-    Unchecked: the callers (``weighted_mle``, the M-step) replace the rows
-    without observed weight. Real and ordinal variances are floored at
+    Unchecked: the caller, the M-step, replaces the rows without observed
+    weight. Real and ordinal variances are floored at
     ``_variance_floor(column_scale)`` (broadcast against (...,)), computed only
-    for them; the other floors are the module's constants. A row's
-    result is a closed form of it alone: ordinal moments from the level counts,
-    real ones in one pass; the Gamma keeps zeros out of its sums (their mass is
+    for them; the other floors are the module's constants. A row's result is a
+    closed form of it alone: ordinal moments from the level counts, real ones
+    in one pass; the Gamma keeps zeros out of its sums (their mass is
     ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) /
     (12 g) with g = log(weighted mean) - weighted mean of logs.
     """

@@ -252,6 +252,19 @@ def _write_rows(path, header, rows):
 
 
 def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):
+    """Write ``dataset`` as a CSV that ``read_data_csv`` reads back as written.
+    FormatError, and no file, for a missing token that ``_check_missing_token``
+    refuses (a symbol or a level) or that is the text of an observed continuous cell."""
+    _check_missing_token(dataset.schemas, missing_token)
+    try:  # only a continuous cell of this value can have the token's text
+        value = float(missing_token)
+    except ValueError:
+        value = np.nan  # equal to no cell
+    for j, schema in enumerate(dataset.schemas):
+        column = dataset.column_numeric(j) if schema.kind.is_continuous else np.empty(0)
+        if missing_token in map(format_value, column[column == value].tolist()):
+            raise FormatError(f"{schema.name}: missing token {missing_token!r} is also the "
+                              "text of an observed cell, which would read back as MISSING")
     _write_rows(path, dataset.names,
                 ([format_value(c, missing_token) for c in dataset.row(i)]
                  for i in range(dataset.n_subjects)))

@@ -168,8 +168,8 @@ class VariableSchema:
 def _checked_domain(kind: VariableKind, domain) -> tuple:
     """A finite ``kind``'s ``domain`` as a tuple; SchemaError unless it has at
     least 2 values: integers, not bools, strictly increasing for an ordinal (made
-    ints), distinct non-empty strings for a categorical. Schemas, cells and
-    ``weighted_mle`` all check domains here."""
+    ints), distinct non-empty strings for a categorical. Schemas and cells
+    both check domains here."""
     domain = tuple(domain)
     if len(domain) < 2:
         raise SchemaError("finite domain needs at least 2 values")

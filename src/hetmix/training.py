@@ -21,6 +21,7 @@ cap, on a revert or on a collapse; batched, bit for bit as run alone.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,8 +57,9 @@ class EmConfig:
         for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
             if not (_is_int(value := getattr(self, name)) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (self.rel_tol > 0):
-            raise ValueError("rel_tol must be positive")
+        rel_tol = self.rel_tol
+        if isinstance(rel_tol, bool) or not (isinstance(rel_tol, numbers.Real) and rel_tol > 0):
+            raise ValueError(f"rel_tol must be a number > 0, got {rel_tol!r}")
 
 
 def _checked_orders(orders) -> list:

@@ -1,11 +1,11 @@
 """Edge cases of the E- and M-steps, which handle all components of a variable at once.
 
 The E-step is checked cell by cell against the plain-arithmetic oracle, the
-M-step component by component against ``weighted_mle`` / ``oracles.default_cell``.
-The cohorts carry
-all-missing rows, components with no observed weight on a variable, zero-only
-nonnegative cells, zero-weight categorical symbols and values far in the
-tails, where joint likelihoods underflow.
+M-step component by component against ``oracles._moments`` /
+``oracles.default_cell``. The cohorts carry all-missing rows, components with
+no observed weight on a variable, zero-only nonnegative cells, zero-weight
+categorical symbols and values far in the tails, where joint likelihoods
+underflow.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from conftest import m_step_alone
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableKind, VariableSchema, component_log_likelihoods,
-                    fit, sample_cohort, weighted_mle)
+                    fit, sample_cohort)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.distributions import _LOG_PDF, REL_VARIANCE_FLOOR, SHAPE_MAX
 from hetmix.inference import target_tables
@@ -153,31 +153,33 @@ def test_e_step_underflow_scale(seed, n_comp, n_real, mode):
 
 
 def _oracle_grid(dataset, alpha):
-    """The Z x V cells an M-step on ``alpha`` should give, one ``weighted_mle``
+    """The Z x V cells an M-step on ``alpha`` should give, one ``oracles._moments``
     or ``oracles.default_cell`` call per (component, variable)."""
     columns = []
     for j, schema in enumerate(dataset.schemas):
         obs = ~dataset.missing_mask(j)
-        if schema.kind.value == "categorical":
-            values, scale = dataset.column_codes(j)[obs], None
+        if schema.kind is VariableKind.CATEGORICAL:
+            values, scale = dataset.column_codes(j)[obs], 1.0
         else:
             values, scale = dataset.column_numeric(j)[obs], dataset.column_scale(j)
-        domain = schema.domain or None
         column = []
         for z in range(alpha.shape[1]):
             w = alpha[obs, z]
-            column.append(oracles.default_cell(schema.kind, schema.domain,
-                                               1.0 if scale is None else scale)
+            column.append(oracles.default_cell(schema.kind, schema.domain, scale)
                           if w.sum() <= ZERO_WEIGHT_EPS else
-                          weighted_mle(schema.kind, values, w, domain=domain, scale=scale))
+                          oracles._moments(schema.kind, values, w, schema.domain, scale))
         columns.append(column)
     return tuple(zip(*columns))
 
 
-# The M-step sums over every row in BLAS order, weighted_mle over the observed
-# cells. Gamma shape and scale come from g = log(mean) - mean(log), which cancels
-# more as the shape grows: over 3,000 cohorts of ``_cohort`` they differed by up
-# to 1.7e-12 relative (at shape 3,770), every other field by 7e-15.
+# The M-step sums standardized statistics over every row in BLAS order;
+# ``oracles._moments`` takes two-pass moments on the raw observed values. Gamma
+# shape and scale come from g = log(mean) - mean(log), which cancels more as the
+# shape grows: over 9,000 cases of the test below (``_cohort`` seeds 0-2999, 2-4
+# components) they differed by up to 7.0e-12 relative (at shape 7,910). A real
+# variance differed by up to 3.8e-12 relative where it was small (4.1e-5, so
+# 1.6e-16 absolute, inside the 1e-14 bound); every other variance, zero_prob and
+# probs by up to 7.0e-16, and means by up to 2.2e-15 absolute.
 _REL_TOL = dict(shape=1e-10, scale=1e-10)
 
 
@@ -244,7 +246,7 @@ def test_m_step_model_builds_its_grid_lazily(seed, n_comp):
     # a continuous target's table is its column alone; the grid stays unbuilt
     column = target_tables(model, ["x"])["x"][1]
     assert model._params is None
-    # the M-step and weighted_mle agree to rounding (see _same_params)
+    # the M-step and oracles._moments agree to rounding (see _same_params)
     for got, cell in zip(column, (row[X] for row in want), strict=True):
         _same_params(got, cell)
     for got_row, want_row in zip(model.params, want, strict=True):

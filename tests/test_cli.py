@@ -144,6 +144,19 @@ class TestDemoAndSimulate:
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
 
+    @pytest.mark.parametrize("token, message", [
+        ("alpha", "site: missing token 'alpha' is also a domain value"),
+        ("0.0", "dose: missing token '0.0' is also the text of an observed cell, "
+                "which would read back as MISSING")], ids=["site-symbol", "zero-dose"])
+    def test_simulate_refuses_a_token_that_would_not_read_back(self, work, tmp_path, capsys,
+                                                               token, message):
+        out = tmp_path / "out"
+        code = main(["simulate", "--out-dir", str(out), "--model", str(work["demo"] / "model.json"),
+                     "--n", "200", "--seed", "1", "--missing-token", token])
+        assert code == 3
+        assert _last_error(capsys) == {"category": "validation", "message": message}
+        assert not (out / "cohort.csv").exists()
+
     def test_all_missing_model_gives_empty_fields(self, work, tmp_path):
         base = load_model(work["demo"] / "model.json")
         opaque = MixtureModel(base.weights, base.params,

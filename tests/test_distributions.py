@@ -13,10 +13,10 @@ from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
 import oracles
-from hetmix import (IGNORE_MISSING, Categorical, Dataset, EstimationError, Gaussian,
-                    InflatedGamma, MixtureModel, QuantizedGaussian, VariableKind,
-                    VariableSchema, component_log_likelihoods, family_for,
-                    parameter_count, weighted_mle)
+from conftest import m_step_alone
+from hetmix import (IGNORE_MISSING, Categorical, Dataset, Gaussian, InflatedGamma,
+                    MixtureModel, QuantizedGaussian, VariableKind, VariableSchema,
+                    component_log_likelihoods, family_for, parameter_count)
 from hetmix.distributions import (REL_VARIANCE_FLOOR, SHAPE_LIMIT, SHAPE_MAX, SHAPE_MIN,
                                   log_sum_exp)
 
@@ -304,44 +304,48 @@ def test_sampling_is_deterministic():
         assert list(a) == list(b)
 
 
+def _update(kind, values, weights, domain=()):
+    """The M-step's cell for one component with ``weights`` on a one-column
+    cohort of ``values`` (``conftest.m_step_alone``)."""
+    dataset = Dataset((VariableSchema("v", kind, domain),), [(v,) for v in values])
+    model, _ = m_step_alone(dataset, np.asarray(weights, dtype=float)[:, None])
+    return model.params[0][0]
+
+
 class TestWeightedMle:
+    """The M-step's closed-form weighted maximum-likelihood updates, one family at a time."""
+
     def test_gaussian_closed_form(self, rng):
         x = rng.normal(2.0, 3.0, size=400)
         w = rng.uniform(0.1, 1.0, size=400)
-        got = weighted_mle(VariableKind.REAL, x, w)
+        got = _update(VariableKind.REAL, x, w)
         mean = np.average(x, weights=w)
         var = np.average((x - mean) ** 2, weights=w)
         assert math.isclose(got.mean, mean, rel_tol=1e-12)
         assert math.isclose(got.variance, var, rel_tol=1e-12)
 
     def test_variance_floor(self):
-        got = weighted_mle(VariableKind.REAL, [5.0, 5.0, 5.0], [1, 1, 1], scale=10.0)
+        # the zero-weight row 10 away sets the column's scale, not the component's mean
+        got = _update(VariableKind.REAL, [5.0, 5.0, 5.0, 15.0], [1.0, 1.0, 1.0, 0.0])
+        assert got.mean == 5.0
         assert got.variance == REL_VARIANCE_FLOOR * 100.0
 
     def test_quantized_frozen(self):
-        got = weighted_mle(VariableKind.ORDINAL, [1, 2, 3], [1.0, 1.0, 1.0],
-                           domain=(1, 2, 3))
+        got = _update(VariableKind.ORDINAL, [1, 2, 3], [1.0, 1.0, 1.0], domain=(1, 2, 3))
         assert got.mean == 2.0
         assert math.isclose(got.variance, 2.0 / 3.0, rel_tol=1e-12)
         assert got.domain == (1, 2, 3)
 
     def test_categorical_counts_and_pseudo_mass(self):
-        got = weighted_mle(VariableKind.CATEGORICAL, ["a", "b", "b"],
-                           [1.0, 1.0, 2.0], domain=("a", "b", "c"))
+        got = _update(VariableKind.CATEGORICAL, ["a", "b", "b"], [1.0, 1.0, 2.0],
+                      domain=("a", "b", "c"))
         assert math.isclose(sum(got.probs), 1.0, abs_tol=1e-15)
         assert got.probs[2] > 0  # unseen symbol keeps pseudo mass
         assert got.probs[1] > got.probs[0] > got.probs[2]
-        # integer inputs are treated as precomputed domain codes
-        again = weighted_mle(VariableKind.CATEGORICAL, np.array([0, 1, 1]),
-                             [1.0, 1.0, 2.0], domain=("a", "b", "c"))
-        assert again == got
-        # any sequence is a domain, a numpy array included
-        assert weighted_mle(VariableKind.CATEGORICAL, ["a", "b", "b"], [1.0, 1.0, 2.0],
-                            domain=np.array(["a", "b", "c"])) == got
+        assert np.allclose(got.probs, (0.25, 0.75, 0.0), rtol=0, atol=1e-8)
 
     def test_gamma_zero_handling(self):
-        got = weighted_mle(VariableKind.NONNEGATIVE,
-                           [0.0, 0.0, 2.0, 4.0], [1.0, 3.0, 1.0, 1.0])
+        got = _update(VariableKind.NONNEGATIVE, [0.0, 0.0, 2.0, 4.0], [1.0, 3.0, 1.0, 1.0])
         assert math.isclose(got.zero_prob, 4.0 / 6.0, rel_tol=1e-12)
         # positive part: mean 3, moments over the nonzero samples only
         assert math.isclose(got.shape * got.scale, 3.0, rel_tol=1e-12)
@@ -349,64 +353,19 @@ class TestWeightedMle:
     def test_gamma_recovery_within_five_percent(self):
         rng = np.random.default_rng(42)
         x = rng.gamma(2.0, 3.0, size=20000)
-        got = weighted_mle(VariableKind.NONNEGATIVE, x, np.ones_like(x))
+        got = _update(VariableKind.NONNEGATIVE, x, np.ones_like(x))
         assert abs(got.shape - 2.0) / 2.0 < 0.05
         assert abs(got.scale - 3.0) / 3.0 < 0.05
         assert got.zero_prob == 0.0
 
     def test_all_zero_gamma(self):
-        got = weighted_mle(VariableKind.NONNEGATIVE, [0.0, 0.0], [1.0, 1.0])
+        got = _update(VariableKind.NONNEGATIVE, [0.0, 0.0], [1.0, 1.0])
         assert got.zero_prob == 1.0
         assert got.log_density(1.0) == -math.inf  # no mass on the positive line
 
-    def test_zero_total_weight(self):
-        with pytest.raises(EstimationError):
-            weighted_mle(VariableKind.REAL, [1.0, 2.0], [0.0, 0.0])
-        with pytest.raises(EstimationError):
-            weighted_mle(VariableKind.REAL, [], [])
-
-    @pytest.mark.parametrize("kind, values, domain", [
-        ("categorical", ["a", "b"], ("a", "b")),  # lengths differ from the weights
-        ("categorical", ["a", "b", "z"], ("a", "b")),
-        ("categorical", [0, 1, 2], ("a", "b")),
-        ("categorical", [0, -1, 1], ("a", "b")),
-        ("categorical", [{}, "a", "b"], ("a", "b")),  # unhashable
-        ("categorical", "aba", ("a", "b")),  # one symbol, not three
-        ("ordinal", [1, 2, 9], (1, 2, 3)),
-        ("ordinal", [1.5, 2, 3], (1, 2, 3)),
-        ("ordinal", [1, 2, math.nan], (1, 2, 3)),
-        ("ordinal", ["1", "2", "3"], (1, 2, 3)),
-        ("real", [1.0, math.nan, 2.0], None),
-        ("real", [1.0, math.inf, 2.0], None),
-        ("real", ["1", "2", "3"], None),
-        ("real", [1.0, [2.0, 3.0], 4.0], None),  # ragged
-        ("nonnegative", [1.0, -math.inf, 2.0], None),
-        ("nonnegative", [1.0, -0.5, 2.0], None),
-        ("nonnegative", [1.0, math.nan, 2.0], None),
-        # domains a VariableSchema refuses
-        ("ordinal", [3, 3, 1], (3, 1, 2)),
-        ("ordinal", [2, 2, 3], (1.5, 2, 3)),
-        ("ordinal", [1, 2, 2], (1, 2, "x")),
-        ("categorical", ["a", "b", "a"], ("a", "a", "b")),
-    ])
-    def test_inadmissible_values(self, kind, values, domain):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(EstimationError):
-                weighted_mle(kind, values, [1.0, 1.0, 1.0], domain=domain)
-
-    def test_integer_valued_levels_and_codes(self):
-        want = weighted_mle(VariableKind.ORDINAL, [1, 2, 2], [1.0, 1.0, 1.0], domain=(1, 2, 3))
-        assert weighted_mle(VariableKind.ORDINAL, np.array([1.0, 2.0, 2.0]), [1.0, 1.0, 1.0],
-                            domain=(1, 2, 3)) == want
-        want = weighted_mle(VariableKind.CATEGORICAL, ["b", "a"], [1.0, 2.0], domain=("a", "b"))
-        assert weighted_mle(VariableKind.CATEGORICAL, np.array([1, 0], dtype=np.uint8),
-                            [1.0, 2.0], domain=("a", "b")) == want
-
     def test_shape_bounds_clamped(self):
         # near-constant positive values push the shape estimate sky high
-        got = weighted_mle(VariableKind.NONNEGATIVE,
-                           [1.0, 1.0 + 1e-13, 1.0 - 1e-13], [1.0, 1.0, 1.0])
+        got = _update(VariableKind.NONNEGATIVE, [1.0, 1.0 + 1e-13, 1.0 - 1e-13], [1.0, 1.0, 1.0])
         assert got.shape <= SHAPE_MAX
 
 

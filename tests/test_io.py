@@ -190,6 +190,15 @@ class TestDataCsv:
             with pytest.raises(FormatError):
                 read_data_csv(path, SCHEMAS, missing_token=token)
 
+    @pytest.mark.parametrize("token", ["north", "2", "0.0", "-0.75"])
+    def test_write_refuses_a_token_that_would_not_read_back(self, tmp_path, token):
+        """A symbol, a level, or the text of an observed value (the 0.0 dose,
+        the -0.75 age) would read back as MISSING: refused, and no file written."""
+        path = tmp_path / "data.csv"
+        with pytest.raises(FormatError, match=f"missing token '{token}'"):
+            write_data_csv(self._dataset(), path, missing_token=token)
+        assert not path.exists()
+
     def test_unparseable_kept_for_validator(self, tmp_path):
         from hetmix import validate_dataset
         path = tmp_path / "data.csv"

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import m_step_alone, random_model, recovery_model
 from hetmix import (MODEL_MISSING, ComponentCollapseError, Dataset, EmConfig,
-                    MixtureModel, SchemaViolationError, TrainingError,
+                    EstimationError, MixtureModel, SchemaViolationError, TrainingError,
                     VariableSchema, bic_score, component_log_likelihoods, fit,
-                    parameter_count, row_log_likelihoods, sample_cohort, select_order,
-                    weighted_mle)
+                    parameter_count, row_log_likelihoods, sample_cohort, select_order)
 from hetmix.distributions import log_sum_exp
 from hetmix.io import model_to_dict
 from hetmix.schema import MISSING
-from hetmix.training import MONOTONE_SLACK
+from hetmix.training import MONOTONE_SLACK, _em_batch, _scales
 
 # EM's final NLL comes from its E-step, a matrix product with the sufficient
 # statistics; rescoring sums each row's factors. They agree to rounding: over 40
@@ -53,6 +53,12 @@ class TestEmConfig:
             EmConfig(**{field: value})
         assert EmConfig(**{field: np.int64(3)}).__dict__[field] == 3
 
+    @pytest.mark.parametrize("value", [True, "1e-6", math.nan, -1e-6])
+    def test_rel_tol_must_be_a_positive_number(self, value):
+        with pytest.raises(ValueError, match=f"^rel_tol must be a number > 0, got {value!r}$"):
+            EmConfig(rel_tol=value)
+        assert EmConfig(rel_tol=np.float64(1e-3)).rel_tol == 1e-3
+
 
 class TestMStep:
     def test_order_one_reproduces_column_mles(self):
@@ -66,15 +72,13 @@ class TestMStep:
             assert math.isclose(model.missing_probs[0, j],
                                 1.0 - obs.mean(), rel_tol=1e-12)
             if schema.kind.value == "categorical":
-                values = ds.column_codes(j)[obs]
+                values, scale = ds.column_codes(j)[obs], 1.0
             else:
-                values = ds.column_numeric(j)[obs]
-            want = weighted_mle(schema.kind, values, np.ones(obs.sum()),
-                                domain=schema.domain or None,
-                                scale=None if schema.kind.value == "categorical"
-                                else ds.column_scale(j))
-            # the M-step sums over all rows, weighted_mle over the observed
-            # ones: equal to rounding (measured: 5.8e-15 relative)
+                values, scale = ds.column_numeric(j)[obs], ds.column_scale(j)
+            want = oracles._moments(schema.kind, values, np.ones(obs.sum()), schema.domain, scale)
+            # the M-step sums statistics over all rows, the oracle takes
+            # two-pass moments on the observed ones: equal to rounding
+            # (measured: 3.2e-15 relative)
             got = model.params[0][j]
             assert type(got) is type(want) and getattr(got, "domain", 0) == getattr(want, "domain", 0)
             for name in ("mean", "variance", "zero_prob", "shape", "scale", "probs"):
@@ -89,6 +93,19 @@ class TestMStep:
         assert model is None and list(failed) == [0]
         assert isinstance(failed[0], ComponentCollapseError)
         assert str(failed[0]) == "component 1 collapsed (total responsibility 0.000e+00)"
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.25])
+    def test_weights_must_be_finite_and_nonnegative(self, bad):
+        """NaN or negative responsibilities raise EstimationError, whether given
+        to one M-step or as the starts of a batch of EM runs."""
+        _, ds, _ = _cohort(n=50)
+        alpha = np.full((50, 2), 0.5)
+        alpha[7, 1] = bad
+        with pytest.raises(EstimationError, match="^weights must be finite and nonnegative$"):
+            m_step_alone(ds, alpha)
+        inits = np.stack([np.full((2, 50), 0.5), np.ascontiguousarray(alpha.T)])
+        with pytest.raises(EstimationError, match="^weights must be finite and nonnegative$"):
+            _em_batch(ds, np.array([_scales(ds)] * 2), None, inits, EmConfig())
 
     def test_responsibilities_with_missing_cells(self):
         schemas = (VariableSchema("x", "real"),)
