@@ -23,11 +23,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import log_sum_exp
-from .inference import (FinitePrediction, InferenceRequest, predict_batch,
-                        target_tables)
+from .inference import FinitePrediction, InferenceRequest, predict_batch
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
-from .schema import (MISSING, Dataset, SchemaError, SchemaViolationError, VariableKind,
-                     VariableSchema, Violation, _column_findings, validate_dataset)
+from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, VariableSchema,
+                     Violation, _kept_ranges, _no_information, validate_dataset)
 from .training import EmConfig, TrainingError, _checked_orders, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
@@ -35,8 +34,9 @@ CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
 # folds trained at once, each fit with (Z, N) arrays over the whole cohort: on loo-n120 (one
-# CPU, seed-0 cohorts 0-2, 8 runs each) 24 / 48 / 120 folds a batch took medians of 0.58-0.60 /
-# 0.50-0.55 / 0.44-0.49 s of CPU at a peak of 40.7 / 41.9 / 46.7 MB, and that memory grows with N
+# core of a 2-vCPU x86-64 VM, perfbench seed 0, 10 alternating runs each) 48 / 120 folds a batch
+# took medians of 0.374 / 0.311 s of reference CPU at a peak of 42.6 / 47.7 MB (+12%), and that
+# memory grows with N
 _FOLDS_PER_BATCH = 48
 
 
@@ -262,22 +262,36 @@ def _fold_seed(seed: int, subject: int) -> int:
     return int(np.random.SeedSequence([seed, subject]).generate_state(1)[0])
 
 
-def _errors(dataset: Dataset, truths: Mapping, probabilities: Mapping) -> dict:
-    """{target: (error, normalized error)} of predicted ``probabilities`` against ``truths``."""
-    out = {}
-    for name, truth in truths.items():
+def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> list:
+    """Per subject, {target: (error, normalized error)} over its observed truths, from each
+    target's (F, K) predicted ``probabilities`` for the F ``subjects``: the bits that
+    ``prediction_error`` and ``normalized_error`` give (an ordinal's error is one (1, K) @
+    (K, 1) product per subject, which runs the routine ``np.dot`` runs)."""
+    out = [{} for _ in subjects]
+    for name, probs in probabilities.items():
         schema = dataset.schema(name)
-        err = prediction_error(schema, FinitePrediction(schema.domain, probabilities[name]), truth)
-        out[name] = (err, normalized_error(schema, err))
+        truths = dataset._values[subjects, dataset.column_index(name)]
+        known = np.flatnonzero(~np.isnan(truths))
+        codes = truths[known].astype(np.int64)
+        if schema.kind is VariableKind.ORDINAL:
+            levels = np.asarray(schema.domain, dtype=float)
+            distances = np.abs(levels - levels[codes, None])[..., None]
+            error = np.matmul(probs[known][:, None], distances)[:, 0, 0]
+        else:
+            error = 1.0 - probs[known, codes]
+        for i, e, m in zip(known.tolist(), error.tolist(), normalized_error(schema, error).tolist()):
+            out[i][name] = (e, m)
     return out
 
 
 def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                     config: EmConfig) -> list:
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold is its
-    held-out row, checked and trained on the cohort with that row masked. Per order, the restarts
-    of all folds run as one batched EM, and one likelihood pass over the non-target inputs for
-    all fold models gives each held-out posterior and confidence, and every training row's score.
+    held-out row, checked and trained on the cohort with that row masked, all folds' checks from
+    one ``_kept_ranges``. Per order, the restarts of all folds run as one batched EM, and one
+    likelihood pass over the non-target inputs for all fold models gives each held-out posterior
+    and confidence, and every training row's score; one ``predict_batch`` on the stacked tables
+    then gives every fold's predictions, and array operations its errors and percentile.
 
     Per fold: (subject, {order: {target: (error, normalized)}}, {order:
     (log_c, pct)}, skipped targets), order 0 from the uniform reference; or
@@ -289,20 +303,22 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
         return [fold for first in range(0, len(subjects), _FOLDS_PER_BATCH) for fold in
                 _evaluate_folds(dataset, subjects[first:first + _FOLDS_PER_BATCH], orders,
                                 targets, mode, config)]
+    subjects = list(subjects)
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
-    failed, folds = {}, {}
-    for s in subjects:
-        kept = np.arange(n) != s
+    kept = np.arange(n) != np.array(subjects)[:, None]
+    counts, low, high = _kept_ranges(dataset, kept)
+    failed = {}
+    for f, s in enumerate(subjects):
         if violations := [Violation(None, var.name, why) for j, var in enumerate(dataset.schemas)
-                          if (why := _column_findings(dataset, j, kept)[0])]:
+                          if not dataset.cell_violations[j] and (why := _no_information(
+                              dataset, j, counts[f, j], low[f, j], high[f, j], kept[f]))]:
             failed[s] = str(SchemaViolationError(violations))
-            continue
-        truths = {name: dataset.value(s, dataset.column_index(name)) for name in targets}
-        truths = {name: value for name, value in truths.items() if value is not MISSING}
-        chance = {name: chance_prediction(dataset.schema(name)).probabilities for name in truths}
-        folds[s] = (truths, {CHANCE_ORDER: _errors(dataset, truths, chance)}, {})
+    chance = {name: np.broadcast_to(p := chance_prediction(dataset.schema(name)).probabilities,
+                                    (len(subjects), p.size)) for name in targets}
+    errors = {s: {CHANCE_ORDER: e} for s, e in zip(subjects, _errors(dataset, subjects, chance))}
+    confidence = {s: {} for s in subjects}
     for order in orders:
-        live = [s for s in folds if s not in failed]
+        live = [s for s in subjects if s not in failed]
         fitted = _fit_many(dataset, live, [_fold_seed(config.seed, s) for s in live],
                            order, config) if live else []
         failed.update((s, str(best)) for s, best in zip(live, fitted)
@@ -310,21 +326,26 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
         trained = [(s, best[0]) for s, best in zip(live, fitted) if s not in failed]
         if not trained:
             break
-        log_joint = _log_joint(MixtureModel._stack([m for _, m in trained]),
-                               dataset, mode, input_cols).reshape(-1, order, n)
+        held, folds = [s for s, _ in trained], np.arange(len(trained))
+        stacked = MixtureModel._stack([m for _, m in trained])
+        log_joint = _log_joint(stacked, dataset, mode, input_cols).reshape(-1, order, n)
         scores = log_sum_exp(log_joint, axis=1)
-        for f, (s, model) in enumerate(trained):
-            truths, errors, confidence = folds[s]
-            predicted, zero = predict_batch(target_tables(model, truths), log_joint[f, :, s][None])
-            if zero and truths:
+        tables = {name: (dataset.schema(name), stacked._mass_table(dataset.column_index(name))
+                         .reshape(len(held), order, -1)) for name in targets}
+        predicted, zero = predict_batch(tables, log_joint[folds, :, held])
+        found = iter(_errors(dataset, [s for f, s in enumerate(held) if f not in zero],
+                             predicted.probabilities))
+        log_c = scores[folds, held]
+        # a score's own row is not below it: the count over the other N - 1, as percentile_ranks
+        percentiles = (scores < log_c[:, None]).sum(axis=1) / (n - 1)
+        for f, s in enumerate(held):
+            if f in zero and errors[s][CHANCE_ORDER]:  # some truth observed
                 failed[s] = f"held-out subject {s} has zero likelihood under every component"
-                continue
-            errors[order] = _errors(dataset, truths, {name: p[0] for name, p in
-                                                      predicted.probabilities.items()})
-            log_c = float(scores[f, s])
-            confidence[order] = (log_c, float(percentile_ranks(log_c, np.delete(scores[f], s))))
+            else:
+                errors[s][order] = {} if f in zero else next(found)
+                confidence[s][order] = (float(log_c[f]), float(percentiles[f]))
     return [(s, None, None, failed[s]) if s in failed else
-            (s, folds[s][1], folds[s][2], [name for name in targets if name not in folds[s][0]])
+            (s, errors[s], confidence[s], [t for t in targets if t not in errors[s][CHANCE_ORDER]])
             for s in subjects]
 
 

@@ -157,9 +157,10 @@ def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
 
 def predict_batch(tables: dict, log_joint: np.ndarray) -> tuple:
     """``Predictions`` for the rows of an (N, Z) log joint with a finite total, and
-    {row: ZeroLikelihoodError} for the others, each with the text ``infer`` gives it.
-    Each row is its own (1, Z) @ (Z, K) product, so its values equal ``posterior @
-    table`` and ``np.dot(posterior, expectations)`` to the bit; (N, Z) @ (Z, K) would not."""
+    {row: ZeroLikelihoodError} for the others, each with the text ``infer`` gives it. A finite
+    target's table is (Z, K), or (N, Z, K) for one model per row (leave-one-out folds). Each row
+    is its own (1, Z) @ (Z, K) product, so its values equal ``posterior @ table`` and
+    ``np.dot(posterior, expectations)`` to the bit; (N, Z) @ (Z, K) would not."""
     totals = log_sum_exp(log_joint, axis=1)
     good = np.isfinite(totals)
     posteriors = np.exp(log_joint[good] - totals[good, None])
@@ -167,7 +168,7 @@ def predict_batch(tables: dict, log_joint: np.ndarray) -> tuple:
     probabilities, points = {}, {}
     for name, (schema, table) in tables.items():
         if schema.kind.is_finite:
-            probabilities[name] = np.matmul(stacked, table)[:, 0]
+            probabilities[name] = np.matmul(stacked, table if table.ndim == 2 else table[good])[:, 0]
             points[name] = np.argmax(probabilities[name], axis=1)
         else:
             points[name] = np.matmul(stacked, [c.expectation for c in table])[:, 0]

@@ -24,12 +24,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io as _io
 import itertools
 import json
 import numbers
 import os
 import tempfile
+import types
 
 import numpy as np
 
@@ -71,7 +71,12 @@ def sha256_file(path) -> str:
 
 
 def format_value(value, missing_token: str = DEFAULT_MISSING_TOKEN) -> str:
-    """Cell to text: repr for floats, str for ints/symbols, token for MISSING."""
+    """Cell to text: repr for floats, str for ints/symbols, token for MISSING. The
+    exact types come first, ahead of the ``numbers`` checks that numpy scalars need."""
+    if (kind := type(value)) is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if value is MISSING:
         return missing_token
     if isinstance(value, bool):
@@ -243,12 +248,10 @@ def read_evidence_csv(path, model: MixtureModel,
 
 
 def _write_rows(path, header, rows):
-    """Write a CSV file of a header and rows of cells, atomically."""
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buffer.getvalue())
+    """Write a CSV file of a header and rows of cells, atomically, a line at a time as the
+    rows come: ``writerow`` returns what its file's ``write`` returns, here the line itself."""
+    writer = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+    atomic_write_text(path, map(writer.writerow, itertools.chain([header], rows)))
 
 
 def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):
@@ -265,9 +268,25 @@ def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_
         if missing_token in map(format_value, column[column == value].tolist()):
             raise FormatError(f"{schema.name}: missing token {missing_token!r} is also the "
                               "text of an observed cell, which would read back as MISSING")
-    _write_rows(path, dataset.names,
-                ([format_value(c, missing_token) for c in dataset.row(i)]
-                 for i in range(dataset.n_subjects)))
+        dataset._encoded(j)  # refuses a column with bad cells
+    rows = (row for start in range(0, dataset.n_subjects, _CHUNK_RECORDS)
+            for row in zip(*_column_texts(dataset, start, missing_token)))
+    _write_rows(path, dataset.names, rows)
+
+
+def _column_texts(dataset: Dataset, start: int, missing_token: str) -> list:
+    """Each column's cell texts (``format_value``'s) for _CHUNK_RECORDS rows from
+    ``start``, formatted a column at a time from the encoded values: a finite
+    column's level or symbol texts are formatted once and picked by code."""
+    texts = []
+    for j, schema in enumerate(dataset.schemas):
+        values = dataset._values[start:start + _CHUNK_RECORDS, j]  # NaN: missing
+        if schema.kind.is_finite:
+            labels = np.array([*map(format_value, schema.domain), missing_token], dtype=object)
+            texts.append(labels[np.where(np.isnan(values), -1, values).astype(np.int64)].tolist())
+        else:
+            texts.append([missing_token if x != x else format_value(x) for x in values.tolist()])
+    return texts
 
 
 def load_dataset(data_path, schema_path, *, missing_token: str = DEFAULT_MISSING_TOKEN,
@@ -353,7 +372,7 @@ def load_model(path) -> MixtureModel:
 # ---------------------------------------------------------------- tables
 
 def write_csv_table(path, header, rows):
-    """Write a report table; floats go through repr for exact round-trips."""
-    _write_rows(path, header, ([format_value(c)
-                                if isinstance(c, numbers.Number) and not isinstance(c, bool)
-                                else str(c) for c in row] for row in rows))
+    """Write a report table; floats go through repr for exact round-trips. Each cell is
+    ``format_value``'s text, but a bool (a flag) is written as str writes it."""
+    _write_rows(path, header, ([str(c) if type(c) is bool else format_value(c) for c in row]
+                               for row in rows))

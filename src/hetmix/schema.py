@@ -376,12 +376,11 @@ class Dataset:
         """Natural scale of a numeric column, used for variance floors.
 
         Ordinals use the domain span; continuous columns use the observed
-        span, falling back to 1.0 when degenerate (``_span_scale``).
+        span, falling back to 1.0 when degenerate (``_scales``).
         """
-        schema = self.schemas[column]
-        ordinal = schema.kind is VariableKind.ORDINAL  # column_numeric refuses bad cells
-        values = self._values[:, column] if ordinal else self.column_numeric(column)
-        return _span_scale(schema.kind, schema.domain, values)
+        if self.schemas[column].kind is not VariableKind.ORDINAL:
+            self.column_numeric(column)  # refuses a categorical column, or bad cells
+        return float(_scales(self)[0, column])
 
     @cached_property
     def _stats(self) -> tuple:
@@ -465,16 +464,6 @@ class Dataset:
                          for store in (self._missing, self._values)),
                        tuple(violations))
         return dataset
-
-
-def _span_scale(kind: VariableKind, domain, values: np.ndarray) -> float:
-    """A column's natural scale: an ordinal's domain span, 1.0 for a
-    categorical, else the span of ``values`` without NaNs, 1.0 if that is 0
-    or none is left."""
-    if kind.is_finite:
-        return float(domain[-1] - domain[0]) if kind is VariableKind.ORDINAL else 1.0
-    values = values[~np.isnan(values)]
-    return (float(values.max() - values.min()) if values.size else 0.0) or 1.0
 
 
 def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple:
@@ -561,22 +550,62 @@ class Violation:
         return f"{where}column {self.column!r}: {self.message}"
 
 
-def _column_findings(dataset: Dataset, column: int, kept=True) -> tuple:
-    """(why the column carries no information in the ``kept`` rows (a mask; default
-    all), why EM cannot fit their values (``distributions._fit_range_error``)),
-    each None if it does not apply, from one slice of the observed values. A
-    column with bad cells has neither: they are reported."""
+def _column_findings(dataset: Dataset, column: int) -> tuple:
+    """(why the column carries no information (``_no_information``), why EM cannot fit its
+    values (``distributions._fit_range_error``)), each None if it does not apply, from one
+    slice of the observed values. A column with bad cells has neither: they are reported."""
     if dataset.cell_violations[column]:
         return None, None
-    observed = np.flatnonzero(~dataset.missing_mask(column) & kept)
-    if observed.size == 0:
-        return "no observed values", None
+    values = dataset._values[~dataset.missing_mask(column), column]
     kind = dataset.schemas[column].kind
-    values = dataset._values[observed, column]
-    constant = (f"constant column (always {dataset.value(observed[0], column)!r})"
-                if (values == values[0]).all() else None)
     from .distributions import _fit_range_error  # distributions imports this module
-    return constant, None if kind.is_finite else _fit_range_error(kind, values)
+    return (_no_information(dataset, column, values.size, values.min(initial=np.inf),
+                            values.max(initial=-np.inf)),
+            None if kind.is_finite or not values.size else _fit_range_error(kind, values))
+
+
+def _kept_ranges(dataset: Dataset, kept: np.ndarray) -> tuple:
+    """The (F, V) count, min and max of each column's encoded values (its cells
+    neither missing nor bad) in the rows each row of the (F, N) mask ``kept``
+    keeps, min inf and max -inf where none: every leave-one-out fold's schema
+    check and column scales, from one masked reduction per column."""
+    shape = (len(kept), dataset.n_variables)
+    counts, low, high = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
+    for j in range(dataset.n_variables):
+        column = dataset._values[:, j]
+        observed = kept & ~np.isnan(column)
+        counts[:, j] = observed.sum(axis=1)
+        low[:, j] = np.where(observed, column, np.inf).min(axis=1)
+        high[:, j] = np.where(observed, column, -np.inf).max(axis=1)
+    return counts, low, high
+
+
+def _scales(dataset: Dataset, kept=None) -> np.ndarray:
+    """(F, V) column scales of the rows each row of the (F, N) mask ``kept`` keeps
+    (default: one row keeping all), from ``_kept_ranges``: an ordinal's domain span,
+    1.0 for a categorical, else the span of the kept values, 1.0 if that is 0 or
+    none is left. A fit's variance floors and default parameters read them."""
+    _, low, high = _kept_ranges(dataset, np.ones((1, dataset.n_subjects), dtype=bool)
+                                if kept is None else kept)
+    spans = high - low  # -inf where no value is kept
+    scales = np.where(spans > 0, spans, 1.0)
+    for v, schema in enumerate(dataset.schemas):
+        if schema.kind.is_finite:
+            ordinal = schema.kind is VariableKind.ORDINAL
+            scales[:, v] = schema.domain[-1] - schema.domain[0] if ordinal else 1.0
+    return scales
+
+
+def _no_information(dataset: Dataset, column: int, count, low, high, kept=True) -> str | None:
+    """Why ``column`` carries no information in the ``kept`` rows (a mask; default
+    all), whose ``count`` observed values run from ``low`` to ``high``: none, or
+    all equal (exactly; the message shows the first), as ``validate_dataset`` words it."""
+    if not count:
+        return "no observed values"
+    if low != high:
+        return None
+    first = np.flatnonzero(~dataset.missing_mask(column) & kept)[0]
+    return f"constant column (always {dataset.value(first, column)!r})"
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
 from .model import MixtureModel, _em_log_joint, parameter_count
-from .schema import Dataset, SchemaViolationError, _is_int, _span_scale, validate_dataset
+from .schema import Dataset, SchemaViolationError, _is_int, _scales, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -89,13 +89,6 @@ class TrainingTrace:
     @property
     def final_nll(self) -> float:
         return self.nll_per_iteration[-1]
-
-
-def _scales(dataset: Dataset, rows=slice(None)) -> list:
-    """Each column's ``schema._span_scale`` over the ``rows`` of ``dataset`` (a fold's: all
-    but its held-out row), 1.0 for a categorical one: what a fit's floors and defaults read."""
-    return [_span_scale(schema.kind, schema.domain, dataset._values[rows, v])
-            for v, schema in enumerate(dataset.schemas)]
 
 
 def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
@@ -211,7 +204,7 @@ def _fit_many(dataset: Dataset, held_out, seeds, order: int, config: EmConfig) -
         for r, child in enumerate(np.random.SeedSequence(seed).spawn(config.restarts)):
             inits[i, r][:, kept[i]] = np.random.default_rng(child).dirichlet(
                 np.ones(order), size=int(kept[i].sum())).T
-    outcomes = _em_batch(dataset, np.repeat([_scales(dataset, k) for k in kept], config.restarts, 0),
+    outcomes = _em_batch(dataset, np.repeat(_scales(dataset, kept), config.restarts, 0),
                          None if held_out is None else np.repeat(held_out, config.restarts),
                          inits.reshape(-1, order, n), config)
     out = []

@@ -112,7 +112,7 @@ def m_step_alone(dataset, responsibilities) -> tuple:
     responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {})."""
     from hetmix.training import _m_step_batch, _scales
     alpha = np.ascontiguousarray(np.asarray(responsibilities, dtype=float).T)[None]
-    model, _, failed = _m_step_batch(dataset, np.array([_scales(dataset)]), alpha, np.arange(1))
+    model, _, failed = _m_step_batch(dataset, _scales(dataset), alpha, np.arange(1))
     return model, failed
 
 

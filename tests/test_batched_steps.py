@@ -269,13 +269,14 @@ def test_m_step_model_file_matches_the_grid_built_model(tmp_path):
 
 
 def test_fit_reads_each_column_scale_once(monkeypatch):
+    import hetmix.schema as schema
     import hetmix.training as training
     calls = []
-    real = training._span_scale
+    real = schema._kept_ranges
 
-    def counted(kind, domain, values):
-        calls.append(kind)
-        return real(kind, domain, values)
+    def counted(dataset, kept):
+        calls.append(kept.shape)
+        return real(dataset, kept)
 
     steps = []
     real_m_step = training._m_step_batch
@@ -285,11 +286,11 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
         return real_m_step(data, scales, responsibilities, fits)
 
     dataset = _cohort(np.random.default_rng(5), 60)
-    monkeypatch.setattr(training, "_span_scale", counted)
+    monkeypatch.setattr(schema, "_kept_ranges", counted)
     monkeypatch.setattr(training, "_m_step_batch", counted_m_step)
     fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12))
     assert len(steps) > 2
-    assert calls == [s.kind for s in dataset.schemas]  # once per column, in order
+    assert calls == [(1, dataset.n_subjects)]  # one pass over the columns for both restarts
 
 
 def test_em_builds_no_parameter_cell(monkeypatch):
@@ -309,7 +310,7 @@ def test_em_builds_no_parameter_cell(monkeypatch):
         for family in (Gaussian, InflatedGamma, QuantizedGaussian, Categorical):
             patch.setattr(family, "__post_init__", refuse)
         models = [m_step_alone(dataset, alpha)[0]]
-        outcome, = _em_batch(dataset, np.array([_scales(dataset)]), None,
+        outcome, = _em_batch(dataset, _scales(dataset), None,
                              np.ascontiguousarray(alpha.T)[None], config)
         models.append(outcome[0])
         fit(dataset, 3, config)
@@ -354,7 +355,7 @@ def test_em_e_step_matches_log_joint_on_m_step_models(seed, order, n_fits, folds
     held_out = rng.integers(n, size=n_fits) if folds else None
     kept = np.arange(n) != np.full(n_fits, -1 if held_out is None else held_out)[:, None]
     inits = rng.dirichlet(np.ones(order), size=(n_fits, n)).transpose(0, 2, 1) * kept[:, None]
-    outcomes = _em_batch(dataset, np.array([_scales(dataset, k) for k in kept]), held_out,
+    outcomes = _em_batch(dataset, _scales(dataset, kept), held_out,
                          np.ascontiguousarray(inits), EmConfig(max_iterations=max_iterations))
     models = [o[0] for o in outcomes if not isinstance(o, Exception)]
     if models:

@@ -111,7 +111,7 @@ def _batch(dataset, held_out, starts):
                [dataset.drop_subject(int(s)) for s in held_out])
     inits = [start if held_out is None else np.insert(start, held_out[b], 0.0, axis=0)
              for b, start in enumerate(starts)]
-    return (subsets, np.array([_scales(s) for s in subsets]),
+    return (subsets, np.concatenate([_scales(s) for s in subsets]),
             np.ascontiguousarray(np.array(inits).transpose(0, 2, 1)))
 
 
@@ -299,11 +299,11 @@ def test_a_fold_floors_variances_at_its_own_scale():
     alpha[0, 0, :2] = 1.0
     alpha[0, 1, 2:] = 1.0
     alpha[0, :, 5] = 0.0
-    model, _, _ = _m_step_batch(dataset, np.array([_scales(fold)]), alpha, np.arange(1))
+    model, _, _ = _m_step_batch(dataset, _scales(fold), alpha, np.arange(1))
     variance = model._blocks[x][1]
     assert variance[0] == pytest.approx(0.025 ** 2, rel=1e-12)  # above the fold's floor
     alpha[0, 0, 1] = 0.0  # one value: the variance is the floor
-    model, _, _ = _m_step_batch(dataset, np.array([_scales(fold)]), alpha, np.arange(1))
+    model, _, _ = _m_step_batch(dataset, _scales(fold), alpha, np.arange(1))
     assert model._blocks[x][1][0] == 1e-6 * 0.95 ** 2
     want = oracles.m_step(fold, np.delete(alpha[0], 5, axis=1).T)
     assert model._blocks[x][1][0] == want._blocks[x][1][0]

@@ -19,7 +19,9 @@ from hetmix import (IGNORE_MISSING, MODEL_MISSING, Dataset, DegenerateSampleErro
                     probability_of_error, sample_cohort, scott_bandwidth,
                     threshold_curve, training_confidence_scores)
 from hetmix.demo import small_demo_model
+from hetmix.distributions import log_sum_exp
 from hetmix.evaluation import _evaluate_folds, _fold_seed
+from hetmix.inference import predict_batch, target_tables
 from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
 from hetmix.schema import MISSING, validate_dataset
 from hetmix.training import _scales
@@ -299,8 +301,8 @@ class TestMaskFolds:
     def test_scales_match_the_copy(self, cohort, monkeypatch):
         import hetmix.training as training
         n = cohort.n_subjects
-        for s in range(n):
-            assert _scales(cohort, np.arange(n) != s) == _scales(cohort.drop_subject(s))
+        copies = np.concatenate([_scales(cohort.drop_subject(s)) for s in range(n)])
+        assert _scales(cohort, np.arange(n) != np.arange(n)[:, None]).tolist() == copies.tolist()
         batches = []
         real = training._em_batch
 
@@ -314,7 +316,44 @@ class TestMaskFolds:
         (scales, held_out), = batches
         assert 4 not in held_out and len(held_out) > n  # two restarts a fold
         for row, s in zip(scales, held_out.tolist()):
-            assert row.tolist() == _scales(cohort.drop_subject(s))
+            assert row.tolist() == copies[s].tolist()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_checks_and_scales_match_the_copies(self, data):
+        """Every fold's schema check (its failure text) and column scales, from one
+        ``_kept_ranges`` pass over the folds, equal those of the cohort without
+        the held-out row: on a column whose distinct values give it a unique
+        min and max holder, one observed in two rows only, one observed in one
+        row only, and one of 0.0 / -0.0 ties (its first kept value is the one shown)."""
+        n = data.draw(st.integers(3, 9))
+        schemas = (VariableSchema("spread", "nonnegative"), VariableSchema("pair", "real"),
+                   VariableSchema("lone", "ordinal", (1, 2, 3)),
+                   VariableSchema("zeros", "real"), EIGHT, THREE_WAY)
+        spread = [float(v) for v in data.draw(st.permutations(range(n)))]
+        pair = data.draw(st.lists(st.sampled_from([-1.0, 2.0]), min_size=2, max_size=2))
+        pair_rows = data.draw(st.permutations(range(n)))[:2]
+        lone_row = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))  # None: 1, 2, 1, ...
+        cells = st.lists(st.one_of(st.just(MISSING), st.sampled_from([0.0, -0.0, 0.5])),
+                         min_size=n, max_size=n)
+        zeros = data.draw(cells)
+        levels = data.draw(st.lists(st.sampled_from([1, 2, MISSING]), min_size=n, max_size=n))
+        symbols = data.draw(st.lists(st.sampled_from(["a", "b"]), min_size=n, max_size=n))
+        rows = [(spread[i], pair[pair_rows.index(i)] if i in pair_rows else MISSING,
+                 1 + i % 2 if lone_row is None else 3 if i == lone_row else MISSING,
+                 zeros[i], levels[i], symbols[i])
+                for i in range(n)]
+        cohort = Dataset(schemas, rows)
+        copies = [cohort.drop_subject(s) for s in range(n)]
+        kept = np.arange(n) != np.arange(n)[:, None]
+        assert (_scales(cohort, kept).tolist()
+                == np.concatenate([_scales(copy) for copy in copies]).tolist())
+        folds = _evaluate_folds(cohort, range(n), (), ("s3",), MODEL_MISSING, EmConfig())
+        for (s, errors, _, extra), copy in zip(folds, copies):
+            if violations := validate_dataset(copy):
+                assert (errors, extra) == (None, str(SchemaViolationError(violations)))
+            else:
+                assert errors is not None
 
     def test_failure_text_matches_the_copy(self, cohort):
         # ignore_missing: no held-out subject has zero likelihood, so only
@@ -498,6 +537,75 @@ class TestLooEvaluate:
             loo_evaluate(cohort, (1, 2), ("severity", "status"), MODEL_MISSING, config)
         assert str(caught.value) == \
             f"2 of 13 folds failed: {failure.format(0)}; {failure.format(2)}"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sample_seed, failed, zero_kept", [(2, [0, 2], []), (38, [], [7])])
+    def test_held_out_predictions_match_per_fold_calls(self, monkeypatch, sample_seed, failed,
+                                                       zero_kept):
+        """Per order, one ``predict_batch`` on every fold's held-out log joint and
+        stacked tables gives each fold's probabilities, errors, log_c and
+        percentile the bits that a ``predict_batch`` / ``percentile_ranks`` call on
+        that fold's model alone gives, with no RuntimeWarning from a -inf row. A
+        held-out zero likelihood fails the fold, with its text (folds 0 and 2 of
+        seed 2, see above), unless the subject has no observed target (fold 7 of
+        seed 38): then it keeps its -inf confidence and no errors."""
+        import hetmix.evaluation as ev
+        cohort, _ = sample_cohort(small_demo_model(), 13, np.random.default_rng(sample_seed))
+        targets = ("severity", "status")
+        input_cols = [j for j in cohort.input_columns if cohort.schemas[j].name not in targets]
+        fits, batches = [], []
+        real_fit, real_predict = ev._fit_many, ev.predict_batch
+
+        def fit_many(dataset, held_out, seeds, order, config):
+            fits.append((order, held_out, real_fit(dataset, held_out, seeds, order, config)))
+            return fits[-1][2]
+
+        def predict(tables, log_joint):
+            batches.append(real_predict(tables, log_joint))
+            return batches[-1]
+
+        monkeypatch.setattr(ev, "_fit_many", fit_many)
+        monkeypatch.setattr(ev, "predict_batch", predict)
+        folds = {s: rest for s, *rest in ev._evaluate_folds(
+            cohort, range(13), (1, 2), targets, MODEL_MISSING,
+            EmConfig(max_iterations=20, restarts=2, seed=0))}
+        failure = "held-out subject {} has zero likelihood under every component"
+        compared, zero_seen = 0, set()
+        for (order, held_out, fitted), (batch, zero) in zip(fits, batches, strict=True):
+            rows = iter(range(len(batch.posteriors)))
+            trained = [(s, best[0]) for s, best in zip(held_out, fitted)
+                       if not isinstance(best, TrainingError)]
+            for f, (s, model) in enumerate(trained):
+                log_joint = ev._log_joint(model, cohort, MODEL_MISSING, input_cols)
+                truths = {name: cohort.value(s, cohort.column_index(name)) for name in targets}
+                truths = {name: value for name, value in truths.items() if value is not MISSING}
+                alone, alone_zero = predict_batch(target_tables(model, truths),
+                                                  log_joint[:, s][None])
+                assert bool(alone_zero) == (f in zero)
+                if f in zero:
+                    zero_seen.add(s)
+                else:
+                    row = next(rows)
+                if f in zero and truths:
+                    assert folds[s] == [None, None, failure.format(s)]
+                    continue
+                errors, confidence, _ = folds[s]
+                if errors is None:  # failed at a later order
+                    continue
+                assert set(errors[order]) == set(truths)
+                for name, truth in truths.items():
+                    schema, probs = cohort.schema(name), alone.probabilities[name][0]
+                    assert batch.probabilities[name][row].tobytes() == probs.tobytes()
+                    err = prediction_error(schema, FinitePrediction(schema.domain, probs), truth)
+                    assert errors[order][name] == (err, normalized_error(schema, err))
+                scores = log_sum_exp(log_joint, axis=0)
+                log_c = float(scores[s])
+                pct = float(percentile_ranks(log_c, np.delete(scores, s)))
+                assert confidence[order] == (log_c, pct)
+                compared += 1
+        assert [s for s, fold in folds.items() if fold[0] is None] == failed
+        assert sorted(zero_seen) == failed + zero_kept
+        assert compared == 2 * (13 - len(failed))
 
     def test_abort_when_too_many_folds_fail(self, monkeypatch):
         import hetmix.evaluation as ev

@@ -105,7 +105,7 @@ class TestMStep:
             m_step_alone(ds, alpha)
         inits = np.stack([np.full((2, 50), 0.5), np.ascontiguousarray(alpha.T)])
         with pytest.raises(EstimationError, match="^weights must be finite and nonnegative$"):
-            _em_batch(ds, np.array([_scales(ds)] * 2), None, inits, EmConfig())
+            _em_batch(ds, np.repeat(_scales(ds), 2, 0), None, inits, EmConfig())
 
     def test_responsibilities_with_missing_cells(self):
         schemas = (VariableSchema("x", "real"),)
