@@ -288,10 +288,11 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                     config: EmConfig) -> list:
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold is its
     held-out row, checked and trained on the cohort with that row masked, all folds' checks from
-    one ``_kept_ranges``. Per order, the restarts of all folds run as one batched EM, and one
-    likelihood pass over the non-target inputs for all fold models gives each held-out posterior
-    and confidence, and every training row's score; one ``predict_batch`` on the stacked tables
-    then gives every fold's predictions, and array operations its errors and percentile.
+    one ``_kept_ranges`` pass (each order's ``_fit_many`` runs another for its scales). Per
+    order, the restarts of all folds run as one batched EM, and one likelihood pass over the
+    non-target inputs for all fold models gives each held-out posterior and confidence, and
+    every training row's score; one ``predict_batch`` on the stacked tables then gives every
+    fold's predictions, and array operations its errors and percentile.
 
     Per fold: (subject, {order: {target: (error, normalized)}}, {order:
     (log_c, pct)}, skipped targets), order 0 from the uniform reference; or

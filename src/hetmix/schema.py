@@ -567,8 +567,8 @@ def _column_findings(dataset: Dataset, column: int) -> tuple:
 def _kept_ranges(dataset: Dataset, kept: np.ndarray) -> tuple:
     """The (F, V) count, min and max of each column's encoded values (its cells
     neither missing nor bad) in the rows each row of the (F, N) mask ``kept``
-    keeps, min inf and max -inf where none: every leave-one-out fold's schema
-    check and column scales, from one masked reduction per column."""
+    keeps, min inf and max -inf where none, one masked reduction per column:
+    read by each fold's schema check, and by ``_scales`` once per batched fit."""
     shape = (len(kept), dataset.n_variables)
     counts, low, high = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
     for j in range(dataset.n_variables):
