@@ -60,8 +60,7 @@ from .model import MISSINGNESS_MODES, sample_cohort
 from .schema import (OUTCOME, SchemaError, SchemaViolationError,
                      drop_zero_variability, missingness_profile,
                      validate_dataset)
-from .training import (ComponentCollapseError, EmConfig, TrainingError, fit,
-                       select_order)
+from .training import EmConfig, TrainingError, fit, select_order
 
 EXIT_OK = 0
 EXIT_VALIDATION = 3
@@ -512,7 +511,7 @@ def main(argv=None) -> int:
     except SchemaViolationError as err:
         return _fail("validation", EXIT_VALIDATION, str(err),
                      violations=_violation_payload(err.violations))
-    except (TrainingError, ComponentCollapseError) as err:
+    except TrainingError as err:
         return _fail("training", EXIT_TRAINING, str(err))
     except (SchemaError, FormatError, ValueError) as err:
         return _fail("validation", EXIT_VALIDATION, str(err))

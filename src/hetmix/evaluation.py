@@ -286,13 +286,14 @@ def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> list:
 
 def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                     config: EmConfig) -> list:
-    """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold is its
-    held-out row, checked and trained on the cohort with that row masked, all folds' checks from
-    one ``_kept_ranges`` pass (each order's ``_fit_many`` runs another for its scales). Per
-    order, the restarts of all folds run as one batched EM, and one likelihood pass over the
-    non-target inputs for all fold models gives each held-out posterior and confidence, and
-    every training row's score; one ``predict_batch`` on the stacked tables then gives every
-    fold's predictions, and array operations its errors and percentile.
+    """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold keeps
+    every row but its subject's, an (F, N) mask, and is checked and trained on the cohort with
+    that row masked. One ``_kept_ranges`` pass gives every fold's checks and the column scales
+    that each order's ``_fit_many`` reads. Per order, the restarts of all folds run as one
+    batched EM, and one likelihood pass over the non-target inputs for all fold models gives
+    each held-out posterior and confidence, and every training row's score; one
+    ``predict_batch`` on the stacked tables then gives every fold's predictions, and array
+    operations its errors and percentile.
 
     Per fold: (subject, {order: {target: (error, normalized)}}, {order:
     (log_c, pct)}, skipped targets), order 0 from the uniform reference; or
@@ -307,7 +308,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     subjects = list(subjects)
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     kept = np.arange(n) != np.array(subjects)[:, None]
-    counts, low, high = _kept_ranges(dataset, kept)
+    counts, low, high, scales = _kept_ranges(dataset, kept)
     failed = {}
     for f, s in enumerate(subjects):
         if violations := [Violation(None, var.name, why) for j, var in enumerate(dataset.schemas)
@@ -319,12 +320,12 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     errors = {s: {CHANCE_ORDER: e} for s, e in zip(subjects, _errors(dataset, subjects, chance))}
     confidence = {s: {} for s in subjects}
     for order in orders:
-        live = [s for s in subjects if s not in failed]
-        fitted = _fit_many(dataset, live, [_fold_seed(config.seed, s) for s in live],
-                           order, config) if live else []
-        failed.update((s, str(best)) for s, best in zip(live, fitted)
-                      if isinstance(best, TrainingError))
-        trained = [(s, best[0]) for s, best in zip(live, fitted) if s not in failed]
+        live = [f for f, s in enumerate(subjects) if s not in failed]
+        fitted = list(zip([subjects[f] for f in live], _fit_many(
+            dataset, kept[live], scales[live], [_fold_seed(config.seed, subjects[f]) for f in live],
+            order, config) if live else []))
+        failed.update((s, str(best)) for s, best in fitted if isinstance(best, TrainingError))
+        trained = [(s, best[0]) for s, best in fitted if s not in failed]
         if not trained:
             break
         held, folds = [s for s, _ in trained], np.arange(len(trained))

@@ -376,11 +376,11 @@ class Dataset:
         """Natural scale of a numeric column, used for variance floors.
 
         Ordinals use the domain span; continuous columns use the observed
-        span, falling back to 1.0 when degenerate (``_scales``).
+        span, falling back to 1.0 when degenerate (``_kept_ranges``).
         """
         if self.schemas[column].kind is not VariableKind.ORDINAL:
             self.column_numeric(column)  # refuses a categorical column, or bad cells
-        return float(_scales(self)[0, column])
+        return float(_kept_ranges(self)[3][0, column])
 
     @cached_property
     def _stats(self) -> tuple:
@@ -564,11 +564,15 @@ def _column_findings(dataset: Dataset, column: int) -> tuple:
             None if kind.is_finite or not values.size else _fit_range_error(kind, values))
 
 
-def _kept_ranges(dataset: Dataset, kept: np.ndarray) -> tuple:
+def _kept_ranges(dataset: Dataset, kept=None) -> tuple:
     """The (F, V) count, min and max of each column's encoded values (its cells
     neither missing nor bad) in the rows each row of the (F, N) mask ``kept``
-    keeps, min inf and max -inf where none, one masked reduction per column:
-    read by each fold's schema check, and by ``_scales`` once per batched fit."""
+    keeps (default: one row keeping all), min inf and max -inf where none, one
+    masked reduction per column; and the (F, V) column scales that a fit's variance
+    floors and default parameters read: an ordinal's domain span, 1.0 for a
+    categorical, else the span of the kept values, 1.0 if that is 0 or none is left."""
+    if kept is None:
+        kept = np.ones((1, dataset.n_subjects), dtype=bool)
     shape = (len(kept), dataset.n_variables)
     counts, low, high = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
     for j in range(dataset.n_variables):
@@ -577,23 +581,13 @@ def _kept_ranges(dataset: Dataset, kept: np.ndarray) -> tuple:
         counts[:, j] = observed.sum(axis=1)
         low[:, j] = np.where(observed, column, np.inf).min(axis=1)
         high[:, j] = np.where(observed, column, -np.inf).max(axis=1)
-    return counts, low, high
-
-
-def _scales(dataset: Dataset, kept=None) -> np.ndarray:
-    """(F, V) column scales of the rows each row of the (F, N) mask ``kept`` keeps
-    (default: one row keeping all), from ``_kept_ranges``: an ordinal's domain span,
-    1.0 for a categorical, else the span of the kept values, 1.0 if that is 0 or
-    none is left. A fit's variance floors and default parameters read them."""
-    _, low, high = _kept_ranges(dataset, np.ones((1, dataset.n_subjects), dtype=bool)
-                                if kept is None else kept)
     spans = high - low  # -inf where no value is kept
     scales = np.where(spans > 0, spans, 1.0)
     for v, schema in enumerate(dataset.schemas):
         if schema.kind.is_finite:
             ordinal = schema.kind is VariableKind.ORDINAL
             scales[:, v] = schema.domain[-1] - schema.domain[0] if ordinal else 1.0
-    return scales
+    return counts, low, high, scales
 
 
 def _no_information(dataset: Dataset, column: int, count, low, high, kept=True) -> str | None:

@@ -9,14 +9,15 @@ log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
 The restarts of a fit, and all folds x restarts of a leave-one-out order, run
-as one batch (``_em_batch``) over every row of the cohort; a fold gives its
-held-out row weight 0. Both steps read the cohort's sufficient statistics
-(``Dataset._stats``: the continuous columns' and the finite columns' one-hot,
-multiplied in fixed row chunks). An E-step is their product with every
-component's natural parameters (``model._em_log_joint``); an M-step is their
-product with the weights, then one closed-form ``_weighted_block`` (q and
-block) per variable. A fit ends converged, at the
-cap, on a revert or on a collapse; batched, bit for bit as run alone.
+as one batch (``_em_batch``) over every row of the cohort. Each fit is a mask
+of the rows it keeps and their column scales; a row it leaves out has weight
+0. Both steps read the cohort's sufficient statistics (``Dataset._stats``: the
+continuous columns' and the finite columns' one-hot, multiplied in fixed row
+chunks). An E-step is their product with every component's natural parameters
+(``model._em_log_joint``); an M-step is their product with the weights, then
+one closed-form ``_weighted_block`` (q and block) per variable. A fit ends
+converged, at the cap, on a revert or on a collapse; batched, bit for bit as
+run alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
 from .model import MixtureModel, _em_log_joint, parameter_count
-from .schema import Dataset, SchemaViolationError, _is_int, _scales, validate_dataset
+from .schema import Dataset, SchemaViolationError, _is_int, _kept_ranges, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
@@ -137,14 +138,14 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
     return model, fits, failed
 
 
-def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
+def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.ndarray,
               config: EmConfig) -> list:
-    """B EM runs in lockstep on the rows of ``dataset``, run b from the (Z, N)
-    responsibilities ``inits[b]`` (C-contiguous) with the column scales
-    ``scales[b]`` (``_scales`` of its training rows), leaving out the row
-    ``held_out[b]`` (none if ``held_out`` is None): weight 0 in ``inits[b]``, no
-    part in its NLL and posteriors. Per run: (model, NLL trace, converged), or
-    the ComponentCollapseError that ended it.
+    """B EM runs in lockstep on the rows of ``dataset``, run b on the rows that the
+    (B, N) mask ``kept[b]`` keeps, from the (Z, N) responsibilities ``inits[b]``
+    (C-contiguous) with the column scales ``scales[b]`` (``_kept_ranges`` of those
+    rows); a row it leaves out has weight 0 in ``inits[b]``, no part in its NLL
+    and posteriors. Per run: (model, NLL trace, converged), or the
+    ComponentCollapseError that ended it.
 
     An E-step is one ``_em_log_joint`` for all B * Z components, component-major:
     (B, Z, N). A rise over MONOTONE_SLACK (approximate M-steps overshoot)
@@ -155,8 +156,7 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
     q, zero_prob, masses and floored densities positive and finite for the row,
     so its likelihood is; a zero one would stop the batch at the next M-step's
     finite-weights check (EstimationError), not end one run."""
-    n_runs, _, n_rows = inits.shape
-    kept = np.arange(n_rows) != np.full(n_runs, -1 if held_out is None else held_out)[:, None]
+    n_runs = len(inits)
     traces = [[] for _ in range(n_runs)]
     outcomes = [None] * n_runs
     model, fits, failed = _m_step_batch(dataset, scales, inits, np.arange(n_runs))
@@ -166,7 +166,7 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
         if not fits.size:
             return outcomes
         log_joint = _em_log_joint(model, dataset, fits.size)
-        # a held-out row: posteriors exp(-inf - 0) = 0, NLL term 0
+        # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
         np.copyto(log_joint, -np.inf, where=~kept[fits][:, None])
         totals = np.where(kept[fits], log_sum_exp(log_joint, axis=1), 0.0)
         nlls = -totals.sum(axis=1)
@@ -191,22 +191,21 @@ def _em_batch(dataset: Dataset, scales: np.ndarray, held_out, inits: np.ndarray,
         model, fits, failed = _m_step_batch(dataset, scales, posteriors, fits[go])
 
 
-def _fit_many(dataset: Dataset, held_out, seeds, order: int, config: EmConfig) -> list:
-    """Fit ``order`` components to all rows of ``dataset`` but ``held_out[i]``
-    (all if ``held_out`` is None; a fold is its held-out row: the kept rows size
-    its starts and give its scales), restarts seeded from ``seeds[i]``, as one
-    batch, each kept row's start summing to 1 (``_em_batch``'s precondition).
-    Per fit: the best (model, TrainingTrace), or a TrainingError if every restart collapsed."""
+def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, seeds, order: int,
+              config: EmConfig) -> list:
+    """Fit ``order`` components to the rows of ``dataset`` that the (F, N) mask
+    ``kept[i]`` keeps, with the column scales ``scales[i]``, restarts seeded from
+    ``seeds[i]``, as one batch, each kept row's start summing to 1 (``_em_batch``'s
+    precondition). Per fit: the best (model, TrainingTrace), or a TrainingError if
+    every restart collapsed."""
     n = dataset.n_subjects
-    kept = np.arange(n) != np.full(len(seeds), -1 if held_out is None else held_out)[:, None]
     inits = np.zeros((len(seeds), config.restarts, order, n))
     for i, seed in enumerate(seeds):
         for r, child in enumerate(np.random.SeedSequence(seed).spawn(config.restarts)):
             inits[i, r][:, kept[i]] = np.random.default_rng(child).dirichlet(
                 np.ones(order), size=int(kept[i].sum())).T
-    outcomes = _em_batch(dataset, np.repeat(_scales(dataset, kept), config.restarts, 0),
-                         None if held_out is None else np.repeat(held_out, config.restarts),
-                         inits.reshape(-1, order, n), config)
+    outcomes = _em_batch(dataset, np.repeat(kept, config.restarts, 0),
+                         np.repeat(scales, config.restarts, 0), inits.reshape(-1, order, n), config)
     out = []
     for first in range(0, len(outcomes), config.restarts):
         best, failures = None, []
@@ -233,7 +232,8 @@ def fit(dataset: Dataset, order: int,
     violations = validate_dataset(dataset)
     if violations:
         raise SchemaViolationError(violations)
-    best = _fit_many(dataset, None, [config.seed], order, config)[0]
+    kept = np.ones((1, dataset.n_subjects), dtype=bool)
+    best, = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3], [config.seed], order, config)
     if isinstance(best, TrainingError):
         raise best
     return best

@@ -110,9 +110,10 @@ def collapsing_starts(monkeypatch):
 def m_step_alone(dataset, responsibilities) -> tuple:
     """The batched M-step (``training._m_step_batch``) of one fit from its (N, Z)
     responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {})."""
-    from hetmix.training import _m_step_batch, _scales
+    from hetmix.schema import _kept_ranges
+    from hetmix.training import _m_step_batch
     alpha = np.ascontiguousarray(np.asarray(responsibilities, dtype=float).T)[None]
-    model, _, failed = _m_step_batch(dataset, _scales(dataset), alpha, np.arange(1))
+    model, _, failed = _m_step_batch(dataset, _kept_ranges(dataset)[3], alpha, np.arange(1))
     return model, failed
 
 

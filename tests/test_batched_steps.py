@@ -30,7 +30,8 @@ from hetmix.distributions import _LOG_PDF, REL_VARIANCE_FLOOR, SHAPE_MAX
 from hetmix.inference import target_tables
 from hetmix.io import model_to_dict, save_model
 from hetmix.model import _em_log_joint, _log_joint
-from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch, _scales
+from hetmix.schema import _kept_ranges
+from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch
 
 SCHEMAS = (VariableSchema("x", "real"),
            VariableSchema("conc", "nonnegative"),
@@ -269,13 +270,16 @@ def test_m_step_model_file_matches_the_grid_built_model(tmp_path):
 
 
 def test_fit_reads_each_column_scale_once(monkeypatch):
+    """A fit reduces the column ranges once for all its restarts, and a batch of
+    leave-one-out folds once for its checks and every order's batched fit."""
+    import hetmix.evaluation as evaluation
     import hetmix.schema as schema
     import hetmix.training as training
     calls = []
     real = schema._kept_ranges
 
-    def counted(dataset, kept):
-        calls.append(kept.shape)
+    def counted(dataset, kept=None):
+        calls.append(None if kept is None else kept.shape)
         return real(dataset, kept)
 
     steps = []
@@ -286,11 +290,18 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
         return real_m_step(data, scales, responsibilities, fits)
 
     dataset = _cohort(np.random.default_rng(5), 60)
-    monkeypatch.setattr(schema, "_kept_ranges", counted)
+    for module in (schema, training, evaluation):  # each name a module calls it by
+        monkeypatch.setattr(module, "_kept_ranges", counted)
     monkeypatch.setattr(training, "_m_step_batch", counted_m_step)
-    fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12))
+    config = EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12)
+    fit(dataset, 2, config)
     assert len(steps) > 2
     assert calls == [(1, dataset.n_subjects)]  # one pass over the columns for both restarts
+    calls.clear()
+    folds = evaluation._evaluate_folds(dataset, range(10), (1, 2, 3), ("grade",), MODEL_MISSING,
+                                       config)
+    assert sum(fold[1] is not None for fold in folds) > 0
+    assert calls == [(10, dataset.n_subjects)]  # one pass for every fold and order
 
 
 def test_em_builds_no_parameter_cell(monkeypatch):
@@ -310,8 +321,8 @@ def test_em_builds_no_parameter_cell(monkeypatch):
         for family in (Gaussian, InflatedGamma, QuantizedGaussian, Categorical):
             patch.setattr(family, "__post_init__", refuse)
         models = [m_step_alone(dataset, alpha)[0]]
-        outcome, = _em_batch(dataset, _scales(dataset), None,
-                             np.ascontiguousarray(alpha.T)[None], config)
+        outcome, = _em_batch(dataset, np.ones((1, dataset.n_subjects), dtype=bool),
+                             _kept_ranges(dataset)[3], np.ascontiguousarray(alpha.T)[None], config)
         models.append(outcome[0])
         fit(dataset, 3, config)
     for model in models:
@@ -352,10 +363,9 @@ def test_em_e_step_matches_log_joint_on_m_step_models(seed, order, n_fits, folds
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20, 150))
     dataset, _ = sample_cohort(small_demo_model() if small else demo_model(), n, rng)
-    held_out = rng.integers(n, size=n_fits) if folds else None
-    kept = np.arange(n) != np.full(n_fits, -1 if held_out is None else held_out)[:, None]
+    kept = np.arange(n) != (rng.integers(n, size=n_fits) if folds else np.full(n_fits, -1))[:, None]
     inits = rng.dirichlet(np.ones(order), size=(n_fits, n)).transpose(0, 2, 1) * kept[:, None]
-    outcomes = _em_batch(dataset, _scales(dataset, kept), held_out,
+    outcomes = _em_batch(dataset, kept, _kept_ranges(dataset, kept)[3],
                          np.ascontiguousarray(inits), EmConfig(max_iterations=max_iterations))
     models = [o[0] for o in outcomes if not isinstance(o, Exception)]
     if models:

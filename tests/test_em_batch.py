@@ -27,8 +27,8 @@ from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sam
                     validate_dataset)
 from hetmix.demo import small_demo_model
 from hetmix.model import _em_log_joint, _log_joint
-from hetmix.schema import _CHUNK_ROWS
-from hetmix.training import ComponentCollapseError, _em_batch, _m_step_batch, _scales
+from hetmix.schema import _CHUNK_ROWS, _kept_ranges
+from hetmix.training import ComponentCollapseError, _em_batch, _m_step_batch
 
 # The batch sums over all N rows in BLAS order and takes real variances in one
 # pass from standardized sums; the oracle sums each fit's own rows, two-pass.
@@ -105,13 +105,16 @@ def _assert_close(got, reference):
 
 
 def _batch(dataset, held_out, starts):
-    """(subsets, column scales, (B, Z, N) starts) of fits that leave out
-    ``held_out[b]`` (none if None), from their (M, Z) starts over their own rows."""
+    """(subsets, (B, N) kept rows, column scales, (B, Z, N) starts) of fits that
+    leave out ``held_out[b]`` (none if None), from their (M, Z) starts over their
+    own rows; the scales are those of each fit's copy of the cohort."""
+    n = dataset.n_subjects
     subsets = ([dataset] * len(starts) if held_out is None else
                [dataset.drop_subject(int(s)) for s in held_out])
+    kept = np.arange(n) != (np.full(len(starts), -1) if held_out is None else held_out)[:, None]
     inits = [start if held_out is None else np.insert(start, held_out[b], 0.0, axis=0)
              for b, start in enumerate(starts)]
-    return (subsets, np.concatenate([_scales(s) for s in subsets]),
+    return (subsets, kept, np.concatenate([_kept_ranges(s)[3] for s in subsets]),
             np.ascontiguousarray(np.array(inits).transpose(0, 2, 1)))
 
 
@@ -126,12 +129,11 @@ def _oracle(subset, start, config):
 def _run_all_three(dataset, held_out, starts, config):
     """(reference, alone, batched) outcomes of every fit: the sequential
     oracle, the batch of one, the whole batch."""
-    subsets, scales, inits = _batch(dataset, held_out, starts)
-    batched = _em_batch(dataset, scales, held_out, inits, config)
+    subsets, kept, scales, inits = _batch(dataset, held_out, starts)
+    batched = _em_batch(dataset, kept, scales, inits, config)
     out = []
     for b, subset in enumerate(subsets):
-        alone = _em_batch(dataset, scales[b:b + 1], None if held_out is None else held_out[b:b + 1],
-                          inits[b:b + 1], config)[0]
+        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1], config)[0]
         out.append((_oracle(subset, starts[b], config), alone, batched[b]))
     return out, batched
 
@@ -230,9 +232,9 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
     held_out = np.full(3, s)
     first, runs = [], []
     for d in (dataset, changed):
-        _, scales, inits = _batch(d, held_out, starts)
+        _, kept, scales, inits = _batch(d, held_out, starts)
         first.append(_m_step_batch(d, scales, inits, np.arange(3)))
-        runs.append(_em_batch(d, scales, held_out, inits, EmConfig(max_iterations=10)))
+        runs.append(_em_batch(d, kept, scales, inits, EmConfig(max_iterations=10)))
     (model, fits, failed), (other, other_fits, other_failed) = first
     assert np.array_equal(fits, other_fits) and list(failed) == list(other_failed)
     for a, b in _array_pairs(model, other):
@@ -252,7 +254,7 @@ def test_chunked_products_span_several_chunks(monkeypatch):
     dataset = _cohort(rng, n, [n - 2], None)
     held_out = np.array([n - 1, n - 30, n - 30])
     starts = [rng.dirichlet(np.ones(3), size=n - 1) for _ in held_out]
-    _, scales, inits = _batch(dataset, held_out, starts)
+    _, kept, scales, inits = _batch(dataset, held_out, starts)
     sums, weighted_block = [], training._weighted_block
 
     def recording(kind, stats, *args):
@@ -270,9 +272,9 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     monkeypatch.undo()
     config = EmConfig(max_iterations=4, rel_tol=1e-12)
-    batched = _em_batch(dataset, scales, held_out, inits, config)
+    batched = _em_batch(dataset, kept, scales, inits, config)
     for b, outcome in enumerate(batched):
-        alone = _em_batch(dataset, scales[b:b + 1], held_out[b:b + 1], inits[b:b + 1], config)
+        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1], config)
         assert _state(alone[0]) == _state(outcome)
     stacked = MixtureModel._stack([outcome[0] for outcome in batched])
     got = _em_log_joint(stacked, dataset, 3)
@@ -299,11 +301,11 @@ def test_a_fold_floors_variances_at_its_own_scale():
     alpha[0, 0, :2] = 1.0
     alpha[0, 1, 2:] = 1.0
     alpha[0, :, 5] = 0.0
-    model, _, _ = _m_step_batch(dataset, _scales(fold), alpha, np.arange(1))
+    model, _, _ = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, np.arange(1))
     variance = model._blocks[x][1]
     assert variance[0] == pytest.approx(0.025 ** 2, rel=1e-12)  # above the fold's floor
     alpha[0, 0, 1] = 0.0  # one value: the variance is the floor
-    model, _, _ = _m_step_batch(dataset, _scales(fold), alpha, np.arange(1))
+    model, _, _ = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, np.arange(1))
     assert model._blocks[x][1][0] == 1e-6 * 0.95 ** 2
     want = oracles.m_step(fold, np.delete(alpha[0], 5, axis=1).T)
     assert model._blocks[x][1][0] == want._blocks[x][1][0]
@@ -360,9 +362,13 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
         warnings.simplefilter("error", RuntimeWarning)
         for order in (1, 2, 3):
             totals.clear()
-            training._fit_many(dataset, None, [0, 1], order, config)
+            restarts = np.ones((2, 14), dtype=bool)
+            training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3], [0, 1],
+                               order, config)
             assert totals and all(np.isfinite(t).all() for t in totals)
-            training._fit_many(dataset, np.arange(14), range(14), order, config)
+            folds = np.arange(14) != np.arange(14)[:, None]
+            training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3], range(14),
+                               order, config)
     outcomes = [outcome for run in runs for outcome in run]
     assert len(outcomes) == 3 * (2 + 14) * config.restarts
     for outcome in outcomes:
@@ -384,7 +390,7 @@ def test_missing_probabilities_are_exact_at_the_extremes():
     dataset = Dataset(base.schemas, cells)
     held_out = np.array([3, 0, 17])
     starts = [rng.dirichlet(np.ones(3), size=24) for _ in held_out]
-    _, scales, inits = _batch(dataset, held_out, starts)
+    _, _, scales, inits = _batch(dataset, held_out, starts)
     model, fits, failed = _m_step_batch(dataset, scales, inits, np.arange(3))
     assert not failed and fits.tolist() == [0, 1, 2]
     q = model.missing_probs.reshape(3, 3, -1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from conftest import random_model
-from hetmix import (IGNORE_MISSING, MODEL_MISSING, Dataset, DegenerateSampleError,
+from hetmix import (IGNORE_MISSING, MODEL_MISSING, OUTCOME, Dataset, DegenerateSampleError,
                     EmConfig, FinitePrediction, InferenceRequest,
                     SchemaViolationError, TrainingError,
                     VariableSchema, chance_prediction, confidence_bins,
@@ -23,8 +23,7 @@ from hetmix.distributions import log_sum_exp
 from hetmix.evaluation import _evaluate_folds, _fold_seed
 from hetmix.inference import predict_batch, target_tables
 from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
-from hetmix.schema import MISSING, validate_dataset
-from hetmix.training import _scales
+from hetmix.schema import MISSING, _kept_ranges, validate_dataset
 
 EIGHT = VariableSchema("g8", "ordinal", tuple(range(1, 9)))
 THREE_WAY = VariableSchema("s3", "categorical", ("a", "b", "c"))
@@ -301,19 +300,22 @@ class TestMaskFolds:
     def test_scales_match_the_copy(self, cohort, monkeypatch):
         import hetmix.training as training
         n = cohort.n_subjects
-        copies = np.concatenate([_scales(cohort.drop_subject(s)) for s in range(n)])
-        assert _scales(cohort, np.arange(n) != np.arange(n)[:, None]).tolist() == copies.tolist()
+        copies = np.concatenate([_kept_ranges(cohort.drop_subject(s))[3] for s in range(n)])
+        kept = np.arange(n) != np.arange(n)[:, None]
+        assert _kept_ranges(cohort, kept)[3].tolist() == copies.tolist()
         batches = []
         real = training._em_batch
 
-        def recorded(dataset, scales, held_out, inits, config):
-            batches.append((scales, held_out))
-            return real(dataset, scales, held_out, inits, config)
+        def recorded(dataset, kept, scales, inits, config):
+            batches.append((kept, scales))
+            return real(dataset, kept, scales, inits, config)
 
         monkeypatch.setattr(training, "_em_batch", recorded)
         _evaluate_folds(cohort, range(n), (1,), self.TARGETS, MODEL_MISSING,
                         EmConfig(max_iterations=2, restarts=2))
-        (scales, held_out), = batches
+        (kept, scales), = batches
+        assert (kept.sum(axis=1) == n - 1).all()  # each fit leaves out one row
+        held_out = np.argmin(kept, axis=1)
         assert 4 not in held_out and len(held_out) > n  # two restarts a fold
         for row, s in zip(scales, held_out.tolist()):
             assert row.tolist() == copies[s].tolist()
@@ -346,8 +348,8 @@ class TestMaskFolds:
         cohort = Dataset(schemas, rows)
         copies = [cohort.drop_subject(s) for s in range(n)]
         kept = np.arange(n) != np.arange(n)[:, None]
-        assert (_scales(cohort, kept).tolist()
-                == np.concatenate([_scales(copy) for copy in copies]).tolist())
+        assert (_kept_ranges(cohort, kept)[3].tolist()
+                == np.concatenate([_kept_ranges(copy)[3] for copy in copies]).tolist())
         folds = _evaluate_folds(cohort, range(n), (), ("s3",), MODEL_MISSING, EmConfig())
         for (s, errors, _, extra), copy in zip(folds, copies):
             if violations := validate_dataset(copy):
@@ -368,6 +370,28 @@ class TestMaskFolds:
             else:
                 assert errors is not None
         assert failed == [4, 7, 8]
+
+    def test_every_fold_of_a_batch_can_fail_its_check(self, monkeypatch):
+        """Each of three folds loses a column's variability: no order trains, each
+        fold carries the text ``validate_dataset`` gives for its copy of the cohort,
+        and ``loo_evaluate`` aborts."""
+        import hetmix.evaluation as ev
+        schemas = (VariableSchema("a", "real"), VariableSchema("b", "real"),
+                   VariableSchema("y", "ordinal", (1, 2, 3), OUTCOME))
+        cohort = Dataset(schemas, [(1.0, MISSING, 1), (2.0, 5.0, 2), (MISSING, 6.0, 3)])
+        assert not validate_dataset(cohort)
+
+        def never(*args):
+            raise AssertionError("a fold that failed its check was trained")
+
+        monkeypatch.setattr(ev, "_fit_many", never)
+        folds = _evaluate_folds(cohort, range(3), (1, 2), ("y",), MODEL_MISSING, EmConfig())
+        assert [fold[:3] for fold in folds] == [(s, None, None) for s in range(3)]
+        for s, _, _, message in folds:
+            copy = cohort.drop_subject(s)
+            assert message == str(SchemaViolationError(validate_dataset(copy)))
+        with pytest.raises(TrainingError, match=r"^3 of 3 folds failed: "):
+            loo_evaluate(cohort, (1, 2), ("y",), MODEL_MISSING, EmConfig())
 
     def test_no_fold_copies_the_cohort(self, monkeypatch):
         def never(*args):
@@ -556,8 +580,10 @@ class TestLooEvaluate:
         fits, batches = [], []
         real_fit, real_predict = ev._fit_many, ev.predict_batch
 
-        def fit_many(dataset, held_out, seeds, order, config):
-            fits.append((order, held_out, real_fit(dataset, held_out, seeds, order, config)))
+        def fit_many(dataset, kept, scales, seeds, order, config):
+            assert (kept.sum(axis=1) == 12).all()  # each fold leaves out one row
+            fits.append((order, np.argmin(kept, axis=1).tolist(),
+                         real_fit(dataset, kept, scales, seeds, order, config)))
             return fits[-1][2]
 
         def predict(tables, log_joint):

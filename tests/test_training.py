@@ -13,8 +13,8 @@ from hetmix import (MODEL_MISSING, ComponentCollapseError, Dataset, EmConfig,
                     parameter_count, row_log_likelihoods, sample_cohort, select_order)
 from hetmix.distributions import log_sum_exp
 from hetmix.io import model_to_dict
-from hetmix.schema import MISSING
-from hetmix.training import MONOTONE_SLACK, _em_batch, _scales
+from hetmix.schema import MISSING, _kept_ranges
+from hetmix.training import MONOTONE_SLACK, _em_batch
 
 # EM's final NLL comes from its E-step, a matrix product with the sufficient
 # statistics; rescoring sums each row's factors. They agree to rounding: over 40
@@ -105,7 +105,8 @@ class TestMStep:
             m_step_alone(ds, alpha)
         inits = np.stack([np.full((2, 50), 0.5), np.ascontiguousarray(alpha.T)])
         with pytest.raises(EstimationError, match="^weights must be finite and nonnegative$"):
-            _em_batch(ds, np.repeat(_scales(ds), 2, 0), None, inits, EmConfig())
+            _em_batch(ds, np.ones((2, 50), dtype=bool), np.repeat(_kept_ranges(ds)[3], 2, 0),
+                      inits, EmConfig())
 
     def test_responsibilities_with_missing_cells(self):
         schemas = (VariableSchema("x", "real"),)
