@@ -382,7 +382,7 @@ def _execute(command: str, arguments: dict, out_dir) -> int:
 
 
 def run_rerun(args) -> int:
-    with open(args.manifest) as handle:
+    with open(args.manifest, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise FormatError("manifest is not a JSON object")

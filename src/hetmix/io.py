@@ -53,7 +53,7 @@ def atomic_write_text(path, text):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -113,7 +113,7 @@ def save_schemas(schemas, path):
 
 
 def _read_json(path):
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as err:
@@ -161,7 +161,7 @@ def _csv_rows(path):
     FormatError. Rows are streamed, never collected, so a large file costs
     only its parsed cells.
     """
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

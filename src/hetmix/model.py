@@ -18,12 +18,8 @@ one evaluates its family's density over (Z, N) and writes the missing factor in
 place. Scoring (``_log_joint``; ``component_log_likelihoods`` is its (N, Z)
 transpose) adds it over the variables for all Z components, component-major, so
 every elementwise pass runs along the N subjects; it serves both modes and
-single rows (``infer``), for which no statistics are built. EM's E-step
-(``_em_log_joint``) is instead one product of every variable's natural
-parameters with the cohort's sufficient statistics, which the M-step reads too
-(the finite variables' as a one-hot, a row chunk at a time); a component whose
-terms are large enough for the product to round visibly, or infinite, takes
-``_factors`` on that variable instead.
+single rows (``infer``), for which no statistics are built. EM, E-step
+included, is in ``training``, which calls ``_factors`` as its fallback.
 """
 
 from __future__ import annotations
@@ -34,17 +30,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
-                            _check_params, _log_mass_table, _natural_params,
-                            family_for, log_sum_exp)
+                            _check_params, _log_mass_table, family_for, log_sum_exp)
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind,
                      VariableSchema, Violation, _column_indices)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
 MISSINGNESS_MODES = (MODEL_MISSING, IGNORE_MISSING)
-# EM's E-step keeps a component's density on a continuous column where the
-# terms of its product with the column's statistics could reach this
-EM_TERM_LIMIT = 1e3
 
 
 class ZeroLikelihoodError(ValueError):
@@ -219,46 +211,6 @@ def _factors(model: MixtureModel, dataset: Dataset, v: int, rows, missed, kept) 
     factors += kept
     np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
     return factors
-
-
-def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndarray:
-    """(n_fits, Z, N) ``_log_joint`` under ``model_missing`` of a stack of n_fits
-    models: log w plus, per fit (batched or not, the same bits), one product of
-    the ``_natural_params`` with ``Dataset._stats``' statistics and one with its
-    one-hot, a row chunk at a time. The product rounds to a few eps times its
-    terms, bounded by |theta| @ ``reach`` (a statistic or slot that is 0 on
-    every row left out). A component takes the scoring routine ``_factors``
-    instead on a column where that bound reaches EM_TERM_LIMIT: a
-    variance near its floor far from the column's centre (terms ~ (x - centre)^2
-    / variance), a Gamma near its shape cap (lgamma(shape) ~ 1e5), a far
-    level's log mass, or a -inf (q or zero_prob at 0 or 1, or a mass at 0,
-    on a statistic some row has), which the product would make NaN. So it stays
-    within ~1e-13 per column of ``_log_joint``."""
-    matrix, _, layout, reach = dataset._stats
-    theta = np.zeros((model.n_components, reach.size))
-    dense = []
-    for v, (schema, (cols, unit)) in enumerate(zip(model.schemas, layout)):
-        finite = schema.kind.is_finite
-        block = _natural_params(schema.kind, model._log_masses[v] if finite else model._blocks[v],
-                                unit, model.missing_probs[:, v])
-        block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
-        with np.errstate(over="ignore"):
-            wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
-        theta[~wide, cols] = block[~wide]
-        if wide.any():
-            dense.append((v, np.flatnonzero(wide)))
-    shape = (n_fits, model.n_components // n_fits, -1)
-    out = np.matmul(theta[:, :matrix.shape[1]].reshape(shape), matrix.T)
-    slots = theta[:, matrix.shape[1]:].reshape(shape)
-    for rows, chunk in dataset._onehot_chunks():
-        out[..., rows] += np.matmul(slots, chunk.T)
-    flat = out.reshape(model.n_components, -1)
-    with np.errstate(divide="ignore"):
-        flat += np.log(model.weights)[:, None]
-        for v, rows in dense:
-            q = model.missing_probs[rows, v, None]
-            flat[rows] += _factors(model, dataset, v, rows, np.log(q), np.log1p(-q))
-    return out
 
 
 def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,

@@ -36,9 +36,6 @@ import numpy as np
 INPUT = "input"
 OUTCOME = "outcome"
 ROLES = (INPUT, OUTCOME)
-# EM multiplies the finite columns' one-hot this many rows at a time, each
-# chunk cast to float64: one chunk, not a float copy of the whole, is its memory
-_CHUNK_ROWS = 2048
 
 
 class SchemaError(ValueError):
@@ -226,9 +223,9 @@ class Dataset:
     ``column_numeric`` and ``column_codes`` derive a column's levels or codes,
     and reading a bad cell, or a view of a column with bad cells, raises
     SchemaViolationError. Subsets slice the arrays, unchecked.
-    EM's sufficient statistics (``_stats``, the finite columns' as a one-hot
-    that ``_onehot_chunks`` casts a row chunk at a time) and
-    ``validate_dataset``'s findings (``_findings``) are built on first use.
+    EM's sufficient statistics (``_stats``, the finite columns' as a uint8
+    one-hot) and ``validate_dataset``'s findings (``_findings``) are built on
+    first use.
 
     ``columns`` (distinct schema indices) names the variable of each cell of a
     row, in order; the other cells are MISSING. Default: all, in schema order.
@@ -412,18 +409,6 @@ class Dataset:
         reach = np.concatenate([np.maximum(matrix.max(axis=0), -matrix.min(axis=0)),
                                 onehot.max(axis=0)])
         return matrix, onehot, tuple(layout), reach
-
-    def _onehot_chunks(self):
-        """(rows, their float64 one-hot) for every _CHUNK_ROWS rows of the
-        ``_stats`` one-hot, in order: the boundaries depend on N alone. The
-        chunks share one buffer, so each holds until the next is drawn."""
-        onehot = self._stats[1]
-        buffer = np.empty((min(self.n_subjects, _CHUNK_ROWS), onehot.shape[1]))
-        for start in range(0, self.n_subjects, _CHUNK_ROWS):
-            rows = onehot[start:start + _CHUNK_ROWS]
-            chunk = buffer[:len(rows)]
-            np.copyto(chunk, rows)
-            yield slice(start, start + len(rows)), chunk
 
     @cached_property
     def _findings(self) -> tuple:

@@ -8,16 +8,16 @@ responsibility matrices from a single seed; the best final negative
 log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
-The restarts of a fit, and all folds x restarts of a leave-one-out order, run
-as one batch (``_em_batch``) over every row of the cohort. Each fit is a mask
-of the rows it keeps and their column scales; a row it leaves out has weight
-0. Both steps read the cohort's sufficient statistics (``Dataset._stats``: the
-continuous columns' and the finite columns' one-hot, multiplied in fixed row
-chunks). An E-step is their product with every component's natural parameters
-(``model._em_log_joint``); an M-step is their product with the weights, then
-one closed-form ``_weighted_block`` (q and block) per variable. A fit ends
-converged, at the cap, on a revert or on a collapse; batched, bit for bit as
-run alone.
+All of EM is here. The restarts of a fit, and all folds x restarts of a
+leave-one-out order, run as one batch (``_em_batch``) over every row of the
+cohort. Each fit is a mask of the rows it keeps and their column scales; a row
+it leaves out has weight 0. Both steps read the cohort's sufficient statistics
+(``Dataset._stats``: the continuous columns' and the finite columns' one-hot,
+which ``_onehot_chunks`` casts a row chunk at a time). An E-step
+(``_em_log_joint``) is their product with every component's natural
+parameters; an M-step (``_m_step_batch``) their product with the weights, then
+one closed-form ``_weighted_block`` (q and block) per variable. ``_em_batch``
+alone ends a fit: converged, at the cap, on a revert or on a collapse.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EstimationError, _default_block, _weighted_block, log_sum_exp
-from .model import MixtureModel, _em_log_joint, parameter_count
+from .distributions import (EstimationError, _default_block, _natural_params, _weighted_block,
+                            log_sum_exp)
+from .model import MixtureModel, _factors, parameter_count
 from .schema import Dataset, SchemaViolationError, _is_int, _kept_ranges, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
+EM_TERM_LIMIT = 1e3       # an E-step product term that could reach this takes _factors
+_CHUNK_ROWS = 2048        # one-hot rows cast to float64 at a time: one chunk's memory
 
 
 class ComponentCollapseError(RuntimeError):
@@ -92,39 +95,82 @@ class TrainingTrace:
         return self.nll_per_iteration[-1]
 
 
+def _onehot_chunks(dataset: Dataset):
+    """(rows, their float64 one-hot) for every _CHUNK_ROWS rows of the
+    ``Dataset._stats`` one-hot, in order: the boundaries depend on N alone.
+    The chunks share one buffer, so each holds until the next is drawn."""
+    onehot = dataset._stats[1]
+    buffer = np.empty((min(dataset.n_subjects, _CHUNK_ROWS), onehot.shape[1]))
+    for start in range(0, dataset.n_subjects, _CHUNK_ROWS):
+        rows = onehot[start:start + _CHUNK_ROWS]
+        chunk = buffer[:len(rows)]
+        np.copyto(chunk, rows)
+        yield slice(start, start + len(rows)), chunk
+
+
+def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int) -> np.ndarray:
+    """(n_fits, Z, N) ``model._log_joint`` under ``model_missing`` of a stack of
+    n_fits models: log w plus, per fit (batched or not, the same bits), one
+    product of the ``_natural_params`` with ``Dataset._stats``' statistics and
+    one with its one-hot, a row chunk at a time. The product rounds to a few eps
+    times its terms, bounded by |theta| @ ``reach`` (a statistic or slot that is
+    0 on every row left out). A component takes the scoring routine
+    ``model._factors`` instead on a column where that bound reaches
+    EM_TERM_LIMIT: a variance near its floor far from the column's centre
+    (terms ~ (x - centre)^2 / variance), a Gamma near its shape cap (lgamma(shape)
+    ~ 1e5), a far level's log mass, or a -inf (q or zero_prob at 0 or 1, or a
+    mass at 0, on a statistic some row has), which the product would make NaN.
+    So it stays within ~1e-13 per column of ``_log_joint``."""
+    matrix, _, layout, reach = dataset._stats
+    theta = np.zeros((model.n_components, reach.size))
+    dense = []
+    for v, (schema, (cols, unit)) in enumerate(zip(model.schemas, layout)):
+        finite = schema.kind.is_finite
+        block = _natural_params(schema.kind, model._log_masses[v] if finite else model._blocks[v],
+                                unit, model.missing_probs[:, v])
+        block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
+        with np.errstate(over="ignore"):
+            wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
+        theta[~wide, cols] = block[~wide]
+        if wide.any():
+            dense.append((v, np.flatnonzero(wide)))
+    shape = (n_fits, model.n_components // n_fits, -1)
+    out = np.matmul(theta[:, :matrix.shape[1]].reshape(shape), matrix.T)
+    slots = theta[:, matrix.shape[1]:].reshape(shape)
+    for rows, chunk in _onehot_chunks(dataset):
+        out[..., rows] += np.matmul(slots, chunk.T)
+    flat = out.reshape(model.n_components, -1)
+    with np.errstate(divide="ignore"):
+        flat += np.log(model.weights)[:, None]
+        for v, rows in dense:
+            q = model.missing_probs[rows, v, None]
+            flat[rows] += _factors(model, dataset, v, rows, np.log(q), np.log1p(-q))
+    return out
+
+
 def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
-                  fits: np.ndarray) -> tuple:
-    """The M-step of the fits ``fits`` (ascending) from their (B, Z, N)
-    responsibilities over the rows of ``dataset`` (0 on a row a fit leaves
-    out), fit b with the column scales ``scales[b]``: its sums are one product
-    with ``Dataset._stats``' statistics plus one with its one-hot (missed
-    weight and level counts) summed over the row chunks in order, each
+                  totals: np.ndarray) -> MixtureModel:
+    """The M-step of B fits from their (B, Z, N) responsibilities ``alpha`` over
+    the rows of ``dataset`` (0 on a row a fit leaves out) and its (B, Z) sums
+    ``totals``, fit b with the column scales ``scales[b]``: its sums are one
+    product with ``Dataset._stats``' statistics plus one with its one-hot
+    (missed weight and level counts) summed over the row chunks in order, each
     variable's whole to ``_weighted_block`` (q and block); rows with observed
-    weight <= ZERO_WEIGHT_EPS take its ``_default_block``, no cell built. Returns
-    (stacked model, ``_from_blocks``; the fits it holds; {fit:
-    ComponentCollapseError}, fits that left the batch)."""
-    totals = alpha.sum(axis=-1)
-    low = totals.min(axis=1) < COLLAPSE_EPS
-    failed = {int(fits[i]): ComponentCollapseError(
-        f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
-        for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist())}
-    if low.any():
-        alpha, totals, fits = alpha[~low], totals[~low], fits[~low]
-        if not fits.size:
-            return None, fits, failed
+    weight <= ZERO_WEIGHT_EPS take its ``_default_block``, no cell built.
+    Returns the stacked model of the B fits (``_from_blocks``)."""
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
     n_fits, n_comp, _ = alpha.shape
     matrix, onehot, layout, _ = dataset._stats
     # one product per fit, so a fit's sums do not depend on the batch it is in
     counts = np.zeros((n_fits, n_comp, onehot.shape[1]))
-    for rows, chunk in dataset._onehot_chunks():
+    for rows, chunk in _onehot_chunks(dataset):
         counts += np.matmul(alpha[..., rows], chunk)
     stats = np.concatenate([np.matmul(alpha, matrix), counts], axis=-1).reshape(n_fits * n_comp, -1)
     missing_probs = np.empty((n_fits * n_comp, len(layout)))
     blocks = []
     for v, (schema, (cols, unit)) in enumerate(zip(dataset.schemas, layout)):
-        fit_scales = np.repeat(scales[fits, v], n_comp)
+        fit_scales = np.repeat(scales[:, v], n_comp)
         with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
             missing_probs[:, v], observed, block = _weighted_block(
                 schema.kind, stats[:, cols], schema.domain, fit_scales, unit)
@@ -133,9 +179,8 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
             for fitted, default in zip(block, defaults):
                 fitted[unfitted] = default[unfitted]
         blocks.append(block)
-    model = MixtureModel._from_blocks((totals / totals.sum(axis=1, keepdims=True)).ravel(),
-                                      blocks, missing_probs, dataset.schemas, n_fits)
-    return model, fits, failed
+    return MixtureModel._from_blocks((totals / totals.sum(axis=1, keepdims=True)).ravel(),
+                                     blocks, missing_probs, dataset.schemas, n_fits)
 
 
 def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.ndarray,
@@ -147,29 +192,36 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.
     and posteriors. Per run: (model, NLL trace, converged), or the
     ComponentCollapseError that ended it.
 
-    An E-step is one ``_em_log_joint`` for all B * Z components, component-major:
-    (B, Z, N). A rise over MONOTONE_SLACK (approximate M-steps overshoot)
-    keeps the previous model; else a run stops at a relative decrease <=
-    rel_tol (converged) or after max_iterations more M-steps, and leaves the
-    batch. Precondition (``_fit_many`` meets it, posteriors keep it): each kept
-    row's responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's
-    q, zero_prob, masses and floored densities positive and finite for the row,
-    so its likelihood is; a zero one would stop the batch at the next M-step's
+    Every ending is decided here. Before each M-step, a run with a component of
+    total responsibility below COLLAPSE_EPS collapses. An E-step is one
+    ``_em_log_joint`` for all B * Z components, component-major: (B, Z, N). A
+    rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the previous
+    model; else a run stops at a relative decrease <= rel_tol (converged) or
+    after max_iterations more M-steps. An ended run leaves the batch.
+    Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
+    responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q,
+    zero_prob, masses and floored densities positive and finite for the row, so
+    its likelihood is; a zero one would stop the batch at the next M-step's
     finite-weights check (EstimationError), not end one run."""
-    n_runs = len(inits)
-    traces = [[] for _ in range(n_runs)]
-    outcomes = [None] * n_runs
-    model, fits, failed = _m_step_batch(dataset, scales, inits, np.arange(n_runs))
+    traces = [[] for _ in inits]
+    outcomes = [None] * len(inits)
+    alpha, fits = inits, np.arange(len(inits))
     while True:
-        for b, err in failed.items():
-            outcomes[b] = err
-        if not fits.size:
-            return outcomes
+        totals = alpha.sum(axis=-1)
+        low = totals.min(axis=1) < COLLAPSE_EPS
+        for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist()):
+            outcomes[fits[i]] = ComponentCollapseError(
+                f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
+        if low.any():
+            alpha, totals, fits = alpha[~low], totals[~low], fits[~low]
+            if not fits.size:
+                return outcomes
+        model = _m_step_batch(dataset, scales[fits], alpha, totals)
         log_joint = _em_log_joint(model, dataset, fits.size)
         # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
         np.copyto(log_joint, -np.inf, where=~kept[fits][:, None])
-        totals = np.where(kept[fits], log_sum_exp(log_joint, axis=1), 0.0)
-        nlls = -totals.sum(axis=1)
+        ll = np.where(kept[fits], log_sum_exp(log_joint, axis=1), 0.0)
+        nlls = -ll.sum(axis=1)
         for i, b in enumerate(fits.tolist()):
             trace, nll = traces[b], float(nlls[i])
             if trace and nll > trace[-1] + MONOTONE_SLACK:
@@ -184,11 +236,11 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.
         if not go.any():
             return outcomes
         if not go.all():
-            log_joint, totals = log_joint[go], totals[go]
+            log_joint, ll = log_joint[go], ll[go]
         # in place: the log-joint's memory becomes the posteriors
-        posteriors = np.exp(np.subtract(log_joint, totals[:, None], out=log_joint), out=log_joint)
+        alpha = np.exp(np.subtract(log_joint, ll[:, None], out=log_joint), out=log_joint)
         previous, previous_fits = model, fits
-        model, fits, failed = _m_step_batch(dataset, scales, posteriors, fits[go])
+        fits = fits[go]
 
 
 def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, seeds, order: int,

@@ -109,12 +109,16 @@ def collapsing_starts(monkeypatch):
 
 def m_step_alone(dataset, responsibilities) -> tuple:
     """The batched M-step (``training._m_step_batch``) of one fit from its (N, Z)
-    responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {})."""
+    responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {}).
+    A collapse is ``_em_batch``'s, which tests for it before each M-step."""
     from hetmix.schema import _kept_ranges
-    from hetmix.training import _m_step_batch
+    from hetmix.training import COLLAPSE_EPS, EmConfig, _em_batch, _m_step_batch
     alpha = np.ascontiguousarray(np.asarray(responsibilities, dtype=float).T)[None]
-    model, _, failed = _m_step_batch(dataset, _kept_ranges(dataset)[3], alpha, np.arange(1))
-    return model, failed
+    scales, totals = _kept_ranges(dataset)[3], alpha.sum(axis=-1)
+    if totals.min() < COLLAPSE_EPS:
+        kept = np.ones((1, dataset.n_subjects), dtype=bool)
+        return None, {0: _em_batch(dataset, kept, scales, alpha, EmConfig())[0]}
+    return _m_step_batch(dataset, scales, alpha, totals), {}
 
 
 def recovery_model() -> MixtureModel:

@@ -29,9 +29,9 @@ from hetmix.demo import demo_model, small_demo_model
 from hetmix.distributions import _LOG_PDF, REL_VARIANCE_FLOOR, SHAPE_MAX
 from hetmix.inference import target_tables
 from hetmix.io import model_to_dict, save_model
-from hetmix.model import _em_log_joint, _log_joint
+from hetmix.model import _log_joint
 from hetmix.schema import _kept_ranges
-from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch
+from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch, _em_log_joint
 
 SCHEMAS = (VariableSchema("x", "real"),
            VariableSchema("conc", "nonnegative"),
@@ -285,9 +285,9 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
     steps = []
     real_m_step = training._m_step_batch
 
-    def counted_m_step(data, scales, responsibilities, fits):
+    def counted_m_step(data, scales, responsibilities, totals):
         steps.append(1)
-        return real_m_step(data, scales, responsibilities, fits)
+        return real_m_step(data, scales, responsibilities, totals)
 
     dataset = _cohort(np.random.default_rng(5), 60)
     for module in (schema, training, evaluation):  # each name a module calls it by
@@ -332,7 +332,7 @@ def test_em_builds_no_parameter_cell(monkeypatch):
             assert model.params[0][v] == oracles.default_cell(schema.kind, schema.domain, scale)
 
 
-# EM's E-step (``model._em_log_joint``) takes each continuous column as a product
+# EM's E-step (``training._em_log_joint``) takes each continuous column as a product
 # of natural parameters with standardized statistics, which rounds to about eps
 # times its terms; a component whose terms could reach EM_TERM_LIMIT (1e3), or
 # are infinite (a -inf coefficient on a statistic some row has), takes the

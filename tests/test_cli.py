@@ -17,7 +17,7 @@ from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
                     ZeroLikelihoodError, infer, point_predict)
 from hetmix.cli import _em_config, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
-                       save_model, save_schemas)
+                       read_data_csv, save_model, save_schemas)
 
 from conftest import m_step_alone, widest_fit_values
 
@@ -114,6 +114,38 @@ class TestParser:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout == "[]\n"
+
+
+class TestEncoding:
+    def test_files_are_utf8_under_an_ascii_locale(self, work, tmp_path):
+        """Every file is read and written as UTF-8, whatever the locale: under
+        the C locale, validate reads a schema and cohort whose site symbol is
+        "café", and simulate from a model that holds it writes a cohort that
+        reads back."""
+        env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+                   PYTHONPATH=str(Path(hetmix.__file__).parents[1]))
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "hetmix.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        paths = {}
+        for name, source in (("schema.json", work["schema"]), ("cohort.csv", work["data"]),
+                             ("model.json", work["demo"] / "model.json")):
+            paths[name] = tmp_path / name
+            text = source.read_text(encoding="utf-8").replace("alpha", "café")
+            paths[name].write_text(text, encoding="utf-8")
+        done = run("validate", "--data", str(paths["cohort.csv"]),
+                   "--schema", str(paths["schema.json"]), "--out-dir", str(tmp_path / "validate"))
+        assert done.returncode == 0, done.stderr
+        assert "0 violation(s)" in done.stdout
+        done = run("simulate", "--model", str(paths["model.json"]), "--n", "40", "--seed", "2",
+                   "--out-dir", str(tmp_path / "simulate"))
+        assert done.returncode == 0, done.stderr
+        schemas = load_model(paths["model.json"]).schemas
+        assert "café" in schemas[[s.name for s in schemas].index("site")].domain
+        cohort = read_data_csv(tmp_path / "simulate" / "cohort.csv", schemas)
+        assert cohort.n_subjects == 40 and any("café" in cohort.row(i) for i in range(40))
 
 
 class TestDemoAndSimulate:

@@ -26,9 +26,10 @@ from conftest import m_step_alone
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
-from hetmix.model import _em_log_joint, _log_joint
-from hetmix.schema import _CHUNK_ROWS, _kept_ranges
-from hetmix.training import ComponentCollapseError, _em_batch, _m_step_batch
+from hetmix.model import _log_joint
+from hetmix.schema import _kept_ranges
+from hetmix.training import (_CHUNK_ROWS, COLLAPSE_EPS, ComponentCollapseError, _em_batch,
+                             _em_log_joint, _m_step_batch)
 
 # The batch sums over all N rows in BLAS order and takes real variances in one
 # pass from standardized sums; the oracle sums each fit's own rows, two-pass.
@@ -187,15 +188,22 @@ def test_order_nine_matches_the_sequential_fit_to_rounding():
 
 def test_batch_covers_every_way_a_fit_ends():
     """One batch of restarts and folds (one of which lost "site") in which fits
-    converge, reach the cap, revert and collapse; each ends as the sequential
-    loop ends it."""
+    converge, reach the cap, revert and collapse, before their first M-step or
+    after a later one; each ends as the sequential loop ends it."""
     rng = np.random.default_rng(0)
     dataset = _cohort(rng, 40, [7], lone_site=4)
-    held_out = np.array([4, 0, 9, 1, 2, 3, 5, 6, 8, 10, 11])
+    held_out = np.array([4, 0, 9, 1, 2, 3, 5, 6, 8, 10, 11, 9])
     assert validate_dataset(dataset.drop_subject(4)) and not validate_dataset(
         dataset.drop_subject(0))
-    starts = [rng.dirichlet(np.ones(3), size=39) for _ in held_out]
-    starts[1][:, 2] = 0.0  # collapses at the first M-step
+    starts = [rng.dirichlet(np.ones(3), size=39) for _ in held_out[:-1]]
+    starts[1][:, 2] = 0.0  # collapses before the first M-step
+    # fit 2's start with 5e-10 of each row on component 2: 1.95e-8 in all clears
+    # COLLAPSE_EPS, and EM drains the component in later M-steps
+    late = starts[2].copy()
+    late[:, 2] = 5e-10
+    late[:, :2] *= (1.0 - 5e-10) / late[:, :2].sum(axis=1, keepdims=True)
+    starts.append(late)
+    assert late.sum(axis=0)[2] >= COLLAPSE_EPS
     config = EmConfig(max_iterations=8, rel_tol=1e-4)
     states, batched = _run_all_three(dataset, held_out, starts, config)
     for reference, alone, got in states:
@@ -204,6 +212,12 @@ def test_batch_covers_every_way_a_fit_ends():
         _assert_close(got, reference)
     assert isinstance(batched[1], ComponentCollapseError)
     assert str(batched[1]) == "component 2 collapsed (total responsibility 0.000e+00)"
+    assert isinstance(batched[-1], ComponentCollapseError)
+    assert str(batched[-1]) == "component 2 collapsed (total responsibility 4.016e-09)"
+    # it collapsed after its third M-step: capped there, the fit ends with three NLLs
+    _, kept, scales, inits = _batch(dataset, held_out[-1:], starts[-1:])
+    capped, = _em_batch(dataset, kept, scales, inits, EmConfig(max_iterations=2, rel_tol=1e-4))
+    assert not isinstance(capped, Exception) and len(capped[1]) == 3
     ends = {("converged" if o[2] else "cap" if len(o[1]) == 8 + 1 else "revert")
             for o in batched if not isinstance(o, Exception)}
     assert ends == {"converged", "cap", "revert"}
@@ -233,10 +247,10 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
     first, runs = [], []
     for d in (dataset, changed):
         _, kept, scales, inits = _batch(d, held_out, starts)
-        first.append(_m_step_batch(d, scales, inits, np.arange(3)))
+        first.append(_m_step_batch(d, scales, inits, inits.sum(axis=-1)))
         runs.append(_em_batch(d, kept, scales, inits, EmConfig(max_iterations=10)))
-    (model, fits, failed), (other, other_fits, other_failed) = first
-    assert np.array_equal(fits, other_fits) and list(failed) == list(other_failed)
+    model, other = first
+    assert model.n_components == other.n_components == 3 * order
     for a, b in _array_pairs(model, other):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
     for got, reference in zip(*runs):
@@ -263,7 +277,7 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         return weighted_block(kind, stats, *args)
 
     monkeypatch.setattr(training, "_weighted_block", recording)
-    _m_step_batch(dataset, scales, inits, np.arange(3))
+    _m_step_batch(dataset, scales, inits, inits.sum(axis=-1))
     finite = [v for v, s in enumerate(dataset.schemas) if s.kind.is_finite]
     assert len(sums) == len(finite) > 0
     for v, got in zip(finite, sums):
@@ -301,11 +315,11 @@ def test_a_fold_floors_variances_at_its_own_scale():
     alpha[0, 0, :2] = 1.0
     alpha[0, 1, 2:] = 1.0
     alpha[0, :, 5] = 0.0
-    model, _, _ = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, np.arange(1))
+    model = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, alpha.sum(axis=-1))
     variance = model._blocks[x][1]
     assert variance[0] == pytest.approx(0.025 ** 2, rel=1e-12)  # above the fold's floor
     alpha[0, 0, 1] = 0.0  # one value: the variance is the floor
-    model, _, _ = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, np.arange(1))
+    model = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, alpha.sum(axis=-1))
     assert model._blocks[x][1][0] == 1e-6 * 0.95 ** 2
     want = oracles.m_step(fold, np.delete(alpha[0], 5, axis=1).T)
     assert model._blocks[x][1][0] == want._blocks[x][1][0]
@@ -391,8 +405,10 @@ def test_missing_probabilities_are_exact_at_the_extremes():
     held_out = np.array([3, 0, 17])
     starts = [rng.dirichlet(np.ones(3), size=24) for _ in held_out]
     _, _, scales, inits = _batch(dataset, held_out, starts)
-    model, fits, failed = _m_step_batch(dataset, scales, inits, np.arange(3))
-    assert not failed and fits.tolist() == [0, 1, 2]
+    totals = inits.sum(axis=-1)
+    assert totals.min() >= COLLAPSE_EPS  # no fit collapses
+    model = _m_step_batch(dataset, scales, inits, totals)
+    assert model.n_components == 3 * 3
     q = model.missing_probs.reshape(3, 3, -1)
     assert (q[0, :, a] == 1.0).all() and (q[0, :, b] == 0.0).all()
     assert (q[1:, :, a] < 1.0).all() and (q[1:, :, b] > 0.0).all()

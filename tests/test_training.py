@@ -193,18 +193,19 @@ class TestStopRule:
     (converged) or after max_iterations M-steps beyond the first."""
 
     def _counting_m_step(self, monkeypatch, worse_on_call=None):
-        """Record each batched M-step's (stacked model, fits it holds, failures);
-        call ``worse_on_call`` gets uniform responsibilities instead."""
+        """Record each batched M-step's stacked model; call ``worse_on_call``
+        gets uniform responsibilities instead."""
         import hetmix.training as training
         real = training._m_step_batch
         produced = []
 
-        def counted(data, scales, responsibilities, fits):
+        def counted(data, scales, responsibilities, totals):
             if len(produced) + 1 == worse_on_call:
                 # every component the same: the order-1 fit, far worse here
                 responsibilities = np.full_like(responsibilities,
                                                 1.0 / responsibilities.shape[-1])
-            produced.append(real(data, scales, responsibilities, fits))
+                totals = responsibilities.sum(axis=-1)
+            produced.append(real(data, scales, responsibilities, totals))
             return produced[-1]
 
         monkeypatch.setattr(training, "_m_step_batch", counted)
@@ -215,7 +216,7 @@ class TestStopRule:
         produced = self._counting_m_step(monkeypatch, worse_on_call=4)
         model, trace = fit(ds, 2, EmConfig(restarts=1, seed=1, rel_tol=1e-12))
         assert len(produced) == 4
-        assert model is produced[2][0]  # a batch of one fit is that fit's model
+        assert model is produced[2]  # a batch of one fit is that fit's model
         assert trace.iterations == 3
         assert not trace.converged
         assert math.isclose(trace.final_nll, _nll(model, ds), rel_tol=RESCORED_REL_TOL)
@@ -244,7 +245,7 @@ class TestStopRule:
                                        rel_tol=1e-12))
         # the two restarts step in lockstep: 4 + 1 batched M-steps of 2 fits each
         assert len(produced) == 4 + 1
-        assert sum(len(fits) + len(failed) for _, fits, failed in produced) == 2 * (4 + 1)
+        assert sum(model.n_components // 3 for model in produced) == 2 * (4 + 1)
         assert trace.iterations == 4 + 1 and not trace.converged
 
 
