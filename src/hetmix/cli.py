@@ -29,10 +29,11 @@ record with bad cells or zero likelihood gets an error line, and exit 5.
 
 Every command writes its outputs atomically into --out-dir together with a
 ``manifest.json`` recording the tool version, command, full argument set,
-seed, and sha256 of each input file. ``hetmix rerun`` re-executes a manifest,
-whose argument values must have the types and choices the parser allows, and
-reproduces byte-identical outputs. Floats are serialized in shortest
-round-trip form throughout.
+seed, and sha256 of each input file. ``hetmix rerun`` re-executes a manifest
+whose arguments are exactly the command's options, of the types and choices
+the parser allows, and whose inputs are exactly its input arguments' files,
+unchanged; it reproduces byte-identical outputs. Floats are serialized in
+shortest round-trip form throughout.
 
 Exit codes: 0 success, 2 usage (argparse), 3 validation (checked before any
 work, e.g. an unknown or duplicate target), 4 training, 5 inference, 6 I/O.
@@ -95,8 +96,12 @@ def _violation_payload(violations) -> list:
             for v in violations]
 
 
-def _write_manifest(out_dir, command: str, arguments: dict, inputs: dict,
-                    outputs: list):
+def _inputs(arguments: dict) -> dict:
+    """{argument: path} of the files a command reads, as its manifest records them."""
+    return {k: arguments[k] for k in ("data", "schema", "model", "evidence") if arguments.get(k)}
+
+
+def _write_manifest(out_dir, command: str, arguments: dict, outputs: list):
     payload = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "tool": "hetmix",
@@ -104,7 +109,7 @@ def _write_manifest(out_dir, command: str, arguments: dict, inputs: dict,
         "command": command,
         "arguments": arguments,
         "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
-                   for name, path in inputs.items()},
+                   for name, path in _inputs(arguments).items()},
         "outputs": sorted(outputs),
     }
     atomic_write_text(out_dir / MANIFEST_NAME,
@@ -366,18 +371,15 @@ _RUNNERS = {
     "demo-model": run_demo_model,
 }
 
-_INPUT_KEYS = ("data", "schema", "model", "evidence")
-
 
 def _execute(command: str, arguments: dict, out_dir) -> int:
     """Run a command, then write the manifest that can reproduce it."""
-    inputs = {k: arguments[k] for k in _INPUT_KEYS if arguments.get(k)}
     try:
         outputs = _RUNNERS[command](arguments, out_dir)
     except _PartialFailure as err:
-        _write_manifest(out_dir, command, arguments, inputs, err.outputs)
+        _write_manifest(out_dir, command, arguments, err.outputs)
         return _fail(err.category, err.code, str(err), **err.extra)
-    _write_manifest(out_dir, command, arguments, inputs, outputs)
+    _write_manifest(out_dir, command, arguments, outputs)
     return EXIT_OK
 
 
@@ -399,9 +401,8 @@ def run_rerun(args) -> int:
     parser = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)).choices[command]
     actions = [a for a in parser._actions if a.dest not in ("help", "out_dir")]
-    missing = {a.dest for a in actions} - set(arguments)
-    if missing:
-        raise FormatError(f"manifest arguments lack {sorted(missing)}")
+    if set(arguments) != {a.dest for a in actions}:
+        raise FormatError(f"manifest arguments must be {sorted(a.dest for a in actions)}")
     for action in actions:  # each value must be one the parser could have stored
         value = arguments[action.dest]
         kind = (bool if isinstance(action, argparse._StoreTrueAction)
@@ -409,9 +410,10 @@ def run_rerun(args) -> int:
         if (value not in action.choices if action.choices
                 else not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
             raise FormatError(f"manifest argument {action.dest!r} cannot be {value!r}")
+    if {name: entry["path"] for name, entry in inputs.items()} != _inputs(arguments):
+        raise FormatError("manifest inputs must be the paths of the input arguments")
     for name, entry in inputs.items():
-        digest = sha256_file(entry["path"])
-        if digest != entry["sha256"]:
+        if sha256_file(entry["path"]) != entry["sha256"]:
             raise FormatError(f"input {name!r} ({entry['path']}) changed since "
                               "the manifest was written")
     out_dir = Path(args.out_dir)

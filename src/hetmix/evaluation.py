@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,10 +34,10 @@ from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
-# folds trained at once, each fit with (Z, N) arrays over the whole cohort: on loo-n120 (one
-# core of a 2-vCPU x86-64 VM, perfbench seed 0, 10 alternating runs each) 48 / 120 folds a batch
-# took medians of 0.374 / 0.311 s of reference CPU at a peak of 42.6 / 47.7 MB (+12%), and that
-# memory grows with N
+# the most folds one batch trains at once (loo_evaluate's batches are equal and no larger), each
+# fit with (Z, N) arrays over the whole cohort: on loo-n120 (one core of a 2-vCPU x86-64 VM,
+# perfbench seed 0, 10 alternating runs each) 48 / 120 folds a batch took medians of 0.374 /
+# 0.311 s of reference CPU at a peak of 42.6 / 47.7 MB (+12%), and that memory grows with N
 _FOLDS_PER_BATCH = 48
 
 
@@ -300,12 +301,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     (subject, None, None, message) at its first failure: its training rows
     lose a column's variability (as ``validate_dataset`` words it), every restart
     of an order fails, or the held-out evidence has zero likelihood."""
-    n = dataset.n_subjects
-    if len(subjects) > _FOLDS_PER_BATCH:
-        return [fold for first in range(0, len(subjects), _FOLDS_PER_BATCH) for fold in
-                _evaluate_folds(dataset, subjects[first:first + _FOLDS_PER_BATCH], orders,
-                                targets, mode, config)]
-    subjects = list(subjects)
+    n, subjects = dataset.n_subjects, list(subjects)
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     kept = np.arange(n) != np.array(subjects)[:, None]
     counts, low, high, scales = _kept_ranges(dataset, kept)
@@ -362,8 +358,10 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     added to the requested orders if absent. Folds that fail for any order
     (see _evaluate_folds) are excluded entirely so the per-order averages cover
     identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
-    of folds fail. Per-fold seeds depend only on (config.seed, subject), so
-    results do not depend on worker count.
+    of folds fail. The N folds run in k contiguous, equal batches per worker, k =
+    ceil(N / (_FOLDS_PER_BATCH * n_workers)), a worker's k batches one task (one
+    pickle of the cohort). No fold depends on the others of its batch, and per-fold
+    seeds depend only on (config.seed, subject), so results do not depend on worker count.
     """
     targets = InferenceRequest({}, targets, mode).targets
     for name in targets:
@@ -375,18 +373,18 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     if violations:
         raise SchemaViolationError(violations)
 
-    # each worker takes one contiguous range of folds, so the cohort is pickled
-    # once per worker; per-fold results do not depend on the other folds
-    ranges = [r.tolist() for r in np.array_split(np.arange(dataset.n_subjects), max(n_workers, 1))
-              if r.size]
-    if len(ranges) > 1:
+    n, workers = dataset.n_subjects, max(n_workers, 1)
+    k = -(-n // (_FOLDS_PER_BATCH * workers))
+    batches = [b.tolist() for b in np.array_split(np.arange(n), min(n, k * workers))]
+    run = partial(_evaluate_folds, dataset, orders=orders, targets=targets, mode=mode,
+                  config=config)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(_evaluate_folds, [dataset] * len(ranges), ranges,
-                                  *([a] * len(ranges) for a in (orders, targets, mode, config))))
-        raw = [fold for part in parts for fold in part]
+        with ProcessPoolExecutor(min(workers, len(batches))) as pool:
+            parts = list(pool.map(run, batches, chunksize=k))
     else:
-        raw = _evaluate_folds(dataset, range(dataset.n_subjects), orders, targets, mode, config)
+        parts = map(run, batches)
+    raw = [fold for part in parts for fold in part]
 
     failures = []
     eae_records: dict = {order: [] for order in [CHANCE_ORDER] + orders}
@@ -404,10 +402,9 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
         for order, (log_c, pct) in confidence.items():
             confidence_records[order].append(ConfidenceRecord(subject, log_c, pct))
 
-    if len(failures) > MAX_FAILURE_FRACTION * dataset.n_subjects:
-        raise TrainingError(
-            f"{len(failures)} of {dataset.n_subjects} folds failed: "
-            + "; ".join(f.message for f in failures[:3]))
+    if len(failures) > MAX_FAILURE_FRACTION * n:
+        raise TrainingError(f"{len(failures)} of {n} folds failed: "
+                            + "; ".join(f.message for f in failures[:3]))
 
     summaries = []
     for order in [CHANCE_ORDER] + orders:

@@ -469,7 +469,8 @@ def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple
         np.log(x, out=out[:, 4], where=positive)
         return 0.0, 1.0
     observed = column[~missing]
-    centre = np.median(observed) if observed.size else 0.0
+    lo, hi = (observed.size - 1) // 2, observed.size // 2  # np.median's bits, no numpy.ma import
+    centre = np.partition(observed, [lo, hi])[lo:hi + 1].mean() if observed.size else 0.0
     scale = np.ldexp(1.0, np.frexp(np.abs(observed - centre).max(initial=0.0))[1])
     out[:, 1] = ~missing
     np.divide(x - centre, scale, out=out[:, 2], where=~missing)

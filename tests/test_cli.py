@@ -770,19 +770,31 @@ class TestRerun:
 
 
     @pytest.mark.parametrize("edit", [
-        lambda m: [m],
-        lambda m: {k: v for k, v in m.items() if k != "arguments"},
-        lambda m: {**m, "command": "demo-model", "arguments": {}, "inputs": {}},
-        lambda m: {**m, "inputs": {"data": {"sha256": m["inputs"]["data"]["sha256"]}}},
-        lambda m: {**m, "arguments": {**m["arguments"], "order": "two"}},
-        lambda m: {**m, "arguments": {**m["arguments"], "restarts": 1.5}},
-        lambda m: {**m, "format_version": 2},
+        lambda m, _: [m],
+        lambda m, _: {k: v for k, v in m.items() if k != "arguments"},
+        lambda m, _: {**m, "command": "demo-model", "arguments": {}, "inputs": {}},
+        lambda m, _: {**m, "inputs": {"data": {"sha256": m["inputs"]["data"]["sha256"]}}},
+        lambda m, _: {**m, "arguments": {**m["arguments"], "order": "two"}},
+        lambda m, _: {**m, "arguments": {**m["arguments"], "restarts": 1.5}},
+        lambda m, _: {**m, "format_version": 2},
+        # the run would hash nothing, or hash one cohort and fit another
+        lambda m, _: {**m, "inputs": {}},
+        lambda m, copy: {**m, "arguments": {**m["arguments"], "data": str(copy)}},
+        # a validate run given arguments that validate does not take
+        lambda m, _: {**m, "command": "validate", "arguments": {
+            **{k: m["arguments"][k] for k in ("data", "schema", "missing_token",
+                                              "drop_constant")},
+            "bogus": True, "orders": "1-3"}},
     ], ids=["list", "no-arguments", "argument-keys-missing", "input-without-path",
-            "order-not-an-int", "restarts-not-an-int", "format-version-2"])
+            "order-not-an-int", "restarts-not-an-int", "format-version-2", "inputs-empty",
+            "data-not-the-hashed-file", "arguments-the-command-does-not-take"])
     def test_malformed_manifest_exits_3(self, work, tmp_path, capsys, edit):
         manifest = json.loads((work["fit1"] / "manifest.json").read_text())
+        copy = tmp_path / "elsewhere" / "cohort.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(work["data"].read_bytes())
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(edit(manifest)))
+        path.write_text(json.dumps(edit(manifest, copy)))
         code = main(["rerun", "--manifest", str(path),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 3

@@ -418,10 +418,12 @@ def test_missing_probabilities_are_exact_at_the_extremes():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
-    """Folds scored in one batch, in batches of 4, one by one, or across worker
-    ranges agree."""
+    """Folds scored in one batch, one by one, or across worker ranges agree, and
+    leave-one-out in batches of at most 4 equals it in batches of at most 48."""
+    import dataclasses
+
     import hetmix.evaluation
-    from hetmix.evaluation import _evaluate_folds
+    from hetmix.evaluation import _evaluate_folds, loo_evaluate
     dataset = _cohort(np.random.default_rng(3), 14, [2], lone_site=5)
     config = EmConfig(max_iterations=20, restarts=2, seed=4)
     args = ((1, 2), ("severity", "status"), "ignore_missing", config)
@@ -433,5 +435,16 @@ def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
     parts = np.array_split(np.arange(14), workers)
     assert [fold for part in parts for fold in _evaluate_folds(dataset, part.tolist(), *args)] \
         == together
+    whole = loo_evaluate(dataset, *args)
+    batches = []
+
+    def recorded(dataset, subjects, **rest):
+        batches.append(subjects)
+        return _evaluate_folds(dataset, subjects, **rest)
+
     monkeypatch.setattr(hetmix.evaluation, "_FOLDS_PER_BATCH", 4)
-    assert _evaluate_folds(dataset, range(14), *args) == together
+    monkeypatch.setattr(hetmix.evaluation, "_evaluate_folds", recorded)
+    split = loo_evaluate(dataset, *args)
+    assert list(map(len, batches)) == [4, 4, 3, 3]
+    for field in dataclasses.fields(whole):
+        assert getattr(split, field.name) == getattr(whole, field.name)

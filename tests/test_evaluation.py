@@ -498,6 +498,44 @@ class TestLooEvaluate:
         with pytest.raises(Exception):
             loo_evaluate(cohort, (1,), ("marker_a",), MODEL_MISSING, EmConfig())
 
+    @pytest.mark.parametrize("n, workers, sizes, chunksize", [
+        (120, 1, [40] * 3, None), (120, 2, [30] * 4, 2), (60, 3, [20] * 3, 1),
+        (60, 4, [15] * 4, 1), (5, 8, [1] * 5, 1)])
+    def test_batches(self, monkeypatch, n, workers, sizes, chunksize):
+        """k batches per worker, k = ceil(n / (48 * workers)), contiguous and equal; a worker's
+        batches are one task of the pool (a serial stand-in here: no process starts)."""
+        import concurrent.futures
+
+        import hetmix.evaluation as ev
+        batches, pools = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append([max_workers])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                pools[-1].append(chunksize)
+                return map(fn, *iterables)
+
+        def record(dataset, subjects, orders, targets, mode, config):
+            batches.append(subjects)
+            return [(s, {0: {}}, {}, []) for s in subjects]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(ev, "_evaluate_folds", record)
+        cohort, _ = sample_cohort(small_demo_model(), n, np.random.default_rng(0))
+        loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig(), n_workers=workers)
+        assert list(map(len, batches)) == sizes
+        assert [s for batch in batches for s in batch] == list(range(n))
+        assert all(type(s) is int for batch in batches for s in batch)
+        assert pools == ([] if chunksize is None else [[min(workers, len(sizes)), chunksize]])
+
     def test_fold_failures_excluded(self, monkeypatch):
         import hetmix.evaluation as ev
         real = ev._evaluate_folds

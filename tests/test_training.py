@@ -1,12 +1,17 @@
 """EM fitting: M-step math, monotone traces, restarts, BIC selection."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import m_step_alone, random_model, recovery_model
+import hetmix
 from hetmix import (MODEL_MISSING, ComponentCollapseError, Dataset, EmConfig,
                     EstimationError, MixtureModel, SchemaViolationError, TrainingError,
                     VariableSchema, bic_score, component_log_likelihoods, fit,
@@ -120,6 +125,23 @@ class TestMStep:
 
 
 class TestFit:
+    def test_fit_loads_no_numpy_ma(self):
+        """A real column's centre is taken without ``np.median``'s NaN check, whose first
+        call imports ``numpy.ma`` (~18 ms); a NumPy that imports it eagerly passes too."""
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from hetmix import EmConfig, fit, sample_cohort\n"
+                "from hetmix.demo import small_demo_model\n"
+                "before = 'numpy.ma' in sys.modules\n"
+                "cohort, _ = sample_cohort(small_demo_model(), 40, np.random.default_rng(0))\n"
+                "fit(cohort, 2, EmConfig(max_iterations=5, restarts=1))\n"
+                "print(before, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hetmix.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        before, after = done.stdout.split()
+        assert after == before
+
     def test_order_one_is_a_single_pass(self):
         _, ds, _ = _cohort(n=200)
         model, trace = fit(ds, 1, EmConfig(restarts=1, seed=3))
