@@ -22,9 +22,11 @@ config = EmConfig(max_iterations=50, rel_tol=1e-5, restarts=1, seed=0)
 # Each fold retrains on n-1 subjects and predicts the held-out one. Order 0
 # (uniform chance) and the order-1 baseline are always in the report, so
 # the value of the mixture structure is read off a single table.
+# The result holds arrays over (order, subject, target), NaN where a subject's
+# true outcome is unobserved.
 result = loo_evaluate(cohort, (3,), ("severity",), MODEL_MISSING, config)
 print(f"folds failed: {len(result.failures)}, predictions skipped "
-      f"(target unobserved): {len(result.skipped)}")
+      f"(target unobserved): {np.isnan(result.errors[0]).sum()}")
 
 print(f"\n{'order':>5} {'mean error %':>13} {'spread':>8} {'n':>4}")
 for order in result.orders:
@@ -38,19 +40,16 @@ for order in result.orders:
 # their observed inputs under the fold's model, then ranks that score
 # against the fold's own training cohort. Percentiles near 0 flag subjects
 # unlike anything seen in training.
-confidence = result.confidence_records[3]
-percentiles = np.array([r.percentile for r in confidence])
+o = result.orders.index(3)
+percentiles = result.percentiles[o]
 print("\nconfidence percentiles: min {:.2f} median {:.2f} max {:.2f}".format(
     percentiles.min(), np.median(percentiles), percentiles.max()))
 
 # Pair each held-out error with its subject's confidence percentile: if
 # confidence is informative, the high-confidence half should be easier.
-errors_by_subject = {r.subject: r.normalized
-                     for r in result.eae_records[3] if r.target == "severity"}
-kept = [(r.percentile, errors_by_subject[r.subject])
-        for r in confidence if r.subject in errors_by_subject]
-pcts = np.array([p for p, _ in kept])
-errs = np.array([e for _, e in kept])
+errors = result.normalized[o, :, result.targets.index("severity")]
+known = ~np.isnan(errors)
+pcts, errs = percentiles[known], errors[known]
 
 bins = confidence_bins(pcts, errs)
 print(f"low-confidence half:  mean error {bins.low_mean:.2f}")

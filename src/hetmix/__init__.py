@@ -30,9 +30,9 @@ from .inference import (FinitePrediction, InferenceRequest, MixturePrediction,
                         PredictiveDistribution, Predictions, infer, infer_many,
                         point_predict, predict_batch, rank_outcomes,
                         target_tables)
-from .evaluation import (ConfidenceBins, ConfidenceRecord, DegenerateSampleError,
-                         EaeRecord, FoldFailure, LooResult, TargetSummary,
-                         ThresholdCurve, chance_prediction, confidence_bins,
+from .evaluation import (ConfidenceBins, DegenerateSampleError, FoldFailure,
+                         LooResult, TargetSummary, ThresholdCurve,
+                         chance_prediction, confidence_bins,
                          confidence_score, error_density,
                          expected_absolute_error, loo_evaluate,
                          max_absolute_error, normalized_error,

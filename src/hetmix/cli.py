@@ -279,30 +279,27 @@ def run_evaluate(arguments: dict, out_dir) -> list:
                     ["order", "target", "n", "mean_normalized", "two_std", "summary"],
                     rows)
 
-    eae_rows = [[order, r.subject, r.target, r.error, r.normalized]
-                for order in result.orders for r in result.eae_records[order]]
+    # one row per value that is not NaN, in (order, subject, target) order
+    at = np.nonzero(~np.isnan(result.errors))
     write_csv_table(out_dir / "eae_records.csv",
-                    ["order", "subject", "target", "error", "normalized"], eae_rows)
-
-    conf_rows = [[order, r.subject, r.log_score, r.percentile]
-                 for order in sorted(result.confidence_records)
-                 for r in result.confidence_records[order]]
+                    ["order", "subject", "target", "error", "normalized"],
+                    zip(np.take(result.orders, at[0]).tolist(), result.subjects[at[1]].tolist(),
+                        np.take(result.targets, at[2]).tolist(), result.errors[at].tolist(),
+                        result.normalized[at].tolist()))
+    at = np.nonzero(~np.isnan(result.log_scores))
     write_csv_table(out_dir / "confidence_records.csv",
-                    ["order", "subject", "log_score", "percentile"], conf_rows)
+                    ["order", "subject", "log_score", "percentile"],
+                    zip(np.take(result.orders, at[0]).tolist(), result.subjects[at[1]].tolist(),
+                        result.log_scores[at].tolist(), result.percentiles[at].tolist()))
 
     bin_rows, curve_rows, density_rows = [], [], []
     taus = np.linspace(0.0, 1.0, arguments["threshold_steps"] + 1)
-    for order in sorted(result.confidence_records):
-        pct_by_subject = {r.subject: r.percentile
-                          for r in result.confidence_records[order]}
-        for name in targets:
-            pairs = [(pct_by_subject[r.subject], r.normalized)
-                     for r in result.eae_records[order]
-                     if r.target == name and r.subject in pct_by_subject]
-            if not pairs:
+    for o, order in enumerate(result.orders[1:], 1):
+        for t, name in enumerate(result.targets):
+            known = ~np.isnan(result.normalized[o, :, t])
+            if not known.any():
                 continue
-            pct = np.asarray([p for p, _ in pairs])
-            err = np.asarray([e for _, e in pairs])
+            pct, err = result.percentiles[o, known], result.normalized[o, known, t]
             bins = confidence_bins(pct, err, arguments["bin_cutoff"])
             bin_rows.append([order, name, bins.cutoff, bins.low_count, bins.low_mean,
                              bins.high_count, bins.high_mean])

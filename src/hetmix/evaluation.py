@@ -16,6 +16,7 @@ it is ranked against the training cohort's scores to give a percentile.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -84,25 +85,6 @@ def chance_prediction(schema: VariableSchema) -> FinitePrediction:
     if k < 2:
         raise SchemaError(f"{schema.name}: need a finite domain")
     return FinitePrediction(schema.domain, np.full(k, 1.0 / k))
-
-
-@dataclass(frozen=True)
-class EaeRecord:
-    """Per-subject evaluation outcome for one target under one model order."""
-
-    subject: int
-    target: str
-    error: float
-    normalized: float
-
-
-@dataclass(frozen=True)
-class ConfidenceRecord:
-    """Per-subject confidence: log evidence likelihood and its training percentile."""
-
-    subject: int
-    log_score: float
-    percentile: float
 
 
 def confidence_score(model: MixtureModel, evidence: Mapping, mode: str) -> float:
@@ -196,7 +178,7 @@ def confidence_bins(percentiles, errors, cutoff: float = 0.5) -> ConfidenceBins:
 def scott_bandwidth(values) -> float:
     """Rule-of-thumb KDE bandwidth: sample std times n^(-1/5)."""
     x = np.asarray(values, dtype=float)
-    if np.unique(x).size < 2:
+    if x.size < 2 or x.min() == x.max() or np.isnan(x).all():  # np.unique loads numpy.ma
         raise DegenerateSampleError("need at least 2 distinct values")
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
@@ -233,23 +215,22 @@ class FoldFailure:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LooResult:
-    """Everything the leave-one-out loop measures.
-
-    ``eae_records`` and ``confidence_records`` map each evaluated order to
-    per-subject records; order 0 rows are the uniform-chance reference and
-    carry no confidence. ``skipped`` lists (subject, target) pairs whose true
-    outcome was missing.
-    """
+    """Everything the leave-one-out loop measures, over the ``subjects`` whose folds did not fail:
+    (O, S, T) ``errors`` and ``normalized`` errors over ``orders`` x ``subjects`` x ``targets``,
+    NaN where the truth is missing (order 0 is uniform chance), and (O, S) ``log_scores`` and
+    ``percentiles``, NaN at order 0."""
 
     orders: tuple
     targets: tuple
     summaries: tuple
-    eae_records: Mapping
-    confidence_records: Mapping
     failures: tuple
-    skipped: tuple
+    subjects: np.ndarray
+    errors: np.ndarray
+    normalized: np.ndarray
+    log_scores: np.ndarray
+    percentiles: np.ndarray
 
     def summary(self, order: int, target: str) -> TargetSummary:
         for s in self.summaries:
@@ -263,13 +244,13 @@ def _fold_seed(seed: int, subject: int) -> int:
     return int(np.random.SeedSequence([seed, subject]).generate_state(1)[0])
 
 
-def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> list:
-    """Per subject, {target: (error, normalized error)} over its observed truths, from each
-    target's (F, K) predicted ``probabilities`` for the F ``subjects``: the bits that
+def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> tuple:
+    """(error, normalized error), each an (F, T) array over the F ``subjects`` and the targets of
+    their (F, K) predicted ``probabilities``, NaN where the truth is missing: the bits that
     ``prediction_error`` and ``normalized_error`` give (an ordinal's error is one (1, K) @
     (K, 1) product per subject, which runs the routine ``np.dot`` runs)."""
-    out = [{} for _ in subjects]
-    for name, probs in probabilities.items():
+    error, normalized = np.full((2, len(subjects), len(probabilities)), np.nan)
+    for t, (name, probs) in enumerate(probabilities.items()):
         schema = dataset.schema(name)
         truths = dataset._values[subjects, dataset.column_index(name)]
         known = np.flatnonzero(~np.isnan(truths))
@@ -277,16 +258,15 @@ def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> list:
         if schema.kind is VariableKind.ORDINAL:
             levels = np.asarray(schema.domain, dtype=float)
             distances = np.abs(levels - levels[codes, None])[..., None]
-            error = np.matmul(probs[known][:, None], distances)[:, 0, 0]
+            error[known, t] = np.matmul(probs[known][:, None], distances)[:, 0, 0]
         else:
-            error = 1.0 - probs[known, codes]
-        for i, e, m in zip(known.tolist(), error.tolist(), normalized_error(schema, error).tolist()):
-            out[i][name] = (e, m)
-    return out
+            error[known, t] = 1.0 - probs[known, codes]
+        normalized[known, t] = normalized_error(schema, error[known, t])
+    return error, normalized
 
 
 def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
-                    config: EmConfig) -> list:
+                    config: EmConfig) -> tuple:
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold keeps
     every row but its subject's, an (F, N) mask, and is checked and trained on the cohort with
     that row masked. One ``_kept_ranges`` pass gives every fold's checks and the column scales
@@ -296,11 +276,13 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     ``predict_batch`` on the stacked tables then gives every fold's predictions, and array
     operations its errors and percentile.
 
-    Per fold: (subject, {order: {target: (error, normalized)}}, {order:
-    (log_c, pct)}, skipped targets), order 0 from the uniform reference; or
-    (subject, None, None, message) at its first failure: its training rows
-    lose a column's variability (as ``validate_dataset`` words it), every restart
-    of an order fails, or the held-out evidence has zero likelihood."""
+    Returns ({subject: message}, errors, normalized, log_scores, percentiles): (O, F, T) errors
+    and (O, F) confidences over (0, *orders) x ``subjects`` x ``targets``, order 0 from the
+    uniform reference, NaN where the truth is missing, the fold did not get that far, or (for a
+    confidence) at order 0. A fold fails at its first failure: its training rows lose a column's
+    variability (as ``validate_dataset`` words it), every restart of an order fails, or the
+    held-out evidence has zero likelihood while some truth is observed (with none, the fold
+    keeps its -inf score)."""
     n, subjects = dataset.n_subjects, list(subjects)
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     kept = np.arange(n) != np.array(subjects)[:, None]
@@ -313,38 +295,37 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
             failed[s] = str(SchemaViolationError(violations))
     chance = {name: np.broadcast_to(p := chance_prediction(dataset.schema(name)).probabilities,
                                     (len(subjects), p.size)) for name in targets}
-    errors = {s: {CHANCE_ORDER: e} for s, e in zip(subjects, _errors(dataset, subjects, chance))}
-    confidence = {s: {} for s in subjects}
-    for order in orders:
+    errors, normalized = np.full((2, 1 + len(orders), len(subjects), len(targets)), np.nan)
+    log_scores, percentiles = np.full((2, 1 + len(orders), len(subjects)), np.nan)
+    errors[CHANCE_ORDER], normalized[CHANCE_ORDER] = _errors(dataset, subjects, chance)
+    observed = ~np.isnan(errors[CHANCE_ORDER]).all(axis=1)  # some truth observed
+    for o, order in enumerate(orders, 1):
         live = [f for f, s in enumerate(subjects) if s not in failed]
-        fitted = list(zip([subjects[f] for f in live], _fit_many(
+        fitted = list(zip(live, _fit_many(
             dataset, kept[live], scales[live], [_fold_seed(config.seed, subjects[f]) for f in live],
             order, config) if live else []))
-        failed.update((s, str(best)) for s, best in fitted if isinstance(best, TrainingError))
-        trained = [(s, best[0]) for s, best in fitted if s not in failed]
+        failed.update((subjects[f], str(best)) for f, best in fitted
+                      if isinstance(best, TrainingError))
+        trained = [(f, best[0]) for f, best in fitted if subjects[f] not in failed]
         if not trained:
             break
-        held, folds = [s for s, _ in trained], np.arange(len(trained))
+        rows = np.array([f for f, _ in trained])
+        held, folds = np.array(subjects)[rows], np.arange(len(trained))
         stacked = MixtureModel._stack([m for _, m in trained])
         log_joint = _log_joint(stacked, dataset, mode, input_cols).reshape(-1, order, n)
         scores = log_sum_exp(log_joint, axis=1)
         tables = {name: (dataset.schema(name), stacked._mass_table(dataset.column_index(name))
                          .reshape(len(held), order, -1)) for name in targets}
         predicted, zero = predict_batch(tables, log_joint[folds, :, held])
-        found = iter(_errors(dataset, [s for f, s in enumerate(held) if f not in zero],
-                             predicted.probabilities))
-        log_c = scores[folds, held]
+        log_scores[o, rows] = log_c = scores[folds, held]
         # a score's own row is not below it: the count over the other N - 1, as percentile_ranks
-        percentiles = (scores < log_c[:, None]).sum(axis=1) / (n - 1)
-        for f, s in enumerate(held):
-            if f in zero and errors[s][CHANCE_ORDER]:  # some truth observed
-                failed[s] = f"held-out subject {s} has zero likelihood under every component"
-            else:
-                errors[s][order] = {} if f in zero else next(found)
-                confidence[s][order] = (float(log_c[f]), float(percentiles[f]))
-    return [(s, None, None, failed[s]) if s in failed else
-            (s, errors[s], confidence[s], [t for t in targets if t not in errors[s][CHANCE_ORDER]])
-            for s in subjects]
+        percentiles[o, rows] = (scores < log_c[:, None]).sum(axis=1) / (n - 1)
+        good = np.array([f not in zero for f in range(len(rows))])
+        errors[o, rows[good]], normalized[o, rows[good]] = _errors(dataset, held[good],
+                                                                   predicted.probabilities)
+        failed.update((subjects[f], f"held-out subject {subjects[f]} has zero likelihood under "
+                       "every component") for f in rows[~good].tolist() if observed[f])
+    return failed, errors, normalized, log_scores, percentiles
 
 
 def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
@@ -358,7 +339,8 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     added to the requested orders if absent. Folds that fail for any order
     (see _evaluate_folds) are excluded entirely so the per-order averages cover
     identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
-    of folds fail. The N folds run in k contiguous, equal batches per worker, k =
+    of folds fail. ``n_workers`` is capped at the CPUs this process may use, with a
+    warning. The N folds run in k contiguous, equal batches per worker, k =
     ceil(N / (_FOLDS_PER_BATCH * n_workers)), a worker's k batches one task (one
     pickle of the cohort). No fold depends on the others of its batch, and per-fold
     seeds depend only on (config.seed, subject), so results do not depend on worker count.
@@ -374,6 +356,10 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
         raise SchemaViolationError(violations)
 
     n, workers = dataset.n_subjects, max(n_workers, 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers > cpus:
+        warnings.warn(f"n_workers {workers} capped at the {cpus} CPU(s) this process may use")
+        workers = cpus
     k = -(-n // (_FOLDS_PER_BATCH * workers))
     batches = [b.tolist() for b in np.array_split(np.arange(n), min(n, k * workers))]
     run = partial(_evaluate_folds, dataset, orders=orders, targets=targets, mode=mode,
@@ -383,39 +369,25 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
         with ProcessPoolExecutor(min(workers, len(batches))) as pool:
             parts = list(pool.map(run, batches, chunksize=k))
     else:
-        parts = map(run, batches)
-    raw = [fold for part in parts for fold in part]
+        parts = list(map(run, batches))
 
-    failures = []
-    eae_records: dict = {order: [] for order in [CHANCE_ORDER] + orders}
-    confidence_records: dict = {order: [] for order in orders}
-    skipped = []
-    for subject, errors, confidence, extra in raw:
-        if errors is None:
-            failures.append(FoldFailure(subject, extra))
-            continue
-        for name in extra:
-            skipped.append((subject, name))
-        for order, per_target in errors.items():
-            for name, (err, norm) in per_target.items():
-                eae_records[order].append(EaeRecord(subject, name, err, norm))
-        for order, (log_c, pct) in confidence.items():
-            confidence_records[order].append(ConfidenceRecord(subject, log_c, pct))
-
+    failed = {s: message for part in parts for s, message in part[0].items()}
+    failures = tuple(FoldFailure(s, failed[s]) for s in sorted(failed))
     if len(failures) > MAX_FAILURE_FRACTION * n:
         raise TrainingError(f"{len(failures)} of {n} folds failed: "
                             + "; ".join(f.message for f in failures[:3]))
+    subjects = np.array([s for s in range(n) if s not in failed], dtype=np.int64)
+    errors, normalized, log_scores, percentiles = (np.concatenate(arrays, axis=1)[:, subjects]
+                                                   for arrays in zip(*(p[1:] for p in parts)))
 
-    summaries = []
-    for order in [CHANCE_ORDER] + orders:
-        for name in targets:
-            norms = np.asarray([r.normalized for r in eae_records[order]
-                                if r.target == name])
+    orders, summaries = (CHANCE_ORDER, *orders), []
+    for o, order in enumerate(orders):
+        for t, name in enumerate(targets):
+            norms = normalized[o, :, t][~np.isnan(normalized[o, :, t])]
             if norms.size == 0:
                 continue
             spread = 2.0 * float(np.std(norms, ddof=1)) if norms.size > 1 else 0.0
             summaries.append(TargetSummary(order, name, float(norms.mean()),
                                            spread, int(norms.size)))
-    return LooResult(tuple([CHANCE_ORDER] + orders), targets, tuple(summaries),
-                     eae_records, confidence_records, tuple(failures), tuple(skipped))
-
+    return LooResult(orders, targets, tuple(summaries), failures, subjects, errors, normalized,
+                     log_scores, percentiles)

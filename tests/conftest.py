@@ -1,5 +1,6 @@
 """Shared builders: random small models, random rows, and a recovery target."""
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -24,6 +25,19 @@ def widest_fit_values() -> tuple:
     while not math.isinf(float(np.nextafter(largest, math.inf)) / SHAPE_MIN):
         largest = float(np.nextafter(largest, math.inf))
     return float(np.nextafter(2.0 ** 511, 0.0)), largest
+
+
+def assert_same_arrays(got, want):
+    """``got`` equals ``want`` item by item (an ``_evaluate_folds`` tuple) or field by field
+    (a ``LooResult``), each array bit for bit, NaN where NaN."""
+    if dataclasses.is_dataclass(want):
+        got, want = ([getattr(r, f.name) for f in dataclasses.fields(want)] for r in (got, want))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
 
 
 KINDS = (VariableKind.REAL, VariableKind.NONNEGATIVE, VariableKind.ORDINAL,

@@ -733,6 +733,36 @@ class TestEvaluate:
         assert "performance.csv" in manifest["outputs"]
         assert "error_density.csv" in manifest["outputs"]
 
+    def test_unobserved_zero_likelihood_subject_rows(self, tmp_path):
+        """Seed 38's 13-row cohort: subject 7 has no observed truth, and zero likelihood
+        under its folds' models. It keeps a confidence row of -inf at percentile 0 at orders
+        1 and 2 and has no error row; both tables list their rows in (order, subject,
+        target) order, one per observed truth."""
+        from hetmix import sample_cohort, small_demo_model
+        from hetmix.io import write_data_csv
+        model = small_demo_model()
+        cohort, _ = sample_cohort(model, 13, np.random.default_rng(38))
+        write_data_csv(cohort, tmp_path / "cohort.csv")
+        save_schemas(model.schemas, tmp_path / "schema.json")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--out-dir", str(out), "--data", str(tmp_path / "cohort.csv"),
+                     "--schema", str(tmp_path / "schema.json"), "--orders", "1-2",
+                     "--restarts", "2", "--max-iterations", "20",
+                     "--mode", "model_missing"]) == 0
+        _, conf = _read_csv(out / "confidence_records.csv")
+        _, eae = _read_csv(out / "eae_records.csv")
+        assert [row for row in conf if row[1] == "7"] == [["1", "7", "-inf", "0.0"],
+                                                          ["2", "7", "-inf", "0.0"]]
+        assert [row for row in eae if row[1] == "7"] == []
+        assert [(int(o), int(s)) for o, s, *_ in conf] == [(o, s) for o in (1, 2)
+                                                            for s in range(13)]
+        targets = ("severity", "status")
+        observed = [(s, t) for s in range(13) for t, name in enumerate(targets)
+                    if cohort.value(s, cohort.column_index(name)) is not MISSING]
+        assert len(observed) == 21
+        assert [(int(o), int(s), targets.index(t)) for o, s, t, *_ in eae] == \
+            [(o, s, t) for o in (0, 1, 2) for s, t in observed]
+
 
 class TestRerun:
     def test_reproduces_bytes(self, work, tmp_path):

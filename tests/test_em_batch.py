@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import m_step_alone
+from conftest import assert_same_arrays, m_step_alone
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
@@ -420,21 +420,24 @@ def test_missing_probabilities_are_exact_at_the_extremes():
 def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
     """Folds scored in one batch, one by one, or across worker ranges agree, and
     leave-one-out in batches of at most 4 equals it in batches of at most 48."""
-    import dataclasses
-
     import hetmix.evaluation
     from hetmix.evaluation import _evaluate_folds, loo_evaluate
+
+    def part(folds, subjects):
+        failed, *arrays = folds
+        return {s: failed[s] for s in subjects if s in failed}, *(a[:, subjects] for a in arrays)
+
     dataset = _cohort(np.random.default_rng(3), 14, [2], lone_site=5)
     config = EmConfig(max_iterations=20, restarts=2, seed=4)
     args = ((1, 2), ("severity", "status"), "ignore_missing", config)
     together = _evaluate_folds(dataset, range(14), *args)
-    assert [fold[0] for fold in together] == list(range(14))
-    assert together[5][1] is None and "constant column" in together[5][3]
+    assert together[1].shape == (3, 14, 2) and together[3].shape == (3, 14)
+    assert list(together[0]) == [5] and "constant column" in together[0][5]
     for s in range(14):
-        assert _evaluate_folds(dataset, [s], *args) == [together[s]]
-    parts = np.array_split(np.arange(14), workers)
-    assert [fold for part in parts for fold in _evaluate_folds(dataset, part.tolist(), *args)] \
-        == together
+        assert_same_arrays(_evaluate_folds(dataset, [s], *args), part(together, [s]))
+    for subjects in np.array_split(np.arange(14), workers):
+        assert_same_arrays(_evaluate_folds(dataset, subjects.tolist(), *args),
+                           part(together, subjects.tolist()))
     whole = loo_evaluate(dataset, *args)
     batches = []
 
@@ -446,5 +449,4 @@ def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
     monkeypatch.setattr(hetmix.evaluation, "_evaluate_folds", recorded)
     split = loo_evaluate(dataset, *args)
     assert list(map(len, batches)) == [4, 4, 3, 3]
-    for field in dataclasses.fields(whole):
-        assert getattr(split, field.name) == getattr(whole, field.name)
+    assert_same_arrays(split, whole)

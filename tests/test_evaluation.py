@@ -1,6 +1,7 @@
 """Expected-error metrics, confidence scoring, and leave-one-out evaluation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from conftest import random_model
+from conftest import assert_same_arrays, random_model
 from hetmix import (IGNORE_MISSING, MODEL_MISSING, OUTCOME, Dataset, DegenerateSampleError,
                     EmConfig, FinitePrediction, InferenceRequest,
                     SchemaViolationError, TrainingError,
@@ -176,6 +177,19 @@ class TestDensity:
         with pytest.raises(DegenerateSampleError):
             scott_bandwidth(np.array([2.0, 2.0, 2.0]))
 
+    @pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0], [0.0, -0.0], [math.inf, math.inf],
+                                        [math.nan, math.nan], [math.nan, 1.0],
+                                        [1.0, 1.0, math.nan], [1.0, 2.0]])
+    def test_degenerate_as_np_unique_counts_it(self, values):
+        """A sample is refused exactly when ``np.unique`` (which folds NaNs and +-0.0 together)
+        finds fewer than 2 distinct values in it."""
+        x = np.array(values, dtype=float)
+        if np.unique(x).size < 2:
+            with pytest.raises(DegenerateSampleError):
+                scott_bandwidth(x)
+        else:
+            assert isinstance(scott_bandwidth(x), float)
+
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(5)
         values = rng.normal(10.0, 3.0, size=200)
@@ -229,9 +243,9 @@ class TestOnePassFold:
                       if cohort.schemas[j].name not in targets]
         compared = 0
         for subject in range(cohort.n_subjects):
-            fold = _evaluate_folds(cohort, [subject], (1, 2), targets, mode, config)[0]
-            if fold[1] is None:  # a held-out zero likelihood fails the fold
-                fold = None
+            # a held-out zero likelihood fails the fold
+            failed, errors, normalized, log_scores, percentiles = _evaluate_folds(
+                cohort, [subject], (1, 2), targets, mode, config)
             train = cohort.drop_subject(subject)
             evidence = {cohort.schemas[j].name: cohort.value(subject, j)
                         for j in input_cols}
@@ -249,22 +263,24 @@ class TestOnePassFold:
                 except ZeroLikelihoodError:
                     reference_failed = True
                     break
-                if fold is None:
+                if failed:
                     continue
-                _, errors, confidence, skipped = fold
-                assert skipped == [n for n in targets if n not in truths]
-                assert set(errors[order]) == set(truths)
-                for name, truth in truths.items():
+                assert np.isnan(errors[order, 0]).tolist() == [n not in truths for n in targets]
+                for t, name in enumerate(targets):
+                    if name not in truths:
+                        continue
                     schema = cohort.schema(name)
-                    err = prediction_error(schema, predicted[name], truth)
+                    err = prediction_error(schema, predicted[name], truths[name])
                     want = (err, normalized_error(schema, err))
-                    assert errors[order][name] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    assert (errors[order, 0, t], normalized[order, 0, t]) == \
+                        pytest.approx(want, rel=1e-12, abs=1e-12)
                 log_c = confidence_score(model, evidence, mode)
                 pct = percentile_ranks(log_c, training_confidence_scores(
                     model, train, mode, input_cols))
-                assert confidence[order] == pytest.approx((log_c, pct), rel=1e-12)
+                assert (log_scores[order, 0], percentiles[order, 0]) == \
+                    pytest.approx((log_c, pct), rel=1e-12)
                 compared += 1
-            assert (fold is None) == reference_failed
+            assert bool(failed) == reference_failed
         assert compared >= cohort.n_subjects  # most folds succeed on both orders
 
 
@@ -350,26 +366,19 @@ class TestMaskFolds:
         kept = np.arange(n) != np.arange(n)[:, None]
         assert (_kept_ranges(cohort, kept)[3].tolist()
                 == np.concatenate([_kept_ranges(copy)[3] for copy in copies]).tolist())
-        folds = _evaluate_folds(cohort, range(n), (), ("s3",), MODEL_MISSING, EmConfig())
-        for (s, errors, _, extra), copy in zip(folds, copies):
-            if violations := validate_dataset(copy):
-                assert (errors, extra) == (None, str(SchemaViolationError(violations)))
-            else:
-                assert errors is not None
+        failed, *_ = _evaluate_folds(cohort, range(n), (), ("s3",), MODEL_MISSING, EmConfig())
+        assert failed == {s: str(SchemaViolationError(violations)) for s, copy in enumerate(copies)
+                          if (violations := validate_dataset(copy))}
 
     def test_failure_text_matches_the_copy(self, cohort):
         # ignore_missing: no held-out subject has zero likelihood, so only
         # the schema fails a fold
-        folds = _evaluate_folds(cohort, range(cohort.n_subjects), (1,), self.TARGETS,
-                                IGNORE_MISSING, EmConfig(max_iterations=2, restarts=1))
-        failed = []
-        for s, errors, _, extra in folds:
-            if violations := validate_dataset(cohort.drop_subject(s)):
-                failed.append(s)
-                assert (errors, extra) == (None, str(SchemaViolationError(violations)))
-            else:
-                assert errors is not None
-        assert failed == [4, 7, 8]
+        failed, *_ = _evaluate_folds(cohort, range(cohort.n_subjects), (1,), self.TARGETS,
+                                     IGNORE_MISSING, EmConfig(max_iterations=2, restarts=1))
+        assert failed == {s: str(SchemaViolationError(violations))
+                          for s in range(cohort.n_subjects)
+                          if (violations := validate_dataset(cohort.drop_subject(s)))}
+        assert sorted(failed) == [4, 7, 8]
 
     def test_every_fold_of_a_batch_can_fail_its_check(self, monkeypatch):
         """Each of three folds loses a column's variability: no order trains, each
@@ -385,11 +394,11 @@ class TestMaskFolds:
             raise AssertionError("a fold that failed its check was trained")
 
         monkeypatch.setattr(ev, "_fit_many", never)
-        folds = _evaluate_folds(cohort, range(3), (1, 2), ("y",), MODEL_MISSING, EmConfig())
-        assert [fold[:3] for fold in folds] == [(s, None, None) for s in range(3)]
-        for s, _, _, message in folds:
-            copy = cohort.drop_subject(s)
-            assert message == str(SchemaViolationError(validate_dataset(copy)))
+        failed, *arrays = _evaluate_folds(cohort, range(3), (1, 2), ("y",), MODEL_MISSING,
+                                          EmConfig())
+        assert failed == {s: str(SchemaViolationError(validate_dataset(cohort.drop_subject(s))))
+                          for s in range(3)}
+        assert all(np.isnan(a[1:]).all() for a in arrays)  # no order was reached
         with pytest.raises(TrainingError, match=r"^3 of 3 folds failed: "):
             loo_evaluate(cohort, (1, 2), ("y",), MODEL_MISSING, EmConfig())
 
@@ -398,7 +407,13 @@ class TestMaskFolds:
             raise AssertionError("a fold copied the cohort")
 
         monkeypatch.setattr(Dataset, "_take", never)
-        assert len(_tiny_loo(orders=(1,)).confidence_records[1]) > 20
+        assert (~np.isnan(_tiny_loo(orders=(1,)).log_scores[1])).sum() > 20
+
+
+def _unreached(subjects, orders, targets):
+    """What ``_evaluate_folds`` gives for ``subjects`` when no fold fails and none is scored."""
+    shape = (1 + len(orders), len(subjects))
+    return {}, *np.full((2, *shape, len(targets)), np.nan), *np.full((2, *shape), np.nan)
 
 
 def _tiny_loo(n=24, orders=(1, 2), workers=1, seed=0, sample_seed=17):
@@ -433,27 +448,32 @@ class TestLooEvaluate:
     def test_chance_rows_are_uniform_errors(self, result):
         # order 0 normalized error for a 3-way categorical truth is always
         # 100 * (1 - 1/3) whenever the truth is observed
-        records = [r for r in result.eae_records[0] if r.target == "status"]
-        assert records
+        records = result.normalized[0, :, result.targets.index("status")]
+        records = records[~np.isnan(records)]
+        assert records.size
         for record in records:
-            assert record.normalized == pytest.approx(100.0 * (1 - 1 / 3))
+            assert record == pytest.approx(100.0 * (1 - 1 / 3))
 
     def test_confidence_records_have_percentiles(self, result):
+        assert np.isnan(result.log_scores[0]).all() and np.isnan(result.percentiles[0]).all()
         for order in (1, 2):
-            records = result.confidence_records[order]
-            assert len(records) > 0
-            for record in records:
-                assert 0.0 <= record.percentile <= 1.0
-                assert math.isfinite(record.log_score)
+            assert result.subjects.size > 0
+            assert ((0.0 <= result.percentiles[order]) & (result.percentiles[order] <= 1.0)).all()
+            assert np.isfinite(result.log_scores[order]).all()
 
     def test_skipped_subjects_appear_nowhere(self, result):
-        for subject, target in result.skipped:
-            for order in result.orders:
-                present = {(r.subject, r.target)
-                           for r in result.eae_records[order]}
-                assert (subject, target) not in present
+        """A subject whose truth is missing has a NaN error at every order, and one whose
+        truth is observed has a number at every order."""
+        cohort, _ = sample_cohort(small_demo_model(), 24, np.random.default_rng(17))
+        truths = cohort._values[result.subjects][:, [cohort.column_index(name)
+                                                     for name in result.targets]]
+        assert np.isnan(truths).any()
+        for order in result.orders:
+            assert (np.isnan(result.errors[order]) == np.isnan(truths)).all()
+            assert (np.isnan(result.normalized[order]) == np.isnan(truths)).all()
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         cohort, _ = sample_cohort(small_demo_model(), 13, np.random.default_rng(2))
         rows = [list(cohort.row(i)) for i in range(cohort.n_subjects)]
         site = cohort.column_index("site")
@@ -467,17 +487,9 @@ class TestLooEvaluate:
         failure = runs[0].failures
         assert [f.subject for f in failure] == [4]
         assert "constant column" in failure[0].message
+        assert 4 not in runs[0].subjects and runs[0].errors.shape == (3, 12, 2)
         for other in runs[1:]:
-            assert other == runs[0]
-            assert other.failures == failure
-            for order in runs[0].eae_records:
-                assert ([(r.subject, r.target, r.error) for r in other.eae_records[order]]
-                        == [(r.subject, r.target, r.error) for r in runs[0].eae_records[order]])
-            for order in runs[0].confidence_records:
-                assert ([(r.subject, r.log_score, r.percentile)
-                         for r in other.confidence_records[order]]
-                        == [(r.subject, r.log_score, r.percentile)
-                            for r in runs[0].confidence_records[order]])
+            assert_same_arrays(other, runs[0])
 
     def test_too_few_subjects(self):
         cohort, _ = sample_cohort(small_demo_model(), 2,
@@ -498,13 +510,13 @@ class TestLooEvaluate:
         with pytest.raises(Exception):
             loo_evaluate(cohort, (1,), ("marker_a",), MODEL_MISSING, EmConfig())
 
-    @pytest.mark.parametrize("n, workers, sizes, chunksize", [
-        (120, 1, [40] * 3, None), (120, 2, [30] * 4, 2), (60, 3, [20] * 3, 1),
-        (60, 4, [15] * 4, 1), (5, 8, [1] * 5, 1)])
-    def test_batches(self, monkeypatch, n, workers, sizes, chunksize):
-        """k batches per worker, k = ceil(n / (48 * workers)), contiguous and equal; a worker's
-        batches are one task of the pool (a serial stand-in here: no process starts)."""
+    @staticmethod
+    def _schedule(monkeypatch, n, workers, cpus, affinity=True):
+        """(batches, pools, warnings) of a ``loo_evaluate`` whose folds and pool are stand-ins
+        (a serial pool: no process starts), on a host with ``cpus`` CPUs that this process may
+        use, read from ``os.sched_getaffinity`` or, without it, ``os.cpu_count``."""
         import concurrent.futures
+        import warnings
 
         import hetmix.evaluation as ev
         batches, pools = [], []
@@ -525,36 +537,65 @@ class TestLooEvaluate:
 
         def record(dataset, subjects, orders, targets, mode, config):
             batches.append(subjects)
-            return [(s, {0: {}}, {}, []) for s in subjects]
+            return _unreached(subjects, orders, targets)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(ev, "_evaluate_folds", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         cohort, _ = sample_cohort(small_demo_model(), n, np.random.default_rng(0))
-        loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig(), n_workers=workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig(),
+                         n_workers=workers)
+        return batches, pools, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("n, workers, sizes, chunksize", [
+        (120, 1, [40] * 3, None), (120, 2, [30] * 4, 2), (60, 3, [20] * 3, 1),
+        (60, 4, [15] * 4, 1), (5, 8, [1] * 5, 1)])
+    def test_batches(self, monkeypatch, n, workers, sizes, chunksize):
+        """k batches per worker, k = ceil(n / (48 * workers)), contiguous and equal; a worker's
+        batches are one task of the pool. Eight CPUs: no case is capped."""
+        batches, pools, caught = self._schedule(monkeypatch, n, workers, cpus=8)
+        assert caught == []
         assert list(map(len, batches)) == sizes
         assert [s for batch in batches for s in batch] == list(range(n))
         assert all(type(s) is int for batch in batches for s in batch)
         assert pools == ([] if chunksize is None else [[min(workers, len(sizes)), chunksize]])
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_capped_at_the_cpus(self, monkeypatch, affinity):
+        """5000 workers on 2000 folds and two CPUs run as two, and a warning says so: two
+        processes, each with k = ceil(2000 / 96) = 21 batches of at most 48 folds."""
+        batches, pools, caught = self._schedule(monkeypatch, 2000, 5000, cpus=2,
+                                                affinity=affinity)
+        assert caught == ["n_workers 5000 capped at the 2 CPU(s) this process may use"]
+        assert len(batches) == 42 and {len(batch) for batch in batches} == {47, 48}
+        assert pools == [[2, 21]]
 
     def test_fold_failures_excluded(self, monkeypatch):
         import hetmix.evaluation as ev
         real = ev._evaluate_folds
 
         def flaky(dataset, subjects, orders, targets, mode, config):
-            folds = real(dataset, subjects, orders, targets, mode, config)
-            return [(1, None, None, "synthetic failure") if fold[0] == 1 else fold
-                    for fold in folds]
+            failed, *arrays = real(dataset, subjects, orders, targets, mode, config)
+            return {**failed, **({1: "synthetic failure"} if 1 in subjects else {})}, *arrays
 
         monkeypatch.setattr(ev, "_evaluate_folds", flaky)
         got = _tiny_loo(n=12, orders=(1,), sample_seed=2)
         assert [f.subject for f in got.failures] == [1]
-        subjects = {r.subject for r in got.eae_records[1]}
-        assert 1 not in subjects
+        assert got.subjects.tolist() == [0] + list(range(2, 12))
+        assert got.errors.shape[1] == got.log_scores.shape[1] == 11
 
     def test_fold_whose_restarts_all_fail(self, monkeypatch):
         """A fold whose every order-2 restart collapses comes back from the real
         _evaluate_folds as a failure record with the TrainingError text, is
-        excluded by loo_evaluate, and leaves the other folds as they were."""
+        excluded by loo_evaluate, and leaves the other folds, and its own order 1, as they
+        were."""
         import hetmix.evaluation as ev
         cohort, _ = sample_cohort(small_demo_model(), 12, np.random.default_rng(2))
         config = EmConfig(max_iterations=20, restarts=2, seed=0)
@@ -577,11 +618,15 @@ class TestLooEvaluate:
         collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
         message = (f"all 2 restart(s) failed for order 2: restart 0: {collapsed}; "
                    f"restart 1: {collapsed}")
-        assert clean[3][1] is not None and got[3] == (3, None, None, message)
-        assert got[:3] + got[4:] == clean[:3] + clean[4:]
+        assert clean[0] == {} and got[0] == {3: message}
+        others = np.arange(12) != 3
+        assert_same_arrays([a[:, others] for a in got[1:]], [a[:, others] for a in clean[1:]])
+        assert_same_arrays([a[:2, 3] for a in got[1:]], [a[:2, 3] for a in clean[1:]])
+        assert all(np.isnan(a[2, 3]).all() for a in got[1:])  # order 2 was not reached
         result = loo_evaluate(cohort, *args)
         assert [(f.subject, f.message) for f in result.failures] == [(3, message)]
-        assert {r.subject for r in result.eae_records[1]} == set(range(12)) - {3}
+        assert result.subjects[~np.isnan(result.errors[1]).all(axis=1)].tolist() == \
+            [s for s in range(12) if s != 3]
 
     def test_held_out_zero_likelihood_names_the_subject(self):
         """Subject 0 is the only one missing ``dose`` and subject 2 the only one
@@ -591,10 +636,9 @@ class TestLooEvaluate:
         cohort, _ = sample_cohort(small_demo_model(), 13, np.random.default_rng(2))
         config = EmConfig(max_iterations=60, restarts=2, seed=0)
         failure = "held-out subject {} has zero likelihood under every component"
-        folds = _evaluate_folds(cohort, range(13), (1, 2), ("severity", "status"),
-                                MODEL_MISSING, config)
-        assert [(s, extra) for s, errors, _, extra in folds if errors is None] == \
-            [(0, failure.format(0)), (2, failure.format(2))]
+        failed, *_ = _evaluate_folds(cohort, range(13), (1, 2), ("severity", "status"),
+                                     MODEL_MISSING, config)
+        assert failed == {0: failure.format(0), 2: failure.format(2)}
         with pytest.raises(TrainingError) as caught:
             loo_evaluate(cohort, (1, 2), ("severity", "status"), MODEL_MISSING, config)
         assert str(caught.value) == \
@@ -630,9 +674,9 @@ class TestLooEvaluate:
 
         monkeypatch.setattr(ev, "_fit_many", fit_many)
         monkeypatch.setattr(ev, "predict_batch", predict)
-        folds = {s: rest for s, *rest in ev._evaluate_folds(
+        failures, errors, normalized, log_scores, percentiles = ev._evaluate_folds(
             cohort, range(13), (1, 2), targets, MODEL_MISSING,
-            EmConfig(max_iterations=20, restarts=2, seed=0))}
+            EmConfig(max_iterations=20, restarts=2, seed=0))
         failure = "held-out subject {} has zero likelihood under every component"
         compared, zero_seen = 0, set()
         for (order, held_out, fitted), (batch, zero) in zip(fits, batches, strict=True):
@@ -651,23 +695,26 @@ class TestLooEvaluate:
                 else:
                     row = next(rows)
                 if f in zero and truths:
-                    assert folds[s] == [None, None, failure.format(s)]
+                    assert failures[s] == failure.format(s)
                     continue
-                errors, confidence, _ = folds[s]
-                if errors is None:  # failed at a later order
+                if s in failures:  # failed at a later order
                     continue
-                assert set(errors[order]) == set(truths)
-                for name, truth in truths.items():
+                assert np.isnan(errors[order, s]).tolist() == [n not in truths for n in targets]
+                for t, name in enumerate(targets):
+                    if name not in truths:
+                        continue
                     schema, probs = cohort.schema(name), alone.probabilities[name][0]
                     assert batch.probabilities[name][row].tobytes() == probs.tobytes()
-                    err = prediction_error(schema, FinitePrediction(schema.domain, probs), truth)
-                    assert errors[order][name] == (err, normalized_error(schema, err))
+                    err = prediction_error(schema, FinitePrediction(schema.domain, probs),
+                                           truths[name])
+                    assert (errors[order, s, t], normalized[order, s, t]) == \
+                        (err, normalized_error(schema, err))
                 scores = log_sum_exp(log_joint, axis=0)
                 log_c = float(scores[s])
                 pct = float(percentile_ranks(log_c, np.delete(scores, s)))
-                assert confidence[order] == (log_c, pct)
+                assert (log_scores[order, s], percentiles[order, s]) == (log_c, pct)
                 compared += 1
-        assert [s for s, fold in folds.items() if fold[0] is None] == failed
+        assert sorted(failures) == failed
         assert sorted(zero_seen) == failed + zero_kept
         assert compared == 2 * (13 - len(failed))
 
@@ -675,7 +722,8 @@ class TestLooEvaluate:
         import hetmix.evaluation as ev
 
         def broken(dataset, subjects, orders, targets, mode, config):
-            return [(s, None, None, "synthetic failure") for s in subjects]
+            return {s: "synthetic failure" for s in subjects}, *_unreached(subjects, orders,
+                                                                          targets)[1:]
 
         monkeypatch.setattr(ev, "_evaluate_folds", broken)
         with pytest.raises(TrainingError):

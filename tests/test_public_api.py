@@ -7,9 +7,8 @@ from hetmix.distributions import QuantizedGaussian
 from hetmix.schema import Dataset
 
 PUBLIC = [
-    "Categorical", "ComponentCollapseError", "ConfidenceBins", "ConfidenceRecord", "Dataset",
-    "DegenerateSampleError", "EaeRecord", "EmConfig", "EstimationError", "FinitePrediction",
-    "FoldFailure", "Gaussian", "IGNORE_MISSING", "INPUT", "InferenceRequest", "InflatedGamma",
+    "Categorical", "ComponentCollapseError", "ConfidenceBins", "Dataset",
+    "DegenerateSampleError", "EmConfig", "EstimationError", "FinitePrediction", "FoldFailure", "Gaussian", "IGNORE_MISSING", "INPUT", "InferenceRequest", "InflatedGamma",
     "LooResult", "MISSING", "MISSINGNESS_MODES", "MODEL_MISSING", "MissingnessProfile",
     "MixtureModel", "MixturePrediction", "OUTCOME", "OrderScore", "OrderSelection",
     "Predictions", "PredictiveDistribution", "QuantizedGaussian", "SchemaError",

@@ -125,22 +125,33 @@ class TestMStep:
 
 
 class TestFit:
-    def test_fit_loads_no_numpy_ma(self):
-        """A real column's centre is taken without ``np.median``'s NaN check, whose first
-        call imports ``numpy.ma`` (~18 ms); a NumPy that imports it eagerly passes too."""
+    def test_fit_loads_no_numpy_ma(self, tmp_path):
+        """A real column's centre is taken without ``np.median``'s NaN check, and an
+        ``evaluate`` run's density bandwidth without ``np.unique``: the first call of either
+        imports ``numpy.ma`` (~18 ms). A NumPy that imports it eagerly passes too."""
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from hetmix import EmConfig, fit, sample_cohort\n"
+                "from hetmix.cli import main\n"
                 "from hetmix.demo import small_demo_model\n"
+                "from hetmix.io import save_schemas, write_data_csv\n"
                 "before = 'numpy.ma' in sys.modules\n"
                 "cohort, _ = sample_cohort(small_demo_model(), 40, np.random.default_rng(0))\n"
                 "fit(cohort, 2, EmConfig(max_iterations=5, restarts=1))\n"
-                "print(before, 'numpy.ma' in sys.modules)\n")
+                "fitted = 'numpy.ma' in sys.modules\n"
+                "write_data_csv(cohort, sys.argv[1] + '/cohort.csv')\n"
+                "save_schemas(cohort.schemas, sys.argv[1] + '/schema.json')\n"
+                "assert main(['evaluate', '--data', sys.argv[1] + '/cohort.csv', '--schema',\n"
+                "             sys.argv[1] + '/schema.json', '--orders', '1-2', '--restarts', '1',\n"
+                "             '--max-iterations', '5', '--mode', 'model_missing',\n"
+                "             '--out-dir', sys.argv[1] + '/evaluate']) == 0\n"
+                "print(before, fitted, 'numpy.ma' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(hetmix.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        before, after = done.stdout.split()
-        assert after == before
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        before, fitted, evaluated = done.stdout.splitlines()[-1].split()
+        assert fitted == evaluated == before
+        assert (tmp_path / "evaluate" / "error_density.csv").read_text().count("\n") > 1
 
     def test_order_one_is_a_single_pass(self):
         _, ds, _ = _cohort(n=200)
