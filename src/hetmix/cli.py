@@ -37,6 +37,7 @@ shortest round-trip form throughout.
 
 Exit codes: 0 success, 2 usage (argparse), 3 validation (checked before any
 work, e.g. an unknown or duplicate target), 4 training, 5 inference, 6 I/O.
+Errors and warnings go to stderr as JSON lines, ``{"error": ...}`` and ``{"warning": ...}``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -499,23 +501,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "rerun":
-            return run_rerun(args)
-        arguments = {key: value for key, value in vars(args).items()
-                     if key not in ("command", "out_dir")}
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _execute(args.command, arguments, out_dir)
-    except SchemaViolationError as err:
-        return _fail("validation", EXIT_VALIDATION, str(err),
-                     violations=_violation_payload(err.violations))
-    except TrainingError as err:
-        return _fail("training", EXIT_TRAINING, str(err))
-    except (SchemaError, FormatError, ValueError) as err:
-        return _fail("validation", EXIT_VALIDATION, str(err))
-    except OSError as err:
-        return _fail("io", EXIT_IO, str(err))
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(json.dumps(
+            {"warning": {"message": str(message)}}, sort_keys=True), file=sys.stderr)
+        try:
+            if args.command == "rerun":
+                return run_rerun(args)
+            arguments = {key: value for key, value in vars(args).items()
+                         if key not in ("command", "out_dir")}
+            out_dir = Path(args.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            return _execute(args.command, arguments, out_dir)
+        except SchemaViolationError as err:
+            return _fail("validation", EXIT_VALIDATION, str(err),
+                         violations=_violation_payload(err.violations))
+        except TrainingError as err:
+            return _fail("training", EXIT_TRAINING, str(err))
+        except (SchemaError, FormatError, ValueError) as err:
+            return _fail("validation", EXIT_VALIDATION, str(err))
+        except OSError as err:
+            return _fail("io", EXIT_IO, str(err))
 
 
 if __name__ == "__main__":

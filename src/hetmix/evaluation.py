@@ -35,11 +35,11 @@ from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
-# the most folds one batch trains at once (loo_evaluate's batches are equal and no larger), each
-# fit with (Z, N) arrays over the whole cohort: on loo-n120 (one core of a 2-vCPU x86-64 VM,
-# perfbench seed 0, 10 alternating runs each) 48 / 120 folds a batch took medians of 0.374 /
-# 0.311 s of reference CPU at a peak of 42.6 / 47.7 MB (+12%), and that memory grows with N
-_FOLDS_PER_BATCH = 48
+# the most cells of a fold batch's (fits, Z, N) EM posteriors, folds x restarts x largest order x N
+# (1 MiB of float64): on loo-n120 (86,400 cells; one core of a 2-vCPU x86-64 VM, perfbench seed 0,
+# 5 alternating runs) one batch took a median of 0.263 s of reference CPU at a peak of 41.9 MB,
+# and three batches of 40 folds 0.357 s at 40.0 MB
+_BATCH_CELLS = 2 ** 17
 
 
 class DegenerateSampleError(ValueError):
@@ -299,11 +299,11 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     log_scores, percentiles = np.full((2, 1 + len(orders), len(subjects)), np.nan)
     errors[CHANCE_ORDER], normalized[CHANCE_ORDER] = _errors(dataset, subjects, chance)
     observed = ~np.isnan(errors[CHANCE_ORDER]).all(axis=1)  # some truth observed
+    seeds = [_fold_seed(config.seed, s) for s in subjects]
     for o, order in enumerate(orders, 1):
         live = [f for f, s in enumerate(subjects) if s not in failed]
-        fitted = list(zip(live, _fit_many(
-            dataset, kept[live], scales[live], [_fold_seed(config.seed, subjects[f]) for f in live],
-            order, config) if live else []))
+        fitted = list(zip(live, _fit_many(dataset, kept[live], scales[live],
+                                          [seeds[f] for f in live], order, config) if live else []))
         failed.update((subjects[f], str(best)) for f, best in fitted
                       if isinstance(best, TrainingError))
         trained = [(f, best[0]) for f, best in fitted if subjects[f] not in failed]
@@ -325,6 +325,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                                                                    predicted.probabilities)
         failed.update((subjects[f], f"held-out subject {subjects[f]} has zero likelihood under "
                        "every component") for f in rows[~good].tolist() if observed[f])
+        del fitted, trained, stacked, log_joint, scores, tables, predicted  # before the next EM
     return failed, errors, normalized, log_scores, percentiles
 
 
@@ -340,9 +341,10 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     (see _evaluate_folds) are excluded entirely so the per-order averages cover
     identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
     of folds fail. ``n_workers`` is capped at the CPUs this process may use, with a
-    warning. The N folds run in k contiguous, equal batches per worker, k =
-    ceil(N / (_FOLDS_PER_BATCH * n_workers)), a worker's k batches one task (one
-    pickle of the cohort). No fold depends on the others of its batch, and per-fold
+    warning. A batch holds at most F = _BATCH_CELLS // (restarts * largest order * N)
+    folds (at least 1), the cells of its EM posteriors; the N folds run in k contiguous,
+    equal batches per worker, k = ceil(N / (F * n_workers)), a worker's k batches one
+    task (one pickle of the cohort). No fold depends on the others of its batch, and per-fold
     seeds depend only on (config.seed, subject), so results do not depend on worker count.
     """
     targets = InferenceRequest({}, targets, mode).targets
@@ -360,7 +362,8 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     if workers > cpus:
         warnings.warn(f"n_workers {workers} capped at the {cpus} CPU(s) this process may use")
         workers = cpus
-    k = -(-n // (_FOLDS_PER_BATCH * workers))
+    per_batch = max(1, _BATCH_CELLS // (config.restarts * orders[-1] * n))
+    k = -(-n // (per_batch * workers))
     batches = [b.tolist() for b in np.array_split(np.arange(n), min(n, k * workers))]
     run = partial(_evaluate_folds, dataset, orders=orders, targets=targets, mode=mode,
                   config=config)

@@ -114,16 +114,21 @@ class MixtureModel:
                                 models[0].schemas, len(models))
 
     def _fit_of(self, b: int, n_fits: int) -> "MixtureModel":
-        """Fit b of a stack of ``n_fits`` fits: views of its rows, not checked again."""
+        """Fit b of a stack of ``n_fits`` fits: read-only copies of its rows (a view
+        would keep the whole stack alive), not checked again."""
         if n_fits == 1:
             return self
         z = self.n_components // n_fits
-        part = slice(b * z, (b + 1) * z)
+
+        def rows(a):
+            (a := a[b * z:(b + 1) * z].copy()).setflags(write=False)
+            return a
+
         model = MixtureModel.__new__(MixtureModel)
         model.__dict__.update(
-            self.__dict__, weights=self.weights[part], missing_probs=self.missing_probs[part],
-            _blocks=tuple(tuple(a[part] for a in block) for block in self._blocks), _params=None,
-            _log_masses=tuple(None if t is None else t[part] for t in self._log_masses))
+            self.__dict__, weights=rows(self.weights), missing_probs=rows(self.missing_probs),
+            _blocks=tuple(tuple(map(rows, block)) for block in self._blocks), _params=None,
+            _log_masses=tuple(None if t is None else rows(t) for t in self._log_masses))
         return model
 
     def __setattr__(self, name, value):

@@ -135,6 +135,14 @@ def m_step_alone(dataset, responsibilities) -> tuple:
     return _m_step_batch(dataset, scales, alpha, totals), {}
 
 
+def em_log_joint(model, dataset, n_fits) -> np.ndarray:
+    """``training._em_log_joint`` of a stack of ``n_fits`` models, into a new
+    (n_fits, Z, N) array."""
+    from hetmix.training import _em_log_joint
+    out = np.empty((n_fits, model.n_components // n_fits, dataset.n_subjects))
+    return _em_log_joint(model, dataset, n_fits, out)
+
+
 def recovery_model() -> MixtureModel:
     """Balanced 2-component model, one variable per family, nonuniform q.
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import m_step_alone
+from conftest import em_log_joint, m_step_alone
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableKind, VariableSchema, component_log_likelihoods,
@@ -31,7 +31,7 @@ from hetmix.inference import target_tables
 from hetmix.io import model_to_dict, save_model
 from hetmix.model import _log_joint
 from hetmix.schema import _kept_ranges
-from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch, _em_log_joint
+from hetmix.training import COLLAPSE_EPS, ZERO_WEIGHT_EPS, _em_batch
 
 SCHEMAS = (VariableSchema("x", "real"),
            VariableSchema("conc", "nonnegative"),
@@ -344,7 +344,7 @@ _EM_E_STEP_RTOL = _EM_E_STEP_ATOL = 1e-12
 
 
 def _assert_em_e_step_matches(model, dataset, n_fits):
-    got = _em_log_joint(model, dataset, n_fits)
+    got = em_log_joint(model, dataset, n_fits)
     want = _log_joint(model, dataset, MODEL_MISSING).reshape(got.shape)
     assert not np.isnan(got).any()
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
@@ -412,7 +412,7 @@ def test_em_e_step_masks_infinite_coefficients():
     patch, calls = _counted_densities()
     dataset._stats  # built: from here on only a table gather reads codes
     with patch, mock.patch.object(dataset, "column_codes", wraps=dataset.column_codes) as codes:
-        _em_log_joint(MixtureModel._stack(models), dataset, 2)
+        em_log_joint(MixtureModel._stack(models), dataset, 2)
     # components 0 and 1 of each fit, rows 0, 1, 3 and 4 of the stack
     assert calls == [(VariableKind.REAL, 4), (VariableKind.NONNEGATIVE, 4)]
     assert codes.call_args_list == [mock.call(GRADE)]
@@ -449,8 +449,8 @@ def test_em_keeps_the_product_for_infinite_coefficients_on_absent_statistics():
     no_site._stats  # built: from here on only a table gather reads codes
     with patch, mock.patch.object(no_site, "column_codes") as codes, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _em_log_joint(model, dataset, 1)
-        _em_log_joint(site_missed, no_site, 1)
+        em_log_joint(model, dataset, 1)
+        em_log_joint(site_missed, no_site, 1)
         fitted, trace = fit(dataset, 2, EmConfig(max_iterations=5, restarts=2, seed=0))
     assert calls == [] and not codes.called
     _assert_em_e_step_matches(model, dataset, 1)
@@ -475,7 +475,7 @@ def test_em_e_step_keeps_densities_where_the_product_would_round():
     model = MixtureModel(model.weights, params, model.missing_probs, SCHEMAS)
     patch, calls = _counted_densities()
     with patch:
-        _em_log_joint(model, dataset, 1)
+        em_log_joint(model, dataset, 1)
     assert calls == [(VariableKind.REAL, 1), (VariableKind.NONNEGATIVE, 1)]
     _assert_em_e_step_matches(model, dataset, 1)
 

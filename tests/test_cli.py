@@ -451,6 +451,19 @@ class TestSelect:
         assert len(rows) == 1
 
 
+    def test_failed_orders_warn_in_json_lines(self, work, tmp_path, capsys, collapsing_starts):
+        """Each order that fails is a warning on stderr, one JSON line, before the error."""
+        code = main(["select", "--out-dir", str(tmp_path / "select"), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--orders", "1-2", "--restarts", "1"])
+        assert code == 4
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [list(line) for line in lines] == [["warning"], ["warning"], ["error"]]
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        for order, line in enumerate(lines[:2], 1):
+            assert line == {"warning": {"message": f"order {order} failed: all 1 restart(s) "
+                                        f"failed for order {order}: restart 0: {collapsed}"}}
+
+
 class TestInfer:
     def _evidence(self, tmp_path, rows):
         path = tmp_path / "evidence.csv"
@@ -878,6 +891,23 @@ class TestEvaluateOptions:
         assert code == 3
         assert _last_error(capsys)["message"] == "at least one target is required"
         assert list(out.glob("*.csv")) == []
+
+
+    def test_warnings_are_json_lines(self, work, tmp_path, capsys, monkeypatch):
+        """Three workers on one CPU run as one, no process started, and the warning that says
+        so reaches stderr as one JSON line."""
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a process started"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code = main(["evaluate", "--out-dir", str(tmp_path / "out"),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", "1", "--restarts", "1", "--max-iterations", "5",
+                     "--mode", "model_missing", "--workers", "3"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [json.dumps(
+            {"warning": {"message": "n_workers 3 capped at the 1 CPU(s) this process may use"}})]
 
 
 class TestManifestArguments:

@@ -22,14 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import assert_same_arrays, m_step_alone
+from conftest import assert_same_arrays, em_log_joint, m_step_alone
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
 from hetmix.model import _log_joint
 from hetmix.schema import _kept_ranges
 from hetmix.training import (_CHUNK_ROWS, COLLAPSE_EPS, ComponentCollapseError, _em_batch,
-                             _em_log_joint, _m_step_batch)
+                             _m_step_batch)
 
 # The batch sums over all N rows in BLAS order and takes real variances in one
 # pass from standardized sums; the oracle sums each fit's own rows, two-pass.
@@ -131,10 +131,11 @@ def _run_all_three(dataset, held_out, starts, config):
     """(reference, alone, batched) outcomes of every fit: the sequential
     oracle, the batch of one, the whole batch."""
     subsets, kept, scales, inits = _batch(dataset, held_out, starts)
-    batched = _em_batch(dataset, kept, scales, inits, config)
+    batched = _em_batch(dataset, kept, scales, inits.copy(), config)  # EM overwrites its starts
     out = []
     for b, subset in enumerate(subsets):
-        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1], config)[0]
+        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1].copy(),
+                          config)[0]
         out.append((_oracle(subset, starts[b], config), alone, batched[b]))
     return out, batched
 
@@ -186,15 +187,12 @@ def test_order_nine_matches_the_sequential_fit_to_rounding():
         _assert_close(got, reference)
 
 
-def test_batch_covers_every_way_a_fit_ends():
-    """One batch of restarts and folds (one of which lost "site") in which fits
-    converge, reach the cap, revert and collapse, before their first M-step or
-    after a later one; each ends as the sequential loop ends it."""
+def _every_ending():
+    """(dataset, held-out rows, starts, config) of a batch of folds in which fits
+    converge, reach the cap, revert and collapse."""
     rng = np.random.default_rng(0)
     dataset = _cohort(rng, 40, [7], lone_site=4)
     held_out = np.array([4, 0, 9, 1, 2, 3, 5, 6, 8, 10, 11, 9])
-    assert validate_dataset(dataset.drop_subject(4)) and not validate_dataset(
-        dataset.drop_subject(0))
     starts = [rng.dirichlet(np.ones(3), size=39) for _ in held_out[:-1]]
     starts[1][:, 2] = 0.0  # collapses before the first M-step
     # fit 2's start with 5e-10 of each row on component 2: 1.95e-8 in all clears
@@ -204,7 +202,16 @@ def test_batch_covers_every_way_a_fit_ends():
     late[:, :2] *= (1.0 - 5e-10) / late[:, :2].sum(axis=1, keepdims=True)
     starts.append(late)
     assert late.sum(axis=0)[2] >= COLLAPSE_EPS
-    config = EmConfig(max_iterations=8, rel_tol=1e-4)
+    return dataset, held_out, starts, EmConfig(max_iterations=8, rel_tol=1e-4)
+
+
+def test_batch_covers_every_way_a_fit_ends():
+    """One batch of restarts and folds (one of which lost "site") in which fits
+    converge, reach the cap, revert and collapse, before their first M-step or
+    after a later one; each ends as the sequential loop ends it."""
+    dataset, held_out, starts, config = _every_ending()
+    assert validate_dataset(dataset.drop_subject(4)) and not validate_dataset(
+        dataset.drop_subject(0))
     states, batched = _run_all_three(dataset, held_out, starts, config)
     for reference, alone, got in states:
         assert _state(alone) == _state(got)
@@ -221,6 +228,20 @@ def test_batch_covers_every_way_a_fit_ends():
     ends = {("converged" if o[2] else "cap" if len(o[1]) == 8 + 1 else "revert")
             for o in batched if not isinstance(o, Exception)}
     assert ends == {"converged", "cap", "revert"}
+
+
+@pytest.mark.parametrize("group", [1, 5])
+def test_e_step_groups_do_not_change_any_fit(group, monkeypatch):
+    """That batch, its E-step reduced ``group`` fits at a time, ends every fit as
+    in one group, bit for bit: ending fits leave gaps that the buffer's live fits
+    close across groups."""
+    import hetmix.training as training
+    dataset, held_out, starts, config = _every_ending()
+    _, kept, scales, inits = _batch(dataset, held_out, starts)
+    whole = _em_batch(dataset, kept, scales, inits.copy(), config)
+    monkeypatch.setattr(training, "_GROUP_FITS", group)
+    grouped = _em_batch(dataset, kept, scales, inits.copy(), config)
+    assert [_state(o) for o in grouped] == [_state(o) for o in whole]
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3))
@@ -258,15 +279,17 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
 
 
 def test_chunked_products_span_several_chunks(monkeypatch):
-    """A cohort of two one-hot chunks and a partial third, folds holding out rows
-    of the last: the M-step's level counts are each finite column's weighted
-    ``np.bincount`` within 1e-14 relative, EM's E-step is ``_log_joint`` within
-    1e-13 per column, and each fit equals itself run alone, bit for bit."""
+    """A cohort of two one-hot chunks and a partial third, two folds of two
+    restarts holding out rows of the last: the M-step's level counts are each
+    finite column's weighted ``np.bincount`` within 1e-14 relative, EM's E-step
+    is ``_log_joint`` within 1e-13 per column, and each fit equals itself run
+    alone, bit for bit, also with E-step groups of 3 fits, which put the second
+    fold's restarts in different groups."""
     import hetmix.training as training
     n = 2 * _CHUNK_ROWS + 37
     rng = np.random.default_rng(6)
     dataset = _cohort(rng, n, [n - 2], None)
-    held_out = np.array([n - 1, n - 30, n - 30])
+    held_out = np.array([n - 1, n - 1, n - 30, n - 30])
     starts = [rng.dirichlet(np.ones(3), size=n - 1) for _ in held_out]
     _, kept, scales, inits = _batch(dataset, held_out, starts)
     sums, weighted_block = [], training._weighted_block
@@ -286,15 +309,20 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     monkeypatch.undo()
     config = EmConfig(max_iterations=4, rel_tol=1e-12)
-    batched = _em_batch(dataset, kept, scales, inits, config)
+    whole = _em_batch(dataset, kept, scales, inits.copy(), config)
+    monkeypatch.setattr(training, "_GROUP_FITS", 3)
+    batched = _em_batch(dataset, kept, scales, inits.copy(), config)
     for b, outcome in enumerate(batched):
-        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1], config)
-        assert _state(alone[0]) == _state(outcome)
+        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1].copy(), config)
+        assert _state(alone[0]) == _state(outcome) == _state(whole[b])
     stacked = MixtureModel._stack([outcome[0] for outcome in batched])
-    got = _em_log_joint(stacked, dataset, 3)
+    got = em_log_joint(stacked, dataset, len(held_out))
     want = _log_joint(stacked, dataset, MODEL_MISSING).reshape(got.shape)
     assert np.isfinite(want).all()
     assert (abs(got - want) <= 1e-13 * dataset.n_variables * np.maximum(abs(want), 1.0)).all()
+    for b, outcome in enumerate(batched):
+        alone = em_log_joint(outcome[0], dataset, 1)
+        assert alone.tobytes() == got[b:b + 1].tobytes()
 
 
 def test_a_fold_floors_variances_at_its_own_scale():
@@ -419,7 +447,7 @@ def test_missing_probabilities_are_exact_at_the_extremes():
 @pytest.mark.parametrize("workers", [2, 3])
 def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
     """Folds scored in one batch, one by one, or across worker ranges agree, and
-    leave-one-out in batches of at most 4 equals it in batches of at most 48."""
+    leave-one-out in batches of at most 4 folds equals it in one batch."""
     import hetmix.evaluation
     from hetmix.evaluation import _evaluate_folds, loo_evaluate
 
@@ -438,15 +466,16 @@ def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
     for subjects in np.array_split(np.arange(14), workers):
         assert_same_arrays(_evaluate_folds(dataset, subjects.tolist(), *args),
                            part(together, subjects.tolist()))
-    whole = loo_evaluate(dataset, *args)
     batches = []
 
     def recorded(dataset, subjects, **rest):
         batches.append(subjects)
         return _evaluate_folds(dataset, subjects, **rest)
 
-    monkeypatch.setattr(hetmix.evaluation, "_FOLDS_PER_BATCH", 4)
     monkeypatch.setattr(hetmix.evaluation, "_evaluate_folds", recorded)
+    whole = loo_evaluate(dataset, *args)
+    # the cells of 4 folds of 2 restarts at order 2 over 14 rows
+    monkeypatch.setattr(hetmix.evaluation, "_BATCH_CELLS", 4 * 2 * 2 * 14)
     split = loo_evaluate(dataset, *args)
-    assert list(map(len, batches)) == [4, 4, 3, 3]
+    assert list(map(len, batches)) == [14, 4, 4, 3, 3]
     assert_same_arrays(split, whole)

@@ -291,6 +291,31 @@ class TestFoldSeeds:
         assert _fold_seed(7, 3) == _fold_seed(7, 3)
         assert _fold_seed(8, 3) != _fold_seed(7, 3)
 
+    def test_each_fold_seeded_once_per_batch(self, monkeypatch):
+        """A batch of folds draws each fold's seed once, not once per order, and
+        every order's restarts start from those seeds."""
+        import hetmix.evaluation as ev
+        import hetmix.training as training
+        calls, seeds, fit_many = [], [], training._fit_many
+
+        def counted(seed, subject):
+            calls.append(subject)
+            return _fold_seed(seed, subject)
+
+        def recorded(dataset, kept, scales, fold_seeds, order, config):
+            seeds.append(list(fold_seeds))
+            return fit_many(dataset, kept, scales, fold_seeds, order, config)
+
+        monkeypatch.setattr(ev, "_fold_seed", counted)
+        monkeypatch.setattr(ev, "_fit_many", recorded)
+        cohort, _ = sample_cohort(small_demo_model(), 10, np.random.default_rng(1))
+        _evaluate_folds(cohort, range(2, 8), (1, 2, 3), ("severity",), MODEL_MISSING,
+                        EmConfig(max_iterations=2, restarts=2, seed=3))
+        assert calls == list(range(2, 8))
+        want = {_fold_seed(3, s) for s in range(2, 8)}
+        # a later order trains the folds that have not failed
+        assert len(seeds) == 3 and set(seeds[0]) == want and set(seeds[2]) <= want
+
 
 class TestMaskFolds:
     """A fold is its held-out row: its checks and column scales read the cohort
@@ -491,6 +516,22 @@ class TestLooEvaluate:
         for other in runs[1:]:
             assert_same_arrays(other, runs[0])
 
+    def test_one_em_batch_per_order(self, monkeypatch):
+        """A 120-row cohort, 2 restarts, orders 1-3 (the loo-n120 benchmark's shape) runs each
+        order's 120 folds x 2 restarts as one EM batch."""
+        import hetmix.training as training
+        sizes, em_batch = [], training._em_batch
+
+        def recorded(dataset, kept, scales, inits, config):
+            sizes.append(inits.shape)
+            return em_batch(dataset, kept, scales, inits, config)
+
+        monkeypatch.setattr(training, "_em_batch", recorded)
+        cohort, _ = sample_cohort(small_demo_model(), 120, np.random.default_rng(0))
+        loo_evaluate(cohort, (1, 2, 3), ("severity",), MODEL_MISSING,
+                     EmConfig(max_iterations=2, restarts=2, seed=0))
+        assert sizes == [(240, order, 120) for order in (1, 2, 3)]
+
     def test_too_few_subjects(self):
         cohort, _ = sample_cohort(small_demo_model(), 2,
                                   np.random.default_rng(0))
@@ -511,10 +552,10 @@ class TestLooEvaluate:
             loo_evaluate(cohort, (1,), ("marker_a",), MODEL_MISSING, EmConfig())
 
     @staticmethod
-    def _schedule(monkeypatch, n, workers, cpus, affinity=True):
-        """(batches, pools, warnings) of a ``loo_evaluate`` whose folds and pool are stand-ins
-        (a serial pool: no process starts), on a host with ``cpus`` CPUs that this process may
-        use, read from ``os.sched_getaffinity`` or, without it, ``os.cpu_count``."""
+    def _schedule(monkeypatch, n, workers, cpus, affinity=True, orders=(1,), restarts=5):
+        """(batches, pools, warnings) of a ``loo_evaluate`` of ``orders`` whose folds and pool
+        are stand-ins (a serial pool: no process starts), on a host with ``cpus`` CPUs that this
+        process may use, read from ``os.sched_getaffinity`` or, without it, ``os.cpu_count``."""
         import concurrent.futures
         import warnings
 
@@ -550,16 +591,18 @@ class TestLooEvaluate:
         cohort, _ = sample_cohort(small_demo_model(), n, np.random.default_rng(0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig(),
-                         n_workers=workers)
+            loo_evaluate(cohort, orders, ("severity",), MODEL_MISSING,
+                         EmConfig(restarts=restarts), n_workers=workers)
         return batches, pools, [str(w.message) for w in caught]
 
+    # order 1 and 5 restarts: a fold's posteriors are 5 x 1 x n cells, and a batch holds at most
+    # _BATCH_CELLS // (5 n) of them: 218 folds at n = 120, 436 at n = 60, 43 at n = 600
     @pytest.mark.parametrize("n, workers, sizes, chunksize", [
-        (120, 1, [40] * 3, None), (120, 2, [30] * 4, 2), (60, 3, [20] * 3, 1),
-        (60, 4, [15] * 4, 1), (5, 8, [1] * 5, 1)])
+        (120, 1, [120], None), (120, 2, [60] * 2, 1), (60, 3, [20] * 3, 1),
+        (60, 4, [15] * 4, 1), (5, 8, [1] * 5, 1), (600, 2, [43] * 12 + [42] * 2, 7)])
     def test_batches(self, monkeypatch, n, workers, sizes, chunksize):
-        """k batches per worker, k = ceil(n / (48 * workers)), contiguous and equal; a worker's
-        batches are one task of the pool. Eight CPUs: no case is capped."""
+        """k batches per worker, k = ceil(n / (folds a batch holds * workers)), contiguous and
+        equal; a worker's batches are one task of the pool. Eight CPUs: no case is capped."""
         batches, pools, caught = self._schedule(monkeypatch, n, workers, cpus=8)
         assert caught == []
         assert list(map(len, batches)) == sizes
@@ -567,15 +610,29 @@ class TestLooEvaluate:
         assert all(type(s) is int for batch in batches for s in batch)
         assert pools == ([] if chunksize is None else [[min(workers, len(sizes)), chunksize]])
 
+    @pytest.mark.parametrize("orders, restarts, sizes", [
+        ((1, 3), 2, [100] * 2), ((2,), 1, [200]), ((3,), 5, [40] * 5), ((2,), 500, [1] * 200)])
+    def test_batches_are_sized_by_posterior_cells(self, monkeypatch, orders, restarts, sizes):
+        """One worker on 200 folds: a batch holds _BATCH_CELLS // (restarts x largest order
+        x 200) folds, and at least one. Orders 1-3 of 2 restarts: 109 (k = 2); order 2 (and
+        the baseline order 1) of 1: 327 (one batch); order 3 of 5: 43 (k = 5); 500 restarts:
+        none, so 1."""
+        import hetmix.evaluation as ev
+        assert ev._BATCH_CELLS == 2 ** 17
+        batches, pools, _ = self._schedule(monkeypatch, 200, 1, cpus=8, orders=orders,
+                                           restarts=restarts)
+        assert list(map(len, batches)) == sizes and pools == []
+
     @pytest.mark.parametrize("affinity", [True, False])
     def test_workers_capped_at_the_cpus(self, monkeypatch, affinity):
         """5000 workers on 2000 folds and two CPUs run as two, and a warning says so: two
-        processes, each with k = ceil(2000 / 96) = 21 batches of at most 48 folds."""
+        processes, each with k = ceil(2000 / (2 * 13)) = 77 batches of at most 13 folds (a
+        fold's posteriors are 5 restarts x 1 x 2000 cells)."""
         batches, pools, caught = self._schedule(monkeypatch, 2000, 5000, cpus=2,
                                                 affinity=affinity)
         assert caught == ["n_workers 5000 capped at the 2 CPU(s) this process may use"]
-        assert len(batches) == 42 and {len(batch) for batch in batches} == {47, 48}
-        assert pools == [[2, 21]]
+        assert len(batches) == 154 and {len(batch) for batch in batches} == {12, 13}
+        assert pools == [[2, 77]]
 
     def test_fold_failures_excluded(self, monkeypatch):
         import hetmix.evaluation as ev
