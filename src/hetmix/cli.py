@@ -502,8 +502,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(json.dumps(
-            {"warning": {"message": str(message)}}, sort_keys=True), file=sys.stderr)
+        warnings.showwarning = lambda message, category, *_: print(json.dumps(
+            {"warning": {"category": category.__name__, "message": str(message)}},
+            sort_keys=True), file=sys.stderr)
         try:
             if args.command == "rerun":
                 return run_rerun(args)

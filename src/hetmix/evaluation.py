@@ -35,10 +35,11 @@ from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
-# the most cells of a fold batch's (fits, Z, N) EM posteriors, folds x restarts x largest order x N
-# (1 MiB of float64): on loo-n120 (86,400 cells; one core of a 2-vCPU x86-64 VM, perfbench seed 0,
-# 5 alternating runs) one batch took a median of 0.263 s of reference CPU at a peak of 41.9 MB,
-# and three batches of 40 folds 0.357 s at 40.0 MB
+# a fold batch holds _FOLDS_PER_BATCH folds, or more while its (fits, Z, N) EM posteriors, folds x
+# restarts x largest order x N, fit in _BATCH_CELLS (1 MiB of float64). Fewer, larger batches take
+# less CPU: on loo-n120 (86,400 cells; one core of a 2-vCPU x86-64 VM, perfbench seed 0, 5
+# alternating runs) one batch took a median of 0.263 s of reference CPU, three of 40 folds 0.357 s
+_FOLDS_PER_BATCH = 48
 _BATCH_CELLS = 2 ** 17
 
 
@@ -341,10 +342,11 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     (see _evaluate_folds) are excluded entirely so the per-order averages cover
     identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
     of folds fail. ``n_workers`` is capped at the CPUs this process may use, with a
-    warning. A batch holds at most F = _BATCH_CELLS // (restarts * largest order * N)
-    folds (at least 1), the cells of its EM posteriors; the N folds run in k contiguous,
-    equal batches per worker, k = ceil(N / (F * n_workers)), a worker's k batches one
-    task (one pickle of the cohort). No fold depends on the others of its batch, and per-fold
+    warning. A batch holds at most F = max(_FOLDS_PER_BATCH, _BATCH_CELLS //
+    (restarts * largest order * N)) folds, the second the folds whose EM posteriors
+    fit in _BATCH_CELLS cells; the N folds run in k contiguous, equal batches per
+    worker, k = ceil(N / (F * n_workers)), a worker's k batches one task (one pickle
+    of the cohort). No fold depends on the others of its batch, and per-fold
     seeds depend only on (config.seed, subject), so results do not depend on worker count.
     """
     targets = InferenceRequest({}, targets, mode).targets
@@ -362,7 +364,7 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     if workers > cpus:
         warnings.warn(f"n_workers {workers} capped at the {cpus} CPU(s) this process may use")
         workers = cpus
-    per_batch = max(1, _BATCH_CELLS // (config.restarts * orders[-1] * n))
+    per_batch = max(_FOLDS_PER_BATCH, _BATCH_CELLS // (config.restarts * orders[-1] * n))
     k = -(-n // (per_batch * workers))
     batches = [b.tolist() for b in np.array_split(np.arange(n), min(n, k * workers))]
     run = partial(_evaluate_folds, dataset, orders=orders, targets=targets, mode=mode,

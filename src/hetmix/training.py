@@ -38,7 +38,6 @@ MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
 EM_TERM_LIMIT = 1e3       # an E-step product term that could reach this takes _factors
 _CHUNK_ROWS = 2048        # one-hot rows cast to float64 at a time: one chunk's memory
-_GROUP_FITS = 96          # fits per E-step group: bounds its temporaries at (96, Z, N)
 
 
 class ComponentCollapseError(RuntimeError):
@@ -113,10 +112,10 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int, out) -> np
     """``out``, the (n_fits, Z, N) ``model._log_joint`` under ``model_missing`` of a
     stack of n_fits models: log w plus, per fit (batched or not, the same bits),
     one product of the ``_natural_params`` with ``Dataset._stats``' statistics and
-    one with its one-hot, a row chunk and _GROUP_FITS fits at a time. The product
-    rounds to a few eps times its terms, bounded by |theta| @ ``reach`` (a
-    statistic or slot that is 0 on every row left out). A component takes the
-    scoring routine ``model._factors`` instead on a column where that bound reaches
+    one with its one-hot, a row chunk at a time. The product rounds to a few eps
+    times its terms, bounded by |theta| @ ``reach`` (a statistic or slot that is
+    0 on every row left out). A component takes the scoring routine
+    ``model._factors`` instead on a column where that bound reaches
     EM_TERM_LIMIT: a variance near its floor far from the column's centre
     (terms ~ (x - centre)^2 / variance), a Gamma near its shape cap (lgamma(shape)
     ~ 1e5), a far level's log mass, or a -inf (q or zero_prob at 0 or 1, or a
@@ -139,8 +138,7 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int, out) -> np
     np.matmul(theta[:, :matrix.shape[1]].reshape(shape), matrix.T, out=out)
     slots = theta[:, matrix.shape[1]:].reshape(shape)
     for rows, chunk in _onehot_chunks(dataset):
-        for g in range(0, n_fits, _GROUP_FITS):
-            out[g:g + _GROUP_FITS, :, rows] += np.matmul(slots[g:g + _GROUP_FITS], chunk.T)
+        out[..., rows] += np.matmul(slots, chunk.T)
     flat = out.reshape(model.n_components, -1)
     with np.errstate(divide="ignore"):
         flat += np.log(model.weights)[:, None]
@@ -198,12 +196,12 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.
     Every ending is decided here. Before each M-step, a run with a component of
     total responsibility below COLLAPSE_EPS collapses. An E-step is one
     ``_em_log_joint`` for all B * Z components, component-major: (B, Z, N), written
-    over the responsibilities that the M-step has read; its log-sum-exp runs
-    _GROUP_FITS runs at a time, and the posteriors replace the log joint. A
-    rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the previous
-    model; else a run stops at a relative decrease <= rel_tol (converged) or
-    after max_iterations more M-steps. An ended run leaves the batch with a copy of
-    its model (``_fit_of``), and the others move to the buffer's front.
+    over the responsibilities that the M-step has read, and the posteriors then
+    replace the log joint. A rise over MONOTONE_SLACK (approximate M-steps
+    overshoot) keeps the previous model; else a run stops at a relative decrease
+    <= rel_tol (converged) or after max_iterations more M-steps. An ended run
+    leaves the batch with a copy of its model (``_fit_of``), and the others move
+    to the buffer's front.
     Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
     responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q,
     zero_prob, masses and floored densities positive and finite for the row, so
@@ -219,12 +217,8 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.
             outcomes[fits[i]] = ComponentCollapseError(
                 f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
         if not (go := go & ~low).all():
-            # the runs that go on move to the buffer's front, _GROUP_FITS at a time: a run
-            # moves only down, onto runs already read
-            index = np.flatnonzero(go)
-            for g in range(0, index.size, _GROUP_FITS):
-                part = index[g:g + _GROUP_FITS]
-                alpha[g:g + part.size] = alpha[part]
+            index = np.flatnonzero(go)  # the runs that go on move to the buffer's front
+            alpha[:index.size] = alpha[index]
             alpha, totals, fits = alpha[:index.size], totals[go], fits[go]
             if not fits.size:
                 return outcomes
@@ -232,8 +226,7 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.
         log_joint, live = _em_log_joint(model, dataset, fits.size, alpha), kept[fits]
         # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
         np.copyto(log_joint, -np.inf, where=~live[:, None])
-        ll = np.where(live, np.concatenate([log_sum_exp(log_joint[g:g + _GROUP_FITS], axis=1)
-                                            for g in range(0, fits.size, _GROUP_FITS)]), 0.0)
+        ll = np.where(live, log_sum_exp(log_joint, axis=1), 0.0)
         nlls = -ll.sum(axis=1)
         for i, b in enumerate(fits.tolist()):
             trace, nll = traces[b], float(nlls[i])

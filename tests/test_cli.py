@@ -460,7 +460,8 @@ class TestSelect:
         assert [list(line) for line in lines] == [["warning"], ["warning"], ["error"]]
         collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
         for order, line in enumerate(lines[:2], 1):
-            assert line == {"warning": {"message": f"order {order} failed: all 1 restart(s) "
+            assert line == {"warning": {"category": "UserWarning",
+                                        "message": f"order {order} failed: all 1 restart(s) "
                                         f"failed for order {order}: restart 0: {collapsed}"}}
 
 
@@ -907,7 +908,8 @@ class TestEvaluateOptions:
                      "--mode", "model_missing", "--workers", "3"])
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [json.dumps(
-            {"warning": {"message": "n_workers 3 capped at the 1 CPU(s) this process may use"}})]
+            {"warning": {"category": "UserWarning",
+                         "message": "n_workers 3 capped at the 1 CPU(s) this process may use"}})]
 
 
 class TestManifestArguments:

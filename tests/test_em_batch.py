@@ -230,20 +230,6 @@ def test_batch_covers_every_way_a_fit_ends():
     assert ends == {"converged", "cap", "revert"}
 
 
-@pytest.mark.parametrize("group", [1, 5])
-def test_e_step_groups_do_not_change_any_fit(group, monkeypatch):
-    """That batch, its E-step reduced ``group`` fits at a time, ends every fit as
-    in one group, bit for bit: ending fits leave gaps that the buffer's live fits
-    close across groups."""
-    import hetmix.training as training
-    dataset, held_out, starts, config = _every_ending()
-    _, kept, scales, inits = _batch(dataset, held_out, starts)
-    whole = _em_batch(dataset, kept, scales, inits.copy(), config)
-    monkeypatch.setattr(training, "_GROUP_FITS", group)
-    grouped = _em_batch(dataset, kept, scales, inits.copy(), config)
-    assert [_state(o) for o in grouped] == [_state(o) for o in whole]
-
-
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3))
 @settings(max_examples=20, deadline=None)
 def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
@@ -283,8 +269,7 @@ def test_chunked_products_span_several_chunks(monkeypatch):
     restarts holding out rows of the last: the M-step's level counts are each
     finite column's weighted ``np.bincount`` within 1e-14 relative, EM's E-step
     is ``_log_joint`` within 1e-13 per column, and each fit equals itself run
-    alone, bit for bit, also with E-step groups of 3 fits, which put the second
-    fold's restarts in different groups."""
+    alone, bit for bit."""
     import hetmix.training as training
     n = 2 * _CHUNK_ROWS + 37
     rng = np.random.default_rng(6)
@@ -309,12 +294,10 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     monkeypatch.undo()
     config = EmConfig(max_iterations=4, rel_tol=1e-12)
-    whole = _em_batch(dataset, kept, scales, inits.copy(), config)
-    monkeypatch.setattr(training, "_GROUP_FITS", 3)
     batched = _em_batch(dataset, kept, scales, inits.copy(), config)
     for b, outcome in enumerate(batched):
         alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1].copy(), config)
-        assert _state(alone[0]) == _state(outcome) == _state(whole[b])
+        assert _state(alone[0]) == _state(outcome)
     stacked = MixtureModel._stack([outcome[0] for outcome in batched])
     got = em_log_joint(stacked, dataset, len(held_out))
     want = _log_joint(stacked, dataset, MODEL_MISSING).reshape(got.shape)
@@ -474,7 +457,9 @@ def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
 
     monkeypatch.setattr(hetmix.evaluation, "_evaluate_folds", recorded)
     whole = loo_evaluate(dataset, *args)
-    # the cells of 4 folds of 2 restarts at order 2 over 14 rows
+    # batches of at least 1 fold, and of the folds whose 2 restarts at order 2 over 14 rows
+    # fill 4 folds' cells
+    monkeypatch.setattr(hetmix.evaluation, "_FOLDS_PER_BATCH", 1)
     monkeypatch.setattr(hetmix.evaluation, "_BATCH_CELLS", 4 * 2 * 2 * 14)
     split = loo_evaluate(dataset, *args)
     assert list(map(len, batches)) == [14, 4, 4, 3, 3]

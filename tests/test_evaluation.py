@@ -596,7 +596,8 @@ class TestLooEvaluate:
         return batches, pools, [str(w.message) for w in caught]
 
     # order 1 and 5 restarts: a fold's posteriors are 5 x 1 x n cells, and a batch holds at most
-    # _BATCH_CELLS // (5 n) of them: 218 folds at n = 120, 436 at n = 60, 43 at n = 600
+    # _BATCH_CELLS // (5 n) folds, or 48 if that is fewer: 218 folds at n = 120, 436 at n = 60,
+    # 43 at n = 600, so 48
     @pytest.mark.parametrize("n, workers, sizes, chunksize", [
         (120, 1, [120], None), (120, 2, [60] * 2, 1), (60, 3, [20] * 3, 1),
         (60, 4, [15] * 4, 1), (5, 8, [1] * 5, 1), (600, 2, [43] * 12 + [42] * 2, 7)])
@@ -611,14 +612,14 @@ class TestLooEvaluate:
         assert pools == ([] if chunksize is None else [[min(workers, len(sizes)), chunksize]])
 
     @pytest.mark.parametrize("orders, restarts, sizes", [
-        ((1, 3), 2, [100] * 2), ((2,), 1, [200]), ((3,), 5, [40] * 5), ((2,), 500, [1] * 200)])
+        ((1, 3), 2, [100] * 2), ((2,), 1, [200]), ((3,), 6, [40] * 5), ((2,), 500, [40] * 5)])
     def test_batches_are_sized_by_posterior_cells(self, monkeypatch, orders, restarts, sizes):
         """One worker on 200 folds: a batch holds _BATCH_CELLS // (restarts x largest order
-        x 200) folds, and at least one. Orders 1-3 of 2 restarts: 109 (k = 2); order 2 (and
-        the baseline order 1) of 1: 327 (one batch); order 3 of 5: 43 (k = 5); 500 restarts:
-        none, so 1."""
+        x 200) folds, and at least _FOLDS_PER_BATCH. Orders 1-3 of 2 restarts: 109 (k = 2);
+        order 2 (and the baseline order 1) of 1: 327 (one batch); order 3 of 6: 36, so 48
+        (k = 5); 500 restarts: none, so 48."""
         import hetmix.evaluation as ev
-        assert ev._BATCH_CELLS == 2 ** 17
+        assert ev._BATCH_CELLS == 2 ** 17 and ev._FOLDS_PER_BATCH == 48
         batches, pools, _ = self._schedule(monkeypatch, 200, 1, cpus=8, orders=orders,
                                            restarts=restarts)
         assert list(map(len, batches)) == sizes and pools == []
@@ -626,13 +627,13 @@ class TestLooEvaluate:
     @pytest.mark.parametrize("affinity", [True, False])
     def test_workers_capped_at_the_cpus(self, monkeypatch, affinity):
         """5000 workers on 2000 folds and two CPUs run as two, and a warning says so: two
-        processes, each with k = ceil(2000 / (2 * 13)) = 77 batches of at most 13 folds (a
-        fold's posteriors are 5 restarts x 1 x 2000 cells)."""
+        processes, each with k = ceil(2000 / (2 * 48)) = 21 batches of at most 48 folds (the
+        cells of 13 folds' posteriors, 5 restarts x 1 x 2000 each, are fewer)."""
         batches, pools, caught = self._schedule(monkeypatch, 2000, 5000, cpus=2,
                                                 affinity=affinity)
         assert caught == ["n_workers 5000 capped at the 2 CPU(s) this process may use"]
-        assert len(batches) == 154 and {len(batch) for batch in batches} == {12, 13}
-        assert pools == [[2, 77]]
+        assert len(batches) == 42 and {len(batch) for batch in batches} == {47, 48}
+        assert pools == [[2, 21]]
 
     def test_fold_failures_excluded(self, monkeypatch):
         import hetmix.evaluation as ev

@@ -100,12 +100,9 @@ class TestMStep:
         assert str(failed[0]) == "component 1 collapsed (total responsibility 0.000e+00)"
 
     @pytest.mark.parametrize("bad", [math.nan, -0.25])
-    def test_weights_must_be_finite_and_nonnegative(self, bad, monkeypatch):
+    def test_weights_must_be_finite_and_nonnegative(self, bad):
         """NaN or negative responsibilities raise EstimationError, whether given
-        to one M-step or as the starts of a batch of EM runs, also in the last of
-        its E-step groups."""
-        import hetmix.training as training
-        monkeypatch.setattr(training, "_GROUP_FITS", 1)
+        to one M-step or as the starts of a batch of EM runs."""
         _, ds, _ = _cohort(n=50)
         alpha = np.full((50, 2), 0.5)
         alpha[7, 1] = bad
