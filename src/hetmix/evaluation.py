@@ -35,10 +35,11 @@ from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 CHANCE_ORDER = 0
 BASELINE_ORDER = 1
 MAX_FAILURE_FRACTION = 0.1  # loo_evaluate aborts when more folds than this fail
-# a fold batch holds _FOLDS_PER_BATCH folds, or more while its (fits, Z, N) EM posteriors, folds x
-# restarts x largest order x N, fit in _BATCH_CELLS (1 MiB of float64). Fewer, larger batches take
-# less CPU: on loo-n120 (86,400 cells; one core of a 2-vCPU x86-64 VM, perfbench seed 0, 5
-# alternating runs) one batch took a median of 0.263 s of reference CPU, three of 40 folds 0.357 s
+# a fold batch holds _FOLDS_PER_BATCH folds, or more while its EM posteriors, folds x restarts x
+# largest order x N cells, fit in _BATCH_CELLS (1 MiB of float64); fewer batches take less CPU. On
+# one core of a 2-vCPU x86-64 VM: loo-n120 (86,400 cells) as one batch took a median of 0.275 s of
+# reference CPU at a peak of 42.9 MB (perfbench seed 0, 10 runs), and N = 1000 at 5 restarts in
+# batches of 8 folds 18.5-21.2 s of CPU, in batches of 48 13.2-16.2 s (2 and 5 runs)
 _FOLDS_PER_BATCH = 48
 _BATCH_CELLS = 2 ** 17
 

@@ -187,12 +187,15 @@ def test_order_nine_matches_the_sequential_fit_to_rounding():
         _assert_close(got, reference)
 
 
-def _every_ending():
-    """(dataset, held-out rows, starts, config) of a batch of folds in which fits
-    converge, reach the cap, revert and collapse."""
+def test_batch_covers_every_way_a_fit_ends():
+    """One batch of restarts and folds (one of which lost "site") in which fits
+    converge, reach the cap, revert and collapse, before their first M-step or
+    after a later one; each ends as the sequential loop ends it."""
     rng = np.random.default_rng(0)
     dataset = _cohort(rng, 40, [7], lone_site=4)
     held_out = np.array([4, 0, 9, 1, 2, 3, 5, 6, 8, 10, 11, 9])
+    assert validate_dataset(dataset.drop_subject(4)) and not validate_dataset(
+        dataset.drop_subject(0))
     starts = [rng.dirichlet(np.ones(3), size=39) for _ in held_out[:-1]]
     starts[1][:, 2] = 0.0  # collapses before the first M-step
     # fit 2's start with 5e-10 of each row on component 2: 1.95e-8 in all clears
@@ -202,16 +205,7 @@ def _every_ending():
     late[:, :2] *= (1.0 - 5e-10) / late[:, :2].sum(axis=1, keepdims=True)
     starts.append(late)
     assert late.sum(axis=0)[2] >= COLLAPSE_EPS
-    return dataset, held_out, starts, EmConfig(max_iterations=8, rel_tol=1e-4)
-
-
-def test_batch_covers_every_way_a_fit_ends():
-    """One batch of restarts and folds (one of which lost "site") in which fits
-    converge, reach the cap, revert and collapse, before their first M-step or
-    after a later one; each ends as the sequential loop ends it."""
-    dataset, held_out, starts, config = _every_ending()
-    assert validate_dataset(dataset.drop_subject(4)) and not validate_dataset(
-        dataset.drop_subject(0))
+    config = EmConfig(max_iterations=8, rel_tol=1e-4)
     states, batched = _run_all_three(dataset, held_out, starts, config)
     for reference, alone, got in states:
         assert _state(alone) == _state(got)
@@ -265,16 +259,16 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
 
 
 def test_chunked_products_span_several_chunks(monkeypatch):
-    """A cohort of two one-hot chunks and a partial third, two folds of two
-    restarts holding out rows of the last: the M-step's level counts are each
-    finite column's weighted ``np.bincount`` within 1e-14 relative, EM's E-step
-    is ``_log_joint`` within 1e-13 per column, and each fit equals itself run
-    alone, bit for bit."""
+    """A cohort of two one-hot chunks and a partial third, folds holding out rows
+    of the last: the M-step's level counts are each finite column's weighted
+    ``np.bincount`` within 1e-14 relative, EM's E-step is ``_log_joint`` within
+    1e-13 per column, and each fit, and its E-step rows, equal the fit run alone,
+    bit for bit."""
     import hetmix.training as training
     n = 2 * _CHUNK_ROWS + 37
     rng = np.random.default_rng(6)
     dataset = _cohort(rng, n, [n - 2], None)
-    held_out = np.array([n - 1, n - 1, n - 30, n - 30])
+    held_out = np.array([n - 1, n - 30, n - 30])
     starts = [rng.dirichlet(np.ones(3), size=n - 1) for _ in held_out]
     _, kept, scales, inits = _batch(dataset, held_out, starts)
     sums, weighted_block = [], training._weighted_block
