@@ -57,7 +57,9 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
     top = a == peak
     count = top.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.where(top, 0.0, np.exp(a - peak)).sum(axis=axis, keepdims=True)
+        rest = np.subtract(a, peak)  # the one input-sized float temporary, freed once summed
+        np.putmask(np.exp(rest, out=rest), top, 0.0)
+        rest = rest.sum(axis=axis, keepdims=True)
         out = np.log1p(rest / count) + np.log(count) + peak
     return out.squeeze(axis)
 

@@ -271,11 +271,11 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                     config: EmConfig) -> tuple:
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold keeps
     every row but its subject's, an (F, N) mask, and is checked and trained on the cohort with
-    that row masked. One ``_kept_ranges`` pass gives every fold's checks and the column scales
-    that each order's ``_fit_many`` reads. Per order, the restarts of all folds run as one
-    batched EM, and one likelihood pass over the non-target inputs for all fold models gives
-    each held-out posterior and confidence, and every training row's score; one
-    ``predict_batch`` on the stacked tables then gives every fold's predictions, and array
+    that row masked. One ``_kept_ranges`` pass gives every fold's checks and column scales, and
+    its restarts' seeds are spawned once. Per order, the restarts of all folds run as one
+    batched EM, whose one stack of fold models one likelihood pass over the non-target inputs
+    scores: each held-out posterior and confidence, and every training row's score; one
+    ``predict_batch`` on the stack's tables then gives every fold's predictions, and array
     operations its errors and percentile.
 
     Returns ({subject: message}, errors, normalized, log_scores, percentiles): (O, F, T) errors
@@ -301,19 +301,19 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     log_scores, percentiles = np.full((2, 1 + len(orders), len(subjects)), np.nan)
     errors[CHANCE_ORDER], normalized[CHANCE_ORDER] = _errors(dataset, subjects, chance)
     observed = ~np.isnan(errors[CHANCE_ORDER]).all(axis=1)  # some truth observed
-    seeds = [_fold_seed(config.seed, s) for s in subjects]
+    children = [np.random.SeedSequence(_fold_seed(config.seed, s)).spawn(config.restarts)
+                for s in subjects]
     for o, order in enumerate(orders, 1):
-        live = [f for f, s in enumerate(subjects) if s not in failed]
-        fitted = list(zip(live, _fit_many(dataset, kept[live], scales[live],
-                                          [seeds[f] for f in live], order, config) if live else []))
-        failed.update((subjects[f], str(best)) for f, best in fitted
-                      if isinstance(best, TrainingError))
-        trained = [(f, best[0]) for f, best in fitted if subjects[f] not in failed]
-        if not trained:
+        if not (live := [f for f, s in enumerate(subjects) if s not in failed]):
             break
-        rows = np.array([f for f, _ in trained])
-        held, folds = np.array(subjects)[rows], np.arange(len(trained))
-        stacked = MixtureModel._stack([m for _, m in trained])
+        stacked, fits = _fit_many(dataset, kept[live], scales[live], [children[f] for f in live],
+                                  order, config)
+        failed.update((subjects[f], str(fit)) for f, fit in zip(live, fits)
+                      if isinstance(fit, TrainingError))
+        if stacked is None:
+            break
+        rows = np.array([f for f, fit in zip(live, fits) if not isinstance(fit, TrainingError)])
+        held, folds = np.array(subjects)[rows], np.arange(rows.size)
         log_joint = _log_joint(stacked, dataset, mode, input_cols).reshape(-1, order, n)
         scores = log_sum_exp(log_joint, axis=1)
         tables = {name: (dataset.schema(name), stacked._mass_table(dataset.column_index(name))
@@ -327,7 +327,7 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                                                                    predicted.probabilities)
         failed.update((subjects[f], f"held-out subject {subjects[f]} has zero likelihood under "
                        "every component") for f in rows[~good].tolist() if observed[f])
-        del fitted, trained, stacked, log_joint, scores, tables, predicted  # before the next EM
+        del stacked, log_joint, scores, tables, predicted  # before the next EM
     return failed, errors, normalized, log_scores, percentiles
 
 

@@ -19,7 +19,8 @@ place. Scoring (``_log_joint``; ``component_log_likelihoods`` is its (N, Z)
 transpose) adds it over the variables for all Z components, component-major, so
 every elementwise pass runs along the N subjects; it serves both modes and
 single rows (``infer``), for which no statistics are built. EM, E-step
-included, is in ``training``, which calls ``_factors`` as its fallback.
+included, is in ``training``, which calls ``_factors`` as its fallback. A
+stack of F fits is one model of F * Z components, fit-major (``_from_fits``).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class MixtureModel:
         """A checked model whose variable v has the parameter block ``blocks[v]``
         (its arrays are made read-only); finite variables' log-mass tables are
         computed here, once. ``n_fits`` > 1 stacks fits: one model of n_fits * Z
-        components, fit-major, whose weights sum to 1 per fit (see ``_fit_of``)."""
+        components, fit-major, whose weights sum to 1 per fit (see ``_fits``)."""
         schemas = tuple(schemas)
         n_comp, n_vars = _n_weights(weights), len(schemas)
         if np.shape(missing_probs) != (n_comp, n_vars):
@@ -104,32 +105,20 @@ class MixtureModel:
             _params=None, _name_to_column={s.name: j for j, s in enumerate(schemas)})
         return model
 
+    def _fits(self, n_fits: int) -> tuple:
+        """A stack of ``n_fits`` fits as (n_fits, Z, ...) views: its weights, missing
+        probabilities and every variable's block fields in order (``_from_fits``' layout)."""
+        arrays = (self.weights, self.missing_probs, *(a for block in self._blocks for a in block))
+        return tuple(a.reshape(n_fits, -1, *a.shape[1:]) for a in arrays)
+
     @classmethod
-    def _stack(cls, models) -> "MixtureModel":
-        """``models`` (one order, one set of schemas) stacked as ``_from_blocks`` stacks fits."""
-        blocks = zip(*(m._blocks for m in models))
-        return cls._from_blocks(np.concatenate([m.weights for m in models]),
-                                [tuple(map(np.concatenate, zip(*block))) for block in blocks],
-                                np.concatenate([m.missing_probs for m in models]),
-                                models[0].schemas, len(models))
-
-    def _fit_of(self, b: int, n_fits: int) -> "MixtureModel":
-        """Fit b of a stack of ``n_fits`` fits: read-only copies of its rows (a view
-        would keep the whole stack alive), not checked again."""
-        if n_fits == 1:
-            return self
-        z = self.n_components // n_fits
-
-        def rows(a):
-            (a := a[b * z:(b + 1) * z].copy()).setflags(write=False)
-            return a
-
-        model = MixtureModel.__new__(MixtureModel)
-        model.__dict__.update(
-            self.__dict__, weights=rows(self.weights), missing_probs=rows(self.missing_probs),
-            _blocks=tuple(tuple(map(rows, block)) for block in self._blocks), _params=None,
-            _log_masses=tuple(None if t is None else rows(t) for t in self._log_masses))
-        return model
+    def _from_fits(cls, arrays, schemas) -> "MixtureModel":
+        """The checked stack (``_from_blocks``) of the F fits whose (F, Z, ...) ``arrays``
+        are laid out as ``_fits`` gives them."""
+        weights, missing_probs, *fields = (a.reshape(-1, *a.shape[2:]) for a in arrays)
+        fields = iter(fields)
+        blocks = [tuple(next(fields) for _ in _BLOCK_FIELDS[s.kind]) for s in schemas]
+        return cls._from_blocks(weights, blocks, missing_probs, schemas, len(arrays[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MixtureModel is immutable; cannot set {name!r}")

@@ -17,7 +17,8 @@ which ``_onehot_chunks`` casts a row chunk at a time). An E-step
 (``_em_log_joint``) is their product with every component's natural
 parameters; an M-step (``_m_step_batch``) their product with the weights, then
 one closed-form ``_weighted_block`` (q and block) per variable. ``_em_batch``
-alone ends a fit: converged, at the cap, on a revert or on a collapse.
+alone ends a fit, and hands back one stack of (B, Z, ...) arrays, from which
+``_fit_many`` gathers each fit's best restart once into one checked model.
 """
 
 from __future__ import annotations
@@ -184,93 +185,99 @@ def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
 
 
 def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.ndarray,
-              config: EmConfig) -> list:
+              config: EmConfig) -> tuple:
     """B EM runs in lockstep on the rows of ``dataset``, run b on the rows that the
     (B, N) mask ``kept[b]`` keeps, from the (Z, N) responsibilities ``inits[b]``
     (C-contiguous) with the column scales ``scales[b]`` (``_kept_ranges`` of those
     rows); a row it leaves out has weight 0 in ``inits[b]``, no part in its NLL
-    and posteriors. Per run: (model, NLL trace, converged), or the
-    ComponentCollapseError that ended it. EM owns ``inits``: it is the batch's one
-    (B, Z, N) buffer, which each E-step overwrites.
+    and posteriors. EM owns ``inits``: it is the batch's one (B, Z, N) buffer, which
+    each E-step overwrites. Returns (params, traces, endings), per run b: row b of the
+    (B, Z, ...) arrays of ``MixtureModel._fits``, its last accepted M-step (params is
+    None if no run reached one); its NLL per accepted M-step; and True (converged),
+    False (the cap or a revert) or the ComponentCollapseError that ended it.
 
     Every ending is decided here. Before each M-step, a run with a component of
     total responsibility below COLLAPSE_EPS collapses. An E-step is one
     ``_em_log_joint`` for all B * Z components, component-major: (B, Z, N), written
     over the responsibilities that the M-step has read, and the posteriors then
     replace the log joint. A rise over MONOTONE_SLACK (approximate M-steps
-    overshoot) keeps the previous model; else a run stops at a relative decrease
-    <= rel_tol (converged) or after max_iterations more M-steps. An ended run
-    leaves the batch with a copy of its model (``_fit_of``), and the others move
-    to the buffer's front.
+    overshoot) ends a run, its rows left as they are; else its rows take the M-step,
+    and it stops at a relative decrease <= rel_tol (converged) or after
+    max_iterations more M-steps. The runs that go on move to the buffer's front.
     Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
     responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q,
     zero_prob, masses and floored densities positive and finite for the row, so
     its likelihood is; a zero one would stop the batch at the next M-step's
     finite-weights check (EstimationError), not end one run."""
-    traces = [[] for _ in inits]
-    outcomes = [None] * len(inits)
+    traces, endings, params = [[] for _ in inits], [None] * len(inits), None
     alpha, fits, go = inits, np.arange(len(inits)), np.ones(len(inits), dtype=bool)
     while True:
         totals = alpha.sum(axis=-1)
         low = go & (totals.min(axis=1) < COLLAPSE_EPS)
         for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist()):
-            outcomes[fits[i]] = ComponentCollapseError(
+            endings[fits[i]] = ComponentCollapseError(
                 f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
         if not (go := go & ~low).all():
             index = np.flatnonzero(go)  # the runs that go on move to the buffer's front
             alpha[:index.size] = alpha[index]
             alpha, totals, fits = alpha[:index.size], totals[go], fits[go]
             if not fits.size:
-                return outcomes
+                return params, traces, endings
         model = _m_step_batch(dataset, scales[fits], alpha, totals)
         log_joint, live = _em_log_joint(model, dataset, fits.size, alpha), kept[fits]
         # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
         np.copyto(log_joint, -np.inf, where=~live[:, None])
         ll = np.where(live, log_sum_exp(log_joint, axis=1), 0.0)
         nlls = -ll.sum(axis=1)
+        accepted = []
         for i, b in enumerate(fits.tolist()):
             trace, nll = traces[b], float(nlls[i])
             if trace and nll > trace[-1] + MONOTONE_SLACK:
-                back = int(np.searchsorted(previous_fits, b))
-                outcomes[b] = (previous._fit_of(back, previous_fits.size), trace, False)
+                endings[b] = False
                 continue
             trace.append(nll)
+            accepted.append(i)
             converged = len(trace) > 1 and trace[-2] - nll <= config.rel_tol * abs(trace[-2])
             if converged or len(trace) > config.max_iterations:
-                outcomes[b] = (model._fit_of(i, fits.size), trace, converged)
-        if not (go := np.array([outcomes[b] is None for b in fits.tolist()])).any():
-            return outcomes
+                endings[b] = converged
+        params = params or tuple(np.zeros((len(kept), *a[0].shape)) for a in model._fits(fits.size))
+        for stored, a in zip(params, model._fits(fits.size)):
+            stored[fits[accepted]] = a[accepted]
+        if not (go := np.array([endings[b] is None for b in fits.tolist()])).any():
+            return params, traces, endings
         # in place: the log-joint's memory becomes the posteriors (of ended runs too, unread)
         alpha = np.exp(np.subtract(log_joint, ll[:, None], out=log_joint), out=log_joint)
-        previous, previous_fits = model, fits
 
 
-def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, seeds, order: int,
-              config: EmConfig) -> list:
+def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, order: int,
+              config: EmConfig) -> tuple:
     """Fit ``order`` components to the rows of ``dataset`` that the (F, N) mask
-    ``kept[i]`` keeps, with the column scales ``scales[i]``, restarts seeded from
-    ``seeds[i]``, as one batch, each kept row's start summing to 1 (``_em_batch``'s
-    precondition). Per fit: the best (model, TrainingTrace), or a TrainingError if
-    every restart collapsed."""
-    n = dataset.n_subjects
-    inits = np.zeros((len(seeds), config.restarts, order, n))
-    for i, seed in enumerate(seeds):
-        for r, child in enumerate(np.random.SeedSequence(seed).spawn(config.restarts)):
-            inits[i, r][:, kept[i]] = np.random.default_rng(child).dirichlet(
+    ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r drawn from the
+    ``SeedSequence`` ``children[i][r]``, as one batch, each kept row's start summing to
+    1 (``_em_batch``'s precondition). Returns (stack, fits): the best restarts (the
+    first of equal final NLLs) of the fits that trained, in order, as one checked
+    model (``MixtureModel._from_fits``; None if none trained), and per fit its best
+    restart's TrainingTrace, or a TrainingError if every restart collapsed."""
+    n, restarts = dataset.n_subjects, config.restarts
+    inits = np.zeros((len(children) * restarts, order, n))
+    for i, spawned in enumerate(children):
+        for r, child in enumerate(spawned):
+            inits[i * restarts + r][:, kept[i]] = np.random.default_rng(child).dirichlet(
                 np.ones(order), size=int(kept[i].sum())).T
-    outcomes = _em_batch(dataset, np.repeat(kept, config.restarts, 0),
-                         np.repeat(scales, config.restarts, 0), inits.reshape(-1, order, n), config)
-    out = []
-    for first in range(0, len(outcomes), config.restarts):
-        best, failures = None, []
-        for r, outcome in enumerate(outcomes[first:first + config.restarts]):
-            if isinstance(outcome, Exception):
-                failures.append(f"restart {r}: {outcome}")
-            elif best is None or outcome[1][-1] < best[1].final_nll:
-                best = (outcome[0], TrainingTrace(tuple(outcome[1]), r, outcome[2]))
-        out.append(best or TrainingError(f"all {config.restarts} restart(s) failed for "
-                                         f"order {order}: " + "; ".join(failures)))
-    return out
+    params, traces, endings = _em_batch(dataset, np.repeat(kept, restarts, 0),
+                                        np.repeat(scales, restarts, 0), inits, config)
+    best, fits = [], []
+    for first in range(0, len(endings), restarts):
+        runs = range(first, first + restarts)
+        if trained := [b for b in runs if not isinstance(endings[b], Exception)]:
+            best.append(pick := min(trained, key=lambda b: traces[b][-1]))
+            fits.append(TrainingTrace(tuple(traces[pick]), pick - first, endings[pick]))
+        else:
+            failures = "; ".join(f"restart {b - first}: {endings[b]}" for b in runs)
+            fits.append(TrainingError(f"all {restarts} restart(s) failed for order {order}: "
+                                      f"{failures}"))
+    return (MixtureModel._from_fits([a[best] for a in params], dataset.schemas)
+            if best else None), fits
 
 
 def fit(dataset: Dataset, order: int,
@@ -287,10 +294,12 @@ def fit(dataset: Dataset, order: int,
     if violations:
         raise SchemaViolationError(violations)
     kept = np.ones((1, dataset.n_subjects), dtype=bool)
-    best, = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3], [config.seed], order, config)
-    if isinstance(best, TrainingError):
-        raise best
-    return best
+    model, (trace,) = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3],
+                                [np.random.SeedSequence(config.seed).spawn(config.restarts)],
+                                order, config)
+    if isinstance(trace, TrainingError):
+        raise trace
+    return model, trace
 
 
 def bic_score(model: MixtureModel, n_subjects: int, nll: float) -> float:

@@ -131,8 +131,34 @@ def m_step_alone(dataset, responsibilities) -> tuple:
     scales, totals = _kept_ranges(dataset)[3], alpha.sum(axis=-1)
     if totals.min() < COLLAPSE_EPS:
         kept = np.ones((1, dataset.n_subjects), dtype=bool)
-        return None, {0: _em_batch(dataset, kept, scales, alpha, EmConfig())[0]}
+        return None, {0: _em_batch(dataset, kept, scales, alpha, EmConfig())[2][0]}
     return _m_step_batch(dataset, scales, alpha, totals), {}
+
+
+def stack(models) -> MixtureModel:
+    """``models`` (one order, one set of schemas) as one checked stack of fits."""
+    return MixtureModel._from_fits([np.concatenate(a) for a in zip(*(m._fits(1) for m in models))],
+                                   models[0].schemas)
+
+
+def fit_of(arrays, b, schemas) -> MixtureModel:
+    """Fit b of the (F, Z, ...) ``arrays`` laid out as ``MixtureModel._fits`` gives
+    them (``training._em_batch``'s parameters, or a stack's), as a model of its own."""
+    return MixtureModel._from_fits([a[b:b + 1] for a in arrays], schemas)
+
+
+def outcomes(dataset, result) -> list:
+    """Per run of an ``training._em_batch`` result: (its rows as a model, NLL trace,
+    converged), or the ComponentCollapseError that ended it."""
+    params, traces, endings = result
+    return [ending if isinstance(ending, Exception) else
+            (fit_of(params, b, dataset.schemas), traces[b], ending)
+            for b, ending in enumerate(endings)]
+
+
+def spawned(seeds, restarts) -> list:
+    """Each seed's ``restarts`` children, as ``training._fit_many`` takes them."""
+    return [np.random.SeedSequence(seed).spawn(restarts) for seed in seeds]
 
 
 def em_log_joint(model, dataset, n_fits) -> np.ndarray:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import em_log_joint, m_step_alone
+from conftest import em_log_joint, m_step_alone, outcomes, stack
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableKind, VariableSchema, component_log_likelihoods,
@@ -321,9 +321,10 @@ def test_em_builds_no_parameter_cell(monkeypatch):
         for family in (Gaussian, InflatedGamma, QuantizedGaussian, Categorical):
             patch.setattr(family, "__post_init__", refuse)
         models = [m_step_alone(dataset, alpha)[0]]
-        outcome, = _em_batch(dataset, np.ones((1, dataset.n_subjects), dtype=bool),
-                             _kept_ranges(dataset)[3], np.ascontiguousarray(alpha.T)[None], config)
-        models.append(outcome[0])
+        (model, _, _), = outcomes(dataset, _em_batch(
+            dataset, np.ones((1, dataset.n_subjects), dtype=bool), _kept_ranges(dataset)[3],
+            np.ascontiguousarray(alpha.T)[None], config))
+        models.append(model)
         fit(dataset, 3, config)
     for model in models:
         assert (model.missing_probs[0] == 1.0).all()
@@ -365,11 +366,12 @@ def test_em_e_step_matches_log_joint_on_m_step_models(seed, order, n_fits, folds
     dataset, _ = sample_cohort(small_demo_model() if small else demo_model(), n, rng)
     kept = np.arange(n) != (rng.integers(n, size=n_fits) if folds else np.full(n_fits, -1))[:, None]
     inits = rng.dirichlet(np.ones(order), size=(n_fits, n)).transpose(0, 2, 1) * kept[:, None]
-    outcomes = _em_batch(dataset, kept, _kept_ranges(dataset, kept)[3],
-                         np.ascontiguousarray(inits), EmConfig(max_iterations=max_iterations))
-    models = [o[0] for o in outcomes if not isinstance(o, Exception)]
+    ran = outcomes(dataset, _em_batch(dataset, kept, _kept_ranges(dataset, kept)[3],
+                                      np.ascontiguousarray(inits),
+                                      EmConfig(max_iterations=max_iterations)))
+    models = [o[0] for o in ran if not isinstance(o, Exception)]
     if models:
-        _assert_em_e_step_matches(MixtureModel._stack(models), dataset, len(models))
+        _assert_em_e_step_matches(stack(models), dataset, len(models))
 
 
 def _counted_densities():
@@ -412,11 +414,11 @@ def test_em_e_step_masks_infinite_coefficients():
     patch, calls = _counted_densities()
     dataset._stats  # built: from here on only a table gather reads codes
     with patch, mock.patch.object(dataset, "column_codes", wraps=dataset.column_codes) as codes:
-        em_log_joint(MixtureModel._stack(models), dataset, 2)
+        em_log_joint(stack(models), dataset, 2)
     # components 0 and 1 of each fit, rows 0, 1, 3 and 4 of the stack
     assert calls == [(VariableKind.REAL, 4), (VariableKind.NONNEGATIVE, 4)]
     assert codes.call_args_list == [mock.call(GRADE)]
-    got = _assert_em_e_step_matches(MixtureModel._stack(models), dataset, 2)
+    got = _assert_em_e_step_matches(stack(models), dataset, 2)
     # fit 0: component 0 (q = 0, zero_prob = 0), component 1 (q = 1, zero_prob = 1)
     assert np.isneginf(got[0, 0, missing_x | zeros | missing_grade]).all()
     assert np.isneginf(got[0, 1, ~missing_x | positive]).all()

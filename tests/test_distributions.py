@@ -1,6 +1,7 @@
 """Distribution families: densities, sampling, and weighted ML updates."""
 
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -410,3 +411,47 @@ def test_log_sum_exp_matches_scipy(seed, n_rows, n_cols):
     assert np.isneginf(got[empty]).all()
     want = logsumexp(a[~empty], axis=1, b=b[~empty])
     assert np.allclose(got[~empty], want, rtol=1e-13, atol=1e-13)
+
+
+def _log_sum_exp_of_a_where(a, axis=-1):
+    """``log_sum_exp`` with the rest summed from ``np.where`` of the shifted
+    exponent, two input-sized temporaries: the bits it must keep."""
+    a = np.asarray(a, dtype=float)
+    peak = a.max(axis=axis, keepdims=True)
+    top = a == peak
+    count = top.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.where(top, 0.0, np.exp(a - peak)).sum(axis=axis, keepdims=True)
+        return (np.log1p(rest / count) + np.log(count) + peak).squeeze(axis)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from([(7,), (4, 5), (3, 4, 6)]))
+@settings(max_examples=60, deadline=None)
+def test_log_sum_exp_keeps_the_bits_of_the_where(seed, shape):
+    """All -inf slices, +inf, NaN and ties, along every axis of C- and
+    Fortran-ordered inputs: the same bits as the ``np.where`` form."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 10.0, shape)
+    for value, share in ((-np.inf, 0.2), (np.inf, 0.03), (np.nan, 0.03), (3.0, 0.1)):
+        a[rng.random(shape) < share] = value
+    a[0] = -np.inf
+    for x in (a, a.T, np.asfortranarray(a)):
+        for axis in range(x.ndim):
+            got = _no_warnings(log_sum_exp, x, axis=axis)
+            assert got.tobytes() == _log_sum_exp_of_a_where(x, axis=axis).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(240, 3, 120), (2, 6, 10 ** 4)])
+def test_log_sum_exp_holds_one_input_sized_temporary(shape):
+    """The call's peak traced memory, over the input's bytes, along axis 1: one float
+    scratch, the peaks' mask and the sums. The ``np.where`` form held 2.80 and 2.46
+    times the input on these shapes; this one holds 2.13 and 1.63."""
+    a = np.random.default_rng(0).normal(size=shape)
+    log_sum_exp(a, axis=1)
+    tracemalloc.start()
+    try:
+        log_sum_exp(a, axis=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * a.nbytes

@@ -22,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import assert_same_arrays, em_log_joint, m_step_alone
-from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, MixtureModel, sample_cohort,
+from conftest import assert_same_arrays, em_log_joint, m_step_alone, outcomes, spawned, stack
+from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, TrainingError, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
 from hetmix.model import _log_joint
@@ -131,11 +131,12 @@ def _run_all_three(dataset, held_out, starts, config):
     """(reference, alone, batched) outcomes of every fit: the sequential
     oracle, the batch of one, the whole batch."""
     subsets, kept, scales, inits = _batch(dataset, held_out, starts)
-    batched = _em_batch(dataset, kept, scales, inits.copy(), config)  # EM overwrites its starts
+    # EM overwrites its starts
+    batched = outcomes(dataset, _em_batch(dataset, kept, scales, inits.copy(), config))
     out = []
     for b, subset in enumerate(subsets):
-        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1].copy(),
-                          config)[0]
+        alone, = outcomes(dataset, _em_batch(dataset, kept[b:b + 1], scales[b:b + 1],
+                                             inits[b:b + 1].copy(), config))
         out.append((_oracle(subset, starts[b], config), alone, batched[b]))
     return out, batched
 
@@ -217,11 +218,49 @@ def test_batch_covers_every_way_a_fit_ends():
     assert str(batched[-1]) == "component 2 collapsed (total responsibility 4.016e-09)"
     # it collapsed after its third M-step: capped there, the fit ends with three NLLs
     _, kept, scales, inits = _batch(dataset, held_out[-1:], starts[-1:])
-    capped, = _em_batch(dataset, kept, scales, inits, EmConfig(max_iterations=2, rel_tol=1e-4))
+    capped, = outcomes(dataset, _em_batch(dataset, kept, scales, inits,
+                                          EmConfig(max_iterations=2, rel_tol=1e-4)))
     assert not isinstance(capped, Exception) and len(capped[1]) == 3
     ends = {("converged" if o[2] else "cap" if len(o[1]) == 8 + 1 else "revert")
             for o in batched if not isinstance(o, Exception)}
     assert ends == {"converged", "cap", "revert"}
+
+
+def test_a_fit_whose_restarts_all_collapse_leaves_the_others_stacked(monkeypatch):
+    """``_fit_many`` over three folds, every restart of the middle one started with
+    a component of no responsibility: that fold fails with the text of each
+    restart's collapse, and the stack holds the other two in order, each the
+    parameters and trace of its fit alone, bit for bit."""
+    import hetmix.training as training
+    dataset = _cohort(np.random.default_rng(8), 20, [], None)
+    folds = np.arange(20) != np.array([3, 7, 11])[:, None]
+    scales, children = _kept_ranges(dataset, folds)[3], spawned([5, 6, 7], 2)
+    config = EmConfig(max_iterations=6, restarts=2)
+    alone = [training._fit_many(dataset, folds[f:f + 1], scales[f:f + 1], children[f:f + 1], 2,
+                                config) for f in (0, 2)]
+    real, doomed = np.random.default_rng, set(map(id, children[1]))
+
+    class Starts:
+        def __init__(self, seed):
+            self.rng, self.doomed = real(seed), id(seed) in doomed
+
+        def dirichlet(self, alpha, size):
+            start = self.rng.dirichlet(alpha, size)
+            if self.doomed:
+                start[:, 1] = 0.0
+            return start
+
+    monkeypatch.setattr(np.random, "default_rng", Starts)
+    stacked, fits = training._fit_many(dataset, folds, scales, children, 2, config)
+    collapsed = "component 1 collapsed (total responsibility 0.000e+00)"
+    assert isinstance(fits[1], TrainingError)
+    assert str(fits[1]) == ("all 2 restart(s) failed for order 2: "
+                            f"restart 0: {collapsed}; restart 1: {collapsed}")
+    assert stacked.n_components == 2 * 2
+    for f, (model, (trace,)) in zip((0, 1), alone):
+        assert fits[2 * f] == trace
+        for got, want in zip(stacked._fits(2), model._fits(1), strict=True):
+            assert got[f].tobytes() == want[0].tobytes()
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 3))
@@ -249,7 +288,7 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
     for d in (dataset, changed):
         _, kept, scales, inits = _batch(d, held_out, starts)
         first.append(_m_step_batch(d, scales, inits, inits.sum(axis=-1)))
-        runs.append(_em_batch(d, kept, scales, inits, EmConfig(max_iterations=10)))
+        runs.append(outcomes(d, _em_batch(d, kept, scales, inits, EmConfig(max_iterations=10))))
     model, other = first
     assert model.n_components == other.n_components == 3 * order
     for a, b in _array_pairs(model, other):
@@ -288,11 +327,12 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     monkeypatch.undo()
     config = EmConfig(max_iterations=4, rel_tol=1e-12)
-    batched = _em_batch(dataset, kept, scales, inits.copy(), config)
+    batched = outcomes(dataset, _em_batch(dataset, kept, scales, inits.copy(), config))
     for b, outcome in enumerate(batched):
-        alone = _em_batch(dataset, kept[b:b + 1], scales[b:b + 1], inits[b:b + 1].copy(), config)
-        assert _state(alone[0]) == _state(outcome)
-    stacked = MixtureModel._stack([outcome[0] for outcome in batched])
+        alone, = outcomes(dataset, _em_batch(dataset, kept[b:b + 1], scales[b:b + 1],
+                                             inits[b:b + 1].copy(), config))
+        assert _state(alone) == _state(outcome)
+    stacked = stack([outcome[0] for outcome in batched])
     got = em_log_joint(stacked, dataset, len(held_out))
     want = _log_joint(stacked, dataset, MODEL_MISSING).reshape(got.shape)
     assert np.isfinite(want).all()
@@ -382,17 +422,16 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
         for order in (1, 2, 3):
             totals.clear()
             restarts = np.ones((2, 14), dtype=bool)
-            training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3], [0, 1],
-                               order, config)
+            training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3],
+                               spawned([0, 1], config.restarts), order, config)
             assert totals and all(np.isfinite(t).all() for t in totals)
             folds = np.arange(14) != np.arange(14)[:, None]
-            training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3], range(14),
-                               order, config)
-    outcomes = [outcome for run in runs for outcome in run]
-    assert len(outcomes) == 3 * (2 + 14) * config.restarts
-    for outcome in outcomes:
-        assert not isinstance(outcome, Exception)
-        assert np.isfinite(outcome[1]).all()
+            training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3],
+                               spawned(range(14), config.restarts), order, config)
+    assert sum(len(endings) for _, _, endings in runs) == 3 * (2 + 14) * config.restarts
+    for _, traces, endings in runs:
+        assert not any(isinstance(ending, Exception) for ending in endings)
+        assert all(np.isfinite(trace).all() for trace in traces)
 
 
 def test_missing_probabilities_are_exact_at_the_extremes():

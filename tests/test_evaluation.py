@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from conftest import assert_same_arrays, random_model
+from conftest import assert_same_arrays, fit_of, random_model
 from hetmix import (IGNORE_MISSING, MODEL_MISSING, OUTCOME, Dataset, DegenerateSampleError,
                     EmConfig, FinitePrediction, InferenceRequest,
                     SchemaViolationError, TrainingError,
@@ -292,29 +292,40 @@ class TestFoldSeeds:
         assert _fold_seed(8, 3) != _fold_seed(7, 3)
 
     def test_each_fold_seeded_once_per_batch(self, monkeypatch):
-        """A batch of folds draws each fold's seed once, not once per order, and
-        every order's restarts start from those seeds."""
+        """A batch of folds draws each fold's seed and spawns its restarts' seeds
+        once, not once per order, and every order's restarts start from those
+        children; ``fit`` spawns its restarts' seeds once."""
         import hetmix.evaluation as ev
         import hetmix.training as training
-        calls, seeds, fit_many = [], [], training._fit_many
+        calls, spawns, children, fit_many = [], [], [], training._fit_many
+
+        class Counted(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawns.append(n_children)
+                return super().spawn(n_children)
 
         def counted(seed, subject):
             calls.append(subject)
             return _fold_seed(seed, subject)
 
-        def recorded(dataset, kept, scales, fold_seeds, order, config):
-            seeds.append(list(fold_seeds))
-            return fit_many(dataset, kept, scales, fold_seeds, order, config)
+        def recorded(dataset, kept, scales, fold_children, order, config):
+            children.append(list(fold_children))
+            return fit_many(dataset, kept, scales, fold_children, order, config)
 
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
         monkeypatch.setattr(ev, "_fold_seed", counted)
         monkeypatch.setattr(ev, "_fit_many", recorded)
         cohort, _ = sample_cohort(small_demo_model(), 10, np.random.default_rng(1))
-        _evaluate_folds(cohort, range(2, 8), (1, 2, 3), ("severity",), MODEL_MISSING,
-                        EmConfig(max_iterations=2, restarts=2, seed=3))
-        assert calls == list(range(2, 8))
-        want = {_fold_seed(3, s) for s in range(2, 8)}
-        # a later order trains the folds that have not failed
-        assert len(seeds) == 3 and set(seeds[0]) == want and set(seeds[2]) <= want
+        config = EmConfig(max_iterations=2, restarts=2, seed=3)
+        _evaluate_folds(cohort, range(2, 8), (1, 2, 3), ("severity",), MODEL_MISSING, config)
+        assert calls == list(range(2, 8)) and spawns == [2] * 6
+        assert [[c.entropy for c in fold] for fold in children[0]] == \
+            [[_fold_seed(3, s)] * 2 for s in range(2, 8)]
+        # a later order trains the folds that have not failed, from the same children
+        assert len(children) == 3 and set(map(id, children[2])) <= set(map(id, children[0]))
+        spawns.clear()
+        fit(cohort, 2, config)
+        assert spawns == [2]
 
 
 class TestMaskFolds:
@@ -720,10 +731,10 @@ class TestLooEvaluate:
         fits, batches = [], []
         real_fit, real_predict = ev._fit_many, ev.predict_batch
 
-        def fit_many(dataset, kept, scales, seeds, order, config):
+        def fit_many(dataset, kept, scales, children, order, config):
             assert (kept.sum(axis=1) == 12).all()  # each fold leaves out one row
             fits.append((order, np.argmin(kept, axis=1).tolist(),
-                         real_fit(dataset, kept, scales, seeds, order, config)))
+                         real_fit(dataset, kept, scales, children, order, config)))
             return fits[-1][2]
 
         def predict(tables, log_joint):
@@ -737,10 +748,13 @@ class TestLooEvaluate:
             EmConfig(max_iterations=20, restarts=2, seed=0))
         failure = "held-out subject {} has zero likelihood under every component"
         compared, zero_seen = 0, set()
-        for (order, held_out, fitted), (batch, zero) in zip(fits, batches, strict=True):
+        for (order, held_out, (stacked, traces)), (batch, zero) in zip(fits, batches,
+                                                                        strict=True):
             rows = iter(range(len(batch.posteriors)))
-            trained = [(s, best[0]) for s, best in zip(held_out, fitted)
-                       if not isinstance(best, TrainingError)]
+            held = [s for s, trace in zip(held_out, traces)
+                    if not isinstance(trace, TrainingError)]
+            trained = [(s, fit_of(stacked._fits(len(held)), f, cohort.schemas))
+                       for f, s in enumerate(held)]
             for f, (s, model) in enumerate(trained):
                 log_joint = ev._log_joint(model, cohort, MODEL_MISSING, input_cols)
                 truths = {name: cohort.value(s, cohort.column_index(name)) for name in targets}

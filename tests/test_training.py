@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -249,10 +250,38 @@ class TestStopRule:
         produced = self._counting_m_step(monkeypatch, worse_on_call=4)
         model, trace = fit(ds, 2, EmConfig(restarts=1, seed=1, rel_tol=1e-12))
         assert len(produced) == 4
-        assert model is produced[2]  # a batch of one fit is that fit's model
+        # the fit's parameters are the third M-step's, bit for bit, gathered from EM's rows
+        for got, want in zip(model._fits(1), produced[2]._fits(1), strict=True):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
         assert trace.iterations == 3
         assert not trace.converged
         assert math.isclose(trace.final_nll, _nll(model, ds), rel_tol=RESCORED_REL_TOL)
+
+    def test_no_m_step_model_outlives_em(self, monkeypatch):
+        """Once EM returns, every model an M-step built is gone: the runs that ended
+        (converged, capped, reverted or collapsed) keep their rows in EM's arrays, not
+        a model of the iteration they ended in."""
+        import hetmix.training as training
+        real, built = training._m_step_batch, []
+
+        def recorded(*args):
+            model = real(*args)
+            built.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(training, "_m_step_batch", recorded)
+        _, ds, _ = _cohort(n=300)
+        inits = np.random.default_rng(0).dirichlet(np.ones(2), size=(4, 300)).transpose(0, 2, 1)
+        inits[3, 1] = 0.0  # collapses before its first M-step
+        params, traces, endings = _em_batch(
+            ds, np.ones((4, 300), dtype=bool), np.repeat(_kept_ranges(ds)[3], 4, 0),
+            np.ascontiguousarray(inits), EmConfig(max_iterations=6, rel_tol=1e-3))
+        assert len(built) > 1 and all(ref() is None for ref in built)
+        assert isinstance(endings[3], ComponentCollapseError) and len(traces[3]) == 0
+        assert [a.shape[:2] for a in params] == [(4, 2)] * len(params)
+        built.clear()
+        model, _ = fit(ds, 2, EmConfig(restarts=2, seed=1))
+        assert len(built) > 1 and all(ref() is None for ref in built)
 
     def test_cap_without_tolerance_is_not_converged(self):
         _, ds, _ = _cohort(n=300)
