@@ -28,7 +28,7 @@ from .distributions import log_sum_exp
 from .inference import FinitePrediction, InferenceRequest, predict_batch
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, VariableSchema,
-                     Violation, _kept_ranges, _no_information, validate_dataset)
+                     _kept_ranges, _no_information, validate_dataset)
 from .training import EmConfig, TrainingError, _checked_orders, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
@@ -271,30 +271,27 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                     config: EmConfig) -> tuple:
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold keeps
     every row but its subject's, an (F, N) mask, and is checked and trained on the cohort with
-    that row masked. One ``_kept_ranges`` pass gives every fold's checks and column scales, and
-    its restarts' seeds are spawned once. Per order, the restarts of all folds run as one
-    batched EM, whose one stack of fold models one likelihood pass over the non-target inputs
-    scores: each held-out posterior and confidence, and every training row's score; one
-    ``predict_batch`` on the stack's tables then gives every fold's predictions, and array
-    operations its errors and percentile.
+    that row masked. One ``_kept_ranges`` pass gives every fold's column scales and, through
+    ``_no_information`` (the check ``validate_dataset`` makes), its schema check; its restarts'
+    seeds are spawned once. Per order, the restarts of all folds run as one batched EM, whose
+    one stack of fold models one likelihood pass over the non-target inputs scores: each
+    held-out posterior and confidence, and every training row's score; one ``predict_batch``
+    on the stack's tables then gives every fold's predictions, and array operations its
+    errors and percentile.
 
     Returns ({subject: message}, errors, normalized, log_scores, percentiles): (O, F, T) errors
     and (O, F) confidences over (0, *orders) x ``subjects`` x ``targets``, order 0 from the
     uniform reference, NaN where the truth is missing, the fold did not get that far, or (for a
     confidence) at order 0. A fold fails at its first failure: its training rows lose a column's
-    variability (as ``validate_dataset`` words it), every restart of an order fails, or the
-    held-out evidence has zero likelihood while some truth is observed (with none, the fold
-    keeps its -inf score)."""
+    variability (the SchemaViolationError text ``validate_dataset`` gives), every restart of an
+    order fails, or the held-out evidence has zero likelihood while some truth is observed (with
+    none, the fold keeps its -inf score)."""
     n, subjects = dataset.n_subjects, list(subjects)
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     kept = np.arange(n) != np.array(subjects)[:, None]
-    counts, low, high, scales = _kept_ranges(dataset, kept)
-    failed = {}
-    for f, s in enumerate(subjects):
-        if violations := [Violation(None, var.name, why) for j, var in enumerate(dataset.schemas)
-                          if not dataset.cell_violations[j] and (why := _no_information(
-                              dataset, j, counts[f, j], low[f, j], high[f, j], kept[f]))]:
-            failed[s] = str(SchemaViolationError(violations))
+    ranges = _kept_ranges(dataset, kept)
+    failed = {s: str(SchemaViolationError(violations)) for s, violations
+              in zip(subjects, _no_information(dataset, ranges, kept)) if violations}
     chance = {name: np.broadcast_to(p := chance_prediction(dataset.schema(name)).probabilities,
                                     (len(subjects), p.size)) for name in targets}
     errors, normalized = np.full((2, 1 + len(orders), len(subjects), len(targets)), np.nan)
@@ -306,8 +303,8 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     for o, order in enumerate(orders, 1):
         if not (live := [f for f, s in enumerate(subjects) if s not in failed]):
             break
-        stacked, fits = _fit_many(dataset, kept[live], scales[live], [children[f] for f in live],
-                                  order, config)
+        stacked, fits = _fit_many(dataset, kept[live], ranges[3][live],
+                                  [children[f] for f in live], order, config)
         failed.update((subjects[f], str(fit)) for f, fit in zip(live, fits)
                       if isinstance(fit, TrainingError))
         if stacked is None:

@@ -201,9 +201,19 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _indices(indices, what: str) -> list:
+    """``indices`` as a list; a SchemaError names the first that is not an
+    integer (``_is_int``: numpy's are, bools are not) as a ``what`` index."""
+    indices = list(indices)
+    if bad := [i for i in indices if not _is_int(i)]:
+        raise SchemaError(f"{what} index {bad[0]} is not an integer")
+    return indices
+
+
 def _column_indices(columns: Sequence[int] | None, n_variables: int) -> Sequence[int]:
-    """``columns`` (None: all); a SchemaError if one repeats or is not in 0..n_variables - 1."""
-    columns = range(n_variables) if columns is None else tuple(columns)
+    """``columns`` (None: all); a SchemaError if one is not an integer (``_indices``),
+    repeats or is not in 0..n_variables - 1."""
+    columns = range(n_variables) if columns is None else _indices(columns, "column")
     for k, j in enumerate(columns):
         if j in columns[:k]:
             raise SchemaError(f"column index {j} is repeated")
@@ -369,16 +379,6 @@ class Dataset:
             raise SchemaViolationError(self.cell_violations[column])
         return self._values[:, column]
 
-    def column_scale(self, column: int) -> float:
-        """Natural scale of a numeric column, used for variance floors.
-
-        Ordinals use the domain span; continuous columns use the observed
-        span, falling back to 1.0 when degenerate (``_kept_ranges``).
-        """
-        if self.schemas[column].kind is not VariableKind.ORDINAL:
-            self.column_numeric(column)  # refuses a categorical column, or bad cells
-        return float(_kept_ranges(self)[3][0, column])
-
     @cached_property
     def _stats(self) -> tuple:
         """EM's sufficient statistics, built once, read-only: the (N, D)
@@ -413,11 +413,16 @@ class Dataset:
     @cached_property
     def _findings(self) -> tuple:
         """``validate_dataset``'s violations, found once: a Dataset never changes."""
+        from .distributions import _fit_range_error  # distributions imports this module
+        ranges = _kept_ranges(self)
+        uninformative, = _no_information(self, ranges)
         out = []
         for j, schema in enumerate(self.schemas):
             out.extend(self.cell_violations[j])
-            out.extend(Violation(None, schema.name, reason)
-                       for reason in _column_findings(self, j) if reason is not None)
+            out.extend(v for v in uninformative if v.column == schema.name)
+            if schema.kind.is_continuous and ranges[0][0, j] and not self.cell_violations[j]:
+                if why := _fit_range_error(schema.kind, self._values[~self._missing[:, j], j]):
+                    out.append(Violation(None, schema.name, why))
         return tuple(out)
 
     def subset(self, subjects) -> "Dataset":
@@ -426,14 +431,14 @@ class Dataset:
 
     def drop_subject(self, subject: int) -> "Dataset":
         """Every subject but ``subject``, which is indexed as in ``subset``."""
-        subject = range(self.n_subjects)[subject]
+        subject = range(self.n_subjects)[_indices([subject], "subject")[0]]
         keep = [i for i in range(self.n_subjects) if i != subject]
         return self.subset(keep)
 
     def _take(self, subjects, columns) -> "Dataset":
         """The given subjects and columns, in order, sliced from the encoded
         arrays with no cell checked again; violation rows are renumbered."""
-        rows = np.arange(self.n_subjects)[np.asarray(subjects, dtype=np.int64)].tolist()
+        rows = np.arange(self.n_subjects)[_indices(subjects, "subject")].tolist()
         if not rows:
             raise SchemaError("a dataset needs at least one subject")
         violations = []
@@ -536,27 +541,15 @@ class Violation:
         return f"{where}column {self.column!r}: {self.message}"
 
 
-def _column_findings(dataset: Dataset, column: int) -> tuple:
-    """(why the column carries no information (``_no_information``), why EM cannot fit its
-    values (``distributions._fit_range_error``)), each None if it does not apply, from one
-    slice of the observed values. A column with bad cells has neither: they are reported."""
-    if dataset.cell_violations[column]:
-        return None, None
-    values = dataset._values[~dataset.missing_mask(column), column]
-    kind = dataset.schemas[column].kind
-    from .distributions import _fit_range_error  # distributions imports this module
-    return (_no_information(dataset, column, values.size, values.min(initial=np.inf),
-                            values.max(initial=-np.inf)),
-            None if kind.is_finite or not values.size else _fit_range_error(kind, values))
-
-
 def _kept_ranges(dataset: Dataset, kept=None) -> tuple:
     """The (F, V) count, min and max of each column's encoded values (its cells
     neither missing nor bad) in the rows each row of the (F, N) mask ``kept``
     keeps (default: one row keeping all), min inf and max -inf where none, one
     masked reduction per column; and the (F, V) column scales that a fit's variance
     floors and default parameters read: an ordinal's domain span, 1.0 for a
-    categorical, else the span of the kept values, 1.0 if that is 0 or none is left."""
+    categorical, else the span of the kept values, 1.0 if that is 0 or none is left.
+    The cohort may be unchecked: a span too wide for a float is inf, a column
+    ``validate_dataset`` refuses."""
     if kept is None:
         kept = np.ones((1, dataset.n_subjects), dtype=bool)
     shape = (len(kept), dataset.n_variables)
@@ -567,7 +560,8 @@ def _kept_ranges(dataset: Dataset, kept=None) -> tuple:
         counts[:, j] = observed.sum(axis=1)
         low[:, j] = np.where(observed, column, np.inf).min(axis=1)
         high[:, j] = np.where(observed, column, -np.inf).max(axis=1)
-    spans = high - low  # -inf where no value is kept
+    with np.errstate(over="ignore"):
+        spans = high - low  # -inf where no value is kept
     scales = np.where(spans > 0, spans, 1.0)
     for v, schema in enumerate(dataset.schemas):
         if schema.kind.is_finite:
@@ -576,21 +570,28 @@ def _kept_ranges(dataset: Dataset, kept=None) -> tuple:
     return counts, low, high, scales
 
 
-def _no_information(dataset: Dataset, column: int, count, low, high, kept=True) -> str | None:
-    """Why ``column`` carries no information in the ``kept`` rows (a mask; default
-    all), whose ``count`` observed values run from ``low`` to ``high``: none, or
-    all equal (exactly; the message shows the first), as ``validate_dataset`` words it."""
-    if not count:
-        return "no observed values"
-    if low != high:
-        return None
-    first = np.flatnonzero(~dataset.missing_mask(column) & kept)[0]
-    return f"constant column (always {dataset.value(first, column)!r})"
+def _no_information(dataset: Dataset, ranges: tuple, kept=None) -> list:
+    """Per row of the (F, N) mask ``kept`` (default: one row keeping all), the
+    violations of the columns that carry no information in the rows it keeps, in
+    column order, from their ``_kept_ranges(dataset, kept)`` counts, mins and maxes:
+    a column with no bad cell whose kept values are none or all equal (exactly; the
+    message shows the first), as ``validate_dataset`` words them."""
+    counts, low, high, _ = ranges
+    checked = np.array([not bad for bad in dataset.cell_violations])
+    found = [[] for _ in counts]
+    for f, j in np.argwhere(((counts == 0) | (low == high)) & checked).tolist():
+        why = "no observed values"
+        if counts[f, j]:
+            rows = ~dataset._missing[:, j] if kept is None else kept[f] & ~dataset._missing[:, j]
+            why = f"constant column (always {dataset.value(np.flatnonzero(rows)[0], j)!r})"
+        found[f].append(Violation(None, dataset.schemas[j].name, why))
+    return found
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """All violations in the dataset: bad cells, then per column its zero
-    variability and values too large to fit.
+    """All violations in the dataset, column by column: its bad cells, then its
+    zero variability (``_no_information``, the check each leave-one-out fold
+    makes) and values too large to fit.
 
     A column has zero variability when every cell is missing or every observed
     value is identical (exact equality, floats included). Such columns carry
@@ -607,21 +608,19 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
 
 def zero_variability_columns(dataset: Dataset) -> list[str]:
     """Names of columns that are always missing or observed-constant."""
-    return [schema.name for j, schema in enumerate(dataset.schemas)
-            if _column_findings(dataset, j)[0] is not None]
+    return [v.column for v in _no_information(dataset, _kept_ranges(dataset))[0]]
 
 
 def drop_zero_variability(dataset: Dataset) -> tuple[Dataset, list[str]]:
     """Copy of the dataset without zero-variability columns, plus their names."""
-    dropped = set(zero_variability_columns(dataset))
+    dropped = zero_variability_columns(dataset)
     if not dropped:
         return dataset, []
     keep = [j for j, s in enumerate(dataset.schemas) if s.name not in dropped]
     if not keep:
         raise SchemaViolationError([Violation(None, name, "no observed values or constant")
                                     for name in sorted(dropped)])
-    return (dataset._take(range(dataset.n_subjects), keep),
-            [s.name for s in dataset.schemas if s.name in dropped])
+    return dataset._take(range(dataset.n_subjects), keep), dropped
 
 
 @dataclass(frozen=True)

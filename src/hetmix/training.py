@@ -240,9 +240,11 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.
             converged = len(trace) > 1 and trace[-2] - nll <= config.rel_tol * abs(trace[-2])
             if converged or len(trace) > config.max_iterations:
                 endings[b] = converged
-        params = params or tuple(np.zeros((len(kept), *a[0].shape)) for a in model._fits(fits.size))
-        for stored, a in zip(params, model._fits(fits.size)):
-            stored[fits[accepted]] = a[accepted]
+        stacked, accepted = model._fits(fits.size), np.array(accepted, dtype=np.intp)
+        params = params or tuple(np.zeros((len(kept), *a[0].shape)) for a in stacked)
+        rows = fits[accepted]
+        for stored, a in zip(params, stacked):  # every run accepted: no gather
+            stored[rows] = a if rows.size == fits.size else a[accepted]
         if not (go := np.array([endings[b] is None for b in fits.tolist()])).any():
             return params, traces, endings
         # in place: the log-joint's memory becomes the posteriors (of ended runs too, unread)

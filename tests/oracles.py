@@ -160,6 +160,20 @@ def default_cell(kind, domain, scale):
     return _cells_of(family_for(kind), _default_block(kind, domain, [scale]), domain)[0]
 
 
+def column_scale(dataset, v):
+    """The scale that column v's variance floor and default parameters read: an
+    ordinal's domain span, 1.0 for a categorical, else the span of the observed
+    values, 1.0 if that span is 0 or nothing is observed."""
+    schema = dataset.schemas[v]
+    if schema.kind is VariableKind.ORDINAL:
+        return float(schema.domain[-1] - schema.domain[0])
+    if schema.kind is VariableKind.CATEGORICAL:
+        return 1.0
+    values = [x for x in dataset.column_numeric(v).tolist() if not math.isnan(x)]
+    span = max(values) - min(values) if values else 0.0
+    return span if span > 0 else 1.0
+
+
 def m_step(dataset, responsibilities):
     """One fit's M-step, component by component and variable by variable, from
     its (N, Z) responsibilities."""
@@ -176,7 +190,7 @@ def m_step(dataset, responsibilities):
         missed = dataset.missing_mask(v)
         categorical = schema.kind is VariableKind.CATEGORICAL
         values = (dataset.column_codes(v) if categorical else dataset.column_numeric(v))[~missed]
-        scale = 1.0 if categorical else dataset.column_scale(v)
+        scale = column_scale(dataset, v)
         for z in range(n_comp):
             missing_probs[z, v] = min(alpha[missed, z].sum() / totals[z], 1.0)
             weights = alpha[~missed, z]

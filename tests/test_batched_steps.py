@@ -162,7 +162,7 @@ def _oracle_grid(dataset, alpha):
         if schema.kind is VariableKind.CATEGORICAL:
             values, scale = dataset.column_codes(j)[obs], 1.0
         else:
-            values, scale = dataset.column_numeric(j)[obs], dataset.column_scale(j)
+            values, scale = dataset.column_numeric(j)[obs], oracles.column_scale(dataset, j)
         column = []
         for z in range(alpha.shape[1]):
             w = alpha[obs, z]
@@ -224,7 +224,7 @@ def test_m_step_matches_per_component_updates(seed, n_comp):
         for z in range(n_comp):
             _same_params(model.params[z][j], want[z][j])
     assert model.params[0][X] == oracles.default_cell(VariableKind.REAL, (),
-                                                      dataset.column_scale(X))
+                                                      oracles.column_scale(dataset, X))
     conc_1 = model.params[1][CONC]
     if (alpha[observed[CONC], 1] > 0).any():
         assert (conc_1.shape, conc_1.scale) == (1.0, 1.0)
@@ -270,7 +270,8 @@ def test_m_step_model_file_matches_the_grid_built_model(tmp_path):
 
 
 def test_fit_reads_each_column_scale_once(monkeypatch):
-    """A fit reduces the column ranges once for all its restarts, and a batch of
+    """A fit reduces the column ranges once for all its restarts, after its
+    validation reduces them once over all rows (its column check), and a batch of
     leave-one-out folds once for its checks and every order's batched fit."""
     import hetmix.evaluation as evaluation
     import hetmix.schema as schema
@@ -296,7 +297,10 @@ def test_fit_reads_each_column_scale_once(monkeypatch):
     config = EmConfig(max_iterations=5, restarts=2, seed=0, rel_tol=1e-12)
     fit(dataset, 2, config)
     assert len(steps) > 2
-    assert calls == [(1, dataset.n_subjects)]  # one pass over the columns for both restarts
+    # validation's pass, found once per Dataset, then one pass for both restarts
+    assert calls == [None, (1, dataset.n_subjects)]
+    fit(dataset, 2, config)
+    assert calls == [None, (1, dataset.n_subjects), (1, dataset.n_subjects)]
     calls.clear()
     failed, errors, *_ = evaluation._evaluate_folds(dataset, range(10), (1, 2, 3), ("grade",),
                                                     MODEL_MISSING, config)
@@ -329,7 +333,7 @@ def test_em_builds_no_parameter_cell(monkeypatch):
     for model in models:
         assert (model.missing_probs[0] == 1.0).all()
         for v, schema in enumerate(SCHEMAS):
-            scale = 1.0 if v == SITE else dataset.column_scale(v)
+            scale = oracles.column_scale(dataset, v)
             assert model.params[0][v] == oracles.default_cell(schema.kind, schema.domain, scale)
 
 

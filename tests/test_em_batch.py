@@ -354,7 +354,7 @@ def test_a_fold_floors_variances_at_its_own_scale():
         row[x] = 1000.0 if i == 5 else i / 20
     dataset = Dataset(base.schemas, cells)
     fold = dataset.drop_subject(5)
-    assert fold.column_scale(x) == 0.95 and dataset.column_scale(x) == 1000.0
+    assert oracles.column_scale(fold, x) == 0.95 and oracles.column_scale(dataset, x) == 1000.0
     # component 0 weighs rows 0 and 1 alone, whose values are 0 and 0.05
     alpha = np.full((1, 2, 20), 1e-300)
     alpha[0, 0, :2] = 1.0

@@ -300,15 +300,16 @@ class TestJointLikelihood:
             row_log_likelihoods(model, other, MODEL_MISSING)
 
     def test_bad_column_subset_rejected(self):
-        """Scoring refuses a repeated, negative or out-of-range column index
-        with the text ``Dataset`` gives it: [1, 1] would count column 1 twice,
-        [-1] would mean the last column."""
+        """Scoring refuses a repeated, negative, out-of-range or non-integer column
+        index with the text ``Dataset`` gives it: [1, 1] would count column 1 twice,
+        [-1] would mean the last column, [True] column 1."""
         model = small_demo_model()
         cohort, _ = sample_cohort(model, 4, np.random.default_rng(0))
         last = model.n_variables - 1
         for columns, message in (([1, 1], "column index 1 is repeated"),
                                  ([-1], f"column index -1 is not in 0..{last}"),
-                                 ([99], f"column index 99 is not in 0..{last}")):
+                                 ([99], f"column index 99 is not in 0..{last}"),
+                                 ([True], "column index True is not an integer")):
             for score in (component_log_likelihoods, row_log_likelihoods,
                           training_confidence_scores):
                 with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):

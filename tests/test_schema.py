@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
                     missingness_profile, validate_dataset,
                     zero_variability_columns)
-from hetmix.schema import Violation
+from hetmix.schema import Violation, _kept_ranges
 
 from conftest import assert_same_store, widest_fit_values
 
@@ -138,7 +139,9 @@ class TestDataset:
         assert Dataset(schemas, [(2.0,)], [1]).row(0) == (MISSING, 2.0)
         for columns, row, message in (([0, 0], (1.0, 2.0), "column index 0 is repeated"),
                                       ([5], (1.0,), "column index 5 is not in 0..1"),
-                                      ([-1], (1.0,), "column index -1 is not in 0..1")):
+                                      ([-1], (1.0,), "column index -1 is not in 0..1"),
+                                      ([True], (1.0,), "column index True is not an integer"),
+                                      ([1.0], (1.0,), "column index 1.0 is not an integer")):
             with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                 Dataset(schemas, [row], columns)
 
@@ -182,9 +185,9 @@ class TestDataset:
         assert ds.value(-1, 0) == 1.0
 
     def test_column_scale(self):
-        ds = _toy_dataset()
-        assert ds.column_scale(0) == 1.0  # observed span 2.5 - 1.5
-        assert ds.column_scale(1) == 2.0  # ordinal domain span
+        scales = _kept_ranges(_toy_dataset())[3]
+        assert scales[0, 0] == 1.0  # observed span 2.5 - 1.5
+        assert scales[0, 1] == 2.0  # ordinal domain span
 
     def test_cells_read_only(self):
         """The encoded cells cannot be written, in a dataset or in its subset."""
@@ -213,6 +216,19 @@ class TestDataset:
                 ds.drop_subject(subject)
             with pytest.raises(IndexError):
                 ds.subset([subject])
+
+    def test_subject_indices_must_be_integers(self):
+        """A mask or a float is not read as row numbers, nor a bool as row 1;
+        numpy integers are indices."""
+        ds = _toy_dataset()
+        for take, message in ((lambda: ds.subset(np.array([True, False, True])), "True"),
+                              (lambda: ds.subset([0.9, 2.2]), "0.9"),
+                              (lambda: ds.subset([0, np.float64(2.0)]), "2.0"),
+                              (lambda: ds.drop_subject(True), "True")):
+            with pytest.raises(SchemaError, match=f"^subject index {message} is not an integer$"):
+                take()
+        assert ds.subset(np.array([2, 0], dtype=np.int32)).row(0) == ds.row(2)
+        assert ds.drop_subject(np.int64(0)).row(0) == ds.row(1)
 
     def test_roles(self):
         schemas = (VariableSchema("x", "real"),
@@ -475,6 +491,17 @@ class TestFitRange:
         ds = Dataset((VariableSchema("x", kind), VariableSchema("y", "real")),
                      [(cells[0], 1.0), (cells[1], 2.0), (MISSING, 3.0)])
         assert validate_dataset(ds) == []
+
+    def test_an_overflowing_span_warns_nothing(self):
+        """A real span too wide for a float reads as inf, with no overflow
+        warning from the reduction of every column that validation makes."""
+        ds = Dataset((VariableSchema("x", "real"), VariableSchema("y", "real")),
+                     [(1e308, 1.0), (-1e308, 2.0), (MISSING, 3.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_dataset(ds) == [Violation(None, "x", self.REAL.format(math.inf))]
+            assert zero_variability_columns(ds) == []
+            assert _kept_ranges(ds)[3].tolist() == [[math.inf, 2.0]]
 
     def test_bad_cells_are_reported_alone(self):
         ds = Dataset((VariableSchema("x", "real"),), [(1e308,), (-1e308,), ("text",)])

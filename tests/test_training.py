@@ -80,7 +80,7 @@ class TestMStep:
             if schema.kind.value == "categorical":
                 values, scale = ds.column_codes(j)[obs], 1.0
             else:
-                values, scale = ds.column_numeric(j)[obs], ds.column_scale(j)
+                values, scale = ds.column_numeric(j)[obs], oracles.column_scale(ds, j)
             want = oracles._moments(schema.kind, values, np.ones(obs.sum()), schema.domain, scale)
             # the M-step sums statistics over all rows, the oracle takes
             # two-pass moments on the observed ones: equal to rounding
@@ -362,23 +362,23 @@ class TestSelectOrder:
             training.select_order(ds, [1, 2], EmConfig())
 
     def test_checks_the_cohort_once(self, monkeypatch):
-        """A Dataset never changes, so ``validate_dataset`` finds its violations
+        """A Dataset never changes, so ``validate_dataset`` makes its column check
         once, however many orders are fitted; each call returns a new list."""
         import hetmix.schema as schema
         _, ds, _ = _cohort(n=60)
         calls = []
-        column_findings = schema._column_findings
+        no_information = schema._no_information
 
-        def counted(dataset, column, *kept):
-            calls.append(column)
-            return column_findings(dataset, column, *kept)
+        def counted(dataset, ranges, kept=None):
+            calls.append((dataset, kept))
+            return no_information(dataset, ranges, kept)
 
-        monkeypatch.setattr(schema, "_column_findings", counted)
+        monkeypatch.setattr(schema, "_no_information", counted)
         select_order(ds, [1, 2, 3], EmConfig(max_iterations=3, restarts=1))
-        assert calls == list(range(ds.n_variables))
+        assert calls == [(ds, None)]
         first = schema.validate_dataset(ds)
         first.append("changed")
-        assert schema.validate_dataset(ds) == [] and calls == list(range(ds.n_variables))
+        assert schema.validate_dataset(ds) == [] and calls == [(ds, None)]
 
     def test_rejects_empty_or_bad_orders(self):
         _, ds, _ = _cohort(n=30)
