@@ -43,6 +43,7 @@ Errors and warnings go to stderr as JSON lines, ``{"error": ...}`` and ``{"warni
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -54,15 +55,12 @@ from . import __version__, demo
 from .evaluation import (DegenerateSampleError, confidence_bins, error_density,
                          loo_evaluate, scott_bandwidth, threshold_curve)
 from .inference import infer_many
-from .io import (DEFAULT_MISSING_TOKEN, FormatError, atomic_write_text,
-                 load_dataset, load_model, load_schemas, params_to_dict,
-                 read_data_csv, read_evidence_csv, save_model, save_schemas,
-                 sha256_file, write_csv_table, write_data_csv,
-                 write_labels_csv)
+from .io import (DEFAULT_MISSING_TOKEN, FormatError, _read_cohort, atomic_write_text, load_dataset,
+                 load_model, params_to_dict, read_evidence_csv, save_model, save_schemas,
+                 sha256_file, write_csv_table, write_data_csv)
 from .model import MISSINGNESS_MODES, sample_cohort
 from .schema import (OUTCOME, SchemaError, SchemaViolationError,
-                     drop_zero_variability, missingness_profile,
-                     validate_dataset)
+                     missingness_profile, validate_dataset)
 from .training import EmConfig, TrainingError, fit, select_order
 
 EXIT_OK = 0
@@ -91,11 +89,6 @@ def _fail(category: str, code: int, message: str, **extra) -> int:
     record.update(extra)
     print(json.dumps({"error": record}, sort_keys=True), file=sys.stderr)
     return code
-
-
-def _violation_payload(violations) -> list:
-    return [{"row": v.row, "column": v.column, "message": v.message}
-            for v in violations]
 
 
 def _inputs(arguments: dict) -> dict:
@@ -131,6 +124,20 @@ def _load_training_data(arguments: dict):
     return dataset
 
 
+def _write_fit(out_dir, model, trace) -> list:
+    """Write a fit's model.json and trace.csv; returns their names."""
+    save_model(model, out_dir / "model.json")
+    write_csv_table(out_dir / "trace.csv", ["iteration", "nll"],
+                    enumerate(trace.nll_per_iteration))
+    return ["model.json", "trace.csv"]
+
+
+def _targets(arguments: dict, schemas) -> list:
+    """The --targets names; by default the outcome-role variables."""
+    return (arguments["targets"].split(",") if arguments["targets"]
+            else [s.name for s in schemas if s.role == OUTCOME])
+
+
 def parse_orders(text: str) -> list:
     """Order spec: '3', '1,2,5', or '1-6' (inclusive range)."""
     orders = []
@@ -151,18 +158,15 @@ def parse_orders(text: str) -> list:
 # ------------------------------------------------------------------ commands
 
 def run_validate(arguments: dict, out_dir) -> list:
-    schemas = load_schemas(arguments["schema"])
-    dataset = read_data_csv(arguments["data"], schemas, arguments["missing_token"])
-    dropped = []
-    if arguments["drop_constant"]:
-        dataset, dropped = drop_zero_variability(dataset)
+    dataset, dropped = _read_cohort(arguments["data"], arguments["schema"],
+                                    arguments["missing_token"], arguments["drop_constant"])
     violations = validate_dataset(dataset)
     profile = missingness_profile(dataset)
     report = {
         "subjects": dataset.n_subjects,
         "variables": dataset.n_variables,
         "dropped_columns": dropped,
-        "violations": _violation_payload(violations),
+        "violations": [dataclasses.asdict(v) for v in violations],
         "subjects_with_at_least_m_missing": [int(c) for c in profile.subjects_with_at_least],
     }
     atomic_write_text(out_dir / "validation_report.json",
@@ -174,39 +178,28 @@ def run_validate(arguments: dict, out_dir) -> list:
     if violations:
         raise _PartialFailure(["validation_report.json"], "validation",
                               EXIT_VALIDATION, f"{len(violations)} violation(s)",
-                              violations=_violation_payload(violations))
+                              violations=report["violations"])
     return ["validation_report.json"]
 
 
 def run_fit(arguments: dict, out_dir) -> list:
     dataset = _load_training_data(arguments)
     model, trace = fit(dataset, arguments["order"], _em_config(arguments))
-    save_model(model, out_dir / "model.json")
-    write_csv_table(out_dir / "trace.csv", ["iteration", "nll"],
-                    list(enumerate(trace.nll_per_iteration)))
     print(f"order {arguments['order']}: nll={trace.final_nll!r} "
           f"restart={trace.restart_index} converged={trace.converged} "
           f"iterations={trace.iterations}")
-    return ["model.json", "trace.csv"]
+    return _write_fit(out_dir, model, trace)
 
 
 def run_select(arguments: dict, out_dir) -> list:
     dataset = _load_training_data(arguments)
     selection = select_order(dataset, parse_orders(arguments["orders"]),
                              _em_config(arguments))
-    rows = [[s.order,
-             "" if s.n_params is None else s.n_params,
-             "" if s.nll is None else s.nll,
-             "" if s.bic is None else s.bic,
-             "" if s.converged is None else s.converged,
-             s.error or ""] for s in selection.scores]
     write_csv_table(out_dir / "bic_table.csv",
-                    ["order", "n_params", "nll", "bic", "converged", "error"], rows)
-    save_model(selection.best_model, out_dir / "model.json")
-    write_csv_table(out_dir / "trace.csv", ["iteration", "nll"],
-                    list(enumerate(selection.best_trace.nll_per_iteration)))
+                    ["order", "n_params", "nll", "bic", "converged", "error"],
+                    map(dataclasses.astuple, selection.scores))
     print(f"selected order {selection.best_order}")
-    return ["bic_table.csv", "model.json", "trace.csv"]
+    return ["bic_table.csv", *_write_fit(out_dir, selection.best_model, selection.best_trace)]
 
 
 def _json_rows(matrix):
@@ -248,8 +241,7 @@ def _prediction_lines(predicted, errors: dict, n_records: int):
 
 def run_infer(arguments: dict, out_dir) -> list:
     model = load_model(arguments["model"])
-    targets = (arguments["targets"].split(",") if arguments["targets"]
-               else [s.name for s in model.schemas if s.role == OUTCOME])
+    targets = _targets(arguments, model.schemas)
     evidence, columns = read_evidence_csv(arguments["evidence"], model,
                                           arguments["missing_token"])
     predicted, errors = infer_many(model, evidence, columns, targets, arguments["mode"])
@@ -268,9 +260,8 @@ def run_evaluate(arguments: dict, out_dir) -> list:
         raise ValueError("evaluate needs --threshold-steps >= 0, --density-points >= 0, "
                          "--workers >= 1 and 0 <= --bin-cutoff <= 1")
     dataset = _load_training_data(arguments)
-    targets = (arguments["targets"].split(",") if arguments["targets"]
-               else [dataset.schemas[j].name for j in dataset.outcome_columns])
-    result = loo_evaluate(dataset, parse_orders(arguments["orders"]), tuple(targets),
+    result = loo_evaluate(dataset, parse_orders(arguments["orders"]),
+                          tuple(_targets(arguments, dataset.schemas)),
                           arguments["mode"], _em_config(arguments),
                           n_workers=arguments["workers"])
 
@@ -345,7 +336,7 @@ def run_simulate(arguments: dict, out_dir) -> list:
     rng = np.random.default_rng(arguments["seed"])
     dataset, labels = sample_cohort(model, arguments["n"], rng)
     write_data_csv(dataset, out_dir / "cohort.csv", arguments["missing_token"])
-    write_labels_csv(labels, out_dir / "labels.csv")
+    write_csv_table(out_dir / "labels.csv", ["subject", "component"], enumerate(labels.tolist()))
     save_schemas(model.schemas, out_dir / "schema.json")
     print(f"wrote {dataset.n_subjects} subjects x {dataset.n_variables} variables")
     return ["cohort.csv", "labels.csv", "schema.json"]
@@ -515,7 +506,7 @@ def main(argv=None) -> int:
             return _execute(args.command, arguments, out_dir)
         except SchemaViolationError as err:
             return _fail("validation", EXIT_VALIDATION, str(err),
-                         violations=_violation_payload(err.violations))
+                         violations=[dataclasses.asdict(v) for v in err.violations])
         except TrainingError as err:
             return _fail("training", EXIT_TRAINING, str(err))
         except (SchemaError, FormatError, ValueError) as err:

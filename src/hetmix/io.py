@@ -289,26 +289,26 @@ def _column_texts(dataset: Dataset, start: int, missing_token: str) -> list:
     return texts
 
 
+def _read_cohort(data_path, schema_path, missing_token: str, drop_constant: bool) -> tuple:
+    """Read schemas + CSV, unchecked, then drop the zero-variability columns if asked:
+    (dataset, dropped column names). A cohort whose every column carries no information
+    is kept as it was read, so that its check names each column's own violation."""
+    dataset = read_data_csv(data_path, load_schemas(schema_path), missing_token)
+    try:
+        return drop_zero_variability(dataset) if drop_constant else (dataset, [])
+    except SchemaViolationError:  # no column would be left: keep every one
+        return dataset, []
+
+
 def load_dataset(data_path, schema_path, *, missing_token: str = DEFAULT_MISSING_TOKEN,
                  drop_constant: bool = False) -> tuple[Dataset, list]:
-    """Read schemas + CSV, validate, optionally drop zero-variability columns.
-
-    Returns (dataset, dropped column names). Raises SchemaViolationError with
-    the full violation list if the (possibly reduced) data is invalid.
-    """
-    schemas = load_schemas(schema_path)
-    dataset = read_data_csv(data_path, schemas, missing_token)
-    dropped: list = []
-    if drop_constant:
-        dataset, dropped = drop_zero_variability(dataset)
-    violations = validate_dataset(dataset)
-    if violations:
+    """Read schemas + CSV and drop zero-variability columns if asked (``_read_cohort``),
+    then validate. Returns (dataset, dropped column names). Raises SchemaViolationError
+    with every violation of that data: of each column as read, if none would be left."""
+    dataset, dropped = _read_cohort(data_path, schema_path, missing_token, drop_constant)
+    if violations := validate_dataset(dataset):
         raise SchemaViolationError(violations)
     return dataset, dropped
-
-
-def write_labels_csv(labels, path):
-    _write_rows(path, ["subject", "component"], ([i, int(z)] for i, z in enumerate(labels)))
 
 
 # ---------------------------------------------------------------- models
@@ -373,6 +373,7 @@ def load_model(path) -> MixtureModel:
 
 def write_csv_table(path, header, rows):
     """Write a report table; floats go through repr for exact round-trips. Each cell is
-    ``format_value``'s text, but a bool (a flag) is written as str writes it."""
-    _write_rows(path, header, ([str(c) if type(c) is bool else format_value(c) for c in row]
-                               for row in rows))
+    ``format_value``'s text, but a bool (a flag) is written as str writes it and None
+    (no value) as an empty cell."""
+    _write_rows(path, header, (["" if c is None else str(c) if type(c) is bool else
+                                format_value(c) for c in row] for row in rows))

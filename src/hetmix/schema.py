@@ -612,15 +612,14 @@ def zero_variability_columns(dataset: Dataset) -> list[str]:
 
 
 def drop_zero_variability(dataset: Dataset) -> tuple[Dataset, list[str]]:
-    """Copy of the dataset without zero-variability columns, plus their names."""
-    dropped = zero_variability_columns(dataset)
-    if not dropped:
-        return dataset, []
+    """Copy of the dataset without zero-variability columns, plus their names. If no column
+    would be left, SchemaViolationError with each column's own violation, in column order."""
+    found, = _no_information(dataset, _kept_ranges(dataset))
+    dropped = [v.column for v in found]
     keep = [j for j, s in enumerate(dataset.schemas) if s.name not in dropped]
-    if not keep:
-        raise SchemaViolationError([Violation(None, name, "no observed values or constant")
-                                    for name in sorted(dropped)])
-    return dataset._take(range(dataset.n_subjects), keep), dropped
+    if dropped and not keep:
+        raise SchemaViolationError(found)
+    return (dataset._take(range(dataset.n_subjects), keep) if dropped else dataset), dropped
 
 
 @dataclass(frozen=True)

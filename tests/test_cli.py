@@ -33,6 +33,20 @@ def _last_error(capsys):
     return json.loads(err[-1])["error"]
 
 
+def _flat_cohort(tmp_path) -> list:
+    """Data options of a cohort whose every column carries no information: ``b``
+    is constant and ``a`` all missing."""
+    schema = tmp_path / "flat.json"
+    save_schemas((VariableSchema("b", "real"), VariableSchema("a", "real")), schema)
+    data = tmp_path / "flat.csv"
+    data.write_text("b,a\n2.5,\n2.5,\n")
+    return ["--data", str(data), "--schema", str(schema), "--drop-zero-variability"]
+
+
+FLAT_VIOLATIONS = [{"row": None, "column": "b", "message": "constant column (always 2.5)"},
+                   {"row": None, "column": "a", "message": "no observed values"}]
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """Shared demo model, simulated cohort, and an order-1 fit."""
@@ -310,6 +324,17 @@ class TestValidate:
         assert not (tmp_path / "fit" / "model.json").exists()
 
 
+    def test_drop_leaving_no_column_reports_each(self, tmp_path, capsys):
+        """--drop-zero-variability keeps a cohort whose every column has no information
+        as it was read: the report, its manifest and the error name each column."""
+        out = tmp_path / "report"
+        assert main(["validate", "--out-dir", str(out)] + _flat_cohort(tmp_path)) == 3
+        assert _last_error(capsys)["violations"] == FLAT_VIOLATIONS
+        report = json.loads((out / "validation_report.json").read_text())
+        assert report["dropped_columns"] == []
+        assert report["violations"] == FLAT_VIOLATIONS
+        assert sorted(os.listdir(out)) == ["manifest.json", "validation_report.json"]
+
     def test_schema_naming_a_variable_twice_exit_3(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"format_version": 1, "variables": [
@@ -450,6 +475,42 @@ class TestSelect:
         _, rows = _read_csv(out / "bic_table.csv")
         assert len(rows) == 1
 
+
+    def test_failed_order_row_has_empty_cells(self, work, tmp_path, monkeypatch):
+        """An order that fails while another trains is a row of its order, empty
+        cells and its error; here order 2's starts give component 1 no responsibility."""
+        real = np.random.default_rng
+
+        class Starving:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def dirichlet(self, alpha, size):
+                start = self.rng.dirichlet(alpha, size)
+                start[:, 1:2] = 0.0  # no column 1 at order 1
+                return start
+
+        monkeypatch.setattr(np.random, "default_rng", Starving)
+        out = tmp_path / "select"
+        assert main(["select", "--out-dir", str(out), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--orders", "1-2",
+                     "--restarts", "1"]) == 0
+        rows = (out / "bic_table.csv").read_text().splitlines()
+        assert rows[1].startswith("1,") and ",," not in rows[1]
+        assert rows[2] == ("2,,,,,all 1 restart(s) failed for order 2: restart 0: "
+                           "component 1 collapsed (total responsibility 0.000e+00)")
+
+    def test_drop_leaving_no_column_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "select"
+        assert main(["select", "--out-dir", str(out), "--orders", "1"]
+                    + _flat_cohort(tmp_path)) == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert error["violations"] == FLAT_VIOLATIONS
+        assert not (out / "bic_table.csv").exists()
 
     def test_failed_orders_warn_in_json_lines(self, work, tmp_path, capsys, collapsing_starts):
         """Each order that fails is a warning on stderr, one JSON line, before the error."""
@@ -746,6 +807,32 @@ class TestEvaluate:
         manifest = json.loads((evaluated / "manifest.json").read_text())
         assert "performance.csv" in manifest["outputs"]
         assert "error_density.csv" in manifest["outputs"]
+
+    def test_degenerate_density_is_skipped(self, work, tmp_path, capsys, monkeypatch):
+        """A density whose errors give no bandwidth is skipped with a line on stdout
+        and no rows, and the command still succeeds."""
+        import hetmix.cli
+        from hetmix import DegenerateSampleError
+        real, calls = hetmix.cli.scott_bandwidth, []
+
+        def first_degenerate(errors):  # the first is order 1, target severity
+            calls.append(errors)
+            if len(calls) == 1:
+                raise DegenerateSampleError("all identical")
+            return real(errors)
+
+        monkeypatch.setattr(hetmix.cli, "scott_bandwidth", first_degenerate)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--out-dir", str(out), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--orders", "1", "--mode",
+                     "model_missing", "--targets", "severity,status", "--restarts", "1",
+                     "--max-iterations", "10"]) == 0
+        assert len(calls) == 2
+        assert ("density skipped for order 1, target severity: errors are all identical\n"
+                in capsys.readouterr().out)
+        _, rows = _read_csv(out / "error_density.csv")
+        assert {(r[0], r[1]) for r in rows} == {("1", "status")}
+        assert len(rows) == 201
 
     def test_unobserved_zero_likelihood_subject_rows(self, tmp_path):
         """Seed 38's 13-row cohort: subject 7 has no observed truth, and zero likelihood

@@ -697,6 +697,22 @@ class TestLooEvaluate:
         assert result.subjects[~np.isnan(result.errors[1]).all(axis=1)].tolist() == \
             [s for s in range(12) if s != 3]
 
+    def test_every_live_fold_failing_an_order_ends_the_folds(self, collapsing_starts):
+        """When no live fold trains an order (every start collapses), no stack is
+        scored: each subject carries its TrainingError text, every order from 1 on
+        stays NaN, and order 0 is kept."""
+        cohort, _ = sample_cohort(small_demo_model(), 12, np.random.default_rng(2))
+        targets = ("severity", "status")
+        config = EmConfig(max_iterations=20, restarts=2, seed=0)
+        failed, *arrays = _evaluate_folds(cohort, range(12), (1, 2), targets, IGNORE_MISSING,
+                                          config)
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        assert failed == {s: f"all 2 restart(s) failed for order 1: restart 0: {collapsed}; "
+                          f"restart 1: {collapsed}" for s in range(12)}
+        assert all(np.isnan(a[1:]).all() for a in arrays)
+        _, *chance = _evaluate_folds(cohort, range(12), (), targets, IGNORE_MISSING, config)
+        assert_same_arrays([a[:1] for a in arrays], chance)
+
     def test_held_out_zero_likelihood_names_the_subject(self):
         """Subject 0 is the only one missing ``dose`` and subject 2 the only one
         missing ``stage``, so under model_missing the model of each one's own

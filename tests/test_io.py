@@ -18,7 +18,7 @@ from hetmix.io import (FormatError, _parse_cell, atomic_write_text, format_value
                        load_dataset, load_model, load_schemas, model_from_dict,
                        model_to_dict, params_from_dict, params_to_dict,
                        read_data_csv, save_model, save_schemas, sha256_file,
-                       write_csv_table, write_data_csv, write_labels_csv)
+                       write_csv_table, write_data_csv)
 
 SCHEMAS = (VariableSchema("age", "real"),
            VariableSchema("dose", "nonnegative"),
@@ -51,6 +51,19 @@ class TestAtomicWrite:
         assert target.read_text() == "hello\n"
         atomic_write_text(target, "replaced\n")
         assert target.read_text() == "replaced\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failing_chunks_leave_the_target_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write_text(target, "kept\n")
+
+        def chunks():
+            yield "partial\n"
+            raise KeyError("chunk 2")
+
+        with pytest.raises(KeyError, match="chunk 2"):
+            atomic_write_text(target, chunks())
+        assert target.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_sha256_tracks_content(self, tmp_path):
@@ -249,11 +262,24 @@ class TestLoadDataset:
         assert dropped == ["age"]
         assert dataset.names == ("dose", "stage", "site")
 
+    def test_drop_leaving_no_column_names_each(self, tmp_path):
+        """A cohort whose every column carries no information is not reduced: the
+        check names each column's own violation, in column order."""
+        schema_path = tmp_path / "schema.json"
+        data_path = tmp_path / "data.csv"
+        save_schemas((VariableSchema("b", "real"), VariableSchema("a", "real")), schema_path)
+        data_path.write_text("b,a\n2.5,\n2.5,\n")
+        with pytest.raises(SchemaViolationError) as caught:
+            load_dataset(data_path, schema_path, drop_constant=True)
+        assert [(v.row, v.column, v.message) for v in caught.value.violations] == [
+            (None, "b", "constant column (always 2.5)"), (None, "a", "no observed values")]
+
 
 class TestLabels:
     def test_write(self, tmp_path):
+        """``simulate`` writes its labels as a report table."""
         path = tmp_path / "labels.csv"
-        write_labels_csv(np.array([2, 0, 1]), path)
+        write_csv_table(path, ["subject", "component"], enumerate(np.array([2, 0, 1]).tolist()))
         assert path.read_text() == "subject,component\n0,2\n1,0\n2,1\n"
 
 
@@ -346,3 +372,8 @@ class TestCsvTable:
         assert text.splitlines()[0] == "a,b,c"
         assert text.splitlines()[1] == "1,0.1,True"
         assert text.splitlines()[2] == f"2,{2.0 / 3.0!r},False"
+
+    def test_none_is_an_empty_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv_table(path, ["a", "b", "c"], [(2, None, "x"), (None, None, None)])
+        assert path.read_text() == "a,b,c\n2,,x\n,,\n"

@@ -414,6 +414,11 @@ class TestSlicingEqualsRebuilding:
         assert reduced.names == ("y", "s")
         assert reduced.cell_violations == ds.cell_violations[1:]
 
+    def test_subset_of_no_subjects_raises(self):
+        ds = Dataset((VariableSchema("x", "real"),), [(1.0,), (2.0,)])
+        with pytest.raises(SchemaError, match="^a dataset needs at least one subject$"):
+            ds.subset([])
+
 
 class TestValidateDataset:
     def test_clean(self):
@@ -453,6 +458,17 @@ class TestValidateDataset:
         ds = Dataset((VariableSchema("x", "real"),), [(5.0,), (5.0,)])
         with pytest.raises(SchemaViolationError):
             drop_zero_variability(ds)
+
+    def test_drop_everything_names_each_column_in_order(self):
+        """The refusal gives each column's own violation, as ``validate_dataset``
+        words it, in column order."""
+        ds = Dataset((VariableSchema("b", "real"), VariableSchema("a", "real")),
+                     [(2.5, MISSING), (2.5, MISSING)])
+        with pytest.raises(SchemaViolationError) as caught:
+            drop_zero_variability(ds)
+        assert [(v.row, v.column, v.message) for v in caught.value.violations] == [
+            (None, "b", "constant column (always 2.5)"), (None, "a", "no observed values")]
+        assert caught.value.violations == validate_dataset(ds)
 
 
 class TestFitRange:
