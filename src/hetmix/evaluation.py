@@ -54,7 +54,8 @@ def max_absolute_error(schema: VariableSchema) -> float:
         return float(len(schema.domain) - 1)
     if schema.kind is VariableKind.CATEGORICAL:
         return 1.0
-    raise SchemaError(f"{schema.name}: expected-error metrics need a finite target")
+    raise SchemaError(f"{schema.name}: expected-error metrics need an ordinal or categorical "
+                      f"target, not a {schema.kind.value} one")
 
 
 def expected_absolute_error(prediction: FinitePrediction, truth) -> float:
@@ -300,16 +301,17 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     observed = ~np.isnan(errors[CHANCE_ORDER]).all(axis=1)  # some truth observed
     children = [np.random.SeedSequence(_fold_seed(config.seed, s)).spawn(config.restarts)
                 for s in subjects]
-    for o, order in enumerate(orders, 1):
-        if not (live := [f for f, s in enumerate(subjects) if s not in failed]):
+    live = [f for f, s in enumerate(subjects) if s not in failed]
+    fitted = _fit_many(dataset, kept[live], ranges[3][live], [children[f] for f in live], orders,
+                       config) if live else ()
+    for o, (order, (params, fits)) in enumerate(zip(orders, fitted), 1):
+        trained = [f for f, fit in zip(live, fits) if not isinstance(fit, TrainingError)]
+        # a fold keeps its first failure
+        failed = {subjects[f]: str(fit) for f, fit in zip(live, fits) if f not in trained} | failed
+        if not (use := [i for i, f in enumerate(trained) if subjects[f] not in failed]):
             break
-        stacked, fits = _fit_many(dataset, kept[live], ranges[3][live],
-                                  [children[f] for f in live], order, config)
-        failed.update((subjects[f], str(fit)) for f, fit in zip(live, fits)
-                      if isinstance(fit, TrainingError))
-        if stacked is None:
-            break
-        rows = np.array([f for f, fit in zip(live, fits) if not isinstance(fit, TrainingError)])
+        stacked = MixtureModel._from_fits([a[use] for a in params], dataset.schemas)
+        rows = np.array(trained)[use]
         held, folds = np.array(subjects)[rows], np.arange(rows.size)
         log_joint = _log_joint(stacked, dataset, mode, input_cols).reshape(-1, order, n)
         scores = log_sum_exp(log_joint, axis=1)
@@ -324,7 +326,6 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
                                                                    predicted.probabilities)
         failed.update((subjects[f], f"held-out subject {subjects[f]} has zero likelihood under "
                        "every component") for f in rows[~good].tolist() if observed[f])
-        del stacked, log_joint, scores, tables, predicted  # before the next EM
     return failed, errors, normalized, log_scores, percentiles
 
 

@@ -20,7 +20,7 @@ transpose) adds it over the variables for all Z components, component-major, so
 every elementwise pass runs along the N subjects; it serves both modes and
 single rows (``infer``), for which no statistics are built. EM, E-step
 included, is in ``training``, which calls ``_factors`` as its fallback. A
-stack of F fits is one model of F * Z components, fit-major (``_from_fits``).
+stack of fits, of one order or several, is one model, fit-major (``_from_blocks``).
 """
 
 from __future__ import annotations
@@ -69,17 +69,18 @@ class MixtureModel:
         self.__dict__.update(packed.__dict__, _params=params)
 
     @classmethod
-    def _from_blocks(cls, weights, blocks, missing_probs, schemas, n_fits=1) -> "MixtureModel":
+    def _from_blocks(cls, weights, blocks, missing_probs, schemas, groups=None) -> "MixtureModel":
         """A checked model whose variable v has the parameter block ``blocks[v]``
         (its arrays are made read-only); finite variables' log-mass tables are
-        computed here, once. ``n_fits`` > 1 stacks fits: one model of n_fits * Z
-        components, fit-major, whose weights sum to 1 per fit (see ``_fits``)."""
+        computed here, once. ``groups`` of (F, Z) sizes stack F fits of Z components
+        per group, fit-major, whose weights sum to 1 per fit (see ``_fits``)."""
         schemas = tuple(schemas)
         n_comp, n_vars = _n_weights(weights), len(schemas)
         if np.shape(missing_probs) != (n_comp, n_vars):
             raise ValueError(f"missing_probs must have shape ({n_comp}, {n_vars})")
         weights, missing = _check_params({"weights": weights, "missing_probs": missing_probs}, 1)
-        if not (abs(weights.reshape(n_fits, -1).sum(axis=1) - 1.0) <= 1e-9).all():
+        sizes = [z for n_fits, z in groups or ((1, n_comp),) for _ in range(n_fits)]
+        if not (abs(np.add.reduceat(weights, np.cumsum([0, *sizes[:-1]])) - 1.0) <= 1e-9).all():
             raise ValueError("weights must sum to 1")
         by_field = {}
         for schema, block in zip(schemas, blocks, strict=True):
@@ -105,20 +106,24 @@ class MixtureModel:
             _params=None, _name_to_column={s.name: j for j, s in enumerate(schemas)})
         return model
 
-    def _fits(self, n_fits: int) -> tuple:
-        """A stack of ``n_fits`` fits as (n_fits, Z, ...) views: its weights, missing
-        probabilities and every variable's block fields in order (``_from_fits``' layout)."""
+    def _fits(self, groups=None) -> list:
+        """Per (F, Z) group of a stack (``_from_blocks``; None is one fit), (F, Z, ...) views
+        of its weights, missing probabilities and block fields (``_from_fits``' layout)."""
         arrays = (self.weights, self.missing_probs, *(a for block in self._blocks for a in block))
-        return tuple(a.reshape(n_fits, -1, *a.shape[1:]) for a in arrays)
+        out, first = [], 0
+        for n_fits, n_comp in groups or ((1, self.n_components),):
+            rows = slice(first, first := first + n_fits * n_comp)
+            out.append(tuple(a[rows].reshape(n_fits, n_comp, *a.shape[1:]) for a in arrays))
+        return out
 
     @classmethod
     def _from_fits(cls, arrays, schemas) -> "MixtureModel":
-        """The checked stack (``_from_blocks``) of the F fits whose (F, Z, ...) ``arrays``
-        are laid out as ``_fits`` gives them."""
+        """The checked stack (``_from_blocks``) of the F fits of one order whose
+        (F, Z, ...) ``arrays`` are laid out as ``_fits`` gives them."""
         weights, missing_probs, *fields = (a.reshape(-1, *a.shape[2:]) for a in arrays)
         fields = iter(fields)
         blocks = [tuple(next(fields) for _ in _BLOCK_FIELDS[s.kind]) for s in schemas]
-        return cls._from_blocks(weights, blocks, missing_probs, schemas, len(arrays[0]))
+        return cls._from_blocks(weights, blocks, missing_probs, schemas, [arrays[0].shape])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MixtureModel is immutable; cannot set {name!r}")

@@ -8,17 +8,16 @@ responsibility matrices from a single seed; the best final negative
 log-likelihood wins. Order selection fits a range of component counts and
 scores each with BIC(d) = 0.5 * T_d * ln N + NLL.
 
-All of EM is here. The restarts of a fit, and all folds x restarts of a
-leave-one-out order, run as one batch (``_em_batch``) over every row of the
-cohort. Each fit is a mask of the rows it keeps and their column scales; a row
-it leaves out has weight 0. Both steps read the cohort's sufficient statistics
-(``Dataset._stats``: the continuous columns' and the finite columns' one-hot,
-which ``_onehot_chunks`` casts a row chunk at a time). An E-step
-(``_em_log_joint``) is their product with every component's natural
-parameters; an M-step (``_m_step_batch``) their product with the weights, then
-one closed-form ``_weighted_block`` (q and block) per variable. ``_em_batch``
-alone ends a fit, and hands back one stack of (B, Z, ...) arrays, from which
-``_fit_many`` gathers each fit's best restart once into one checked model.
+All of EM is one loop (``_em_batch``) over every row of the cohort: the restarts
+of every order ``select_order`` (or ``fit``) asks for, or all folds x restarts x
+orders of a leave-one-out fold batch. A fit is a mask of the rows it keeps (a row
+left out has weight 0) and their column scales, and carries its parameters from
+one iteration to the next. Both steps read the cohort's sufficient statistics
+(``Dataset._stats``, whose one-hot ``_onehot_chunks`` casts a row chunk at a
+time): per fit, an E-step is their product with its ``_natural_coefficients``
+and its sums their product with its posteriors (``_weighted_sums``), and one
+M-step (``_m_step_batch``) per iteration takes the sums of every fit of every
+order through one closed-form ``_weighted_block`` (q and block) per variable.
 """
 
 from __future__ import annotations
@@ -109,20 +108,17 @@ def _onehot_chunks(dataset: Dataset):
         yield slice(start, start + len(rows)), chunk
 
 
-def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int, out) -> np.ndarray:
-    """``out``, the (n_fits, Z, N) ``model._log_joint`` under ``model_missing`` of a
-    stack of n_fits models: log w plus, per fit (batched or not, the same bits),
-    one product of the ``_natural_params`` with ``Dataset._stats``' statistics and
-    one with its one-hot, a row chunk at a time. The product rounds to a few eps
-    times its terms, bounded by |theta| @ ``reach`` (a statistic or slot that is
-    0 on every row left out). A component takes the scoring routine
-    ``model._factors`` instead on a column where that bound reaches
-    EM_TERM_LIMIT: a variance near its floor far from the column's centre
-    (terms ~ (x - centre)^2 / variance), a Gamma near its shape cap (lgamma(shape)
-    ~ 1e5), a far level's log mass, or a -inf (q or zero_prob at 0 or 1, or a
-    mass at 0, on a statistic some row has), which the product would make NaN.
-    So it stays within ~1e-13 per column of ``_log_joint``."""
-    matrix, _, layout, reach = dataset._stats
+def _natural_coefficients(model: MixtureModel, dataset: Dataset) -> tuple:
+    """(theta, dense): the ``_natural_params`` of a stack's components on the statistics
+    and one-hot slots of ``Dataset._stats``, and per variable (v, the components that
+    take the scoring routine ``model._factors`` on it). A product with theta rounds to
+    a few eps times its terms, bounded by |theta| @ ``reach`` (0 on a statistic or slot
+    no kept row has). A component goes dense where that bound reaches EM_TERM_LIMIT: a
+    variance near its floor far from the column's centre, a Gamma near its shape cap
+    (lgamma(shape) ~ 1e5), a far level's log mass, or a -inf (q or zero_prob at 0 or 1,
+    or a mass at 0), which the product would make NaN. So ``_em_log_joint`` stays
+    within ~1e-13 per column of ``_log_joint``."""
+    _, _, layout, reach = dataset._stats
     theta = np.zeros((model.n_components, reach.size))
     dense = []
     for v, (schema, (cols, unit)) in enumerate(zip(model.schemas, layout)):
@@ -135,151 +131,197 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, n_fits: int, out) -> np
         theta[~wide, cols] = block[~wide]
         if wide.any():
             dense.append((v, np.flatnonzero(wide)))
-    shape = (n_fits, model.n_components // n_fits, -1)
-    np.matmul(theta[:, :matrix.shape[1]].reshape(shape), matrix.T, out=out)
-    slots = theta[:, matrix.shape[1]:].reshape(shape)
+    return theta, dense
+
+
+def _em_log_joint(model: MixtureModel, dataset: Dataset, coefficients, first, out) -> np.ndarray:
+    """``out``, the (F, Z, N) ``model._log_joint`` under ``model_missing`` of the fits
+    whose rows of the stack start at ``first``: log w, per fit (the same bits batched or
+    not) its ``coefficients``' products with the statistics and one-hot, and ``_factors``."""
+    (theta, dense), matrix = coefficients, dataset._stats[0]
+    stop = first + out.shape[0] * out.shape[1]
+    group = theta[first:stop].reshape(*out.shape[:2], -1)
+    np.matmul(group[..., :matrix.shape[1]], matrix.T, out=out)
     for rows, chunk in _onehot_chunks(dataset):
-        out[..., rows] += np.matmul(slots, chunk.T)
-    flat = out.reshape(model.n_components, -1)
+        out[..., rows] += np.matmul(group[..., matrix.shape[1]:], chunk.T)
+    flat = out.reshape(stop - first, -1)
     with np.errstate(divide="ignore"):
-        flat += np.log(model.weights)[:, None]
+        flat += np.log(model.weights[first:stop])[:, None]
         for v, rows in dense:
-            q = model.missing_probs[rows, v, None]
-            flat[rows] += _factors(model, dataset, v, rows, np.log(q), np.log1p(-q))
+            if (rows := rows[(first <= rows) & (rows < stop)]).size:
+                q = model.missing_probs[rows, v, None]
+                flat[rows - first] += _factors(model, dataset, v, rows, np.log(q), np.log1p(-q))
     return out
 
 
-def _m_step_batch(dataset: Dataset, scales: np.ndarray, alpha: np.ndarray,
-                  totals: np.ndarray) -> MixtureModel:
-    """The M-step of B fits from their (B, Z, N) responsibilities ``alpha`` over
-    the rows of ``dataset`` (0 on a row a fit leaves out) and its (B, Z) sums
-    ``totals``, fit b with the column scales ``scales[b]``: its sums are one
-    product with ``Dataset._stats``' statistics plus one with its one-hot
-    (missed weight and level counts) summed over the row chunks in order, each
-    variable's whole to ``_weighted_block`` (q and block); rows with observed
-    weight <= ZERO_WEIGHT_EPS take its ``_default_block``, no cell built.
-    Returns the stacked model of the B fits (``_from_blocks``)."""
+def _weighted_sums(dataset: Dataset, alpha: np.ndarray) -> np.ndarray:
+    """The (B * Z, width) sums of B fits' (B, Z, N) responsibilities ``alpha`` (0 on a
+    row a fit leaves out): per fit one product with ``Dataset._stats``' statistics
+    plus one with its one-hot (missed weight and level counts), over the row chunks."""
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
     n_fits, n_comp, _ = alpha.shape
-    matrix, onehot, layout, _ = dataset._stats
+    matrix, onehot, _, _ = dataset._stats
     # one product per fit, so a fit's sums do not depend on the batch it is in
     counts = np.zeros((n_fits, n_comp, onehot.shape[1]))
     for rows, chunk in _onehot_chunks(dataset):
         counts += np.matmul(alpha[..., rows], chunk)
-    stats = np.concatenate([np.matmul(alpha, matrix), counts], axis=-1).reshape(n_fits * n_comp, -1)
-    missing_probs = np.empty((n_fits * n_comp, len(layout)))
+    return np.concatenate([np.matmul(alpha, matrix), counts], axis=-1).reshape(n_fits * n_comp, -1)
+
+
+def _m_step_batch(dataset: Dataset, sums, weights, scales, groups) -> MixtureModel:
+    """The stack (``_from_blocks``' (F, Z) ``groups``) whose components have the mixture
+    ``weights``, their fits' (rows, V) column ``scales``, and the ``_weighted_sums``
+    ``sums``: each variable's whole to ``_weighted_block`` (q and block), and rows with
+    observed weight <= ZERO_WEIGHT_EPS to its ``_default_block``, no cell built."""
+    layout = dataset._stats[2]
+    missing_probs = np.empty((len(sums), len(layout)))
     blocks = []
     for v, (schema, (cols, unit)) in enumerate(zip(dataset.schemas, layout)):
-        fit_scales = np.repeat(scales[:, v], n_comp)
         with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: defaults below
             missing_probs[:, v], observed, block = _weighted_block(
-                schema.kind, stats[:, cols], schema.domain, fit_scales, unit)
+                schema.kind, sums[:, cols], schema.domain, scales[:, v], unit)
         if (unfitted := observed <= ZERO_WEIGHT_EPS).any():
-            defaults = _default_block(schema.kind, schema.domain, fit_scales)
+            defaults = _default_block(schema.kind, schema.domain, scales[:, v])
             for fitted, default in zip(block, defaults):
                 fitted[unfitted] = default[unfitted]
         blocks.append(block)
-    return MixtureModel._from_blocks((totals / totals.sum(axis=1, keepdims=True)).ravel(),
-                                     blocks, missing_probs, dataset.schemas, n_fits)
+    return MixtureModel._from_blocks(weights, blocks, missing_probs, dataset.schemas, groups)
 
 
-def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, inits: np.ndarray,
-              config: EmConfig) -> tuple:
-    """B EM runs in lockstep on the rows of ``dataset``, run b on the rows that the
-    (B, N) mask ``kept[b]`` keeps, from the (Z, N) responsibilities ``inits[b]``
-    (C-contiguous) with the column scales ``scales[b]`` (``_kept_ranges`` of those
-    rows); a row it leaves out has weight 0 in ``inits[b]``, no part in its NLL
-    and posteriors. EM owns ``inits``: it is the batch's one (B, Z, N) buffer, which
-    each E-step overwrites. Returns (params, traces, endings), per run b: row b of the
-    (B, Z, ...) arrays of ``MixtureModel._fits``, its last accepted M-step (params is
-    None if no run reached one); its NLL per accepted M-step; and True (converged),
-    False (the cap or a revert) or the ComponentCollapseError that ended it.
+def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, starts,
+              config: EmConfig) -> list:
+    """B EM runs per order of ``orders`` (an order group), all in lockstep on the rows
+    of ``dataset``: run b on the rows that the (B, N) mask ``kept[b]`` keeps, with the
+    column scales ``scales[b]`` (``_kept_ranges`` of those rows), from the starts that
+    ``starts(order, out)`` writes into the group's (B, order, N) ``out`` (0 on a row
+    left out, which then has no part in its NLL and posteriors). Returns per order
+    (params, traces, endings), per run b: row b of the (B, Z, ...) arrays of
+    ``MixtureModel._fits``, its last accepted M-step (params is None if no run
+    reached one); its NLL per accepted M-step; and True (converged), False (the cap
+    or a revert) or the ComponentCollapseError that ended it.
 
-    Every ending is decided here. Before each M-step, a run with a component of
-    total responsibility below COLLAPSE_EPS collapses. An E-step is one
-    ``_em_log_joint`` for all B * Z components, component-major: (B, Z, N), written
-    over the responsibilities that the M-step has read, and the posteriors then
-    replace the log joint. A rise over MONOTONE_SLACK (approximate M-steps
-    overshoot) ends a run, its rows left as they are; else its rows take the M-step,
-    and it stops at a relative decrease <= rel_tol (converged) or after
-    max_iterations more M-steps. The runs that go on move to the buffer's front.
-    Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
-    responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q,
-    zero_prob, masses and floored densities positive and finite for the row, so
-    its likelihood is; a zero one would stop the batch at the next M-step's
-    finite-weights check (EstimationError), not end one run."""
-    traces, endings, params = [[] for _ in inits], [None] * len(inits), None
-    alpha, fits, go = inits, np.arange(len(inits)), np.ones(len(inits), dtype=bool)
+    Every ending is decided here. A run carries its parameters to the next iteration,
+    so one (B, Z, N) buffer, of the largest order, serves the groups in turn: their
+    starts, then per iteration their E-steps (``_em_log_joint``), posteriors in place.
+    A rise over MONOTONE_SLACK (approximate M-steps overshoot) ends a run, its rows
+    left as they are; else its rows take the M-step, and it stops at a relative
+    decrease <= rel_tol (converged) or after max_iterations more M-steps. Before each
+    M-step, a run with a component of total responsibility below COLLAPSE_EPS
+    collapses; the others move to the buffer's front and give their
+    ``_weighted_sums``, and one ``_m_step_batch`` serves every group. Precondition
+    (``_fit_many`` meets it, posteriors keep it): each kept row's responsibilities
+    sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses and
+    floored densities positive and finite for the row, so its likelihood is; a zero
+    one would stop the batch at the next M-step's weights check (EstimationError)."""
+    n, n_runs = dataset.n_subjects, len(kept)
+    buffer = np.empty(n_runs * max(orders, default=0) * n)
+    traces, endings = [[[] for _ in kept] for _ in orders], [[None] * n_runs for _ in orders]
+    params, live, stacks = [None] * len(orders), [np.arange(n_runs)] * len(orders), {}
     while True:
-        totals = alpha.sum(axis=-1)
-        low = go & (totals.min(axis=1) < COLLAPSE_EPS)
-        for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist()):
-            endings[fits[i]] = ComponentCollapseError(
-                f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
-        if not (go := go & ~low).all():
-            index = np.flatnonzero(go)  # the runs that go on move to the buffer's front
-            alpha[:index.size] = alpha[index]
-            alpha, totals, fits = alpha[:index.size], totals[go], fits[go]
+        sums, weights, groups = [], [], {}
+        for g, (order, fits) in enumerate(zip(orders, live)):
             if not fits.size:
-                return params, traces, endings
-        model = _m_step_batch(dataset, scales[fits], alpha, totals)
-        log_joint, live = _em_log_joint(model, dataset, fits.size, alpha), kept[fits]
-        # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
-        np.copyto(log_joint, -np.inf, where=~live[:, None])
-        ll = np.where(live, log_sum_exp(log_joint, axis=1), 0.0)
-        nlls = -ll.sum(axis=1)
-        accepted = []
-        for i, b in enumerate(fits.tolist()):
-            trace, nll = traces[b], float(nlls[i])
-            if trace and nll > trace[-1] + MONOTONE_SLACK:
-                endings[b] = False
                 continue
-            trace.append(nll)
-            accepted.append(i)
-            converged = len(trace) > 1 and trace[-2] - nll <= config.rel_tol * abs(trace[-2])
-            if converged or len(trace) > config.max_iterations:
-                endings[b] = converged
-        stacked, accepted = model._fits(fits.size), np.array(accepted, dtype=np.intp)
-        params = params or tuple(np.zeros((len(kept), *a[0].shape)) for a in stacked)
-        rows = fits[accepted]
-        for stored, a in zip(params, stacked):  # every run accepted: no gather
-            stored[rows] = a if rows.size == fits.size else a[accepted]
-        if not (go := np.array([endings[b] is None for b in fits.tolist()])).any():
-            return params, traces, endings
-        # in place: the log-joint's memory becomes the posteriors (of ended runs too, unread)
-        alpha = np.exp(np.subtract(log_joint, ll[:, None], out=log_joint), out=log_joint)
+            alpha = buffer[:fits.size * order * n].reshape(fits.size, order, n)
+            if not stacks:  # the first iteration
+                starts(order, alpha)
+                go = np.ones(n_runs, dtype=bool)
+            else:
+                (first, stacked), on = stacks[g], kept[fits]
+                log_joint = _em_log_joint(model, dataset, coefficients, first, alpha)
+                # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
+                np.copyto(log_joint, -np.inf, where=~on[:, None])
+                ll = np.where(on, log_sum_exp(log_joint, axis=1), 0.0)
+                nlls = -ll.sum(axis=1)
+                accepted = []
+                for i, b in enumerate(fits.tolist()):
+                    trace, nll = traces[g][b], float(nlls[i])
+                    if trace and nll > trace[-1] + MONOTONE_SLACK:
+                        endings[g][b] = False
+                        continue
+                    trace.append(nll)
+                    accepted.append(i)
+                    converged = len(trace) > 1 and (
+                        trace[-2] - nll <= config.rel_tol * abs(trace[-2]))
+                    if converged or len(trace) > config.max_iterations:
+                        endings[g][b] = converged
+                accepted = np.array(accepted, dtype=np.intp)
+                params[g] = params[g] or tuple(np.zeros((n_runs, *a[0].shape)) for a in stacked)
+                for stored, a in zip(params[g], stacked):  # every run accepted: no gather
+                    stored[fits[accepted]] = a if accepted.size == fits.size else a[accepted]
+                # in place: the log joint becomes the posteriors (of ended runs too, unread)
+                if (go := np.array([endings[g][b] is None for b in fits.tolist()])).any():
+                    np.exp(np.subtract(log_joint, ll[:, None], out=log_joint), out=log_joint)
+            totals = alpha.sum(axis=-1)
+            low = go & (totals.min(axis=1) < COLLAPSE_EPS)
+            for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist()):
+                endings[g][fits[i]] = ComponentCollapseError(
+                    f"component {z} collapsed (total responsibility {totals[i, z]:.3e})")
+            if not (go := go & ~low).all():
+                index = np.flatnonzero(go)  # the runs that go on move to the buffer's front
+                alpha[:index.size] = alpha[index]
+                alpha, totals, live[g] = alpha[:index.size], totals[go], fits[go]
+            if live[g].size:
+                sums.append(_weighted_sums(dataset, alpha))
+                weights.append((totals / totals.sum(axis=1, keepdims=True)).ravel())
+                groups[g] = (live[g].size, order)
+        if not groups:
+            return list(zip(params, traces, endings))
+        sizes = list(groups.values())
+        rows = np.concatenate([np.repeat(live[g], order) for g, (_, order) in groups.items()])
+        model = _m_step_batch(dataset, np.concatenate(sums), np.concatenate(weights), scales[rows],
+                              sizes)
+        coefficients = _natural_coefficients(model, dataset)
+        firsts = np.cumsum([0, *(f * z for f, z in sizes)]).tolist()
+        stacks = dict(zip(groups, zip(firsts, model._fits(sizes))))
 
 
-def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, order: int,
-              config: EmConfig) -> tuple:
-    """Fit ``order`` components to the rows of ``dataset`` that the (F, N) mask
-    ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r drawn from the
-    ``SeedSequence`` ``children[i][r]``, as one batch, each kept row's start summing to
-    1 (``_em_batch``'s precondition). Returns (stack, fits): the best restarts (the
-    first of equal final NLLs) of the fits that trained, in order, as one checked
-    model (``MixtureModel._from_fits``; None if none trained), and per fit its best
-    restart's TrainingTrace, or a TrainingError if every restart collapsed."""
-    n, restarts = dataset.n_subjects, config.restarts
-    inits = np.zeros((len(children) * restarts, order, n))
-    for i, spawned in enumerate(children):
-        for r, child in enumerate(spawned):
-            inits[i * restarts + r][:, kept[i]] = np.random.default_rng(child).dirichlet(
-                np.ones(order), size=int(kept[i].sum())).T
-    params, traces, endings = _em_batch(dataset, np.repeat(kept, restarts, 0),
-                                        np.repeat(scales, restarts, 0), inits, config)
-    best, fits = [], []
-    for first in range(0, len(endings), restarts):
-        runs = range(first, first + restarts)
-        if trained := [b for b in runs if not isinstance(endings[b], Exception)]:
-            best.append(pick := min(trained, key=lambda b: traces[b][-1]))
-            fits.append(TrainingTrace(tuple(traces[pick]), pick - first, endings[pick]))
-        else:
-            failures = "; ".join(f"restart {b - first}: {endings[b]}" for b in runs)
-            fits.append(TrainingError(f"all {restarts} restart(s) failed for order {order}: "
-                                      f"{failures}"))
-    return (MixtureModel._from_fits([a[best] for a in params], dataset.schemas)
-            if best else None), fits
+def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, orders,
+              config: EmConfig) -> list:
+    """Fit each of ``orders`` components to the rows of ``dataset`` that the (F, N) mask
+    ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r of every order
+    from the ``SeedSequence`` ``children[i][r]``, as one ``_em_batch``. Returns per
+    order (params, fits): the (F', Z, ...) arrays (``MixtureModel._fits``' layout) of
+    the best restarts (the first of equal final NLLs) of the fits that trained, None
+    if none did; and per fit its best TrainingTrace, or TrainingError if all collapsed."""
+    restarts = config.restarts
+
+    def starts(order, out):
+        out.fill(0.0)
+        for i, spawned in enumerate(children):
+            for r, child in enumerate(spawned):
+                out[i * restarts + r][:, kept[i]] = np.random.default_rng(child).dirichlet(
+                    np.ones(order), size=int(kept[i].sum())).T
+
+    results = []
+    for order, (params, traces, endings) in zip(orders, _em_batch(
+            dataset, np.repeat(kept, restarts, 0), np.repeat(scales, restarts, 0), orders,
+            starts, config)):
+        best, fits = [], []
+        for first in range(0, len(endings), restarts):
+            runs = range(first, first + restarts)
+            if trained := [b for b in runs if not isinstance(endings[b], Exception)]:
+                best.append(pick := min(trained, key=lambda b: traces[b][-1]))
+                fits.append(TrainingTrace(tuple(traces[pick]), pick - first, endings[pick]))
+            else:
+                failures = "; ".join(f"restart {b - first}: {endings[b]}" for b in runs)
+                fits.append(TrainingError(f"all {restarts} restart(s) failed for order {order}: "
+                                          f"{failures}"))
+        results.append(([a[best] for a in params] if best else None, fits))
+    return results
+
+
+def _fit_cohort(dataset: Dataset, orders, config: EmConfig) -> list:
+    """Per order, (model, trace) of the best restart of the fit to every row of
+    ``dataset``, validated, or (None, TrainingError): one ``_fit_many``."""
+    if violations := validate_dataset(dataset):
+        raise SchemaViolationError(violations)
+    kept = np.ones((1, dataset.n_subjects), dtype=bool)
+    fitted = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3],
+                       [np.random.SeedSequence(config.seed).spawn(config.restarts)], orders, config)
+    return [(None if params is None else MixtureModel._from_fits(params, dataset.schemas), trace)
+            for params, (trace,) in fitted]
 
 
 def fit(dataset: Dataset, order: int,
@@ -291,14 +333,7 @@ def fit(dataset: Dataset, order: int,
     identical inputs give an identical model. Restarts whose components
     collapse are skipped; if all collapse, TrainingError is raised.
     """
-    order, = _checked_orders([order])
-    violations = validate_dataset(dataset)
-    if violations:
-        raise SchemaViolationError(violations)
-    kept = np.ones((1, dataset.n_subjects), dtype=bool)
-    model, (trace,) = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3],
-                                [np.random.SeedSequence(config.seed).spawn(config.restarts)],
-                                order, config)
+    (model, trace), = _fit_cohort(dataset, _checked_orders([order]), config)
     if isinstance(trace, TrainingError):
         raise trace
     return model, trace
@@ -336,18 +371,17 @@ def select_order(dataset: Dataset, orders,
                  config: EmConfig = EmConfig()) -> OrderSelection:
     """Fit every requested order and pick the lowest BIC (ties: fewer components).
 
-    Orders that fail to train are recorded in the table with their error and
-    skipped; at least one order must succeed.
+    Every order trains in one batched EM, each as ``fit`` trains it. Orders that fail
+    to train are recorded in the table with their error and skipped; at least one
+    order must succeed.
     """
     orders = _checked_orders(orders)
     scores = []
     best = None
-    for order in orders:
-        try:
-            model, trace = fit(dataset, order, config)
-        except TrainingError as err:
-            warnings.warn(f"order {order} failed: {err}")
-            scores.append(OrderScore(order, None, None, None, None, str(err)))
+    for order, (model, trace) in zip(orders, _fit_cohort(dataset, orders, config)):
+        if isinstance(trace, TrainingError):
+            warnings.warn(f"order {order} failed: {trace}")
+            scores.append(OrderScore(order, None, None, None, None, str(trace)))
             continue
         bic = bic_score(model, dataset.n_subjects, trace.final_nll)
         scores.append(OrderScore(order, parameter_count(model),

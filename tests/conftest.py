@@ -100,10 +100,9 @@ def rng():
     return np.random.default_rng(20240814)
 
 
-@pytest.fixture
-def collapsing_starts(monkeypatch):
-    """EM's random starts with component 0 given no responsibility, so every
-    restart collapses at its first M-step; other draws are the generator's own."""
+def _collapsing(monkeypatch, collapses):
+    """EM's random starts of each order that ``collapses(order)`` with component 0
+    given no responsibility; other draws are the generator's own."""
     real = np.random.default_rng
 
     class Collapsing:
@@ -115,29 +114,65 @@ def collapsing_starts(monkeypatch):
 
         def dirichlet(self, alpha, size):
             start = self.rng.dirichlet(alpha, size)
-            start[:, 0] = 0.0
+            if collapses(len(alpha)):
+                start[:, 0] = 0.0
             return start
 
     monkeypatch.setattr(np.random, "default_rng", Collapsing)
 
 
+@pytest.fixture
+def collapsing_starts(monkeypatch):
+    """Every restart collapses at its first M-step (``_collapsing``)."""
+    _collapsing(monkeypatch, lambda order: True)
+
+
+@pytest.fixture
+def collapsing_order(monkeypatch):
+    """Called with an order: every restart of that order alone collapses at its
+    first M-step (``_collapsing``)."""
+    return lambda doomed: _collapsing(monkeypatch, lambda order: order == doomed)
+
+
+def em_batch(dataset, kept, scales, inits, config) -> list:
+    """``training._em_batch`` of the runs whose (B, Z, N) starts, one array per order
+    group (each of its own Z), are ``inits``, in that order."""
+    from hetmix.training import _em_batch
+    by_order = {a.shape[1]: a for a in inits}
+    return _em_batch(dataset, kept, scales, list(by_order),
+                     lambda order, out: np.copyto(out, by_order[order]), config)
+
+
+def m_step(dataset, scales, alpha):
+    """The M-step (``training._weighted_sums``, then ``_m_step_batch``) of B fits of one
+    order from their (B, Z, N) responsibilities ``alpha``, fit b with the column scales
+    ``scales[b]``, as ``_em_batch`` takes it: their stacked model."""
+    from hetmix.training import _m_step_batch, _weighted_sums
+    n_fits, n_comp, _ = alpha.shape
+    totals = alpha.sum(axis=-1)
+    return _m_step_batch(dataset, _weighted_sums(dataset, alpha),
+                         (totals / totals.sum(axis=1, keepdims=True)).ravel(),
+                         np.repeat(scales, n_comp, 0), [(n_fits, n_comp)])
+
+
 def m_step_alone(dataset, responsibilities) -> tuple:
-    """The batched M-step (``training._m_step_batch``) of one fit from its (N, Z)
-    responsibilities: (model, None after a collapse; {0: ComponentCollapseError} or {}).
-    A collapse is ``_em_batch``'s, which tests for it before each M-step."""
+    """The M-step (``m_step``) of one fit from its (N, Z) responsibilities: (model,
+    None after a collapse; {0: ComponentCollapseError} or {}). A collapse is
+    ``_em_batch``'s, which tests for it before each M-step."""
     from hetmix.schema import _kept_ranges
-    from hetmix.training import COLLAPSE_EPS, EmConfig, _em_batch, _m_step_batch
+    from hetmix.training import COLLAPSE_EPS, EmConfig
     alpha = np.ascontiguousarray(np.asarray(responsibilities, dtype=float).T)[None]
-    scales, totals = _kept_ranges(dataset)[3], alpha.sum(axis=-1)
-    if totals.min() < COLLAPSE_EPS:
+    scales = _kept_ranges(dataset)[3]
+    if alpha.sum(axis=-1).min() < COLLAPSE_EPS:
         kept = np.ones((1, dataset.n_subjects), dtype=bool)
-        return None, {0: _em_batch(dataset, kept, scales, alpha, EmConfig())[2][0]}
-    return _m_step_batch(dataset, scales, alpha, totals), {}
+        (_, _, endings), = em_batch(dataset, kept, scales, [alpha], EmConfig())
+        return None, {0: endings[0]}
+    return m_step(dataset, scales, alpha), {}
 
 
 def stack(models) -> MixtureModel:
     """``models`` (one order, one set of schemas) as one checked stack of fits."""
-    return MixtureModel._from_fits([np.concatenate(a) for a in zip(*(m._fits(1) for m in models))],
+    return MixtureModel._from_fits([np.concatenate(a) for a in zip(*(m._fits()[0] for m in models))],
                                    models[0].schemas)
 
 
@@ -148,8 +183,8 @@ def fit_of(arrays, b, schemas) -> MixtureModel:
 
 
 def outcomes(dataset, result) -> list:
-    """Per run of an ``training._em_batch`` result: (its rows as a model, NLL trace,
-    converged), or the ComponentCollapseError that ended it."""
+    """Per run of one order group of an ``training._em_batch`` result: (its rows as a
+    model, NLL trace, converged), or the ComponentCollapseError that ended it."""
     params, traces, endings = result
     return [ending if isinstance(ending, Exception) else
             (fit_of(params, b, dataset.schemas), traces[b], ending)
@@ -162,11 +197,11 @@ def spawned(seeds, restarts) -> list:
 
 
 def em_log_joint(model, dataset, n_fits) -> np.ndarray:
-    """``training._em_log_joint`` of a stack of ``n_fits`` models, into a new
-    (n_fits, Z, N) array."""
-    from hetmix.training import _em_log_joint
+    """``training._em_log_joint`` of a stack of ``n_fits`` models of one order, into a
+    new (n_fits, Z, N) array."""
+    from hetmix.training import _em_log_joint, _natural_coefficients
     out = np.empty((n_fits, model.n_components // n_fits, dataset.n_subjects))
-    return _em_log_joint(model, dataset, n_fits, out)
+    return _em_log_joint(model, dataset, _natural_coefficients(model, dataset), 0, out)
 
 
 def recovery_model() -> MixtureModel:

@@ -834,6 +834,32 @@ class TestEvaluate:
         assert {(r[0], r[1]) for r in rows} == {("1", "status")}
         assert len(rows) == 201
 
+    def test_a_target_with_no_known_error_has_no_rows(self, tmp_path, capsys):
+        """``status`` is observed in subjects 0 and 1 alone, whose folds lose its variability
+        and fail: no subject left has a known status error at any order, so status has no row
+        in any table, and severity keeps its rows."""
+        from hetmix import Dataset, sample_cohort, small_demo_model
+        from hetmix.io import write_data_csv
+        model = small_demo_model()
+        cohort, _ = sample_cohort(model, 30, np.random.default_rng(4))
+        status = cohort.column_index("status")
+        rows = [list(cohort.row(i)) for i in range(30)]
+        for i, row in enumerate(rows):
+            row[status] = cohort.schemas[status].domain[i] if i < 2 else MISSING
+        write_data_csv(Dataset(cohort.schemas, rows), tmp_path / "cohort.csv")
+        save_schemas(model.schemas, tmp_path / "schema.json")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--out-dir", str(out), "--data", str(tmp_path / "cohort.csv"),
+                     "--schema", str(tmp_path / "schema.json"), "--orders", "1-2",
+                     "--restarts", "1", "--max-iterations", "10",
+                     "--mode", "ignore_missing"]) == 0
+        assert "2 fold(s) failed and were excluded" in capsys.readouterr().out
+        for table, column in (("performance.csv", 1), ("eae_records.csv", 2),
+                              ("confidence_bins.csv", 1), ("threshold_curve.csv", 1),
+                              ("error_density.csv", 1)):
+            _, got = _read_csv(out / table)
+            assert {row[column] for row in got} == {"severity"}, table
+
     def test_unobserved_zero_likelihood_subject_rows(self, tmp_path):
         """Seed 38's 13-row cohort: subject 7 has no observed truth, and zero likelihood
         under its folds' models. It keeps a confidence row of -inf at percentile 0 at orders
@@ -978,6 +1004,21 @@ class TestEvaluateOptions:
                      "--orders", "1", "--restarts", "1", "--mode", "model_missing"])
         assert code == 3
         assert _last_error(capsys)["message"] == "at least one target is required"
+        assert list(out.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("target, kind", [("dose", "nonnegative"), ("marker_a", "real")])
+    def test_continuous_target_exit_3_names_the_accepted_kinds(self, work, tmp_path, capsys,
+                                                               target, kind):
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", "1", "--restarts", "1", "--mode", "model_missing",
+                     "--targets", target])
+        assert code == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert error["message"] == (f"{target}: expected-error metrics need an ordinal or "
+                                    f"categorical target, not a {kind} one")
         assert list(out.glob("*.csv")) == []
 
 

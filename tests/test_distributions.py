@@ -227,6 +227,12 @@ class TestQuantizedGaussian:
         q = QuantizedGaussian(2.0, 1.0, (1, 2, 3))
         assert q.log_density(2) == q.log_density(np.int64(2)) == float(q.log_masses[1])
 
+    def test_expectation_is_the_mean_level(self):
+        assert QuantizedGaussian(2.0, 0.5, (1, 2, 3)).expectation == pytest.approx(2.0, abs=1e-15)
+        # pulled towards the inside of the domain, 1.5 * mass(2) + 3 * mass(3) above 1
+        q = QuantizedGaussian(0.0, 1.0, (1, 2, 3))
+        assert q.expectation == pytest.approx(1.0 + q.masses[1] + 2.0 * q.masses[2], rel=1e-15)
+
 
 class TestCategorical:
     def test_mass_table(self):
@@ -237,6 +243,10 @@ class TestCategorical:
     def test_zero_probability_symbol(self):
         c = Categorical((0.0, 1.0), ("a", "b"))
         assert c.log_density("a") == -math.inf
+
+    def test_log_density_of_an_unknown_symbol(self):
+        with pytest.raises(ValueError, match=r"^symbol 'c' not in domain \('a', 'b'\)$"):
+            Categorical((0.2, 0.8), ("a", "b")).log_density("c")
 
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -303,6 +313,16 @@ def test_sampling_is_deterministic():
         a = params.sample(np.random.default_rng(5), size=20)
         b = params.sample(np.random.default_rng(5), size=20)
         assert list(a) == list(b)
+
+
+@pytest.mark.parametrize("cell, kind", [(QuantizedGaussian(2.0, 1.0, (1, 2, 3)), int),
+                                        (Categorical((0.3, 0.7), ("a", "b")), str)])
+def test_one_draw_is_a_domain_value(cell, kind):
+    """Without a size, a finite cell draws one plain level or symbol: the first of
+    the draws that the same generator gives with a size."""
+    draws = cell.sample(np.random.default_rng(5), size=4)
+    one = cell.sample(np.random.default_rng(5))
+    assert type(one) is kind and one in cell.domain and one == draws[0]
 
 
 def _update(kind, values, weights, domain=()):

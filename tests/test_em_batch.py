@@ -1,11 +1,12 @@
 """The batched EM: each fit equals itself run alone, bit for bit, and the
 sequential reference to rounding.
 
-``training._em_batch`` runs B fits in lockstep over every row of the cohort:
-one likelihood pass for all of them per E-step, one batched M-step, whose
-sums are one product of the weights with the cohort's sufficient statistics.
-A leave-one-out fold is the cohort with weight 0 on its held-out row. Each
-fit must come out exactly as ``_em_batch`` run on that fit alone gives it,
+``training._em_batch`` runs B fits of each of several orders in lockstep over
+every row of the cohort: one likelihood pass per order per E-step, and one
+M-step for every fit of every order, whose sums are one product per fit of the
+weights with the cohort's sufficient statistics. A leave-one-out fold is the
+cohort with weight 0 on its held-out row. Each fit must come out exactly as
+``_em_batch`` run on that fit alone gives it,
 and as ``oracles.em_once`` (the sequential loop of one restart on its own
 rows, with plain two-pass weighted moments) gives it to rounding: the same
 failure text, or NLL traces and parameter blocks within NLL_RTOL and
@@ -22,14 +23,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import assert_same_arrays, em_log_joint, m_step_alone, outcomes, spawned, stack
+from conftest import (assert_same_arrays, em_batch, em_log_joint, m_step, m_step_alone, outcomes,
+                      spawned, stack)
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, TrainingError, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
 from hetmix.model import _log_joint
 from hetmix.schema import _kept_ranges
-from hetmix.training import (_CHUNK_ROWS, COLLAPSE_EPS, ComponentCollapseError, _em_batch,
-                             _m_step_batch)
+from hetmix.training import _CHUNK_ROWS, COLLAPSE_EPS, ComponentCollapseError
 
 # The batch sums over all N rows in BLAS order and takes real variances in one
 # pass from standardized sums; the oracle sums each fit's own rows, two-pass.
@@ -106,17 +107,16 @@ def _assert_close(got, reference):
 
 
 def _batch(dataset, held_out, starts):
-    """(subsets, (B, N) kept rows, column scales, (B, Z, N) starts) of fits that
-    leave out ``held_out[b]`` (none if None), from their (M, Z) starts over their
-    own rows; the scales are those of each fit's copy of the cohort."""
-    n = dataset.n_subjects
-    subsets = ([dataset] * len(starts) if held_out is None else
+    """(subsets, (B, N) kept rows, column scales, per order group its (B, Z, N) starts)
+    of fits that leave out ``held_out[b]`` (none if None), from each group's B (M, Z)
+    starts over their own rows; the scales are those of each fit's copy of the cohort."""
+    n, n_fits = dataset.n_subjects, len(starts[0])
+    subsets = ([dataset] * n_fits if held_out is None else
                [dataset.drop_subject(int(s)) for s in held_out])
-    kept = np.arange(n) != (np.full(len(starts), -1) if held_out is None else held_out)[:, None]
-    inits = [start if held_out is None else np.insert(start, held_out[b], 0.0, axis=0)
-             for b, start in enumerate(starts)]
-    return (subsets, kept, np.concatenate([_kept_ranges(s)[3] for s in subsets]),
-            np.ascontiguousarray(np.array(inits).transpose(0, 2, 1)))
+    kept = np.arange(n) != (np.full(n_fits, -1) if held_out is None else held_out)[:, None]
+    inits = [np.array([start if held_out is None else np.insert(start, held_out[b], 0.0, axis=0)
+                       for b, start in enumerate(group)]).transpose(0, 2, 1) for group in starts]
+    return subsets, kept, np.concatenate([_kept_ranges(s)[3] for s in subsets]), inits
 
 
 def _oracle(subset, start, config):
@@ -128,42 +128,48 @@ def _oracle(subset, start, config):
 
 
 def _run_all_three(dataset, held_out, starts, config):
-    """(reference, alone, batched) outcomes of every fit: the sequential
-    oracle, the batch of one, the whole batch."""
+    """(reference, alone, batched) outcomes of every fit of every order group (see
+    ``_batch``), group after group: the sequential oracle, the batch of one fit of
+    one order, the whole batch; and the batch's outcomes per group."""
     subsets, kept, scales, inits = _batch(dataset, held_out, starts)
-    # EM overwrites its starts
-    batched = outcomes(dataset, _em_batch(dataset, kept, scales, inits.copy(), config))
+    batched = [outcomes(dataset, group) for group in em_batch(dataset, kept, scales, inits, config)]
     out = []
-    for b, subset in enumerate(subsets):
-        alone, = outcomes(dataset, _em_batch(dataset, kept[b:b + 1], scales[b:b + 1],
-                                             inits[b:b + 1].copy(), config))
-        out.append((_oracle(subset, starts[b], config), alone, batched[b]))
+    for group, group_inits, group_starts in zip(batched, inits, starts):
+        for b, subset in enumerate(subsets):
+            (run,) = em_batch(dataset, kept[b:b + 1], scales[b:b + 1], [group_inits[b:b + 1]],
+                              config)
+            alone, = outcomes(dataset, run)
+            out.append((_oracle(subset, group_starts[b], config), alone, group[b]))
     return out, batched
 
 
 # orders up to 7: below 8 components NumPy sums a log-sum-exp's terms one after
 # another over (B, Z, N) and over the oracle's (M, Z) alike; 9 is tested below
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 24), order=st.integers(1, 7),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 24),
+       orders=st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True),
        n_fits=st.integers(1, 5), folds=st.booleans(), max_iterations=st.integers(1, 12),
        rel_tol=st.sampled_from([1e-12, 1e-6, 1e-3]), collapse=st.booleans(),
        lone=st.booleans())
 @settings(max_examples=80, deadline=None)
 # a weighted positive mean that underflows to 0: the oracle takes its log as -inf
-@example(seed=284640657, n=19, order=7, n_fits=4, folds=False, max_iterations=7, rel_tol=1e-3,
-         collapse=False, lone=True)
+@example(seed=284640657, n=19, orders=[7], n_fits=4, folds=False, max_iterations=7,
+         rel_tol=1e-3, collapse=False, lone=True)
 # a Gamma component the batch ends at zero_prob 1.0 exactly, the oracle at 1 - 4.6e-12
-@example(seed=2162568554, n=21, order=3, n_fits=5, folds=False, max_iterations=10,
+@example(seed=2162568554, n=21, orders=[3], n_fits=5, folds=False, max_iterations=10,
          rel_tol=1e-12, collapse=False, lone=True)
-def test_batch_equals_sequential_fits(seed, n, order, n_fits, folds, max_iterations,
+def test_batch_equals_sequential_fits(seed, n, orders, n_fits, folds, max_iterations,
                                       rel_tol, collapse, lone):
     rng = np.random.default_rng(seed)
     blank = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
     dataset = _cohort(rng, n, blank, int(rng.integers(n)) if lone else None)
     # leave-one-out folds (every row but one) or restarts (every row)
     held_out = rng.integers(n, size=n_fits) if folds else None
-    starts = [rng.dirichlet(np.ones(order), size=n - folds) for _ in range(n_fits)]
-    if collapse:  # one fit starts with a component that holds no responsibility
-        starts[int(rng.integers(n_fits))][:, int(rng.integers(order))] = 0.0
+    # per order group, the starts of the same fits
+    starts = [[rng.dirichlet(np.ones(order), size=n - folds) for _ in range(n_fits)]
+              for order in orders]
+    if collapse:  # one fit of one order starts with a component that holds no responsibility
+        group = starts[int(rng.integers(len(orders)))]
+        group[int(rng.integers(n_fits))][:, int(rng.integers(group[0].shape[1]))] = 0.0
     config = EmConfig(max_iterations=max_iterations, rel_tol=rel_tol)
     states, _ = _run_all_three(dataset, held_out, starts, config)
     for reference, alone, batched in states:
@@ -181,7 +187,7 @@ def test_order_nine_matches_the_sequential_fit_to_rounding():
     dataset = _cohort(rng, 80, [3], None)
     starts = [rng.dirichlet(np.ones(9), size=80) for _ in range(2)]
     config = EmConfig(max_iterations=12, rel_tol=1e-6)
-    states, batched = _run_all_three(dataset, None, starts, config)
+    states, batched = _run_all_three(dataset, None, [starts], config)
     for reference, alone, got in states:
         assert _state(alone) == _state(got)
         assert len(got[1]) == len(reference[1])
@@ -189,9 +195,10 @@ def test_order_nine_matches_the_sequential_fit_to_rounding():
 
 
 def test_batch_covers_every_way_a_fit_ends():
-    """One batch of restarts and folds (one of which lost "site") in which fits
-    converge, reach the cap, revert and collapse, before their first M-step or
-    after a later one; each ends as the sequential loop ends it."""
+    """One batch of restarts and folds (one of which lost "site") at orders 3 and 2 in
+    which fits converge, reach the cap, revert and collapse, before their first M-step
+    or after a later one, fits of both orders ending in the same iteration; each ends
+    as the sequential loop ends it."""
     rng = np.random.default_rng(0)
     dataset = _cohort(rng, 40, [7], lone_site=4)
     held_out = np.array([4, 0, 9, 1, 2, 3, 5, 6, 8, 10, 11, 9])
@@ -206,20 +213,27 @@ def test_batch_covers_every_way_a_fit_ends():
     late[:, :2] *= (1.0 - 5e-10) / late[:, :2].sum(axis=1, keepdims=True)
     starts.append(late)
     assert late.sum(axis=0)[2] >= COLLAPSE_EPS
+    pairs = [rng.dirichlet(np.ones(2), size=39) for _ in held_out]
+    pairs[5][:, 0] = 0.0
     config = EmConfig(max_iterations=8, rel_tol=1e-4)
-    states, batched = _run_all_three(dataset, held_out, starts, config)
+    states, (batched, paired) = _run_all_three(dataset, held_out, [starts, pairs], config)
     for reference, alone, got in states:
         assert _state(alone) == _state(got)
         assert isinstance(got, Exception) or len(got[1]) == len(reference[1])
         _assert_close(got, reference)
+    assert str(paired[5]) == "component 0 collapsed (total responsibility 0.000e+00)"
+    # fits of both orders converge in the same iteration (after as many M-steps)
+    converged = [{len(o[1]) for o in group if not isinstance(o, Exception) and o[2]}
+                 for group in (batched, paired)]
+    assert converged[0] & converged[1]
     assert isinstance(batched[1], ComponentCollapseError)
     assert str(batched[1]) == "component 2 collapsed (total responsibility 0.000e+00)"
     assert isinstance(batched[-1], ComponentCollapseError)
     assert str(batched[-1]) == "component 2 collapsed (total responsibility 4.016e-09)"
     # it collapsed after its third M-step: capped there, the fit ends with three NLLs
-    _, kept, scales, inits = _batch(dataset, held_out[-1:], starts[-1:])
-    capped, = outcomes(dataset, _em_batch(dataset, kept, scales, inits,
-                                          EmConfig(max_iterations=2, rel_tol=1e-4)))
+    _, kept, scales, inits = _batch(dataset, held_out[-1:], [starts[-1:]])
+    (run,) = em_batch(dataset, kept, scales, inits, EmConfig(max_iterations=2, rel_tol=1e-4))
+    capped, = outcomes(dataset, run)
     assert not isinstance(capped, Exception) and len(capped[1]) == 3
     ends = {("converged" if o[2] else "cap" if len(o[1]) == 8 + 1 else "revert")
             for o in batched if not isinstance(o, Exception)}
@@ -236,8 +250,8 @@ def test_a_fit_whose_restarts_all_collapse_leaves_the_others_stacked(monkeypatch
     folds = np.arange(20) != np.array([3, 7, 11])[:, None]
     scales, children = _kept_ranges(dataset, folds)[3], spawned([5, 6, 7], 2)
     config = EmConfig(max_iterations=6, restarts=2)
-    alone = [training._fit_many(dataset, folds[f:f + 1], scales[f:f + 1], children[f:f + 1], 2,
-                                config) for f in (0, 2)]
+    alone = [training._fit_many(dataset, folds[f:f + 1], scales[f:f + 1], children[f:f + 1],
+                                [2], config)[0] for f in (0, 2)]
     real, doomed = np.random.default_rng, set(map(id, children[1]))
 
     class Starts:
@@ -251,15 +265,15 @@ def test_a_fit_whose_restarts_all_collapse_leaves_the_others_stacked(monkeypatch
             return start
 
     monkeypatch.setattr(np.random, "default_rng", Starts)
-    stacked, fits = training._fit_many(dataset, folds, scales, children, 2, config)
+    (stacked, fits), = training._fit_many(dataset, folds, scales, children, [2], config)
     collapsed = "component 1 collapsed (total responsibility 0.000e+00)"
     assert isinstance(fits[1], TrainingError)
     assert str(fits[1]) == ("all 2 restart(s) failed for order 2: "
                             f"restart 0: {collapsed}; restart 1: {collapsed}")
-    assert stacked.n_components == 2 * 2
-    for f, (model, (trace,)) in zip((0, 1), alone):
+    assert stacked[0].shape == (2, 2)
+    for f, (params, (trace,)) in zip((0, 1), alone):
         assert fits[2 * f] == trace
-        for got, want in zip(stacked._fits(2), model._fits(1), strict=True):
+        for got, want in zip(stacked, params, strict=True):
             assert got[f].tobytes() == want[0].tobytes()
 
 
@@ -286,9 +300,10 @@ def test_a_fold_does_not_depend_on_its_held_out_cells(seed, order):
     held_out = np.full(3, s)
     first, runs = [], []
     for d in (dataset, changed):
-        _, kept, scales, inits = _batch(d, held_out, starts)
-        first.append(_m_step_batch(d, scales, inits, inits.sum(axis=-1)))
-        runs.append(outcomes(d, _em_batch(d, kept, scales, inits, EmConfig(max_iterations=10))))
+        _, kept, scales, inits = _batch(d, held_out, [starts])
+        first.append(m_step(d, scales, np.ascontiguousarray(inits[0])))
+        (run,) = em_batch(d, kept, scales, inits, EmConfig(max_iterations=10))
+        runs.append(outcomes(d, run))
     model, other = first
     assert model.n_components == other.n_components == 3 * order
     for a, b in _array_pairs(model, other):
@@ -309,7 +324,8 @@ def test_chunked_products_span_several_chunks(monkeypatch):
     dataset = _cohort(rng, n, [n - 2], None)
     held_out = np.array([n - 1, n - 30, n - 30])
     starts = [rng.dirichlet(np.ones(3), size=n - 1) for _ in held_out]
-    _, kept, scales, inits = _batch(dataset, held_out, starts)
+    _, kept, scales, (inits,) = _batch(dataset, held_out, [starts])
+    inits = np.ascontiguousarray(inits)
     sums, weighted_block = [], training._weighted_block
 
     def recording(kind, stats, *args):
@@ -318,7 +334,7 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         return weighted_block(kind, stats, *args)
 
     monkeypatch.setattr(training, "_weighted_block", recording)
-    _m_step_batch(dataset, scales, inits, inits.sum(axis=-1))
+    m_step(dataset, scales, inits)
     finite = [v for v, s in enumerate(dataset.schemas) if s.kind.is_finite]
     assert len(sums) == len(finite) > 0
     for v, got in zip(finite, sums):
@@ -327,10 +343,11 @@ def test_chunked_products_span_several_chunks(monkeypatch):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     monkeypatch.undo()
     config = EmConfig(max_iterations=4, rel_tol=1e-12)
-    batched = outcomes(dataset, _em_batch(dataset, kept, scales, inits.copy(), config))
+    (run,) = em_batch(dataset, kept, scales, [inits], config)
+    batched = outcomes(dataset, run)
     for b, outcome in enumerate(batched):
-        alone, = outcomes(dataset, _em_batch(dataset, kept[b:b + 1], scales[b:b + 1],
-                                             inits[b:b + 1].copy(), config))
+        (run,) = em_batch(dataset, kept[b:b + 1], scales[b:b + 1], [inits[b:b + 1]], config)
+        alone, = outcomes(dataset, run)
         assert _state(alone) == _state(outcome)
     stacked = stack([outcome[0] for outcome in batched])
     got = em_log_joint(stacked, dataset, len(held_out))
@@ -360,11 +377,11 @@ def test_a_fold_floors_variances_at_its_own_scale():
     alpha[0, 0, :2] = 1.0
     alpha[0, 1, 2:] = 1.0
     alpha[0, :, 5] = 0.0
-    model = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, alpha.sum(axis=-1))
+    model = m_step(dataset, _kept_ranges(fold)[3], alpha)
     variance = model._blocks[x][1]
     assert variance[0] == pytest.approx(0.025 ** 2, rel=1e-12)  # above the fold's floor
     alpha[0, 0, 1] = 0.0  # one value: the variance is the floor
-    model = _m_step_batch(dataset, _kept_ranges(fold)[3], alpha, alpha.sum(axis=-1))
+    model = m_step(dataset, _kept_ranges(fold)[3], alpha)
     assert model._blocks[x][1][0] == 1e-6 * 0.95 ** 2
     want = oracles.m_step(fold, np.delete(alpha[0], 5, axis=1).T)
     assert model._blocks[x][1][0] == want._blocks[x][1][0]
@@ -403,11 +420,12 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
     import hetmix.training as training
     dataset = _edge_cohort(case)
     runs, totals = [], []
-    em_batch, em_log_joint = training._em_batch, training._em_log_joint
+    real_em_batch, em_log_joint = training._em_batch, training._em_log_joint
 
     def recording_em_batch(*args):
-        runs.append(em_batch(*args))
-        return runs[-1]
+        groups = real_em_batch(*args)
+        runs.extend(groups)  # each order group's (params, traces, endings)
+        return groups
 
     def recording_log_joint(*args):
         out = em_log_joint(*args)
@@ -419,15 +437,13 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
     config = EmConfig(max_iterations=10, restarts=3, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for order in (1, 2, 3):
-            totals.clear()
-            restarts = np.ones((2, 14), dtype=bool)
-            training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3],
-                               spawned([0, 1], config.restarts), order, config)
-            assert totals and all(np.isfinite(t).all() for t in totals)
-            folds = np.arange(14) != np.arange(14)[:, None]
-            training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3],
-                               spawned(range(14), config.restarts), order, config)
+        restarts = np.ones((2, 14), dtype=bool)
+        training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3],
+                           spawned([0, 1], config.restarts), (1, 2, 3), config)
+        assert totals and all(np.isfinite(t).all() for t in totals)
+        folds = np.arange(14) != np.arange(14)[:, None]
+        training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3],
+                           spawned(range(14), config.restarts), (1, 2, 3), config)
     assert sum(len(endings) for _, _, endings in runs) == 3 * (2 + 14) * config.restarts
     for _, traces, endings in runs:
         assert not any(isinstance(ending, Exception) for ending in endings)
@@ -448,10 +464,9 @@ def test_missing_probabilities_are_exact_at_the_extremes():
     dataset = Dataset(base.schemas, cells)
     held_out = np.array([3, 0, 17])
     starts = [rng.dirichlet(np.ones(3), size=24) for _ in held_out]
-    _, _, scales, inits = _batch(dataset, held_out, starts)
-    totals = inits.sum(axis=-1)
-    assert totals.min() >= COLLAPSE_EPS  # no fit collapses
-    model = _m_step_batch(dataset, scales, inits, totals)
+    _, _, scales, (inits,) = _batch(dataset, held_out, [starts])
+    assert inits.sum(axis=-1).min() >= COLLAPSE_EPS  # no fit collapses
+    model = m_step(dataset, scales, np.ascontiguousarray(inits))
     assert model.n_components == 3 * 3
     q = model.missing_probs.reshape(3, 3, -1)
     assert (q[0, :, a] == 1.0).all() and (q[0, :, b] == 0.0).all()

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 from conftest import assert_same_arrays, fit_of, random_model
 from hetmix import (IGNORE_MISSING, MODEL_MISSING, OUTCOME, Dataset, DegenerateSampleError,
-                    EmConfig, FinitePrediction, InferenceRequest,
+                    EmConfig, FinitePrediction, InferenceRequest, SchemaError,
                     SchemaViolationError, TrainingError,
                     VariableSchema, chance_prediction, confidence_bins,
                     confidence_score, error_density, expected_absolute_error,
@@ -76,6 +76,10 @@ class TestPointMetrics:
         schema = VariableSchema("g", "ordinal", (1, 2, 3))
         pred = chance_prediction(schema)
         assert pred.probabilities.tolist() == [1 / 3, 1 / 3, 1 / 3]
+
+    def test_chance_needs_a_finite_domain(self):
+        with pytest.raises(SchemaError, match="^x: need a finite domain$"):
+            chance_prediction(VariableSchema("x", "real"))
 
     @given(st.integers(2, 9), st.integers(0, 8), st.data())
     @settings(max_examples=60, deadline=None)
@@ -293,8 +297,8 @@ class TestFoldSeeds:
 
     def test_each_fold_seeded_once_per_batch(self, monkeypatch):
         """A batch of folds draws each fold's seed and spawns its restarts' seeds
-        once, not once per order, and every order's restarts start from those
-        children; ``fit`` spawns its restarts' seeds once."""
+        once, not once per order, and trains every order in one ``_fit_many`` from
+        those children; ``fit`` spawns its restarts' seeds once."""
         import hetmix.evaluation as ev
         import hetmix.training as training
         calls, spawns, children, fit_many = [], [], [], training._fit_many
@@ -308,9 +312,9 @@ class TestFoldSeeds:
             calls.append(subject)
             return _fold_seed(seed, subject)
 
-        def recorded(dataset, kept, scales, fold_children, order, config):
-            children.append(list(fold_children))
-            return fit_many(dataset, kept, scales, fold_children, order, config)
+        def recorded(dataset, kept, scales, fold_children, orders, config):
+            children.append((list(fold_children), list(orders)))
+            return fit_many(dataset, kept, scales, fold_children, orders, config)
 
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         monkeypatch.setattr(ev, "_fold_seed", counted)
@@ -319,10 +323,10 @@ class TestFoldSeeds:
         config = EmConfig(max_iterations=2, restarts=2, seed=3)
         _evaluate_folds(cohort, range(2, 8), (1, 2, 3), ("severity",), MODEL_MISSING, config)
         assert calls == list(range(2, 8)) and spawns == [2] * 6
-        assert [[c.entropy for c in fold] for fold in children[0]] == \
+        (fold_children, orders), = children
+        assert orders == [1, 2, 3]
+        assert [[c.entropy for c in fold] for fold in fold_children] == \
             [[_fold_seed(3, s)] * 2 for s in range(2, 8)]
-        # a later order trains the folds that have not failed, from the same children
-        assert len(children) == 3 and set(map(id, children[2])) <= set(map(id, children[0]))
         spawns.clear()
         fit(cohort, 2, config)
         assert spawns == [2]
@@ -358,9 +362,9 @@ class TestMaskFolds:
         batches = []
         real = training._em_batch
 
-        def recorded(dataset, kept, scales, inits, config):
+        def recorded(dataset, kept, scales, orders, starts, config):
             batches.append((kept, scales))
-            return real(dataset, kept, scales, inits, config)
+            return real(dataset, kept, scales, orders, starts, config)
 
         monkeypatch.setattr(training, "_em_batch", recorded)
         _evaluate_folds(cohort, range(n), (1,), self.TARGETS, MODEL_MISSING,
@@ -481,6 +485,12 @@ class TestLooEvaluate:
                       for o in result.orders}
             assert len(counts) == 1
 
+    @pytest.mark.parametrize("order, target", [(3, "severity"), (1, "marker_a")])
+    def test_summary_of_a_pair_it_does_not_hold(self, result, order, target):
+        with pytest.raises(KeyError) as caught:
+            result.summary(order, target)
+        assert caught.value.args == ((order, target),)
+
     def test_chance_rows_are_uniform_errors(self, result):
         # order 0 normalized error for a 3-way categorical truth is always
         # 100 * (1 - 1/3) whenever the truth is observed
@@ -527,21 +537,29 @@ class TestLooEvaluate:
         for other in runs[1:]:
             assert_same_arrays(other, runs[0])
 
-    def test_one_em_batch_per_order(self, monkeypatch):
-        """A 120-row cohort, 2 restarts, orders 1-3 (the loo-n120 benchmark's shape) runs each
-        order's 120 folds x 2 restarts as one EM batch."""
+    def test_one_em_batch_per_fold_batch(self, monkeypatch):
+        """A 120-row cohort, 2 restarts, orders 1-3 (the loo-n120 benchmark's shape) runs its
+        120 folds x 2 restarts of every order as one EM batch, whose orders draw their
+        starts in turn into one buffer sized by the largest."""
         import hetmix.training as training
-        sizes, em_batch = [], training._em_batch
+        batches, starts, em_batch = [], [], training._em_batch
 
-        def recorded(dataset, kept, scales, inits, config):
-            sizes.append(inits.shape)
-            return em_batch(dataset, kept, scales, inits, config)
+        def recorded(dataset, kept, scales, orders, draw, config):
+            def recorded_draw(order, out):
+                starts.append((out.shape, out.base))
+                draw(order, out)
+
+            batches.append((kept.shape, list(orders)))
+            return em_batch(dataset, kept, scales, orders, recorded_draw, config)
 
         monkeypatch.setattr(training, "_em_batch", recorded)
         cohort, _ = sample_cohort(small_demo_model(), 120, np.random.default_rng(0))
         loo_evaluate(cohort, (1, 2, 3), ("severity",), MODEL_MISSING,
                      EmConfig(max_iterations=2, restarts=2, seed=0))
-        assert sizes == [(240, order, 120) for order in (1, 2, 3)]
+        assert batches == [((240, 120), [1, 2, 3])]
+        assert [shape for shape, _ in starts] == [(240, order, 120) for order in (1, 2, 3)]
+        buffer = starts[0][1]
+        assert buffer.shape == (240 * 3 * 120,) and all(base is buffer for _, base in starts)
 
     def test_too_few_subjects(self):
         cohort, _ = sample_cohort(small_demo_model(), 2,
@@ -559,7 +577,8 @@ class TestLooEvaluate:
     def test_continuous_target_rejected(self):
         cohort, _ = sample_cohort(small_demo_model(), 6,
                                   np.random.default_rng(0))
-        with pytest.raises(Exception):
+        with pytest.raises(SchemaError, match="^marker_a: expected-error metrics need an "
+                                              "ordinal or categorical target, not a real one$"):
             loo_evaluate(cohort, (1,), ("marker_a",), MODEL_MISSING, EmConfig())
 
     @staticmethod
@@ -697,6 +716,37 @@ class TestLooEvaluate:
         assert result.subjects[~np.isnan(result.errors[1]).all(axis=1)].tolist() == \
             [s for s in range(12) if s != 3]
 
+    @pytest.mark.parametrize("doomed", [(1,), (1, 2)])
+    def test_a_fold_keeps_its_first_failure(self, monkeypatch, doomed):
+        """Fold 3's restarts collapse at order 1 (and at order 2 too): its fits of both
+        orders train in the fold batch's one EM, but the fold carries its order-1
+        failure, no later order is scored for it, and the other folds are as they were."""
+        cohort, _ = sample_cohort(small_demo_model(), 12, np.random.default_rng(2))
+        config = EmConfig(max_iterations=20, restarts=2, seed=0)
+        args = ((1, 2), ("severity", "status"), IGNORE_MISSING, config)
+        clean = _evaluate_folds(cohort, range(12), *args)
+        marked, real = _fold_seed(config.seed, 3), np.random.default_rng
+
+        class Collapsing:  # fold 3's starts of the doomed orders give component 0 nothing
+            def __init__(self, seed):
+                self.rng, self.marked = real(seed), seed.entropy == marked
+
+            def dirichlet(self, alpha, size):
+                start = self.rng.dirichlet(alpha, size)
+                if self.marked and len(alpha) in doomed:
+                    start[:, 0] = 0.0
+                return start
+
+        monkeypatch.setattr(np.random, "default_rng", Collapsing)
+        got = _evaluate_folds(cohort, range(12), *args)
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        assert got[0] == {3: f"all 2 restart(s) failed for order 1: restart 0: {collapsed}; "
+                             f"restart 1: {collapsed}"}
+        others = np.arange(12) != 3
+        assert_same_arrays([a[:, others] for a in got[1:]], [a[:, others] for a in clean[1:]])
+        assert_same_arrays([a[:1, 3] for a in got[1:]], [a[:1, 3] for a in clean[1:]])
+        assert all(np.isnan(a[1:, 3]).all() for a in got[1:])
+
     def test_every_live_fold_failing_an_order_ends_the_folds(self, collapsing_starts):
         """When no live fold trains an order (every start collapses), no stack is
         scored: each subject carries its TrainingError text, every order from 1 on
@@ -747,11 +797,12 @@ class TestLooEvaluate:
         fits, batches = [], []
         real_fit, real_predict = ev._fit_many, ev.predict_batch
 
-        def fit_many(dataset, kept, scales, children, order, config):
+        def fit_many(dataset, kept, scales, children, orders, config):
             assert (kept.sum(axis=1) == 12).all()  # each fold leaves out one row
-            fits.append((order, np.argmin(kept, axis=1).tolist(),
-                         real_fit(dataset, kept, scales, children, order, config)))
-            return fits[-1][2]
+            fitted = real_fit(dataset, kept, scales, children, orders, config)
+            fits.extend((order, np.argmin(kept, axis=1).tolist(), result)
+                        for order, result in zip(orders, fitted))
+            return fitted
 
         def predict(tables, log_joint):
             batches.append(real_predict(tables, log_joint))
@@ -763,14 +814,16 @@ class TestLooEvaluate:
             cohort, range(13), (1, 2), targets, MODEL_MISSING,
             EmConfig(max_iterations=20, restarts=2, seed=0))
         failure = "held-out subject {} has zero likelihood under every component"
-        compared, zero_seen = 0, set()
-        for (order, held_out, (stacked, traces)), (batch, zero) in zip(fits, batches,
-                                                                        strict=True):
+        compared, zero_seen, gone = 0, set(), set()
+        for (order, held_out, (params, traces)), (batch, zero) in zip(fits, batches,
+                                                                       strict=True):
             rows = iter(range(len(batch.posteriors)))
             held = [s for s, trace in zip(held_out, traces)
                     if not isinstance(trace, TrainingError)]
-            trained = [(s, fit_of(stacked._fits(len(held)), f, cohort.schemas))
-                       for f, s in enumerate(held)]
+            # a fold that failed at an earlier order is trained, but scored no more
+            trained = [(s, fit_of(params, i, cohort.schemas)) for i, s in enumerate(held)
+                       if s not in gone]
+            gone.update(set(held_out) - set(held))
             for f, (s, model) in enumerate(trained):
                 log_joint = ev._log_joint(model, cohort, MODEL_MISSING, input_cols)
                 truths = {name: cohort.value(s, cohort.column_index(name)) for name in targets}
@@ -784,6 +837,7 @@ class TestLooEvaluate:
                     row = next(rows)
                 if f in zero and truths:
                     assert failures[s] == failure.format(s)
+                    gone.add(s)
                     continue
                 if s in failures:  # failed at a later order
                     continue

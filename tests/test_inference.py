@@ -243,6 +243,16 @@ class TestPointPredict:
         tie = FinitePrediction((2, 3), np.array([0.5, 0.5]))
         assert point_predict(tie) == 2  # first index, smallest level
 
+    def test_refuses_what_is_not_a_prediction(self):
+        with pytest.raises(TypeError, match=r"^not a prediction: \(0.5, 0.5\)$"):
+            point_predict((0.5, 0.5))
+
+    def test_probability_of_a_value_outside_the_domain(self):
+        pred = FinitePrediction(("a", "b"), np.array([0.25, 0.75]))
+        assert pred.probability_of("b") == 0.75
+        with pytest.raises(ValueError, match=r"^'c' not in domain \('a', 'b'\)$"):
+            pred.probability_of("c")
+
     def test_continuous_uses_expectation(self):
         pred = MixturePrediction(np.array([0.25, 0.75]),
                                  (Gaussian(0.0, 1.0), Gaussian(4.0, 1.0)))

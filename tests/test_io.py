@@ -43,6 +43,14 @@ class TestFormatValue:
         with pytest.raises(ValueError):
             format_value(True)
 
+    def test_other_values_use_str(self):
+        """A value that is no float, int, symbol or real number is written as its str."""
+        from decimal import Decimal
+        from fractions import Fraction
+        assert format_value(Decimal("1.50")) == "1.50"  # not a numbers.Real
+        assert format_value(Fraction(1, 4)) == "0.25"  # a numbers.Real: repr(float)
+        assert format_value(None) == "None"
+
 
 class TestAtomicWrite:
     def test_writes_and_leaves_no_temp(self, tmp_path):

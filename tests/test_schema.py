@@ -29,6 +29,15 @@ class TestVariableSchema:
         s = VariableSchema("x", "real")
         assert s.kind is VariableKind.REAL
 
+    @pytest.mark.parametrize("name", ["", None, 3, b"x"])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(SchemaError, match="^variable name must be a non-empty string$"):
+            VariableSchema(name, "real")
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(SchemaError, match="^unknown variable kind 'interval'$"):
+            VariableSchema("x", "interval")
+
     def test_continuous_kinds_reject_domains(self):
         with pytest.raises(SchemaError):
             VariableSchema("x", "real", (1, 2))

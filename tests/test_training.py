@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import m_step_alone, random_model, recovery_model
+from conftest import em_batch, m_step_alone, random_model, recovery_model
 import hetmix
 from hetmix import (MODEL_MISSING, ComponentCollapseError, Dataset, EmConfig,
                     EstimationError, MixtureModel, SchemaViolationError, TrainingError,
@@ -20,7 +20,7 @@ from hetmix import (MODEL_MISSING, ComponentCollapseError, Dataset, EmConfig,
 from hetmix.distributions import log_sum_exp
 from hetmix.io import model_to_dict
 from hetmix.schema import MISSING, _kept_ranges
-from hetmix.training import MONOTONE_SLACK, _em_batch
+from hetmix.training import MONOTONE_SLACK
 
 # EM's final NLL comes from its E-step, a matrix product with the sufficient
 # statistics; rescoring sums each row's factors. They agree to rounding: over 40
@@ -111,8 +111,8 @@ class TestMStep:
             m_step_alone(ds, alpha)
         inits = np.stack([np.full((2, 50), 0.5), np.ascontiguousarray(alpha.T)])
         with pytest.raises(EstimationError, match="^weights must be finite and nonnegative$"):
-            _em_batch(ds, np.ones((2, 50), dtype=bool), np.repeat(_kept_ranges(ds)[3], 2, 0),
-                      inits, EmConfig())
+            em_batch(ds, np.ones((2, 50), dtype=bool), np.repeat(_kept_ranges(ds)[3], 2, 0),
+                     [inits], EmConfig())
 
     def test_responsibilities_with_missing_cells(self):
         schemas = (VariableSchema("x", "real"),)
@@ -227,21 +227,24 @@ class TestStopRule:
     (converged) or after max_iterations M-steps beyond the first."""
 
     def _counting_m_step(self, monkeypatch, worse_on_call=None):
-        """Record each batched M-step's stacked model; call ``worse_on_call``
-        gets uniform responsibilities instead."""
+        """Record each batched M-step's stacked model; call ``worse_on_call`` of a
+        fit of one order gets the sums of uniform responsibilities instead."""
         import hetmix.training as training
-        real = training._m_step_batch
+        real_sums, real = training._weighted_sums, training._m_step_batch
         produced = []
 
-        def counted(data, scales, responsibilities, totals):
+        def sums(data, responsibilities):
             if len(produced) + 1 == worse_on_call:
                 # every component the same: the order-1 fit, far worse here
                 responsibilities = np.full_like(responsibilities,
                                                 1.0 / responsibilities.shape[-1])
-                totals = responsibilities.sum(axis=-1)
-            produced.append(real(data, scales, responsibilities, totals))
+            return real_sums(data, responsibilities)
+
+        def counted(*args):
+            produced.append(real(*args))
             return produced[-1]
 
+        monkeypatch.setattr(training, "_weighted_sums", sums)
         monkeypatch.setattr(training, "_m_step_batch", counted)
         return produced
 
@@ -251,7 +254,7 @@ class TestStopRule:
         model, trace = fit(ds, 2, EmConfig(restarts=1, seed=1, rel_tol=1e-12))
         assert len(produced) == 4
         # the fit's parameters are the third M-step's, bit for bit, gathered from EM's rows
-        for got, want in zip(model._fits(1), produced[2]._fits(1), strict=True):
+        for got, want in zip(model._fits()[0], produced[2]._fits()[0], strict=True):
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
         assert trace.iterations == 3
         assert not trace.converged
@@ -273,9 +276,9 @@ class TestStopRule:
         _, ds, _ = _cohort(n=300)
         inits = np.random.default_rng(0).dirichlet(np.ones(2), size=(4, 300)).transpose(0, 2, 1)
         inits[3, 1] = 0.0  # collapses before its first M-step
-        params, traces, endings = _em_batch(
+        (params, traces, endings), = em_batch(
             ds, np.ones((4, 300), dtype=bool), np.repeat(_kept_ranges(ds)[3], 4, 0),
-            np.ascontiguousarray(inits), EmConfig(max_iterations=6, rel_tol=1e-3))
+            [inits], EmConfig(max_iterations=6, rel_tol=1e-3))
         assert len(built) > 1 and all(ref() is None for ref in built)
         assert isinstance(endings[3], ComponentCollapseError) and len(traces[3]) == 0
         assert [a.shape[:2] for a in params] == [(4, 2)] * len(params)
@@ -334,32 +337,22 @@ class TestSelectOrder:
         bics = [s.bic for s in selection.scores]
         assert min(bics) == selection.scores[1].bic
 
-    def test_failed_orders_are_recorded(self, monkeypatch):
+    def test_failed_orders_are_recorded(self, collapsing_order):
         _, ds, _ = _cohort(n=120)
-        import hetmix.training as training
-
-        real_fit = training.fit
-
-        def flaky_fit(dataset, order, config=EmConfig(), **kw):
-            if order == 3:
-                raise TrainingError("synthetic failure")
-            return real_fit(dataset, order, config, **kw)
-
-        monkeypatch.setattr(training, "fit", flaky_fit)
-        with pytest.warns(UserWarning):
-            selection = training.select_order(ds, [1, 3], EmConfig(restarts=1))
+        collapsing_order(3)  # every restart of order 3 collapses; order 1 trains
+        with pytest.warns(UserWarning, match="^order 3 failed: "):
+            selection = select_order(ds, [1, 3], EmConfig(restarts=1))
         assert selection.best_order == 1
         row = selection.scores[1]
-        assert row.order == 3 and row.error == "synthetic failure"
+        collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
+        assert row.order == 3 and row.error == ("all 1 restart(s) failed for order 3: "
+                                                f"restart 0: {collapsed}")
         assert row.bic is None
 
-    def test_all_orders_failing_raises(self, monkeypatch):
+    def test_all_orders_failing_raises(self, collapsing_starts):
         _, ds, _ = _cohort(n=40)
-        import hetmix.training as training
-        monkeypatch.setattr(training, "fit",
-                            lambda *a, **k: (_ for _ in ()).throw(TrainingError("no")))
         with pytest.warns(UserWarning), pytest.raises(TrainingError):
-            training.select_order(ds, [1, 2], EmConfig())
+            select_order(ds, [1, 2], EmConfig())
 
     def test_checks_the_cohort_once(self, monkeypatch):
         """A Dataset never changes, so ``validate_dataset`` makes its column check
