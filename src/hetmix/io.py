@@ -5,12 +5,13 @@ numeric output parses back to the identical bits; reruns of a deterministic
 pipeline therefore produce byte-identical files. All writers go through an
 atomic temp-file replace.
 
-A data or evidence CSV is streamed: records are read a chunk at a time, and
-each chunk's observed fields (not the missing token) are parsed a column at a
-time by Python's own ``int`` / ``float`` (as ``_parse_cell`` reads one) and
-appended to per-column lists. The columns then go to the same encoder that
-builds every ``Dataset`` (numpy for a column of admissible plain values,
-``validate_value`` cell by cell for any other), so no row tuple is ever built.
+A data or evidence CSV is streamed into the encoded column store: records are
+read a chunk at a time, and each chunk's columns are encoded at once into
+float64 values and a bool missing mask (``_read_columns``). Observed texts are
+parsed by kind with numpy's casts, which call Python's own ``int`` / ``float``
+(as ``_parse_cell`` reads one), and checked by the same rule that builds every
+``Dataset``; a chunk's column with a bad cell goes cell by cell. The store
+holds encoded arrays, never a Python object per cell, and no row tuple is built.
 
 A model file's parameter block holds a ``family`` name and the fields of that
 family's dataclass. Reading it passes the JSON values unchanged to the
@@ -35,8 +36,8 @@ import numpy as np
 
 from .distributions import Params, family_for
 from .model import MixtureModel
-from .schema import (MISSING, Dataset, SchemaViolationError, VariableKind,
-                     VariableSchema, drop_zero_variability, validate_dataset)
+from .schema import (MISSING, Dataset, SchemaViolationError, VariableKind, VariableSchema,
+                     _admitted, _encode_piece, drop_zero_variability, validate_dataset)
 
 SCHEMA_FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 1
@@ -159,7 +160,7 @@ def _csv_rows(path):
 
     An empty file or a row whose field count differs from the header's raises
     FormatError. Rows are streamed, never collected, so a large file costs
-    only its parsed cells.
+    only its encoded cells.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -175,44 +176,36 @@ def _csv_rows(path):
             yield record
 
 
-_CHUNK_RECORDS = 256  # records parsed a column at a time; bounds the text held
-
-
-def _parse_texts(texts, schema: VariableSchema) -> list:
-    """Observed cell texts of one column as ``_parse_cell`` reads each one:
-    by Python's own ``int`` / ``float``, unparseable text kept as text."""
-    if schema.kind is VariableKind.CATEGORICAL:
-        return texts
-    try:
-        return list(map(int if schema.kind is VariableKind.ORDINAL else float, texts))
-    except ValueError:
-        return [_parse_cell(text, schema) for text in texts]
+_CHUNK_RECORDS = 256  # records encoded at a time; bounds the cell objects held
 
 
 def _read_columns(path, schemas, records, columns, missing_token: str) -> Dataset:
     """CSV records whose fields are the schema ``columns``, in order, as a
     Dataset over every schema; variables the file leaves out are MISSING.
 
-    Records stream in a chunk at a time; each chunk's fields are parsed a
-    column at a time and appended to that column's mask and cells, so no
-    row tuple is built and the file's text is never held whole.
+    Records stream in a chunk at a time. Each chunk's texts become one object
+    array, whose comparison with the missing token gives every column's mask.
+    Each column's observed texts are encoded at once by the rule every Dataset
+    uses (``_admitted``), or if one does not parse or is not admissible, cell by
+    cell as ``_parse_cell`` reads them, with their rows in the file. So no cell's
+    Python object outlives its chunk and no row tuple is built.
     """
     placed = [schemas[j] for j in columns]
     _check_missing_token(placed, missing_token)
-    masks = [[] for _ in placed]
-    cells = [[] for _ in placed]
+    pieces = [[] for _ in placed]
     n_rows = 0
     while chunk := list(itertools.islice(records, _CHUNK_RECORDS)):
+        texts = np.array(chunk, dtype=object).T
+        missing = texts == missing_token
+        for schema, column, mask, column_pieces in zip(placed, texts, missing, pieces):
+            observed = column[~mask]
+            cells = (_parse_cell(text, schema) for text in observed)  # read only if one is bad
+            column_pieces.append(_encode_piece(schema, mask, _admitted(schema, observed), cells,
+                                               n_rows))
         n_rows += len(chunk)
-        for schema, texts, column_masks, column_cells in zip(placed, zip(*chunk), masks, cells):
-            column_masks.append(np.fromiter(map(missing_token.__eq__, texts), dtype=bool,
-                                            count=len(texts)))
-            column_cells.extend(_parse_texts(list(filter(missing_token.__ne__, texts)), schema))
     if not n_rows:
         raise FormatError(f"{path}: no data rows")
-    return Dataset._from_columns(schemas, n_rows, {
-        j: (np.concatenate(column_masks), column_cells)
-        for j, column_masks, column_cells in zip(columns, masks, cells)})
+    return Dataset._from_columns(schemas, n_rows, dict(zip(columns, pieces)))
 
 
 def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> Dataset:

@@ -33,7 +33,7 @@ import numpy as np
 from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
                             _check_params, _log_mass_table, family_for, log_sum_exp)
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind,
-                     VariableSchema, Violation, _column_indices)
+                     VariableSchema, Violation, _column_indices, _encode_plain)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
@@ -174,12 +174,15 @@ def _n_weights(weights) -> int:
 
 def parameter_count(model: MixtureModel) -> int:
     """Free parameters: (Z - 1) mixture weights, Z*V missing probs, family params."""
-    total = (model.n_components - 1) + model.n_components * model.n_variables
-    for schema, block in zip(model.schemas, model._blocks):
-        # a categorical row of K probabilities has K - 1 free ones
-        categorical = schema.kind is VariableKind.CATEGORICAL
-        total += sum(a.size for a in block) - model.n_components * categorical
-    return total
+    return _parameter_count(model.schemas, model.n_components)
+
+
+def _parameter_count(schemas, order: int) -> int:
+    """``parameter_count`` of every model of ``order`` components over ``schemas``: one
+    per block field of each variable, but a categorical row of K probabilities has K - 1."""
+    per_component = sum(len(s.domain) - 1 if s.kind is VariableKind.CATEGORICAL
+                        else len(_BLOCK_FIELDS[s.kind]) for s in schemas)
+    return (order - 1) + order * (len(schemas) + per_component)
 
 
 def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
@@ -285,7 +288,7 @@ def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray
     draw order is fixed (labels, then per variable: missingness, then values
     component by component) so a given seed always yields the same cohort.
     Each variable's draws go to the dataset as one column of plain values
-    (``Dataset._from_columns``).
+    (``schema._encode_plain``).
     """
     if n < 1:
         raise ValueError("need n >= 1 subjects")
@@ -298,5 +301,5 @@ def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray
         draws = np.concatenate([cell.sample(rng, size=c) for cell, c in zip(cells, counts) if c])
         column = np.empty_like(draws)
         column[order] = draws
-        placed[v] = (missing, column[~missing].tolist())
+        placed[v] = [_encode_plain(model.schemas[v], missing, column[~missing].tolist())]
     return Dataset._from_columns(model.schemas, n, placed), labels

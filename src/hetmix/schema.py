@@ -12,13 +12,16 @@ keeps two arrays: the missing mask and one float per cell, a continuous
 cell's value or a finite cell's domain index, NaN where the cell is missing
 or bad.
 
-Encoding goes column by column. A column whose observed cells all have the
-plain Python types of its kind (float or int for real and nonnegative, int
-for ordinal, str for categorical) and are all admissible is encoded by numpy
-in a few array operations. Any other column, one with a bad cell, a bool, a
-numpy scalar or an int too large for its array, takes the per-cell path:
-``VariableSchema.validate_value`` on each cell, which alone words the
-violations, so their text and order do not depend on the path taken.
+Encoding goes column by column, a piece of rows at a time (``_encode_piece``;
+the CSV reader makes one piece per chunk of records). Its observed cells are
+parsed as their source requires: Python cells of their kind's plain type
+(float or int for real and nonnegative, int for ordinal, str for categorical)
+by numpy, CSV texts by ``io``. Then one rule (``_admitted``) encodes them in a
+few array operations if every one is admissible. Any other piece, one with a
+bad cell, a bool, a numpy scalar, an unparseable text or an int too large for
+its array, takes the per-cell path: ``VariableSchema.validate_value`` on each
+cell, which alone words the violations, so their text and order do not depend
+on the path taken.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -249,24 +252,26 @@ class Dataset:
         for i, row in enumerate(rows):
             if len(row) != len(columns):
                 raise SchemaError(f"row {i} has {len(row)} cells, expected {len(columns)}")
-        self._encode(schemas, len(rows),
-                     {j: ([v is MISSING for v in cells], [v for v in cells if v is not MISSING])
-                      for j, cells in zip(columns, zip(*rows))})
+        self._encode(schemas, len(rows), {
+            j: [_encode_plain(schemas[j], np.array([v is MISSING for v in cells], dtype=bool),
+                              [v for v in cells if v is not MISSING])]
+            for j, cells in zip(columns, zip(*rows))})
 
     @classmethod
     def _from_columns(cls, schemas: Sequence[VariableSchema], n_rows: int,
                       placed: dict) -> "Dataset":
-        """A Dataset built from columns instead of rows; ``placed`` as in ``_encode``."""
+        """A Dataset built from encoded columns instead of rows; ``placed`` as in ``_encode``."""
         dataset = cls.__new__(cls)
         dataset._encode(tuple(schemas), n_rows, placed)
         return dataset
 
     def _encode(self, schemas: tuple, n_rows: int, placed: dict):
-        """Check the table's shape, then check and encode each column once.
+        """Check the table's shape, then lay out its encoded columns.
 
-        ``placed`` maps a schema index to that column's missing mask (one
-        bool per row) and its observed cells, in row order; the columns it
-        leaves out are all MISSING.
+        ``placed`` maps a schema index to that column's pieces in row order, each
+        an ``_encode_piece`` (missing mask, values, violations); each column's
+        pieces are concatenated once, into the store. The columns it leaves out
+        are all MISSING.
         """
         if not schemas:
             raise SchemaError("a dataset needs at least one variable")
@@ -280,18 +285,12 @@ class Dataset:
         # column-major, so each column's view is contiguous
         missing = np.ones(shape, dtype=bool, order="F")
         values = np.full(shape, np.nan, order="F")
-        violations = []
-        for j, schema in enumerate(schemas):
-            bad = ()
-            if j in placed:
-                mask, cells = placed[j]
-                missing[:, j] = mask
-                rows = np.flatnonzero(~missing[:, j])
-                encoded = _encode_plain(schema, cells)
-                if encoded is None:
-                    rows, encoded, bad = _encode_per_cell(schema, rows, cells)
-                values[rows, j] = encoded
-            violations.append(bad)
+        violations = [()] * len(schemas)
+        for j, pieces in placed.items():
+            masks, columns, bad = zip(*pieces)
+            np.concatenate(masks, out=missing[:, j])
+            np.concatenate(columns, out=values[:, j])
+            violations[j] = tuple(chain(*bad))
         self._store(schemas, missing, values, tuple(violations))
 
     def _store(self, schemas, missing, values, violations):
@@ -483,26 +482,22 @@ def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple
     return float(centre), float(scale)
 
 
-def _encode_plain(schema: VariableSchema, cells: Sequence):
-    """Encode a column's observed cells with numpy: a finite column's domain
-    indices, a continuous one's values. None, sending the column to the
-    per-cell path, unless every cell has its kind's plain type and is admissible."""
+def _admitted(schema: VariableSchema, cells):
+    """The one rule that admits a column's observed ``cells`` (Python values of their
+    kind's plain type, or texts), encoded: a categorical's symbols as domain indices,
+    an ordinal's levels and a continuous column's values made int64 or float64 by
+    numpy, which calls Python's own ``int`` / ``float``; None if one does not convert
+    or is not admissible."""
     kind = schema.kind
-    types = set(map(type, cells))
     if kind is VariableKind.CATEGORICAL:
-        if not types <= {str}:
-            return None
         codes = np.fromiter(map(schema._domain_index.get, cells, repeat(-1)),
                             dtype=np.int64, count=len(cells))
         return codes if (codes >= 0).all() else None
     ordinal = kind is VariableKind.ORDINAL
-    if not types <= ({int} if ordinal else {int, float}):
-        return None
-    try:  # an int too large for the array raises OverflowError
-        values = np.fromiter(cells, dtype=np.int64 if ordinal else float, count=len(cells))
-        if ordinal:
-            levels = np.array(schema.domain, dtype=np.int64)
-    except OverflowError:
+    try:  # a text that does not parse, or an int too large for its array
+        values = np.asarray(cells, dtype=np.int64 if ordinal else float)
+        levels = np.array(schema.domain, dtype=np.int64)  # empty unless ordinal
+    except (ValueError, OverflowError):
         return None
     if ordinal:
         codes = np.searchsorted(levels, values)
@@ -513,19 +508,35 @@ def _encode_plain(schema: VariableSchema, cells: Sequence):
     return values if admissible.all() else None
 
 
-def _encode_per_cell(schema: VariableSchema, rows: np.ndarray, cells: Sequence):
-    """The admissible rows, their encoded values (as ``_encode_plain``'s) and
-    the column's violations, from ``validate_value`` on each observed cell."""
-    rows_ok, encoded, bad = [], [], []
+def _encode_plain(schema: VariableSchema, missing: np.ndarray, cells: Sequence) -> tuple:
+    """The piece (``_encode_piece``) of a column of Python cells, ``cells`` the observed
+    ones in row order: ``_admitted`` if each has its kind's plain type (float or int for
+    real and nonnegative, int for ordinal, str for categorical), else cell by cell."""
+    plain = {VariableKind.CATEGORICAL: {str}, VariableKind.ORDINAL: {int}}.get(schema.kind,
+                                                                              {int, float})
+    encoded = _admitted(schema, cells) if set(map(type, cells)) <= plain else None
+    return _encode_piece(schema, missing, encoded, cells)
+
+
+def _encode_piece(schema: VariableSchema, missing: np.ndarray, encoded, cells, first: int = 0):
+    """(missing, values, violations) of the rows first, first + 1, ... of a column whose
+    mask is ``missing``: values NaN where missing or bad, else ``encoded`` (the observed
+    cells as ``_admitted`` encodes them) or, if that is None, each of the observed
+    ``cells`` (an iterable, in row order) that ``validate_value`` admits, which alone
+    words the violations of the others."""
+    values = np.full(len(missing), np.nan)
+    if encoded is not None:
+        values[~missing] = encoded
+        return missing, values, ()
+    bad = []
     ordinal = schema.kind is VariableKind.ORDINAL
-    for i, value in zip(rows.tolist(), cells):
+    for i, value in zip(np.flatnonzero(~missing).tolist(), cells):
         if (message := schema.validate_value(value)) is not None:
-            bad.append(Violation(i, schema.name, message))
+            bad.append(Violation(first + i, schema.name, message))
         else:
-            rows_ok.append(i)
-            encoded.append(float(value) if schema.kind.is_continuous
-                           else schema._domain_index[int(value) if ordinal else value])
-    return rows_ok, encoded, tuple(bad)
+            values[i] = (float(value) if schema.kind.is_continuous
+                         else schema._domain_index[int(value) if ordinal else value])
+    return missing, values, tuple(bad)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import (EstimationError, _default_block, _natural_params, _weighted_block,
                             log_sum_exp)
-from .model import MixtureModel, _factors, parameter_count
+from .model import MixtureModel, _factors, _parameter_count, parameter_count
 from .schema import Dataset, SchemaViolationError, _is_int, _kept_ranges, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
@@ -218,6 +218,8 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
     buffer = np.empty(n_runs * max(orders, default=0) * n)
     traces, endings = [[[] for _ in kept] for _ in orders], [[None] * n_runs for _ in orders]
     params, live, stacks = [None] * len(orders), [np.arange(n_runs)] * len(orders), {}
+    # per order and run: the last accepted NLL and how many were accepted
+    lasts, counts = np.full((len(orders), n_runs), np.nan), np.zeros((len(orders), n_runs), int)
     while True:
         sums, weights, groups = [], [], {}
         for g, (order, fits) in enumerate(zip(orders, live)):
@@ -233,25 +235,24 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
                 np.copyto(log_joint, -np.inf, where=~on[:, None])
                 ll = np.where(on, log_sum_exp(log_joint, axis=1), 0.0)
-                nlls = -ll.sum(axis=1)
-                accepted = []
-                for i, b in enumerate(fits.tolist()):
-                    trace, nll = traces[g][b], float(nlls[i])
-                    if trace and nll > trace[-1] + MONOTONE_SLACK:
-                        endings[g][b] = False
-                        continue
-                    trace.append(nll)
-                    accepted.append(i)
-                    converged = len(trace) > 1 and (
-                        trace[-2] - nll <= config.rel_tol * abs(trace[-2]))
-                    if converged or len(trace) > config.max_iterations:
-                        endings[g][b] = converged
-                accepted = np.array(accepted, dtype=np.intp)
+                nlls, last, steps = -ll.sum(axis=1), lasts[g, fits], counts[g, fits]
+                with np.errstate(invalid="ignore"):  # inf - inf: NaN, no decrease
+                    accept = (steps == 0) | ~(nlls > last + MONOTONE_SLACK)
+                    converged = accept & (steps > 0) & (
+                        last - nlls <= float(config.rel_tol) * np.abs(last))
+                go = accept & ~converged & (steps < config.max_iterations)
+                for b, ending in zip(fits[~go].tolist(), converged[~go].tolist()):
+                    endings[g][b] = ending
+                accepted = np.flatnonzero(accept)
+                for b, nll in zip(fits[accepted].tolist(), nlls[accepted].tolist()):
+                    traces[g][b].append(nll)
+                lasts[g, fits[accepted]] = nlls[accepted]
+                counts[g, fits[accepted]] += 1
                 params[g] = params[g] or tuple(np.zeros((n_runs, *a[0].shape)) for a in stacked)
                 for stored, a in zip(params[g], stacked):  # every run accepted: no gather
                     stored[fits[accepted]] = a if accepted.size == fits.size else a[accepted]
                 # in place: the log joint becomes the posteriors (of ended runs too, unread)
-                if (go := np.array([endings[g][b] is None for b in fits.tolist()])).any():
+                if go.any():
                     np.exp(np.subtract(log_joint, ll[:, None], out=log_joint), out=log_joint)
             totals = alpha.sum(axis=-1)
             low = go & (totals.min(axis=1) < COLLAPSE_EPS)
@@ -313,15 +314,15 @@ def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, 
 
 
 def _fit_cohort(dataset: Dataset, orders, config: EmConfig) -> list:
-    """Per order, (model, trace) of the best restart of the fit to every row of
-    ``dataset``, validated, or (None, TrainingError): one ``_fit_many``."""
+    """Per order, (params, trace) of the best restart of the fit to every row of
+    ``dataset``, validated: its (1, Z, ...) arrays (``MixtureModel._from_fits``' layout)
+    and TrainingTrace, or (None, TrainingError): one ``_fit_many``."""
     if violations := validate_dataset(dataset):
         raise SchemaViolationError(violations)
     kept = np.ones((1, dataset.n_subjects), dtype=bool)
     fitted = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3],
                        [np.random.SeedSequence(config.seed).spawn(config.restarts)], orders, config)
-    return [(None if params is None else MixtureModel._from_fits(params, dataset.schemas), trace)
-            for params, (trace,) in fitted]
+    return [(params, trace) for params, (trace,) in fitted]
 
 
 def fit(dataset: Dataset, order: int,
@@ -333,16 +334,20 @@ def fit(dataset: Dataset, order: int,
     identical inputs give an identical model. Restarts whose components
     collapse are skipped; if all collapse, TrainingError is raised.
     """
-    (model, trace), = _fit_cohort(dataset, _checked_orders([order]), config)
+    (params, trace), = _fit_cohort(dataset, _checked_orders([order]), config)
     if isinstance(trace, TrainingError):
         raise trace
-    return model, trace
+    return MixtureModel._from_fits(params, dataset.schemas), trace
 
 
 def bic_score(model: MixtureModel, n_subjects: int, nll: float) -> float:
     """0.5 * T_d * ln N + NLL, for the model's NLL under the model_missing
     likelihood on N subjects (``TrainingTrace.final_nll`` of its fit)."""
-    return 0.5 * parameter_count(model) * np.log(n_subjects) + nll
+    return _bic(parameter_count(model), n_subjects, nll)
+
+
+def _bic(n_params: int, n_subjects: int, nll: float) -> float:
+    return 0.5 * n_params * np.log(n_subjects) + nll
 
 
 @dataclass(frozen=True)
@@ -378,17 +383,18 @@ def select_order(dataset: Dataset, orders,
     orders = _checked_orders(orders)
     scores = []
     best = None
-    for order, (model, trace) in zip(orders, _fit_cohort(dataset, orders, config)):
+    for order, (params, trace) in zip(orders, _fit_cohort(dataset, orders, config)):
         if isinstance(trace, TrainingError):
             warnings.warn(f"order {order} failed: {trace}")
             scores.append(OrderScore(order, None, None, None, None, str(trace)))
             continue
-        bic = bic_score(model, dataset.n_subjects, trace.final_nll)
-        scores.append(OrderScore(order, parameter_count(model),
-                                 trace.final_nll, float(bic), trace.converged))
+        n_params = _parameter_count(dataset.schemas, order)
+        bic = _bic(n_params, dataset.n_subjects, trace.final_nll)
+        scores.append(OrderScore(order, n_params, trace.final_nll, float(bic), trace.converged))
         if best is None or bic < best[0]:
-            best = (bic, order, model, trace)
+            best = (bic, order, params, trace)
     if best is None:
         raise TrainingError("every requested order failed to train")
-    _, order, model, trace = best
-    return OrderSelection(order, model, trace, tuple(scores))
+    _, order, params, trace = best
+    return OrderSelection(order, MixtureModel._from_fits(params, dataset.schemas), trace,
+                          tuple(scores))

@@ -129,6 +129,17 @@ class TestParser:
                               text=True, timeout=60, check=True)
         assert done.stdout == "[]\n"
 
+    def test_module_runs_as_a_program(self):
+        """``python -m hetmix.cli`` runs the command line: its help names every command."""
+        env = dict(os.environ, PYTHONPATH=str(Path(hetmix.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "hetmix.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage:")
+        for command in ("validate", "fit", "select", "infer", "evaluate", "simulate",
+                        "demo-model", "rerun"):
+            assert command in done.stdout
+
 
 class TestEncoding:
     def test_files_are_utf8_under_an_ascii_locale(self, work, tmp_path):

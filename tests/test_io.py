@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import hetmix.io
 from conftest import assert_same_store, random_model
 from hetmix import (MISSING, Dataset, Gaussian, MixtureModel, SchemaViolationError,
                     VariableSchema, sample_cohort, validate_dataset)
+from hetmix.demo import demo_model
 from hetmix.io import (FormatError, _parse_cell, atomic_write_text, format_value,
                        load_dataset, load_model, load_schemas, model_from_dict,
                        model_to_dict, params_from_dict, params_to_dict,
@@ -119,20 +121,22 @@ class TestSchemaFiles:
 
 
 # Cell texts the CSV reader must read exactly as _parse_cell does, column by
-# column: the missing tokens, valid cells, padded and underscored numerals,
-# nan / inf, unparseable text, out-of-domain levels and symbols.
+# column: the missing tokens, valid cells, padded, underscored and Arabic-Indic
+# numerals, nan / inf, an integer too large for int64, a float where a level
+# belongs, unparseable text, out-of-domain levels and symbols.
 _CELL_TEXT = st.one_of(
-    st.sampled_from(["", "NA", "1.5", " 2 ", "1_0", "3", "0", "-0.0", "nan", "-inf",
-                     "1e400", "2.0", "oops", "4", "north", "south", " north", "east"]),
+    st.sampled_from(["", "NA", "1.5", " 2 ", "1_0", "\u0661\u0662", "3", "0", "-0.0", "nan",
+                     "-inf", "1e400", "99999999999999999999", "3.0", "2.0", "oops", "4",
+                     "north", "south", " north", "east"]),
     st.floats(allow_nan=False).map(repr),
     st.integers(-2, 5).map(str),
 )
 
 
 class TestColumnReaderMatchesPerCellReference:
-    """read_data_csv parses and encodes a column at a time, a chunk of
-    records at a time; the result equals a Dataset built from the rows of
-    _parse_cell values, violations included."""
+    """read_data_csv encodes a chunk of records at a time, a column at a time;
+    the result equals a Dataset built from the rows of _parse_cell values,
+    violations (numbered by their row in the file) included."""
 
     @given(data=st.data(), chunk=st.integers(1, 4), token=st.sampled_from(["", "NA"]),
            order=st.permutations(range(len(SCHEMAS))))
@@ -140,8 +144,9 @@ class TestColumnReaderMatchesPerCellReference:
     def test_same_store_and_violations(self, tmp_path_factory, data, chunk, token, order):
         texts = data.draw(st.lists(st.lists(_CELL_TEXT, min_size=len(SCHEMAS),
                                             max_size=len(SCHEMAS)), min_size=1, max_size=9))
-        if data.draw(st.booleans()):  # a bad cell in the last row
-            texts[-1][data.draw(st.integers(0, len(SCHEMAS) - 1))] = "oops"
+        if data.draw(st.booleans()):  # a bad cell in any row, of any chunk
+            row = data.draw(st.integers(0, len(texts) - 1))
+            texts[row][data.draw(st.integers(0, len(SCHEMAS) - 1))] = "oops"
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerows([[SCHEMAS[j].name for j in order]]
@@ -152,6 +157,26 @@ class TestColumnReaderMatchesPerCellReference:
             got = read_data_csv(path, SCHEMAS, missing_token=token)
         assert_same_store(got, want)
         assert validate_dataset(got) == validate_dataset(want)
+
+
+class TestReaderMemory:
+    def test_peak_is_a_small_multiple_of_the_store(self, tmp_path):
+        """No cell's Python object outlives its chunk: reading a 20,000-row
+        demo_model cohort peaks at no more than 2.5 times the bytes of the
+        encoded store it builds (``_values`` and ``_missing``)."""
+        model = demo_model()
+        cohort, _ = sample_cohort(model, 20_000, np.random.default_rng(0))
+        path = tmp_path / "cohort.csv"
+        write_data_csv(cohort, path)
+        read_data_csv(path, model.schemas)  # builds the schemas' cached domain indices
+        tracemalloc.start()
+        try:
+            dataset = read_data_csv(path, model.schemas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_store(dataset, cohort)
+        assert peak <= 2.5 * (dataset._values.nbytes + dataset._missing.nbytes)
 
 
 class TestDataCsv:

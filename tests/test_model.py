@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_model, random_row
+from conftest import KINDS, random_cell_params, random_model, random_row, random_schema
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, Gaussian, InflatedGamma, MixtureModel, QuantizedGaussian,
                     SchemaError, SchemaViolationError, VariableSchema,
@@ -21,6 +21,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     training_confidence_scores)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.distributions import _BLOCK_FIELDS, _check_params
+from hetmix.model import _parameter_count
 from hetmix.io import model_to_dict, write_data_csv
 
 
@@ -126,6 +127,21 @@ class TestMixtureModel:
         model = MixtureModel((0.5, 0.5), (row, row), np.full((2, 4), 0.1), schemas)
         # 1 + 8 + 2*(2 + 3 + 2 + 3) = 29
         assert parameter_count(model) == 29
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameter_count_depends_on_schemas_and_order_alone(self, kind, rng):
+        """select_order counts each order's parameters before it builds any model: for
+        every kind, the count of the schemas and the order is the model's, the size of
+        its parameter arrays less one weight and one probability per categorical row."""
+        for order in (1, 2, 4):
+            schemas = (random_schema("a", kind, rng), random_schema("b", kind, rng))
+            params = [[random_cell_params(s, rng) for s in schemas] for _ in range(order)]
+            model = MixtureModel(np.full(order, 1 / order), params, np.full((order, 2), 0.1),
+                                 schemas)
+            free = order - 1 + model.missing_probs.size + sum(
+                sum(a.size for a in block) - order * (s.kind == "categorical")
+                for s, block in zip(schemas, model._blocks))
+            assert parameter_count(model) == _parameter_count(schemas, order) == free
 
 
 _NAN, _INF = math.nan, math.inf
