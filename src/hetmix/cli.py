@@ -55,9 +55,9 @@ from . import __version__, demo
 from .evaluation import (DegenerateSampleError, confidence_bins, error_density,
                          loo_evaluate, scott_bandwidth, threshold_curve)
 from .inference import infer_many
-from .io import (DEFAULT_MISSING_TOKEN, FormatError, _read_cohort, atomic_write_text, load_dataset,
-                 load_model, params_to_dict, read_evidence_csv, save_model, save_schemas,
-                 sha256_file, write_csv_table, write_data_csv)
+from .io import (DEFAULT_MISSING_TOKEN, FormatError, _read_cohort, _read_json, _write_json,
+                 atomic_write_text, load_dataset, load_model, params_to_dict, read_evidence_csv,
+                 save_model, save_schemas, sha256_file, write_csv_table, write_data_csv)
 from .model import MISSINGNESS_MODES, sample_cohort
 from .schema import (OUTCOME, SchemaError, SchemaViolationError,
                      missingness_profile, validate_dataset)
@@ -97,7 +97,7 @@ def _inputs(arguments: dict) -> dict:
 
 
 def _write_manifest(out_dir, command: str, arguments: dict, outputs: list):
-    payload = {
+    _write_json(out_dir / MANIFEST_NAME, {
         "format_version": MANIFEST_FORMAT_VERSION,
         "tool": "hetmix",
         "tool_version": __version__,
@@ -106,9 +106,7 @@ def _write_manifest(out_dir, command: str, arguments: dict, outputs: list):
         "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
                    for name, path in _inputs(arguments).items()},
         "outputs": sorted(outputs),
-    }
-    atomic_write_text(out_dir / MANIFEST_NAME,
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _em_config(arguments: dict) -> EmConfig:
@@ -169,8 +167,7 @@ def run_validate(arguments: dict, out_dir) -> list:
         "violations": [dataclasses.asdict(v) for v in violations],
         "subjects_with_at_least_m_missing": [int(c) for c in profile.subjects_with_at_least],
     }
-    atomic_write_text(out_dir / "validation_report.json",
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "validation_report.json", report)
     for v in violations:
         print(str(v))
     print(f"{dataset.n_subjects} subjects, {dataset.n_variables} variables, "
@@ -374,8 +371,7 @@ def _execute(command: str, arguments: dict, out_dir) -> int:
 
 
 def run_rerun(args) -> int:
-    with open(args.manifest, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_json(args.manifest)
     if not isinstance(payload, dict):
         raise FormatError("manifest is not a JSON object")
     if payload.get("format_version") != MANIFEST_FORMAT_VERSION:

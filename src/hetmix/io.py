@@ -5,13 +5,14 @@ numeric output parses back to the identical bits; reruns of a deterministic
 pipeline therefore produce byte-identical files. All writers go through an
 atomic temp-file replace.
 
-A data or evidence CSV is streamed into the encoded column store: records are
-read a chunk at a time, and each chunk's columns are encoded at once into
-float64 values and a bool missing mask (``_read_columns``). Observed texts are
-parsed by kind with numpy's casts, which call Python's own ``int`` / ``float``
-(as ``_parse_cell`` reads one), and checked by the same rule that builds every
-``Dataset``; a chunk's column with a bad cell goes cell by cell. The store
-holds encoded arrays, never a Python object per cell, and no row tuple is built.
+Each format has one reader and one writer here. Inputs are UTF-8, a leading BOM
+allowed; a file that cannot be read is a FormatError that names it (exit 3). A
+data or evidence CSV is streamed into the encoded column store a chunk of records
+at a time (``_read_columns``): the chunk's shape checks every record's width, and
+its columns are encoded at once into float64 values and a bool missing mask,
+parsed by kind with numpy's casts, which call Python's own ``int`` / ``float`` (as
+``_parse_cell`` reads one), and checked by the rule that builds every ``Dataset``;
+a chunk's column with a bad cell goes cell by cell.
 
 A model file's parameter block holds a ``family`` name and the fields of that
 family's dataclass. Reading it passes the JSON values unchanged to the
@@ -108,17 +109,21 @@ def schema_from_dict(entry: dict) -> VariableSchema:
 
 
 def save_schemas(schemas, path):
-    payload = {"format_version": SCHEMA_FORMAT_VERSION,
-               "variables": [schema_to_dict(s) for s in schemas]}
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, {"format_version": SCHEMA_FORMAT_VERSION,
+                       "variables": [schema_to_dict(s) for s in schemas]})
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
+    """A JSON file's value; FormatError naming it unless it is UTF-8 (BOM or not) JSON."""
+    with open(path, encoding="utf-8-sig") as handle:
+        try:  # a ValueError: bad syntax, a byte that is not UTF-8, an int of too many digits
             return json.load(handle)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:
             raise FormatError(f"{path}: not valid JSON ({err})") from None
+
+
+def _write_json(path, payload):
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_schemas(path) -> tuple:
@@ -146,66 +151,60 @@ def _parse_cell(text: str, schema: VariableSchema):
         return text  # recorded as a violation by Dataset, not raised here
 
 
+def _read_texts(schema: VariableSchema, texts, missing, first: int = 0) -> tuple:
+    """A column's piece (``_encode_piece``), rows numbered from ``first``: its ``texts`` not
+    ``missing``, encoded at once by ``_admitted`` or else as ``_parse_cell`` reads each."""
+    observed = texts[~missing]
+    cells = (_parse_cell(text, schema) for text in observed)  # read only if one is bad
+    return _encode_piece(schema, missing, _admitted(schema, observed), cells, first)
+
+
 def _check_missing_token(schemas, missing_token: str):
-    """Refuse a missing token that also reads as a categorical symbol or an
+    """Refuse a missing token that would also read as a categorical symbol or an
     ordinal level, since those cells would silently become MISSING."""
     for s in schemas:
-        if s.kind.is_finite and _parse_cell(missing_token, s) in s.domain:
+        if s.kind.is_finite and not _read_texts(s, np.array([missing_token], dtype=object),
+                                                np.zeros(1, dtype=bool))[2]:
             raise FormatError(f"{s.name}: missing token {missing_token!r} is also "
                               "a domain value")
-
-
-def _csv_rows(path):
-    """Yield the header of a CSV file, then its data rows one at a time.
-
-    An empty file or a row whose field count differs from the header's raises
-    FormatError. Rows are streamed, never collected, so a large file costs
-    only its encoded cells.
-    """
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        yield header
-        for i, record in enumerate(reader):
-            if len(record) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(record)} fields, "
-                                  f"expected {len(header)}")
-            yield record
 
 
 _CHUNK_RECORDS = 256  # records encoded at a time; bounds the cell objects held
 
 
-def _read_columns(path, schemas, records, columns, missing_token: str) -> Dataset:
-    """CSV records whose fields are the schema ``columns``, in order, as a
-    Dataset over every schema; variables the file leaves out are MISSING.
+def _read_columns(path, schemas, columns_of, missing_token: str) -> tuple[Dataset, list]:
+    """A CSV file as a Dataset over every schema, the variables it leaves out MISSING, and
+    its columns: the schema indices ``columns_of`` gives for its header (or FormatError).
 
-    Records stream in a chunk at a time. Each chunk's texts become one object
-    array, whose comparison with the missing token gives every column's mask.
-    Each column's observed texts are encoded at once by the rule every Dataset
-    uses (``_admitted``), or if one does not parse or is not admissible, cell by
-    cell as ``_parse_cell`` reads them, with their rows in the file. So no cell's
-    Python object outlives its chunk and no row tuple is built.
+    Records stream in a chunk at a time. Each chunk's texts become one object array, whose
+    shape checks every record's width and whose comparison with the missing token gives
+    every column's mask; ``_read_texts`` reads each column. So no cell's Python object
+    outlives its chunk and no row tuple is built.
     """
-    placed = [schemas[j] for j in columns]
-    _check_missing_token(placed, missing_token)
-    pieces = [[] for _ in placed]
-    n_rows = 0
-    while chunk := list(itertools.islice(records, _CHUNK_RECORDS)):
-        texts = np.array(chunk, dtype=object).T
-        missing = texts == missing_token
-        for schema, column, mask, column_pieces in zip(placed, texts, missing, pieces):
-            observed = column[~mask]
-            cells = (_parse_cell(text, schema) for text in observed)  # read only if one is bad
-            column_pieces.append(_encode_piece(schema, mask, _admitted(schema, observed), cells,
-                                               n_rows))
-        n_rows += len(chunk)
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            if (header := next(reader, None)) is None:
+                raise FormatError(f"{path}: empty file")
+            columns = columns_of(header)
+            placed = [schemas[j] for j in columns]
+            _check_missing_token(placed, missing_token)
+            pieces, n_rows = [], 0
+            while chunk := list(itertools.islice(reader, _CHUNK_RECORDS)):
+                if (texts := np.array(chunk, dtype=object)).shape != (len(chunk), len(header)):
+                    i, k = next((i, len(r)) for i, r in enumerate(chunk) if len(r) != len(header))
+                    raise FormatError(f"{path}: row {n_rows + i} has {k} fields, "
+                                      f"expected {len(header)}")
+                pieces.append([_read_texts(schema, column, mask, n_rows) for schema, column, mask
+                               in zip(placed, texts.T, texts.T == missing_token)])
+                n_rows += len(chunk)
+        except csv.Error as err:
+            raise FormatError(f"{path}: line {reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: {err}") from None
     if not n_rows:
         raise FormatError(f"{path}: no data rows")
-    return Dataset._from_columns(schemas, n_rows, dict(zip(columns, pieces)))
+    return Dataset._from_columns(schemas, n_rows, dict(zip(columns, zip(*pieces)))), columns
 
 
 def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> Dataset:
@@ -217,14 +216,13 @@ def read_data_csv(path, schemas, missing_token: str = DEFAULT_MISSING_TOKEN) -> 
     becomes a cell violation naming the text, which validate_dataset reports.
     """
     schemas = tuple(schemas)
-    records = _csv_rows(path)
-    header = next(records)
     names = [s.name for s in schemas]
-    if sorted(header) != sorted(names):
-        raise FormatError(f"{path}: header {header} does not match schema "
-                          f"names {names}")
-    return _read_columns(path, schemas, records, [names.index(name) for name in header],
-                         missing_token)
+
+    def columns_of(header):
+        if sorted(header) != sorted(names):
+            raise FormatError(f"{path}: header {header} does not match schema names {names}")
+        return [names.index(name) for name in header]
+    return _read_columns(path, schemas, columns_of, missing_token)[0]
 
 
 def read_evidence_csv(path, model: MixtureModel,
@@ -232,12 +230,11 @@ def read_evidence_csv(path, model: MixtureModel,
     """An evidence CSV over some of the model's variables, read like a data
     file into a Dataset over all of them, plus the file's columns (schema
     indices in header order): the evidence. The other variables are MISSING."""
-    records = _csv_rows(path)
-    header = next(records)
-    if len(set(header)) != len(header):
-        raise FormatError(f"{path}: duplicate evidence columns")
-    columns = [model.column_index(name) for name in header]
-    return _read_columns(path, model.schemas, records, columns, missing_token), columns
+    def columns_of(header):
+        if len(set(header)) != len(header):
+            raise FormatError(f"{path}: duplicate evidence columns")
+        return [model.column_index(name) for name in header]
+    return _read_columns(path, model.schemas, columns_of, missing_token)
 
 
 def _write_rows(path, header, rows):
@@ -354,8 +351,7 @@ def model_from_dict(payload: dict) -> MixtureModel:
 
 
 def save_model(model: MixtureModel, path):
-    atomic_write_text(path, json.dumps(model_to_dict(model), indent=2,
-                                       sort_keys=True) + "\n")
+    _write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> MixtureModel:

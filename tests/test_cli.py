@@ -17,7 +17,7 @@ from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
                     ZeroLikelihoodError, infer, point_predict)
 from hetmix.cli import _em_config, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
-                       read_data_csv, save_model, save_schemas)
+                       read_data_csv, save_model, save_schemas, sha256_file)
 
 from conftest import m_step_alone, widest_fit_values
 
@@ -171,6 +171,64 @@ class TestEncoding:
         assert "café" in schemas[[s.name for s in schemas].index("site")].domain
         cohort = read_data_csv(tmp_path / "simulate" / "cohort.csv", schemas)
         assert cohort.n_subjects == 40 and any("café" in cohort.row(i) for i in range(40))
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read is refused with exit 3 and one error line that
+    names it, never a traceback; a UTF-8 byte-order mark is read past."""
+
+    def _refused(self, argv, path, capsys) -> str:
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        message = json.loads(err[0])["error"]["message"]
+        assert message.startswith(f"{path}: ")
+        return message
+
+    def _validate(self, data, schema, tmp_path) -> list:
+        return ["validate", "--data", str(data), "--schema", str(schema),
+                "--out-dir", str(tmp_path / "out")]
+
+    def test_csv_cell_past_the_field_limit(self, work, tmp_path, capsys):
+        lines = work["data"].read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[lines[0].split(",").index("marker_a")] = "1" * 200_000
+        data = tmp_path / "long.csv"
+        data.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+        message = self._refused(self._validate(data, work["schema"], tmp_path), data, capsys)
+        assert "line 2: field larger than field limit" in message
+
+    def test_schema_nested_too_deeply(self, work, tmp_path, capsys):
+        schema = tmp_path / "nested.json"
+        schema.write_text("[" * 200_000)
+        message = self._refused(self._validate(work["data"], schema, tmp_path), schema, capsys)
+        assert "not valid JSON" in message
+
+    @pytest.mark.parametrize("which", ["data", "schema"])
+    def test_byte_not_utf8(self, work, tmp_path, capsys, which):
+        source = work[which]
+        path = tmp_path / source.name
+        text = source.read_bytes()
+        path.write_bytes(text[:9] + b"\xff" + text[10:])
+        files = {"data": work["data"], "schema": work["schema"], which: path}
+        message = self._refused(self._validate(files["data"], files["schema"], tmp_path),
+                                path, capsys)
+        assert "can't decode byte 0xff" in message
+
+    def test_manifest_not_json(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("not json\n")
+        message = self._refused(["rerun", "--manifest", str(manifest),
+                                 "--out-dir", str(tmp_path / "out")], manifest, capsys)
+        assert "not valid JSON" in message
+
+    def test_byte_order_mark_cohort_fits_like_the_plain_one(self, work, tmp_path):
+        data = tmp_path / "cohort.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + work["data"].read_bytes())
+        out = tmp_path / "fit"
+        assert main(["fit", "--out-dir", str(out), "--data", str(data),
+                     "--schema", str(work["schema"]), "--order", "1", "--restarts", "1"]) == 0
+        assert sha256_file(out / "model.json") == sha256_file(work["fit1"] / "model.json")
 
 
 class TestDemoAndSimulate:

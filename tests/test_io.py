@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -12,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetmix.io
-from conftest import assert_same_store, random_model
+from conftest import assert_same_store, random_cell_params, random_model
 from hetmix import (MISSING, Dataset, Gaussian, MixtureModel, SchemaViolationError,
                     VariableSchema, sample_cohort, validate_dataset)
 from hetmix.demo import demo_model
 from hetmix.io import (FormatError, _parse_cell, atomic_write_text, format_value,
                        load_dataset, load_model, load_schemas, model_from_dict,
                        model_to_dict, params_from_dict, params_to_dict,
-                       read_data_csv, save_model, save_schemas, sha256_file,
-                       write_csv_table, write_data_csv)
+                       read_data_csv, read_evidence_csv, save_model, save_schemas,
+                       sha256_file, write_csv_table, write_data_csv)
 
 SCHEMAS = (VariableSchema("age", "real"),
            VariableSchema("dose", "nonnegative"),
@@ -232,9 +233,20 @@ class TestDataCsv:
     def test_missing_token_clash(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("age,dose,stage,site\n1.0,2.0,1,north\n")
-        for token in ("north", "2"):  # a categorical symbol, an ordinal level
+        # a categorical symbol, an ordinal level, and texts that int reads as a level
+        for token in ("north", "2", " 2 ", "\u0662"):
             with pytest.raises(FormatError):
                 read_data_csv(path, SCHEMAS, missing_token=token)
+
+    def test_missing_token_clash_beyond_int64(self, tmp_path):
+        """A level too large for int64 is read cell by cell, and so is the token."""
+        path = tmp_path / "data.csv"
+        path.write_text("stage\n1\n")
+        schemas = (VariableSchema("stage", "ordinal", (1, 2 ** 70)),)
+        for token in ("1", str(2 ** 70)):
+            with pytest.raises(FormatError, match=f"missing token '{token}'"):
+                read_data_csv(path, schemas, missing_token=token)
+        assert read_data_csv(path, schemas, missing_token="2").row(0) == (1,)
 
     @pytest.mark.parametrize("token", ["north", "2", "0.0", "-0.75"])
     def test_write_refuses_a_token_that_would_not_read_back(self, tmp_path, token):
@@ -255,6 +267,86 @@ class TestDataCsv:
         assert "'oops'" in violations[0].message
         with pytest.raises(SchemaViolationError):
             loaded.value(0, 0)
+
+
+@pytest.fixture(params=["data", "evidence"])
+def read_csv(request):
+    """A reader of CSV files over SCHEMAS: read_data_csv, or read_evidence_csv
+    under a one-component model over them, each giving its Dataset."""
+    if request.param == "data":
+        return lambda path: read_data_csv(path, SCHEMAS)
+    rng = np.random.default_rng(0)
+    model = MixtureModel([1.0], (tuple(random_cell_params(s, rng) for s in SCHEMAS),),
+                         np.full((1, len(SCHEMAS)), 0.2), SCHEMAS)
+    return lambda path: read_evidence_csv(path, model)[0]
+
+
+class TestRecordWidths:
+    """Each chunk of records is checked at once; the error names the first bad record."""
+
+    HEADER = "age,dose,stage,site\n"
+
+    def test_short_record_in_the_second_chunk(self, read_csv, tmp_path):
+        path = tmp_path / "data.csv"
+        records = ["1.0,2.0,1,north\n"] * 600
+        records[300] = "1.0,2.0,1\n"
+        records[400] = "1.0,2.0,1,north,extra\n"
+        path.write_text(self.HEADER + "".join(records))
+        with pytest.raises(FormatError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}: row 300 has 3 fields, expected 4"
+
+    @pytest.mark.parametrize("record", ["1.0,2.0,1\n", "\n"], ids=["short", "blank"])
+    def test_every_record_of_one_wrong_width(self, read_csv, tmp_path, record):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + record * 300)
+        with pytest.raises(FormatError) as err:
+            read_csv(path)
+        width = record.count(",") + 1 if record.strip() else 0
+        assert str(err.value) == f"{path}: row 0 has {width} fields, expected 4"
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read is a FormatError that names it: a CSV cell past
+    csv's field limit, a byte that is not UTF-8, JSON nested too deeply or holding an
+    integer past Python's digit limit. A leading UTF-8 byte-order mark is read past."""
+
+    def test_cell_past_the_field_limit(self, read_csv, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("age,dose,stage,site\n1.0,2.0,1,north\n"
+                        + "1" * 200_000 + ",2.0,1,north\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3: field larger"):
+            read_csv(path)
+
+    def test_csv_byte_not_utf8(self, read_csv, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"age,dose,\xffstage,site\n1.0,2.0,1,north\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*byte 0xff"):
+            read_csv(path)
+
+    def test_csv_byte_order_mark(self, read_csv, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_data_csv(Dataset(SCHEMAS, [(1.5, 0.0, 2, "north"), (MISSING, 3.25, 1, "south")]),
+                       plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert_same_store(read_csv(marked), read_csv(plain))
+
+    @pytest.mark.parametrize("text", [b"[" * 200_000, b'{"format_version": \xff1}',
+                                      b"[" + b"1" * 5000 + b"]"],
+                             ids=["nested", "not-utf8", "int-past-the-digit-limit"])
+    @pytest.mark.parametrize("load", [load_schemas, load_model])
+    def test_unreadable_json(self, tmp_path, text, load):
+        path = tmp_path / "file.json"
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            load(path)
+
+    def test_json_byte_order_mark(self, tmp_path):
+        path = tmp_path / "schema.json"
+        save_schemas(SCHEMAS, path)
+        assert not path.read_bytes().startswith(b"\xef\xbb\xbf")  # written without one
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_schemas(path) == SCHEMAS
 
 
 class TestLoadDataset:
