@@ -50,17 +50,22 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
 
     The largest entries are shifted to 0 and counted apart from the rest
     (Blanchard, Higham and Higham 2021): max + log(count) + log1p(rest / count).
-    A slice of all -inf gives -inf, with no warning.
+    A slice of all -inf gives -inf, and a shift past the float range (1e308
+    against -1e308) an exp of 0, with no warning.
     """
     a = np.asarray(a, dtype=float)
     peak = a.max(axis=axis, keepdims=True)
     top = a == peak
-    count = top.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    count = top.sum(axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rest = np.subtract(a, peak)  # the one input-sized float temporary, freed once summed
-        np.putmask(np.exp(rest, out=rest), top, 0.0)
-        rest = rest.sum(axis=axis, keepdims=True)
-        out = np.log1p(rest / count) + np.log(count) + peak
+        # a top entry's exp(0) - 1 is 0; at an infinite peak it is NaN: that sum is zeroed
+        rest = np.subtract(np.exp(rest, out=rest), top, out=rest).sum(axis=axis, keepdims=True)
+        rest[np.isinf(peak)] = 0.0
+        rest /= count
+        out = np.log1p(rest, out=rest)
+        out += np.log(count, out=count)
+        out += peak
     return out.squeeze(axis)
 
 

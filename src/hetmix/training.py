@@ -128,7 +128,8 @@ def _natural_coefficients(model: MixtureModel, dataset: Dataset) -> tuple:
         block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
         with np.errstate(over="ignore"):
             wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
-        theta[~wide, cols] = block[~wide]
+        theta[:, cols] = block
+        theta[wide, cols] = 0.0
         if wide.any():
             dense.append((v, np.flatnonzero(wide)))
     return theta, dense

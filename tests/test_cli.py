@@ -15,7 +15,7 @@ from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
                     InflatedGamma, MixtureModel, QuantizedGaussian,
                     SchemaViolationError, VariableSchema,
                     ZeroLikelihoodError, infer, point_predict)
-from hetmix.cli import _em_config, build_parser, main, parse_orders
+from hetmix.cli import _em_config, _json_rows, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
                        read_data_csv, save_model, save_schemas, sha256_file)
 
@@ -757,6 +757,21 @@ class TestInferMatchesPerRecordInfer:
         assert [sorted(line) for line in lines] == [["error", "record"]] * 2
 
 
+def test_json_rows_encodes_each_row_as_json_dumps():
+    """Rows of 1, 1024, 1025 and 2049 record matrices and vectors: repeated rows,
+    a value repeated across a chunk boundary, and 0.0 beside -0.0 in one chunk."""
+    rng = np.random.default_rng(4)
+    for n in (1, 1024, 1025, 2049):
+        matrix = rng.choice([0.1, 1.0, 0.0, 1 / 3, 1e-300], size=(n, 3))
+        matrix[::7] = rng.normal(size=3)  # one row repeated through every chunk
+        matrix[n // 3, 2] = np.nan
+        matrix[0, 2] = matrix[-1, 2] = np.pi
+        matrix[n // 2, :2] = -0.0, 0.0
+        assert list(_json_rows(matrix)) == [json.dumps(row)[1:-1] for row in matrix.tolist()]
+        for vector in (matrix[:, 0], matrix[:, 2]):
+            assert list(_json_rows(vector)) == [json.dumps(item) for item in vector.tolist()]
+
+
 class TestPredictionsBytes:
     """predictions.jsonl holds, line by line, ``json.dumps(payload,
     sort_keys=True)`` of the payload built from per-record ``infer``."""
@@ -764,7 +779,8 @@ class TestPredictionsBytes:
     TARGETS = ("grade", "city", "conc")  # not in key order
 
     @staticmethod
-    def _model():
+    def _model(spread=1.0):
+        """Components whose means of x lie ``spread`` times (-2, 1, 3)."""
         schemas = (VariableSchema("x", "real"),
                    VariableSchema("site", "categorical", ("a", "b")),
                    VariableSchema("grade", "ordinal", (1, 2, 3, 4), role="outcome"),
@@ -776,9 +792,9 @@ class TestPredictionsBytes:
                         Categorical(city, ("Zürich", "東京", "Ørsted")),
                         InflatedGamma(zero, 2.0, scale))
                        for mean, grade, city, zero, scale in
-                       ((-2.0, 1.5, (0.6, 0.3, 0.1), 0.2, 1.5),
-                        (1.0, 3.0, (0.1, 0.3, 0.6), 0.05, 0.7),
-                        (3.0, 2.5, (0.3, 0.4, 0.3), 0.4, 3.0)))
+                       ((-2.0 * spread, 1.5, (0.6, 0.3, 0.1), 0.2, 1.5),
+                        (1.0 * spread, 3.0, (0.1, 0.3, 0.6), 0.05, 0.7),
+                        (3.0 * spread, 2.5, (0.3, 0.4, 0.3), 0.4, 3.0)))
         return MixtureModel((0.3, 0.5, 0.2), params, [[0.1, 0.2, 0.1, 0.1, 0.1]] * 3,
                             schemas)
 
@@ -803,30 +819,55 @@ class TestPredictionsBytes:
         return {"record": record, "posterior": predicted.posterior.tolist(),
                 "targets": targets}
 
+    def _infer(self, tmp_path, model, cells):
+        """``hetmix infer``'s exit code and lines on the (x, site) evidence cells,
+        and the lines wanted: ``json.dumps`` of each record's payload."""
+        save_model(model, tmp_path / "model.json")
+        (tmp_path / "evidence.csv").write_text(
+            "x,site\n" + "".join(f"{x},{site}\n" for x, site in cells))
+        code = main(["infer", "--out-dir", str(tmp_path / "out"),
+                     "--model", str(tmp_path / "model.json"),
+                     "--evidence", str(tmp_path / "evidence.csv"),
+                     "--targets", ",".join(self.TARGETS), "--mode", "model_missing"])
+        want = [json.dumps(self._payload(model, i, {
+            "x": MISSING if x == "" else x if x == "oops" else float(x), "site": site}),
+            sort_keys=True) + "\n" for i, (x, site) in enumerate(cells)]
+        text = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="ascii")
+        return code, text.splitlines(keepends=True), want
+
     def test_lines_equal_json_dumps_of_the_payload(self, tmp_path, capsys):
         model = self._model()
-        save_model(model, tmp_path / "model.json")
         rng = np.random.default_rng(8)
         # more records than one encoding chunk; a bad cell, a bad symbol, an
         # explicit missing cell and a symbol of zero likelihood among them
         cells = [(repr(float(x)), "a") for x in rng.normal(0.0, 3.0, 1030)]
         cells[3], cells[500], cells[1024], cells[1029] = \
             ("oops", "a"), ("0.5", "atlantis"), ("", "a"), ("1.0", "b")
-        (tmp_path / "evidence.csv").write_text(
-            "x,site\n" + "".join(f"{x},{site}\n" for x, site in cells))
-        assert main(["infer", "--out-dir", str(tmp_path / "out"),
-                     "--model", str(tmp_path / "model.json"),
-                     "--evidence", str(tmp_path / "evidence.csv"),
-                     "--targets", ",".join(self.TARGETS), "--mode", "model_missing"]) == 5
+        code, got, want = self._infer(tmp_path, model, cells)
+        assert code == 5
         assert "1027 of 1030 records inferred" in capsys.readouterr().out
-        want = [json.dumps(self._payload(model, i, {
-            "x": MISSING if x == "" else x if x == "oops" else float(x), "site": site}),
-            sort_keys=True) + "\n" for i, (x, site) in enumerate(cells)]
-        text = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="ascii")
-        assert text.splitlines(keepends=True) == want
+        assert got == want
         assert [i for i, line in enumerate(want) if '"error"' in line] == [3, 500, 1029]
         assert json.loads(want[1029])["error"] == "evidence has zero likelihood under every component"
         assert "\\u6771\\u4eac" in want[0]  # the non-ASCII symbol, as json escapes it
+
+    def test_lines_keep_their_bytes_when_most_rows_repeat(self, tmp_path, capsys):
+        """Components far apart: most posteriors are exactly 1.0 and 0.0, so most
+        probability rows equal one component's masses, across two chunks."""
+        model = self._model(spread=30.0)
+        rng = np.random.default_rng(9)
+        x = rng.choice([-60.0, 30.0, 90.0], 2100) + rng.normal(0.0, 1.5, 2100)
+        cells = [(repr(float(v)), "a") for v in x]
+        cells[1500] = ("oops", "a")
+        code, got, want = self._infer(tmp_path, model, cells)
+        assert code == 5
+        assert "2099 of 2100 records inferred" in capsys.readouterr().out
+        assert got == want
+        payloads = [json.loads(line) for line in want if '"error"' not in line]
+        assert sum(1.0 in p["posterior"] for p in payloads) > 0.9 * len(payloads)
+        rows = {json.dumps([p["targets"][name]["probabilities"] for name in ("grade", "city")])
+                for p in payloads}
+        assert len(rows) < len(cells) / 2
 
 
 @pytest.fixture(scope="module")

@@ -440,25 +440,37 @@ def _log_sum_exp_of_a_where(a, axis=-1):
     peak = a.max(axis=axis, keepdims=True)
     top = a == peak
     count = top.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rest = np.where(top, 0.0, np.exp(a - peak)).sum(axis=axis, keepdims=True)
         return (np.log1p(rest / count) + np.log(count) + peak).squeeze(axis)
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from([(7,), (4, 5), (3, 4, 6)]))
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from([(7,), (4, 5), (3, 4, 6), (240, 3, 120), (2, 6, 1000)]))
 @settings(max_examples=60, deadline=None)
 def test_log_sum_exp_keeps_the_bits_of_the_where(seed, shape):
-    """All -inf slices, +inf, NaN and ties, along every axis of C- and
-    Fortran-ordered inputs: the same bits as the ``np.where`` form."""
+    """All -inf slices, +inf, NaN, ties, ±0, ±1e308 and subnormals, along every
+    axis (EM's shapes along axis 1) of C- and Fortran-ordered inputs: the same
+    bits as the ``np.where`` form. With negative NaNs in the input only a NaN
+    result's sign may differ, so the bits are compared where it is not NaN."""
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 10.0, shape)
-    for value, share in ((-np.inf, 0.2), (np.inf, 0.03), (np.nan, 0.03), (3.0, 0.1)):
+    for value, share in ((-np.inf, 0.2), (np.inf, 0.03), (np.nan, 0.03), (3.0, 0.1),
+                         (0.0, 0.03), (-0.0, 0.03), (1e308, 0.02), (-1e308, 0.02),
+                         (5e-324, 0.02), (-2.5e-310, 0.02)):
         a[rng.random(shape) < share] = value
     a[0] = -np.inf
-    for x in (a, a.T, np.asfortranarray(a)):
-        for axis in range(x.ndim):
+    signed = a.copy()
+    signed[rng.random(shape) < 0.03] = signed.flat[-1] = -np.nan
+    assert np.signbit(signed.flat[-1])
+    for x, y in ((a, signed), (a.T, signed.T), (np.asfortranarray(a), np.asfortranarray(signed))):
+        for axis in (1,) if a.size > 1000 else range(a.ndim):  # EM's components axis
             got = _no_warnings(log_sum_exp, x, axis=axis)
             assert got.tobytes() == _log_sum_exp_of_a_where(x, axis=axis).tobytes()
+            got, want = _no_warnings(log_sum_exp, y, axis=axis), _log_sum_exp_of_a_where(y, axis=axis)
+            nan = np.isnan(want)
+            assert (np.isnan(got) == nan).all()
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(240, 3, 120), (2, 6, 10 ** 4)])
