@@ -373,14 +373,14 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, 
     probability EM estimates, q = missed / (missed + observed), ``zero_prob``
     and ``probs``, is a closed form here.
 
-    Unchecked: the caller, the M-step, replaces the rows without observed
-    weight. Real and ordinal variances are floored at
-    ``_variance_floor(column_scale)`` (broadcast against (...,)), computed only
-    for them; the other floors are the module's constants. A row's result is a
-    closed form of it alone: ordinal moments from the level counts, real ones
-    in one pass; the Gamma keeps zeros out of its sums (their mass is
-    ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) /
-    (12 g) with g = log(weighted mean) - weighted mean of logs.
+    Unchecked: the caller, the M-step, replaces the rows without observed weight.
+    A real variance is floored at ``_variance_floor(column_scale)`` (the span of
+    the fit's kept values, broadcast against (...,); no other kind reads it), an
+    ordinal's at its domain's span's; the other floors are the module's constants.
+    A row's result is a closed form of it alone: ordinal moments from the level
+    counts, real ones in one pass; the Gamma keeps zeros out of its sums (their
+    mass is ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 +
+    24 g)) / (12 g) with g = log(weighted mean) - weighted mean of logs.
     """
     missed, stats = sums[..., 0], sums[..., 1:]
     observed = (stats.sum(axis=-1) if kind.is_finite else stats[..., 0] + stats[..., 1]
@@ -393,7 +393,8 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, 
         levels = np.asarray(domain, dtype=float)
         mean = np.vecdot(stats, levels) / observed
         var = np.vecdot(stats, (levels - mean[..., None]) ** 2) / observed
-        return missing_prob, observed, (mean, np.maximum(var, _variance_floor(column_scale)))
+        floor = _variance_floor(float(domain[-1] - domain[0]))  # the integer span, rounded once
+        return missing_prob, observed, (mean, np.maximum(var, floor))
     if kind is VariableKind.REAL:
         centre, scale = unit
         mean = stats[..., 1] / observed

@@ -8,9 +8,9 @@ Building a ``Dataset`` checks and encodes each cell once, recording bad cells
 (unparseable text included) as violations instead of raising so that
 malformed files can still be reported on; ``validate_dataset`` returns the
 violations and training and inference refuse invalid data. A ``Dataset``
-keeps two arrays: the missing mask and one float per cell, a continuous
-cell's value or a finite cell's domain index, NaN where the cell is missing
-or bad.
+keeps two arrays, laid out for every dataset by ``Dataset._encode``: the
+missing mask and one float per cell, a continuous cell's value or a finite
+cell's domain index, NaN where the cell is missing or bad.
 
 Encoding goes column by column, a piece of rows at a time (``_encode_piece``;
 the CSV reader makes one piece per chunk of records). Its observed cells are
@@ -168,8 +168,8 @@ class VariableSchema:
 def _checked_domain(kind: VariableKind, domain) -> tuple:
     """A finite ``kind``'s ``domain`` as a tuple; SchemaError unless it has at
     least 2 values: integers, not bools, strictly increasing for an ordinal (made
-    ints), distinct non-empty strings for a categorical. Schemas and cells
-    both check domains here."""
+    ints), which stay distinct as floats, with a finite float span; distinct
+    non-empty strings for a categorical. Schemas and cells both check domains here."""
     domain = tuple(domain)
     if len(domain) < 2:
         raise SchemaError("finite domain needs at least 2 values")
@@ -179,6 +179,12 @@ def _checked_domain(kind: VariableKind, domain) -> tuple:
         domain = tuple(int(d) for d in domain)
         if any(a >= b for a, b in zip(domain, domain[1:])):
             raise SchemaError("ordinal domain must be strictly increasing")
+        try:  # the model reads the levels, and their span, as floats
+            floats = [float(d) for d in (*domain, domain[-1] - domain[0])]
+        except OverflowError:  # an int past the float range
+            floats = []
+        if len(set(floats[:-1])) < len(domain):
+            raise SchemaError("ordinal levels and their span must be finite, distinct floats")
     elif not all(isinstance(d, str) and d for d in domain):
         raise SchemaError("categorical domain must be non-empty strings")
     elif len(set(domain)) != len(domain):
@@ -235,7 +241,7 @@ class Dataset:
     missing or bad. Only these are kept: ``value`` and ``row`` decode cells,
     ``column_numeric`` and ``column_codes`` derive a column's levels or codes,
     and reading a bad cell, or a view of a column with bad cells, raises
-    SchemaViolationError. Subsets slice the arrays, unchecked.
+    SchemaViolationError. Subsets lay out each column's slice alike, unchecked.
     EM's sufficient statistics (``_stats``, the finite columns' as a uint8
     one-hot) and ``validate_dataset``'s findings (``_findings``) are built on
     first use.
@@ -260,7 +266,7 @@ class Dataset:
     @classmethod
     def _from_columns(cls, schemas: Sequence[VariableSchema], n_rows: int,
                       placed: dict) -> "Dataset":
-        """A Dataset built from encoded columns instead of rows; ``placed`` as in ``_encode``."""
+        """A Dataset from ``_encode``'s column pieces, not rows: read, sampled or sliced."""
         dataset = cls.__new__(cls)
         dataset._encode(tuple(schemas), n_rows, placed)
         return dataset
@@ -270,8 +276,8 @@ class Dataset:
 
         ``placed`` maps a schema index to that column's pieces in row order, each
         an ``_encode_piece`` (missing mask, values, violations); each column's
-        pieces are concatenated once, into the store. The columns it leaves out
-        are all MISSING.
+        pieces are concatenated once, into read-only column-major arrays. The
+        columns it leaves out are all MISSING.
         """
         if not schemas:
             raise SchemaError("a dataset needs at least one variable")
@@ -291,13 +297,10 @@ class Dataset:
             np.concatenate(masks, out=missing[:, j])
             np.concatenate(columns, out=values[:, j])
             violations[j] = tuple(chain(*bad))
-        self._store(schemas, missing, values, tuple(violations))
-
-    def _store(self, schemas, missing, values, violations):
         missing.setflags(write=False)
         values.setflags(write=False)
         self.schemas = schemas
-        self.cell_violations = violations
+        self.cell_violations = tuple(violations)
         self._missing = missing
         self._values = values
         self._name_to_column = {s.name: j for j, s in enumerate(schemas)}
@@ -435,24 +438,16 @@ class Dataset:
         return self.subset(keep)
 
     def _take(self, subjects, columns) -> "Dataset":
-        """The given subjects and columns, in order, sliced from the encoded
-        arrays with no cell checked again; violation rows are renumbered."""
+        """The given subjects and columns, in order: each column's slice of the encoded arrays
+        is one piece for ``_from_columns``, no cell checked again, its violation rows renumbered."""
         rows = np.arange(self.n_subjects)[_indices(subjects, "subject")].tolist()
-        if not rows:
-            raise SchemaError("a dataset needs at least one subject")
-        violations = []
-        for j in columns:
+        placed = {}
+        for new_j, j in enumerate(columns):
             by_row = {v.row: v for v in self.cell_violations[j]}
-            violations.append(tuple(replace(by_row[old], row=new)
-                                    for new, old in enumerate(rows) if old in by_row)
-                              if by_row else ())
-        dataset = Dataset.__new__(Dataset)
-        # column-major copies, laid out like the arrays __init__ builds
-        dataset._store(tuple(self.schemas[j] for j in columns),
-                       *(np.asfortranarray(store[np.ix_(rows, columns)])
-                         for store in (self._missing, self._values)),
-                       tuple(violations))
-        return dataset
+            placed[new_j] = [(self._missing[rows, j], self._values[rows, j],
+                              [replace(by_row[old], row=new) for new, old in enumerate(rows)
+                               if old in by_row] if by_row else ())]
+        return Dataset._from_columns([self.schemas[j] for j in columns], len(rows), placed)
 
 
 def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple:
@@ -556,11 +551,10 @@ def _kept_ranges(dataset: Dataset, kept=None) -> tuple:
     """The (F, V) count, min and max of each column's encoded values (its cells
     neither missing nor bad) in the rows each row of the (F, N) mask ``kept``
     keeps (default: one row keeping all), min inf and max -inf where none, one
-    masked reduction per column; and the (F, V) column scales that a fit's variance
-    floors and default parameters read: an ordinal's domain span, 1.0 for a
-    categorical, else the span of the kept values, 1.0 if that is 0 or none is left.
-    The cohort may be unchecked: a span too wide for a float is inf, a column
-    ``validate_dataset`` refuses."""
+    masked reduction per column; and the (F, V) column scales, the span of the kept
+    values (of a finite column, its codes), 1.0 if that is 0 or none is left, which a
+    fit's continuous default parameters and real variance floors read. The cohort may
+    be unchecked: a span too wide for a float is inf, a column ``validate_dataset`` refuses."""
     if kept is None:
         kept = np.ones((1, dataset.n_subjects), dtype=bool)
     shape = (len(kept), dataset.n_variables)
@@ -573,12 +567,7 @@ def _kept_ranges(dataset: Dataset, kept=None) -> tuple:
         high[:, j] = np.where(observed, column, -np.inf).max(axis=1)
     with np.errstate(over="ignore"):
         spans = high - low  # -inf where no value is kept
-    scales = np.where(spans > 0, spans, 1.0)
-    for v, schema in enumerate(dataset.schemas):
-        if schema.kind.is_finite:
-            ordinal = schema.kind is VariableKind.ORDINAL
-            scales[:, v] = schema.domain[-1] - schema.domain[0] if ordinal else 1.0
-    return counts, low, high, scales
+    return counts, low, high, np.where(spans > 0, spans, 1.0)
 
 
 def _no_information(dataset: Dataset, ranges: tuple, kept=None) -> list:

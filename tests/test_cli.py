@@ -416,6 +416,24 @@ class TestValidate:
         assert error["category"] == "validation"
         assert "duplicate variable names: ['x']" in error["message"]
 
+    @pytest.mark.parametrize("domain", [[0, 10**400], [2**60, 2**60 + 1, 2**60 + 2],
+                                        [-10**308, 10**308]])
+    def test_ordinal_domain_not_read_as_floats_exit_3(self, tmp_path, capsys, domain):
+        """One error line and no traceback, for a domain the model cannot read as floats."""
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "variables": [
+            {"name": "g", "kind": "ordinal", "domain": domain}, {"name": "x", "kind": "real"}]}))
+        data = tmp_path / "data.csv"
+        data.write_text("g,x\n,1.0\n,2.0\n")
+        assert main(["validate", "--out-dir", str(tmp_path / "report"),
+                     "--data", str(data), "--schema", str(schema)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        error = json.loads(err[0])["error"]
+        assert error["category"] == "validation"
+        assert error["message"].endswith("g: ordinal levels and their span must be finite, "
+                                         "distinct floats")
+
     def test_schema_variables_not_a_list_exit_3(self, work, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"format_version": 1, "variables": 5}))

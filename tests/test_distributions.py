@@ -297,6 +297,9 @@ def test_cells_evaluate_any_number_the_checks_take():
     (lambda: QuantizedGaussian(2.0, 1.0, (1.5, 2, 3)), "must be integers"),
     (lambda: QuantizedGaussian(2.0, 1.0, (True, 2, 3)), "must be integers"),
     (lambda: QuantizedGaussian(2.0, 1.0, ("1", "2")), "must be integers"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (0, 10**400)), "distinct floats"),
+    (lambda: QuantizedGaussian(2.0**60, 1.0, (2**60, 2**60 + 1, 2**60 + 2)), "distinct floats"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (-10**308, 10**308)), "distinct floats"),
     (lambda: Categorical((0.5, 0.5), ("a", "b", "c")), "lengths differ"),
     (lambda: Categorical((1.0,), ("a",)), "at least 2 values"),
     (lambda: Categorical((0.5, 0.5), ("a", "a")), "duplicates"),
@@ -350,6 +353,16 @@ class TestWeightedMle:
         got = _update(VariableKind.REAL, [5.0, 5.0, 5.0, 15.0], [1.0, 1.0, 1.0, 0.0])
         assert got.mean == 5.0
         assert got.variance == REL_VARIANCE_FLOOR * 100.0
+
+    @pytest.mark.parametrize("domain, values, floor", [
+        # the weight falls on level 2 alone: the floor reads the domain's span, not the kept levels'
+        ((1, 2, 3, 4, 5), [2, 2, 3], 1.6e-05),
+        # the integer span rounded once; float(2**54 + 1) - 3.0 rounds twice, to 2**54 - 4
+        ((3, 2**54 + 1), [3, 3, 2**54 + 1], 3.2451855365842664e+26)])
+    def test_ordinal_variance_floor(self, domain, values, floor):
+        got = _update(VariableKind.ORDINAL, values, [1.0, 1.0, 0.0], domain=domain)
+        assert got.mean == values[0]
+        assert got.variance == floor == REL_VARIANCE_FLOOR * float(domain[-1] - domain[0]) ** 2
 
     def test_quantized_frozen(self):
         got = _update(VariableKind.ORDINAL, [1, 2, 3], [1.0, 1.0, 1.0], domain=(1, 2, 3))
