@@ -212,32 +212,30 @@ def _json_rows(matrix):
 
 
 def _prediction_lines(predicted, errors: dict, n_records: int):
-    """The lines of ``predictions.jsonl``, each ``json.dumps(payload,
-    sort_keys=True)`` of its record's payload. What every record shares (a
-    target's domain or serialized components, and kind) is encoded once, in
-    key order; a record's own floats are encoded by ``json`` and spliced in."""
-    targets = []
+    """The lines of ``predictions.jsonl``, each ``json.dumps(payload, sort_keys=True)`` of its
+    record's payload: one ``%`` template, built once in key order from what all records share
+    (each target's name, kind, and domain or components, ``%`` doubled), filled from per-slot
+    text columns (posterior, index, each target's point and probabilities or weights)."""
+    posteriors = list(_json_rows(predicted.posteriors))
+    heads, columns = [], [posteriors, [i for i in range(n_records) if i not in errors]]
     for name, (schema, table) in sorted(predicted.tables.items()):
         finite = schema.kind.is_finite
         shared = json.dumps({"kind": schema.kind.value, **(
             {"domain": list(schema.domain)} if finite else
             {"components": [params_to_dict(cell) for cell in table]})}, sort_keys=True)
-        targets.append((f'{json.dumps(name)}: {shared[:-1]}, "point": ',
-                        [json.dumps(v) for v in schema.domain] if finite else None,
-                        iter(predicted.points[name].tolist()) if finite else
-                        _json_rows(predicted.points[name]),
-                        _json_rows(predicted.probabilities[name]) if finite else None))
-    posteriors = _json_rows(predicted.posteriors)
-    for i in range(n_records):
-        if i in errors:
-            yield json.dumps({"error": str(errors[i]), "record": i}, sort_keys=True) + "\n"
-            continue
-        posterior = f"[{next(posteriors)}]"
-        fields = ", ".join(
-            f'{head}{next(points)}, "weights": {posterior}}}' if domain is None else
-            f'{head}{domain[next(points)]}, "probabilities": [{next(probabilities)}]}}'
-            for head, domain, points, probabilities in targets)
-        yield f'{{"posterior": {posterior}, "record": {i}, "targets": {{{fields}}}}}\n'
+        heads.append(f'{json.dumps(name)}: {shared[:-1]}, "point": '.replace("%", "%%")
+                     + ('%s, "probabilities": [%s]}' if finite else '%s, "weights": [%s]}'))
+        if finite:  # each point's domain text, picked by code
+            domain = np.array([json.dumps(v) for v in schema.domain], dtype=object)
+            columns += [domain[predicted.points[name]].tolist(),
+                        _json_rows(predicted.probabilities[name])]
+        else:
+            columns += [_json_rows(predicted.points[name]), posteriors]
+    template = '{"posterior": [%s], "record": %s, "targets": {' + ", ".join(heads) + "}}\n"
+    lines = map(template.__mod__, zip(*columns))
+    for i in range(n_records):  # each error line spliced in at its record
+        yield (json.dumps({"error": str(errors[i]), "record": i}, sort_keys=True) + "\n"
+               if i in errors else next(lines))
 
 
 def run_infer(arguments: dict, out_dir) -> list:

@@ -245,37 +245,31 @@ def _write_rows(path, header, rows):
 
 
 def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):
-    """Write ``dataset`` as a CSV that ``read_data_csv`` reads back as written.
-    FormatError, and no file, for a missing token that ``_check_missing_token``
-    refuses (a symbol or a level) or that is the text of an observed continuous cell."""
+    """Write ``dataset`` as a CSV that ``read_data_csv`` reads back as written, or no file:
+    FormatError for a missing token that is a symbol or a level (``_check_missing_token``)
+    or an observed cell's text (``_column_texts``); SchemaViolationError for bad cells."""
     _check_missing_token(dataset.schemas, missing_token)
-    try:  # only a continuous cell of this value can have the token's text
-        value = float(missing_token)
-    except ValueError:
-        value = np.nan  # equal to no cell
-    for j, schema in enumerate(dataset.schemas):
-        column = dataset.column_numeric(j) if schema.kind.is_continuous else np.empty(0)
-        if missing_token in map(format_value, column[column == value].tolist()):
-            raise FormatError(f"{schema.name}: missing token {missing_token!r} is also the "
-                              "text of an observed cell, which would read back as MISSING")
-        dataset._encoded(j)  # refuses a column with bad cells
     rows = (row for start in range(0, dataset.n_subjects, _CHUNK_RECORDS)
             for row in zip(*_column_texts(dataset, start, missing_token)))
     _write_rows(path, dataset.names, rows)
 
 
 def _column_texts(dataset: Dataset, start: int, missing_token: str) -> list:
-    """Each column's cell texts (``format_value``'s) for _CHUNK_RECORDS rows from
-    ``start``, formatted a column at a time from the encoded values: a finite
-    column's level or symbol texts are formatted once and picked by code."""
+    """Each column's cell texts (``format_value``'s) for _CHUNK_RECORDS rows from ``start``,
+    formatted a column at a time from ``Dataset._encoded``, which refuses a column with bad
+    cells: a finite column's level or symbol texts are formatted once and picked by code.
+    FormatError where a continuous chunk holds more token texts than missing cells."""
     texts = []
     for j, schema in enumerate(dataset.schemas):
-        values = dataset._values[start:start + _CHUNK_RECORDS, j]  # NaN: missing
+        values = dataset._encoded(j)[start:start + _CHUNK_RECORDS]  # NaN: missing
         if schema.kind.is_finite:
             labels = np.array([*map(format_value, schema.domain), missing_token], dtype=object)
             texts.append(labels[np.where(np.isnan(values), -1, values).astype(np.int64)].tolist())
         else:
             texts.append([missing_token if x != x else format_value(x) for x in values.tolist()])
+            if texts[-1].count(missing_token) > np.isnan(values).sum():
+                raise FormatError(f"{schema.name}: missing token {missing_token!r} is also the "
+                                  "text of an observed cell, which would read back as MISSING")
     return texts
 
 

@@ -39,6 +39,9 @@ import numpy as np
 INPUT = "input"
 OUTCOME = "outcome"
 ROLES = (INPUT, OUTCOME)
+# the widest ordinal domain: its levels and span below this in magnitude, so that for any
+# N < 2**63 subjects the M-step's weighted level sums and squared deviations (< 2**1023) are finite
+ORDINAL_LIMIT = 2 ** 480
 
 
 class SchemaError(ValueError):
@@ -168,8 +171,9 @@ class VariableSchema:
 def _checked_domain(kind: VariableKind, domain) -> tuple:
     """A finite ``kind``'s ``domain`` as a tuple; SchemaError unless it has at
     least 2 values: integers, not bools, strictly increasing for an ordinal (made
-    ints), which stay distinct as floats, with a finite float span; distinct
-    non-empty strings for a categorical. Schemas and cells both check domains here."""
+    ints), which stay distinct as floats, the levels and their span below
+    ORDINAL_LIMIT in magnitude; distinct non-empty strings for a categorical.
+    Schemas and cells both check domains here."""
     domain = tuple(domain)
     if len(domain) < 2:
         raise SchemaError("finite domain needs at least 2 values")
@@ -185,6 +189,8 @@ def _checked_domain(kind: VariableKind, domain) -> tuple:
             floats = []
         if len(set(floats[:-1])) < len(domain):
             raise SchemaError("ordinal levels and their span must be finite, distinct floats")
+        if max(-domain[0], domain[-1], domain[-1] - domain[0]) >= ORDINAL_LIMIT:
+            raise SchemaError("ordinal levels and their span must be below 2**480 in magnitude")
     elif not all(isinstance(d, str) and d for d in domain):
         raise SchemaError("categorical domain must be non-empty strings")
     elif len(set(domain)) != len(domain):

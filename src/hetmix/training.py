@@ -80,11 +80,17 @@ def _checked_orders(orders) -> list:
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Per-iteration NLL of the winning restart, each <= previous + MONOTONE_SLACK."""
+    """Per-iteration NLL of the winning restart, each <= previous + MONOTONE_SLACK,
+    its index, and why its EM stopped (``_em_batch``'s reason)."""
 
     nll_per_iteration: tuple
     restart_index: int
-    converged: bool  # True only when the rel_tol test stopped EM
+    stop_reason: str  # what ended EM: "tol", "max_iterations" or "revert"
+
+    @property
+    def converged(self) -> bool:
+        """True only when the rel_tol test stopped EM."""
+        return self.stop_reason == "tol"
 
     @property
     def iterations(self) -> int:
@@ -199,15 +205,15 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
     left out, which then has no part in its NLL and posteriors). Returns per order
     (params, traces, endings), per run b: row b of the (B, Z, ...) arrays of
     ``MixtureModel._fits``, its last accepted M-step (params is None if no run
-    reached one); its NLL per accepted M-step; and True (converged), False (the cap
-    or a revert) or the ComponentCollapseError that ended it.
+    reached one); its NLL per accepted M-step; and its stop reason, "tol" (converged),
+    "max_iterations" or "revert", or the ComponentCollapseError that ended it.
 
     Every ending is decided here. A run carries its parameters to the next iteration,
     so one (B, Z, N) buffer, of the largest order, serves the groups in turn: their
     starts, then per iteration their E-steps (``_em_log_joint``), posteriors in place.
-    A rise over MONOTONE_SLACK (approximate M-steps overshoot) ends a run, its rows
-    left as they are; else its rows take the M-step, and it stops at a relative
-    decrease <= rel_tol (converged) or after max_iterations more M-steps. Before each
+    A rise over MONOTONE_SLACK (approximate M-steps overshoot) ends a run ("revert"),
+    its rows left as they are; else its rows take the M-step, and it stops at a relative
+    decrease <= rel_tol ("tol") or after max_iterations more M-steps. Before each
     M-step, a run with a component of total responsibility below COLLAPSE_EPS
     collapses; the others move to the buffer's front and give their
     ``_weighted_sums``, and one ``_m_step_batch`` serves every group. Precondition
@@ -242,8 +248,9 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                     converged = accept & (steps > 0) & (
                         last - nlls <= float(config.rel_tol) * np.abs(last))
                 go = accept & ~converged & (steps < config.max_iterations)
-                for b, ending in zip(fits[~go].tolist(), converged[~go].tolist()):
-                    endings[g][b] = ending
+                reasons = np.where(converged, "tol", np.where(accept, "max_iterations", "revert"))
+                for b, reason in zip(fits[~go].tolist(), reasons[~go].tolist()):
+                    endings[g][b] = reason
                 accepted = np.flatnonzero(accept)
                 for b, nll in zip(fits[accepted].tolist(), nlls[accepted].tolist()):
                     traces[g][b].append(nll)

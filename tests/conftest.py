@@ -184,7 +184,7 @@ def fit_of(arrays, b, schemas) -> MixtureModel:
 
 def outcomes(dataset, result) -> list:
     """Per run of one order group of an ``training._em_batch`` result: (its rows as a
-    model, NLL trace, converged), or the ComponentCollapseError that ended it."""
+    model, NLL trace, stop reason), or the ComponentCollapseError that ended it."""
     params, traces, endings = result
     return [ending if isinstance(ending, Exception) else
             (fit_of(params, b, dataset.schemas), traces[b], ending)

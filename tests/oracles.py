@@ -204,8 +204,8 @@ def em_once(dataset, order, config, rng):
     """One restart: random responsibilities, M-step, then EM scoring each model once.
 
     A rise over MONOTONE_SLACK (approximate M-steps overshoot) keeps the previous
-    model; else EM stops at a relative decrease <= rel_tol (converged) or after
-    max_iterations more M-steps."""
+    model ("revert"); else EM stops at a relative decrease <= rel_tol ("tol") or after
+    max_iterations more M-steps ("max_iterations"). Returns (model, NLLs, reason)."""
     model = m_step(dataset, rng.dirichlet(np.ones(order), size=dataset.n_subjects))
     nlls: list[float] = []
     while True:
@@ -214,11 +214,11 @@ def em_once(dataset, order, config, rng):
         posteriors = np.exp(log_joint - totals[:, None])
         nll = float(-totals.sum())
         if nlls and nll > nlls[-1] + MONOTONE_SLACK:
-            return previous_model, nlls, False
+            return previous_model, nlls, "revert"
         nlls.append(nll)
         if len(nlls) > 1 and nlls[-2] - nll <= config.rel_tol * abs(nlls[-2]):
-            return model, nlls, True
+            return model, nlls, "tol"
         if len(nlls) > config.max_iterations:
-            return model, nlls, False
+            return model, nlls, "max_iterations"
         previous_model = model
         model = m_step(dataset, posteriors)

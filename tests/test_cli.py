@@ -420,6 +420,21 @@ class TestValidate:
                                         [-10**308, 10**308]])
     def test_ordinal_domain_not_read_as_floats_exit_3(self, tmp_path, capsys, domain):
         """One error line and no traceback, for a domain the model cannot read as floats."""
+        assert self._ordinal_domain_error(tmp_path, capsys, domain).endswith(
+            "g: ordinal levels and their span must be finite, distinct floats")
+
+    @pytest.mark.parametrize("domain", [[0, 2**600], [0, 2**511], [-2**481, 0]])
+    def test_ordinal_domain_past_the_bound_exit_3(self, tmp_path, capsys, domain):
+        """One error line and no traceback, for levels or a span of 2**480 or more, whose
+        squared deviations an M-step on enough rows would overflow ([0, 2**600] used to
+        pass validate and fail fit)."""
+        assert self._ordinal_domain_error(tmp_path, capsys, domain).endswith(
+            "g: ordinal levels and their span must be below 2**480 in magnitude")
+
+    @staticmethod
+    def _ordinal_domain_error(tmp_path, capsys, domain):
+        """The message of validate's one error line (exit 3, no traceback) on a schema of
+        an ordinal ``g`` over ``domain`` beside a real ``x``."""
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"format_version": 1, "variables": [
             {"name": "g", "kind": "ordinal", "domain": domain}, {"name": "x", "kind": "real"}]}))
@@ -431,8 +446,7 @@ class TestValidate:
         assert len(err) == 1 and "Traceback" not in err[0]
         error = json.loads(err[0])["error"]
         assert error["category"] == "validation"
-        assert error["message"].endswith("g: ordinal levels and their span must be finite, "
-                                         "distinct floats")
+        return error["message"]
 
     def test_schema_variables_not_a_list_exit_3(self, work, tmp_path, capsys):
         schema = tmp_path / "schema.json"
@@ -794,36 +808,41 @@ class TestPredictionsBytes:
     """predictions.jsonl holds, line by line, ``json.dumps(payload,
     sort_keys=True)`` of the payload built from per-record ``infer``."""
 
-    TARGETS = ("grade", "city", "conc")  # not in key order
+    CITIES = ("Zürich", "東京", "Ørsted")
 
     @staticmethod
-    def _model(spread=1.0):
-        """Components whose means of x lie ``spread`` times (-2, 1, 3)."""
+    def _model(spread=1.0, city="city", cities=CITIES):
+        """Components whose means of x lie ``spread`` times (-2, 1, 3); the outcomes
+        ``grade``, ``city`` (so named by default) and ``conc``, not in key order."""
         schemas = (VariableSchema("x", "real"),
                    VariableSchema("site", "categorical", ("a", "b")),
                    VariableSchema("grade", "ordinal", (1, 2, 3, 4), role="outcome"),
-                   VariableSchema("city", "categorical", ("Zürich", "東京", "Ørsted"),
-                                  role="outcome"),
+                   VariableSchema(city, "categorical", cities, role="outcome"),
                    VariableSchema("conc", "nonnegative", role="outcome"))
         params = tuple((Gaussian(mean, 1.5), Categorical((1.0, 0.0), ("a", "b")),
                         QuantizedGaussian(grade, 0.8, (1, 2, 3, 4)),
-                        Categorical(city, ("Zürich", "東京", "Ørsted")),
+                        Categorical(probs, cities),
                         InflatedGamma(zero, 2.0, scale))
-                       for mean, grade, city, zero, scale in
+                       for mean, grade, probs, zero, scale in
                        ((-2.0 * spread, 1.5, (0.6, 0.3, 0.1), 0.2, 1.5),
                         (1.0 * spread, 3.0, (0.1, 0.3, 0.6), 0.05, 0.7),
                         (3.0 * spread, 2.5, (0.3, 0.4, 0.3), 0.4, 3.0)))
         return MixtureModel((0.3, 0.5, 0.2), params, [[0.1, 0.2, 0.1, 0.1, 0.1]] * 3,
                             schemas)
 
+    @staticmethod
+    def _targets(model):
+        return tuple(s.name for s in model.schemas if s.role == "outcome")
+
     def _payload(self, model, record, evidence):
         """The payload of one record, built as the writer of earlier versions did."""
         try:
-            predicted = infer(model, InferenceRequest(evidence, self.TARGETS, "model_missing"))
+            predicted = infer(model, InferenceRequest(evidence, self._targets(model),
+                                                      "model_missing"))
         except (SchemaViolationError, ZeroLikelihoodError) as err:
             return {"record": record, "error": str(err)}
         targets = {}
-        for name in self.TARGETS:
+        for name in self._targets(model):
             schema, prediction = model.schema(name), predicted[name]
             if schema.kind.is_finite:
                 targets[name] = {"kind": schema.kind.value, "domain": list(schema.domain),
@@ -846,7 +865,7 @@ class TestPredictionsBytes:
         code = main(["infer", "--out-dir", str(tmp_path / "out"),
                      "--model", str(tmp_path / "model.json"),
                      "--evidence", str(tmp_path / "evidence.csv"),
-                     "--targets", ",".join(self.TARGETS), "--mode", "model_missing"])
+                     "--targets", ",".join(self._targets(model)), "--mode", "model_missing"])
         want = [json.dumps(self._payload(model, i, {
             "x": MISSING if x == "" else x if x == "oops" else float(x), "site": site}),
             sort_keys=True) + "\n" for i, (x, site) in enumerate(cells)]
@@ -886,6 +905,19 @@ class TestPredictionsBytes:
         rows = {json.dumps([p["targets"][name]["probabilities"] for name in ("grade", "city")])
                 for p in payloads}
         assert len(rows) < len(cells) / 2
+
+    def test_names_and_symbols_with_percent_and_quote(self, tmp_path, capsys):
+        """A target name and categorical symbols holding ``%`` and ``"``, which the
+        line template shares by every record: the lines still equal the payloads'."""
+        model = self._model(city='ci%ty "%s"', cities=("100%", '"q"', "%d%%"))
+        cells = [("0.5", "a"), ("oops", "a"), ("-3.0", "a"), ("", "a"), ("1.0", "b")]
+        code, got, want = self._infer(tmp_path, model, cells)
+        assert code == 5
+        assert "3 of 5 records inferred" in capsys.readouterr().out
+        assert got == want
+        assert [i for i, line in enumerate(want) if '"error"' in line] == [1, 4]
+        payload = json.loads(want[0])["targets"]['ci%ty "%s"']
+        assert payload["domain"] == ["100%", '"q"', "%d%%"]
 
 
 @pytest.fixture(scope="module")

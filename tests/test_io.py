@@ -251,11 +251,24 @@ class TestDataCsv:
     @pytest.mark.parametrize("token", ["north", "2", "0.0", "-0.75"])
     def test_write_refuses_a_token_that_would_not_read_back(self, tmp_path, token):
         """A symbol, a level, or the text of an observed value (the 0.0 dose,
-        the -0.75 age) would read back as MISSING: refused, and no file written."""
-        path = tmp_path / "data.csv"
-        with pytest.raises(FormatError, match=f"missing token '{token}'"):
-            write_data_csv(self._dataset(), path, missing_token=token)
-        assert not path.exists()
+        the -0.75 age) would read back as MISSING: refused, and no file written,
+        also where the only clashing cells follow 520 rows, in the third chunk of
+        256 records, after two chunks were written."""
+        rows = [(1.5, 3.25, 2, "south")] * 520 + [self._dataset().row(i) for i in range(3)]
+        for dataset in (self._dataset(), Dataset(SCHEMAS, rows)):
+            with pytest.raises(FormatError, match=f"missing token '{token}'"):
+                write_data_csv(dataset, tmp_path / "data.csv", missing_token=token)
+            assert not any(tmp_path.iterdir())  # not even a .tmp-* file
+
+    def test_write_refuses_a_bad_cell_past_row_512(self, tmp_path):
+        """A cohort whose one bad cell, at row 530, is in the third chunk of 256
+        records: SchemaViolationError naming it, and no file written."""
+        rows = [(1.5, 3.25, 2, "south")] * 600
+        rows[530] = (1.5, 3.25, 2, "east")
+        with pytest.raises(SchemaViolationError) as caught:
+            write_data_csv(Dataset(SCHEMAS, rows), tmp_path / "data.csv")
+        assert [(v.row, v.column) for v in caught.value.violations] == [(530, "site")]
+        assert not any(tmp_path.iterdir())  # not even a .tmp-* file
 
     def test_unparseable_kept_for_validator(self, tmp_path):
         from hetmix import validate_dataset

@@ -62,6 +62,16 @@ class TestVariableSchema:
             VariableSchema("x", "ordinal", domain)
         assert VariableSchema("x", "ordinal", (1, 2**70)).domain == (1, 2**70)
 
+    @pytest.mark.parametrize("domain", [(0, 2**600), (0, 2**511), (-2**481, 0)])
+    def test_ordinal_domain_must_stay_below_the_limit(self, domain):
+        """Levels or a span of 2**480 or more are refused, though they are distinct
+        finite floats: an M-step on enough rows would overflow their squared deviations."""
+        with pytest.raises(SchemaError, match=r"^x: ordinal levels and their span must be "
+                                              r"below 2\*\*480 in magnitude$"):
+            VariableSchema("x", "ordinal", domain)
+        for admitted in ((1, 2**70), (0, 2**479), (-2**479, 2**479 - 1)):
+            assert VariableSchema("x", "ordinal", admitted).domain == admitted
+
     def test_ordinal_domain_may_have_gaps(self):
         s = VariableSchema("x", "ordinal", (1, 2, 5, 9))
         assert s.domain == (1, 2, 5, 9)

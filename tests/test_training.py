@@ -205,6 +205,17 @@ class TestFit:
             fit(ds, 1, EmConfig())
         assert [(v.row, v.column) for v in err.value.violations] == [(1, "y")]
 
+    def test_ordinal_levels_just_below_the_limit_fit(self):
+        """A 20,000-row cohort of the two levels 0 and 2**479, the widest span an ordinal
+        domain may have: its weighted level sums and squared deviations stay finite."""
+        schemas = (VariableSchema("g", "ordinal", (0, 2**479)), VariableSchema("x", "real"))
+        rng = np.random.default_rng(0)
+        ds = Dataset(schemas, [((0, 2**479)[i % 2], float(x))
+                               for i, x in enumerate(rng.normal(size=20_000))])
+        model, trace = fit(ds, 1, EmConfig(restarts=1))
+        assert math.isfinite(trace.final_nll)
+        assert model.params[0][0].variance == pytest.approx(2.0**956, rel=1e-9)
+
     def test_every_restart_collapsing_raises(self, collapsing_starts):
         _, ds, _ = _cohort(n=40)
         collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
@@ -257,7 +268,7 @@ class TestStopRule:
         for got, want in zip(model._fits()[0], produced[2]._fits()[0], strict=True):
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
         assert trace.iterations == 3
-        assert not trace.converged
+        assert trace.stop_reason == "revert" and not trace.converged
         assert math.isclose(trace.final_nll, _nll(model, ds), rel_tol=RESCORED_REL_TOL)
 
     def test_no_m_step_model_outlives_em(self, monkeypatch):
@@ -291,13 +302,13 @@ class TestStopRule:
         _, trace = fit(ds, 2, EmConfig(max_iterations=1, restarts=1, seed=1,
                                        rel_tol=1e-12))
         assert trace.iterations == 2
-        assert not trace.converged
+        assert trace.stop_reason == "max_iterations" and not trace.converged
 
     def test_tolerance_met_on_the_last_allowed_scoring_is_converged(self):
         _, ds, _ = _cohort(n=300)
         config = EmConfig(restarts=1, seed=2, rel_tol=1e-4)
         _, free = fit(ds, 2, config)
-        assert free.converged and free.iterations >= 3
+        assert free.stop_reason == "tol" and free.converged and free.iterations >= 3
         capped_config = EmConfig(max_iterations=free.iterations - 1, restarts=1,
                                  seed=2, rel_tol=1e-4)
         _, capped = fit(ds, 2, capped_config)
@@ -311,7 +322,8 @@ class TestStopRule:
         # the two restarts step in lockstep: 4 + 1 batched M-steps of 2 fits each
         assert len(produced) == 4 + 1
         assert sum(model.n_components // 3 for model in produced) == 2 * (4 + 1)
-        assert trace.iterations == 4 + 1 and not trace.converged
+        assert trace.iterations == 4 + 1
+        assert trace.stop_reason == "max_iterations" and not trace.converged
 
 
 class TestBic:
