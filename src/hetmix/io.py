@@ -3,7 +3,9 @@
 Floats are written with Python's repr (shortest round-trip form), so every
 numeric output parses back to the identical bits; reruns of a deterministic
 pipeline therefore produce byte-identical files. All writers go through an
-atomic temp-file replace.
+atomic temp-file replace. One CSV writer, ``write_csv_table``, writes cohorts and
+report tables; ``csv`` writes a float cell by its repr, None as an empty cell,
+and an int, a symbol or a bool flag by its str.
 
 Each format has one reader and one writer here. Inputs are UTF-8, a leading BOM
 allowed; a file that cannot be read is a FormatError that names it (exit 3). A
@@ -28,7 +30,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import numbers
 import os
 import tempfile
 import types
@@ -37,7 +38,7 @@ import numpy as np
 
 from .distributions import Params, family_for
 from .model import MixtureModel
-from .schema import (MISSING, Dataset, SchemaViolationError, VariableKind, VariableSchema,
+from .schema import (Dataset, SchemaViolationError, VariableKind, VariableSchema,
                      _admitted, _encode_piece, drop_zero_variability, validate_dataset)
 
 SCHEMA_FORMAT_VERSION = 1
@@ -70,24 +71,6 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def format_value(value, missing_token: str = DEFAULT_MISSING_TOKEN) -> str:
-    """Cell to text: repr for floats, str for ints/symbols, token for MISSING. The
-    exact types come first, ahead of the ``numbers`` checks that numpy scalars need."""
-    if (kind := type(value)) is float:
-        return repr(value)
-    if kind is int or kind is str:
-        return str(value)
-    if value is MISSING:
-        return missing_token
-    if isinstance(value, bool):
-        raise ValueError("booleans are not valid cell values")
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return repr(float(value))
-    return str(value)
 
 
 # ---------------------------------------------------------------- schemas
@@ -237,9 +220,10 @@ def read_evidence_csv(path, model: MixtureModel,
     return _read_columns(path, model.schemas, columns_of, missing_token)
 
 
-def _write_rows(path, header, rows):
-    """Write a CSV file of a header and rows of cells, atomically, a line at a time as the
-    rows come: ``writerow`` returns what its file's ``write`` returns, here the line itself."""
+def write_csv_table(path, header, rows):
+    """Write a CSV file, a cohort or a report table, atomically, a line at a time as the rows
+    come (``writerow`` returns what its file's ``write`` returns: the line). ``csv`` formats
+    each cell: a float by its repr, None as an empty cell, an int, a str or a bool by its str."""
     writer = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
     atomic_write_text(path, map(writer.writerow, itertools.chain([header], rows)))
 
@@ -251,22 +235,22 @@ def write_data_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_
     _check_missing_token(dataset.schemas, missing_token)
     rows = (row for start in range(0, dataset.n_subjects, _CHUNK_RECORDS)
             for row in zip(*_column_texts(dataset, start, missing_token)))
-    _write_rows(path, dataset.names, rows)
+    write_csv_table(path, dataset.names, rows)
 
 
 def _column_texts(dataset: Dataset, start: int, missing_token: str) -> list:
-    """Each column's cell texts (``format_value``'s) for _CHUNK_RECORDS rows from ``start``,
-    formatted a column at a time from ``Dataset._encoded``, which refuses a column with bad
-    cells: a finite column's level or symbol texts are formatted once and picked by code.
+    """Each column's cell texts for _CHUNK_RECORDS rows from ``start``, formatted a column at
+    a time from ``Dataset._encoded``, which refuses a column with bad cells: a finite column's
+    level or symbol texts (their str) are made once and picked by code, a value's is its repr.
     FormatError where a continuous chunk holds more token texts than missing cells."""
     texts = []
     for j, schema in enumerate(dataset.schemas):
         values = dataset._encoded(j)[start:start + _CHUNK_RECORDS]  # NaN: missing
         if schema.kind.is_finite:
-            labels = np.array([*map(format_value, schema.domain), missing_token], dtype=object)
+            labels = np.array([*map(str, schema.domain), missing_token], dtype=object)
             texts.append(labels[np.where(np.isnan(values), -1, values).astype(np.int64)].tolist())
         else:
-            texts.append([missing_token if x != x else format_value(x) for x in values.tolist()])
+            texts.append([missing_token if x != x else repr(x) for x in values.tolist()])
             if texts[-1].count(missing_token) > np.isnan(values).sum():
                 raise FormatError(f"{schema.name}: missing token {missing_token!r} is also the "
                                   "text of an observed cell, which would read back as MISSING")
@@ -351,12 +335,3 @@ def save_model(model: MixtureModel, path):
 def load_model(path) -> MixtureModel:
     return model_from_dict(_read_json(path))
 
-
-# ---------------------------------------------------------------- tables
-
-def write_csv_table(path, header, rows):
-    """Write a report table; floats go through repr for exact round-trips. Each cell is
-    ``format_value``'s text, but a bool (a flag) is written as str writes it and None
-    (no value) as an empty cell."""
-    _write_rows(path, header, (["" if c is None else str(c) if type(c) is bool else
-                                format_value(c) for c in row] for row in rows))

@@ -32,8 +32,8 @@ import numpy as np
 
 from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
                             _check_params, _log_mass_table, family_for, log_sum_exp)
-from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind,
-                     VariableSchema, Violation, _column_indices, _encode_plain)
+from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, Violation,
+                     _Variables, _column_indices, _encode_plain, _name_index)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
@@ -50,7 +50,7 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-class MixtureModel:
+class MixtureModel(_Variables):
     """Frozen parameter bundle: weights (Z,), one parameter block per variable,
     missing probs (Z, V), schemas.
 
@@ -103,7 +103,7 @@ class MixtureModel:
             weights=weights, missing_probs=missing, schemas=schemas, _blocks=tuple(blocks),
             _log_masses=tuple(_log_mass_table(s.kind, s.domain, block) if s.kind.is_finite
                               else None for s, block in zip(schemas, blocks)),
-            _params=None, _name_to_column={s.name: j for j, s in enumerate(schemas)})
+            _params=None, _name_to_column=_name_index(schemas))
         return model
 
     def _fits(self, groups=None) -> list:
@@ -150,19 +150,6 @@ class MixtureModel:
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.schemas)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self._name_to_column[name]
-        except KeyError:
-            raise SchemaError(f"model has no variable named {name!r}") from None
-
-    def schema(self, name: str) -> VariableSchema:
-        return self.schemas[self.column_index(name)]
 
 
 def _n_weights(weights) -> int:

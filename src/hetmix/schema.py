@@ -171,8 +171,8 @@ class VariableSchema:
 def _checked_domain(kind: VariableKind, domain) -> tuple:
     """A finite ``kind``'s ``domain`` as a tuple; SchemaError unless it has at
     least 2 values: integers, not bools, strictly increasing for an ordinal (made
-    ints), which stay distinct as floats, the levels and their span below
-    ORDINAL_LIMIT in magnitude; distinct non-empty strings for a categorical.
+    ints), the levels and their span below ORDINAL_LIMIT in magnitude, which stay
+    distinct as floats; distinct non-empty strings for a categorical.
     Schemas and cells both check domains here."""
     domain = tuple(domain)
     if len(domain) < 2:
@@ -183,14 +183,10 @@ def _checked_domain(kind: VariableKind, domain) -> tuple:
         domain = tuple(int(d) for d in domain)
         if any(a >= b for a, b in zip(domain, domain[1:])):
             raise SchemaError("ordinal domain must be strictly increasing")
-        try:  # the model reads the levels, and their span, as floats
-            floats = [float(d) for d in (*domain, domain[-1] - domain[0])]
-        except OverflowError:  # an int past the float range
-            floats = []
-        if len(set(floats[:-1])) < len(domain):
-            raise SchemaError("ordinal levels and their span must be finite, distinct floats")
         if max(-domain[0], domain[-1], domain[-1] - domain[0]) >= ORDINAL_LIMIT:
             raise SchemaError("ordinal levels and their span must be below 2**480 in magnitude")
+        if len(set(map(float, domain))) < len(domain):  # the model reads the levels as floats
+            raise SchemaError("ordinal levels must be distinct floats")
     elif not all(isinstance(d, str) and d for d in domain):
         raise SchemaError("categorical domain must be non-empty strings")
     elif len(set(domain)) != len(domain):
@@ -237,7 +233,36 @@ def _column_indices(columns: Sequence[int] | None, n_variables: int) -> Sequence
     return columns
 
 
-class Dataset:
+def _name_index(schemas: tuple) -> dict:
+    """The name -> column map of ``schemas``; SchemaError if a name repeats."""
+    names = [s.name for s in schemas]
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise SchemaError(f"duplicate variable names: {dupes}")
+    return {name: j for j, name in enumerate(names)}
+
+
+class _Variables:
+    """Variables found by name: the lookup a Dataset and a MixtureModel share. Each sets
+    ``schemas`` and ``_name_to_column`` (``_name_index``) when built."""
+
+    @property
+    def n_variables(self) -> int:
+        return len(self.schemas)
+
+    def column_index(self, name: str) -> int:
+        try:
+            return self._name_to_column[name]
+        except KeyError:
+            raise SchemaError(f"no variable named {name!r}") from None
+
+    def schema(self, column) -> VariableSchema:
+        if isinstance(column, str):
+            column = self.column_index(column)
+        return self.schemas[column]
+
+
+class Dataset(_Variables):
     """Immutable subjects-by-variables table, checked and encoded once when built.
 
     Each cell is sorted into one of three outcomes: MISSING (the missing
@@ -287,10 +312,7 @@ class Dataset:
         """
         if not schemas:
             raise SchemaError("a dataset needs at least one variable")
-        names = [s.name for s in schemas]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise SchemaError(f"duplicate variable names: {dupes}")
+        self._name_to_column = _name_index(schemas)
         if not n_rows:
             raise SchemaError("a dataset needs at least one subject")
         shape = (n_rows, len(schemas))
@@ -309,30 +331,14 @@ class Dataset:
         self.cell_violations = tuple(violations)
         self._missing = missing
         self._values = values
-        self._name_to_column = {s.name: j for j, s in enumerate(schemas)}
 
     @property
     def n_subjects(self) -> int:
         return self._missing.shape[0]
 
     @property
-    def n_variables(self) -> int:
-        return self._missing.shape[1]
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.schemas)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self._name_to_column[name]
-        except KeyError:
-            raise SchemaError(f"no variable named {name!r}") from None
-
-    def schema(self, column) -> VariableSchema:
-        if isinstance(column, str):
-            column = self.column_index(column)
-        return self.schemas[column]
 
     def value(self, subject: int, column: int):
         """The decoded cell: MISSING, a float, an ordinal level or a symbol.

@@ -332,6 +332,25 @@ class TestDemoAndSimulate:
         assert _last_error(capsys)["category"] == "validation"
         assert not (tmp_path / "infer" / "predictions.jsonl").exists()
 
+    def test_model_file_with_duplicate_names_exit_3(self, work, tmp_path, capsys):
+        """A model file whose second variable takes the first one's name is refused as it
+        is read: one error line, no traceback, no predictions."""
+        payload = json.loads((work["demo"] / "model.json").read_text())
+        first = payload["variables"][0]["name"]
+        payload["variables"][1]["name"] = first
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        evidence = tmp_path / "evidence.csv"
+        evidence.write_text(f"{first}\n0.5\n")
+        assert main(["infer", "--out-dir", str(tmp_path / "infer"),
+                     "--model", str(model_path), "--evidence", str(evidence),
+                     "--mode", "model_missing"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        assert json.loads(err[0])["error"]["message"] == (
+            f"bad model file: duplicate variable names: [{first!r}]")
+        assert not (tmp_path / "infer" / "predictions.jsonl").exists()
+
 
 class TestValidate:
     def test_clean_cohort(self, work, tmp_path):
@@ -416,14 +435,15 @@ class TestValidate:
         assert error["category"] == "validation"
         assert "duplicate variable names: ['x']" in error["message"]
 
-    @pytest.mark.parametrize("domain", [[0, 10**400], [2**60, 2**60 + 1, 2**60 + 2],
-                                        [-10**308, 10**308]])
+    @pytest.mark.parametrize("domain", [[2**60, 2**60 + 1, 2**60 + 2], [2**53, 2**53 + 1],
+                                        [-2**70 - 1, -2**70]])
     def test_ordinal_domain_not_read_as_floats_exit_3(self, tmp_path, capsys, domain):
-        """One error line and no traceback, for a domain the model cannot read as floats."""
+        """One error line and no traceback, for levels that round to one float."""
         assert self._ordinal_domain_error(tmp_path, capsys, domain).endswith(
-            "g: ordinal levels and their span must be finite, distinct floats")
+            "g: ordinal levels must be distinct floats")
 
-    @pytest.mark.parametrize("domain", [[0, 2**600], [0, 2**511], [-2**481, 0]])
+    @pytest.mark.parametrize("domain", [[0, 2**600], [0, 2**511], [-2**481, 0], [0, 10**400],
+                                        [-10**308, 10**308]])
     def test_ordinal_domain_past_the_bound_exit_3(self, tmp_path, capsys, domain):
         """One error line and no traceback, for levels or a span of 2**480 or more, whose
         squared deviations an M-step on enough rows would overflow ([0, 2**600] used to

@@ -297,12 +297,14 @@ def test_cells_evaluate_any_number_the_checks_take():
     (lambda: QuantizedGaussian(2.0, 1.0, (1.5, 2, 3)), "must be integers"),
     (lambda: QuantizedGaussian(2.0, 1.0, (True, 2, 3)), "must be integers"),
     (lambda: QuantizedGaussian(2.0, 1.0, ("1", "2")), "must be integers"),
-    (lambda: QuantizedGaussian(2.0, 1.0, (0, 10**400)), "distinct floats"),
     (lambda: QuantizedGaussian(2.0**60, 1.0, (2**60, 2**60 + 1, 2**60 + 2)), "distinct floats"),
-    (lambda: QuantizedGaussian(2.0, 1.0, (-10**308, 10**308)), "distinct floats"),
+    (lambda: QuantizedGaussian(2.0**53, 1.0, (2**53, 2**53 + 1)), "distinct floats"),
+    (lambda: QuantizedGaussian(-2.0**70, 1.0, (-2**70 - 1, -2**70)), "distinct floats"),
     (lambda: QuantizedGaussian(2.0, 1.0, (0, 2**600)), r"below 2\*\*480"),
     (lambda: QuantizedGaussian(2.0, 1.0, (0, 2**511)), r"below 2\*\*480"),
     (lambda: QuantizedGaussian(-2.0, 1.0, (-2**481, 0)), r"below 2\*\*480"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (0, 10**400)), r"below 2\*\*480"),
+    (lambda: QuantizedGaussian(2.0, 1.0, (-10**308, 10**308)), r"below 2\*\*480"),
     (lambda: Categorical((0.5, 0.5), ("a", "b", "c")), "lengths differ"),
     (lambda: Categorical((1.0,), ("a",)), "at least 2 values"),
     (lambda: Categorical((0.5, 0.5), ("a", "a")), "duplicates"),

@@ -1,7 +1,9 @@
 """Round trips for schema JSON, data CSV, model JSON, and report tables."""
 
 import csv
+import io
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -17,7 +19,7 @@ from conftest import assert_same_store, random_cell_params, random_model
 from hetmix import (MISSING, Dataset, Gaussian, MixtureModel, SchemaViolationError,
                     VariableSchema, sample_cohort, validate_dataset)
 from hetmix.demo import demo_model
-from hetmix.io import (FormatError, _parse_cell, atomic_write_text, format_value,
+from hetmix.io import (FormatError, _parse_cell, atomic_write_text,
                        load_dataset, load_model, load_schemas, model_from_dict,
                        model_to_dict, params_from_dict, params_to_dict,
                        read_data_csv, read_evidence_csv, save_model, save_schemas,
@@ -27,32 +29,6 @@ SCHEMAS = (VariableSchema("age", "real"),
            VariableSchema("dose", "nonnegative"),
            VariableSchema("stage", "ordinal", (1, 2, 3), role="outcome"),
            VariableSchema("site", "categorical", ("north", "south")))
-
-
-class TestFormatValue:
-    def test_floats_use_repr(self):
-        assert format_value(0.1) == "0.1"
-        assert format_value(1.0 / 3.0) == repr(1.0 / 3.0)
-        assert float(format_value(np.float64(2.5))) == 2.5
-
-    def test_ints_and_symbols(self):
-        assert format_value(7) == "7"
-        assert format_value(np.int64(7)) == "7"
-        assert format_value("north") == "north"
-
-    def test_missing_and_bool(self):
-        assert format_value(MISSING) == ""
-        assert format_value(MISSING, "NA") == "NA"
-        with pytest.raises(ValueError):
-            format_value(True)
-
-    def test_other_values_use_str(self):
-        """A value that is no float, int, symbol or real number is written as its str."""
-        from decimal import Decimal
-        from fractions import Fraction
-        assert format_value(Decimal("1.50")) == "1.50"  # not a numbers.Real
-        assert format_value(Fraction(1, 4)) == "0.25"  # a numbers.Real: repr(float)
-        assert format_value(None) == "None"
 
 
 class TestAtomicWrite:
@@ -501,6 +477,14 @@ class TestModelFiles:
             assert loaded.row(i) == cohort.row(i)
 
 
+# report-table cells: floats at the edges of repr's forms, ints, flags, None, and text
+# that csv must quote
+_TABLE_CELL = st.one_of(
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5]),
+    st.integers(), st.booleans(), st.none(),
+    st.text(st.sampled_from(["a", ",", '"', "\n", "\r", " ", "é"]), max_size=5))
+
+
 class TestCsvTable:
     def test_floats_and_bools(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -515,3 +499,37 @@ class TestCsvTable:
         path = tmp_path / "table.csv"
         write_csv_table(path, ["a", "b", "c"], [(2, None, "x"), (None, None, None)])
         assert path.read_text() == "a,b,c\n2,,x\n,,\n"
+
+    def test_a_lone_none_is_a_quoted_empty_field(self, tmp_path):
+        """A one-column row whose cell is None: csv quotes the empty field, so that the
+        line reads back as one cell, not as a blank line."""
+        path = tmp_path / "table.csv"
+        write_csv_table(path, ["a"], [(None,), (1.5,)])
+        assert path.read_text() == 'a\n""\n1.5\n'
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle)) == [["a"], [""], ["1.5"]]
+
+    def test_floats_use_repr(self, tmp_path):
+        """A numpy float is a float subclass: csv writes it by its value's repr too."""
+        path = tmp_path / "table.csv"
+        write_csv_table(path, ["a", "b", "c"], [(0.1, 1.0 / 3.0, np.float64(2.5))])
+        assert path.read_text() == f"a,b,c\n0.1,{1.0 / 3.0!r},2.5\n"
+
+    def test_ints_and_symbols(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv_table(path, ["a", "b", "c"], [(7, np.int64(7), "north")])
+        assert path.read_text() == "a,b,c\n7,7,north\n"
+
+    @given(rows=st.lists(st.lists(_TABLE_CELL, min_size=3, max_size=3), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_cells_as_each_kind_is_written(self, tmp_path_factory, rows):
+        """Byte for byte, every row as csv writes cells made text one by one: "" for None,
+        str for a bool, repr for a float, str for any other value."""
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        write_csv_table(path, ["a", "b,c", 'd"'], rows)
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [["a", "b,c", 'd"'], *(["" if c is None else str(c) if type(c) is bool else
+                                    repr(c) if type(c) is float else str(c) for c in row]
+                                   for row in rows)])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")

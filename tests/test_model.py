@@ -51,6 +51,15 @@ class TestMixtureModel:
         with pytest.raises(ValueError, match=r"missing_probs must have shape \(1, 1\)"):
             MixtureModel((1.0,), ((Gaussian(0, 1),),), [0.1], schemas)
 
+    def test_duplicate_variable_names_refused(self):
+        """Two variables of one name are refused as the model is built, with the text a
+        Dataset gives them; a name the model lacks gets a Dataset's text too."""
+        with pytest.raises(SchemaError, match=r"^duplicate variable names: \['x'\]$"):
+            MixtureModel((1.0,), ((Gaussian(0, 1), Gaussian(5, 1)),), [[0.1, 0.1]],
+                         (VariableSchema("x", "real"),) * 2)
+        with pytest.raises(SchemaError, match=r"^no variable named 'y'$"):
+            _single_gaussian_model().column_index("y")
+
     def test_immutable(self):
         model = _single_gaussian_model()
         with pytest.raises(AttributeError, match="immutable; cannot set 'weights'"):
