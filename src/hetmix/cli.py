@@ -136,18 +136,19 @@ def _targets(arguments: dict, schemas) -> list:
             else [s.name for s in schemas if s.role == OUTCOME])
 
 
-def parse_orders(text: str) -> list:
-    """Order spec: '3', '1,2,5', or '1-6' (inclusive range)."""
+def parse_orders(text: str, limit: int) -> list:
+    """Order spec: '3', '1,2,5', or '1-6' (inclusive range), ascending, each once. An order
+    or range end above ``limit``, the subjects a fit trains on, is refused before any range
+    is expanded, so the list never outgrows the cohort."""
     orders = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = map(int, part.split("-", 1))
-            if hi < lo:
-                raise ValueError(f"reversed range {part!r} in {text!r}")
-            orders.extend(range(lo, hi + 1))
-        elif part:
-            orders.append(int(part))
+    for part in filter(None, map(str.strip, str(text).split(","))):
+        lo, hi = map(int, part.split("-", 1)) if "-" in part[1:] else (int(part),) * 2
+        if hi < lo:
+            raise ValueError(f"reversed range {part!r} in {text!r}")
+        if hi > limit:
+            raise ValueError(f"order {hi} in {text!r} exceeds the {limit} subject(s) a fit "
+                             "trains on")
+        orders.extend(range(lo, hi + 1))
     if not orders:
         raise ValueError(f"no orders in {text!r}")
     return sorted(set(orders))
@@ -190,7 +191,7 @@ def run_fit(arguments: dict, out_dir) -> list:
 
 def run_select(arguments: dict, out_dir) -> list:
     dataset = _load_training_data(arguments)
-    selection = select_order(dataset, parse_orders(arguments["orders"]),
+    selection = select_order(dataset, parse_orders(arguments["orders"], dataset.n_subjects),
                              _em_config(arguments))
     write_csv_table(out_dir / "bic_table.csv",
                     ["order", "n_params", "nll", "bic", "converged", "error"],
@@ -259,7 +260,7 @@ def run_evaluate(arguments: dict, out_dir) -> list:
         raise ValueError("evaluate needs --threshold-steps >= 0, --density-points >= 0, "
                          "--workers >= 1 and 0 <= --bin-cutoff <= 1")
     dataset = _load_training_data(arguments)
-    result = loo_evaluate(dataset, parse_orders(arguments["orders"]),
+    result = loo_evaluate(dataset, parse_orders(arguments["orders"], dataset.n_subjects - 1),
                           tuple(_targets(arguments, dataset.schemas)),
                           arguments["mode"], _em_config(arguments),
                           n_workers=arguments["workers"])
@@ -362,7 +363,8 @@ _RUNNERS = {
 
 
 def _execute(command: str, arguments: dict, out_dir) -> int:
-    """Run a command, then write the manifest that can reproduce it."""
+    """Make ``out_dir``, run a command in it, then write the manifest that can reproduce it."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outputs = _RUNNERS[command](arguments, out_dir)
     except _PartialFailure as err:
@@ -404,15 +406,13 @@ def run_rerun(args) -> int:
         if sha256_file(entry["path"]) != entry["sha256"]:
             raise FormatError(f"input {name!r} ({entry['path']}) changed since "
                               "the manifest was written")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _execute(command, arguments, out_dir)
+    return _execute(command, arguments, args.out_dir)
 
 
 # ------------------------------------------------------------------ parser
 
 def _add_common(parser, *, em: bool = False, data: bool = False, mode: bool = False):
-    parser.add_argument("--out-dir", required=True, help="output directory")
+    parser.add_argument("--out-dir", required=True, type=Path, help="output directory")
     if data:
         parser.add_argument("--data", required=True, help="cohort CSV")
         parser.add_argument("--schema", required=True, help="schema JSON")
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("--manifest", required=True, help="manifest.json of a previous run")
-    p.add_argument("--out-dir", required=True, help="output directory")
+    p.add_argument("--out-dir", required=True, type=Path, help="output directory")
 
     return parser
 
@@ -499,9 +499,7 @@ def main(argv=None) -> int:
                 return run_rerun(args)
             arguments = {key: value for key, value in vars(args).items()
                          if key not in ("command", "out_dir")}
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            return _execute(args.command, arguments, out_dir)
+            return _execute(args.command, arguments, args.out_dir)
         except SchemaViolationError as err:
             return _fail("validation", EXIT_VALIDATION, str(err),
                          violations=[dataclasses.asdict(v) for v in err.violations])

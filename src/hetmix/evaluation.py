@@ -28,7 +28,7 @@ from .distributions import log_sum_exp
 from .inference import FinitePrediction, InferenceRequest, predict_batch
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, VariableSchema,
-                     _kept_ranges, _no_information, validate_dataset)
+                     _is_int, _kept_ranges, _no_information, validate_dataset)
 from .training import EmConfig, TrainingError, _checked_orders, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
@@ -339,26 +339,30 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     (uniform chance) is always reported; order 1 (the prior marginal) is
     added to the requested orders if absent. Folds that fail for any order
     (see _evaluate_folds) are excluded entirely so the per-order averages cover
-    identical subjects; the run aborts when more than MAX_FAILURE_FRACTION
-    of folds fail. ``n_workers`` is capped at the CPUs this process may use, with a
-    warning. A batch holds at most F = max(_FOLDS_PER_BATCH, _BATCH_CELLS //
-    (restarts * largest order * N)) folds, the second the folds whose EM posteriors
-    fit in _BATCH_CELLS cells; the N folds run in k contiguous, equal batches per
-    worker, k = ceil(N / (F * n_workers)), a worker's k batches one task (one pickle
-    of the cohort). No fold depends on the others of its batch, and per-fold
-    seeds depend only on (config.seed, subject), so results do not depend on worker count.
+    identical subjects; the run aborts when more than MAX_FAILURE_FRACTION of folds
+    fail. An order may not exceed N - 1, the subjects a fold trains on. ``n_workers``
+    must be an integer >= 1 (ValueError otherwise, bools included); it is capped at the
+    CPUs this process may use, with a warning. A batch holds at most F =
+    max(_FOLDS_PER_BATCH, _BATCH_CELLS // (restarts * largest order * N)) folds, the
+    second the folds whose EM posteriors fit in _BATCH_CELLS cells; the N folds run in k
+    contiguous, equal batches per worker, k = ceil(N / (F * n_workers)), a worker's k
+    batches one task (one pickle of the cohort). No fold depends on the others of its
+    batch, and per-fold seeds depend only on (config.seed, subject), so results do not
+    depend on worker count.
     """
     targets = InferenceRequest({}, targets, mode).targets
     for name in targets:
         max_absolute_error(dataset.schema(name))  # rejects continuous targets early
-    orders = _checked_orders([*orders, BASELINE_ORDER])
     if dataset.n_subjects < 3:
         raise ValueError("leave-one-out needs at least 3 subjects")
+    orders = _checked_orders([*orders, BASELINE_ORDER], dataset.n_subjects - 1)
+    if not (_is_int(n_workers) and n_workers >= 1):
+        raise ValueError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     violations = validate_dataset(dataset)
     if violations:
         raise SchemaViolationError(violations)
 
-    n, workers = dataset.n_subjects, max(n_workers, 1)
+    n, workers = dataset.n_subjects, n_workers
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if workers > cpus:
         warnings.warn(f"n_workers {workers} capped at the {cpus} CPU(s) this process may use")

@@ -285,14 +285,9 @@ _FAMILIES = {family_for(kind).family: family_for(kind) for kind in VariableKind}
 
 
 def params_to_dict(params: Params) -> dict:
-    out = {"family": params.family}
-    for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
-        if isinstance(value, tuple):
-            out[field.name] = [v if isinstance(v, (int, str)) else float(v) for v in value]
-        else:
-            out[field.name] = float(value)
-    return out
+    """A cell's model-file entry: its ``family`` and its dataclass fields as they are
+    (Python floats, a tuple of floats, a domain of ints or strs), which ``json`` writes."""
+    return {"family": params.family, **dataclasses.asdict(params)}
 
 
 def params_from_dict(entry: dict) -> Params:

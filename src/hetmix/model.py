@@ -223,32 +223,31 @@ def row_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
     return log_sum_exp(comp, axis=1)
 
 
-def _row_dataset(schemas, columns: Sequence[int], row: Sequence, violation_row) -> Dataset:
-    """One-subject Dataset whose ``columns`` hold the cells of ``row``, MISSING
-    elsewhere. A wrong cell count or a bad cell raises SchemaViolationError,
-    each violation carrying ``violation_row`` as its row."""
-    row = tuple(row)
-    if len(row) != len(columns):
-        raise SchemaViolationError([Violation(violation_row, "<row>",
-                                              f"{len(row)} cells for {len(columns)} variables")])
-    ds = Dataset(schemas, [row], columns)
-    bad = [replace(v, row=violation_row) for j in columns for v in ds.cell_violations[j]]
+def _record_log_joint(model: MixtureModel, columns: Sequence[int], cells: Sequence, mode: str,
+                      row) -> np.ndarray:
+    """(Z,) log joint of one record whose ``columns`` hold ``cells`` (MISSING allowed): row 0
+    of ``component_log_likelihoods`` of its one-subject Dataset over ``columns``. A wrong cell
+    count or a bad cell raises SchemaViolationError, each violation carrying ``row`` as its row."""
+    cells = tuple(cells)
+    if len(cells) != len(columns):
+        raise SchemaViolationError([Violation(row, "<row>",
+                                              f"{len(cells)} cells for {len(columns)} variables")])
+    ds = Dataset(model.schemas, [cells], columns)
+    bad = [replace(v, row=row) for j in columns for v in ds.cell_violations[j]]
     if bad:
         raise SchemaViolationError(bad)
-    return ds
+    return component_log_likelihoods(model, ds, mode, columns)[0]
 
 
 def joint_log_likelihood(model: MixtureModel, row: Sequence, mode: str) -> float:
     """Joint log-likelihood of one full row (MISSING cells allowed)."""
-    ds = _row_dataset(model.schemas, range(model.n_variables), row, 0)
-    return float(row_log_likelihoods(model, ds, mode)[0])
+    return float(log_sum_exp(_record_log_joint(model, range(model.n_variables), row, mode, 0)))
 
 
 def latent_posterior(model: MixtureModel, row: Sequence, mode: str) -> np.ndarray:
     """Posterior over components for one full row; ZeroLikelihoodError when the
     row has zero likelihood under every component."""
-    ds = _row_dataset(model.schemas, range(model.n_variables), row, 0)
-    comp = component_log_likelihoods(model, ds, mode)[0]
+    comp = _record_log_joint(model, range(model.n_variables), row, mode, 0)
     total = log_sum_exp(comp)
     if not np.isfinite(total):
         raise ZeroLikelihoodError("subject 0 has zero likelihood under every component")
@@ -264,8 +263,7 @@ def evidence_log_likelihoods(model: MixtureModel, evidence: Mapping, mode: str) 
     """
     check_mode(mode)
     columns = [model.column_index(name) for name in evidence]
-    ds = _row_dataset(model.schemas, columns, evidence.values(), None)
-    return component_log_likelihoods(model, ds, mode, columns)[0]
+    return _record_log_joint(model, columns, evidence.values(), mode, None)
 
 
 def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray]:

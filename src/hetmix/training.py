@@ -22,6 +22,7 @@ order through one closed-form ``_weighted_block`` (q and block) per variable.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -66,15 +67,19 @@ class EmConfig:
             raise ValueError(f"rel_tol must be a number > 0, got {rel_tol!r}")
 
 
-def _checked_orders(orders) -> list:
-    """``orders`` ascending, each once, as ints; ValueError unless there is
-    one and each is an integer (not a bool) >= 1."""
+def _checked_orders(orders, limit: int) -> list:
+    """``orders`` ascending, each once, as ints; ValueError unless there is one and each is
+    an integer (not a bool) >= 1 and <= ``limit``, the number of subjects a fit trains on
+    (N for ``fit`` and ``select_order``, N - 1 for a leave-one-out fold): so no EM buffer
+    of restarts x largest order x N floats is sized by an order past the cohort."""
     if not (orders := list(orders)):
         raise ValueError("no orders requested")
     if not all(map(_is_int, orders)):
         raise ValueError(f"orders must be integers, got {orders}")
     if min(orders) < 1:
         raise ValueError("orders must be >= 1")
+    if max(orders) > limit:
+        raise ValueError(f"order {max(orders)} exceeds the {limit} subject(s) a fit trains on")
     return sorted(set(map(int, orders)))
 
 
@@ -208,26 +213,25 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
     reached one); its NLL per accepted M-step; and its stop reason, "tol" (converged),
     "max_iterations" or "revert", or the ComponentCollapseError that ended it.
 
-    Every ending is decided here. A run carries its parameters to the next iteration,
-    so one (B, Z, N) buffer, of the largest order, serves the groups in turn: their
-    starts, then per iteration their E-steps (``_em_log_joint``), posteriors in place.
-    A rise over MONOTONE_SLACK (approximate M-steps overshoot) ends a run ("revert"),
-    its rows left as they are; else its rows take the M-step, and it stops at a relative
-    decrease <= rel_tol ("tol") or after max_iterations more M-steps. Before each
-    M-step, a run with a component of total responsibility below COLLAPSE_EPS
-    collapses; the others move to the buffer's front and give their
-    ``_weighted_sums``, and one ``_m_step_batch`` serves every group. Precondition
-    (``_fit_many`` meets it, posteriors keep it): each kept row's responsibilities
-    sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses and
-    floored densities positive and finite for the row, so its likelihood is; a zero
-    one would stop the batch at the next M-step's weights check (EstimationError)."""
+    Every ending is decided here. A run carries its parameters to the next iteration, so one
+    (B, Z, N) buffer, of the largest order, serves the groups in turn: their starts, then per
+    iteration their E-steps (``_em_log_joint``), posteriors in place. A rise over MONOTONE_SLACK
+    (approximate M-steps overshoot) ends a run ("revert"), its rows left as they are; else its
+    rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol") or after
+    max_iterations more M-steps. A run stays live only while each of its E-steps is accepted, so
+    all live runs, of every order, have accepted as many (``steps``). Before each M-step, a run
+    with a component of total responsibility below COLLAPSE_EPS collapses; the others move to
+    the buffer's front and give their ``_weighted_sums``, and one ``_m_step_batch`` serves every
+    group. Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
+    responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses
+    and floored densities positive and finite for the row, so its likelihood is; a zero one
+    would stop the batch at the next M-step's weights check (EstimationError)."""
     n, n_runs = dataset.n_subjects, len(kept)
     buffer = np.empty(n_runs * max(orders, default=0) * n)
     traces, endings = [[[] for _ in kept] for _ in orders], [[None] * n_runs for _ in orders]
     params, live, stacks = [None] * len(orders), [np.arange(n_runs)] * len(orders), {}
-    # per order and run: the last accepted NLL and how many were accepted
-    lasts, counts = np.full((len(orders), n_runs), np.nan), np.zeros((len(orders), n_runs), int)
-    while True:
+    lasts = np.full((len(orders), n_runs), np.nan)  # per order and run: the last accepted NLL
+    for steps in itertools.count(-1):  # E-steps accepted by every live run; -1: the starts
         sums, weights, groups = [], [], {}
         for g, (order, fits) in enumerate(zip(orders, live)):
             if not fits.size:
@@ -242,7 +246,7 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
                 np.copyto(log_joint, -np.inf, where=~on[:, None])
                 ll = np.where(on, log_sum_exp(log_joint, axis=1), 0.0)
-                nlls, last, steps = -ll.sum(axis=1), lasts[g, fits], counts[g, fits]
+                nlls, last = -ll.sum(axis=1), lasts[g, fits]
                 with np.errstate(invalid="ignore"):  # inf - inf: NaN, no decrease
                     accept = (steps == 0) | ~(nlls > last + MONOTONE_SLACK)
                     converged = accept & (steps > 0) & (
@@ -255,7 +259,6 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 for b, nll in zip(fits[accepted].tolist(), nlls[accepted].tolist()):
                     traces[g][b].append(nll)
                 lasts[g, fits[accepted]] = nlls[accepted]
-                counts[g, fits[accepted]] += 1
                 params[g] = params[g] or tuple(np.zeros((n_runs, *a[0].shape)) for a in stacked)
                 for stored, a in zip(params[g], stacked):  # every run accepted: no gather
                     stored[fits[accepted]] = a if accepted.size == fits.size else a[accepted]
@@ -335,14 +338,14 @@ def _fit_cohort(dataset: Dataset, orders, config: EmConfig) -> list:
 
 def fit(dataset: Dataset, order: int,
         config: EmConfig = EmConfig()) -> tuple[MixtureModel, TrainingTrace]:
-    """Fit a mixture of ``order`` components; returns the best restart.
+    """Fit a mixture of ``order`` components, 1 to N; returns the best restart.
 
     The dataset must pass validation (no bad cells, no zero-variability
     columns). Restart seeds are spawned deterministically from config.seed, so
     identical inputs give an identical model. Restarts whose components
     collapse are skipped; if all collapse, TrainingError is raised.
     """
-    (params, trace), = _fit_cohort(dataset, _checked_orders([order]), config)
+    (params, trace), = _fit_cohort(dataset, _checked_orders([order], dataset.n_subjects), config)
     if isinstance(trace, TrainingError):
         raise trace
     return MixtureModel._from_fits(params, dataset.schemas), trace
@@ -384,11 +387,11 @@ def select_order(dataset: Dataset, orders,
                  config: EmConfig = EmConfig()) -> OrderSelection:
     """Fit every requested order and pick the lowest BIC (ties: fewer components).
 
-    Every order trains in one batched EM, each as ``fit`` trains it. Orders that fail
+    Every order (1 to N) trains in one batched EM, each as ``fit`` trains it. Orders that fail
     to train are recorded in the table with their error and skipped; at least one
     order must succeed.
     """
-    orders = _checked_orders(orders)
+    orders = _checked_orders(orders, dataset.n_subjects)
     scores = []
     best = None
     for order, (params, trace) in zip(orders, _fit_cohort(dataset, orders, config)):

@@ -68,20 +68,33 @@ def work(tmp_path_factory):
 
 class TestParseOrders:
     def test_forms(self):
-        assert parse_orders("3") == [3]
-        assert parse_orders("1,2,5") == [1, 2, 5]
-        assert parse_orders("1-4") == [1, 2, 3, 4]
-        assert parse_orders("2,1-3,2") == [1, 2, 3]
+        assert parse_orders("3", 10) == [3]
+        assert parse_orders("1,2,5", 10) == [1, 2, 5]
+        assert parse_orders("1-4", 10) == [1, 2, 3, 4]
+        assert parse_orders("2,1-3,2", 10) == [1, 2, 3]
 
     def test_empty_or_reversed(self):
         with pytest.raises(ValueError):
-            parse_orders("")
+            parse_orders("", 10)
         with pytest.raises(ValueError):
-            parse_orders("5-3")
+            parse_orders("5-3", 10)
         # a reversed range inside a list is refused too, not dropped
         for text in ("1,3-1", "3-1,2", "1-2,6-4"):
             with pytest.raises(ValueError, match="reversed range"):
-                parse_orders(text)
+                parse_orders(text, 10)
+
+    def test_bound_is_inclusive(self):
+        assert parse_orders("1-3", 3) == [1, 2, 3]
+        assert parse_orders("3,1", 3) == [1, 3]
+
+    @pytest.mark.parametrize("text, top", [
+        ("4", 4), ("1,4", 4), ("2-4", 4), ("1-2,3-4", 4),
+        # a range end of 10**12 is refused before the range is expanded
+        (f"1-{10**12}", 10**12), (f"{10**15}", 10**15)])
+    def test_order_above_the_bound_refused(self, text, top):
+        with pytest.raises(ValueError, match=rf"^order {top} in '{text}' exceeds the 3 "
+                                             r"subject\(s\) a fit trains on$"):
+            parse_orders(text, 3)
 
 
 class TestParser:
@@ -529,6 +542,18 @@ class TestFit:
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
 
+    @pytest.mark.parametrize("order", [61, 10**15])
+    def test_order_above_the_subjects_exit_3(self, work, tmp_path, capsys, order):
+        """The 60-row cohort refuses 61 components, and 10**15, whose EM posteriors would
+        take 10**15 x 60 floats, before any EM runs: one JSON error line."""
+        code = main(["fit", "--out-dir", str(tmp_path / "out"), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--order", str(order), "--restarts", "1"])
+        assert code == 3
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"error": {"category": "validation",
+                       "message": f"order {order} exceeds the 60 subject(s) a fit trains on"}}]
+        assert not (tmp_path / "out" / "model.json").exists()
+
 
 class TestFitRange:
     """Values EM cannot fit are refused by validation, exit 3, not a crash in
@@ -623,6 +648,20 @@ class TestSelect:
         assert rows[1].startswith("1,") and ",," not in rows[1]
         assert rows[2] == ("2,,,,,all 1 restart(s) failed for order 2: restart 0: "
                            "component 1 collapsed (total responsibility 0.000e+00)")
+
+    @pytest.mark.parametrize("orders, top", [("60-61", 61), ("61", 61),
+                                             (f"1-{10**12}", 10**12)])
+    def test_order_above_the_subjects_exit_3(self, work, tmp_path, capsys, orders, top):
+        """On the 60-row cohort an order or range end above 60 is one JSON error line, and
+        the range 1-10**12 is refused without being expanded."""
+        code = main(["select", "--out-dir", str(tmp_path / "select"), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--orders", orders, "--restarts", "1"])
+        assert code == 3
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"error": {"category": "validation", "message": f"order {top} in {orders!r} "
+                                                            "exceeds the 60 subject(s) a fit "
+                                                            "trains on"}}]
+        assert not (tmp_path / "select" / "bic_table.csv").exists()
 
     def test_drop_leaving_no_column_exit_3(self, tmp_path, capsys):
         out = tmp_path / "select"
@@ -1096,6 +1135,16 @@ class TestRerun:
         assert code == 3
         assert "changed" in _last_error(capsys)["message"]
 
+    def test_nested_out_dirs_are_made(self, work, tmp_path):
+        """``main`` and ``rerun`` each make an output directory whose parents do not exist."""
+        first, again = tmp_path / "a" / "b" / "fit", tmp_path / "c" / "d" / "again"
+        assert main(["fit", "--out-dir", str(first), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--order", "1", "--restarts", "1"]) == 0
+        assert main(["rerun", "--manifest", str(first / "manifest.json"),
+                     "--out-dir", str(again)]) == 0
+        for name in ("model.json", "trace.csv", "manifest.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
     def test_rejects_unknown_manifest(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"format_version": 1, "command": "explode",
@@ -1158,6 +1207,23 @@ class TestEvaluateOptions:
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
         assert not (out / "performance.csv").exists()
+
+    @pytest.mark.parametrize("orders", ["60", "1-60", "59-61"])
+    def test_order_above_the_fold_subjects_exit_3_before_any_fold(
+            self, work, tmp_path, capsys, monkeypatch, orders):
+        """A leave-one-out fold of the 60-row cohort trains on 59 subjects."""
+        import hetmix.evaluation as evaluation
+        monkeypatch.setattr(evaluation, "_evaluate_folds",
+                            lambda *a, **k: pytest.fail("a fold ran"))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", orders, "--restarts", "1", "--mode", "model_missing"])
+        assert code == 3
+        error = _last_error(capsys)
+        assert error["category"] == "validation"
+        assert error["message"].endswith(" exceeds the 59 subject(s) a fit trains on")
+        assert list(out.glob("*.csv")) == []
 
     def test_duplicate_targets_exit_3_before_any_fold(self, work, tmp_path, capsys,
                                                        monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -567,6 +568,26 @@ class TestLooEvaluate:
         with pytest.raises(ValueError):
             loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig())
 
+    @pytest.mark.parametrize("orders", [(6,), (1, 7), (10**15,)])
+    def test_order_above_the_fold_subjects_rejected(self, monkeypatch, orders):
+        """Each fold of a 6-row cohort trains on 5 subjects: order 6 is refused before any fold."""
+        import hetmix.evaluation as ev
+        monkeypatch.setattr(ev, "_evaluate_folds", lambda *a, **k: pytest.fail("a fold ran"))
+        cohort, _ = sample_cohort(small_demo_model(), 6, np.random.default_rng(0))
+        message = rf"^order {max(orders)} exceeds the 5 subject\(s\) a fit trains on$"
+        with pytest.raises(ValueError, match=message):
+            loo_evaluate(cohort, orders, ("severity",), MODEL_MISSING, EmConfig())
+
+    @pytest.mark.parametrize("workers", [0, -4, True, False, 2.5, 1.0, "2", None])
+    def test_workers_not_an_integer_of_at_least_one_rejected(self, monkeypatch, workers):
+        import hetmix.evaluation as ev
+        monkeypatch.setattr(ev, "_evaluate_folds", lambda *a, **k: pytest.fail("a fold ran"))
+        cohort, _ = sample_cohort(small_demo_model(), 20, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"^n_workers must be an integer >= 1, got "
+                                             rf"{re.escape(repr(workers))}$"):
+            loo_evaluate(cohort, (1,), ("severity",), MODEL_MISSING, EmConfig(),
+                         n_workers=workers)
+
     def test_order_below_one_rejected(self):
         cohort, _ = sample_cohort(small_demo_model(), 6, np.random.default_rng(0))
         with pytest.raises(ValueError, match="^orders must be >= 1$"):
@@ -664,6 +685,15 @@ class TestLooEvaluate:
         assert caught == ["n_workers 5000 capped at the 2 CPU(s) this process may use"]
         assert len(batches) == 42 and {len(batch) for batch in batches} == {47, 48}
         assert pools == [[2, 21]]
+
+    @pytest.mark.parametrize("workers", [np.int64(2), 10**6, 2**70])
+    def test_large_or_numpy_worker_counts_run(self, monkeypatch, workers):
+        """Any integer >= 1 is a worker count (capped at the CPUs); the pool is a stand-in."""
+        batches, pools, caught = self._schedule(monkeypatch, 120, workers, cpus=2)
+        assert [s for batch in batches for s in batch] == list(range(120))
+        assert pools == [[2, 1]]
+        assert caught == ([] if workers == 2 else
+                          [f"n_workers {workers} capped at the 2 CPU(s) this process may use"])
 
     def test_fold_failures_excluded(self, monkeypatch):
         import hetmix.evaluation as ev

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import hetmix.io
 from conftest import assert_same_store, random_cell_params, random_model
-from hetmix import (MISSING, Dataset, Gaussian, MixtureModel, SchemaViolationError,
-                    VariableSchema, sample_cohort, validate_dataset)
+from hetmix import (MISSING, Categorical, Dataset, Gaussian, InflatedGamma, MixtureModel,
+                    QuantizedGaussian, SchemaViolationError, VariableSchema, sample_cohort,
+                    validate_dataset)
 from hetmix.demo import demo_model
 from hetmix.io import (FormatError, _parse_cell, atomic_write_text,
                        load_dataset, load_model, load_schemas, model_from_dict,
@@ -403,6 +404,47 @@ class TestModelFiles:
         for row in model.params:
             for cell in row:
                 assert params_from_dict(params_to_dict(cell)) == cell
+
+    # one cell per family, with the text json writes for its params_to_dict: a level past
+    # int64 stays an int, and numpy inputs are stored (and written) as Python floats
+    CELLS = [
+        (Gaussian(np.float64(1.0) / 3.0, 0.1 + 0.2),
+         '{"family": "gaussian", "mean": 0.3333333333333333, "variance": 0.30000000000000004}'),
+        (InflatedGamma(0.25, np.float32(1.5), 3),
+         '{"family": "inflated_gamma", "scale": 3.0, "shape": 1.5, "zero_prob": 0.25}'),
+        (QuantizedGaussian(2.5, 4.0, (1, 2**70)),
+         '{"domain": [1, 1180591620717411303424], "family": "quantized_gaussian", '
+         '"mean": 2.5, "variance": 4.0}'),
+        (Categorical(np.array([0.2, 0.3, 0.5]), ("a", "b", "c")),
+         '{"domain": ["a", "b", "c"], "family": "categorical", "probs": [0.2, 0.3, 0.5]}')]
+
+    @pytest.mark.parametrize("cell, text", CELLS, ids=lambda c: getattr(c, "family", ""))
+    def test_cell_json(self, cell, text):
+        assert json.dumps(params_to_dict(cell), sort_keys=True) == text
+        assert json.loads(json.dumps(params_to_dict(cell))) == json.loads(text)
+
+    def test_four_family_model_json(self):
+        schemas = (VariableSchema("x", "real"), VariableSchema("dose", "nonnegative"),
+                   VariableSchema("grade", "ordinal", (1, 2**70)),
+                   VariableSchema("site", "categorical", ("a", "b", "c")))
+        second = (Gaussian(-2.0, 0.5), InflatedGamma(0.0, 2.0, 0.5),
+                  QuantizedGaussian(2**69, 1e40, (1, 2**70)),
+                  Categorical((0.5, 0.25, 0.25), ("a", "b", "c")))
+        model = MixtureModel((0.25, 0.75), ([cell for cell, _ in self.CELLS], second),
+                             [[0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.125, 1e-300]], schemas)
+        cells = ", ".join(text for _, text in self.CELLS)
+        assert json.dumps(model_to_dict(model), sort_keys=True) == (
+            '{"components": [[' + cells + '], [{"family": "gaussian", "mean": -2.0, '
+            '"variance": 0.5}, {"family": "inflated_gamma", "scale": 0.5, "shape": 2.0, '
+            '"zero_prob": 0.0}, {"domain": [1, 1180591620717411303424], "family": '
+            '"quantized_gaussian", "mean": 5.902958103587057e+20, "variance": 1e+40}, '
+            '{"domain": ["a", "b", "c"], "family": "categorical", "probs": [0.5, 0.25, 0.25]}]], '
+            '"format_version": 1, "missing_probs": [[0.1, 0.2, 0.3, 0.4], '
+            '[0.5, 0.0, 0.125, 1e-300]], "variables": [{"kind": "real", "name": "x", '
+            '"role": "input"}, {"kind": "nonnegative", "name": "dose", "role": "input"}, '
+            '{"domain": [1, 1180591620717411303424], "kind": "ordinal", "name": "grade", '
+            '"role": "input"}, {"domain": ["a", "b", "c"], "kind": "categorical", '
+            '"name": "site", "role": "input"}], "weights": [0.25, 0.75]}')
 
     def test_model_round_trip_exact(self, tmp_path, rng):
         for _ in range(5):

@@ -20,6 +20,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     parameter_count, row_log_likelihoods, sample_cohort,
                     training_confidence_scores)
 from hetmix.demo import demo_model, small_demo_model
+from hetmix.inference import predict_batch
 from hetmix.distributions import _BLOCK_FIELDS, _check_params
 from hetmix.model import _parameter_count
 from hetmix.io import model_to_dict, write_data_csv
@@ -369,6 +370,43 @@ class TestPosterior:
         model = MixtureModel((1.0,), ((Gaussian(0, 1),),), [[1.0]], schemas)
         with pytest.raises(ZeroLikelihoodError):
             latent_posterior(model, (0.5,), MODEL_MISSING)
+
+
+class TestRecordScorer:
+    """Each single-record query equals the batch routine on the same one-row Dataset,
+    bit for bit: one record scorer serves all three."""
+
+    @staticmethod
+    def _draws(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            model = random_model(rng, max_components=4, max_variables=4)
+            row = random_row(model, rng)
+            columns = rng.permutation(model.n_variables)[:rng.integers(0, model.n_variables + 1)]
+            yield model, row, Dataset(model.schemas, [row]), columns.tolist()
+
+    def test_joint_log_likelihood_is_row_log_likelihoods(self):
+        for model, row, ds, _ in self._draws(31):
+            for mode in (MODEL_MISSING, IGNORE_MISSING):
+                got = joint_log_likelihood(model, row, mode)
+                assert type(got) is float
+                want = row_log_likelihoods(model, ds, mode)
+                assert np.float64(got).tobytes() == want[:1].tobytes()
+
+    def test_latent_posterior_is_predict_batch(self):
+        for model, row, ds, _ in self._draws(32):
+            for mode in (MODEL_MISSING, IGNORE_MISSING):
+                predicted, zero = predict_batch({}, component_log_likelihoods(model, ds, mode))
+                assert zero == {}
+                assert latent_posterior(model, row, mode).tobytes() == \
+                    predicted.posteriors[0].tobytes()
+
+    def test_evidence_log_likelihoods_is_component_log_likelihoods(self):
+        for model, row, ds, columns in self._draws(33):
+            evidence = {model.schemas[j].name: row[j] for j in columns}
+            for mode in (MODEL_MISSING, IGNORE_MISSING):
+                want = component_log_likelihoods(model, ds, mode, columns)[0]
+                assert evidence_log_likelihoods(model, evidence, mode).tobytes() == want.tobytes()
 
 
 class TestSampleCohort:

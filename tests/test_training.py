@@ -232,6 +232,23 @@ class TestFit:
             with pytest.raises(ValueError, match="^orders must be integers"):
                 fit(ds, order, EmConfig())
 
+    @pytest.mark.parametrize("order", [31, 10**15])
+    def test_order_above_the_subjects_refused_before_em(self, monkeypatch, order):
+        """30 rows take at most 30 components; 10**15 would size EM's posteriors at
+        10**15 x 30 floats."""
+        import hetmix.training as training
+        monkeypatch.setattr(training, "_em_batch", lambda *a, **k: pytest.fail("EM ran"))
+        _, ds, _ = _cohort(n=30)
+        message = rf"^order {order} exceeds the 30 subject\(s\) a fit trains on$"
+        with pytest.raises(ValueError, match=message):
+            fit(ds, order, EmConfig(restarts=1))
+
+    def test_order_bound_is_inclusive(self):
+        from hetmix.training import _checked_orders
+        assert _checked_orders([3, 1, 3], 3) == [1, 3]
+        with pytest.raises(ValueError, match="^order 4 exceeds the 3 subject"):
+            _checked_orders([1, 4], 3)
+
 
 class TestStopRule:
     """One rule: revert a rise beyond MONOTONE_SLACK, stop at rel_tol
@@ -394,6 +411,14 @@ class TestSelectOrder:
         # a non-integer order is refused, not fitted as int(order)
         with pytest.raises(ValueError, match=r"^orders must be integers, got \[2.5\]$"):
             select_order(ds, [2.5], EmConfig())
+
+    def test_order_above_the_subjects_refused_before_em(self, monkeypatch):
+        import hetmix.training as training
+        monkeypatch.setattr(training, "_em_batch", lambda *a, **k: pytest.fail("EM ran"))
+        _, ds, _ = _cohort(n=30)
+        for orders in ([1, 31], [31], [2, 10**15]):
+            with pytest.raises(ValueError, match="^order [0-9]+ exceeds the 30 subject"):
+                select_order(ds, orders, EmConfig(restarts=1))
 
 
 def test_e_step_rows_sum_to_one():
