@@ -88,19 +88,30 @@ def _log_gamma(shape) -> np.ndarray:
 
 
 def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
-    """(Z, K) log masses of a finite block over its domain; an ordinal's come
-    from one row-wise log-sum-exp of its (Z, K) scores. Level d scores against
-    the level r nearest the mean m, -(d - r)(d + r - 2m) / (2 variance): r's is
-    0, the others <= 0 or -inf, so no extreme mean or variance gives inf - inf."""
+    """C-contiguous (Z, K) log masses of a finite block over its domain; an
+    ordinal's are its scores less their ``log_sum_exp`` per component. Level d
+    scores against the level r nearest the mean m, -(d - r)(d + r - 2m) / (2
+    variance): r's is 0, the others <= 0 or -inf, so no extreme mean or variance
+    gives inf - inf. The scores are laid out (K, Z), so the nearest level, the
+    peak and the count of levels at it each reduce across components at once;
+    the sum of the rest, the one reduction whose bits depend on its order, runs
+    along each component's own row of a (Z, K) copy, as ``log_sum_exp`` sums it."""
     if kind is VariableKind.CATEGORICAL:
         with np.errstate(divide="ignore"):
             return np.log(block[0])
-    mean, variance = (a[:, None] for a in block)
-    levels = np.asarray(domain, dtype=float)
-    nearest = levels[np.abs(levels - np.clip(mean, levels[0], levels[-1])).argmin(axis=1)][:, None]
+    mean, variance = block
+    levels = np.asarray(domain, dtype=float)[:, None]
+    nearest = levels[np.abs(levels - np.clip(mean, levels[0], levels[-1])).argmin(axis=0), 0]
     with np.errstate(over="ignore"):  # an overflow is a score of -inf
         scores = -((levels - nearest) * ((levels - mean) / 2 + (nearest - mean) / 2)) / variance
-    return scores - log_sum_exp(scores)[:, None]
+    peak = scores.max(axis=0)
+    top = scores == peak
+    count = top.sum(axis=0, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.ascontiguousarray((np.exp(scores - peak) - top).T).sum(axis=1)
+        rest[np.isinf(peak)] = 0.0
+        log_total = np.log1p(rest / count) + np.log(count) + peak
+    return np.ascontiguousarray((scores - log_total).T)
 
 
 # the Gamma shape stays below this: (shape - 1) log x, shape log scale and

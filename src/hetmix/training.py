@@ -289,27 +289,45 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
         stacks = dict(zip(groups, zip(firsts, model._fits(sizes))))
 
 
+def _dirichlet_rows(streams, counts, order: int) -> np.ndarray:
+    """Every run's start at ``order``, stacked: the first counts[b] * order of run b's
+    standard exponentials ``streams[b]`` as (counts[b], order) rows, each times the
+    reciprocal of its sum, added left to right. That is the arithmetic of
+    ``Generator.dirichlet(np.ones(order), size=counts[b])`` (gamma(1) is the standard
+    exponential), so the rows equal its draws bit for bit."""
+    draws = np.concatenate([s[:c * order].reshape(c, order) for s, c in zip(streams, counts)])
+    total = draws[:, 0].copy()
+    for column in draws.T[1:]:
+        total += column
+    return draws * (1.0 / total)[:, None]
+
+
 def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, orders,
               config: EmConfig) -> list:
     """Fit each of ``orders`` components to the rows of ``dataset`` that the (F, N) mask
     ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r of every order
-    from the ``SeedSequence`` ``children[i][r]``, as one ``_em_batch``. Returns per
-    order (params, fits): the (F', Z, ...) arrays (``MixtureModel._fits``' layout) of
-    the best restarts (the first of equal final NLLs) of the fits that trained, None
-    if none did; and per fit its best TrainingTrace, or TrainingError if all collapsed."""
-    restarts = config.restarts
+    from the ``SeedSequence`` ``children[i][r]``, as one ``_em_batch``. A restart draws
+    its kept rows x largest order standard exponentials once, at the first order's
+    start; order k's start is their first rows x k as ``_dirichlet_rows``, so every
+    order's is ``Generator.dirichlet``'s from that child. Returns per order (params,
+    fits): the (F', Z, ...) arrays (``MixtureModel._fits``' layout) of the best restarts
+    (the first of equal final NLLs) of the fits that trained, None if none did; and per
+    fit its best TrainingTrace, or TrainingError if all collapsed."""
+    restarts, runs = config.restarts, np.repeat(kept, config.restarts, 0)
+    counts, streams = runs.sum(axis=1).tolist(), []
 
     def starts(order, out):
+        if not streams:  # the first order
+            streams.extend(np.random.default_rng(child).standard_exponential(c * max(orders))
+                           for child, c in zip(itertools.chain(*children), counts))
         out.fill(0.0)
-        for i, spawned in enumerate(children):
-            for r, child in enumerate(spawned):
-                out[i * restarts + r][:, kept[i]] = np.random.default_rng(child).dirichlet(
-                    np.ones(order), size=int(kept[i].sum())).T
+        out.transpose(0, 2, 1)[runs] = _dirichlet_rows(streams, counts, order)
+        if order == max(orders):
+            streams.clear()
 
     results = []
     for order, (params, traces, endings) in zip(orders, _em_batch(
-            dataset, np.repeat(kept, restarts, 0), np.repeat(scales, restarts, 0), orders,
-            starts, config)):
+            dataset, runs, np.repeat(scales, restarts, 0), orders, starts, config)):
         best, fits = [], []
         for first in range(0, len(endings), restarts):
             runs = range(first, first + restarts)

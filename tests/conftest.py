@@ -100,38 +100,41 @@ def rng():
     return np.random.default_rng(20240814)
 
 
-def _collapsing(monkeypatch, collapses):
-    """EM's random starts of each order that ``collapses(order)`` with component 0
-    given no responsibility; other draws are the generator's own."""
-    real = np.random.default_rng
+def collapse_starts(monkeypatch, doomed, component=0):
+    """EM's random starts (``training._dirichlet_rows``) with ``component`` given no
+    responsibility in each run whose ``doomed(order, stream)`` holds, ``stream`` its
+    standard exponentials (``first_draws`` tells whose they are), so the run collapses
+    at its first M-step; other runs' starts are their own."""
+    import hetmix.training as training
+    real = training._dirichlet_rows
 
-    class Collapsing:
-        def __init__(self, seed):
-            self.rng = real(seed)
+    def rows(streams, counts, order):
+        out = real(streams, counts, order)
+        for stream, end, count in zip(streams, np.cumsum(counts), counts):
+            if doomed(order, stream):
+                out[end - count:end, component] = 0.0
+        return out
 
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
+    monkeypatch.setattr(training, "_dirichlet_rows", rows)
 
-        def dirichlet(self, alpha, size):
-            start = self.rng.dirichlet(alpha, size)
-            if collapses(len(alpha)):
-                start[:, 0] = 0.0
-            return start
 
-    monkeypatch.setattr(np.random, "default_rng", Collapsing)
+def first_draws(children) -> set:
+    """The first standard exponential of each ``SeedSequence`` of ``children``: the
+    first of the stream that ``training._fit_many`` draws for a restart from it."""
+    return {float(np.random.default_rng(c).standard_exponential()) for c in children}
 
 
 @pytest.fixture
 def collapsing_starts(monkeypatch):
-    """Every restart collapses at its first M-step (``_collapsing``)."""
-    _collapsing(monkeypatch, lambda order: True)
+    """Every restart collapses at its first M-step (``collapse_starts``)."""
+    collapse_starts(monkeypatch, lambda order, stream: True)
 
 
 @pytest.fixture
 def collapsing_order(monkeypatch):
     """Called with an order: every restart of that order alone collapses at its
-    first M-step (``_collapsing``)."""
-    return lambda doomed: _collapsing(monkeypatch, lambda order: order == doomed)
+    first M-step (``collapse_starts``)."""
+    return lambda doomed: collapse_starts(monkeypatch, lambda order, stream: order == doomed)
 
 
 def em_batch(dataset, kept, scales, inits, config) -> list:

@@ -222,3 +222,15 @@ def em_once(dataset, order, config, rng):
             return model, nlls, "max_iterations"
         previous_model = model
         model = m_step(dataset, posteriors)
+
+
+def log_mass_table(domain, mean, variance):
+    """(Z, K) ordinal log masses as ``distributions._log_mass_table`` computed them
+    in the (Z, K) layout, one row-wise ``log_sum_exp`` of the scores: the reference
+    that its layout across components keeps bit for bit."""
+    mean, variance = (np.asarray(a, dtype=float)[:, None] for a in (mean, variance))
+    levels = np.asarray(domain, dtype=float)
+    nearest = levels[np.abs(levels - np.clip(mean, levels[0], levels[-1])).argmin(axis=1)][:, None]
+    with np.errstate(over="ignore"):
+        scores = -((levels - nearest) * ((levels - mean) / 2 + (nearest - mean) / 2)) / variance
+    return scores - log_sum_exp(scores)[:, None]

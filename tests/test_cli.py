@@ -19,7 +19,7 @@ from hetmix.cli import _em_config, _json_rows, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
                        read_data_csv, save_model, save_schemas, sha256_file)
 
-from conftest import m_step_alone, widest_fit_values
+from conftest import collapse_starts, m_step_alone, widest_fit_values
 
 
 def _read_csv(path):
@@ -625,21 +625,7 @@ class TestSelect:
     def test_failed_order_row_has_empty_cells(self, work, tmp_path, monkeypatch):
         """An order that fails while another trains is a row of its order, empty
         cells and its error; here order 2's starts give component 1 no responsibility."""
-        real = np.random.default_rng
-
-        class Starving:
-            def __init__(self, seed):
-                self.rng = real(seed)
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def dirichlet(self, alpha, size):
-                start = self.rng.dirichlet(alpha, size)
-                start[:, 1:2] = 0.0  # no column 1 at order 1
-                return start
-
-        monkeypatch.setattr(np.random, "default_rng", Starving)
+        collapse_starts(monkeypatch, lambda order, stream: order > 1, component=1)
         out = tmp_path / "select"
         assert main(["select", "--out-dir", str(out), "--data", str(work["data"]),
                      "--schema", str(work["schema"]), "--orders", "1-2",

@@ -23,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (assert_same_arrays, em_batch, em_log_joint, m_step, m_step_alone, outcomes,
-                      spawned, stack)
+from conftest import (assert_same_arrays, collapse_starts, em_batch, em_log_joint, first_draws,
+                      m_step, m_step_alone, outcomes, spawned, stack)
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, TrainingError, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
@@ -252,19 +252,8 @@ def test_a_fit_whose_restarts_all_collapse_leaves_the_others_stacked(monkeypatch
     config = EmConfig(max_iterations=6, restarts=2)
     alone = [training._fit_many(dataset, folds[f:f + 1], scales[f:f + 1], children[f:f + 1],
                                 [2], config)[0] for f in (0, 2)]
-    real, doomed = np.random.default_rng, set(map(id, children[1]))
-
-    class Starts:
-        def __init__(self, seed):
-            self.rng, self.doomed = real(seed), id(seed) in doomed
-
-        def dirichlet(self, alpha, size):
-            start = self.rng.dirichlet(alpha, size)
-            if self.doomed:
-                start[:, 1] = 0.0
-            return start
-
-    monkeypatch.setattr(np.random, "default_rng", Starts)
+    doomed = first_draws(children[1])
+    collapse_starts(monkeypatch, lambda order, stream: stream[0] in doomed, component=1)
     (stacked, fits), = training._fit_many(dataset, folds, scales, children, [2], config)
     collapsed = "component 1 collapsed (total responsibility 0.000e+00)"
     assert isinstance(fits[1], TrainingError)

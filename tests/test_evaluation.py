@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from conftest import assert_same_arrays, fit_of, random_model
+from conftest import assert_same_arrays, collapse_starts, first_draws, fit_of, random_model
 from hetmix import (IGNORE_MISSING, MODEL_MISSING, OUTCOME, Dataset, DegenerateSampleError,
                     EmConfig, FinitePrediction, InferenceRequest, SchemaError,
                     SchemaViolationError, TrainingError,
@@ -719,19 +719,9 @@ class TestLooEvaluate:
         config = EmConfig(max_iterations=20, restarts=2, seed=0)
         args = ((1, 2), ("severity", "status"), IGNORE_MISSING, config)
         clean = ev._evaluate_folds(cohort, range(12), *args)
-        doomed, real = _fold_seed(config.seed, 3), np.random.default_rng
-
-        class Collapsing:  # fold 3's order-2 starts give component 0 no responsibility
-            def __init__(self, seed):
-                self.rng, self.doomed = real(seed), seed.entropy == doomed
-
-            def dirichlet(self, alpha, size):
-                start = self.rng.dirichlet(alpha, size)
-                if self.doomed and len(alpha) == 2:
-                    start[:, 0] = 0.0
-                return start
-
-        monkeypatch.setattr(np.random, "default_rng", Collapsing)
+        # fold 3's order-2 starts give component 0 no responsibility
+        doomed = first_draws(np.random.SeedSequence(_fold_seed(config.seed, 3)).spawn(2))
+        collapse_starts(monkeypatch, lambda order, stream: order == 2 and stream[0] in doomed)
         got = ev._evaluate_folds(cohort, range(12), *args)
         collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
         message = (f"all 2 restart(s) failed for order 2: restart 0: {collapsed}; "
@@ -755,19 +745,9 @@ class TestLooEvaluate:
         config = EmConfig(max_iterations=20, restarts=2, seed=0)
         args = ((1, 2), ("severity", "status"), IGNORE_MISSING, config)
         clean = _evaluate_folds(cohort, range(12), *args)
-        marked, real = _fold_seed(config.seed, 3), np.random.default_rng
-
-        class Collapsing:  # fold 3's starts of the doomed orders give component 0 nothing
-            def __init__(self, seed):
-                self.rng, self.marked = real(seed), seed.entropy == marked
-
-            def dirichlet(self, alpha, size):
-                start = self.rng.dirichlet(alpha, size)
-                if self.marked and len(alpha) in doomed:
-                    start[:, 0] = 0.0
-                return start
-
-        monkeypatch.setattr(np.random, "default_rng", Collapsing)
+        # fold 3's starts of the doomed orders give component 0 nothing
+        marked = first_draws(np.random.SeedSequence(_fold_seed(config.seed, 3)).spawn(2))
+        collapse_starts(monkeypatch, lambda order, stream: order in doomed and stream[0] in marked)
         got = _evaluate_folds(cohort, range(12), *args)
         collapsed = "component 0 collapsed (total responsibility 0.000e+00)"
         assert got[0] == {3: f"all 2 restart(s) failed for order 1: restart 0: {collapsed}; "
