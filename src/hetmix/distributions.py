@@ -24,7 +24,8 @@ maximum-likelihood update reads only weighted sums of sufficient statistics
 counts, the weighted sums of its one-hot slots in ``Dataset._stats``);
 ``_weighted_block`` maps them to the missing probability and a block in closed
 form, unchecked; ``_natural_params`` maps a block back to its log factors'
-coefficients on them. ``log_sum_exp`` is the package's one log-sum-exp.
+coefficients on them. ``log_sum_exp`` is the package's log-sum-exp; an
+ordinal mass table and EM's E-step (``training._em_batch``) take theirs in line.
 """
 
 from __future__ import annotations

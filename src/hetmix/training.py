@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (EstimationError, _default_block, _natural_params, _weighted_block,
-                            log_sum_exp)
+from .distributions import EstimationError, _default_block, _natural_params, _weighted_block
 from .model import MixtureModel, _factors, _parameter_count, parameter_count
 from .schema import Dataset, SchemaViolationError, _is_int, _kept_ranges, validate_dataset
 
@@ -215,14 +214,16 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
 
     Every ending is decided here. A run carries its parameters to the next iteration, so one
     (B, Z, N) buffer, of the largest order, serves the groups in turn: their starts, then per
-    iteration their E-steps (``_em_log_joint``), posteriors in place. A rise over MONOTONE_SLACK
-    (approximate M-steps overshoot) ends a run ("revert"), its rows left as they are; else its
-    rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol") or after
-    max_iterations more M-steps. A run stays live only while each of its E-steps is accepted, so
-    all live runs, of every order, have accepted as many (``steps``). Before each M-step, a run
-    with a component of total responsibility below COLLAPSE_EPS collapses; the others move to
-    the buffer's front and give their ``_weighted_sums``, and one ``_m_step_batch`` serves every
-    group. Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
+    iteration their E-steps (``_em_log_joint``), posteriors in place: one exp per cell of each
+    row's log joint less its peak, the row's log-likelihood the peak plus the log of their sum
+    (within a few ulp of ``log_sum_exp``), its posteriors the terms over that sum. A rise over
+    MONOTONE_SLACK (approximate M-steps overshoot) ends a run ("revert"), its rows left as they
+    are; else its rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol")
+    or after max_iterations more M-steps. A run stays live only while each of its E-steps is
+    accepted, so all live runs, of every order, have accepted as many (``steps``). Before each
+    M-step, a run with a component of total responsibility below COLLAPSE_EPS collapses; the
+    others move to the buffer's front and give their ``_weighted_sums``, and one
+    ``_m_step_batch`` serves every group. Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
     responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses
     and floored densities positive and finite for the row, so its likelihood is; a zero one
     would stop the batch at the next M-step's weights check (EstimationError)."""
@@ -243,9 +244,17 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
             else:
                 (first, stacked), on = stacks[g], kept[fits]
                 log_joint = _em_log_joint(model, dataset, coefficients, first, alpha)
-                # a row left out: posteriors exp(-inf - 0) = 0, NLL term 0
+                # a row left out: peak 0, terms exp(-inf) = 0, NLL term 0, posteriors 0 / 1
                 np.copyto(log_joint, -np.inf, where=~on[:, None])
-                ll = np.where(on, log_sum_exp(log_joint, axis=1), 0.0)
+                peak = log_joint.max(axis=1)
+                peak[peak == -np.inf] = 0.0
+                # in place: the log joint becomes its terms, then the posteriors (of ended
+                # runs too, unread); summed across the strided component axis, a fit's in
+                # the same order batched or alone
+                terms = np.exp(np.subtract(log_joint, peak[:, None], out=log_joint), out=log_joint)
+                total = terms.sum(axis=1)
+                with np.errstate(divide="ignore"):  # log(0): a held-out row, or -inf
+                    ll = np.where(on, peak + np.log(total), 0.0)
                 nlls, last = -ll.sum(axis=1), lasts[g, fits]
                 with np.errstate(invalid="ignore"):  # inf - inf: NaN, no decrease
                     accept = (steps == 0) | ~(nlls > last + MONOTONE_SLACK)
@@ -262,9 +271,10 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 params[g] = params[g] or tuple(np.zeros((n_runs, *a[0].shape)) for a in stacked)
                 for stored, a in zip(params[g], stacked):  # every run accepted: no gather
                     stored[fits[accepted]] = a if accepted.size == fits.size else a[accepted]
-                # in place: the log joint becomes the posteriors (of ended runs too, unread)
                 if go.any():
-                    np.exp(np.subtract(log_joint, ll[:, None], out=log_joint), out=log_joint)
+                    total[~on] = 1.0
+                    with np.errstate(invalid="ignore"):  # 0 / 0: a kept row of all -inf, NaN
+                        np.divide(terms, total[:, None], out=terms)
             totals = alpha.sum(axis=-1)
             low = go & (totals.min(axis=1) < COLLAPSE_EPS)
             for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist()):

@@ -28,6 +28,7 @@ from conftest import (assert_same_arrays, collapse_starts, em_batch, em_log_join
 from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, TrainingError, sample_cohort,
                     validate_dataset)
 from hetmix.demo import small_demo_model
+from hetmix.distributions import log_sum_exp
 from hetmix.model import _log_joint
 from hetmix.schema import _kept_ranges
 from hetmix.training import _CHUNK_ROWS, COLLAPSE_EPS, ComponentCollapseError
@@ -418,7 +419,7 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
 
     def recording_log_joint(*args):
         out = em_log_joint(*args)
-        totals.append(training.log_sum_exp(out, axis=1))
+        totals.append(log_sum_exp(out, axis=1))
         return out
 
     monkeypatch.setattr(training, "_em_batch", recording_em_batch)
