@@ -93,10 +93,8 @@ def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
     ordinal's are its scores less their ``log_sum_exp`` per component. Level d
     scores against the level r nearest the mean m, -(d - r)(d + r - 2m) / (2
     variance): r's is 0, the others <= 0 or -inf, so no extreme mean or variance
-    gives inf - inf. The scores are laid out (K, Z), so the nearest level, the
-    peak and the count of levels at it each reduce across components at once;
-    the sum of the rest, the one reduction whose bits depend on its order, runs
-    along each component's own row of a (Z, K) copy, as ``log_sum_exp`` sums it."""
+    gives inf - inf. Laid out (K, Z), every reduction runs across components but
+    the order-sensitive sum, along each component's row of a (Z, K) copy."""
     if kind is VariableKind.CATEGORICAL:
         with np.errstate(divide="ignore"):
             return np.log(block[0])

@@ -15,6 +15,7 @@ it is ranked against the training cohort's scores to give a percentile.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -355,7 +356,7 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
         max_absolute_error(dataset.schema(name))  # rejects continuous targets early
     if dataset.n_subjects < 3:
         raise ValueError("leave-one-out needs at least 3 subjects")
-    orders = _checked_orders([*orders, BASELINE_ORDER], dataset.n_subjects - 1)
+    orders = _checked_orders(itertools.chain(orders, [BASELINE_ORDER]), dataset.n_subjects - 1)
     if not (_is_int(n_workers) and n_workers >= 1):
         raise ValueError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     violations = validate_dataset(dataset)

@@ -70,8 +70,17 @@ def _checked_orders(orders, limit: int) -> list:
     """``orders`` ascending, each once, as ints; ValueError unless there is one and each is
     an integer (not a bool) >= 1 and <= ``limit``, the number of subjects a fit trains on
     (N for ``fit`` and ``select_order``, N - 1 for a leave-one-out fold): so no EM buffer
-    of restarts x largest order x N floats is sized by an order past the cohort."""
-    if not (orders := list(orders)):
+    of restarts x largest order x N floats is sized by an order past the cohort. Neither is
+    a list sized by one: a range is refused by its largest order, read off its ends, and any
+    other iterable at its first integer past ``limit``, the rest unread."""
+    if isinstance(orders, range) and orders and min(ends := (orders[0], orders[-1])) >= 1:
+        orders = ends if max(ends) > limit else orders
+    listed = []
+    for order in orders:
+        listed.append(order)
+        if _is_int(order) and order > limit:
+            break
+    if not (orders := listed):
         raise ValueError("no orders requested")
     if not all(map(_is_int, orders)):
         raise ValueError(f"orders must be integers, got {orders}")
@@ -214,19 +223,20 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
 
     Every ending is decided here. A run carries its parameters to the next iteration, so one
     (B, Z, N) buffer, of the largest order, serves the groups in turn: their starts, then per
-    iteration their E-steps (``_em_log_joint``), posteriors in place: one exp per cell of each
-    row's log joint less its peak, the row's log-likelihood the peak plus the log of their sum
-    (within a few ulp of ``log_sum_exp``), its posteriors the terms over that sum. A rise over
+    iteration their E-steps (``_em_log_joint``), posteriors in place: a row's terms exp(log
+    joint - its peak), its log-likelihood the peak + log of their sum (within a few ulp of
+    ``log_sum_exp``), its posteriors the terms over that sum. A rise over
     MONOTONE_SLACK (approximate M-steps overshoot) ends a run ("revert"), its rows left as they
     are; else its rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol")
     or after max_iterations more M-steps. A run stays live only while each of its E-steps is
     accepted, so all live runs, of every order, have accepted as many (``steps``). Before each
     M-step, a run with a component of total responsibility below COLLAPSE_EPS collapses; the
     others move to the buffer's front and give their ``_weighted_sums``, and one
-    ``_m_step_batch`` serves every group. Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
-    responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses
-    and floored densities positive and finite for the row, so its likelihood is; a zero one
-    would stop the batch at the next M-step's weights check (EstimationError)."""
+    ``_m_step_batch`` serves every group. Precondition (``_fit_many`` meets it, posteriors keep
+    it): each kept row's responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's
+    q, zero_prob, masses and floored densities positive and finite for the row, so its
+    likelihood is; a zero one would stop the batch at the next M-step's weights check
+    (EstimationError)."""
     n, n_runs = dataset.n_subjects, len(kept)
     buffer = np.empty(n_runs * max(orders, default=0) * n)
     traces, endings = [[[] for _ in kept] for _ in orders], [[None] * n_runs for _ in orders]
@@ -248,11 +258,9 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 np.copyto(log_joint, -np.inf, where=~on[:, None])
                 peak = log_joint.max(axis=1)
                 peak[peak == -np.inf] = 0.0
-                # in place: the log joint becomes its terms, then the posteriors (of ended
-                # runs too, unread); summed across the strided component axis, a fit's in
-                # the same order batched or alone
+                # in place: the terms, then the posteriors (of ended runs too, unread)
                 terms = np.exp(np.subtract(log_joint, peak[:, None], out=log_joint), out=log_joint)
-                total = terms.sum(axis=1)
+                total = terms.sum(axis=1)  # strided: one order, a fit batched or alone
                 with np.errstate(divide="ignore"):  # log(0): a held-out row, or -inf
                     ll = np.where(on, peak + np.log(total), 0.0)
                 nlls, last = -ll.sum(axis=1), lasts[g, fits]
@@ -300,11 +308,9 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
 
 
 def _dirichlet_rows(streams, counts, order: int) -> np.ndarray:
-    """Every run's start at ``order``, stacked: the first counts[b] * order of run b's
-    standard exponentials ``streams[b]`` as (counts[b], order) rows, each times the
-    reciprocal of its sum, added left to right. That is the arithmetic of
-    ``Generator.dirichlet(np.ones(order), size=counts[b])`` (gamma(1) is the standard
-    exponential), so the rows equal its draws bit for bit."""
+    """Every run's start at ``order``, stacked: run b's first counts[b] * order standard
+    exponentials ``streams[b]`` as rows, each times the reciprocal of its left-to-right sum,
+    the arithmetic of ``Generator.dirichlet(np.ones(order), counts[b])``: its draws, bit for bit."""
     draws = np.concatenate([s[:c * order].reshape(c, order) for s, c in zip(streams, counts)])
     total = draws[:, 0].copy()
     for column in draws.T[1:]:
@@ -316,28 +322,26 @@ def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, 
               config: EmConfig) -> list:
     """Fit each of ``orders`` components to the rows of ``dataset`` that the (F, N) mask
     ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r of every order
-    from the ``SeedSequence`` ``children[i][r]``, as one ``_em_batch``. A restart draws
-    its kept rows x largest order standard exponentials once, at the first order's
-    start; order k's start is their first rows x k as ``_dirichlet_rows``, so every
-    order's is ``Generator.dirichlet``'s from that child. Returns per order (params,
-    fits): the (F', Z, ...) arrays (``MixtureModel._fits``' layout) of the best restarts
-    (the first of equal final NLLs) of the fits that trained, None if none did; and per
-    fit its best TrainingTrace, or TrainingError if all collapsed."""
-    restarts, runs = config.restarts, np.repeat(kept, config.restarts, 0)
-    counts, streams = runs.sum(axis=1).tolist(), []
+    from the ``SeedSequence`` ``children[i][r]`` (its kept rows x largest order standard
+    exponentials, drawn once; ``_dirichlet_rows`` per order), as one ``_em_batch``. Returns
+    per order (params, fits): the (F', Z, ...) arrays (``MixtureModel._fits``' layout) of
+    the best restarts (the first of equal final NLLs) of the fits that trained, None if
+    none did; and per fit its best TrainingTrace, or TrainingError if all collapsed."""
+    restarts, kept_runs = config.restarts, np.repeat(kept, config.restarts, 0)
+    counts, streams = kept_runs.sum(axis=1).tolist(), []
 
     def starts(order, out):
         if not streams:  # the first order
             streams.extend(np.random.default_rng(child).standard_exponential(c * max(orders))
                            for child, c in zip(itertools.chain(*children), counts))
         out.fill(0.0)
-        out.transpose(0, 2, 1)[runs] = _dirichlet_rows(streams, counts, order)
+        out.transpose(0, 2, 1)[kept_runs] = _dirichlet_rows(streams, counts, order)
         if order == max(orders):
             streams.clear()
 
     results = []
     for order, (params, traces, endings) in zip(orders, _em_batch(
-            dataset, runs, np.repeat(scales, restarts, 0), orders, starts, config)):
+            dataset, kept_runs, np.repeat(scales, restarts, 0), orders, starts, config)):
         best, fits = [], []
         for first in range(0, len(endings), restarts):
             runs = range(first, first + restarts)

@@ -420,6 +420,34 @@ class TestSelectOrder:
             with pytest.raises(ValueError, match="^order [0-9]+ exceeds the 30 subject"):
                 select_order(ds, orders, EmConfig(restarts=1))
 
+    def test_orders_are_bounded_before_they_are_listed(self, monkeypatch):
+        """A range is refused by its largest order, so range(1, 10**12) (8 TB as a list)
+        never becomes a list; any other iterable is refused at its first order past the
+        subjects, and nothing after it is read."""
+        import hetmix.evaluation as evaluation
+        import hetmix.training as training
+        monkeypatch.setattr(training, "_em_batch", lambda *a, **k: pytest.fail("EM ran"))
+        monkeypatch.setattr(evaluation, "_evaluate_folds", lambda *a, **k: pytest.fail("fold"))
+        _, ds, _ = _cohort(n=30)
+        message = rf"^order {10**12 - 1} exceeds the 30 subject\(s\) a fit trains on$"
+        with pytest.raises(ValueError, match=message):
+            select_order(ds, range(1, 10**12), EmConfig(restarts=1))
+        with pytest.raises(ValueError, match=rf"^order {10**12} exceeds the 30 subject"):
+            select_order(ds, range(10**12, 0, -1), EmConfig(restarts=1))
+
+        def orders():
+            yield from (2, 1, 31)
+            pytest.fail("read past order 31")
+
+        with pytest.raises(ValueError, match=r"^order 31 exceeds the 30 subject\(s\)"):
+            select_order(ds, orders(), EmConfig(restarts=1))
+        with pytest.raises(ValueError, match=r"^order 31 exceeds the 29 subject\(s\)"):
+            evaluation.loo_evaluate(ds, orders(), ("c_scale",), MODEL_MISSING, EmConfig())
+        # a range below 1, or within the subjects, is read as it was
+        with pytest.raises(ValueError, match="^orders must be >= 1$"):
+            select_order(ds, range(0, 10**12), EmConfig(restarts=1))
+        assert training._checked_orders(range(5, 0, -2), 30) == [1, 3, 5]
+
 
 def test_e_step_rows_sum_to_one():
     gen, ds, _ = _cohort(n=60)
