@@ -209,6 +209,24 @@ def _m_step_batch(dataset: Dataset, sums, weights, scales, groups) -> MixtureMod
     return MixtureModel._from_blocks(weights, blocks, missing_probs, dataset.schemas, groups)
 
 
+def _posteriors(log_joint: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """The (B, N) log-likelihoods of the rows of B fits' (B, Z, N) ``log_joint``, which
+    becomes their posteriors in place; a row that the (B, N) mask ``on`` leaves out has 0 and
+    posteriors 0, a kept row of all -inf -inf and NaN. One exp per cell: a row's terms are
+    exp(log joint - its peak), its log-likelihood the peak + log of their sum (within a few
+    ulp of ``log_sum_exp``), summed across the strided component axis, so in one order
+    whether a fit is batched or alone; its posteriors are the terms over that sum."""
+    np.copyto(log_joint, -np.inf, where=~on[:, None])
+    peak = log_joint.max(axis=1)
+    peak[peak == -np.inf] = 0.0  # a row left out: terms exp(-inf) = 0, over a total of 1
+    terms = np.exp(np.subtract(log_joint, peak[:, None], out=log_joint), out=log_joint)
+    total = terms.sum(axis=1)
+    total[~on] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a kept row of all -inf: log 0, 0 / 0
+        np.divide(terms, total[:, None], out=terms)
+        return peak + np.log(total)
+
+
 def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, starts,
               config: EmConfig) -> list:
     """B EM runs per order of ``orders`` (an order group), all in lockstep on the rows
@@ -223,20 +241,17 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
 
     Every ending is decided here. A run carries its parameters to the next iteration, so one
     (B, Z, N) buffer, of the largest order, serves the groups in turn: their starts, then per
-    iteration their E-steps (``_em_log_joint``), posteriors in place: a row's terms exp(log
-    joint - its peak), its log-likelihood the peak + log of their sum (within a few ulp of
-    ``log_sum_exp``), its posteriors the terms over that sum. A rise over
-    MONOTONE_SLACK (approximate M-steps overshoot) ends a run ("revert"), its rows left as they
-    are; else its rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol")
-    or after max_iterations more M-steps. A run stays live only while each of its E-steps is
-    accepted, so all live runs, of every order, have accepted as many (``steps``). Before each
-    M-step, a run with a component of total responsibility below COLLAPSE_EPS collapses; the
-    others move to the buffer's front and give their ``_weighted_sums``, and one
-    ``_m_step_batch`` serves every group. Precondition (``_fit_many`` meets it, posteriors keep
-    it): each kept row's responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's
-    q, zero_prob, masses and floored densities positive and finite for the row, so its
-    likelihood is; a zero one would stop the batch at the next M-step's weights check
-    (EstimationError)."""
+    iteration their E-steps (``_em_log_joint``) and ``_posteriors``. A rise over MONOTONE_SLACK
+    (approximate M-steps overshoot) ends a run ("revert"), its rows left as they are; else its
+    rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol") or after
+    max_iterations more M-steps. A run stays live only while each of its E-steps is accepted, so
+    all live runs, of every order, have accepted as many (``steps``). Before each M-step, a run
+    with a component of total responsibility below COLLAPSE_EPS collapses; the others move to
+    the buffer's front and give their ``_weighted_sums``, and one ``_m_step_batch`` serves every
+    group. Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
+    responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses
+    and floored densities positive and finite for the row, so its likelihood is; a zero one
+    would stop the batch at the next M-step's weights check (EstimationError)."""
     n, n_runs = dataset.n_subjects, len(kept)
     buffer = np.empty(n_runs * max(orders, default=0) * n)
     traces, endings = [[[] for _ in kept] for _ in orders], [[None] * n_runs for _ in orders]
@@ -253,16 +268,8 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 go = np.ones(n_runs, dtype=bool)
             else:
                 (first, stacked), on = stacks[g], kept[fits]
-                log_joint = _em_log_joint(model, dataset, coefficients, first, alpha)
-                # a row left out: peak 0, terms exp(-inf) = 0, NLL term 0, posteriors 0 / 1
-                np.copyto(log_joint, -np.inf, where=~on[:, None])
-                peak = log_joint.max(axis=1)
-                peak[peak == -np.inf] = 0.0
-                # in place: the terms, then the posteriors (of ended runs too, unread)
-                terms = np.exp(np.subtract(log_joint, peak[:, None], out=log_joint), out=log_joint)
-                total = terms.sum(axis=1)  # strided: one order, a fit batched or alone
-                with np.errstate(divide="ignore"):  # log(0): a held-out row, or -inf
-                    ll = np.where(on, peak + np.log(total), 0.0)
+                # in place: the posteriors (of ended runs too, unread)
+                ll = _posteriors(_em_log_joint(model, dataset, coefficients, first, alpha), on)
                 nlls, last = -ll.sum(axis=1), lasts[g, fits]
                 with np.errstate(invalid="ignore"):  # inf - inf: NaN, no decrease
                     accept = (steps == 0) | ~(nlls > last + MONOTONE_SLACK)
@@ -279,10 +286,6 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 params[g] = params[g] or tuple(np.zeros((n_runs, *a[0].shape)) for a in stacked)
                 for stored, a in zip(params[g], stacked):  # every run accepted: no gather
                     stored[fits[accepted]] = a if accepted.size == fits.size else a[accepted]
-                if go.any():
-                    total[~on] = 1.0
-                    with np.errstate(invalid="ignore"):  # 0 / 0: a kept row of all -inf, NaN
-                        np.divide(terms, total[:, None], out=terms)
             totals = alpha.sum(axis=-1)
             low = go & (totals.min(axis=1) < COLLAPSE_EPS)
             for i, z in zip(np.flatnonzero(low), np.argmin(totals[low], axis=1).tolist()):
@@ -315,7 +318,8 @@ def _dirichlet_rows(streams, counts, order: int) -> np.ndarray:
     total = draws[:, 0].copy()
     for column in draws.T[1:]:
         total += column
-    return draws * (1.0 / total)[:, None]
+    draws *= (1.0 / total)[:, None]
+    return draws
 
 
 def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, orders,

@@ -19,7 +19,7 @@ from hetmix import (IGNORE_MISSING, Categorical, Dataset, Gaussian, InflatedGamm
                     MixtureModel, QuantizedGaussian, VariableKind, VariableSchema,
                     component_log_likelihoods, family_for, parameter_count)
 from hetmix.distributions import (REL_VARIANCE_FLOOR, SHAPE_LIMIT, SHAPE_MAX, SHAPE_MIN,
-                                  log_sum_exp)
+                                  _log_mass_table, log_sum_exp)
 
 
 class TestGaussian:
@@ -212,6 +212,26 @@ class TestQuantizedGaussian:
                     log_masses = QuantizedGaussian(mean, variance, (-1000, 0, 7, 10 ** 6)).log_masses
                     assert not np.isnan(log_masses).any() and (log_masses <= 0).all()
                     assert log_sum_exp(log_masses) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n_levels", [*range(2, 13), 30])
+    def test_mass_table_is_the_row_formula_bit_for_bit(self, n_levels):
+        """``_log_mass_table`` reduces across components, and still gives the bits of the
+        row-by-row formula (``oracles.log_mass_table``) as a C-contiguous (Z, K) table:
+        for 1, 3 and 1440 components of random means (on, between and beyond the levels)
+        and variances, and for every pair of the extreme means and variances above."""
+        rng = np.random.default_rng(n_levels)
+        domain = tuple(range(-3, n_levels - 3)) if n_levels < 30 else tuple(range(0, 90, 3))
+        extremes = np.array([(m, v) for m in (-1.7e308, -1e300, 1.5, 1e300, 1.7e308)
+                             for v in (5e-324, 1e-300, 1.0, 1e300, 1.7e308)])
+        blocks = [(rng.choice([*domain, domain[0] + 0.5, domain[-1] - 0.5, rng.uniform(-50, 50)],
+                              size=z) + rng.uniform(-1, 1, size=z) * (z > 3),
+                   np.exp(rng.uniform(-10, 8, size=z))) for z in (1, 3, 1440)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mean, variance in [*blocks, tuple(extremes.T)]:
+                got = _log_mass_table(VariableKind.ORDINAL, domain, (mean, variance))
+                assert got.flags.c_contiguous and got.shape == (mean.size, len(domain))
+                assert got.tobytes() == oracles.log_mass_table(domain, mean, variance).tobytes()
 
     def test_log_density_out_of_domain(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (assert_same_arrays, collapse_starts, em_batch, em_log_joint, first_draws,
                       m_step, m_step_alone, outcomes, spawned, stack)
-from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, TrainingError, sample_cohort,
-                    validate_dataset)
+from hetmix import (MISSING, MODEL_MISSING, Dataset, EmConfig, EstimationError, TrainingError,
+                    sample_cohort, validate_dataset)
 from hetmix.demo import small_demo_model
 from hetmix.distributions import log_sum_exp
 from hetmix.model import _log_joint
@@ -502,3 +502,109 @@ def test_fold_ranges_do_not_change_any_fold(workers, monkeypatch):
     split = loo_evaluate(dataset, *args)
     assert list(map(len, batches)) == [14, 4, 4, 3, 3]
     assert_same_arrays(split, whole)
+
+
+class _Drawn(Exception):
+    """Raised by a stand-in ``_em_batch`` once it has every order's starts."""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1])
+def test_each_orders_start_is_its_childs_dirichlet_draw(monkeypatch, seed):
+    """``_fit_many`` makes one generator per restart, which draws its standard exponentials
+    once, and every order's start (1-9, in one batch whose fits keep 1, 2, 119 and 600 of
+    600 rows) is ``Generator.dirichlet(np.ones(order), size=n)`` of that restart's child,
+    bit for bit, on the rows the fit keeps, and 0 on the others."""
+    import hetmix.training as training
+    rng = np.random.default_rng(seed)
+    dataset = _cohort(rng, 600, [], None)
+    kept = np.zeros((4, 600), dtype=bool)
+    for row, n in zip(kept, (1, 2, 119, 600)):
+        row[rng.choice(600, n, replace=False)] = True
+    children, real, made, starts = spawned([seed, 5, 6, 7], 2), np.random.default_rng, [], {}
+
+    def em_batch(dataset, kept_runs, scales, orders, start, config):
+        for order in orders:
+            start(order, out := np.full((len(kept_runs), order, 600), np.nan))
+            starts[order] = out
+        raise _Drawn
+
+    monkeypatch.setattr(training, "_em_batch", em_batch)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or real(seed))
+    with pytest.raises(_Drawn):
+        training._fit_many(dataset, kept, _kept_ranges(dataset, kept)[3], children,
+                           list(range(1, 10)), EmConfig(restarts=2))
+    assert made == [child for pair in children for child in pair]
+    for order, out in starts.items():
+        for b, child in enumerate(made):
+            want = np.zeros((order, 600))
+            want[:, kept[b // 2]] = real(child).dirichlet(np.ones(order), kept[b // 2].sum()).T
+            assert out[b].tobytes() == want.tobytes()
+
+
+def _ulps(a, b):
+    """|a - b| in units of the last place of ``b``."""
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 8, 9, 12])
+def test_posteriors_take_one_exponential_per_cell(order):
+    """``_posteriors`` of the E-step of three fits of ``order`` components, each leaving out
+    one row, one with a kept row of all -inf: a row left out has posteriors 0 and
+    log-likelihood 0; a kept row's posteriors sum to 1 within 4 ulp and its log-likelihood
+    is within 4 ulp of ``log_sum_exp`` of the same log joint; the row of all -inf has -inf
+    and NaN posteriors, as ``log_sum_exp`` and exp(log joint - it) give."""
+    from hetmix.training import _posteriors
+    rng = np.random.default_rng(order)
+    dataset = _cohort(rng, 120, [4], None)
+    alpha = rng.dirichlet(np.ones(order), size=(3, 120)).transpose(0, 2, 1)
+    model = m_step(dataset, np.repeat(_kept_ranges(dataset)[3], 3, 0), alpha)
+    log_joint = em_log_joint(model, dataset, 3)
+    log_joint[1, :, 9] = -np.inf
+    on = np.arange(120) != np.array([7, 0, 119])[:, None]
+    want = log_sum_exp(log_joint, axis=1)
+    with np.errstate(invalid="ignore"):
+        nan = np.exp(log_joint[1, :, 9] - want[1, 9])
+    got = log_joint.copy()
+    ll = _posteriors(got, on)
+    assert (ll[~on] == 0.0).all() and (got.transpose(0, 2, 1)[~on] == 0.0).all()
+    assert ll[1, 9] == want[1, 9] == -np.inf
+    assert np.isnan(got[1, :, 9]).all() and np.isnan(nan).all()
+    on[1, 9] = False
+    assert _ulps(ll[on], want[on]).max() <= 4
+    assert np.abs(got.sum(axis=1)[on] - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+def test_a_kept_row_of_all_minus_inf_ends_its_fit():
+    """A kept row whose every component has log joint -inf at the second E-step gives its
+    fit an NLL of inf: the fit ends there on a revert, with the trace and parameters of its
+    first M-step, and the other fit goes on as it would alone, with no RuntimeWarning. At
+    the first E-step the row's NaN posteriors stop the batch at the M-step's weights check."""
+    import hetmix.training as training
+    rng = np.random.default_rng(4)
+    dataset = _cohort(rng, 30, [], None)
+    _, kept, scales, (inits,) = _batch(dataset, None, [[rng.dirichlet(np.ones(2), size=30)
+                                                        for _ in range(2)]])
+    config = EmConfig(max_iterations=6, rel_tol=1e-12)
+    clean = outcomes(dataset, em_batch(dataset, kept, scales, [inits], config)[0])
+    real, calls = training._em_log_joint, []
+
+    def poisoned(*args, at):
+        out = real(*args)
+        if len(calls) == at and out.shape[0] == 2:
+            out[0, :, 11] = -np.inf
+        calls.append(out.shape[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_em_log_joint", lambda *a: poisoned(*a, at=1))
+        got = outcomes(dataset, em_batch(dataset, kept, scales, [inits], config)[0])
+    _, nlls, reason = got[0]
+    assert (reason, nlls) == ("revert", clean[0][1][:1])
+    first = m_step(dataset, scales[:1], np.ascontiguousarray(inits[:1]))
+    assert _state(got[0])[0] == _state((first, nlls, reason))[0]
+    assert _state(got[1]) == _state(clean[1])
+    calls.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_em_log_joint", lambda *a: poisoned(*a, at=0))
+        with pytest.raises(EstimationError, match="^weights must be finite and nonnegative$"):
+            em_batch(dataset, kept, scales, [inits], config)
