@@ -36,7 +36,8 @@ unchanged; it reproduces byte-identical outputs. Floats are serialized in
 shortest round-trip form throughout.
 
 Exit codes: 0 success, 2 usage (argparse), 3 validation (checked before any
-work, e.g. an unknown or duplicate target), 4 training, 5 inference, 6 I/O.
+work, e.g. an unknown or duplicate target), 4 training, 5 inference, 6 I/O or memory
+failure.
 Errors and warnings go to stderr as JSON lines, ``{"error": ...}`` and ``{"warning": ...}``.
 """
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import warnings
@@ -136,22 +138,19 @@ def _targets(arguments: dict, schemas) -> list:
             else [s.name for s in schemas if s.role == OUTCOME])
 
 
-def parse_orders(text: str, limit: int) -> list:
-    """Order spec: '3', '1,2,5', or '1-6' (inclusive range), ascending, each once. An order
-    or range end above ``limit``, the subjects a fit trains on, is refused before any range
-    is expanded, so the list never outgrows the cohort."""
-    orders = []
+def parse_orders(text: str) -> itertools.chain:
+    """Order spec: '3', '1,2,5', or '1-6' (inclusive range), checked for syntax alone: its
+    orders in the order written, each range unexpanded (``itertools.chain`` of ranges).
+    ``training._checked_orders`` bounds, sorts and de-duplicates them as it reads them."""
+    ranges = []
     for part in filter(None, map(str.strip, str(text).split(","))):
         lo, hi = map(int, part.split("-", 1)) if "-" in part[1:] else (int(part),) * 2
         if hi < lo:
             raise ValueError(f"reversed range {part!r} in {text!r}")
-        if hi > limit:
-            raise ValueError(f"order {hi} in {text!r} exceeds the {limit} subject(s) a fit "
-                             "trains on")
-        orders.extend(range(lo, hi + 1))
-    if not orders:
+        ranges.append(range(lo, hi + 1))
+    if not ranges:
         raise ValueError(f"no orders in {text!r}")
-    return sorted(set(orders))
+    return itertools.chain(*ranges)
 
 
 # ------------------------------------------------------------------ commands
@@ -191,8 +190,7 @@ def run_fit(arguments: dict, out_dir) -> list:
 
 def run_select(arguments: dict, out_dir) -> list:
     dataset = _load_training_data(arguments)
-    selection = select_order(dataset, parse_orders(arguments["orders"], dataset.n_subjects),
-                             _em_config(arguments))
+    selection = select_order(dataset, parse_orders(arguments["orders"]), _em_config(arguments))
     write_csv_table(out_dir / "bic_table.csv",
                     ["order", "n_params", "nll", "bic", "converged", "error"],
                     map(dataclasses.astuple, selection.scores))
@@ -260,7 +258,7 @@ def run_evaluate(arguments: dict, out_dir) -> list:
         raise ValueError("evaluate needs --threshold-steps >= 0, --density-points >= 0, "
                          "--workers >= 1 and 0 <= --bin-cutoff <= 1")
     dataset = _load_training_data(arguments)
-    result = loo_evaluate(dataset, parse_orders(arguments["orders"], dataset.n_subjects - 1),
+    result = loo_evaluate(dataset, parse_orders(arguments["orders"]),
                           tuple(_targets(arguments, dataset.schemas)),
                           arguments["mode"], _em_config(arguments),
                           n_workers=arguments["workers"])
@@ -509,6 +507,8 @@ def main(argv=None) -> int:
             return _fail("validation", EXIT_VALIDATION, str(err))
         except OSError as err:
             return _fail("io", EXIT_IO, str(err))
+        except MemoryError as err:
+            return _fail("memory", EXIT_IO, str(err) or "out of memory")
 
 
 if __name__ == "__main__":

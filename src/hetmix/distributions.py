@@ -25,7 +25,7 @@ counts, the weighted sums of its one-hot slots in ``Dataset._stats``);
 ``_weighted_block`` maps them to the missing probability and a block in closed
 form, unchecked; ``_natural_params`` maps a block back to its log factors'
 coefficients on them. ``log_sum_exp`` is the package's log-sum-exp; an
-ordinal mass table and EM's E-step (``training._em_batch``) take theirs in line.
+ordinal mass table and EM's E-step (``training._posteriors``) take theirs in line.
 """
 
 from __future__ import annotations

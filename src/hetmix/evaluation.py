@@ -222,9 +222,9 @@ class FoldFailure:
 @dataclass(frozen=True, eq=False)
 class LooResult:
     """Everything the leave-one-out loop measures, over the ``subjects`` whose folds did not fail:
-    (O, S, T) ``errors`` and ``normalized`` errors over ``orders`` x ``subjects`` x ``targets``,
-    NaN where the truth is missing (order 0 is uniform chance), and (O, S) ``log_scores`` and
-    ``percentiles``, NaN at order 0."""
+    (O, S, T) ``errors`` over ``orders`` x ``subjects`` x ``targets`` and the same normalized
+    (``normalized_error``, taken once over all folds), NaN where the truth is missing (order 0
+    is uniform chance), and (O, S) ``log_scores`` and ``percentiles``, NaN at order 0."""
 
     orders: tuple
     targets: tuple
@@ -248,12 +248,12 @@ def _fold_seed(seed: int, subject: int) -> int:
     return int(np.random.SeedSequence([seed, subject]).generate_state(1)[0])
 
 
-def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> tuple:
-    """(error, normalized error), each an (F, T) array over the F ``subjects`` and the targets of
-    their (F, K) predicted ``probabilities``, NaN where the truth is missing: the bits that
-    ``prediction_error`` and ``normalized_error`` give (an ordinal's error is one (1, K) @
-    (K, 1) product per subject, which runs the routine ``np.dot`` runs)."""
-    error, normalized = np.full((2, len(subjects), len(probabilities)), np.nan)
+def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> np.ndarray:
+    """The (F, T) errors over the F ``subjects`` and the targets of their (F, K) predicted
+    ``probabilities``, NaN where the truth is missing: the bits that ``prediction_error``
+    gives (an ordinal's error is one (1, K) @ (K, 1) product per subject, which runs the
+    routine ``np.dot`` runs)."""
+    error = np.full((len(subjects), len(probabilities)), np.nan)
     for t, (name, probs) in enumerate(probabilities.items()):
         schema = dataset.schema(name)
         truths = dataset._values[subjects, dataset.column_index(name)]
@@ -265,8 +265,7 @@ def _errors(dataset: Dataset, subjects, probabilities: Mapping) -> tuple:
             error[known, t] = np.matmul(probs[known][:, None], distances)[:, 0, 0]
         else:
             error[known, t] = 1.0 - probs[known, codes]
-        normalized[known, t] = normalized_error(schema, error[known, t])
-    return error, normalized
+    return error
 
 
 def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
@@ -274,14 +273,14 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold keeps
     every row but its subject's, an (F, N) mask, and is checked and trained on the cohort with
     that row masked. One ``_kept_ranges`` pass gives every fold's column scales and, through
-    ``_no_information`` (the check ``validate_dataset`` makes), its schema check; its restarts'
-    seeds are spawned once. Per order, the restarts of all folds run as one batched EM, whose
+    ``_no_information`` (the check ``validate_dataset`` makes), its schema check. Per order, the
+    restarts of all folds, each fold's from its ``_fold_seed``, run as one batched EM, whose
     one stack of fold models one likelihood pass over the non-target inputs scores: each
     held-out posterior and confidence, and every training row's score; one ``predict_batch``
     on the stack's tables then gives every fold's predictions, and array operations its
     errors and percentile.
 
-    Returns ({subject: message}, errors, normalized, log_scores, percentiles): (O, F, T) errors
+    Returns ({subject: message}, errors, log_scores, percentiles): (O, F, T) errors
     and (O, F) confidences over (0, *orders) x ``subjects`` x ``targets``, order 0 from the
     uniform reference, NaN where the truth is missing, the fold did not get that far, or (for a
     confidence) at order 0. A fold fails at its first failure: its training rows lose a column's
@@ -296,15 +295,13 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
               in zip(subjects, _no_information(dataset, ranges, kept)) if violations}
     chance = {name: np.broadcast_to(p := chance_prediction(dataset.schema(name)).probabilities,
                                     (len(subjects), p.size)) for name in targets}
-    errors, normalized = np.full((2, 1 + len(orders), len(subjects), len(targets)), np.nan)
+    errors = np.full((1 + len(orders), len(subjects), len(targets)), np.nan)
     log_scores, percentiles = np.full((2, 1 + len(orders), len(subjects)), np.nan)
-    errors[CHANCE_ORDER], normalized[CHANCE_ORDER] = _errors(dataset, subjects, chance)
+    errors[CHANCE_ORDER] = _errors(dataset, subjects, chance)
     observed = ~np.isnan(errors[CHANCE_ORDER]).all(axis=1)  # some truth observed
-    children = [np.random.SeedSequence(_fold_seed(config.seed, s)).spawn(config.restarts)
-                for s in subjects]
     live = [f for f, s in enumerate(subjects) if s not in failed]
-    fitted = _fit_many(dataset, kept[live], ranges[3][live], [children[f] for f in live], orders,
-                       config) if live else ()
+    seeds = [_fold_seed(config.seed, subjects[f]) for f in live]
+    fitted = _fit_many(dataset, kept[live], ranges[3][live], seeds, orders, config) if live else ()
     for o, (order, (params, fits)) in enumerate(zip(orders, fitted), 1):
         trained = [f for f, fit in zip(live, fits) if not isinstance(fit, TrainingError)]
         # a fold keeps its first failure
@@ -323,11 +320,10 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
         # a score's own row is not below it: the count over the other N - 1, as percentile_ranks
         percentiles[o, rows] = (scores < log_c[:, None]).sum(axis=1) / (n - 1)
         good = np.array([f not in zero for f in range(len(rows))])
-        errors[o, rows[good]], normalized[o, rows[good]] = _errors(dataset, held[good],
-                                                                   predicted.probabilities)
+        errors[o, rows[good]] = _errors(dataset, held[good], predicted.probabilities)
         failed.update((subjects[f], f"held-out subject {subjects[f]} has zero likelihood under "
                        "every component") for f in rows[~good].tolist() if observed[f])
-    return failed, errors, normalized, log_scores, percentiles
+    return failed, errors, log_scores, percentiles
 
 
 def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
@@ -352,8 +348,8 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
     depend on worker count.
     """
     targets = InferenceRequest({}, targets, mode).targets
-    for name in targets:
-        max_absolute_error(dataset.schema(name))  # rejects continuous targets early
+    # each target's worst-case error; rejects continuous targets early
+    worst = np.array([max_absolute_error(dataset.schema(name)) for name in targets])
     if dataset.n_subjects < 3:
         raise ValueError("leave-one-out needs at least 3 subjects")
     orders = _checked_orders(itertools.chain(orders, [BASELINE_ORDER]), dataset.n_subjects - 1)
@@ -386,8 +382,9 @@ def loo_evaluate(dataset: Dataset, orders, targets, mode: str,
         raise TrainingError(f"{len(failures)} of {n} folds failed: "
                             + "; ".join(f.message for f in failures[:3]))
     subjects = np.array([s for s in range(n) if s not in failed], dtype=np.int64)
-    errors, normalized, log_scores, percentiles = (np.concatenate(arrays, axis=1)[:, subjects]
-                                                   for arrays in zip(*(p[1:] for p in parts)))
+    errors, log_scores, percentiles = (np.concatenate(arrays, axis=1)[:, subjects]
+                                       for arrays in zip(*(p[1:] for p in parts)))
+    normalized = 100.0 * errors / worst  # normalized_error's arithmetic
 
     orders, summaries = (CHANCE_ORDER, *orders), []
     for o, order in enumerate(orders):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import log_sum_exp
 from .model import (MixtureModel, ZeroLikelihoodError, check_mode,
-                    component_log_likelihoods)
+                    component_log_likelihoods, evidence_log_likelihoods)
 from .schema import Dataset, SchemaViolationError
 
 
@@ -117,12 +117,12 @@ class Predictions(NamedTuple):
 
 
 def infer(model: MixtureModel, request: InferenceRequest) -> PredictiveDistribution:
-    """Predictions for one evidence mapping: ``infer_many`` on one record."""
-    columns = [model.column_index(name) for name in request.evidence]
-    dataset = Dataset(model.schemas, [tuple(request.evidence.values())], columns)
-    predicted, errors = infer_many(model, dataset, columns, request.targets, request.mode)
-    if errors:
-        raise errors[0]
+    """One evidence mapping's predictions: ``predict_batch`` on its ``evidence_log_likelihoods``."""
+    tables = target_tables(model, request.targets)
+    log_joint = evidence_log_likelihoods(model, request.evidence, request.mode)
+    predicted, zero = predict_batch(tables, log_joint[None])
+    if zero:
+        raise zero[0]
     post = predicted.posteriors[0]
     return PredictiveDistribution(
         {name: FinitePrediction(schema.domain, predicted.probabilities[name][0])
@@ -157,10 +157,10 @@ def infer_many(model: MixtureModel, dataset: Dataset, columns: Sequence[int],
 
 def predict_batch(tables: dict, log_joint: np.ndarray) -> tuple:
     """``Predictions`` for the rows of an (N, Z) log joint with a finite total, and
-    {row: ZeroLikelihoodError} for the others, each with the text ``infer`` gives it. A finite
-    target's table is (Z, K), or (N, Z, K) for one model per row (leave-one-out folds). Each row
-    is its own (1, Z) @ (Z, K) product, so its values equal ``posterior @ table`` and
-    ``np.dot(posterior, expectations)`` to the bit; (N, Z) @ (Z, K) would not."""
+    {row: ZeroLikelihoodError} for the others. A finite target's table is (Z, K), or (N, Z, K)
+    for one model per row (leave-one-out folds). Each row is its own (1, Z) @ (Z, K) product,
+    so its values equal ``posterior @ table`` and ``np.dot(posterior, expectations)`` to the
+    bit; (N, Z) @ (Z, K) would not."""
     totals = log_sum_exp(log_joint, axis=1)
     good = np.isfinite(totals)
     posteriors = np.exp(log_joint[good] - totals[good, None])

@@ -71,24 +71,20 @@ def _checked_orders(orders, limit: int) -> list:
     an integer (not a bool) >= 1 and <= ``limit``, the number of subjects a fit trains on
     (N for ``fit`` and ``select_order``, N - 1 for a leave-one-out fold): so no EM buffer
     of restarts x largest order x N floats is sized by an order past the cohort. Neither is
-    a list sized by one: a range is refused by its largest order, read off its ends, and any
-    other iterable at its first integer past ``limit``, the rest unread."""
-    if isinstance(orders, range) and orders and min(ends := (orders[0], orders[-1])) >= 1:
-        orders = ends if max(ends) > limit else orders
+    a list sized by one: any iterable is refused at its first order that is not such an
+    integer, the rest unread."""
     listed = []
     for order in orders:
         listed.append(order)
-        if _is_int(order) and order > limit:
-            break
-    if not (orders := listed):
+        if not _is_int(order):
+            raise ValueError(f"orders must be integers, got {listed}")
+        if order < 1:
+            raise ValueError("orders must be >= 1")
+        if order > limit:
+            raise ValueError(f"order {order} exceeds the {limit} subject(s) a fit trains on")
+    if not listed:
         raise ValueError("no orders requested")
-    if not all(map(_is_int, orders)):
-        raise ValueError(f"orders must be integers, got {orders}")
-    if min(orders) < 1:
-        raise ValueError("orders must be >= 1")
-    if max(orders) > limit:
-        raise ValueError(f"order {max(orders)} exceeds the {limit} subject(s) a fit trains on")
-    return sorted(set(map(int, orders)))
+    return sorted(set(map(int, listed)))
 
 
 @dataclass(frozen=True)
@@ -322,12 +318,13 @@ def _dirichlet_rows(streams, counts, order: int) -> np.ndarray:
     return draws
 
 
-def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, orders,
+def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, seeds, orders,
               config: EmConfig) -> list:
     """Fit each of ``orders`` components to the rows of ``dataset`` that the (F, N) mask
-    ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r of every order
-    from the ``SeedSequence`` ``children[i][r]`` (its kept rows x largest order standard
-    exponentials, drawn once; ``_dirichlet_rows`` per order), as one ``_em_batch``. Returns
+    ``kept[i]`` keeps, with the column scales ``scales[i]``, restart r of every order from
+    child r of ``SeedSequence(seeds[i]).spawn(restarts)``, spawned once the runs' arrays are
+    sized (its kept rows x largest order standard exponentials, drawn once at the first start;
+    ``_dirichlet_rows`` per order), as one ``_em_batch``. Returns
     per order (params, fits): the (F', Z, ...) arrays (``MixtureModel._fits``' layout) of
     the best restarts (the first of equal final NLLs) of the fits that trained, None if
     none did; and per fit its best TrainingTrace, or TrainingError if all collapsed."""
@@ -336,6 +333,7 @@ def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, 
 
     def starts(order, out):
         if not streams:  # the first order
+            children = (np.random.SeedSequence(seed).spawn(restarts) for seed in seeds)
             streams.extend(np.random.default_rng(child).standard_exponential(c * max(orders))
                            for child, c in zip(itertools.chain(*children), counts))
         out.fill(0.0)
@@ -363,13 +361,12 @@ def _fit_many(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, children, 
 def _fit_cohort(dataset: Dataset, orders, config: EmConfig) -> list:
     """Per order, (params, trace) of the best restart of the fit to every row of
     ``dataset``, validated: its (1, Z, ...) arrays (``MixtureModel._from_fits``' layout)
-    and TrainingTrace, or (None, TrainingError): one ``_fit_many``."""
+    and TrainingTrace, or (None, TrainingError): one ``_fit_many``, seeded by config.seed."""
     if violations := validate_dataset(dataset):
         raise SchemaViolationError(violations)
     kept = np.ones((1, dataset.n_subjects), dtype=bool)
-    fitted = _fit_many(dataset, kept, _kept_ranges(dataset, kept)[3],
-                       [np.random.SeedSequence(config.seed).spawn(config.restarts)], orders, config)
-    return [(params, trace) for params, (trace,) in fitted]
+    return [(params, trace) for params, (trace,) in _fit_many(
+        dataset, kept, _kept_ranges(dataset, kept)[3], [config.seed], orders, config)]
 
 
 def fit(dataset: Dataset, order: int,

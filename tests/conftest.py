@@ -195,7 +195,7 @@ def outcomes(dataset, result) -> list:
 
 
 def spawned(seeds, restarts) -> list:
-    """Each seed's ``restarts`` children, as ``training._fit_many`` takes them."""
+    """Each seed's ``restarts`` children, as ``training._fit_many`` spawns them."""
     return [np.random.SeedSequence(seed).spawn(restarts) for seed in seeds]
 
 

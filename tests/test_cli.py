@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetmix
 from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
@@ -18,6 +20,7 @@ from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
 from hetmix.cli import _em_config, _json_rows, build_parser, main, parse_orders
 from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
                        read_data_csv, save_model, save_schemas, sha256_file)
+from hetmix.training import _checked_orders
 
 from conftest import collapse_starts, m_step_alone, widest_fit_values
 
@@ -68,33 +71,76 @@ def work(tmp_path_factory):
 
 class TestParseOrders:
     def test_forms(self):
-        assert parse_orders("3", 10) == [3]
-        assert parse_orders("1,2,5", 10) == [1, 2, 5]
-        assert parse_orders("1-4", 10) == [1, 2, 3, 4]
-        assert parse_orders("2,1-3,2", 10) == [1, 2, 3]
+        """The orders as written, ranges expanded only as they are read."""
+        assert list(parse_orders("3")) == [3]
+        assert list(parse_orders("1,2,5")) == [1, 2, 5]
+        assert list(parse_orders("1-4")) == [1, 2, 3, 4]
+        assert list(parse_orders("2,1-3,2")) == [2, 1, 2, 3, 2]
+        assert next(parse_orders(f"1-{10**12}")) == 1
 
     def test_empty_or_reversed(self):
         with pytest.raises(ValueError):
-            parse_orders("", 10)
+            parse_orders("")
         with pytest.raises(ValueError):
-            parse_orders("5-3", 10)
+            parse_orders("5-3")
         # a reversed range inside a list is refused too, not dropped
         for text in ("1,3-1", "3-1,2", "1-2,6-4"):
             with pytest.raises(ValueError, match="reversed range"):
-                parse_orders(text, 10)
+                parse_orders(text)
 
     def test_bound_is_inclusive(self):
-        assert parse_orders("1-3", 3) == [1, 2, 3]
-        assert parse_orders("3,1", 3) == [1, 3]
+        assert _checked_orders(parse_orders("1-3"), 3) == [1, 2, 3]
+        assert _checked_orders(parse_orders("3,1"), 3) == [1, 3]
 
     @pytest.mark.parametrize("text, top", [
         ("4", 4), ("1,4", 4), ("2-4", 4), ("1-2,3-4", 4),
-        # a range end of 10**12 is refused before the range is expanded
-        (f"1-{10**12}", 10**12), (f"{10**15}", 10**15)])
+        # a range to 10**12 is refused at its first order past the bound
+        (f"1-{10**12}", 4), (f"{10**15}", 10**15)])
     def test_order_above_the_bound_refused(self, text, top):
-        with pytest.raises(ValueError, match=rf"^order {top} in '{text}' exceeds the 3 "
+        with pytest.raises(ValueError, match=rf"^order {top} exceeds the 3 "
                                              r"subject\(s\) a fit trains on$"):
-            parse_orders(text, 3)
+            _checked_orders(parse_orders(text), 3)
+
+    @given(parts=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 60), st.booleans()),
+                          min_size=1, max_size=4), limit=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_checked_spec_is_its_sorted_set_or_its_first_order_past_the_bound(self, parts,
+                                                                              limit):
+        """Singles and ranges in [1, 60]: the checked orders are the sorted set of the
+        expanded spec, or the error names its first order past the bound, whether the
+        orders come parsed, as a list, as a generator or (one part) as a range."""
+        spans = [(lo, min(lo + extra, 60)) if ranged else (lo, lo)
+                 for lo, extra, ranged in parts]
+        text = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in spans)
+        expanded = [k for lo, hi in spans for k in range(lo, hi + 1)]
+        inputs = [parse_orders(text), expanded, (k for k in expanded)]
+        if len(spans) == 1:
+            inputs.append(range(spans[0][0], spans[0][1] + 1))
+        for orders in inputs:
+            if past := [k for k in expanded if k > limit]:
+                with pytest.raises(ValueError, match=rf"^order {past[0]} exceeds the {limit} "
+                                                     r"subject\(s\) a fit trains on$"):
+                    _checked_orders(orders, limit)
+            else:
+                assert _checked_orders(orders, limit) == sorted(set(expanded))
+
+    @pytest.mark.parametrize("limit", [1, 30, 79])
+    def test_huge_ranges_refused_within_limit_plus_one_reads(self, limit):
+        """range(-10**12, 5) is refused at its first order, 1-10**12 at order limit + 1."""
+        reads = []
+
+        def counted(orders):
+            for order in orders:
+                reads.append(order)
+                yield order
+
+        with pytest.raises(ValueError, match="^orders must be >= 1$"):
+            _checked_orders(counted(range(-10**12, 5)), limit)
+        assert reads == [-10**12]
+        reads.clear()
+        with pytest.raises(ValueError, match=rf"^order {limit + 1} exceeds the {limit} "):
+            _checked_orders(counted(parse_orders(f"1-{10**12}")), limit)
+        assert len(reads) == limit + 1
 
 
 class TestParser:
@@ -132,6 +178,25 @@ class TestParser:
                      "--order", "1"])
         assert code == 6
         assert _last_error(capsys)["category"] == "io"
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                     "and data type float64"), None),
+        (MemoryError(), "out of memory")])
+    def test_out_of_memory_exit_6(self, tmp_path, capsys, monkeypatch, error, message):
+        """A command that runs out of memory (a stand-in runner raises, so nothing is
+        allocated) exits 6 with one JSON error line and no traceback."""
+        import hetmix.cli as cli
+
+        def runner(arguments, out_dir):
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "simulate", runner)
+        code = main(["simulate", "--out-dir", str(tmp_path / "out"), "--model", "m.json",
+                     "--n", str(10**12)])
+        assert code == 6
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"error": {"category": "memory", "message": message or str(error)}}]
 
     def test_import_loads_no_scipy(self):
         """The command line runs on NumPy and the standard library alone."""
@@ -636,17 +701,16 @@ class TestSelect:
                            "component 1 collapsed (total responsibility 0.000e+00)")
 
     @pytest.mark.parametrize("orders, top", [("60-61", 61), ("61", 61),
-                                             (f"1-{10**12}", 10**12)])
+                                             (f"1-{10**12}", 61)])
     def test_order_above_the_subjects_exit_3(self, work, tmp_path, capsys, orders, top):
-        """On the 60-row cohort an order or range end above 60 is one JSON error line, and
-        the range 1-10**12 is refused without being expanded."""
+        """On the 60-row cohort an order above 60 is one JSON error line, and the range
+        1-10**12 is refused at its order 61, without being expanded."""
         code = main(["select", "--out-dir", str(tmp_path / "select"), "--data", str(work["data"]),
                      "--schema", str(work["schema"]), "--orders", orders, "--restarts", "1"])
         assert code == 3
         assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
-            {"error": {"category": "validation", "message": f"order {top} in {orders!r} "
-                                                            "exceeds the 60 subject(s) a fit "
-                                                            "trains on"}}]
+            {"error": {"category": "validation", "message": f"order {top} exceeds the 60 "
+                                                            "subject(s) a fit trains on"}}]
         assert not (tmp_path / "select" / "bic_table.csv").exists()
 
     def test_drop_leaving_no_column_exit_3(self, tmp_path, capsys):

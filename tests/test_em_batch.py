@@ -249,13 +249,13 @@ def test_a_fit_whose_restarts_all_collapse_leaves_the_others_stacked(monkeypatch
     import hetmix.training as training
     dataset = _cohort(np.random.default_rng(8), 20, [], None)
     folds = np.arange(20) != np.array([3, 7, 11])[:, None]
-    scales, children = _kept_ranges(dataset, folds)[3], spawned([5, 6, 7], 2)
+    scales, seeds = _kept_ranges(dataset, folds)[3], [5, 6, 7]
     config = EmConfig(max_iterations=6, restarts=2)
-    alone = [training._fit_many(dataset, folds[f:f + 1], scales[f:f + 1], children[f:f + 1],
+    alone = [training._fit_many(dataset, folds[f:f + 1], scales[f:f + 1], seeds[f:f + 1],
                                 [2], config)[0] for f in (0, 2)]
-    doomed = first_draws(children[1])
+    doomed = first_draws(spawned([6], 2)[0])
     collapse_starts(monkeypatch, lambda order, stream: stream[0] in doomed, component=1)
-    (stacked, fits), = training._fit_many(dataset, folds, scales, children, [2], config)
+    (stacked, fits), = training._fit_many(dataset, folds, scales, seeds, [2], config)
     collapsed = "component 1 collapsed (total responsibility 0.000e+00)"
     assert isinstance(fits[1], TrainingError)
     assert str(fits[1]) == ("all 2 restart(s) failed for order 2: "
@@ -428,12 +428,12 @@ def test_fits_started_by_fit_many_keep_every_likelihood_finite(case, monkeypatch
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         restarts = np.ones((2, 14), dtype=bool)
-        training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3],
-                           spawned([0, 1], config.restarts), (1, 2, 3), config)
+        training._fit_many(dataset, restarts, _kept_ranges(dataset, restarts)[3], [0, 1],
+                           (1, 2, 3), config)
         assert totals and all(np.isfinite(t).all() for t in totals)
         folds = np.arange(14) != np.arange(14)[:, None]
-        training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3],
-                           spawned(range(14), config.restarts), (1, 2, 3), config)
+        training._fit_many(dataset, folds, _kept_ranges(dataset, folds)[3], range(14),
+                           (1, 2, 3), config)
     assert sum(len(endings) for _, _, endings in runs) == 3 * (2 + 14) * config.restarts
     for _, traces, endings in runs:
         assert not any(isinstance(ending, Exception) for ending in endings)
@@ -510,9 +510,10 @@ class _Drawn(Exception):
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1])
 def test_each_orders_start_is_its_childs_dirichlet_draw(monkeypatch, seed):
-    """``_fit_many`` makes one generator per restart, which draws its standard exponentials
-    once, and every order's start (1-9, in one batch whose fits keep 1, 2, 119 and 600 of
-    600 rows) is ``Generator.dirichlet(np.ones(order), size=n)`` of that restart's child,
+    """``_fit_many`` makes one generator per restart, from child r of its fit's
+    ``SeedSequence(seed).spawn(restarts)`` (the same entropy and spawn key), which draws its
+    standard exponentials once, and every order's start (1-9, in one batch whose fits keep
+    1, 2, 119 and 600 of 600 rows) is ``Generator.dirichlet(np.ones(order), size=n)`` of that restart's child,
     bit for bit, on the rows the fit keeps, and 0 on the others."""
     import hetmix.training as training
     rng = np.random.default_rng(seed)
@@ -520,7 +521,7 @@ def test_each_orders_start_is_its_childs_dirichlet_draw(monkeypatch, seed):
     kept = np.zeros((4, 600), dtype=bool)
     for row, n in zip(kept, (1, 2, 119, 600)):
         row[rng.choice(600, n, replace=False)] = True
-    children, real, made, starts = spawned([seed, 5, 6, 7], 2), np.random.default_rng, [], {}
+    seeds, real, made, starts = [seed, 5, 6, 7], np.random.default_rng, [], {}
 
     def em_batch(dataset, kept_runs, scales, orders, start, config):
         for order in orders:
@@ -531,14 +532,40 @@ def test_each_orders_start_is_its_childs_dirichlet_draw(monkeypatch, seed):
     monkeypatch.setattr(training, "_em_batch", em_batch)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or real(seed))
     with pytest.raises(_Drawn):
-        training._fit_many(dataset, kept, _kept_ranges(dataset, kept)[3], children,
+        training._fit_many(dataset, kept, _kept_ranges(dataset, kept)[3], seeds,
                            list(range(1, 10)), EmConfig(restarts=2))
-    assert made == [child for pair in children for child in pair]
+    assert [(c.entropy, c.spawn_key) for c in made] == [
+        (c.entropy, c.spawn_key) for pair in spawned(seeds, 2) for c in pair]
     for order, out in starts.items():
         for b, child in enumerate(made):
             want = np.zeros((order, 600))
             want[:, kept[b // 2]] = real(child).dirichlet(np.ones(order), kept[b // 2].sum()).T
             assert out[b].tobytes() == want.tobytes()
+
+
+def test_fit_many_spawns_no_seed_before_its_arrays_are_sized(monkeypatch):
+    """No ``SeedSequence.spawn`` runs before ``_em_batch``: a batch that fails as it sizes
+    its arrays (here a stub that raises) has spawned nothing, so a huge restart count fails
+    at its first array, not after a list of that many seeds."""
+    import hetmix.training as training
+    spawns = []
+
+    class Counted(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawns.append(n_children)
+            return super().spawn(n_children)
+
+    def em_batch(*args):
+        raise MemoryError("Unable to allocate the posteriors")
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(training, "_em_batch", em_batch)
+    dataset = _cohort(np.random.default_rng(3), 30, [], None)
+    kept = np.ones((2, 30), dtype=bool)
+    with pytest.raises(MemoryError):
+        training._fit_many(dataset, kept, _kept_ranges(dataset, kept)[3], [0, 1], [1, 2],
+                           EmConfig(restarts=3))
+    assert spawns == []
 
 
 def _ulps(a, b):

@@ -249,7 +249,7 @@ class TestOnePassFold:
         compared = 0
         for subject in range(cohort.n_subjects):
             # a held-out zero likelihood fails the fold
-            failed, errors, normalized, log_scores, percentiles = _evaluate_folds(
+            failed, errors, log_scores, percentiles = _evaluate_folds(
                 cohort, [subject], (1, 2), targets, mode, config)
             train = cohort.drop_subject(subject)
             evidence = {cohort.schemas[j].name: cohort.value(subject, j)
@@ -276,9 +276,7 @@ class TestOnePassFold:
                         continue
                     schema = cohort.schema(name)
                     err = prediction_error(schema, predicted[name], truths[name])
-                    want = (err, normalized_error(schema, err))
-                    assert (errors[order, 0, t], normalized[order, 0, t]) == \
-                        pytest.approx(want, rel=1e-12, abs=1e-12)
+                    assert errors[order, 0, t] == pytest.approx(err, rel=1e-12, abs=1e-12)
                 log_c = confidence_score(model, evidence, mode)
                 pct = percentile_ranks(log_c, training_confidence_scores(
                     model, train, mode, input_cols))
@@ -297,12 +295,12 @@ class TestFoldSeeds:
         assert _fold_seed(8, 3) != _fold_seed(7, 3)
 
     def test_each_fold_seeded_once_per_batch(self, monkeypatch):
-        """A batch of folds draws each fold's seed and spawns its restarts' seeds
-        once, not once per order, and trains every order in one ``_fit_many`` from
-        those children; ``fit`` spawns its restarts' seeds once."""
+        """A batch of folds draws each fold's seed once, not once per order, and trains
+        every order in one ``_fit_many`` from those seeds, which spawns each fold's
+        restarts' seeds once; ``fit`` spawns its restarts' seeds once."""
         import hetmix.evaluation as ev
         import hetmix.training as training
-        calls, spawns, children, fit_many = [], [], [], training._fit_many
+        calls, spawns, seeds, fit_many = [], [], [], training._fit_many
 
         class Counted(np.random.SeedSequence):
             def spawn(self, n_children):
@@ -313,9 +311,9 @@ class TestFoldSeeds:
             calls.append(subject)
             return _fold_seed(seed, subject)
 
-        def recorded(dataset, kept, scales, fold_children, orders, config):
-            children.append((list(fold_children), list(orders)))
-            return fit_many(dataset, kept, scales, fold_children, orders, config)
+        def recorded(dataset, kept, scales, fold_seeds, orders, config):
+            seeds.append((list(fold_seeds), list(orders)))
+            return fit_many(dataset, kept, scales, fold_seeds, orders, config)
 
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         monkeypatch.setattr(ev, "_fold_seed", counted)
@@ -324,10 +322,9 @@ class TestFoldSeeds:
         config = EmConfig(max_iterations=2, restarts=2, seed=3)
         _evaluate_folds(cohort, range(2, 8), (1, 2, 3), ("severity",), MODEL_MISSING, config)
         assert calls == list(range(2, 8)) and spawns == [2] * 6
-        (fold_children, orders), = children
+        (fold_seeds, orders), = seeds
         assert orders == [1, 2, 3]
-        assert [[c.entropy for c in fold] for fold in fold_children] == \
-            [[_fold_seed(3, s)] * 2 for s in range(2, 8)]
+        assert fold_seeds == [_fold_seed(3, s) for s in range(2, 8)]
         spawns.clear()
         fit(cohort, 2, config)
         assert spawns == [2]
@@ -454,7 +451,7 @@ class TestMaskFolds:
 def _unreached(subjects, orders, targets):
     """What ``_evaluate_folds`` gives for ``subjects`` when no fold fails and none is scored."""
     shape = (1 + len(orders), len(subjects))
-    return {}, *np.full((2, *shape, len(targets)), np.nan), *np.full((2, *shape), np.nan)
+    return {}, np.full((*shape, len(targets)), np.nan), *np.full((2, *shape), np.nan)
 
 
 def _tiny_loo(n=24, orders=(1, 2), workers=1, seed=0, sample_seed=17):
@@ -471,6 +468,20 @@ def result():
 
 
 class TestLooEvaluate:
+
+    @pytest.mark.parametrize("mode", [MODEL_MISSING, IGNORE_MISSING])
+    def test_normalized_is_each_errors_normalized_error(self, mode):
+        """``normalized`` is ``normalized_error`` of ``errors``, target by target, bit for bit,
+        and NaN exactly where the error is NaN (a missing truth)."""
+        cohort, _ = sample_cohort(small_demo_model(), 24, np.random.default_rng(17))
+        targets = ("severity", "status")
+        got = loo_evaluate(cohort, (1, 2), targets, mode,
+                           EmConfig(max_iterations=60, rel_tol=1e-5, restarts=1))
+        assert np.isnan(got.errors[1:]).any() and not np.isnan(got.errors[1:]).all()
+        for t, name in enumerate(targets):
+            want = normalized_error(cohort.schema(name), got.errors[..., t])
+            assert (np.isnan(got.normalized[..., t]) == np.isnan(got.errors[..., t])).all()
+            assert got.normalized[..., t].tobytes() == want.tobytes()
 
     def test_structure(self, result):
         assert result.orders == (0, 1, 2)
@@ -807,9 +818,9 @@ class TestLooEvaluate:
         fits, batches = [], []
         real_fit, real_predict = ev._fit_many, ev.predict_batch
 
-        def fit_many(dataset, kept, scales, children, orders, config):
+        def fit_many(dataset, kept, scales, seeds, orders, config):
             assert (kept.sum(axis=1) == 12).all()  # each fold leaves out one row
-            fitted = real_fit(dataset, kept, scales, children, orders, config)
+            fitted = real_fit(dataset, kept, scales, seeds, orders, config)
             fits.extend((order, np.argmin(kept, axis=1).tolist(), result)
                         for order, result in zip(orders, fitted))
             return fitted
@@ -820,7 +831,7 @@ class TestLooEvaluate:
 
         monkeypatch.setattr(ev, "_fit_many", fit_many)
         monkeypatch.setattr(ev, "predict_batch", predict)
-        failures, errors, normalized, log_scores, percentiles = ev._evaluate_folds(
+        failures, errors, log_scores, percentiles = ev._evaluate_folds(
             cohort, range(13), (1, 2), targets, MODEL_MISSING,
             EmConfig(max_iterations=20, restarts=2, seed=0))
         failure = "held-out subject {} has zero likelihood under every component"
@@ -859,8 +870,7 @@ class TestLooEvaluate:
                     assert batch.probabilities[name][row].tobytes() == probs.tobytes()
                     err = prediction_error(schema, FinitePrediction(schema.domain, probs),
                                            truths[name])
-                    assert (errors[order, s, t], normalized[order, s, t]) == \
-                        (err, normalized_error(schema, err))
+                    assert errors[order, s, t] == err
                 scores = log_sum_exp(log_joint, axis=0)
                 log_c = float(scores[s])
                 pct = float(percentile_ranks(log_c, np.delete(scores, s)))

@@ -10,7 +10,7 @@ from conftest import random_model, random_row
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, FinitePrediction, Gaussian, InferenceRequest,
                     InflatedGamma, MixtureModel, MixturePrediction,
-                    QuantizedGaussian, SchemaError, VariableSchema,
+                    QuantizedGaussian, SchemaError, SchemaViolationError, VariableSchema,
                     ZeroLikelihoodError, component_log_likelihoods, infer,
                     infer_many, point_predict, predict_batch, rank_outcomes,
                     sample_cohort, target_tables)
@@ -161,6 +161,71 @@ class TestInfer:
             infer(model, InferenceRequest({"bogus": 1.0}, ("grade",), MODEL_MISSING))
         with pytest.raises(SchemaError):
             infer(model, InferenceRequest({}, ("bogus",), MODEL_MISSING))
+
+    @staticmethod
+    def _one_record(model, evidence, targets, mode):
+        """``infer_many`` on the one-record Dataset of ``evidence``: its ``Predictions``, or
+        the (type, text) of the error it raises or gives the record."""
+        columns = [model.column_index(name) for name in evidence]
+        try:
+            predicted, errors = infer_many(model, Dataset(model.schemas, [tuple(
+                evidence.values())], columns), columns, targets, mode)
+        except Exception as err:
+            return type(err), str(err)
+        return (type(errors[0]), str(errors[0])) if errors else predicted
+
+    @staticmethod
+    def _raised(model, evidence, targets, mode):
+        with pytest.raises(Exception) as err:
+            infer(model, InferenceRequest(evidence, targets, mode))
+        return err.type, str(err.value)
+
+    def test_is_infer_many_on_one_record(self):
+        """On 40 random models, each with a continuous target among its targets, ``infer``
+        gives the bits of ``infer_many`` on the record's one-row Dataset, in both modes."""
+        rng = np.random.default_rng(47)
+        checked = 0
+        while checked < 40:
+            model = random_model(rng, max_components=4, max_variables=4)
+            if all(s.kind.is_finite for s in model.schemas):
+                continue
+            row = random_row(model, rng)
+            targets = tuple(s.name for s, keep in zip(model.schemas, rng.random(len(row)) < 0.5)
+                            if keep or not s.kind.is_finite)
+            evidence = {s.name: v for s, v in zip(model.schemas, row) if s.name not in targets}
+            for mode in (MODEL_MISSING, IGNORE_MISSING):
+                got = infer(model, InferenceRequest(evidence, targets, mode))
+                want = self._one_record(model, evidence, targets, mode)
+                assert got.posterior.tobytes() == want.posteriors[0].tobytes()
+                for name, (schema, table) in want.tables.items():
+                    if schema.kind.is_finite:
+                        assert got[name].probabilities.tobytes() == \
+                            want.probabilities[name][0].tobytes()
+                    else:
+                        assert got[name].weights.tobytes() == want.posteriors[0].tobytes()
+                        assert got[name].components == tuple(table)
+                        assert got[name].expectation == want.points[name][0]
+            checked += 1
+
+    @pytest.mark.parametrize("mode", [MODEL_MISSING, IGNORE_MISSING])
+    def test_fails_as_infer_many_on_one_record(self, mode):
+        """A bad cell, a zero-likelihood record and an unknown target: the type and text of
+        ``infer``'s error are those ``infer_many`` gives the one-record Dataset."""
+        schemas = (VariableSchema("site", "categorical", ("a", "b")),
+                   VariableSchema("grade", "ordinal", (1, 2), role="outcome"))
+        impossible = MixtureModel((1.0,), ((Categorical((1.0, 0.0), ("a", "b")),
+                                            QuantizedGaussian(1, 1, (1, 2))),),
+                                  [[0.1, 0.1]], schemas)
+        cases = [(_model(), {"x": "oops", "site": "zzz"}, ("grade",)),
+                 (impossible, {"site": "b"}, ("grade",)),
+                 (_model(), {"x": 1.0}, ("grade", "bogus"))]
+        raised = [self._raised(model, *case, mode) for model, *case in cases]
+        assert [error for error, _ in raised] == [SchemaViolationError, ZeroLikelihoodError,
+                                                 SchemaError]
+        assert raised == [self._one_record(model, *case, mode) for model, *case in cases]
+        # an unknown evidence name and an unknown target: the target is named first
+        assert self._raised(_model(), {"nope": 1.0}, ("bogus",), mode) == (
+            SchemaError, "no variable named 'bogus'")
 
     def test_invalid_evidence_value_rejected(self):
         from hetmix import SchemaViolationError

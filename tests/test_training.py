@@ -421,15 +421,15 @@ class TestSelectOrder:
                 select_order(ds, orders, EmConfig(restarts=1))
 
     def test_orders_are_bounded_before_they_are_listed(self, monkeypatch):
-        """A range is refused by its largest order, so range(1, 10**12) (8 TB as a list)
-        never becomes a list; any other iterable is refused at its first order past the
-        subjects, and nothing after it is read."""
+        """Any iterable, a range too, is refused at its first order past the subjects, and
+        nothing after it is read: range(1, 10**12) (8 TB as a list) never becomes a list,
+        nor does range(-10**12, 5), refused at its first order."""
         import hetmix.evaluation as evaluation
         import hetmix.training as training
         monkeypatch.setattr(training, "_em_batch", lambda *a, **k: pytest.fail("EM ran"))
         monkeypatch.setattr(evaluation, "_evaluate_folds", lambda *a, **k: pytest.fail("fold"))
         _, ds, _ = _cohort(n=30)
-        message = rf"^order {10**12 - 1} exceeds the 30 subject\(s\) a fit trains on$"
+        message = r"^order 31 exceeds the 30 subject\(s\) a fit trains on$"
         with pytest.raises(ValueError, match=message):
             select_order(ds, range(1, 10**12), EmConfig(restarts=1))
         with pytest.raises(ValueError, match=rf"^order {10**12} exceeds the 30 subject"):
@@ -443,9 +443,10 @@ class TestSelectOrder:
             select_order(ds, orders(), EmConfig(restarts=1))
         with pytest.raises(ValueError, match=r"^order 31 exceeds the 29 subject\(s\)"):
             evaluation.loo_evaluate(ds, orders(), ("c_scale",), MODEL_MISSING, EmConfig())
-        # a range below 1, or within the subjects, is read as it was
-        with pytest.raises(ValueError, match="^orders must be >= 1$"):
-            select_order(ds, range(0, 10**12), EmConfig(restarts=1))
+        # a range below 1 is refused at its first order
+        for orders in (range(0, 10**12), range(-10**12, 5)):
+            with pytest.raises(ValueError, match="^orders must be >= 1$"):
+                select_order(ds, orders, EmConfig(restarts=1))
         assert training._checked_orders(range(5, 0, -2), 30) == [1, 3, 5]
 
 
