@@ -27,9 +27,10 @@ missing-token cell engages the chosen missingness mode explicitly. ``infer``
 writes one ``predictions.jsonl`` line per record from one likelihood pass; a
 record with bad cells or zero likelihood gets an error line, and exit 5.
 
-Every command writes its outputs atomically into --out-dir together with a
-``manifest.json`` recording the tool version, command, full argument set,
-seed, and sha256 of each input file. ``hetmix rerun`` re-executes a manifest
+Every command writes its outputs atomically into --out-dir (each file whole or
+not at all) together with a ``manifest.json`` recording the tool version,
+command, full argument set, seed, and sha256 of each input file; ``evaluate``
+writes no table unless all six were built. ``hetmix rerun`` re-executes a manifest
 whose arguments are exactly the command's options, of the types and choices
 the parser allows, and whose inputs are exactly its input arguments' files,
 unchanged; it reproduces byte-identical outputs. Floats are serialized in
@@ -144,7 +145,10 @@ def parse_orders(text: str) -> itertools.chain:
     ``training._checked_orders`` bounds, sorts and de-duplicates them as it reads them."""
     ranges = []
     for part in filter(None, map(str.strip, str(text).split(","))):
-        lo, hi = map(int, part.split("-", 1)) if "-" in part[1:] else (int(part),) * 2
+        try:
+            lo, hi = map(int, part.split("-", 1)) if "-" in part[1:] else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"bad order {part!r} in {text!r}: expected N or N-M") from None
         if hi < lo:
             raise ValueError(f"reversed range {part!r} in {text!r}")
         ranges.append(range(lo, hi + 1))
@@ -253,38 +257,19 @@ def run_infer(arguments: dict, out_dir) -> list:
 
 
 def run_evaluate(arguments: dict, out_dir) -> list:
+    """Check the options and size the sweep, run the folds, build all six tables, write them."""
     if not (arguments["threshold_steps"] >= 0 and arguments["density_points"] >= 0
             and arguments["workers"] >= 1 and 0 <= arguments["bin_cutoff"] <= 1):
         raise ValueError("evaluate needs --threshold-steps >= 0, --density-points >= 0, "
                          "--workers >= 1 and 0 <= --bin-cutoff <= 1")
+    taus = np.linspace(0.0, 1.0, arguments["threshold_steps"] + 1)
     dataset = _load_training_data(arguments)
     result = loo_evaluate(dataset, parse_orders(arguments["orders"]),
                           tuple(_targets(arguments, dataset.schemas)),
                           arguments["mode"], _em_config(arguments),
                           n_workers=arguments["workers"])
 
-    rows = [[s.order, s.target, s.n_subjects, s.mean_normalized, s.spread,
-             f"{s.mean_normalized:.1f} ({s.spread:.1f})"]
-            for s in result.summaries]
-    write_csv_table(out_dir / "performance.csv",
-                    ["order", "target", "n", "mean_normalized", "two_std", "summary"],
-                    rows)
-
-    # one row per value that is not NaN, in (order, subject, target) order
-    at = np.nonzero(~np.isnan(result.errors))
-    write_csv_table(out_dir / "eae_records.csv",
-                    ["order", "subject", "target", "error", "normalized"],
-                    zip(np.take(result.orders, at[0]).tolist(), result.subjects[at[1]].tolist(),
-                        np.take(result.targets, at[2]).tolist(), result.errors[at].tolist(),
-                        result.normalized[at].tolist()))
-    at = np.nonzero(~np.isnan(result.log_scores))
-    write_csv_table(out_dir / "confidence_records.csv",
-                    ["order", "subject", "log_score", "percentile"],
-                    zip(np.take(result.orders, at[0]).tolist(), result.subjects[at[1]].tolist(),
-                        result.log_scores[at].tolist(), result.percentiles[at].tolist()))
-
     bin_rows, curve_rows, density_rows = [], [], []
-    taus = np.linspace(0.0, 1.0, arguments["threshold_steps"] + 1)
     for o, order in enumerate(result.orders[1:], 1):
         for t, name in enumerate(result.targets):
             known = ~np.isnan(result.normalized[o, :, t])
@@ -295,36 +280,47 @@ def run_evaluate(arguments: dict, out_dir) -> list:
             bin_rows.append([order, name, bins.cutoff, bins.low_count, bins.low_mean,
                              bins.high_count, bins.high_mean])
             curve = threshold_curve(pct, err, taus)
-            for tau, mean, kept, gain in zip(curve.thresholds, curve.mean_error,
-                                             curve.kept, curve.improvement):
-                curve_rows.append([order, name, float(tau), int(kept),
-                                   float(mean), float(gain)])
+            curve_rows.extend([order, name, *row] for row in zip(
+                curve.thresholds.tolist(), curve.kept.tolist(), curve.mean_error.tolist(),
+                curve.improvement.tolist()))
             try:
                 h = scott_bandwidth(err)
                 grid = np.linspace(err.min() - 4 * h, err.max() + 4 * h,
                                    arguments["density_points"])
-                dens = error_density(err, grid)
-                density_rows.extend([order, name, float(g), float(d)]
-                                    for g, d in zip(grid, dens))
+                density_rows.extend([order, name, *row] for row in zip(
+                    grid.tolist(), error_density(err, grid).tolist()))
             except DegenerateSampleError:
                 print(f"density skipped for order {order}, target {name}: "
                       "errors are all identical")
-    write_csv_table(out_dir / "confidence_bins.csv",
-                    ["order", "target", "cutoff", "low_n", "low_mean_normalized",
-                     "high_n", "high_mean_normalized"], bin_rows)
-    write_csv_table(out_dir / "threshold_curve.csv",
-                    ["order", "target", "threshold", "kept", "mean_normalized",
-                     "improvement"], curve_rows)
-    write_csv_table(out_dir / "error_density.csv",
-                    ["order", "target", "grid", "density"], density_rows)
 
-    for s in result.summaries:
-        print(f"order {s.order} target {s.target}: "
-              f"{s.mean_normalized:.1f} ({s.spread:.1f}) over {s.n_subjects}")
+    performance = [[s.order, s.target, s.n_subjects, s.mean_normalized, s.spread,
+                    f"{s.mean_normalized:.1f} ({s.spread:.1f})"] for s in result.summaries]
+    # one row per value that is not NaN, in (order, subject, target) order
+    eae, scored = np.nonzero(~np.isnan(result.errors)), np.nonzero(~np.isnan(result.log_scores))
+    tables = {
+        "performance.csv": (["order", "target", "n", "mean_normalized", "two_std", "summary"],
+                            performance),
+        "eae_records.csv": (["order", "subject", "target", "error", "normalized"], zip(
+            np.take(result.orders, eae[0]).tolist(), result.subjects[eae[1]].tolist(),
+            np.take(result.targets, eae[2]).tolist(), result.errors[eae].tolist(),
+            result.normalized[eae].tolist())),
+        "confidence_records.csv": (["order", "subject", "log_score", "percentile"], zip(
+            np.take(result.orders, scored[0]).tolist(), result.subjects[scored[1]].tolist(),
+            result.log_scores[scored].tolist(), result.percentiles[scored].tolist())),
+        "confidence_bins.csv": (["order", "target", "cutoff", "low_n", "low_mean_normalized",
+                                 "high_n", "high_mean_normalized"], bin_rows),
+        "threshold_curve.csv": (["order", "target", "threshold", "kept", "mean_normalized",
+                                 "improvement"], curve_rows),
+        "error_density.csv": (["order", "target", "grid", "density"], density_rows),
+    }
+    for name, (header, rows) in tables.items():
+        write_csv_table(out_dir / name, header, rows)
+
+    for order, target, n, *_, summary in performance:
+        print(f"order {order} target {target}: {summary} over {n}")
     if result.failures:
         print(f"{len(result.failures)} fold(s) failed and were excluded")
-    return ["performance.csv", "eae_records.csv", "confidence_records.csv",
-            "confidence_bins.csv", "threshold_curve.csv", "error_density.csv"]
+    return list(tables)
 
 
 def run_simulate(arguments: dict, out_dir) -> list:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -77,6 +78,10 @@ class TestParseOrders:
         assert list(parse_orders("1-4")) == [1, 2, 3, 4]
         assert list(parse_orders("2,1-3,2")) == [2, 1, 2, 3, 2]
         assert next(parse_orders(f"1-{10**12}")) == 1
+        # syntax alone: -3 parses, and the order check refuses it
+        assert list(parse_orders("-3")) == [-3]
+        with pytest.raises(ValueError, match="^orders must be >= 1$"):
+            _checked_orders(parse_orders("-3"), 3)
 
     def test_empty_or_reversed(self):
         with pytest.raises(ValueError):
@@ -87,6 +92,16 @@ class TestParseOrders:
         for text in ("1,3-1", "3-1,2", "1-2,6-4"):
             with pytest.raises(ValueError, match="reversed range"):
                 parse_orders(text)
+
+    @pytest.mark.parametrize("text", ["2-3-4", "1-", "a", "-", "1-x", "1.5"])
+    def test_malformed_part_is_named(self, text):
+        """A part that is neither N nor N-M is named in the error, alone and in a list."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad order {text!r} in {text!r}: expected N or N-M")):
+            parse_orders(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad order {text!r} in {'1,' + text!r}: expected N or N-M")):
+            parse_orders("1," + text)
 
     def test_bound_is_inclusive(self):
         assert _checked_orders(parse_orders("1-3"), 3) == [1, 2, 3]
@@ -713,6 +728,14 @@ class TestSelect:
                                                             "subject(s) a fit trains on"}}]
         assert not (tmp_path / "select" / "bic_table.csv").exists()
 
+    def test_malformed_orders_exit_3_naming_the_part(self, work, tmp_path, capsys):
+        code = main(["select", "--out-dir", str(tmp_path / "select"), "--data", str(work["data"]),
+                     "--schema", str(work["schema"]), "--orders", "1,2-3-4", "--restarts", "1"])
+        assert code == 3
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"error": {"category": "validation",
+                       "message": "bad order '2-3-4' in '1,2-3-4': expected N or N-M"}}]
+
     def test_drop_leaving_no_column_exit_3(self, tmp_path, capsys):
         out = tmp_path / "select"
         assert main(["select", "--out-dir", str(out), "--orders", "1"]
@@ -1122,7 +1145,13 @@ class TestEvaluate:
                      "--schema", str(tmp_path / "schema.json"), "--orders", "1-2",
                      "--restarts", "1", "--max-iterations", "10",
                      "--mode", "ignore_missing"]) == 0
-        assert "2 fold(s) failed and were excluded" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "2 fold(s) failed and were excluded" in stdout
+        # each summary line on stdout is its performance.csv row's order, target, n, summary
+        _, performance = _read_csv(out / "performance.csv")
+        assert [line for line in stdout.splitlines() if line.startswith("order ")] == [
+            f"order {order} target {target}: {summary} over {n}"
+            for order, target, n, _, _, summary in performance]
         for table, column in (("performance.csv", 1), ("eae_records.csv", 2),
                               ("confidence_bins.csv", 1), ("threshold_curve.csv", 1),
                               ("error_density.csv", 1)):
@@ -1257,6 +1286,52 @@ class TestEvaluateOptions:
         assert code == 3
         assert _last_error(capsys)["category"] == "validation"
         assert not (out / "performance.csv").exists()
+
+    def test_threshold_sweep_past_memory_exit_6_before_the_cohort_is_read(
+            self, work, tmp_path, capsys, monkeypatch):
+        """The sweep is sized right after the option check. A stand-in ``linspace`` refuses
+        more than 10**9 samples, so nothing large is allocated: exit 6, one memory line, no
+        cohort read, no fold run and nothing in --out-dir."""
+        import hetmix.cli as cli
+        linspace = np.linspace
+
+        def bounded(start, stop, num=50, **kwargs):
+            if num > 10**9:
+                raise MemoryError(f"Unable to allocate {num} samples")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", bounded)
+        monkeypatch.setattr(cli, "_load_training_data",
+                            lambda *a, **k: pytest.fail("the cohort was read"))
+        monkeypatch.setattr(cli, "loo_evaluate", lambda *a, **k: pytest.fail("a fold ran"))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", "1", "--restarts", "1", "--mode", "model_missing",
+                     "--threshold-steps", str(10**12)])
+        assert code == 6
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"error": {"category": "memory",
+                       "message": f"Unable to allocate {10**12 + 1} samples"}}]
+        assert list(out.iterdir()) == []
+
+    def test_report_past_memory_leaves_no_table(self, work, tmp_path, capsys, monkeypatch):
+        """The six tables are written only once all are built: a density that runs out of
+        memory after the folds leaves no table and no manifest."""
+        import hetmix.cli as cli
+
+        def out_of_memory(values, grid):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "error_density", out_of_memory)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--out-dir", str(out),
+                     "--data", str(work["data"]), "--schema", str(work["schema"]),
+                     "--orders", "1", "--restarts", "1", "--max-iterations", "5",
+                     "--mode", "model_missing"])
+        assert code == 6
+        assert _last_error(capsys) == {"category": "memory", "message": "out of memory"}
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("orders", ["60", "1-60", "59-61"])
     def test_order_above_the_fold_subjects_exit_3_before_any_fold(
