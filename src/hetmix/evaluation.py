@@ -123,7 +123,7 @@ class ThresholdCurve:
 
     ``kept`` counts the subjects entering each mean; empty selections yield
     NaN. ``improvement`` is E(0) - E(tau), the gain from discarding
-    low-confidence subjects.
+    low-confidence subjects; empty for an empty sweep.
     """
 
     thresholds: np.ndarray
@@ -132,7 +132,7 @@ class ThresholdCurve:
 
     @property
     def improvement(self) -> np.ndarray:
-        return self.mean_error[0] - self.mean_error
+        return self.mean_error[:1] - self.mean_error
 
 
 def threshold_curve(percentiles, errors, thresholds=None) -> ThresholdCurve:

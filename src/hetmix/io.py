@@ -11,7 +11,7 @@ Each format has one reader and one writer here. Inputs are UTF-8, a leading BOM
 allowed; a file that cannot be read is a FormatError that names it (exit 3). A
 data or evidence CSV is streamed into the encoded column store a chunk of records
 at a time (``_read_columns``): the chunk's shape checks every record's width, and
-its columns are encoded at once into float64 values and a bool missing mask,
+its columns are encoded at once into float64 values, NaN where missing or bad,
 parsed by kind with numpy's casts, which call Python's own ``int`` / ``float`` (as
 ``_parse_cell`` reads one), and checked by the rule that builds every ``Dataset``;
 a chunk's column with a bad cell goes cell by cell.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import Params, family_for
 from .model import MixtureModel
-from .schema import (Dataset, SchemaViolationError, VariableKind, VariableSchema,
+from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, VariableSchema,
                      _admitted, _encode_piece, drop_zero_variability, validate_dataset)
 
 SCHEMA_FORMAT_VERSION = 1
@@ -135,8 +135,8 @@ def _parse_cell(text: str, schema: VariableSchema):
 
 
 def _read_texts(schema: VariableSchema, texts, missing, first: int = 0) -> tuple:
-    """A column's piece (``_encode_piece``), rows numbered from ``first``: its ``texts`` not
-    ``missing``, encoded at once by ``_admitted`` or else as ``_parse_cell`` reads each."""
+    """A column's (values, violations) (``_encode_piece``), rows numbered from ``first``: its
+    ``texts`` not ``missing``, encoded at once by ``_admitted`` or else as ``_parse_cell`` reads."""
     observed = texts[~missing]
     cells = (_parse_cell(text, schema) for text in observed)  # read only if one is bad
     return _encode_piece(schema, missing, _admitted(schema, observed), cells, first)
@@ -147,7 +147,7 @@ def _check_missing_token(schemas, missing_token: str):
     ordinal level, since those cells would silently become MISSING."""
     for s in schemas:
         if s.kind.is_finite and not _read_texts(s, np.array([missing_token], dtype=object),
-                                                np.zeros(1, dtype=bool))[2]:
+                                                np.zeros(1, dtype=bool))[1]:
             raise FormatError(f"{s.name}: missing token {missing_token!r} is also "
                               "a domain value")
 
@@ -160,9 +160,9 @@ def _read_columns(path, schemas, columns_of, missing_token: str) -> tuple[Datase
     its columns: the schema indices ``columns_of`` gives for its header (or FormatError).
 
     Records stream in a chunk at a time. Each chunk's texts become one object array, whose
-    shape checks every record's width and whose comparison with the missing token gives
-    every column's mask; ``_read_texts`` reads each column. So no cell's Python object
-    outlives its chunk and no row tuple is built.
+    shape checks every record's width and whose comparison with the missing token marks
+    every column's MISSING cells; ``_read_texts`` reads each column into its piece of values
+    and violations. So no cell's Python object outlives its chunk and no row tuple is built.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -216,7 +216,10 @@ def read_evidence_csv(path, model: MixtureModel,
     def columns_of(header):
         if len(set(header)) != len(header):
             raise FormatError(f"{path}: duplicate evidence columns")
-        return [model.column_index(name) for name in header]
+        try:
+            return [model.column_index(name) for name in header]
+        except SchemaError as err:
+            raise FormatError(f"{path}: {err}") from None
     return _read_columns(path, model.schemas, columns_of, missing_token)
 
 

@@ -8,9 +8,9 @@ Building a ``Dataset`` checks and encodes each cell once, recording bad cells
 (unparseable text included) as violations instead of raising so that
 malformed files can still be reported on; ``validate_dataset`` returns the
 violations and training and inference refuse invalid data. A ``Dataset``
-keeps two arrays, laid out for every dataset by ``Dataset._encode``: the
-missing mask and one float per cell, a continuous cell's value or a finite
-cell's domain index, NaN where the cell is missing or bad.
+keeps one array, laid out for every dataset by ``Dataset._encode``: one float
+per cell, a continuous cell's value or a finite cell's domain index, NaN where
+the cell is bad (a violation names it) or else MISSING.
 
 Encoding goes column by column, a piece of rows at a time (``_encode_piece``;
 the CSV reader makes one piece per chunk of records). Its observed cells are
@@ -221,6 +221,11 @@ def _indices(indices, what: str) -> list:
     return indices
 
 
+def _index(index, what: str):
+    """``index`` if it is an integer (``_indices``), else a SchemaError naming it."""
+    return _indices([index], what)[0]
+
+
 def _column_indices(columns: Sequence[int] | None, n_variables: int) -> Sequence[int]:
     """``columns`` (None: all); a SchemaError if one is not an integer (``_indices``),
     repeats or is not in 0..n_variables - 1."""
@@ -258,21 +263,22 @@ class _Variables:
 
     def schema(self, column) -> VariableSchema:
         if isinstance(column, str):
-            column = self.column_index(column)
-        return self.schemas[column]
+            return self.schemas[self.column_index(column)]
+        return self.schemas[_index(column, "column")]
 
 
 class Dataset(_Variables):
     """Immutable subjects-by-variables table, checked and encoded once when built.
 
-    Each cell is sorted into one of three outcomes: MISSING (the missing
-    mask), inadmissible (a ``Violation`` in ``cell_violations``, one tuple per
-    column), or encoded: ``_values`` holds one float per cell, a continuous
-    cell's value or a finite cell's domain index, NaN where the cell is
-    missing or bad. Only these are kept: ``value`` and ``row`` decode cells,
-    ``column_numeric`` and ``column_codes`` derive a column's levels or codes,
-    and reading a bad cell, or a view of a column with bad cells, raises
-    SchemaViolationError. Subsets lay out each column's slice alike, unchecked.
+    Each cell is sorted into one of three outcomes: inadmissible (a ``Violation``
+    in ``cell_violations``, one tuple per column), encoded, or MISSING: the one
+    array ``_values`` holds one float per cell, a continuous cell's value or a
+    finite cell's domain index, NaN where the cell is bad or else MISSING. Only
+    these are kept: ``value`` and ``row`` decode cells, ``missing_mask``,
+    ``column_numeric`` and ``column_codes`` derive a column's MISSING cells,
+    levels or codes, and reading a bad cell, or a view of a column with bad cells,
+    raises SchemaViolationError; an index that is a bool or a float is a
+    SchemaError naming it. Subsets lay out each column's slice alike, unchecked.
     EM's sufficient statistics (``_stats``, the finite columns' as a uint8
     one-hot) and ``validate_dataset``'s findings (``_findings``) are built on
     first use.
@@ -306,9 +312,9 @@ class Dataset(_Variables):
         """Check the table's shape, then lay out its encoded columns.
 
         ``placed`` maps a schema index to that column's pieces in row order, each
-        an ``_encode_piece`` (missing mask, values, violations); each column's
-        pieces are concatenated once, into read-only column-major arrays. The
-        columns it leaves out are all MISSING.
+        an ``_encode_piece`` (values, violations); each column's pieces are
+        concatenated once, into one read-only column-major array. The columns it
+        leaves out are all MISSING.
         """
         if not schemas:
             raise SchemaError("a dataset needs at least one variable")
@@ -317,24 +323,20 @@ class Dataset(_Variables):
             raise SchemaError("a dataset needs at least one subject")
         shape = (n_rows, len(schemas))
         # column-major, so each column's view is contiguous
-        missing = np.ones(shape, dtype=bool, order="F")
         values = np.full(shape, np.nan, order="F")
         violations = [()] * len(schemas)
         for j, pieces in placed.items():
-            masks, columns, bad = zip(*pieces)
-            np.concatenate(masks, out=missing[:, j])
+            columns, bad = zip(*pieces)
             np.concatenate(columns, out=values[:, j])
             violations[j] = tuple(chain(*bad))
-        missing.setflags(write=False)
         values.setflags(write=False)
         self.schemas = schemas
         self.cell_violations = tuple(violations)
-        self._missing = missing
         self._values = values
 
     @property
     def n_subjects(self) -> int:
-        return self._missing.shape[0]
+        return self._values.shape[0]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -343,11 +345,12 @@ class Dataset(_Variables):
     def value(self, subject: int, column: int):
         """The decoded cell: MISSING, a float, an ordinal level or a symbol.
         A bad cell raises SchemaViolationError with its violation."""
-        if self._missing[subject, column]:
-            return MISSING
+        subject, column = _index(subject, "subject"), _index(column, "column")
         if math.isnan(x := self._values[subject, column]):
-            raise SchemaViolationError(v for v in self.cell_violations[column]
-                                       if v.row == subject % self.n_subjects)
+            subject %= self.n_subjects
+            if bad := [v for v in self.cell_violations[column] if v.row == subject]:
+                raise SchemaViolationError(bad)
+            return MISSING
         schema = self.schemas[column]
         return schema.domain[int(x)] if schema.kind.is_finite else float(x)
 
@@ -363,11 +366,16 @@ class Dataset(_Variables):
         return tuple(j for j, s in enumerate(self.schemas) if s.role == OUTCOME)
 
     def missing_mask(self, column: int) -> np.ndarray:
-        """Boolean vector, True where the cell is MISSING."""
-        return self._missing[:, column]
+        """Read-only boolean vector, True where the cell is MISSING: NaN, no violation."""
+        column = _index(column, "column")
+        mask = np.isnan(self._values[:, column])
+        mask[[v.row for v in self.cell_violations[column]]] = False
+        mask.setflags(write=False)
+        return mask
 
     def column_numeric(self, column: int) -> np.ndarray:
         """Float vector of a numeric column (an ordinal's levels), NaN where missing."""
+        column = _index(column, "column")
         schema = self.schemas[column]
         if schema.kind is VariableKind.CATEGORICAL:
             raise SchemaError(f"{schema.name}: categorical column has no numeric view")
@@ -380,6 +388,7 @@ class Dataset(_Variables):
 
     def column_codes(self, column: int) -> np.ndarray:
         """Int vector of domain codes for a finite column, -1 where missing."""
+        column = _index(column, "column")
         schema = self.schemas[column]
         if schema.kind.is_continuous:
             raise SchemaError(f"{schema.name}: continuous variables have no codes")
@@ -435,7 +444,7 @@ class Dataset(_Variables):
             out.extend(self.cell_violations[j])
             out.extend(v for v in uninformative if v.column == schema.name)
             if schema.kind.is_continuous and ranges[0][0, j] and not self.cell_violations[j]:
-                if why := _fit_range_error(schema.kind, self._values[~self._missing[:, j], j]):
+                if why := _fit_range_error(schema.kind, (x := self._values[:, j])[~np.isnan(x)]):
                     out.append(Violation(None, schema.name, why))
         return tuple(out)
 
@@ -445,7 +454,7 @@ class Dataset(_Variables):
 
     def drop_subject(self, subject: int) -> "Dataset":
         """Every subject but ``subject``, which is indexed as in ``subset``."""
-        subject = range(self.n_subjects)[_indices([subject], "subject")[0]]
+        subject = range(self.n_subjects)[_index(subject, "subject")]
         keep = [i for i in range(self.n_subjects) if i != subject]
         return self.subset(keep)
 
@@ -456,7 +465,7 @@ class Dataset(_Variables):
         placed = {}
         for new_j, j in enumerate(columns):
             by_row = {v.row: v for v in self.cell_violations[j]}
-            placed[new_j] = [(self._missing[rows, j], self._values[rows, j],
+            placed[new_j] = [(self._values[rows, j],
                               [replace(by_row[old], row=new) for new, old in enumerate(rows)
                                if old in by_row] if by_row else ())]
         return Dataset._from_columns([self.schemas[j] for j in columns], len(rows), placed)
@@ -526,15 +535,15 @@ def _encode_plain(schema: VariableSchema, missing: np.ndarray, cells: Sequence) 
 
 
 def _encode_piece(schema: VariableSchema, missing: np.ndarray, encoded, cells, first: int = 0):
-    """(missing, values, violations) of the rows first, first + 1, ... of a column whose
-    mask is ``missing``: values NaN where missing or bad, else ``encoded`` (the observed
-    cells as ``_admitted`` encodes them) or, if that is None, each of the observed
+    """(values, violations) of the rows first, first + 1, ... of a column whose MISSING
+    cells are True in ``missing``: values NaN where missing or bad, else ``encoded`` (the
+    observed cells as ``_admitted`` encodes them) or, if that is None, each of the observed
     ``cells`` (an iterable, in row order) that ``validate_value`` admits, which alone
     words the violations of the others."""
     values = np.full(len(missing), np.nan)
     if encoded is not None:
         values[~missing] = encoded
-        return missing, values, ()
+        return values, ()
     bad = []
     ordinal = schema.kind is VariableKind.ORDINAL
     for i, value in zip(np.flatnonzero(~missing).tolist(), cells):
@@ -543,7 +552,7 @@ def _encode_piece(schema: VariableSchema, missing: np.ndarray, encoded, cells, f
         else:
             values[i] = (float(value) if schema.kind.is_continuous
                          else schema._domain_index[int(value) if ordinal else value])
-    return missing, values, tuple(bad)
+    return values, tuple(bad)
 
 
 @dataclass(frozen=True)
@@ -594,7 +603,7 @@ def _no_information(dataset: Dataset, ranges: tuple, kept=None) -> list:
     for f, j in np.argwhere(((counts == 0) | (low == high)) & checked).tolist():
         why = "no observed values"
         if counts[f, j]:
-            rows = ~dataset._missing[:, j] if kept is None else kept[f] & ~dataset._missing[:, j]
+            rows = ~np.isnan(dataset._values[:, j]) & (True if kept is None else kept[f])
             why = f"constant column (always {dataset.value(np.flatnonzero(rows)[0], j)!r})"
         found[f].append(Violation(None, dataset.schemas[j].name, why))
     return found
@@ -647,8 +656,8 @@ class MissingnessProfile:
 
 
 def missingness_profile(dataset: Dataset) -> MissingnessProfile:
-    counts = dataset._missing.sum(axis=1, dtype=np.int64)
     n_vars = dataset.n_variables
+    counts = np.sum([dataset.missing_mask(j) for j in range(n_vars)], axis=0, dtype=np.int64)
     hist = np.bincount(counts, minlength=n_vars + 1)
     at_least = hist[::-1].cumsum()[::-1].copy()
     counts.setflags(write=False)

@@ -231,10 +231,10 @@ def recovery_model() -> MixtureModel:
 
 
 def assert_same_store(got, want):
-    """Same schemas, missing / encoded value arrays (column-major) and violations."""
+    """Same schemas, encoded value array (column-major), violations and missing masks."""
     assert got.schemas == want.schemas
     assert got.cell_violations == want.cell_violations
-    for store in ("_missing", "_values"):
-        array = getattr(got, store)
-        np.testing.assert_array_equal(array, getattr(want, store))
-        assert array.flags.f_contiguous and not array.flags.writeable
+    np.testing.assert_array_equal(got._values, want._values)
+    assert got._values.flags.f_contiguous and not got._values.flags.writeable
+    for j in range(got.n_variables):
+        np.testing.assert_array_equal(got.missing_mask(j), want.missing_mask(j))

@@ -849,6 +849,19 @@ class TestInfer:
         assert code == 3
         assert _last_error(capsys)["message"] == f"{path}: duplicate evidence columns"
 
+    def test_unknown_evidence_column_exit_3_names_the_file(self, work, tmp_path, capsys):
+        """A header naming no model variable is a format fault of the evidence file."""
+        path = tmp_path / "evidence.csv"
+        path.write_text("marker_a, stage\n0.5,2\n")
+        code = main(["infer", "--out-dir", str(tmp_path / "out"),
+                     "--model", str(work["fit1"] / "model.json"),
+                     "--evidence", str(path), "--mode", "model_missing"])
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "category": "validation", "message": f"{path}: no variable named ' stage'"}
+
     def test_missing_token_clash_exit_3(self, work, tmp_path, capsys):
         evidence = self._evidence(tmp_path, ["0.5,alpha"])
         code = main(["infer", "--out-dir", str(tmp_path / "out"),

@@ -134,6 +134,21 @@ class TestThresholdCurve:
         assert curve.kept.tolist() == [2, 1, 0]
         assert curve.improvement[1] == pytest.approx(4.0)
 
+    def test_improvement_of_an_empty_sweep_is_empty(self):
+        improvement = threshold_curve([0.5], [1.0], []).improvement
+        assert improvement.shape == (0,)
+
+    @given(data=st.data(), n=st.integers(0, 12), steps=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_improvement_is_e0_minus_e_tau_bit_for_bit(self, data, n, steps):
+        unit = st.floats(0.0, 1.0)
+        percentiles = data.draw(st.lists(unit, min_size=n, max_size=n))
+        errors = data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+        thresholds = data.draw(st.lists(unit, min_size=steps, max_size=steps))
+        curve = threshold_curve(percentiles, errors, thresholds)
+        want = curve.mean_error[0] - curve.mean_error
+        assert curve.improvement.tobytes() == want.tobytes()
+
     def test_zero_threshold_equals_unconditional_mean(self):
         rng = np.random.default_rng(11)
         percentiles = rng.uniform(size=30)

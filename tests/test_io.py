@@ -141,7 +141,7 @@ class TestReaderMemory:
     def test_peak_is_a_small_multiple_of_the_store(self, tmp_path):
         """No cell's Python object outlives its chunk: reading a 20,000-row
         demo_model cohort peaks at no more than 2.5 times the bytes of the
-        encoded store it builds (``_values`` and ``_missing``)."""
+        encoded store it builds (``_values``)."""
         model = demo_model()
         cohort, _ = sample_cohort(model, 20_000, np.random.default_rng(0))
         path = tmp_path / "cohort.csv"
@@ -154,7 +154,7 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         assert_same_store(dataset, cohort)
-        assert peak <= 2.5 * (dataset._values.nbytes + dataset._missing.nbytes)
+        assert peak <= 2.5 * dataset._values.nbytes
 
 
 class TestDataCsv:

@@ -458,7 +458,8 @@ class TestSampleCohort:
             columns.append(column)
         want = Dataset(model.schemas, zip(*columns))
         assert np.array_equal(labels, want_labels)
-        assert np.array_equal(got._missing, want._missing)
+        for v in range(model.n_variables):
+            assert np.array_equal(got.missing_mask(v), want.missing_mask(v))
         assert np.array_equal(got._values, want._values, equal_nan=True)
         write_data_csv(got, tmp_path / "got.csv")
         write_data_csv(want, tmp_path / "want.csv")

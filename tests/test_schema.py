@@ -1,21 +1,25 @@
 """Schemas, datasets, validation, and missingness profiles."""
 
+import csv
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetmix.io
 from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
                     missingness_profile, validate_dataset,
                     zero_variability_columns)
+from hetmix.io import read_data_csv
 from hetmix.schema import Violation, _kept_ranges
 
-from conftest import assert_same_store, widest_fit_values
+from conftest import assert_same_store, recovery_model, widest_fit_values
 
 
 def test_missing_is_a_singleton():
@@ -257,6 +261,35 @@ class TestDataset:
         assert ds.subset(np.array([2, 0], dtype=np.int32)).row(0) == ds.row(2)
         assert ds.drop_subject(np.int64(0)).row(0) == ds.row(1)
 
+    _ONE_INDEX = {"value subject": (lambda ds, i: ds.value(i, 0), "subject"),
+                  "value column": (lambda ds, i: ds.value(0, i), "column"),
+                  "row": (lambda ds, i: ds.row(i), "subject"),
+                  "missing_mask": (lambda ds, i: ds.missing_mask(i), "column"),
+                  "column_numeric": (lambda ds, i: ds.column_numeric(i), "column"),
+                  "column_codes": (lambda ds, i: ds.column_codes(i), "column"),
+                  "schema": (lambda ds, i: ds.schema(i), "column"),
+                  "model schema": (lambda ds, i: recovery_model().schema(i), "column")}
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.0, np.float64(0)], ids=repr)
+    @pytest.mark.parametrize("accessor", sorted(_ONE_INDEX))
+    def test_single_indices_must_be_integers(self, accessor, index):
+        """An accessor of one subject or column refuses a bool or a float by name, as
+        ``subset`` does: a bool is not row or column 1, nor a float truncated."""
+        call, what = self._ONE_INDEX[accessor]
+        with pytest.raises(SchemaError, match=f"^{what} index {re.escape(str(index))} "
+                                              "is not an integer$"):
+            call(_toy_dataset(), index)
+
+    def test_single_indices_take_numpy_and_negative_integers(self):
+        ds = _toy_dataset()
+        assert ds.value(np.int64(-1), np.int32(0)) == 2.5
+        assert ds.row(np.int8(-2)) == (MISSING, 1, "b")
+        assert ds.missing_mask(np.int64(-3)).tolist() == [False, True, False]
+        assert ds.column_numeric(np.uint8(1)).tolist()[:2] == [2.0, 1.0]
+        assert ds.column_codes(np.int64(-1)).tolist() == [0, 1, -1]
+        assert ds.schema(np.int64(2)).name == "site"
+        assert recovery_model().schema(np.int16(-1)).name == "d_code"
+
     def test_roles(self):
         schemas = (VariableSchema("x", "real"),
                    VariableSchema("y", "ordinal", (1, 2), role="outcome"))
@@ -445,6 +478,106 @@ class TestSlicingEqualsRebuilding:
         ds = Dataset((VariableSchema("x", "real"),), [(1.0,), (2.0,)])
         with pytest.raises(SchemaError, match="^a dataset needs at least one subject$"):
             ds.subset([])
+
+
+_TOKEN = "NA"  # the CSV's missing token; no drawn cell's text
+
+
+def _tagged_cell(schema):
+    """One cell of ``schema``'s column, tagged: ("missing", MISSING), ("good", an
+    admissible value) or ("bad", a wrong type, a bool, an out-of-domain level or
+    symbol, or a non-finite value), whose text reads back as bad too."""
+    kind = schema.kind
+    if kind is VariableKind.ORDINAL:
+        good = st.sampled_from(schema.domain)
+        wrong = st.sampled_from(["x", 1.5])
+        outside = st.integers(-9, 9).filter(lambda level: level not in schema.domain)
+    elif kind is VariableKind.CATEGORICAL:
+        good = st.sampled_from(schema.domain)
+        wrong = st.sampled_from([1, 2.5])
+        outside = st.sampled_from(["g", "h", "A", ""])
+    else:
+        low = 0 if kind is VariableKind.NONNEGATIVE else None
+        good = st.one_of(st.floats(min_value=low, allow_nan=False, allow_infinity=False),
+                         st.integers(low if low is not None else -10**6, 10**6))
+        wrong = st.sampled_from(["x", ""])
+        outside = st.sampled_from([-1.0, -1e-300] if low is not None else [math.inf])
+    bad = st.one_of(wrong, st.booleans(), outside, st.sampled_from([math.nan, -math.inf]))
+    return st.one_of(st.just(("missing", MISSING)), good.map(lambda v: ("good", v)),
+                     bad.map(lambda v: ("bad", v)))
+
+
+@st.composite
+def _tagged_table(draw):
+    """Random schemas of all four kinds, and rows of their tagged cells (``_tagged_cell``)."""
+    schemas = []
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(list(VariableKind)),
+                                           min_size=1, max_size=4))):
+        domain = ()
+        if kind is VariableKind.ORDINAL:
+            domain = sorted(draw(st.sets(st.integers(-5, 5), min_size=2, max_size=4)))
+        elif kind is VariableKind.CATEGORICAL:
+            domain = draw(st.lists(st.sampled_from("abcdef"), min_size=2, max_size=4, unique=True))
+        schemas.append(VariableSchema(f"v{j}", kind, tuple(domain)))
+    cells = st.tuples(*map(_tagged_cell, schemas))
+    return tuple(schemas), draw(st.lists(cells, min_size=1, max_size=8))
+
+
+def _cell_text(tag, value) -> str:
+    if tag == "missing":
+        return _TOKEN
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _assert_tagged(ds, rows):
+    """``ds`` is ``rows`` of tagged cells: its one array, and per column the MISSING
+    cells (``missing_mask``, ``value``, ``missingness_profile``) and the bad ones."""
+    arrays = {name: a for name, a in vars(ds).items() if isinstance(a, np.ndarray)}
+    assert list(arrays) == ["_values"]
+    assert ds._values.shape == (len(rows), len(rows[0])) and ds._values.dtype == np.float64
+    assert ds._values.flags.f_contiguous and not ds._values.flags.writeable
+    for j in range(ds.n_variables):
+        column = [row[j] for row in rows]
+        mask = ds.missing_mask(j)
+        assert mask.tolist() == [tag == "missing" for tag, _ in column]
+        assert not mask.flags.writeable
+        assert [v.row for v in ds.cell_violations[j]] == [
+            i for i, (tag, _) in enumerate(column) if tag == "bad"]
+        for i, (tag, value) in enumerate(column):
+            if tag == "bad":
+                with pytest.raises(SchemaViolationError):
+                    ds.value(i, j)
+            elif tag == "missing":
+                assert ds.value(i, j) is MISSING
+            else:
+                assert ds.value(i, j) == value
+    assert missingness_profile(ds).missing_counts.tolist() == [
+        sum(tag == "missing" for tag, _ in row) for row in rows]
+
+
+class TestMissingIsNanWithoutViolation:
+    """A Dataset keeps one array: a cell is MISSING when it is NaN and its column has no
+    violation on its row. Built from rows, read from a CSV, subset or reduced, a bad cell
+    is never MISSING and a MISSING cell never bad."""
+
+    @given(data=st.data(), table=_tagged_table(), chunk=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_every_construction(self, tmp_path_factory, data, table, chunk):
+        schemas, rows = table
+        ds = Dataset(schemas, [tuple(value for _, value in row) for row in rows])
+        _assert_tagged(ds, rows)
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows([[s.name for s in schemas]]
+                                         + [[_cell_text(*cell) for cell in row] for row in rows])
+        with mock.patch.object(hetmix.io, "_CHUNK_RECORDS", chunk):
+            _assert_tagged(read_data_csv(path, schemas, missing_token=_TOKEN), rows)
+        n = len(rows)
+        idx = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=10))
+        _assert_tagged(ds.subset(idx), [rows[i] for i in idx])
+        names = zero_variability_columns(ds)
+        if keep := [j for j, s in enumerate(schemas) if s.name not in names]:
+            _assert_tagged(drop_zero_variability(ds)[0], [[row[j] for j in keep] for row in rows])
 
 
 class TestValidateDataset:
