@@ -24,8 +24,8 @@ maximum-likelihood update reads only weighted sums of sufficient statistics
 counts, the weighted sums of its one-hot slots in ``Dataset._stats``);
 ``_weighted_block`` maps them to the missing probability and a block in closed
 form, unchecked; ``_natural_params`` maps a block back to its log factors'
-coefficients on them. ``log_sum_exp`` is the package's log-sum-exp; an
-ordinal mass table and EM's E-step (``training._posteriors``) take theirs in line.
+coefficients on them. An ordinal mass table calls ``log_sum_exp``, whose bits
+depend on the values alone; EM's E-step (``training._posteriors``) fuses its own.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, computed as scipy.special.logsumexp does.
 
     The largest entries are shifted to 0 and counted apart from the rest
-    (Blanchard, Higham and Higham 2021): max + log(count) + log1p(rest / count).
-    A slice of all -inf gives -inf, and a shift past the float range (1e308
+    (Blanchard, Higham and Higham 2021): max + log(count) + log1p(rest / count),
+    the rest summed with ``axis`` laid out last, so its bits depend on the values
+    alone. A slice of all -inf gives -inf, and a shift past the float range (1e308
     against -1e308) an exp of 0, with no warning.
     """
     a = np.asarray(a, dtype=float)
@@ -59,7 +60,8 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
     top = a == peak
     count = top.sum(axis=axis, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = np.subtract(a, peak)  # the one input-sized float temporary, freed once summed
+        buffer = np.empty(np.moveaxis(a, axis, -1).shape)  # the one input-sized float temporary
+        rest = np.subtract(a, peak, out=np.moveaxis(buffer, -1, axis))  # freed once summed
         # a top entry's exp(0) - 1 is 0; at an infinite peak it is NaN: that sum is zeroed
         rest = np.subtract(np.exp(rest, out=rest), top, out=rest).sum(axis=axis, keepdims=True)
         rest[np.isinf(peak)] = 0.0
@@ -93,8 +95,8 @@ def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
     ordinal's are its scores less their ``log_sum_exp`` per component. Level d
     scores against the level r nearest the mean m, -(d - r)(d + r - 2m) / (2
     variance): r's is 0, the others <= 0 or -inf, so no extreme mean or variance
-    gives inf - inf. Laid out (K, Z), every reduction runs across components but
-    the order-sensitive sum, along each component's row of a (Z, K) copy."""
+    gives inf - inf. The scores are laid out (K, Z); ``log_sum_exp`` sums each
+    component's, so its bits are those of a row of the (Z, K) table."""
     if kind is VariableKind.CATEGORICAL:
         with np.errstate(divide="ignore"):
             return np.log(block[0])
@@ -103,14 +105,7 @@ def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
     nearest = levels[np.abs(levels - np.clip(mean, levels[0], levels[-1])).argmin(axis=0), 0]
     with np.errstate(over="ignore"):  # an overflow is a score of -inf
         scores = -((levels - nearest) * ((levels - mean) / 2 + (nearest - mean) / 2)) / variance
-    peak = scores.max(axis=0)
-    top = scores == peak
-    count = top.sum(axis=0, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = np.ascontiguousarray((np.exp(scores - peak) - top).T).sum(axis=1)
-        rest[np.isinf(peak)] = 0.0
-        log_total = np.log1p(rest / count) + np.log(count) + peak
-    return np.ascontiguousarray((scores - log_total).T)
+    return np.ascontiguousarray((scores - log_sum_exp(scores, axis=0)).T)
 
 
 # the Gamma shape stays below this: (shape - 1) log x, shape log scale and

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -107,13 +108,21 @@ def training_confidence_scores(model: MixtureModel, dataset: Dataset, mode: str,
     return row_log_likelihoods(model, dataset, mode, cols)
 
 
+def _without_nan(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` if one is NaN."""
+    x = np.asarray(values, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError(f"{name} must not hold NaN")
+    return x
+
+
 def percentile_ranks(scores, training_scores) -> np.ndarray:
     """Fraction of training scores strictly below each score (a scalar score
-    gives a scalar fraction)."""
-    ref = np.sort(np.asarray(training_scores, dtype=float))
+    gives a scalar fraction; -inf, a zero likelihood, ranks 0). ValueError for a NaN."""
+    ref = np.sort(_without_nan("training_scores", training_scores))
     if ref.size == 0:
         raise ValueError("empty reference scores")
-    idx = np.searchsorted(ref, np.asarray(scores, dtype=float), side="left")
+    idx = np.searchsorted(ref, _without_nan("scores", scores), side="left")
     return idx / ref.size
 
 
@@ -144,6 +153,8 @@ def threshold_curve(percentiles, errors, thresholds=None) -> ThresholdCurve:
     if thresholds is None:
         thresholds = np.linspace(0.0, 1.0, 21)
     thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.ndim != 1:
+        raise ValueError(f"thresholds must be 1-D, got {thresholds.ndim} axes")
     means = np.empty(thresholds.shape)
     kept = np.empty(thresholds.shape, dtype=np.int64)
     for i, tau in enumerate(thresholds):
@@ -169,6 +180,8 @@ def confidence_bins(percentiles, errors, cutoff: float = 0.5) -> ConfidenceBins:
     e = np.asarray(errors, dtype=float)
     if p.shape != e.shape:
         raise ValueError("percentiles and errors lengths differ")
+    if isinstance(cutoff, bool) or not (isinstance(cutoff, numbers.Real) and 0 <= cutoff <= 1):
+        raise ValueError(f"cutoff must be a real number in [0, 1], got {cutoff!r}")
     low = p < cutoff
     n_low = int(low.sum())
     n_high = int(p.size - n_low)
@@ -192,9 +205,9 @@ def error_density(values, grid) -> np.ndarray:
 
     The curve integrates to 1 over the real line; over a grid that covers the
     sample plus a few bandwidths, trapezoidal integration recovers 1 to high
-    accuracy.
+    accuracy. ValueError for a NaN value.
     """
-    x = np.asarray(values, dtype=float)
+    x = _without_nan("values", values)
     grid = np.asarray(grid, dtype=float)
     h = scott_bandwidth(x)
     z = (grid[:, None] - x[None, :]) / h

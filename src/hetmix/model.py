@@ -219,8 +219,7 @@ def component_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
 def row_log_likelihoods(model: MixtureModel, dataset: Dataset, mode: str,
                         columns: Sequence[int] | None = None) -> np.ndarray:
     """Per-subject joint log-likelihood, -inf allowed."""
-    comp = component_log_likelihoods(model, dataset, mode, columns)
-    return log_sum_exp(comp, axis=1)
+    return log_sum_exp(_log_joint(model, dataset, mode, columns), axis=0)
 
 
 def _record_log_joint(model: MixtureModel, columns: Sequence[int], cells: Sequence, mode: str,

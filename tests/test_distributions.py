@@ -511,6 +511,28 @@ def test_log_sum_exp_keeps_the_bits_of_the_where(seed, shape):
             assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_log_sum_exp_bits_do_not_depend_on_layout(seed):
+    """Along an axis of 8-13 terms, which NumPy sums in one order when it is contiguous
+    and in another when it is strided, with all -inf slices, ±inf, NaN, ties, ±0 and
+    subnormals mixed in: C-ordered, Fortran-ordered and transposed inputs give the bytes
+    of the same values laid out with that axis last and contiguous."""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        shape = [int(k) for k in rng.integers(1, 6, size=rng.integers(0, 3))]
+        shape.insert(int(rng.integers(len(shape) + 1)), int(rng.integers(8, 14)))
+        a = rng.normal(0.0, 1.0, shape)
+        for value, share in ((-np.inf, 0.2), (np.inf, 0.03), (np.nan, 0.03), (3.0, 0.1),
+                             (0.0, 0.03), (-0.0, 0.03), (5e-324, 0.02), (-2.5e-310, 0.02)):
+            a[rng.random(shape) < share] = value
+        a.reshape(-1, a.shape[-1])[0] = -np.inf
+        for x in (a, a.T, np.asfortranarray(a)):
+            for axis in range(x.ndim):
+                got = _no_warnings(log_sum_exp, x, axis=axis)
+                want = log_sum_exp(np.ascontiguousarray(np.moveaxis(x, axis, -1)))
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(240, 3, 120), (2, 6, 10 ** 4)])
 def test_log_sum_exp_holds_one_input_sized_temporary(shape):
     """The call's peak traced memory, over the input's bytes, along axis 1: one float

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hetmix.evaluation import _evaluate_folds, _fold_seed
 from hetmix.inference import predict_batch, target_tables
 from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
 from hetmix.schema import MISSING, _kept_ranges, validate_dataset
+from hetmix.training import _fit_many
 
 EIGHT = VariableSchema("g8", "ordinal", tuple(range(1, 9)))
 THREE_WAY = VariableSchema("s3", "categorical", ("a", "b", "c"))
@@ -122,6 +124,18 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             percentile_ranks(0.0, np.array([]))
 
+    def test_nan_is_refused_and_minus_inf_ranks_zero(self):
+        """A NaN score would rank as the most confident, and a NaN reference would shrink
+        every rank: each is a ValueError naming its argument. A zero likelihood's -inf
+        score has no reference score below it."""
+        for scores, ref, name in ((math.nan, [0.0, 2.0], "scores"),
+                                  ([1.0, math.nan], [0.0, 2.0], "scores"),
+                                  (1.0, [0.0, math.nan, 2.0], "training_scores")):
+            with pytest.raises(ValueError, match=f"^{name} must not hold NaN$") as err:
+                percentile_ranks(scores, ref)
+            assert not isinstance(err.value, DegenerateSampleError)
+        assert percentile_ranks([-math.inf, 1.0], [-math.inf, 0.0, 2.0]).tolist() == [0.0, 2 / 3]
+
 
 class TestThresholdCurve:
     def test_frozen_two_subject_curve(self):
@@ -162,6 +176,11 @@ class TestThresholdCurve:
         with pytest.raises(ValueError):
             threshold_curve(np.array([0.5]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("thresholds, axes", [(0.5, 0), ([[0.1, 0.2]], 2)])
+    def test_thresholds_must_be_one_dimensional(self, thresholds, axes):
+        with pytest.raises(ValueError, match=f"^thresholds must be 1-D, got {axes} axes$"):
+            threshold_curve([0.5], [1.0], thresholds)
+
 
 class TestConfidenceBins:
     def test_split_at_half(self):
@@ -181,6 +200,20 @@ class TestConfidenceBins:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
             confidence_bins(np.array([0.2, 0.8]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("cutoff", [[0.5], math.nan, -0.1, 1.5, math.inf, "0.5", None, True])
+    def test_cutoff_must_be_a_real_number_in_the_unit_interval(self, cutoff):
+        """As ``evaluate --bin-cutoff`` requires: not a list echoed into the bins, nor a
+        NaN that puts every subject in the high bin."""
+        with pytest.raises(ValueError, match=r"^cutoff must be a real number in \[0, 1\]"):
+            confidence_bins([0.2, 0.8], [1.0, 2.0], cutoff)
+
+    @pytest.mark.parametrize("cutoff, low", [(0, 0), (0.25, 1), (np.float64(0.5), 1), (1, 2)])
+    def test_cutoff_ends_and_numpy_floats_are_accepted(self, cutoff, low):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a bin is empty at either end
+            bins = confidence_bins([0.2, 0.8], [1.0, 2.0], cutoff)
+        assert (bins.cutoff, bins.low_count) == (cutoff, low)
 
 
 class TestDensity:
@@ -218,6 +251,14 @@ class TestDensity:
         dens = error_density(values, grid)
         assert (dens >= 0).all()
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+
+    def test_density_refuses_nan_values(self):
+        """A NaN error is a plain ValueError naming ``values``, not an all-NaN curve, nor
+        the DegenerateSampleError whose skip message ``evaluate`` prints."""
+        for values in ([1.0, 2.0, math.nan], [math.nan, math.nan]):
+            with pytest.raises(ValueError, match="^values must not hold NaN$") as err:
+                error_density(values, np.linspace(0.0, 3.0, 5))
+            assert not isinstance(err.value, DegenerateSampleError)
 
 
 class TestConfidenceScores:
@@ -300,6 +341,33 @@ class TestOnePassFold:
                 compared += 1
             assert bool(failed) == reference_failed
         assert compared >= cohort.n_subjects  # most folds succeed on both orders
+
+    def test_scores_at_many_components_are_the_fold_models_own(self):
+        """At 8 and 12 components, where a strided log-sum-exp across components could
+        round otherwise: each fold's log score equals (==) ``confidence_score`` of its model,
+        refit alone by ``_fit_many`` from its ``_fold_seed``, and its percentile the rank of
+        that score among the other rows' ``training_confidence_scores``."""
+        cohort, _ = sample_cohort(small_demo_model(), 60, np.random.default_rng(2))
+        config, orders, n = EmConfig(max_iterations=2, restarts=1, seed=0), (1, 8, 12), 60
+        targets = tuple(s.name for s in cohort.schemas if s.role == OUTCOME)
+        failed, _, log_scores, percentiles = _evaluate_folds(cohort, range(n), orders, targets,
+                                                             MODEL_MISSING, config)
+        cols = [j for j in cohort.input_columns if cohort.schemas[j].name not in targets]
+        compared = 0
+        for subject in sorted(set(range(n)) - set(failed)):
+            kept = (np.arange(n) != subject)[None]
+            fits = _fit_many(cohort, kept, _kept_ranges(cohort, kept)[3],
+                             [_fold_seed(config.seed, subject)], orders, config)
+            evidence = {cohort.schemas[j].name: cohort.value(subject, j) for j in cols}
+            for o, (params, _) in enumerate(fits, 1):
+                model = fit_of(params, 0, cohort.schemas)
+                log_c = confidence_score(model, evidence, MODEL_MISSING)
+                others = np.delete(training_confidence_scores(model, cohort, MODEL_MISSING, cols),
+                                   subject)
+                assert (log_scores[o, subject], percentiles[o, subject]) == \
+                    (log_c, percentile_ranks(log_c, others))
+                compared += 1
+        assert compared >= 3 * (n - 2)
 
 
 class TestFoldSeeds:

@@ -21,7 +21,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     training_confidence_scores)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.inference import predict_batch
-from hetmix.distributions import _BLOCK_FIELDS, _check_params
+from hetmix.distributions import _BLOCK_FIELDS, _check_params, log_sum_exp
 from hetmix.model import _parameter_count
 from hetmix.io import model_to_dict, write_data_csv
 
@@ -340,6 +340,23 @@ class TestJointLikelihood:
                           training_confidence_scores):
                 with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                     score(model, cohort, MODEL_MISSING, columns)
+
+    @pytest.mark.parametrize("n_comp", [1, 3, 8, 12])
+    def test_row_log_likelihoods_is_the_row_log_sum_exp(self, n_comp):
+        """``row_log_likelihoods`` reduces the (Z, N) log joint across components and
+        has the bits of ``log_sum_exp`` along the rows of ``component_log_likelihoods``,
+        in both modes, over every column and over a subset."""
+        rng = np.random.default_rng(n_comp)
+        schemas = tuple(random_schema(f"v{j}", kind, rng) for j, kind in enumerate(KINDS * 2))
+        params = tuple(tuple(random_cell_params(s, rng) for s in schemas) for _ in range(n_comp))
+        model = MixtureModel(rng.dirichlet(np.ones(n_comp)), params,
+                             rng.uniform(0.05, 0.6, size=(n_comp, len(schemas))), schemas)
+        cohort, _ = sample_cohort(model, 40, rng)
+        for mode in (MODEL_MISSING, IGNORE_MISSING):
+            for columns in (None, [0, 3, 5]):
+                want = log_sum_exp(component_log_likelihoods(model, cohort, mode, columns), axis=1)
+                got = row_log_likelihoods(model, cohort, mode, columns)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPosterior:
