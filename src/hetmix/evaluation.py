@@ -108,21 +108,23 @@ def training_confidence_scores(model: MixtureModel, dataset: Dataset, mode: str,
     return row_log_likelihoods(model, dataset, mode, cols)
 
 
-def _without_nan(name: str, values) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``name`` if one is NaN."""
-    x = np.asarray(values, dtype=float)
-    if np.isnan(x).any():
-        raise ValueError(f"{name} must not hold NaN")
-    return x
+def _without_nan(**arrays) -> tuple:
+    """The named ``arrays`` as float arrays; ValueError for a NaN or, in a pair, unequal shapes."""
+    checked = tuple(np.asarray(values, dtype=float) for values in arrays.values())
+    if nan := next((name for name, x in zip(arrays, checked) if np.isnan(x).any()), None):
+        raise ValueError(f"{nan} must not hold NaN")
+    if len({x.shape for x in checked}) > 1:
+        raise ValueError(f"{' and '.join(arrays)} lengths differ")
+    return checked
 
 
 def percentile_ranks(scores, training_scores) -> np.ndarray:
-    """Fraction of training scores strictly below each score (a scalar score
-    gives a scalar fraction; -inf, a zero likelihood, ranks 0). ValueError for a NaN."""
-    ref = np.sort(_without_nan("training_scores", training_scores))
+    """Fraction of training scores strictly below each score (a scalar score gives a scalar
+    fraction; -inf, a zero likelihood, ranks 0). ValueError naming an argument with a NaN."""
+    (ref,), (x,) = _without_nan(training_scores=training_scores), _without_nan(scores=scores)
     if ref.size == 0:
         raise ValueError("empty reference scores")
-    idx = np.searchsorted(ref, _without_nan("scores", scores), side="left")
+    idx = np.searchsorted(np.sort(ref), x, side="left")
     return idx / ref.size
 
 
@@ -145,14 +147,10 @@ class ThresholdCurve:
 
 
 def threshold_curve(percentiles, errors, thresholds=None) -> ThresholdCurve:
-    """Sweep confidence cutoffs and average the errors of the kept subjects."""
-    p = np.asarray(percentiles, dtype=float)
-    e = np.asarray(errors, dtype=float)
-    if p.shape != e.shape:
-        raise ValueError("percentiles and errors lengths differ")
-    if thresholds is None:
-        thresholds = np.linspace(0.0, 1.0, 21)
-    thresholds = np.asarray(thresholds, dtype=float)
+    """Mean error of the subjects kept at each cutoff; ValueError naming an argument with a NaN."""
+    p, e = _without_nan(percentiles=percentiles, errors=errors)
+    (thresholds,) = _without_nan(thresholds=np.linspace(0.0, 1.0, 21) if thresholds is None
+                                 else thresholds)
     if thresholds.ndim != 1:
         raise ValueError(f"thresholds must be 1-D, got {thresholds.ndim} axes")
     means = np.empty(thresholds.shape)
@@ -176,10 +174,8 @@ class ConfidenceBins:
 
 
 def confidence_bins(percentiles, errors, cutoff: float = 0.5) -> ConfidenceBins:
-    p = np.asarray(percentiles, dtype=float)
-    e = np.asarray(errors, dtype=float)
-    if p.shape != e.shape:
-        raise ValueError("percentiles and errors lengths differ")
+    """Split at ``cutoff``; ValueError naming an argument with a NaN."""
+    p, e = _without_nan(percentiles=percentiles, errors=errors)
     if isinstance(cutoff, bool) or not (isinstance(cutoff, numbers.Real) and 0 <= cutoff <= 1):
         raise ValueError(f"cutoff must be a real number in [0, 1], got {cutoff!r}")
     low = p < cutoff
@@ -193,9 +189,10 @@ def confidence_bins(percentiles, errors, cutoff: float = 0.5) -> ConfidenceBins:
 
 
 def scott_bandwidth(values) -> float:
-    """Rule-of-thumb KDE bandwidth: sample std times n^(-1/5)."""
-    x = np.asarray(values, dtype=float)
-    if x.size < 2 or x.min() == x.max() or np.isnan(x).all():  # np.unique loads numpy.ma
+    """Rule-of-thumb KDE bandwidth: sample std times n^(-1/5). ValueError naming ``values`` if
+    it holds a NaN."""
+    (x,) = _without_nan(values=values)
+    if x.size < 2 or x.min() == x.max():  # np.unique loads numpy.ma
         raise DegenerateSampleError("need at least 2 distinct values")
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
@@ -205,10 +202,9 @@ def error_density(values, grid) -> np.ndarray:
 
     The curve integrates to 1 over the real line; over a grid that covers the
     sample plus a few bandwidths, trapezoidal integration recovers 1 to high
-    accuracy. ValueError for a NaN value.
+    accuracy. ValueError naming an argument with a NaN.
     """
-    x = _without_nan("values", values)
-    grid = np.asarray(grid, dtype=float)
+    (x,), (grid,) = _without_nan(values=values), _without_nan(grid=grid)
     h = scott_bandwidth(x)
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z ** 2).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))

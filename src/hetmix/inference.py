@@ -45,16 +45,18 @@ class InferenceRequest:
 
 @dataclass(frozen=True)
 class FinitePrediction:
-    """Probability vector over the finite domain of one target."""
+    """Probability vector over the finite domain of one target, one value per domain value."""
 
     domain: tuple
     probabilities: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "domain", tuple(self.domain))
         probs = np.asarray(self.probabilities, dtype=float)
+        if probs.shape != (len(self.domain),):
+            raise ValueError(f"probabilities must be one per domain value, not shape {probs.shape}")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "domain", tuple(self.domain))
 
     def probability_of(self, value) -> float:
         try:

@@ -231,11 +231,12 @@ class TestDensity:
             scott_bandwidth(np.array([2.0, 2.0, 2.0]))
 
     @pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0], [0.0, -0.0], [math.inf, math.inf],
-                                        [math.nan, math.nan], [math.nan, 1.0],
-                                        [1.0, 1.0, math.nan], [1.0, 2.0]])
+                                        [2.0, 2.0, 2.0], [-0.0, -0.0, 0.0], [1.0, 1.0, 2.0],
+                                        [1.0, 2.0]])
     def test_degenerate_as_np_unique_counts_it(self, values):
-        """A sample is refused exactly when ``np.unique`` (which folds NaNs and +-0.0 together)
-        finds fewer than 2 distinct values in it."""
+        """A sample without NaN is refused exactly when ``np.unique`` (which folds +-0.0
+        together) finds fewer than 2 distinct values in it; a NaN is refused as a NaN
+        (``TestReportArrays``)."""
         x = np.array(values, dtype=float)
         if np.unique(x).size < 2:
             with pytest.raises(DegenerateSampleError):
@@ -259,6 +260,47 @@ class TestDensity:
             with pytest.raises(ValueError, match="^values must not hold NaN$") as err:
                 error_density(values, np.linspace(0.0, 3.0, 5))
             assert not isinstance(err.value, DegenerateSampleError)
+
+
+# each confidence report with arrays that pass its checks, by argument name
+_REPORTS = {
+    percentile_ranks: {"scores": [0.5, 1.5], "training_scores": [0.0, 1.0, 2.0]},
+    threshold_curve: {"percentiles": [0.2, 0.8], "errors": [1.0, 2.0], "thresholds": [0.0, 0.5]},
+    confidence_bins: {"percentiles": [0.2, 0.8], "errors": [1.0, 2.0]},
+    scott_bandwidth: {"values": [1.0, 2.0, 3.0]},
+    error_density: {"values": [1.0, 2.0, 3.0], "grid": [0.0, 2.0, 4.0]},
+}
+
+
+class TestReportArrays:
+    @pytest.mark.parametrize("report, name, values", [
+        *(pytest.param(report, name, [math.nan, *args[name][1:]], id=f"{report.__name__}-{name}")
+          for report, args in _REPORTS.items() for name in args),
+        *(pytest.param(scott_bandwidth, "values", values, id="-".join(map(str, values)))
+          for values in ([math.nan, math.nan], [math.nan, 1.0], [1.0, 1.0, math.nan])),
+    ])
+    def test_a_nan_is_refused_by_name(self, report, name, values):
+        """No report drops, bins or smooths a NaN: a NaN in any of its arrays is a plain
+        ValueError naming that argument, not the DegenerateSampleError whose skip message
+        ``evaluate`` prints."""
+        with pytest.raises(ValueError, match=f"^{name} must not hold NaN$") as err:
+            report(**{**_REPORTS[report], name: values})
+        assert not isinstance(err.value, DegenerateSampleError)
+
+    def test_infinities_pass(self):
+        """-inf, a zero likelihood, ranks 0, and an infinite error enters its means."""
+        assert percentile_ranks([-math.inf, math.inf], [-math.inf, 0.0]).tolist() == [0.0, 1.0]
+        curve = threshold_curve([0.2, 0.8], [1.0, math.inf], [0.0, 0.5])
+        assert curve.mean_error.tolist() == [math.inf, math.inf]
+        bins = confidence_bins([0.2, 0.8], [-math.inf, 1.0])
+        assert (bins.low_mean, bins.high_mean) == (-math.inf, 1.0)
+
+    @pytest.mark.parametrize("report", [threshold_curve, confidence_bins])
+    def test_pair_shapes_must_match(self, report):
+        with pytest.raises(ValueError, match="^percentiles and errors lengths differ$"):
+            report([0.2, 0.8], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^percentiles and errors lengths differ$"):
+            report([[0.2, 0.8]], [1.0, 2.0])
 
 
 class TestConfidenceScores:

@@ -318,6 +318,12 @@ class TestPointPredict:
         with pytest.raises(ValueError, match=r"^'c' not in domain \('a', 'b'\)$"):
             pred.probability_of("c")
 
+    @pytest.mark.parametrize("probabilities", [[0.5, 0.5], [0.25] * 4, [[0.2, 0.3, 0.5]], 1.0])
+    def test_one_probability_per_domain_value(self, probabilities):
+        """Not a prediction whose ``probability_of(3)`` raises IndexError later."""
+        with pytest.raises(ValueError, match=r"^probabilities must be one per domain value, not "):
+            FinitePrediction((1, 2, 3), probabilities)
+
     def test_continuous_uses_expectation(self):
         pred = MixturePrediction(np.array([0.25, 0.75]),
                                  (Gaussian(0.0, 1.0), Gaussian(4.0, 1.0)))
