@@ -20,11 +20,11 @@ but ``domain``: ``mean``, ``variance``, ``zero_prob``, ``shape``, ``scale``
 (Z,), ``probs`` (Z, K). EM reads and writes blocks; the dataclasses are their
 per-cell view. Every family is an exponential family, so a weighted
 maximum-likelihood update reads only weighted sums of sufficient statistics
-(``schema._stat_rows``; a finite column's are its missed weight and level
-counts, the weighted sums of its one-hot slots in ``Dataset._stats``);
-``_weighted_block`` maps them to the missing probability and a block in closed
-form, unchecked; ``_natural_params`` maps a block back to its log factors'
-coefficients on them. An ordinal mass table calls ``log_sum_exp``, whose bits
+(``schema._stat_rows``, an ordinal's on its levels; a categorical's are its
+missed weight and symbol counts, the weighted sums of its one-hot slots in
+``Dataset._stats``); ``_weighted_block`` maps them to the missing probability
+and a block in closed form, unchecked; ``_natural_params`` maps a block back to
+its log factors' coefficients on them. An ordinal mass table calls ``log_sum_exp``, whose bits
 depend on the values alone; EM's E-step (``training._posteriors``) fuses its own.
 """
 
@@ -373,37 +373,32 @@ def _variance_floor(scale):
 def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, unit) -> tuple:
     """(missing_prob, observed, block) of the components whose weighted sums of
     a variable's sufficient statistics, the missed weight first, are the rows of
-    (..., width) ``sums`` (the missed weight and level counts, or
-    ``schema._stat_rows`` with their (centre, scale) ``unit``): every
-    probability EM estimates, q = missed / (missed + observed), ``zero_prob``
-    and ``probs``, is a closed form here.
+    (..., width) ``sums`` (a categorical's symbol counts, or ``schema._stat_rows``
+    with their (centre, scale) ``unit``): every probability EM estimates,
+    q = missed / (missed + observed), ``zero_prob`` and ``probs``, is a closed form here.
 
     Unchecked: the caller, the M-step, replaces the rows without observed weight.
     A real variance is floored at ``_variance_floor(column_scale)`` (the span of
     the fit's kept values, broadcast against (...,); no other kind reads it), an
     ordinal's at its domain's span's; the other floors are the module's constants.
-    A row's result is a closed form of it alone: ordinal moments from the level
-    counts, real ones in one pass; the Gamma keeps zeros out of its sums (their
-    mass is ``zero_prob``) and takes the shape k = (3 - g + sqrt((g - 3)^2 +
-    24 g)) / (12 g) with g = log(weighted mean) - weighted mean of logs.
+    A row's result is a closed form of it alone: real and ordinal moments in one
+    pass; the Gamma keeps zeros out of its sums (their mass is ``zero_prob``) and
+    takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) / (12 g) with
+    g = log(weighted mean) - weighted mean of logs.
     """
     missed, stats = sums[..., 0], sums[..., 1:]
-    observed = (stats.sum(axis=-1) if kind.is_finite else stats[..., 0] + stats[..., 1]
-                if kind is VariableKind.NONNEGATIVE else stats[..., 0])
+    observed = (stats.sum(axis=-1) if kind is VariableKind.CATEGORICAL else stats[..., 0]
+                + stats[..., 1] if kind is VariableKind.NONNEGATIVE else stats[..., 0])
     missing_prob = missed / (missed + observed)  # all-missing cells: q == 1 exactly
     if kind is VariableKind.CATEGORICAL:
         probs = stats / observed[..., None] + CATEGORICAL_PSEUDO
         return missing_prob, observed, (probs / probs.sum(axis=-1, keepdims=True),)
-    if kind is VariableKind.ORDINAL:
-        levels = np.asarray(domain, dtype=float)
-        mean = np.vecdot(stats, levels) / observed
-        var = np.vecdot(stats, (levels - mean[..., None]) ** 2) / observed
-        floor = _variance_floor(float(domain[-1] - domain[0]))  # the integer span, rounded once
-        return missing_prob, observed, (mean, np.maximum(var, floor))
-    if kind is VariableKind.REAL:
+    if kind is not VariableKind.NONNEGATIVE:
         centre, scale = unit
         mean = stats[..., 1] / observed
         var = scale ** 2 * (stats[..., 2] / observed - mean ** 2)
+        if kind is VariableKind.ORDINAL:  # the integer span, rounded once
+            column_scale = float(domain[-1] - domain[0])
         return missing_prob, observed, (centre + scale * mean,
                                         np.maximum(var, _variance_floor(column_scale)))
 
@@ -422,30 +417,37 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, 
     return missing_prob, observed, (zero_prob, shape, scale_par)
 
 
-def _natural_params(kind: VariableKind, block, unit, missing_prob) -> np.ndarray:
-    """(Z, width) coefficients on a column's statistics (``Dataset._stats``; a
-    continuous column's ``schema._stat_rows`` with their (centre, scale)
-    ``unit``) of the log factors of a block with missing probabilities q: log q,
-    then log(1 - q) plus the log density's (real: in x~, from expanding
-    (x - mean)^2). A finite column's ``block`` is its (Z, K) log-mass table,
-    and its coefficients are on its K + 1 one-hot slots: log q, then log(1 - q)
-    plus each level's log mass. -inf where q or zero_prob is 0 or 1, or a mass
-    is 0."""
+def _natural_params(kind: VariableKind, block, log_masses, domain, unit,
+                    missing_prob) -> np.ndarray:
+    """(Z, width) coefficients on a column's statistics (``Dataset._stats``: a
+    categorical's K + 1 one-hot slots, or ``schema._stat_rows`` with their (centre,
+    scale) ``unit``) of the log factors of a block with missing probabilities q and a
+    finite column's (Z, K) ``log_masses``: log q, then log(1 - q) plus the log mass
+    or density's. A categorical's are each symbol's log mass; a real or ordinal
+    column's are in x~, from expanding (x - mean)^2, an ordinal's constant the log
+    mass at the level r nearest the mean (its score is 0) + ((r - mean)^2 - (mean -
+    centre)^2) / (2 variance). -inf where q or zero_prob is 0 or 1, or a mass is 0."""
     with np.errstate(divide="ignore"):
         missed, kept = np.log(missing_prob), np.log1p(-missing_prob)
-        if kind.is_finite:
-            return np.column_stack([missed, kept[:, None] + block])
+        if kind is VariableKind.CATEGORICAL:
+            return np.column_stack([missed, kept[:, None] + log_masses])
+        if kind is VariableKind.NONNEGATIVE:
+            zero_prob, shape, scale = block
+            return np.stack([missed, kept + np.log(zero_prob), kept + np.log1p(-zero_prob)
+                             - shape * np.log(scale) - _log_gamma(shape), -1.0 / scale,
+                             shape - 1.0], axis=-1)
+        mean, variance = block
+        centre, scale = unit
+        shift = mean - centre
         if kind is VariableKind.REAL:
-            mean, variance = block
-            centre, scale = unit
-            shift = mean - centre
-            return np.stack([missed, kept - 0.5 * (LOG_TWO_PI + np.log(variance))
-                             - shift ** 2 / (2.0 * variance), scale * shift / variance,
-                             -scale ** 2 / (2.0 * variance)], axis=-1)
-        zero_prob, shape, scale = block
-        return np.stack([missed, kept + np.log(zero_prob), kept + np.log1p(-zero_prob)
-                         - shape * np.log(scale) - _log_gamma(shape), -1.0 / scale,
-                         shape - 1.0], axis=-1)
+            observed = kept - 0.5 * (LOG_TWO_PI + np.log(variance)) - shift ** 2 / (2.0 * variance)
+        else:
+            top = log_masses.argmax(axis=1)
+            nearest = np.asarray(domain, dtype=float)[top]
+            observed = (kept + log_masses.max(axis=1)
+                        + (nearest - centre) * (nearest + centre - 2.0 * mean) / (2.0 * variance))
+        return np.stack([missed, observed, scale * shift / variance,
+                         -scale ** 2 / (2.0 * variance)], axis=-1)
 
 
 def _default_block(kind: VariableKind, domain, scales) -> tuple:

@@ -190,10 +190,12 @@ def confidence_bins(percentiles, errors, cutoff: float = 0.5) -> ConfidenceBins:
 
 def scott_bandwidth(values) -> float:
     """Rule-of-thumb KDE bandwidth: sample std times n^(-1/5). ValueError naming ``values`` if
-    it holds a NaN."""
+    it holds a NaN, or two distinct values and an infinity (whose std is NaN)."""
     (x,) = _without_nan(values=values)
     if x.size < 2 or x.min() == x.max():  # np.unique loads numpy.ma
         raise DegenerateSampleError("need at least 2 distinct values")
+    if np.isinf(x).any():
+        raise ValueError("values must be finite")
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
 
@@ -202,7 +204,7 @@ def error_density(values, grid) -> np.ndarray:
 
     The curve integrates to 1 over the real line; over a grid that covers the
     sample plus a few bandwidths, trapezoidal integration recovers 1 to high
-    accuracy. ValueError naming an argument with a NaN.
+    accuracy. ValueError naming an argument with a NaN, or ``values`` with an infinity.
     """
     (x,), (grid,) = _without_nan(values=values), _without_nan(grid=grid)
     h = scott_bandwidth(x)

@@ -39,8 +39,8 @@ import numpy as np
 INPUT = "input"
 OUTCOME = "outcome"
 ROLES = (INPUT, OUTCOME)
-# the widest ordinal domain: its levels and span below this in magnitude, so that for any
-# N < 2**63 subjects the M-step's weighted level sums and squared deviations (< 2**1023) are finite
+# the widest ordinal domain: its levels and span below this in magnitude, so that EM's
+# squared scale of the levels' d~ (< 2**962), variances and their coefficients are finite
 ORDINAL_LIMIT = 2 ** 480
 
 
@@ -279,9 +279,8 @@ class Dataset(_Variables):
     levels or codes, and reading a bad cell, or a view of a column with bad cells,
     raises SchemaViolationError; an index that is a bool or a float is a
     SchemaError naming it. Subsets lay out each column's slice alike, unchecked.
-    EM's sufficient statistics (``_stats``, the finite columns' as a uint8
-    one-hot) and ``validate_dataset``'s findings (``_findings``) are built on
-    first use.
+    EM's sufficient statistics (``_stats``, one float64 matrix) and
+    ``validate_dataset``'s findings (``_findings``) are built on first use.
 
     ``columns`` (distinct schema indices) names the variable of each cell of a
     row, in order; the other cells are MISSING. Default: all, in schema order.
@@ -404,34 +403,26 @@ class Dataset(_Variables):
 
     @cached_property
     def _stats(self) -> tuple:
-        """EM's sufficient statistics, built once, read-only: the (N, D)
-        ``_stat_rows`` of the continuous columns side by side; the (N, S) uint8
-        one-hot of the finite columns' codes, K + 1 slots per column (missing
-        first, then the levels); per column (its slice of the D + S columns of
-        [statistics | one-hot], its (centre, scale)); and the (D + S,) reach,
-        each column's largest magnitude (a slot's: 1 if some row has it, else 0)."""
-        widths = [len(s.domain) + 1 if s.kind.is_finite else
+        """EM's sufficient statistics, built once: the read-only (N, S) float64 matrix
+        of every column's side by side, its ``_stat_rows`` (an ordinal's on its levels)
+        or, for a categorical, K + 1 one-hot slots (missing first, then the symbols);
+        per column (its slice of the S, its (centre, scale)); and the (S,) reach,
+        each statistic's largest magnitude (a slot's: 1 if some row has it, else 0)."""
+        widths = [len(s.domain) + 1 if s.kind is VariableKind.CATEGORICAL else
                   4 + (s.kind is VariableKind.NONNEGATIVE) for s in self.schemas]
-        n_stats = sum(w for s, w in zip(self.schemas, widths) if not s.kind.is_finite)
-        matrix = np.zeros((self.n_subjects, n_stats))
-        onehot = np.zeros((self.n_subjects, sum(widths) - n_stats), dtype=np.uint8)
-        starts, layout = [0, n_stats], []  # the next column of each part
-        for v, (schema, width) in enumerate(zip(self.schemas, widths)):
-            finite = schema.kind.is_finite
-            cols = slice(starts[finite], starts[finite] + width)
-            starts[finite] = cols.stop
-            if finite:
-                slots = cols.start - n_stats + 1 + self.column_codes(v)
-                onehot[np.arange(self.n_subjects), slots] = 1
+        matrix = np.zeros((self.n_subjects, sum(widths)))
+        starts, layout = np.cumsum([0, *widths]).tolist(), []
+        for v, schema in enumerate(self.schemas):
+            cols = slice(starts[v], starts[v + 1])
+            if schema.kind is VariableKind.CATEGORICAL:
+                matrix[np.arange(self.n_subjects), cols.start + 1 + self.column_codes(v)] = 1.0
                 layout.append((cols, (0.0, 1.0)))
             else:
                 layout.append((cols, _stat_rows(schema.kind, self.column_numeric(v),
                                                 matrix[:, cols])))
         matrix.setflags(write=False)
-        onehot.setflags(write=False)
-        reach = np.concatenate([np.maximum(matrix.max(axis=0), -matrix.min(axis=0)),
-                                onehot.max(axis=0)])
-        return matrix, onehot, tuple(layout), reach
+        reach = np.maximum(matrix.max(axis=0), -matrix.min(axis=0))
+        return matrix, tuple(layout), reach
 
     @cached_property
     def _findings(self) -> tuple:
@@ -473,10 +464,10 @@ class Dataset(_Variables):
 
 def _stat_rows(kind: VariableKind, column: np.ndarray, out: np.ndarray) -> tuple:
     """Write into the zeroed (N, 4 or 5) ``out`` the sufficient statistics of
-    a continuous column's cells (NaN where missing), 0 where they do not apply:
-    missing, then observed, x~, x~^2 (real) or zero, positive, x, log x
-    (nonnegative), x~ = (x - centre) / scale. Returns (centre, scale): a real
-    column's median and the least power of two > the largest distance from it
+    a numeric column's cells (an ordinal's levels; NaN where missing), 0 where they
+    do not apply: missing, then observed, x~, x~^2 (real, ordinal) or zero, positive,
+    x, log x (nonnegative), x~ = (x - centre) / scale. Returns (centre, scale): a real
+    or ordinal column's median and the least power of two > the largest distance from it
     (|x~| < 1, 1.0 for no distance, scaling rounds nothing, a one-pass variance
     loses ~((mean - centre) / sd)^2 ulps, one extreme value hardly moves it), else (0.0, 1.0)."""
     missing = np.isnan(column)

@@ -12,12 +12,13 @@ All of EM is one loop (``_em_batch``) over every row of the cohort: the restarts
 of every order ``select_order`` (or ``fit``) asks for, or all folds x restarts x
 orders of a leave-one-out fold batch. A fit is a mask of the rows it keeps (a row
 left out has weight 0) and their column scales, and carries its parameters from
-one iteration to the next. Both steps read the cohort's sufficient statistics
-(``Dataset._stats``, whose one-hot ``_onehot_chunks`` casts a row chunk at a
-time): per fit, an E-step is their product with its ``_natural_coefficients``
-and its sums their product with its posteriors (``_weighted_sums``), and one
-M-step (``_m_step_batch``) per iteration takes the sums of every fit of every
-order through one closed-form ``_weighted_block`` (q and block) per variable.
+one iteration to the next. Both steps read the cohort's sufficient statistics, one
+float64 matrix (``Dataset._stats``: an ordinal's are its levels' missing, observed,
+d~ and d~^2, a categorical's its one-hot slots), _CHUNK_ROWS rows at a time: per fit,
+an E-step is their product with its ``_natural_coefficients`` and its sums their
+product with its posteriors (``_weighted_sums``), and one M-step (``_m_step_batch``)
+per iteration takes the sums of every fit of every order through one closed-form
+``_weighted_block`` (q and block) per variable.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
 MONOTONE_SLACK = 1e-8     # tolerated NLL increase before reverting
 ZERO_WEIGHT_EPS = 1e-12   # observed responsibility below this uses default params
 EM_TERM_LIMIT = 1e3       # an E-step product term that could reach this takes _factors
-_CHUNK_ROWS = 2048        # one-hot rows cast to float64 at a time: one chunk's memory
+_CHUNK_ROWS = 256         # statistics rows per product: a chunk's slice stays in cache
 
 
 class ComponentCollapseError(RuntimeError):
@@ -110,36 +111,22 @@ class TrainingTrace:
         return self.nll_per_iteration[-1]
 
 
-def _onehot_chunks(dataset: Dataset):
-    """(rows, their float64 one-hot) for every _CHUNK_ROWS rows of the
-    ``Dataset._stats`` one-hot, in order: the boundaries depend on N alone.
-    The chunks share one buffer, so each holds until the next is drawn."""
-    onehot = dataset._stats[1]
-    buffer = np.empty((min(dataset.n_subjects, _CHUNK_ROWS), onehot.shape[1]))
-    for start in range(0, dataset.n_subjects, _CHUNK_ROWS):
-        rows = onehot[start:start + _CHUNK_ROWS]
-        chunk = buffer[:len(rows)]
-        np.copyto(chunk, rows)
-        yield slice(start, start + len(rows)), chunk
-
-
 def _natural_coefficients(model: MixtureModel, dataset: Dataset) -> tuple:
     """(theta, dense): the ``_natural_params`` of a stack's components on the statistics
-    and one-hot slots of ``Dataset._stats``, and per variable (v, the components that
-    take the scoring routine ``model._factors`` on it). A product with theta rounds to
-    a few eps times its terms, bounded by |theta| @ ``reach`` (0 on a statistic or slot
-    no kept row has). A component goes dense where that bound reaches EM_TERM_LIMIT: a
-    variance near its floor far from the column's centre, a Gamma near its shape cap
-    (lgamma(shape) ~ 1e5), a far level's log mass, or a -inf (q or zero_prob at 0 or 1,
-    or a mass at 0), which the product would make NaN. So ``_em_log_joint`` stays
-    within ~1e-13 per column of ``_log_joint``."""
-    _, _, layout, reach = dataset._stats
+    of ``Dataset._stats``, and per variable (v, the components that take the scoring
+    routine ``model._factors`` on it). A product with theta rounds to a few eps times
+    its terms, bounded by |theta| @ ``reach`` (0 on a statistic no row has). A component
+    goes dense where that bound reaches EM_TERM_LIMIT: a variance near its floor far from
+    the column's centre, a Gamma near its shape cap (lgamma(shape) ~ 1e5), a level far
+    from an ordinal's mean, or a -inf (q or zero_prob at 0 or 1, or a mass at 0), which
+    the product would make NaN. So ``_em_log_joint`` stays within ~1e-13 per column of
+    ``_log_joint``."""
+    _, layout, reach = dataset._stats
     theta = np.zeros((model.n_components, reach.size))
     dense = []
     for v, (schema, (cols, unit)) in enumerate(zip(model.schemas, layout)):
-        finite = schema.kind.is_finite
-        block = _natural_params(schema.kind, model._log_masses[v] if finite else model._blocks[v],
-                                unit, model.missing_probs[:, v])
+        block = _natural_params(schema.kind, model._blocks[v], model._log_masses[v],
+                                schema.domain, unit, model.missing_probs[:, v])
         block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
         with np.errstate(over="ignore"):
             wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
@@ -152,14 +139,15 @@ def _natural_coefficients(model: MixtureModel, dataset: Dataset) -> tuple:
 
 def _em_log_joint(model: MixtureModel, dataset: Dataset, coefficients, first, out) -> np.ndarray:
     """``out``, the (F, Z, N) ``model._log_joint`` under ``model_missing`` of the fits
-    whose rows of the stack start at ``first``: log w, per fit (the same bits batched or
-    not) its ``coefficients``' products with the statistics and one-hot, and ``_factors``."""
+    whose rows of the stack start at ``first``: log w, per fit and per _CHUNK_ROWS rows
+    (the same bits batched or not) its ``coefficients``' product with the statistics,
+    and ``_factors``."""
     (theta, dense), matrix = coefficients, dataset._stats[0]
     stop = first + out.shape[0] * out.shape[1]
     group = theta[first:stop].reshape(*out.shape[:2], -1)
-    np.matmul(group[..., :matrix.shape[1]], matrix.T, out=out)
-    for rows, chunk in _onehot_chunks(dataset):
-        out[..., rows] += np.matmul(group[..., matrix.shape[1]:], chunk.T)
+    for start in range(0, dataset.n_subjects, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        np.matmul(group, matrix[rows].T, out=out[..., rows])
     flat = out.reshape(stop - first, -1)
     with np.errstate(divide="ignore"):
         flat += np.log(model.weights[first:stop])[:, None]
@@ -171,18 +159,19 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, coefficients, first, ou
 
 
 def _weighted_sums(dataset: Dataset, alpha: np.ndarray) -> np.ndarray:
-    """The (B * Z, width) sums of B fits' (B, Z, N) responsibilities ``alpha`` (0 on a
-    row a fit leaves out): per fit one product with ``Dataset._stats``' statistics
-    plus one with its one-hot (missed weight and level counts), over the row chunks."""
+    """The (B * Z, S) sums of B fits' (B, Z, N) responsibilities ``alpha`` (0 on a row
+    a fit leaves out) over ``Dataset._stats``' statistics: per fit one product per
+    _CHUNK_ROWS rows, summed in row order."""
     if not np.isfinite(alpha).all() or (alpha < 0).any():
         raise EstimationError("weights must be finite and nonnegative")
     n_fits, n_comp, _ = alpha.shape
-    matrix, onehot, _, _ = dataset._stats
+    matrix = dataset._stats[0]
     # one product per fit, so a fit's sums do not depend on the batch it is in
-    counts = np.zeros((n_fits, n_comp, onehot.shape[1]))
-    for rows, chunk in _onehot_chunks(dataset):
-        counts += np.matmul(alpha[..., rows], chunk)
-    return np.concatenate([np.matmul(alpha, matrix), counts], axis=-1).reshape(n_fits * n_comp, -1)
+    sums = np.zeros((n_fits, n_comp, matrix.shape[1]))
+    for start in range(0, dataset.n_subjects, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        sums += np.matmul(alpha[..., rows], matrix[rows])
+    return sums.reshape(n_fits * n_comp, -1)
 
 
 def _m_step_batch(dataset: Dataset, sums, weights, scales, groups) -> MixtureModel:
@@ -190,7 +179,7 @@ def _m_step_batch(dataset: Dataset, sums, weights, scales, groups) -> MixtureMod
     ``weights``, their fits' (rows, V) column ``scales``, and the ``_weighted_sums``
     ``sums``: each variable's whole to ``_weighted_block`` (q and block), and rows with
     observed weight <= ZERO_WEIGHT_EPS to its ``_default_block``, no cell built."""
-    layout = dataset._stats[2]
+    layout = dataset._stats[1]
     missing_probs = np.empty((len(sums), len(layout)))
     blocks = []
     for v, (schema, (cols, unit)) in enumerate(zip(dataset.schemas, layout)):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import em_batch, em_log_joint, m_step_alone, outcomes, stack
+from conftest import em_batch, em_log_joint, m_step, m_step_alone, outcomes, stack
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, EmConfig, Gaussian, InflatedGamma, MixtureModel,
                     QuantizedGaussian, VariableKind, VariableSchema, component_log_likelihoods,
@@ -514,3 +514,97 @@ def test_em_evaluates_no_continuous_density(monkeypatch):
     monkeypatch.setattr(training, "_em_batch", em_without_densities)
     result = loo_evaluate(dataset, (1, 2), ("grade",), MODEL_MISSING, config)
     assert result.orders == (0, 1, 2) and len(result.failures) < 4
+
+
+ORDINALS = (VariableSchema("five", "ordinal", (1, 2, 3, 4, 5)),
+            VariableSchema("eleven", "ordinal", tuple(range(11))),
+            VariableSchema("wide", "ordinal", (3, 2 ** 54 + 1)))
+
+
+def _ordinal_cohort(rng, n) -> Dataset:
+    """n rows of ORDINALS, ~20% of cells missing; rows 0-9 hold each column's
+    lowest level, so a component weighted on them alone has variance 0."""
+    rows = [tuple(MISSING if rng.random() < 0.2 else s.domain[int(rng.integers(len(s.domain)))]
+                  for s in ORDINALS) for _ in range(n)]
+    rows[:10] = [tuple(s.domain[0] for s in ORDINALS)] * 10
+    return Dataset(ORDINALS, rows)
+
+
+def _ordinal_fit(spread) -> MixtureModel:
+    """Six components per ordinal of ORDINALS: a mean inside, a mean ``spread`` spans
+    below and one above the domain, a variance at its floor between two levels, and
+    missing probabilities 0 and 1."""
+    params, missing = [[], [], [], [], [], []], []
+    for s in ORDINALS:
+        low, span = float(s.domain[0]), float(s.domain[-1] - s.domain[0])
+        cells = ((low + 0.3 * span, (0.2 * span) ** 2), (low - spread * span, span ** 2),
+                 (low + (1 + spread) * span, span ** 2),
+                 (float(s.domain[0]) + 0.5, REL_VARIANCE_FLOOR * span ** 2),
+                 (low + 0.5 * span, (0.5 * span) ** 2), (low + 0.6 * span, (0.4 * span) ** 2))
+        for row, (mean, variance) in zip(params, cells):
+            row.append(QuantizedGaussian(mean, variance, s.domain))
+        missing.append([0.2, 0.3, 0.1, 0.4, 0.0, 1.0])
+    return MixtureModel(np.full(6, 1 / 6), params, np.array(missing).T, ORDINALS)
+
+
+def test_ordinal_em_e_step_matches_log_joint(monkeypatch):
+    """On ordinals of 5, 11 and two levels (3 and 2**54 + 1), EM's E-step of a stack
+    whose components have means below and above the domain, a variance at its floor
+    and missing probabilities 0 and 1 is ``_log_joint`` within 1e-13 per column, -inf
+    where it is, with no RuntimeWarning; each component whose term bound on a column
+    (|coefficients| times each statistic's largest magnitude) reaches EM_TERM_LIMIT
+    takes the table gather there, among them every floor, q = 0 and q = 1 component."""
+    import hetmix.training as training
+    dataset = _ordinal_cohort(np.random.default_rng(4), 60)
+    assert all(dataset.missing_mask(v).any() for v in range(3))
+    model = stack([_ordinal_fit(2.0), _ordinal_fit(50.0)])
+    natural, real = [], training._natural_params
+
+    def recording(*args):
+        natural.append(out := real(*args))
+        return out.copy()
+
+    monkeypatch.setattr(training, "_natural_params", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dense = dict(training._natural_coefficients(model, dataset)[1])
+        got = em_log_joint(model, dataset, 2)
+        want = _log_joint(model, dataset, MODEL_MISSING).reshape(got.shape)
+    *_, layout, reach = dataset._stats
+    for v, (block, (cols, _)) in enumerate(zip(natural[:3], layout)):
+        with np.errstate(over="ignore"):
+            bound = np.where(reach[cols] > 0, abs(block), 0.0) @ reach[cols]
+        assert set(np.flatnonzero(bound >= training.EM_TERM_LIMIT)) <= set(dense.get(v, ()))
+        assert {3, 4, 5, 9, 10, 11} <= set(dense[v])
+    assert np.array_equal(np.isneginf(got), np.isneginf(want)) and not np.isnan(got).any()
+    finite = np.isfinite(want)
+    tolerance = 1e-13 * dataset.n_variables * np.maximum(abs(want[finite]), 1.0)
+    assert (abs(got[finite] - want[finite]) <= tolerance).all()
+
+
+def test_ordinal_m_step_is_two_pass_moments_of_level_counts():
+    """For random weights, and weights on rows of one level alone, the M-step's
+    ordinal mean and variance are the two-pass weighted moments of the levels from
+    their ``np.bincount`` level counts, the variance floored at 1e-6 times the
+    domain's span squared: the mean within 1e-12 of the domain's largest level, the
+    variance within 1e-12 relative."""
+    rng = np.random.default_rng(8)
+    n = 80
+    dataset = _ordinal_cohort(rng, n)
+    alpha = rng.dirichlet(np.ones(5), size=(2, n)).transpose(0, 2, 1)
+    alpha[0, 3] = np.arange(n) < 10  # lowest levels alone: variance 0
+    alpha[1, 4] = np.where(np.arange(n) < 10, 1.0, 1e-9)  # below the floor
+    model = m_step(dataset, np.repeat(_kept_ranges(dataset)[3], 2, 0), alpha)
+    floored = 0
+    for v, s in enumerate(ORDINALS):
+        levels, codes = np.asarray(s.domain, dtype=float), dataset.column_codes(v)
+        floor = REL_VARIANCE_FLOOR * float(s.domain[-1] - s.domain[0]) ** 2
+        mean, variance = model._blocks[v]
+        for z, w in enumerate(alpha.reshape(-1, n)):
+            counts = np.bincount(codes[codes >= 0], w[codes >= 0], minlength=len(levels))
+            want = counts @ levels / counts.sum()
+            want_var = max(counts @ (levels - want) ** 2 / counts.sum(), floor)
+            assert abs(mean[z] - want) <= 1e-12 * levels[-1]
+            assert abs(variance[z] - want_var) <= 1e-12 * want_var
+            floored += variance[z] == floor
+    assert floored >= 2 * len(ORDINALS)

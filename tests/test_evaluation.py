@@ -295,6 +295,17 @@ class TestReportArrays:
         bins = confidence_bins([0.2, 0.8], [-math.inf, 1.0])
         assert (bins.low_mean, bins.high_mean) == (-math.inf, 1.0)
 
+    @pytest.mark.parametrize("values", [[math.inf, 1.0, 2.0], [1.0, 2.0, -math.inf],
+                                        [-math.inf, math.inf]])
+    def test_an_infinity_is_refused_by_the_bandwidth(self, values):
+        """A sample std with an infinity is NaN (inf - inf): ``scott_bandwidth``, and
+        ``error_density`` through it, refuse one among distinct values with a plain
+        ValueError, not a NaN bandwidth or an all-NaN curve."""
+        for call in (lambda: scott_bandwidth(values), lambda: error_density(values, [0.0, 1.0])):
+            with pytest.raises(ValueError, match="^values must be finite$") as err:
+                call()
+            assert not isinstance(err.value, DegenerateSampleError)
+
     @pytest.mark.parametrize("report", [threshold_curve, confidence_bins])
     def test_pair_shapes_must_match(self, report):
         with pytest.raises(ValueError, match="^percentiles and errors lengths differ$"):
