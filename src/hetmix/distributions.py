@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schema import VariableKind, _checked_domain, _is_int
+from .schema import SHAPE_MIN, VariableKind, _checked_domain, _is_int
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -163,29 +163,9 @@ def _store_params(cell, **values):
 # [SHAPE_MIN, SHAPE_MAX] and its scale >= SCALE_MIN, and CATEGORICAL_PSEUDO added
 # to every categorical frequency before renormalizing, so no observed symbol has mass 0
 REL_VARIANCE_FLOOR = 1e-6
-SHAPE_MIN, SHAPE_MAX = 1e-3, 1e4
+SHAPE_MAX = 1e4  # SHAPE_MIN is schema's: validation reads it too
 SCALE_MIN = 1e-9
 CATEGORICAL_PSEUDO = 1e-9
-# the widest observed values the M-step fits: below this span a real column's
-# squared statistics scale (< 2 * span) and variance floor are finite
-REAL_SPAN_LIMIT = 2.0 ** 511
-
-
-def _fit_range_error(kind: VariableKind, values: np.ndarray) -> str | None:
-    """Why the M-step cannot fit a continuous column's observed ``values``, or
-    None: a real span of REAL_SPAN_LIMIT or more, or a nonnegative total or
-    largest value / SHAPE_MIN that is not finite (a Gamma mean, or the scale of
-    a shape at its floor)."""
-    top = float(values.max())
-    if kind is VariableKind.REAL:
-        span = top - float(values.min())  # Python floats: inf on overflow, no warning
-        return None if span < REAL_SPAN_LIMIT else (
-            f"values span {span}, not below 2**511: too wide to fit")
-    with np.errstate(over="ignore"):
-        total = float(values.sum())
-    if math.isfinite(total) and math.isfinite(top / SHAPE_MIN):
-        return None
-    return f"values too large to fit: their total or largest value / {SHAPE_MIN:g} is not finite"
 
 
 @dataclass(frozen=True)

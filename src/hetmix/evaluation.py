@@ -109,12 +109,16 @@ def training_confidence_scores(model: MixtureModel, dataset: Dataset, mode: str,
 
 
 def _without_nan(**arrays) -> tuple:
-    """The named ``arrays`` as float arrays; ValueError for a NaN or, in a pair, unequal shapes."""
+    """The named ``arrays`` as float arrays; ValueError for a NaN, in a pair unequal shapes, or
+    more than one axis (a scalar stays one)."""
     checked = tuple(np.asarray(values, dtype=float) for values in arrays.values())
     if nan := next((name for name, x in zip(arrays, checked) if np.isnan(x).any()), None):
         raise ValueError(f"{nan} must not hold NaN")
     if len({x.shape for x in checked}) > 1:
         raise ValueError(f"{' and '.join(arrays)} lengths differ")
+    for name, x in zip(arrays, checked):
+        if x.ndim > 1:
+            raise ValueError(f"{name} must be 1-D, got {x.ndim} axes")
     return checked
 
 

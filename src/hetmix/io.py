@@ -214,6 +214,8 @@ def read_evidence_csv(path, model: MixtureModel,
     file into a Dataset over all of them, plus the file's columns (schema
     indices in header order): the evidence. The other variables are MISSING."""
     def columns_of(header):
+        if not header:
+            raise FormatError(f"{path}: the header names no column")
         if len(set(header)) != len(header):
             raise FormatError(f"{path}: duplicate evidence columns")
         try:

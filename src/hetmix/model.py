@@ -33,7 +33,7 @@ import numpy as np
 from .distributions import (_BLOCK_FIELDS, _LOG_PDF, _block_of, _cells_of,
                             _check_params, _log_mass_table, family_for, log_sum_exp)
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, Violation,
-                     _Variables, _column_indices, _encode_plain, _name_index)
+                     _Variables, _column_indices, _encode_plain, _is_int, _name_index)
 
 MODEL_MISSING = "model_missing"
 IGNORE_MISSING = "ignore_missing"
@@ -195,10 +195,10 @@ def _factors(model: MixtureModel, dataset: Dataset, v: int, rows, missed, kept) 
     if model.schemas[v].kind.is_finite:
         table = np.column_stack([missed, kept + model._log_masses[v][rows]])
         return table.take(dataset.column_codes(v) + 1, axis=1)
-    factors = _LOG_PDF[model.schemas[v].kind](dataset.column_numeric(v)[None],
-                                              *(a[rows, None] for a in model._blocks[v]))
+    x = dataset.column_numeric(v)  # no bad cell, so NaN where missing
+    factors = _LOG_PDF[model.schemas[v].kind](x[None], *(a[rows, None] for a in model._blocks[v]))
     factors += kept
-    np.copyto(factors, missed, where=dataset.missing_mask(v)[None])
+    np.copyto(factors, missed, where=np.isnan(x)[None])
     return factors
 
 
@@ -274,8 +274,8 @@ def sample_cohort(model: MixtureModel, n: int, rng) -> tuple[Dataset, np.ndarray
     Each variable's draws go to the dataset as one column of plain values
     (``schema._encode_plain``).
     """
-    if n < 1:
-        raise ValueError("need n >= 1 subjects")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     labels = rng.choice(model.n_components, size=n, p=model.weights)
     counts = np.bincount(labels, minlength=model.n_components)
     order = np.argsort(labels, kind="stable")  # the rows of component 0, then 1, ...

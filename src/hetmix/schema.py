@@ -39,9 +39,12 @@ import numpy as np
 INPUT = "input"
 OUTCOME = "outcome"
 ROLES = (INPUT, OUTCOME)
-# the widest ordinal domain: its levels and span below this in magnitude, so that EM's
-# squared scale of the levels' d~ (< 2**962), variances and their coefficients are finite
+# the fit-range bounds, which keep EM finite: ordinal levels and span below ORDINAL_LIMIT (the
+# squared scale of their d~ < 2**962), a real span below REAL_SPAN_LIMIT (its squared statistics
+# scale < 2 * span), and SHAPE_MIN, the M-step's least Gamma shape (a value / it is a scale)
 ORDINAL_LIMIT = 2 ** 480
+REAL_SPAN_LIMIT = 2.0 ** 511
+SHAPE_MIN = 1e-3
 
 
 class SchemaError(ValueError):
@@ -427,16 +430,24 @@ class Dataset(_Variables):
     @cached_property
     def _findings(self) -> tuple:
         """``validate_dataset``'s violations, found once: a Dataset never changes."""
-        from .distributions import _fit_range_error  # distributions imports this module
-        ranges = _kept_ranges(self)
+        ranges = counts, _, high, spans = _kept_ranges(self)
         uninformative, = _no_information(self, ranges)
         out = []
         for j, schema in enumerate(self.schemas):
             out.extend(self.cell_violations[j])
             out.extend(v for v in uninformative if v.column == schema.name)
-            if schema.kind.is_continuous and ranges[0][0, j] and not self.cell_violations[j]:
-                if why := _fit_range_error(schema.kind, (x := self._values[:, j])[~np.isnan(x)]):
-                    out.append(Violation(None, schema.name, why))
+            if schema.kind.is_finite or not counts[0, j] or self.cell_violations[j]:
+                continue
+            if schema.kind is VariableKind.REAL:  # its scale is its span, inf on overflow
+                if (span := float(spans[0, j])) >= REAL_SPAN_LIMIT:
+                    out.append(Violation(None, schema.name,
+                                         f"values span {span}, not below 2**511: too wide to fit"))
+                continue
+            with np.errstate(over="ignore"):
+                total = float((x := self._values[:, j])[~np.isnan(x)].sum())
+            if not (math.isfinite(total) and math.isfinite(float(high[0, j]) / SHAPE_MIN)):
+                out.append(Violation(None, schema.name, "values too large to fit: their total or "
+                                     f"largest value / {SHAPE_MIN:g} is not finite"))
         return tuple(out)
 
     def subset(self, subjects) -> "Dataset":

@@ -849,6 +849,21 @@ class TestInfer:
         assert code == 3
         assert _last_error(capsys)["message"] == f"{path}: duplicate evidence columns"
 
+    def test_blank_line_evidence_exit_3_names_the_file(self, work, tmp_path, capsys):
+        """A file of blank lines has a header naming no column: a format fault, not
+        records with no evidence, and no predictions are written."""
+        path = tmp_path / "evidence.csv"
+        path.write_text("\n\n\n")
+        out = tmp_path / "out"
+        code = main(["infer", "--out-dir", str(out), "--model", str(work["fit1"] / "model.json"),
+                     "--evidence", str(path), "--mode", "model_missing"])
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "category": "validation", "message": f"{path}: the header names no column"}
+        assert not (out / "predictions.jsonl").exists()
+
     def test_unknown_evidence_column_exit_3_names_the_file(self, work, tmp_path, capsys):
         """A header naming no model variable is a format fault of the evidence file."""
         path = tmp_path / "evidence.csv"

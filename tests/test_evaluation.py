@@ -313,6 +313,28 @@ class TestReportArrays:
         with pytest.raises(ValueError, match="^percentiles and errors lengths differ$"):
             report([[0.2, 0.8]], [1.0, 2.0])
 
+    TABLE = [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda t: error_density(t, [0.0, 1.0]), "values"),
+        (lambda t: error_density([1.0, 2.0], t), "grid"),
+        (lambda t: scott_bandwidth(t), "values"),
+        (lambda t: percentile_ranks(t, [0.0, 2.0]), "scores"),
+        (lambda t: percentile_ranks(1.0, t), "training_scores"),
+        (lambda t: threshold_curve(t, t), "percentiles"),
+        (lambda t: confidence_bins(t, t), "percentiles")],
+        ids=["density-values", "density-grid", "bandwidth", "ranks-scores", "ranks-training",
+             "threshold-curve", "confidence-bins"])
+    def test_more_than_one_axis_is_refused_by_name(self, call, name):
+        """A report reads its arrays as 1-D: a table is refused, not flattened,
+        broadcast or ranked as rows."""
+        with pytest.raises(ValueError, match=f"^{name} must be 1-D, got 2 axes$"):
+            call(self.TABLE)
+
+    def test_a_scalar_score_ranks_to_a_scalar(self):
+        rank = percentile_ranks(1.0, [0.0, 2.0])
+        assert (rank.ndim, float(rank)) == (0, 0.5)
+
 
 class TestConfidenceScores:
     def test_score_is_log_evidence(self):

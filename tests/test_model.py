@@ -453,6 +453,13 @@ class TestSampleCohort:
         with pytest.raises(ValueError):
             sample_cohort(_two_comp_model(), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [True, 2.0, -1, "3"])
+    def test_n_must_be_an_integer_at_least_one(self, n):
+        """The rule ``EmConfig`` follows: a bool or a float is refused by name, not
+        passed to numpy."""
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n!r}$"):
+            sample_cohort(_two_comp_model(), n, np.random.default_rng(0))
+
     @pytest.mark.parametrize("make", [small_demo_model, demo_model])
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_columns_equal_the_row_built_dataset(self, make, seed, tmp_path):

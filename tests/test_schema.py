@@ -1,9 +1,11 @@
 """Schemas, datasets, validation, and missingness profiles."""
 
+import ast
 import csv
 import math
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetmix.distributions
 import hetmix.io
+import hetmix.schema
 from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
                     missingness_profile, validate_dataset,
@@ -682,6 +686,19 @@ class TestFitRange:
     def test_bad_cells_are_reported_alone(self):
         ds = Dataset((VariableSchema("x", "real"),), [(1e308,), (-1e308,), ("text",)])
         assert [(v.row, v.column) for v in validate_dataset(ds)] == [(2, "x")]
+
+
+def test_schema_is_the_base_layer():
+    """``schema`` imports nothing from the package, and the fit-range bounds it
+    checks are the M-step's own constants."""
+    tree = ast.parse(Path(hetmix.schema.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("hetmix"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hetmix") for a in node.names)
+    assert hetmix.distributions.SHAPE_MIN is hetmix.schema.SHAPE_MIN
+    assert not hasattr(hetmix.distributions, "_fit_range_error")
 
 
 class TestMissingnessProfile:
