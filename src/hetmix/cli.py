@@ -324,8 +324,6 @@ def run_evaluate(arguments: dict, out_dir) -> list:
 
 
 def run_simulate(arguments: dict, out_dir) -> list:
-    if arguments["n"] < 1:
-        raise SchemaError("need --n >= 1 subjects")
     model = load_model(arguments["model"])
     rng = np.random.default_rng(arguments["seed"])
     dataset, labels = sample_cohort(model, arguments["n"], rng)
@@ -443,12 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", required=True, help="e.g. 1-6 or 1,2,4")
 
     p = sub.add_parser("infer", help="predict targets from partial evidence records")
-    _add_common(p)
+    _add_common(p, mode=True)
     p.add_argument("--model", required=True, help="model JSON from fit/select")
     p.add_argument("--evidence", required=True, help="evidence CSV (subset of columns)")
     p.add_argument("--targets", default="", help="comma list; default: outcome-role variables")
     p.add_argument("--missing-token", default=DEFAULT_MISSING_TOKEN)
-    p.add_argument("--mode", required=True, choices=MISSINGNESS_MODES)
 
     p = sub.add_parser("evaluate",
                        help="leave-one-out expected-error and confidence reports")

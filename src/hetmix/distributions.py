@@ -265,7 +265,7 @@ class QuantizedGaussian:
         codes = rng.choice(len(self.domain), size=size, p=self.masses)
         if size is None:
             return int(self.domain[int(codes)])
-        return np.asarray(self.domain, dtype=np.int64)[codes]
+        return np.asarray(self.domain, dtype=object)[codes]
 
     @property
     def expectation(self) -> float:
@@ -345,11 +345,6 @@ def _cells_of(family, block, domain) -> list:
     return [family(*values, *extra) for values in zip(*(a.tolist() for a in block))]
 
 
-def _variance_floor(scale):
-    """The smallest variance of a real or ordinal column of natural scale ``scale``."""
-    return REL_VARIANCE_FLOOR * np.square(scale)
-
-
 def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, unit) -> tuple:
     """(missing_prob, observed, block) of the components whose weighted sums of
     a variable's sufficient statistics, the missed weight first, are the rows of
@@ -358,9 +353,9 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, 
     q = missed / (missed + observed), ``zero_prob`` and ``probs``, is a closed form here.
 
     Unchecked: the caller, the M-step, replaces the rows without observed weight.
-    A real variance is floored at ``_variance_floor(column_scale)`` (the span of
-    the fit's kept values, broadcast against (...,); no other kind reads it), an
-    ordinal's at its domain's span's; the other floors are the module's constants.
+    A real variance is floored at ``REL_VARIANCE_FLOOR * column_scale ** 2`` (the
+    span of the fit's kept values, broadcast against (...,); no other kind reads
+    it), an ordinal's at its domain's span's; the other floors are the module's constants.
     A row's result is a closed form of it alone: real and ordinal moments in one
     pass; the Gamma keeps zeros out of its sums (their mass is ``zero_prob``) and
     takes the shape k = (3 - g + sqrt((g - 3)^2 + 24 g)) / (12 g) with
@@ -380,7 +375,7 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, 
         if kind is VariableKind.ORDINAL:  # the integer span, rounded once
             column_scale = float(domain[-1] - domain[0])
         return missing_prob, observed, (centre + scale * mean,
-                                        np.maximum(var, _variance_floor(column_scale)))
+                                        np.maximum(var, REL_VARIANCE_FLOOR * np.square(column_scale)))
 
     # nonnegative: zero inflation plus Gamma on the positive part
     zeros, positive, sum_x, sum_log = np.moveaxis(stats, -1, 0)

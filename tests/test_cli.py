@@ -347,10 +347,17 @@ class TestDemoAndSimulate:
         assert {r[1] for r in rows} <= {"0", "1", "2"}
 
     def test_simulate_rejects_zero_subjects(self, work, tmp_path, capsys):
-        code = main(["simulate", "--out-dir", str(tmp_path / "out"),
+        """The cohort-size rule is ``sample_cohort``'s alone: exit 3, one JSON error
+        line in its wording, and nothing written."""
+        out = tmp_path / "out"
+        code = main(["simulate", "--out-dir", str(out),
                      "--model", str(work["demo"] / "model.json"), "--n", "0"])
         assert code == 3
-        assert _last_error(capsys)["category"] == "validation"
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == {"category": "validation",
+                                               "message": "n must be an integer >= 1, got 0"}
+        assert out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize("token, message", [
         ("alpha", "site: missing token 'alpha' is also a domain value"),

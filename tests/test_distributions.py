@@ -344,13 +344,16 @@ def test_sampling_is_deterministic():
 
 
 @pytest.mark.parametrize("cell, kind", [(QuantizedGaussian(2.0, 1.0, (1, 2, 3)), int),
-                                        (Categorical((0.3, 0.7), ("a", "b")), str)])
+                                        (Categorical((0.3, 0.7), ("a", "b")), str),
+                                        (QuantizedGaussian(2.0**69, 2.0**140, (0, 2**70)), int)])
 def test_one_draw_is_a_domain_value(cell, kind):
     """Without a size, a finite cell draws one plain level or symbol: the first of
-    the draws that the same generator gives with a size."""
+    the draws that the same generator gives with a size. Those draws are domain
+    values too, levels past int64 included (the domain rule admits up to 2**480)."""
     draws = cell.sample(np.random.default_rng(5), size=4)
     one = cell.sample(np.random.default_rng(5))
     assert type(one) is kind and one in cell.domain and one == draws[0]
+    assert all(type(d) is kind and d in cell.domain for d in draws.tolist())
 
 
 def _update(kind, values, weights, domain=()):

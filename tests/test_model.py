@@ -18,12 +18,12 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     ZeroLikelihoodError, component_log_likelihoods,
                     evidence_log_likelihoods, joint_log_likelihood, latent_posterior,
                     parameter_count, row_log_likelihoods, sample_cohort,
-                    training_confidence_scores)
+                    training_confidence_scores, validate_dataset)
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.inference import predict_batch
 from hetmix.distributions import _BLOCK_FIELDS, _check_params, log_sum_exp
 from hetmix.model import _parameter_count
-from hetmix.io import model_to_dict, write_data_csv
+from hetmix.io import model_to_dict, read_data_csv, write_data_csv
 
 
 def _single_gaussian_model():
@@ -459,6 +459,19 @@ class TestSampleCohort:
         passed to numpy."""
         with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n!r}$"):
             sample_cohort(_two_comp_model(), n, np.random.default_rng(0))
+
+    def test_levels_past_int64_round_trip_through_a_cohort_file(self, tmp_path):
+        """Draws too large for int64 take ``_encode_plain``'s cell-by-cell path, are
+        written as their ints and read back as the same cells, with no violation."""
+        schemas = (VariableSchema("g", "ordinal", (0, 2**70)), VariableSchema("x", "real"))
+        cells = (QuantizedGaussian(2.0**69, 2.0**140, (0, 2**70)), Gaussian(0.0, 1.0))
+        model = MixtureModel((1.0,), (cells,), [[0.2, 0.1]], schemas)
+        got, _ = sample_cohort(model, 40, np.random.default_rng(3))
+        write_data_csv(got, tmp_path / "cohort.csv")
+        back = read_data_csv(tmp_path / "cohort.csv", schemas)
+        assert [back.row(i) for i in range(40)] == [got.row(i) for i in range(40)]
+        assert {got.row(i)[0] for i in range(40)} == {0, 2**70, MISSING}
+        assert validate_dataset(back) == []
 
     @pytest.mark.parametrize("make", [small_demo_model, demo_model])
     @pytest.mark.parametrize("seed", [0, 3, 7])
