@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .schema import (INPUT, MISSING, OUTCOME, Dataset, MissingnessProfile,
                      SchemaError, SchemaViolationError, VariableKind,
                      VariableSchema, Violation, drop_zero_variability,
-                     missingness_profile, validate_dataset,
-                     zero_variability_columns)
+                     missingness_profile, validate_dataset)
 from .distributions import (Categorical, EstimationError, Gaussian,
                             InflatedGamma, QuantizedGaussian, family_for)
 from .model import (IGNORE_MISSING, MISSINGNESS_MODES, MODEL_MISSING,

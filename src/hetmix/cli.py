@@ -58,9 +58,10 @@ from . import __version__, demo
 from .evaluation import (DegenerateSampleError, confidence_bins, error_density,
                          loo_evaluate, scott_bandwidth, threshold_curve)
 from .inference import infer_many
-from .io import (DEFAULT_MISSING_TOKEN, FormatError, _read_cohort, _read_json, _write_json,
-                 atomic_write_text, load_dataset, load_model, params_to_dict, read_evidence_csv,
-                 save_model, save_schemas, sha256_file, write_csv_table, write_data_csv)
+from .io import (DEFAULT_MISSING_TOKEN, FormatError, _read_cohort, _read_json, _versioned,
+                 _write_json, atomic_write_text, load_dataset, load_model, params_to_dict,
+                 read_evidence_csv, save_model, save_schemas, sha256_file, write_csv_table,
+                 write_data_csv)
 from .model import MISSINGNESS_MODES, sample_cohort
 from .schema import (OUTCOME, SchemaError, SchemaViolationError,
                      missingness_profile, validate_dataset)
@@ -367,12 +368,7 @@ def _execute(command: str, arguments: dict, out_dir) -> int:
 
 
 def run_rerun(args) -> int:
-    payload = _read_json(args.manifest)
-    if not isinstance(payload, dict):
-        raise FormatError("manifest is not a JSON object")
-    if payload.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise FormatError(f"unsupported manifest format_version "
-                          f"{payload.get('format_version')!r}")
+    payload = _versioned(_read_json(args.manifest), MANIFEST_FORMAT_VERSION, "manifest")
     command = payload.get("command")
     if not (isinstance(command, str) and command in _RUNNERS):
         raise FormatError(f"manifest names unknown command {command!r}")

@@ -73,7 +73,8 @@ def log_sum_exp(a, axis=-1) -> np.ndarray:
 
 
 def _gaussian_log_pdf(x, mean, variance):
-    return -0.5 * (LOG_TWO_PI + np.log(variance) + (x - mean) ** 2 / variance)
+    with np.errstate(over="ignore"):  # x far from the mean for its variance: -inf, zero density
+        return -0.5 * (LOG_TWO_PI + np.log(variance) + (x - mean) ** 2 / variance)
 
 
 def _inflated_gamma_log_pdf(x, zero_prob, shape, scale):

@@ -105,17 +105,23 @@ def _read_json(path):
             raise FormatError(f"{path}: not valid JSON ({err})") from None
 
 
+def _versioned(payload, version: int, file) -> dict:
+    """``payload`` if an object of format_version ``version``, else FormatError naming ``file``."""
+    if not isinstance(payload, dict):
+        raise FormatError(f"{file}: expected a JSON object")
+    if (found := payload.get("format_version")) != version:
+        raise FormatError(f"{file}: unsupported format_version {found!r}")
+    return payload
+
+
 def _write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_schemas(path) -> tuple:
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or not isinstance(payload.get("variables"), list):
-        raise FormatError(f"{path}: expected an object with a 'variables' list")
-    if payload.get("format_version") != SCHEMA_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported schema format_version "
-                          f"{payload.get('format_version')!r}")
+    payload = _versioned(_read_json(path), SCHEMA_FORMAT_VERSION, path)
+    if not isinstance(payload.get("variables"), list):
+        raise FormatError(f"{path}: expected a 'variables' list")
     return tuple(schema_from_dict(entry) for entry in payload["variables"])
 
 
@@ -314,11 +320,7 @@ def model_to_dict(model: MixtureModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> MixtureModel:
-    if not isinstance(payload, dict):
-        raise FormatError("model file must hold a JSON object")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise FormatError(f"unsupported model format_version "
-                          f"{payload.get('format_version')!r}")
+    _versioned(payload, MODEL_FORMAT_VERSION, "model file")
     try:
         schemas = tuple(schema_from_dict(e) for e in payload["variables"])
         params = tuple(tuple(params_from_dict(p) for p in row)

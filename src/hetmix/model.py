@@ -260,7 +260,6 @@ def evidence_log_likelihoods(model: MixtureModel, evidence: Mapping, mode: str) 
     missingness factor of the chosen mode, while variables absent from the
     mapping contribute nothing at all.
     """
-    check_mode(mode)
     columns = [model.column_index(name) for name in evidence]
     return _record_log_joint(model, columns, evidence.values(), mode, None)
 

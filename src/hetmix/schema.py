@@ -629,11 +629,6 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     return list(dataset._findings)
 
 
-def zero_variability_columns(dataset: Dataset) -> list[str]:
-    """Names of columns that are always missing or observed-constant."""
-    return [v.column for v in _no_information(dataset, _kept_ranges(dataset))[0]]
-
-
 def drop_zero_variability(dataset: Dataset) -> tuple[Dataset, list[str]]:
     """Copy of the dataset without zero-variability columns, plus their names. If no column
     would be left, SchemaViolationError with each column's own violation, in column order."""

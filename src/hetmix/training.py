@@ -229,14 +229,15 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
     iteration their E-steps (``_em_log_joint``) and ``_posteriors``. A rise over MONOTONE_SLACK
     (approximate M-steps overshoot) ends a run ("revert"), its rows left as they are; else its
     rows take the M-step, and it stops at a relative decrease <= rel_tol ("tol") or after
-    max_iterations more M-steps. A run stays live only while each of its E-steps is accepted, so
-    all live runs, of every order, have accepted as many (``steps``). Before each M-step, a run
-    with a component of total responsibility below COLLAPSE_EPS collapses; the others move to
-    the buffer's front and give their ``_weighted_sums``, and one ``_m_step_batch`` serves every
-    group. Precondition (``_fit_many`` meets it, posteriors keep it): each kept row's
-    responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's q, zero_prob, masses
-    and floored densities positive and finite for the row, so its likelihood is; a zero one
-    would stop the batch at the next M-step's weights check (EstimationError)."""
+    max_iterations more M-steps. A first E-step has no previous NLL (NaN: every comparison with
+    it is False), so it is accepted and not converged. A run stays live only while each of its
+    E-steps is accepted, so all live runs, of every order, have accepted as many (``steps``).
+    Before each M-step, a run with a component of total responsibility below COLLAPSE_EPS
+    collapses; the others move to the buffer's front and give their ``_weighted_sums``, and one
+    ``_m_step_batch`` serves every group. Precondition (``_fit_many`` meets it, posteriors keep
+    it): each kept row's responsibilities sum to 1. Its largest, >= 1/Z, keeps that component's
+    q, zero_prob, masses and floored densities positive and finite for the row, so its likelihood
+    is; a zero one would stop the batch at the next M-step's weights check (EstimationError)."""
     n, n_runs = dataset.n_subjects, len(kept)
     buffer = np.empty(n_runs * max(orders, default=0) * n)
     traces, endings = [[[] for _ in kept] for _ in orders], [[None] * n_runs for _ in orders]
@@ -256,10 +257,10 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
                 # in place: the posteriors (of ended runs too, unread)
                 ll = _posteriors(_em_log_joint(model, dataset, coefficients, first, alpha), on)
                 nlls, last = -ll.sum(axis=1), lasts[g, fits]
-                with np.errstate(invalid="ignore"):  # inf - inf: NaN, no decrease
-                    accept = (steps == 0) | ~(nlls > last + MONOTONE_SLACK)
-                    converged = accept & (steps > 0) & (
-                        last - nlls <= float(config.rel_tol) * np.abs(last))
+                # inf - inf: NaN, no decrease; rel_tol * |last| past the float range: inf, a stop
+                with np.errstate(invalid="ignore", over="ignore"):
+                    accept = ~(nlls > last + MONOTONE_SLACK)
+                    converged = accept & (last - nlls <= float(config.rel_tol) * np.abs(last))
                 go = accept & ~converged & (steps < config.max_iterations)
                 reasons = np.where(converged, "tol", np.where(accept, "max_iterations", "revert"))
                 for b, reason in zip(fits[~go].tolist(), reasons[~go].tolist()):

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exercised in process through main()."""
 
+import argparse
 import json
 import os
 import re
@@ -18,9 +19,9 @@ from hetmix import (MISSING, Categorical, EmConfig, Gaussian, InferenceRequest,
                     InflatedGamma, MixtureModel, QuantizedGaussian,
                     SchemaViolationError, VariableSchema,
                     ZeroLikelihoodError, infer, point_predict)
-from hetmix.cli import _em_config, _json_rows, build_parser, main, parse_orders
-from hetmix.io import (load_dataset, load_model, model_to_dict, params_to_dict,
-                       read_data_csv, save_model, save_schemas, sha256_file)
+from hetmix.cli import _em_config, _json_rows, build_parser, main, parse_orders, run_rerun
+from hetmix.io import (FormatError, load_dataset, load_model, load_schemas, model_to_dict,
+                       params_to_dict, read_data_csv, save_model, save_schemas, sha256_file)
 from hetmix.training import _checked_orders
 
 from conftest import collapse_starts, m_step_alone, widest_fit_values
@@ -314,6 +315,34 @@ class TestUnreadableInputs:
         message = self._refused(["rerun", "--manifest", str(manifest),
                                  "--out-dir", str(tmp_path / "out")], manifest, capsys)
         assert "not valid JSON" in message
+
+    @pytest.mark.parametrize("edit", ["not-an-object", "format-version-2"])
+    @pytest.mark.parametrize("which", ["schema", "model", "manifest"])
+    def test_json_file_not_an_object_or_of_another_version(self, work, tmp_path, capsys,
+                                                           which, edit):
+        """One rule for the three JSON formats: a file that is not a JSON object, or whose
+        format_version is another, is a FormatError naming the file (a schema by its path),
+        read by the library or by the command line (exit 3)."""
+        source = {"schema": work["schema"], "model": work["demo"] / "model.json",
+                  "manifest": work["fit1"] / "manifest.json"}[which]
+        payload = json.loads(source.read_text())
+        path = tmp_path / source.name
+        path.write_text(json.dumps([payload] if edit == "not-an-object"
+                                   else {**payload, "format_version": 2}))
+        name = {"schema": str(path), "model": "model file", "manifest": "manifest"}[which]
+        message = f"{name}: " + ("expected a JSON object" if edit == "not-an-object"
+                                 else "unsupported format_version 2")
+        load = {"schema": load_schemas, "model": load_model,
+                "manifest": lambda p: run_rerun(argparse.Namespace(manifest=p,
+                                                                   out_dir=tmp_path / "lib"))}
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load[which](path)
+        argv = {"schema": self._validate(work["data"], path, tmp_path),
+                "model": ["simulate", "--model", str(path), "--n", "5",
+                          "--out-dir", str(tmp_path / "out")],
+                "manifest": ["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "out")]}
+        assert self._refused(argv[which], name, capsys) == message
+        assert not (tmp_path / "lib").exists()
 
     def test_byte_order_mark_cohort_fits_like_the_plain_one(self, work, tmp_path):
         data = tmp_path / "cohort.csv"
@@ -815,6 +844,24 @@ class TestInfer:
         assert "targets" in lines[0]
         assert "error" in lines[1]
         assert (out / "manifest.json").exists()
+
+    def test_value_past_every_component_has_zero_likelihood_exit_5(self, work, tmp_path,
+                                                                    capsys):
+        """marker_a = 1e200 overflows each component's squared deviation: its record has
+        zero likelihood, an error line (exit 5, one error line on stderr, no warning), and
+        the other record's line keeps the bytes it has alone."""
+        model = ["--model", str(work["demo"] / "model.json"), "--mode", "model_missing"]
+        assert main(["infer", "--out-dir", str(tmp_path / "alone"), *model, "--evidence",
+                     str(self._evidence(tmp_path, ["-4.2,alpha"]))]) == 0
+        alone = (tmp_path / "alone" / "predictions.jsonl").read_text()
+        capsys.readouterr()
+        assert main(["infer", "--out-dir", str(tmp_path / "out"), *model, "--evidence",
+                     str(self._evidence(tmp_path, ["-4.2,alpha", "1e200,alpha"]))]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"]["category"] == "inference"
+        near, far = (tmp_path / "out" / "predictions.jsonl").read_text().splitlines()
+        assert "zero likelihood" in json.loads(far)["error"]
+        assert near + "\n" == alone
 
     def test_unknown_target_exit_3(self, work, tmp_path, capsys):
         evidence = self._evidence(tmp_path, ["0.5,alpha"])

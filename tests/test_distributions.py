@@ -34,6 +34,15 @@ class TestGaussian:
         total, _ = integrate.quad(lambda x: math.exp(g.log_density(x)), -30, 30)
         assert abs(total - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("mean, variance, x", [
+        (0.0, 1.0, 1e200), (0.0, 1.0, -1e200), (0.0, 1e-300, 1e10), (1e308, 1.0, -1e308)])
+    def test_a_value_far_from_the_mean_has_zero_density(self, mean, variance, x):
+        """(x - mean)^2 / variance past the float range: a log density of -inf, and no
+        overflow warning; the other values of the array keep theirs."""
+        g = Gaussian(mean, variance)
+        assert g.log_density(x) == -math.inf
+        assert g.log_density(np.array([x, mean])).tolist() == [-math.inf, g.log_density(mean)]
+
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
             Gaussian(0.0, 0.0)

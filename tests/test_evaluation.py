@@ -306,6 +306,23 @@ class TestReportArrays:
                 call()
             assert not isinstance(err.value, DegenerateSampleError)
 
+    @pytest.mark.parametrize("values", [
+        [1e200, -1e200, 0.0], [1.7e308, 1.7e308, -1.0],
+        [1e308, -1e308, *[0.0] * 6, 1e308, -1e308, *[0.0] * 6]],
+        ids=["squares", "sum", "sums-of-opposite-signs"])
+    def test_a_spread_past_the_float_range_is_refused_by_the_bandwidth(self, values):
+        """Finite values whose std overflows (inf, or NaN from inf - inf) are refused by name,
+        with no warning, not smoothed by an infinite bandwidth into a curve of zeros."""
+        for call in (lambda: scott_bandwidth(values), lambda: error_density(values, [0.0, 1.0])):
+            with pytest.raises(ValueError, match="^values spread too wide for a finite std$"):
+                call()
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [0.1, -7.5, 1e150, 3.0],
+                                        np.random.default_rng(4).normal(size=999)])
+    def test_bandwidth_is_the_std_rule_bit_for_bit(self, values):
+        want = float(np.std(np.asarray(values), ddof=1) * len(values) ** (-1.0 / 5.0))
+        assert scott_bandwidth(values).hex() == want.hex()
+
     @pytest.mark.parametrize("report", [threshold_curve, confidence_bins])
     def test_pair_shapes_must_match(self, report):
         with pytest.raises(ValueError, match="^percentiles and errors lengths differ$"):

@@ -25,7 +25,7 @@ PUBLIC = [
     "row_log_likelihoods", "sample_cohort", "save_model", "save_schemas", "schema",
     "scott_bandwidth", "select_order", "small_demo_model", "target_tables",
     "threshold_curve", "training", "training_confidence_scores", "validate_dataset",
-    "write_data_csv", "zero_variability_columns",
+    "write_data_csv",
 ]
 
 

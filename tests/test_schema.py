@@ -18,10 +18,9 @@ import hetmix.io
 import hetmix.schema
 from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
                     VariableKind, VariableSchema, drop_zero_variability,
-                    missingness_profile, validate_dataset,
-                    zero_variability_columns)
+                    missingness_profile, validate_dataset)
 from hetmix.io import read_data_csv
-from hetmix.schema import Violation, _kept_ranges
+from hetmix.schema import Violation, _kept_ranges, _no_information
 
 from conftest import assert_same_store, recovery_model, widest_fit_values
 
@@ -448,7 +447,7 @@ class TestSlicingEqualsRebuilding:
             drop = data.draw(st.integers(0, n - 1))
             assert_same_store(ds.drop_subject(drop),
                                Dataset(_MIXED_SCHEMAS, rows[:drop] + rows[drop + 1:]))
-        names = zero_variability_columns(ds)
+        names = [v.column for v in _no_information(ds, _kept_ranges(ds))[0]]
         keep = [j for j, s in enumerate(_MIXED_SCHEMAS) if s.name not in names]
         if not keep:
             with pytest.raises(SchemaViolationError):
@@ -579,7 +578,7 @@ class TestMissingIsNanWithoutViolation:
         n = len(rows)
         idx = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=10))
         _assert_tagged(ds.subset(idx), [rows[i] for i in idx])
-        names = zero_variability_columns(ds)
+        names = [v.column for v in _no_information(ds, _kept_ranges(ds))[0]]
         if keep := [j for j, s in enumerate(schemas) if s.name not in names]:
             _assert_tagged(drop_zero_variability(ds)[0], [[row[j] for j in keep] for row in rows])
 
@@ -599,16 +598,16 @@ class TestValidateDataset:
                      [(MISSING, 1.0), (MISSING, 2.0)])
         out = validate_dataset(ds)
         assert [(v.row, v.column) for v in out] == [(None, "x")]
-        assert zero_variability_columns(ds) == ["x"]
+        assert drop_zero_variability(ds)[1] == ["x"]
 
     def test_constant_column_exact_float_equality(self):
         ds = Dataset((VariableSchema("x", "real"), VariableSchema("y", "real")),
                      [(0.1, 1.0), (0.1, 2.0), (MISSING, 3.0)])
-        assert zero_variability_columns(ds) == ["x"]
+        assert drop_zero_variability(ds)[1] == ["x"]
         # a one-ulp difference counts as variability
         ds2 = Dataset((VariableSchema("x", "real"), VariableSchema("y", "real")),
                       [(0.1, 1.0), (np.nextafter(0.1, 1.0), 2.0)])
-        assert zero_variability_columns(ds2) == []
+        assert drop_zero_variability(ds2)[1] == []
 
     def test_drop_zero_variability(self):
         ds = Dataset((VariableSchema("x", "real"), VariableSchema("y", "real")),
@@ -657,7 +656,7 @@ class TestFitRange:
         ds = Dataset((VariableSchema("x", kind), VariableSchema("y", "real")),
                      [(cells[0], 1.0), (cells[1], 2.0), (MISSING, 3.0)])
         assert validate_dataset(ds) == [Violation(None, "x", message)]
-        assert zero_variability_columns(ds) == []
+        assert drop_zero_variability(ds)[1] == []
 
     def test_an_infinite_total_is_refused(self):
         cells = [(1.7e305 - 1e304 * (i % 2), float(i)) for i in range(1100)]
@@ -680,7 +679,7 @@ class TestFitRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert validate_dataset(ds) == [Violation(None, "x", self.REAL.format(math.inf))]
-            assert zero_variability_columns(ds) == []
+            assert drop_zero_variability(ds)[1] == []
             assert _kept_ranges(ds)[3].tolist() == [[math.inf, 2.0]]
 
     def test_bad_cells_are_reported_alone(self):

@@ -331,6 +331,15 @@ class TestStopRule:
         _, capped = fit(ds, 2, capped_config)
         assert capped == free
 
+    @pytest.mark.parametrize("rel_tol", [1e308, math.inf])
+    def test_a_bound_past_the_float_range_stops_at_the_second_e_step(self, rel_tol):
+        """rel_tol * |NLL| past the float range is an infinite bound, which every decrease
+        meets: EM ends on "tol" after its second E-step, and warns nothing. The first
+        E-step, with no previous NLL, is accepted and not converged."""
+        _, ds, _ = _cohort(n=300)
+        _, trace = fit(ds, 2, EmConfig(restarts=1, seed=1, rel_tol=rel_tol))
+        assert trace.stop_reason == "tol" and trace.iterations == 2
+
     def test_m_steps_per_restart(self, monkeypatch):
         _, ds, _ = _cohort(n=300)
         produced = self._counting_m_step(monkeypatch)
