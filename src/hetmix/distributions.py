@@ -92,15 +92,14 @@ def _log_gamma(shape) -> np.ndarray:
 
 
 def _log_mass_table(kind: VariableKind, domain, block) -> np.ndarray:
-    """C-contiguous (Z, K) log masses of a finite block over its domain; an
-    ordinal's are its scores less their ``log_sum_exp`` per component. Level d
-    scores against the level r nearest the mean m, -(d - r)(d + r - 2m) / (2
-    variance): r's is 0, the others <= 0 or -inf, so no extreme mean or variance
-    gives inf - inf. The scores are laid out (K, Z); ``log_sum_exp`` sums each
-    component's, so its bits are those of a row of the (Z, K) table."""
+    """C-contiguous (Z, K) log masses of a finite block over its domain: a categorical's
+    log probabilities (a 0's divide warning is left to the caller), an ordinal's its
+    scores less their ``log_sum_exp`` per component. Level d scores against the level r
+    nearest the mean m, -(d - r)(d + r - 2m) / (2 variance): r's is 0, the others <= 0 or
+    -inf, so no extreme mean or variance gives inf - inf. The scores are laid out (K, Z);
+    ``log_sum_exp`` sums each component's, so its bits are those of a row of the table."""
     if kind is VariableKind.CATEGORICAL:
-        with np.errstate(divide="ignore"):
-            return np.log(block[0])
+        return np.log(block[0])
     mean, variance = block
     levels = np.asarray(domain, dtype=float)[:, None]
     nearest = levels[np.abs(levels - np.clip(mean, levels[0], levels[-1])).argmin(axis=0), 0]
@@ -393,18 +392,17 @@ def _weighted_block(kind: VariableKind, sums: np.ndarray, domain, column_scale, 
     return missing_prob, observed, (zero_prob, shape, scale_par)
 
 
-def _natural_params(kind: VariableKind, block, log_masses, domain, unit,
-                    missing_prob) -> np.ndarray:
+def _natural_params(kind: VariableKind, block, log_masses, domain, unit, missed,
+                    kept) -> np.ndarray:
     """(Z, width) coefficients on a column's statistics (``Dataset._stats``: a
     categorical's K + 1 one-hot slots, or ``schema._stat_rows`` with their (centre,
-    scale) ``unit``) of the log factors of a block with missing probabilities q and a
-    finite column's (Z, K) ``log_masses``: log q, then log(1 - q) plus the log mass
-    or density's. A categorical's are each symbol's log mass; a real or ordinal
-    column's are in x~, from expanding (x - mean)^2, an ordinal's constant the log
-    mass at the level r nearest the mean (its score is 0) + ((r - mean)^2 - (mean -
-    centre)^2) / (2 variance). -inf where q or zero_prob is 0 or 1, or a mass is 0."""
+    scale) ``unit``) of the log factors of a block with (Z,) logs ``missed``, log q, and
+    ``kept``, log(1 - q), and a finite column's (Z, K) ``log_masses``: ``missed``, then
+    ``kept`` plus the log mass or density's. A categorical's are each symbol's log mass;
+    a real or ordinal column's are in x~, from expanding (x - mean)^2, an ordinal's
+    constant the log mass at the level r nearest the mean (its score is 0) + ((r - mean)^2
+    - (mean - centre)^2) / (2 variance). -inf where q or zero_prob is 0 or 1, or a mass is 0."""
     with np.errstate(divide="ignore"):
-        missed, kept = np.log(missing_prob), np.log1p(-missing_prob)
         if kind is VariableKind.CATEGORICAL:
             return np.column_stack([missed, kept[:, None] + log_masses])
         if kind is VariableKind.NONNEGATIVE:

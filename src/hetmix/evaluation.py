@@ -27,10 +27,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distributions import log_sum_exp
-from .inference import FinitePrediction, InferenceRequest, predict_batch
+from .inference import FinitePrediction, InferenceRequest, predict_batch, target_tables
 from .model import MixtureModel, _log_joint, evidence_log_likelihoods, row_log_likelihoods
 from .schema import (Dataset, SchemaError, SchemaViolationError, VariableKind, VariableSchema,
-                     _is_int, _kept_ranges, _no_information, validate_dataset)
+                     _is_int, _kept_ranges, _no_information, _span_violations,
+                     validate_dataset)
 from .training import EmConfig, TrainingError, _checked_orders, _fit_many
 from .training import fit  # noqa: F401 (re-exported as hetmix.evaluation.fit)
 
@@ -110,14 +111,14 @@ def training_confidence_scores(model: MixtureModel, dataset: Dataset, mode: str,
 
 def _without_nan(**arrays) -> tuple:
     """The named ``arrays`` as float arrays; ValueError for a NaN, in a pair unequal shapes, or
-    more than one axis (a scalar stays one)."""
+    other than one axis."""
     checked = tuple(np.asarray(values, dtype=float) for values in arrays.values())
     if nan := next((name for name, x in zip(arrays, checked) if np.isnan(x).any()), None):
         raise ValueError(f"{nan} must not hold NaN")
     if len({x.shape for x in checked}) > 1:
         raise ValueError(f"{' and '.join(arrays)} lengths differ")
     for name, x in zip(arrays, checked):
-        if x.ndim > 1:
+        if x.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got {x.ndim} axes")
     return checked
 
@@ -125,11 +126,12 @@ def _without_nan(**arrays) -> tuple:
 def percentile_ranks(scores, training_scores) -> np.ndarray:
     """Fraction of training scores strictly below each score (a scalar score gives a scalar
     fraction; -inf, a zero likelihood, ranks 0). ValueError naming an argument with a NaN."""
-    (ref,), (x,) = _without_nan(training_scores=training_scores), _without_nan(scores=scores)
+    (ref,), (x,) = (_without_nan(training_scores=training_scores),
+                    _without_nan(scores=np.atleast_1d(scores)))
     if ref.size == 0:
         raise ValueError("empty reference scores")
-    idx = np.searchsorted(np.sort(ref), x, side="left")
-    return idx / ref.size
+    ranks = np.searchsorted(np.sort(ref), x, side="left") / ref.size
+    return ranks[0] if np.ndim(scores) == 0 else ranks
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,6 @@ def threshold_curve(percentiles, errors, thresholds=None) -> ThresholdCurve:
     p, e = _without_nan(percentiles=percentiles, errors=errors)
     (thresholds,) = _without_nan(thresholds=np.linspace(0.0, 1.0, 21) if thresholds is None
                                  else thresholds)
-    if thresholds.ndim != 1:
-        raise ValueError(f"thresholds must be 1-D, got {thresholds.ndim} axes")
     means = np.empty(thresholds.shape)
     kept = np.empty(thresholds.shape, dtype=np.int64)
     for i, tau in enumerate(thresholds):
@@ -218,7 +218,8 @@ def error_density(values, grid) -> np.ndarray:
     (x,), (grid,) = _without_nan(values=values), _without_nan(grid=grid)
     h = scott_bandwidth(x)
     z = (grid[:, None] - x[None, :]) / h
-    density = np.exp(-0.5 * z ** 2).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # a grid point far from a value: its term is exp(-inf), 0
+        density = np.exp(-0.5 * z ** 2).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))
     return density
 
 
@@ -293,26 +294,28 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
     """Leave out each of ``subjects`` in turn from ``dataset`` (its cells checked): a fold keeps
     every row but its subject's, an (F, N) mask, and is checked and trained on the cohort with
     that row masked. One ``_kept_ranges`` pass gives every fold's column scales and, through
-    ``_no_information`` (the check ``validate_dataset`` makes), its schema check. Per order, the
-    restarts of all folds, each fold's from its ``_fold_seed``, run as one batched EM, whose
-    one stack of fold models one likelihood pass over the non-target inputs scores: each
-    held-out posterior and confidence, and every training row's score; one ``predict_batch``
-    on the stack's tables then gives every fold's predictions, and array operations its
-    errors and percentile.
+    ``_no_information`` and ``_span_violations`` (checks ``validate_dataset`` makes), its schema
+    check. Per order, the restarts of all folds, each fold's from its ``_fold_seed``, run as one
+    batched EM, whose one stack of fold models one likelihood pass over the non-target inputs
+    scores: each held-out posterior and confidence, and every training row's score; one
+    ``predict_batch`` on the stack's ``target_tables`` then gives every fold's predictions, and
+    array operations its errors and percentile.
 
-    Returns ({subject: message}, errors, log_scores, percentiles): (O, F, T) errors
-    and (O, F) confidences over (0, *orders) x ``subjects`` x ``targets``, order 0 from the
-    uniform reference, NaN where the truth is missing, the fold did not get that far, or (for a
+    Returns ({subject: message}, errors, log_scores, percentiles): (O, F, T) errors and (O, F)
+    confidences over (0, *orders) x ``subjects`` x ``targets``, order 0 from the uniform
+    reference, NaN where the truth is missing, the fold did not get that far, or (for a
     confidence) at order 0. A fold fails at its first failure: its training rows lose a column's
-    variability (the SchemaViolationError text ``validate_dataset`` gives), every restart of an
-    order fails, or the held-out evidence has zero likelihood while some truth is observed (with
-    none, the fold keeps its -inf score)."""
+    variability or span a real column too narrowly (the SchemaViolationError text
+    ``validate_dataset`` gives), every restart of an order fails, or the held-out evidence has
+    zero likelihood while some truth is observed (with none, the fold keeps its -inf score)."""
     n, subjects = dataset.n_subjects, list(subjects)
     input_cols = tuple(j for j in dataset.input_columns if dataset.schemas[j].name not in targets)
     kept = np.arange(n) != np.array(subjects)[:, None]
     ranges = _kept_ranges(dataset, kept)
-    failed = {s: str(SchemaViolationError(violations)) for s, violations
-              in zip(subjects, _no_information(dataset, ranges, kept)) if violations}
+    failed = {s: str(SchemaViolationError(sorted(  # in column order, as validate_dataset's
+        flat + spanned, key=lambda v: dataset.column_index(v.column))))
+        for s, flat, spanned in zip(subjects, _no_information(dataset, ranges, kept),
+                                    _span_violations(dataset, ranges)) if flat + spanned}
     chance = {name: np.broadcast_to(p := chance_prediction(dataset.schema(name)).probabilities,
                                     (len(subjects), p.size)) for name in targets}
     errors = np.full((1 + len(orders), len(subjects), len(targets)), np.nan)
@@ -333,8 +336,8 @@ def _evaluate_folds(dataset: Dataset, subjects, orders, targets, mode: str,
         held, folds = np.array(subjects)[rows], np.arange(rows.size)
         log_joint = _log_joint(stacked, dataset, mode, input_cols).reshape(-1, order, n)
         scores = log_sum_exp(log_joint, axis=1)
-        tables = {name: (dataset.schema(name), stacked._mass_table(dataset.column_index(name))
-                         .reshape(len(held), order, -1)) for name in targets}
+        tables = {name: (schema, table.reshape(len(held), order, -1))
+                  for name, (schema, table) in target_tables(stacked, targets).items()}
         predicted, zero = predict_batch(tables, log_joint[folds, :, held])
         log_scores[o, rows] = log_c = scores[folds, held]
         # a score's own row is not below it: the count over the other N - 1, as percentile_ranks

@@ -10,22 +10,23 @@ factor of component z is q[z, v] for a missing cell and
 one contributes f(x_v; params[z][v]) alone. All computation is done in the
 log domain with log-sum-exp reductions.
 
-One routine, ``_factors``, gives every per-variable log factor, for any set
-of components: a finite variable gathers columns of its (Z, K + 1) table of log
-factors by its codes + 1 (the first column, picked by the missing code -1, holds
-the missing factor; the log masses are computed once per model); a continuous
-one evaluates its family's density over (Z, N) and writes the missing factor in
-place. Scoring (``_log_joint``; ``component_log_likelihoods`` is its (N, Z)
-transpose) adds it over the variables for all Z components, component-major, so
-every elementwise pass runs along the N subjects; it serves both modes and
-single rows (``infer``), for which no statistics are built. EM, E-step
-included, is in ``training``, which calls ``_factors`` as its fallback. A
-stack of fits, of one order or several, is one model, fit-major (``_from_blocks``).
+One routine, ``_factors``, gives every per-variable log factor, for any set of
+components and either mode, from the logs a model takes once (log q, log(1 - q), log
+masses): a finite variable gathers columns of its (Z, K + 1) table of log factors by
+its codes + 1 (its first column, picked by the missing code -1, the missing factor); a
+continuous one evaluates its family's density over (Z, N) and writes the missing
+factor in place. Scoring (``_log_joint``; ``component_log_likelihoods`` is its (N, Z)
+transpose) adds it over the variables for all Z components, component-major, so every
+elementwise pass runs along the N subjects; it serves single rows too (``infer``), for
+which no statistics are built. EM, E-step included, is in ``training``, which calls
+``_factors`` as its fallback. A stack of fits, of one order or several, is one model,
+fit-major (``_from_blocks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,14 +67,15 @@ class MixtureModel(_Variables):
             raise ValueError(f"params must hold one row of {len(schemas)} cells per weight")
         blocks = tuple(_block_of(s, [row[v] for row in params]) for v, s in enumerate(schemas))
         packed = MixtureModel._from_blocks(weights, blocks, missing_probs, schemas)
-        self.__dict__.update(packed.__dict__, _params=params)
+        self.__dict__.update(packed.__dict__, params=params)
 
     @classmethod
     def _from_blocks(cls, weights, blocks, missing_probs, schemas, groups=None) -> "MixtureModel":
         """A checked model whose variable v has the parameter block ``blocks[v]``
-        (its arrays are made read-only); finite variables' log-mass tables are
-        computed here, once. ``groups`` of (F, Z) sizes stack F fits of Z components
-        per group, fit-major, whose weights sum to 1 per fit (see ``_fits``)."""
+        (its arrays are made read-only); its log weights, each mode's missed and kept logs
+        (``_factors``) and finite variables' log-mass tables are computed here, once.
+        ``groups`` of (F, Z) sizes stack F fits of Z components per group, fit-major,
+        whose weights sum to 1 per fit (see ``_fits``)."""
         schemas = tuple(schemas)
         n_comp, n_vars = _n_weights(weights), len(schemas)
         if np.shape(missing_probs) != (n_comp, n_vars):
@@ -99,11 +101,14 @@ class MixtureModel(_Variables):
         weights.setflags(write=False)
         missing.setflags(write=False)
         model = cls.__new__(cls)
-        model.__dict__.update(
-            weights=weights, missing_probs=missing, schemas=schemas, _blocks=tuple(blocks),
-            _log_masses=tuple(_log_mass_table(s.kind, s.domain, block) if s.kind.is_finite
-                              else None for s, block in zip(schemas, blocks)),
-            _params=None, _name_to_column=_name_index(schemas))
+        with np.errstate(divide="ignore"):  # a weight, q, 1 - q or probability of 0: -inf
+            model.__dict__.update(
+                weights=weights, missing_probs=missing, schemas=schemas, _blocks=tuple(blocks),
+                _log_weights=np.log(weights), _name_to_column=_name_index(schemas),
+                _log_missing={MODEL_MISSING: (np.log(missing), np.log1p(-missing)),
+                              IGNORE_MISSING: (np.broadcast_to(0.0, missing.shape),) * 2},
+                _log_masses=tuple(_log_mass_table(s.kind, s.domain, block) if s.kind.is_finite
+                                  else None for s, block in zip(schemas, blocks)))
         return model
 
     def _fits(self, groups=None) -> list:
@@ -128,13 +133,11 @@ class MixtureModel(_Variables):
     def __setattr__(self, name, value):
         raise AttributeError(f"MixtureModel is immutable; cannot set {name!r}")
 
-    @property
+    @cached_property
     def params(self) -> tuple:
         """The Z x V grid of parameter cells: params[z][v] is component z's
         distribution of variable v. Built from the blocks on first access."""
-        if self._params is None:
-            self.__dict__["_params"] = tuple(zip(*map(self._cells, range(self.n_variables))))
-        return self._params
+        return tuple(zip(*map(self._cells, range(self.n_variables))))
 
     def _cells(self, column: int) -> tuple:
         """The Z cells of variable ``column``, built from its block alone."""
@@ -179,19 +182,17 @@ def _log_joint(model: MixtureModel, dataset: Dataset, mode: str,
     check_mode(mode)
     if tuple(dataset.schemas) != model.schemas:
         raise SchemaError("dataset schemas do not match the model's schemas")
-    q = model.missing_probs[:, :, None]
-    with np.errstate(divide="ignore"):
-        missed, kept = (np.log(q), np.log1p(-q)) if mode == MODEL_MISSING else (np.zeros_like(q),) * 2
-        out = np.repeat(np.log(model.weights)[:, None], dataset.n_subjects, axis=1)
-        for v in _column_indices(columns, model.n_variables):
-            out += _factors(model, dataset, v, slice(None), missed[:, v], kept[:, v])
+    out = np.repeat(model._log_weights[:, None], dataset.n_subjects, axis=1)
+    for v in _column_indices(columns, model.n_variables):
+        out += _factors(model, dataset, v, slice(None), mode)
     return out
 
 
-def _factors(model: MixtureModel, dataset: Dataset, v: int, rows, missed, kept) -> np.ndarray:
-    """(len(rows), N) log factors of column v under the components ``rows``: ``kept``
-    plus the log mass or density where observed, ``missed`` where missing (both
-    (len(rows), 1)). A finite column gathers its table by code + 1, missing first."""
+def _factors(model: MixtureModel, dataset: Dataset, v: int, rows, mode: str) -> np.ndarray:
+    """(len(rows), N) log factors of column v under the components ``rows`` in ``mode``:
+    log(1 - q) plus the log mass or density where observed, log q where missing (0 and 0
+    under ``ignore_missing``). A finite column gathers its table by code + 1, missing first."""
+    missed, kept = (a[rows, v, None] for a in model._log_missing[mode])
     if model.schemas[v].kind.is_finite:
         table = np.column_stack([missed, kept + model._log_masses[v][rows]])
         return table.take(dataset.column_codes(v) + 1, axis=1)

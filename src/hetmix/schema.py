@@ -41,9 +41,10 @@ OUTCOME = "outcome"
 ROLES = (INPUT, OUTCOME)
 # the fit-range bounds, which keep EM finite: ordinal levels and span below ORDINAL_LIMIT (the
 # squared scale of their d~ < 2**962), a real span below REAL_SPAN_LIMIT (its squared statistics
-# scale < 2 * span), and SHAPE_MIN, the M-step's least Gamma shape (a value / it is a scale)
+# scale < 2 * span) and, above 0, at least REAL_SPAN_MIN (its variance floor, 1e-6 * span**2, a
+# normal float), and SHAPE_MIN, the M-step's least Gamma shape (a value / it is a scale)
 ORDINAL_LIMIT = 2 ** 480
-REAL_SPAN_LIMIT = 2.0 ** 511
+REAL_SPAN_LIMIT, REAL_SPAN_MIN = 2.0 ** 511, 2.0 ** -480
 SHAPE_MIN = 1e-3
 
 
@@ -430,18 +431,16 @@ class Dataset(_Variables):
     @cached_property
     def _findings(self) -> tuple:
         """``validate_dataset``'s violations, found once: a Dataset never changes."""
-        ranges = counts, _, high, spans = _kept_ranges(self)
-        uninformative, = _no_information(self, ranges)
+        ranges = counts, _, high, _ = _kept_ranges(self)
+        (uninformative,), (spanned,) = _no_information(self, ranges), _span_violations(self, ranges)
         out = []
         for j, schema in enumerate(self.schemas):
             out.extend(self.cell_violations[j])
             out.extend(v for v in uninformative if v.column == schema.name)
             if schema.kind.is_finite or not counts[0, j] or self.cell_violations[j]:
                 continue
-            if schema.kind is VariableKind.REAL:  # its scale is its span, inf on overflow
-                if (span := float(spans[0, j])) >= REAL_SPAN_LIMIT:
-                    out.append(Violation(None, schema.name,
-                                         f"values span {span}, not below 2**511: too wide to fit"))
+            if schema.kind is VariableKind.REAL:
+                out.extend(v for v in spanned if v.column == schema.name)
                 continue
             with np.errstate(over="ignore"):
                 total = float((x := self._values[:, j])[~np.isnan(x)].sum())
@@ -611,10 +610,26 @@ def _no_information(dataset: Dataset, ranges: tuple, kept=None) -> list:
     return found
 
 
+def _span_violations(dataset: Dataset, ranges: tuple) -> list:
+    """Per row of the (F, V) column scales of ``_kept_ranges``' ``ranges``, the violations
+    of the real columns whose kept values span REAL_SPAN_LIMIT or more (inf past the float
+    range) or less than REAL_SPAN_MIN, in column order: a span of 0, or none, has a scale
+    of 1.0 (``_no_information`` words it). Bad cells are the caller's to leave out."""
+    spans, real = ranges[3], [s.kind is VariableKind.REAL for s in dataset.schemas]
+    found = [[] for _ in spans]
+    for f, j in np.argwhere(((spans >= REAL_SPAN_LIMIT) | (spans < REAL_SPAN_MIN)) & real).tolist():
+        span = float(spans[f, j])
+        why = "below 2**-480: too narrow" if span < REAL_SPAN_MIN else "not below 2**511: too wide"
+        found[f].append(Violation(None, dataset.schemas[j].name,
+                                  f"values span {span}, {why} to fit"))
+    return found
+
+
 def validate_dataset(dataset: Dataset) -> list[Violation]:
     """All violations in the dataset, column by column: its bad cells, then its
-    zero variability (``_no_information``, the check each leave-one-out fold
-    makes) and values too large to fit.
+    zero variability (``_no_information``) and a real span too wide or too narrow
+    (``_span_violations``), the checks each leave-one-out fold makes, and
+    nonnegative values too large to fit.
 
     A column has zero variability when every cell is missing or every observed
     value is identical (exact equality, floats included). Such columns carry
@@ -622,9 +637,12 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     values span 2**511 or more, or a nonnegative one whose total or largest
     value / SHAPE_MIN (the smallest Gamma shape) is not finite, is too large
     to fit: below these bounds the squared statistics scale and variance floor
-    of a real column, and every Gamma mean and scale, are finite. A column
-    with any bad cell is neither: its bad cells are its violations. Found once
-    per dataset (``Dataset._findings``); each call returns a new list.
+    of a real column, and every Gamma mean and scale, are finite. A real column
+    whose values span less than 2**-480 (but more than 0) is too narrow: its
+    variance floor would be no normal float, and 0 below a span of about 1e-151.
+    A column with any bad cell is none of these: its bad cells are its
+    violations. Found once per dataset (``Dataset._findings``); each call
+    returns a new list.
     """
     return list(dataset._findings)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import EstimationError, _default_block, _natural_params, _weighted_block
-from .model import MixtureModel, _factors, _parameter_count, parameter_count
+from .model import MODEL_MISSING, MixtureModel, _factors, _parameter_count, parameter_count
 from .schema import Dataset, SchemaViolationError, _is_int, _kept_ranges, validate_dataset
 
 COLLAPSE_EPS = 1e-8       # minimum total responsibility per component
@@ -123,10 +123,10 @@ def _natural_coefficients(model: MixtureModel, dataset: Dataset) -> tuple:
     ``_log_joint``."""
     _, layout, reach = dataset._stats
     theta = np.zeros((model.n_components, reach.size))
-    dense = []
+    dense, (missed, kept) = [], model._log_missing[MODEL_MISSING]
     for v, (schema, (cols, unit)) in enumerate(zip(model.schemas, layout)):
         block = _natural_params(schema.kind, model._blocks[v], model._log_masses[v],
-                                schema.domain, unit, model.missing_probs[:, v])
+                                schema.domain, unit, missed[:, v], kept[:, v])
         block[:, reach[cols] == 0] = 0.0  # 0 on every row: adds nothing, -inf or not
         with np.errstate(over="ignore"):
             wide = np.abs(block) @ reach[cols] >= EM_TERM_LIMIT
@@ -149,12 +149,10 @@ def _em_log_joint(model: MixtureModel, dataset: Dataset, coefficients, first, ou
         rows = slice(start, start + _CHUNK_ROWS)
         np.matmul(group, matrix[rows].T, out=out[..., rows])
     flat = out.reshape(stop - first, -1)
-    with np.errstate(divide="ignore"):
-        flat += np.log(model.weights[first:stop])[:, None]
-        for v, rows in dense:
-            if (rows := rows[(first <= rows) & (rows < stop)]).size:
-                q = model.missing_probs[rows, v, None]
-                flat[rows - first] += _factors(model, dataset, v, rows, np.log(q), np.log1p(-q))
+    flat += model._log_weights[first:stop, None]
+    for v, rows in dense:
+        if (rows := rows[(first <= rows) & (rows < stop)]).size:
+            flat[rows - first] += _factors(model, dataset, v, rows, MODEL_MISSING)
     return out
 
 
@@ -288,6 +286,7 @@ def _em_batch(dataset: Dataset, kept: np.ndarray, scales: np.ndarray, orders, st
         if not groups:
             return list(zip(params, traces, endings))
         sizes = list(groups.values())
+        model = coefficients = stacks = None  # the last stack is read no more: free it first
         rows = np.concatenate([np.repeat(live[g], order) for g, (_, order) in groups.items()])
         model = _m_step_batch(dataset, np.concatenate(sums), np.concatenate(weights), scales[rows],
                               sizes)
@@ -376,7 +375,9 @@ def fit(dataset: Dataset, order: int,
 
 def bic_score(model: MixtureModel, n_subjects: int, nll: float) -> float:
     """0.5 * T_d * ln N + NLL, for the model's NLL under the model_missing
-    likelihood on N subjects (``TrainingTrace.final_nll`` of its fit)."""
+    likelihood on N subjects (``TrainingTrace.final_nll`` of its fit), N an integer >= 1."""
+    if not (_is_int(n_subjects) and n_subjects >= 1):
+        raise ValueError(f"n_subjects must be an integer >= 1, got {n_subjects!r}")
     return _bic(parameter_count(model), n_subjects, nll)
 
 

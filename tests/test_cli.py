@@ -711,6 +711,26 @@ class TestFitRange:
         model = load_model(tmp_path / "fit" / "model.json")
         assert all(np.isfinite(a).all() for block in model._blocks for a in block)
 
+    def test_a_span_too_narrow_to_fit_exit_3(self, tmp_path, capsys):
+        """40 values of U(0, 1) * 1e-200, whose variance floor underflows to 0: validate,
+        and fit at orders 1 and 2 with --drop-zero-variability too, exit 3 with the one
+        violation naming x, not a message about a model's variance."""
+        schema, data = tmp_path / "schema.json", tmp_path / "data.csv"
+        save_schemas((VariableSchema("x", "real"),), schema)
+        values = np.random.default_rng(1).random(40) * 1e-200
+        data.write_text("x\n" + "".join(f"{x!r}\n" for x in values.tolist()))
+        span = float(values.max() - values.min())
+        for command in (["validate"], ["fit", "--order", "1"], ["fit", "--order", "2"],
+                        ["fit", "--order", "1", "--drop-zero-variability"]):
+            out = tmp_path / "-".join(command)
+            assert main([*command, "--out-dir", str(out), "--data", str(data),
+                         "--schema", str(schema)]) == 3
+            error = _last_error(capsys)
+            assert (error["category"], error["violations"]) == ("validation", [
+                {"row": None, "column": "x",
+                 "message": f"values span {span}, below 2**-480: too narrow to fit"}])
+            assert not (out / "model.json").exists()
+
 
 class TestSelect:
     def test_order_range_table(self, work, tmp_path):
@@ -1207,6 +1227,26 @@ class TestEvaluate:
         _, rows = _read_csv(out / "error_density.csv")
         assert {(r[0], r[1]) for r in rows} == {("1", "status")}
         assert len(rows) == 201
+
+    def test_a_fold_too_narrow_to_fit_is_excluded(self, tmp_path, capsys):
+        """Ten values near 1e-200, nineteen zeros and one 1.0: the cohort passes, and the
+        fold that holds out the 1.0 fails its check by name and is excluded; the run
+        goes on and writes all six tables."""
+        schema, data = tmp_path / "schema.json", tmp_path / "data.csv"
+        save_schemas((VariableSchema("x", "real"),
+                      VariableSchema("y", "ordinal", (1, 2, 3), "outcome")), schema)
+        x = [1e-200 * (1.0 + i / 10.0) for i in range(10)] + [0.0] * 19 + [1.0]
+        y = np.random.default_rng(2).integers(1, 4, size=30).tolist()
+        data.write_text("x,y\n" + "".join(f"{a!r},{b}\n" for a, b in zip(x, y)))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--out-dir", str(out), "--data", str(data), "--schema",
+                     str(schema), "--orders", "1-2", "--mode", "model_missing"]) == 0
+        assert "1 fold(s) failed and were excluded" in capsys.readouterr().out
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "confidence_bins.csv", "confidence_records.csv", "eae_records.csv",
+            "error_density.csv", "performance.csv", "threshold_curve.csv"]
+        _, records = _read_csv(out / "eae_records.csv")
+        assert {row[1] for row in records} == {str(s) for s in range(29)}
 
     def test_a_target_with_no_known_error_has_no_rows(self, tmp_path, capsys):
         """``status`` is observed in subjects 0 and 1 alone, whose folds lose its variability

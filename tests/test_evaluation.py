@@ -23,7 +23,7 @@ from hetmix import (IGNORE_MISSING, MODEL_MISSING, OUTCOME, Dataset, DegenerateS
                     threshold_curve, training_confidence_scores)
 from hetmix.demo import small_demo_model
 from hetmix.distributions import log_sum_exp
-from hetmix.evaluation import _evaluate_folds, _fold_seed
+from hetmix.evaluation import FoldFailure, _evaluate_folds, _fold_seed
 from hetmix.inference import predict_batch, target_tables
 from hetmix.model import ZeroLikelihoodError, evidence_log_likelihoods
 from hetmix.schema import MISSING, _kept_ranges, validate_dataset
@@ -348,9 +348,34 @@ class TestReportArrays:
         with pytest.raises(ValueError, match=f"^{name} must be 1-D, got 2 axes$"):
             call(self.TABLE)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: percentile_ranks(0.5, 1.0), "training_scores"),
+        (lambda: error_density([0.0, 1.0], 0.5), "grid"),
+        (lambda: error_density(0.5, [0.0, 1.0]), "values"),
+        (lambda: scott_bandwidth(0.5), "values"),
+        (lambda: threshold_curve(0.5, 1.0), "percentiles"),
+        (lambda: threshold_curve([0.5], [1.0], 0.5), "thresholds"),
+        (lambda: confidence_bins(0.5, 1.0), "percentiles")],
+        ids=["ranks-training", "density-grid", "density-values", "bandwidth",
+             "threshold-curve", "thresholds", "confidence-bins"])
+    def test_no_axis_is_refused_by_name(self, call, name):
+        """A scalar where a report reads an array is refused by the same 1-D rule, not
+        ranked along a missing axis, indexed past its end, or binned as one subject."""
+        with pytest.raises(ValueError, match=f"^{name} must be 1-D, got 0 axes$"):
+            call()
+
     def test_a_scalar_score_ranks_to_a_scalar(self):
         rank = percentile_ranks(1.0, [0.0, 2.0])
         assert (rank.ndim, float(rank)) == (0, 0.5)
+
+    def test_a_grid_point_far_from_every_value_has_zero_density(self):
+        """(grid - value) / h squared past the float range is a term of exp(-inf) = 0, with
+        no overflow warning; the other points keep their bits."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = error_density([0.0, 1.0, 2.0], [0.0, 1e200])
+        assert far[1] == 0.0
+        assert far[0] == error_density([0.0, 1.0, 2.0], [0.0])[0] > 0.0
 
 
 class TestConfidenceScores:
@@ -614,6 +639,26 @@ class TestMaskFolds:
         assert all(np.isnan(a[1:]).all() for a in arrays)  # no order was reached
         with pytest.raises(TrainingError, match=r"^3 of 3 folds failed: "):
             loo_evaluate(cohort, (1, 2), ("y",), MODEL_MISSING, EmConfig())
+
+    def test_a_fold_too_narrow_to_fit_fails_alone(self):
+        """x spans 1 over the cohort but about 1e-200 without its one 1.0, and w is constant
+        without that row: the fold that holds it out is refused as ``validate_dataset``
+        refuses its copy, both columns in column order, not fitted with a variance floor
+        of 0, and the other folds run."""
+        schemas = (VariableSchema("x", "real"), VariableSchema("w", "real"),
+                   VariableSchema("y", "ordinal", (1, 2, 3), OUTCOME))
+        x = [1e-200 * (1.0 + i / 10.0) for i in range(10)] + [0.0] * 19 + [1.0]
+        w = [2.5] * 29 + [3.0]
+        y = np.random.default_rng(2).integers(1, 4, size=30).tolist()
+        cohort = Dataset(schemas, list(zip(x, w, y)))
+        assert not validate_dataset(cohort)
+        message = str(SchemaViolationError(validate_dataset(cohort.drop_subject(29))))
+        assert re.search(r"'x': values span .*, below 2\*\*-480: too narrow to fit; "
+                         r"column 'w': constant column \(always 2\.5\)$", message), message
+        got = loo_evaluate(cohort, (1, 2), ("y",), MODEL_MISSING,
+                           EmConfig(restarts=2, max_iterations=20))
+        assert got.failures == (FoldFailure(29, message),)
+        assert got.subjects.tolist() == list(range(29))
 
     def test_no_fold_copies_the_cohort(self, monkeypatch):
         def never(*args):

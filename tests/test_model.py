@@ -14,7 +14,7 @@ import oracles
 from conftest import KINDS, random_cell_params, random_model, random_row, random_schema
 from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
                     Dataset, Gaussian, InflatedGamma, MixtureModel, QuantizedGaussian,
-                    SchemaError, SchemaViolationError, VariableSchema,
+                    SchemaError, SchemaViolationError, VariableKind, VariableSchema,
                     ZeroLikelihoodError, component_log_likelihoods,
                     evidence_log_likelihoods, joint_log_likelihood, latent_posterior,
                     parameter_count, row_log_likelihoods, sample_cohort,
@@ -22,7 +22,7 @@ from hetmix import (IGNORE_MISSING, MISSING, MODEL_MISSING, Categorical,
 from hetmix.demo import demo_model, small_demo_model
 from hetmix.inference import predict_batch
 from hetmix.distributions import _BLOCK_FIELDS, _check_params, log_sum_exp
-from hetmix.model import _parameter_count
+from hetmix.model import _factors, _parameter_count
 from hetmix.io import model_to_dict, read_data_csv, write_data_csv
 
 
@@ -119,7 +119,7 @@ class TestMixtureModel:
         model = MixtureModel._from_blocks((1.0,), ((np.array([0.0]), np.array([1.0])),),
                                           [[0.25]], schemas)
         assert parameter_count(model) == 3
-        assert model._params is None
+        assert "params" not in vars(model)
         assert model.params == ((Gaussian(0.0, 1.0),),)
 
     def test_parameter_count_frozen(self):
@@ -281,6 +281,25 @@ class TestJointLikelihood:
                 want = math.log(oracles.joint_likelihood(payload, evidence, mode))
                 got = joint_log_likelihood(model, row, mode)
                 assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10)
+
+    def test_a_missing_cell_factor_per_mode(self):
+        """``_factors`` applies the mode itself: a MISSING cell's factor is exactly 0 under
+        ignore_missing and exactly log q under model_missing, for every family and any set
+        of components."""
+        model = demo_model()
+        row = sample_cohort(model, 1, np.random.default_rng(3))[0].row(0)
+        ds = Dataset(model.schemas, [(MISSING,) * model.n_variables, row])
+        assert {s.kind for s in model.schemas} == set(VariableKind)
+        for v in range(model.n_variables):
+            for rows in (slice(None), np.array([2, 0])):
+                log_q = np.log(model.missing_probs[rows, v])
+                ignored = _factors(model, ds, v, rows, IGNORE_MISSING)
+                modelled = _factors(model, ds, v, rows, MODEL_MISSING)
+                assert ignored[:, 0].tolist() == [0.0] * len(log_q)
+                assert modelled[:, 0].tolist() == log_q.tolist()
+                if row[v] is not MISSING:
+                    assert np.allclose(modelled[:, 1] - ignored[:, 1],
+                                       np.log1p(-model.missing_probs[rows, v]), rtol=1e-12)
 
     def test_component_permutation_invariance(self):
         model = _two_comp_model()

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import hetmix.distributions
 import hetmix.io
 import hetmix.schema
-from hetmix import (MISSING, Dataset, SchemaError, SchemaViolationError,
-                    VariableKind, VariableSchema, drop_zero_variability,
+from hetmix import (MISSING, Dataset, EmConfig, SchemaError, SchemaViolationError,
+                    VariableKind, VariableSchema, drop_zero_variability, fit,
                     missingness_profile, validate_dataset)
 from hetmix.io import read_data_csv
 from hetmix.schema import Violation, _kept_ranges, _no_information
@@ -636,12 +636,14 @@ class TestValidateDataset:
 
 class TestFitRange:
     """Columns EM cannot fit are violations: a real span of 2**511 or more
-    (its squared statistics scale and variance floor overflow), a nonnegative
-    column whose total, or largest value / SHAPE_MIN, is not finite (a Gamma
-    mean or scale overflows). Each bound admits the value just inside it."""
+    (its squared statistics scale and variance floor overflow) or, above 0, below
+    2**-480 (its variance floor is no normal float, and 0 below about 1e-151), a
+    nonnegative column whose total, or largest value / SHAPE_MIN, is not finite (a
+    Gamma mean or scale overflows). Each bound admits the value just inside it."""
 
     SPAN, LARGEST = widest_fit_values()
     REAL = "values span {}, not below 2**511: too wide to fit"
+    NARROW = "values span {}, below 2**-480: too narrow to fit"
     NONNEGATIVE = "values too large to fit: their total or largest value / 0.001 is not finite"
 
     @pytest.mark.parametrize("kind, cells, message", [
@@ -651,6 +653,9 @@ class TestFitRange:
         ("real", (-2.0 ** 510, 2.0 ** 510), REAL.format(2.0 ** 511)),
         ("nonnegative", (1.7e308, 0.0), NONNEGATIVE),
         ("nonnegative", (float(np.nextafter(LARGEST, math.inf)), 0.0), NONNEGATIVE),
+        ("real", (0.0, 2.0 ** -481), NARROW.format(2.0 ** -481)),
+        ("real", (1e-200, -1e-200), NARROW.format(2e-200)),
+        ("real", (0.0, 5e-324), NARROW.format(5e-324)),
     ])
     def test_refused(self, kind, cells, message):
         ds = Dataset((VariableSchema("x", kind), VariableSchema("y", "real")),
@@ -665,11 +670,30 @@ class TestFitRange:
 
     @pytest.mark.parametrize("kind, cells", [
         ("real", (0.0, SPAN)), ("real", (-SPAN / 2, SPAN / 2)), ("real", (-1e153, 1e153)),
-        ("nonnegative", (LARGEST, 0.0)), ("nonnegative", (LARGEST, LARGEST / 2))])
+        ("nonnegative", (LARGEST, 0.0)), ("nonnegative", (LARGEST, LARGEST / 2)),
+        ("real", (0.0, 2.0 ** -480)), ("real", (-2.0 ** -481, 2.0 ** -481))])
     def test_just_inside_is_admitted(self, kind, cells):
         ds = Dataset((VariableSchema("x", kind), VariableSchema("y", "real")),
                      [(cells[0], 1.0), (cells[1], 2.0), (MISSING, 3.0)])
         assert validate_dataset(ds) == []
+
+    def test_a_narrow_cohort_is_refused_before_em(self):
+        """40 values of U(0, 1) * 1e-200: ``fit`` refuses the cohort by name, not with the
+        variance check of a model whose floor underflowed to 0; and a cohort of the
+        narrowest span admitted, 2**-480, fits at orders 1 and 2."""
+        u = np.random.default_rng(5).random(40)
+        narrow = Dataset((VariableSchema("x", "real"),), [(x,) for x in u * 1e-200])
+        span = float((u * 1e-200).max() - (u * 1e-200).min())
+        with pytest.raises(SchemaViolationError) as err:
+            fit(narrow, 1, EmConfig(restarts=1))
+        assert err.value.violations == [Violation(None, "x", self.NARROW.format(span))]
+        scaled = (u - u.min()) / (u.max() - u.min()) * 2.0 ** -480
+        ds = Dataset((VariableSchema("x", "real"),), [(x,) for x in scaled])
+        assert _kept_ranges(ds)[3].tolist() == [[2.0 ** -480]] and validate_dataset(ds) == []
+        for order in (1, 2):
+            model, trace = fit(ds, order, EmConfig(restarts=2, max_iterations=20))
+            assert np.isfinite(trace.final_nll)
+            assert (model._blocks[0][1] >= 1e-6 * 2.0 ** -960).all()
 
     def test_an_overflowing_span_warns_nothing(self):
         """A real span too wide for a float reads as inf, with no overflow

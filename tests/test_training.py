@@ -360,6 +360,15 @@ class TestBic:
         want = 0.5 * parameter_count(model) * math.log(100) + trace.final_nll
         assert math.isclose(bic_score(model, 100, trace.final_nll), want, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("n_subjects", [0, -5, 2.5, 100.0, True, None])
+    def test_subjects_must_be_a_positive_integer(self, n_subjects):
+        """ln N of no subjects is -inf (a divide warning), of fewer NaN: refused by name."""
+        model = MixtureModel._from_blocks((1.0,), ((np.array([0.0]), np.array([1.0])),),
+                                          [[0.25]], (VariableSchema("x", "real"),))
+        with pytest.raises(ValueError,
+                           match=f"^n_subjects must be an integer >= 1, got {n_subjects!r}$"):
+            bic_score(model, n_subjects, 10.0)
+
     def test_frozen_arithmetic(self):
         # 0.5 * 10 * ln(100) + 500
         assert math.isclose(0.5 * 10 * math.log(100) + 500.0,
